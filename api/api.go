@@ -4,17 +4,20 @@
 // machine-readable error envelope (Error), and the HTTP handlers serving
 // them under /v1.
 //
-// The package replaces the divergent muxes internal/engine and internal/live
-// used to expose — one route tree now serves both deployment shapes:
+// The package is the only owner of the HTTP contract. One route tree
+// serves every deployment shape; the constructors differ only in what
+// evaluates a resolved request (the Backend seam, backend.go):
 //
-//	NewServer(engine, cfg)      read-only deployment over one prepared engine
-//	NewLiveServer(store, cfg)   mutable deployment over a live store
+//	NewServer(engine, cfg)               read-only deployment over one prepared engine
+//	NewLiveServer(store, cfg)            mutable deployment over a live store
+//	NewFleetServer(store, backend, cfg)  the same tree in front of a shard fleet
 //
-// Both mount the same /v1 endpoints (match, match/stream, graph, healthz,
-// metrics; the live variant adds update and queries) plus the pre-/v1
-// unversioned routes as thin deprecated aliases that answer identically and
-// emit a Deprecation header. Every route runs through one middleware
-// (metrics.go): request ids accepted or generated and echoed as
+// All mount the same /v1 endpoints (match, match/stream, graph, healthz,
+// metrics; the store-backed ones add update and queries). The handlers
+// decode, validate in one fixed order, clamp the deadline, register the
+// query with the flight recorder and tracer, and encode; the Backend only
+// evaluates. Every route runs through one middleware (metrics.go):
+// request ids accepted or generated and echoed as
 // X-Request-Id, per-endpoint counters and latency histograms in the
 // process-wide internal/obs registry (rendered by GET /v1/metrics), panic
 // recovery into a structured 500, and an optional structured access log

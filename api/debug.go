@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -120,15 +119,18 @@ func recordsJSON(recs []obs.QueryRecord) []QueryRecordJSON {
 
 func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// trace returns the stage trace to install into opts: one is allocated when
-// the caller asked for stats, the flight recorder is on, or the request
-// carries a trace (whose span tree the engine stages then parent under the
-// request's root span); nil otherwise — the allocation-free path the
-// AllocsPerRun guards pin.
-func (s *server) trace(r *http.Request, opts *engine.QueryOptions, statsRequested bool) *obs.QueryStats {
+// trace hands q the request's root span and returns the stage trace it
+// installed into q.Opts: one is allocated when the caller asked for stats,
+// the flight recorder is on, or the request carries a trace (whose span tree
+// the engine stages then parent under the request's root span); nil
+// otherwise — the allocation-free path the AllocsPerRun guards pin.
+func (s *server) trace(r *http.Request, q *Query) *obs.QueryStats {
 	ri := reqInfo(r.Context())
 	traced := ri != nil && ri.trace != nil
-	if !statsRequested && s.flight == nil && !traced {
+	if ri != nil {
+		q.Root = ri.root
+	}
+	if !q.Request.Query.Stats && s.flight == nil && !traced {
 		return nil
 	}
 	tr := new(obs.QueryStats)
@@ -136,7 +138,7 @@ func (s *server) trace(r *http.Request, opts *engine.QueryOptions, statsRequeste
 		tr.Spans = ri.trace
 		tr.Parent = ri.root.ID()
 	}
-	opts.Trace = tr
+	q.Opts.Trace = tr
 	return tr
 }
 

@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,7 +13,7 @@ import (
 )
 
 // The handlers over the mutable store: /v1/update and the /v1/queries
-// standing-query tree. They exist only on NewLiveServer deployments.
+// standing-query tree. Read-only (NewServer) deployments do not mount them.
 
 // toMutation validates one wire mutation and lowers it to the store's
 // form. i names the mutation in error messages.
@@ -62,27 +63,22 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		muts = append(muts, m)
 	}
-	start := time.Now()
-	// Under the request's root span, the store records one live.apply child
-	// plus a live.maintain child per standing query brought current; the
-	// untraced path hands in a zero Span and records nothing.
 	var root obs.Span
 	if ri := reqInfo(r.Context()); ri != nil {
 		root = ri.root
 	}
-	res, err := s.store.ApplyTraced(muts, root)
+	start := time.Now()
+	resp, err := s.backend.Update(r.Context(), muts, root)
 	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidMutation, "%v", err))
+		var aerr *Error
+		if !errors.As(err, &aerr) { // the store's verdict on the batch
+			aerr = Errorf(http.StatusBadRequest, CodeInvalidMutation, "%v", err)
+		}
+		writeError(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusOK, UpdateResponse{
-		Version:    res.Version,
-		Nodes:      res.Nodes,
-		Edges:      res.Edges,
-		AddedNodes: res.AddedNodes,
-		Recomputed: res.Recomputed,
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
+	resp.ElapsedMS = msOf(time.Since(start))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // registerText resolves the pattern source of a register request to the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -135,46 +134,6 @@ func TestLiveServerLifecycle(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &health)
 	if health.Queries != 0 || health.Version != 1 {
 		t.Fatalf("healthz after unregister = %+v", health)
-	}
-}
-
-// TestLiveLegacyAliases drives the full standing-query loop through the
-// unversioned aliases and verifies each emits the Deprecation header.
-func TestLiveLegacyAliases(t *testing.T) {
-	ts, _ := newLiveTestServer(t)
-
-	var qj QueryJSON
-	r := doJSON(t, "POST", ts.URL+"/queries", LegacyRegisterRequest{Pattern: "node a A\nnode b B\nedge a b"}, &qj)
-	if r.StatusCode != http.StatusCreated || qj.NumMatches != 2 {
-		t.Fatalf("legacy register: status %d, %+v", r.StatusCode, qj)
-	}
-	if r.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /queries missing Deprecation header")
-	}
-	if link := r.Header.Get("Link"); !strings.Contains(link, "/v1/queries") {
-		t.Errorf("legacy /queries Link = %q", link)
-	}
-
-	var ur UpdateResponse
-	r = doJSON(t, "POST", ts.URL+"/update", UpdateRequest{Updates: []MutationJSON{DeleteEdge(0, 1)}}, &ur)
-	if r.StatusCode != 200 || ur.Version != 1 {
-		t.Fatalf("legacy update: status %d, %+v", r.StatusCode, ur)
-	}
-	if r.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /update missing Deprecation header")
-	}
-
-	var delta DeltaJSON
-	r = doJSON(t, "GET", fmt.Sprintf("%s/queries/%d/delta", ts.URL, qj.ID), nil, &delta)
-	if r.StatusCode != 200 || len(delta.Removed) != 1 {
-		t.Fatalf("legacy delta: status %d, %+v", r.StatusCode, delta)
-	}
-	if r.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /queries/{id}/delta missing Deprecation header")
-	}
-
-	if r := doJSON(t, "DELETE", fmt.Sprintf("%s/queries/%d", ts.URL, qj.ID), nil, nil); r.StatusCode != http.StatusNoContent {
-		t.Fatalf("legacy delete status %d", r.StatusCode)
 	}
 }
 

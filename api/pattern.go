@@ -167,7 +167,7 @@ func (p *PatternJSON) ToBounded(labels *graph.Labels) (*simulation.BoundedPatter
 }
 
 // Text renders the pattern in the text format of internal/graph, the form
-// the legacy endpoints and live.Store.Register accept. Bounded patterns
+// live.Store.Register accepts. Bounded patterns
 // cannot be rendered (the text format has no bound syntax) and fail with an
 // error wrapping ErrBoundedEdge.
 func (p *PatternJSON) Text() (string, error) {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/live"
@@ -67,11 +68,6 @@ type Config struct {
 	// Role names the deployment shape in /v1/healthz: RoleStandalone
 	// (default), RoleShard (a fleet member behind a router) or RoleRouter.
 	Role string
-	// Tracer, when set together with EnableDebug, is used instead of a
-	// freshly constructed tracer. A fronting tier (cmd/strongsim-router)
-	// shares one tracer with its embedded server so fan-out spans and
-	// /v1/debug/traces read from the same kept ring.
-	Tracer *obs.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -98,36 +94,12 @@ func (c Config) withDefaults() Config {
 // The graph is immutable, so the full query planner applies: candidate
 // pruning and the match-result cache (no invalidation ever needed).
 func NewServer(e *engine.Engine, cfg Config) http.Handler {
-	cfg = cfg.withDefaults()
 	s := &server{
 		engine:  func() *engine.Engine { return e },
-		cfg:     cfg,
-		log:     cfg.AccessLog,
-		planner: plan.NewPlanner(plan.Config{}),
+		backend: local{},
+		planner: plan.NewPlanner(),
 	}
-	return s.routes()
-}
-
-// NewDynamicServer is NewServer over an engine *provider*: each request
-// resolves the engine once, up front, and is served entirely against that
-// engine. A mutable deployment hands in its latest-version lookup so
-// one-shot queries always answer against the newest published snapshot
-// while in-flight requests keep the consistent view they started with. The
-// provider must be safe for concurrent use and must never return nil.
-//
-// The planner runs pruning-only here: an arbitrary provider gives the
-// server no hook to observe mutations, so result caching would be unsound.
-// Deployments with an invalidation protocol (live stores) use NewLiveServer
-// and get the cache.
-func NewDynamicServer(provider func() *engine.Engine, cfg Config) http.Handler {
-	cfg = cfg.withDefaults()
-	s := &server{
-		engine:  provider,
-		cfg:     cfg,
-		log:     cfg.AccessLog,
-		planner: plan.NewPlanner(plan.Config{CacheEntries: -1}),
-	}
-	return s.routes()
+	return s.routes(cfg)
 }
 
 // NewLiveServer serves the full /v1 protocol over a mutable live store:
@@ -136,17 +108,27 @@ func NewDynamicServer(provider func() *engine.Engine, cfg Config) http.Handler {
 // through the store's planner, whose result cache the store invalidates
 // surgically on every update batch.
 func NewLiveServer(st *live.Store, cfg Config) http.Handler {
-	cfg = cfg.withDefaults()
-	s := &server{engine: st.Engine, store: st, cfg: cfg, log: cfg.AccessLog,
-		planner: st.Planner()}
-	return s.routes()
+	return NewFleetServer(st, local{store: st}, cfg)
+}
+
+// NewFleetServer is NewLiveServer with evaluation delegated: the same route
+// tree, validation and middleware over the fleet's authoritative store st,
+// with match, stream and update carried out by b (shard.Router fans them
+// out) and healthz amended by it. Everything else — graph, metrics, the
+// standing-query tree, debug — is answered from st as on a single node.
+func NewFleetServer(st *live.Store, b Backend, cfg Config) http.Handler {
+	s := &server{engine: st.Engine, store: st, backend: b, planner: st.Planner()}
+	return s.routes(cfg)
 }
 
 type server struct {
-	engine func() *engine.Engine
-	store  *live.Store // nil on read-only deployments
-	cfg    Config
-	log    *slog.Logger // nil disables access logging
+	// engine resolves the engine a request is validated against, once per
+	// request: the latest published version on live deployments.
+	engine  func() *engine.Engine
+	store   *live.Store // nil on read-only deployments
+	backend Backend     // evaluates what the handlers resolved
+	cfg     Config
+	log     *slog.Logger // nil disables access logging
 	// flight records every in-flight and recently completed query when
 	// Config.EnableDebug is set; nil otherwise, and every recorder call on
 	// the serving path is a nil-safe no-op.
@@ -156,29 +138,27 @@ type server struct {
 	// nil otherwise, and the serving path records nothing.
 	tracer *obs.Tracer
 	// planner is handed to every match query unless the request opts out
-	// with "no_plan": true. Pruning-only on dynamic-provider deployments
-	// (see NewDynamicServer), full caching on immutable and live ones.
+	// with "no_plan": true.
 	planner *plan.Planner
 }
 
-// routes builds the unified route tree: the /v1 endpoints plus the
-// unversioned legacy aliases (see legacy.go). Every route passes through
-// the instrumentation middleware (metrics.go); /debug/pprof does not.
-func (s *server) routes() http.Handler {
+// routes builds the one /v1 route tree every deployment shape serves. Every
+// route passes through the instrumentation middleware (metrics.go);
+// /debug/pprof does not.
+func (s *server) routes(cfg Config) http.Handler {
+	s.cfg = cfg.withDefaults()
+	s.log = s.cfg.AccessLog
 	registerProcessMetrics()
 	if s.cfg.EnableDebug {
 		s.flight = obs.NewFlightRecorder(obs.FlightConfig{
 			SlowThreshold: s.cfg.SlowQueryThreshold,
 			Log:           s.cfg.AccessLog,
 		})
-		s.tracer = s.cfg.Tracer
-		if s.tracer == nil {
-			s.tracer = obs.NewTracer(obs.TraceConfig{
-				SampleRate:    s.cfg.TraceSampleRate,
-				SlowThreshold: s.cfg.SlowQueryThreshold,
-				Log:           s.cfg.AccessLog,
-			})
-		}
+		s.tracer = obs.NewTracer(obs.TraceConfig{
+			SampleRate:    s.cfg.TraceSampleRate,
+			SlowThreshold: s.cfg.SlowQueryThreshold,
+			Log:           s.cfg.AccessLog,
+		})
 	}
 	rt := newRouter()
 	s.route(rt, "GET", Prefix+"/healthz", s.handleHealth)
@@ -220,7 +200,6 @@ func (s *server) routes() http.Handler {
 				"%s does not allow %s (allowed: %s)", r.URL.Path, r.Method, allow))
 		}
 	}
-	s.legacyRoutes(rt)
 	if s.cfg.EnablePprof {
 		mountPprof(rt)
 	}
@@ -375,9 +354,13 @@ func patternError(err error) *Error {
 	return Errorf(http.StatusBadRequest, code, "invalid pattern: %v", err)
 }
 
-// matchError maps an engine failure to its wire error.
+// matchError maps a Backend's match failure to its wire error: a refusal
+// it already phrased as one is kept, anything else is an engine failure.
 func matchError(err error) *Error {
+	var aerr *Error
 	switch {
+	case errors.As(err, &aerr):
+		return aerr
 	case errors.Is(err, context.DeadlineExceeded):
 		return Errorf(http.StatusGatewayTimeout, CodeDeadlineExceeded, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):
@@ -413,6 +396,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h.Nodes = g.NumNodes()
 	h.Edges = g.NumEdges()
 	h.Labels = g.Labels().Len()
+	s.backend.Health(&h)
 	writeJSON(w, http.StatusOK, h)
 }
 
@@ -440,154 +424,136 @@ func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	var req MatchRequest
-	if aerr := s.decode(w, r, &req, false); aerr != nil {
-		writeError(w, aerr)
-		return
+// resolve decodes and validates a match request, in the one order every
+// deployment answers malformed requests in: body, pattern, (streaming:
+// top_k,) spec, connectivity. Whatever it admits a Backend can evaluate.
+func (s *server) resolve(w http.ResponseWriter, r *http.Request, stream bool) (*Query, *Error) {
+	q := new(Query)
+	if aerr := s.decode(w, r, &q.Request, false); aerr != nil {
+		return nil, aerr
 	}
-	s.serveMatch(w, r, &req)
+	q.Engine = s.engine() // one resolution: the whole request sees one version
+	var aerr *Error
+	if q.Pattern, aerr = resolvePattern(q.Engine, &q.Request); aerr != nil {
+		return nil, aerr
+	}
+	spec := &q.Request.Query
+	if stream && spec.TopK != 0 {
+		return nil, Errorf(http.StatusBadRequest, CodeInvalidQuery,
+			"top_k is not supported on %s/match/stream: ranking needs the full result set", Prefix)
+	}
+	var err error
+	if q.Opts, q.Metric, err = spec.Compile(); err != nil {
+		return nil, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err)
+	}
+	if !spec.NoPlan {
+		q.Opts.Planner = s.planner // streaming bypasses the cache: pruning only
+	}
+	// Up front, not left to the engine: a stream commits its 200 before the
+	// engine could object, and a fan-out needs dQ to bound the ball radius.
+	var connected bool
+	if q.Diameter, connected = graph.Diameter(q.Pattern); !connected {
+		return nil, Errorf(http.StatusBadRequest, CodeInvalidPattern,
+			"pattern graph must be connected (Section 2.1)")
+	}
+	return q, nil
 }
 
-// serveMatch answers a resolved match request; the legacy /match alias
-// funnels through here too, so both routes answer byte-identically.
-func (s *server) serveMatch(w http.ResponseWriter, r *http.Request, req *MatchRequest) {
-	e := s.engine() // one resolution: the whole request sees one version
-	q, aerr := resolvePattern(e, req)
+func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
+	q, aerr := s.resolve(w, r, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	opts, metric, err := req.Query.Compile()
-	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err))
-		return
-	}
-	if !req.Query.NoPlan {
-		opts.Planner = s.planner
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.Query.DeadlineMS))
+	spec := &q.Request.Query
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.DeadlineMS))
 	defer cancel()
-	trace := s.trace(r, &opts, req.Query.Stats)
-	fl := s.flightStart(r, "match", matchDigest(req), cancel, trace)
+	trace := s.trace(r, q)
+	fl := s.flightStart(r, "match", matchDigest(&q.Request), cancel, trace)
 
 	start := time.Now()
-	var resp MatchResponse
-	if req.Query.TopK > 0 {
-		ranked, stats, err := e.MatchTopK(ctx, q, req.Query.TopK, metric, opts)
-		if err != nil {
-			s.failFlight(w, fl, matchError(err))
-			return
-		}
-		resp.Stats = FromStats(stats)
-		resp.Matches = make([]SubgraphJSON, 0, len(ranked))
-		for _, rk := range ranked {
-			sj := FromSubgraph(rk.PerfectSubgraph)
-			score := rk.Score
-			sj.Score = &score
-			resp.Matches = append(resp.Matches, sj)
-		}
-	} else {
-		res, err := e.Match(ctx, q, opts)
-		if err != nil {
-			s.failFlight(w, fl, matchError(err))
-			return
-		}
-		resp.Stats = FromStats(res.Stats)
-		resp.Matches = FromSubgraphs(res.Subgraphs)
+	resp, err := s.backend.Match(ctx, q)
+	if err != nil {
+		s.failFlight(w, fl, matchError(err))
+		return
 	}
 	// query_stats stays opt-in: the flight recorder may have forced a trace,
 	// but only "stats": true puts it on the wire — a recorder-on response is
 	// byte-identical to a recorder-off one.
-	if req.Query.Stats && trace != nil {
+	if spec.Stats && trace != nil {
 		resp.QueryStats = FromQueryStats(trace)
 	}
 	fl.Finish(obs.OutcomeOK, "", len(resp.Matches))
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	resp.ElapsedMS = msOf(time.Since(start))
 	reqInfo(r.Context()).setMatches(len(resp.Matches))
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
-	var req MatchRequest
-	if aerr := s.decode(w, r, &req, false); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	e := s.engine()
-	q, aerr := resolvePattern(e, &req)
+	q, aerr := s.resolve(w, r, true)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	if req.Query.TopK != 0 {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery,
-			"top_k is not supported on %s/match/stream: ranking needs the full result set", Prefix))
-		return
-	}
-	opts, _, err := req.Query.Compile()
-	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err))
-		return
-	}
-	if !req.Query.NoPlan {
-		opts.Planner = s.planner // pruning only: streaming bypasses the cache
-	}
-	// Validate connectivity before committing the 200: engine.Stream only
-	// reports pattern errors through Wait, after headers are long gone.
-	if _, connected := graph.Diameter(q); !connected {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidPattern,
-			"pattern graph must be connected (Section 2.1)"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.Query.DeadlineMS))
+	spec := &q.Request.Query
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.DeadlineMS))
 	defer cancel()
-	trace := s.trace(r, &opts, req.Query.Stats)
-	fl := s.flightStart(r, "stream", matchDigest(&req), cancel, trace)
+	trace := s.trace(r, q)
+	fl := s.flightStart(r, "stream", matchDigest(&q.Request), cancel, trace)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	// The 200 commits with the first line written — a match or the trailer.
+	// Until then a Backend's refusal is still an ordinary HTTP error.
+	committed := false
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-
-	start := time.Now()
-	st := e.Stream(ctx, q, opts)
-	count := 0
-	for ps := range st.C {
-		sj := FromSubgraph(ps)
-		if err := enc.Encode(StreamEventJSON{Match: &sj}); err != nil {
-			cancel() // writer gone: stop the query, drain via Wait
-			break
+	line := func(ev StreamEventJSON) error {
+		if !committed {
+			committed = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
 		}
-		count++
+		err := enc.Encode(ev)
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return err
 	}
-	stats, err := st.Wait()
+
+	start := time.Now()
+	count := 0
+	resp, err := s.backend.Stream(ctx, q, func(ps *core.PerfectSubgraph) bool {
+		sj := FromSubgraph(ps)
+		if line(StreamEventJSON{Match: &sj}) != nil {
+			return false // writer gone
+		}
+		count++
+		return true
+	})
+	var refusal *Error
+	if !committed && errors.As(err, &refusal) {
+		s.failFlight(w, fl, refusal)
+		return
+	}
 	done := StreamDoneJSON{
 		Matches:   count,
-		Stats:     FromStats(stats),
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		Stats:     resp.Stats,
+		Partial:   resp.Partial,
+		ElapsedMS: msOf(time.Since(start)),
 	}
-	// The 200 committed before the query ran, so the access log's status
-	// cannot tell how the stream ended; the outcome annotation does.
+	// The status cannot tell how a stream ended; the access log's outcome
+	// annotation and the trailer's code do.
 	info := reqInfo(r.Context())
 	info.setMatches(count)
+	outcome := obs.OutcomeOK
 	if err != nil {
 		aerr := matchError(err)
 		done.Code, done.Error = aerr.Code, aerr.Message
-		info.setOutcome(outcomeForCode(aerr.Code))
-		fl.Finish(outcomeForCode(aerr.Code), aerr.Message, count)
-	} else {
-		info.setOutcome("ok")
-		fl.Finish(obs.OutcomeOK, "", count)
+		outcome = outcomeForCode(aerr.Code)
 	}
-	if req.Query.Stats && trace != nil {
+	info.setOutcome(outcome)
+	fl.Finish(outcome, done.Error, count)
+	if spec.Stats && trace != nil {
 		done.QueryStats = FromQueryStats(trace)
 	}
-	_ = enc.Encode(StreamEventJSON{Done: &done})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_ = line(StreamEventJSON{Done: &done}) // the client may be gone; nothing left to tell it
 }

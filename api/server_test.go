@@ -112,110 +112,6 @@ func resultBytes(t *testing.T, body []byte) []byte {
 	return append(append([]byte{}, r.Matches...), r.Stats...)
 }
 
-// TestGoldenLegacyParity proves the legacy /match alias and /v1/match
-// answer byte-identical results for the same pattern and options, across
-// plain, plus and ranked queries — and that only the legacy route carries
-// the Deprecation header.
-func TestGoldenLegacyParity(t *testing.T) {
-	g := generator.Synthetic(500, 1.2, 12, 41)
-	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 4, Alpha: 1.2, Seed: 42})
-	ts, _ := newTestServer(t, g, Config{})
-	pattern := graph.FormatString(q)
-
-	cases := []struct {
-		name   string
-		legacy LegacyMatchRequest
-		v1     MatchRequest
-	}{
-		{
-			"plain",
-			LegacyMatchRequest{Pattern: pattern},
-			MatchRequest{PatternText: pattern},
-		},
-		{
-			"plus",
-			LegacyMatchRequest{Pattern: pattern, Mode: "match+"},
-			MatchRequest{PatternText: pattern, Query: QuerySpec{Mode: ModePlus}},
-		},
-		{
-			"limited with radius",
-			LegacyMatchRequest{Pattern: pattern, Radius: 2, Limit: 1},
-			MatchRequest{PatternText: pattern, Query: QuerySpec{Radius: 2, Limit: 1}},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacyResp, legacyBody := post(t, ts.URL+"/match", tc.legacy)
-			v1Resp, v1Body := post(t, ts.URL+"/v1/match", tc.v1)
-			if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-				t.Fatalf("status legacy=%d v1=%d (%s / %s)",
-					legacyResp.StatusCode, v1Resp.StatusCode, legacyBody, v1Body)
-			}
-			if tc.name == "limited with radius" {
-				// Which subgraph survives a limit depends on worker
-				// scheduling; only the shape is comparable.
-				var a, b MatchResponse
-				if err := json.Unmarshal(legacyBody, &a); err != nil {
-					t.Fatal(err)
-				}
-				if err := json.Unmarshal(v1Body, &b); err != nil {
-					t.Fatal(err)
-				}
-				if len(a.Matches) != len(b.Matches) {
-					t.Fatalf("limit diverges: legacy %d matches, v1 %d", len(a.Matches), len(b.Matches))
-				}
-				return
-			}
-			if !bytes.Equal(resultBytes(t, legacyBody), resultBytes(t, v1Body)) {
-				t.Errorf("legacy /match and /v1/match answered different bytes:\nlegacy: %s\nv1:     %s",
-					legacyBody, v1Body)
-			}
-			if h := legacyResp.Header.Get("Deprecation"); h != "true" {
-				t.Errorf("legacy /match Deprecation header = %q, want \"true\"", h)
-			}
-			if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/v1/match") {
-				t.Errorf("legacy /match Link header = %q, want successor /v1/match", link)
-			}
-			if h := v1Resp.Header.Get("Deprecation"); h != "" {
-				t.Errorf("/v1/match carries Deprecation header %q", h)
-			}
-		})
-	}
-
-	// Ranked queries go through the streaming dedup, where a duplicated
-	// subgraph keeps whichever center arrived first — nondeterministic
-	// under concurrency (documented engine behavior, identical on both
-	// routes). A single worker makes arrival order center order, so the
-	// ranked answer is deterministic and byte-comparable.
-	t.Run("ranked", func(t *testing.T) {
-		e := engine.New(g, engine.Config{Workers: 1})
-		ts2 := httptest.NewServer(NewServer(e, Config{}))
-		t.Cleanup(ts2.Close)
-
-		legacyResp, legacyBody := post(t, ts2.URL+"/match", LegacyMatchRequest{
-			Pattern: pattern, Mode: "match+", TopK: 2, Metric: "compactness",
-		})
-		v1Resp, v1Body := post(t, ts2.URL+"/v1/match", MatchRequest{
-			PatternText: pattern,
-			Query:       QuerySpec{Mode: ModePlus, TopK: 2, Metric: MetricCompactness},
-		})
-		if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-			t.Fatalf("status legacy=%d v1=%d", legacyResp.StatusCode, v1Resp.StatusCode)
-		}
-		if !bytes.Equal(resultBytes(t, legacyBody), resultBytes(t, v1Body)) {
-			t.Errorf("ranked: legacy and v1 answered different bytes:\nlegacy: %s\nv1:     %s",
-				legacyBody, v1Body)
-		}
-		var mr MatchResponse
-		if err := json.Unmarshal(v1Body, &mr); err != nil {
-			t.Fatal(err)
-		}
-		if len(mr.Matches) == 0 || len(mr.Matches) > 2 || mr.Matches[0].Score == nil {
-			t.Fatalf("ranked response %s", v1Body)
-		}
-	})
-}
-
 func TestV1TopK(t *testing.T) {
 	g := generator.Synthetic(400, 1.2, 10, 79)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 80})
@@ -347,8 +243,6 @@ func TestV1Errors(t *testing.T) {
 		{"unknown metric", "/v1/match", MatchRequest{PatternText: "edge a b", Query: QuerySpec{TopK: 1, Metric: "nope"}}, 400, CodeInvalidQuery},
 		{"negative limit", "/v1/match", MatchRequest{PatternText: "edge a b", Query: QuerySpec{Limit: -1}}, 400, CodeInvalidQuery},
 		{"top_k on stream", "/v1/match/stream", MatchRequest{PatternText: "edge a b", Query: QuerySpec{TopK: 2}}, 400, CodeInvalidQuery},
-		{"legacy missing pattern", "/match", LegacyMatchRequest{}, 400, CodeInvalidRequest},
-		{"legacy unknown mode", "/match", LegacyMatchRequest{Pattern: "edge a b", Mode: "nope"}, 400, CodeInvalidQuery},
 		{"v1 negative radius", "/v1/match", MatchRequest{PatternText: "edge a b", Query: QuerySpec{Radius: -1}}, 400, CodeInvalidQuery},
 	}
 	for _, tc := range cases {
@@ -365,14 +259,6 @@ func TestV1Errors(t *testing.T) {
 				t.Errorf("code %q, want %q (%s)", e.Code, tc.code, e.Message)
 			}
 		})
-	}
-
-	// Legacy clients could send negative numeric options, which the old
-	// server treated as unset; the alias must keep accepting them even
-	// though /v1 rejects them.
-	resp2, body2 := post(t, ts.URL+"/match", LegacyMatchRequest{Pattern: "edge a b", Radius: -1, Limit: -3, TopK: -2})
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("legacy negative options: status %d, want 200 (%s)", resp2.StatusCode, body2)
 	}
 
 	// Invalid JSON body.
@@ -414,12 +300,6 @@ func TestV1BodyTooLarge(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || e.Code != CodeBodyTooLarge {
 		t.Fatalf("413 body not structured: %s", body)
 	}
-
-	// The legacy alias maps it identically.
-	resp, body = post(t, ts.URL+"/match", LegacyMatchRequest{Pattern: big.PatternText})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("legacy status %d, want 413 (%s)", resp.StatusCode, body)
-	}
 }
 
 // TestV1MethodRouting proves every route dispatches by method pattern:
@@ -439,11 +319,10 @@ func TestV1MethodRouting(t *testing.T) {
 		{"POST", "/v1/graph", 405},
 		{"POST", "/v1/healthz", 405},
 		{"DELETE", "/v1/healthz", 405},
-		{"POST", "/healthz", 405},
-		{"POST", "/graph", 405},
-		{"GET", "/match", 405},
 		{"GET", "/v1/healthz", 200},
-		{"GET", "/healthz", 200},
+		// The pre-/v1 unversioned aliases are gone, not merely deprecated.
+		{"GET", "/healthz", 404},
+		{"POST", "/match", 404},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)

@@ -19,12 +19,11 @@ type MatchRequest struct {
 	Query QuerySpec `json:"query,omitempty"`
 }
 
-// MatchResponse is the JSON body answering POST /v1/match (and the legacy
-// /match alias, byte-identically). QueryStats is present exactly when the
-// request set "stats": true. Partial is present only on router deployments
-// and only when the request set "allow_partial": true and at least one shard
-// was unavailable — the matches are then complete except for centers owned
-// by the failed shards.
+// MatchResponse is the JSON body answering POST /v1/match. QueryStats is
+// present exactly when the request set "stats": true. Partial is present
+// only on router deployments and only when the request set
+// "allow_partial": true and at least one shard was unavailable — the matches
+// are then complete except for centers owned by the failed shards.
 type MatchResponse struct {
 	Matches    []SubgraphJSON  `json:"matches"`
 	Stats      StatsJSON       `json:"stats"`
@@ -254,6 +253,18 @@ func FromSubgraphs(pss []*core.PerfectSubgraph) []SubgraphJSON {
 	out := make([]SubgraphJSON, 0, len(pss))
 	for _, ps := range pss {
 		out = append(out, FromSubgraph(ps))
+	}
+	return out
+}
+
+// FromRanked serializes a top-k result, each match with its score.
+func FromRanked(ranked []core.Ranked) []SubgraphJSON {
+	out := make([]SubgraphJSON, 0, len(ranked))
+	for _, rk := range ranked {
+		sj := FromSubgraph(rk.PerfectSubgraph)
+		score := rk.Score
+		sj.Score = &score
+		out = append(out, sj)
 	}
 	return out
 }

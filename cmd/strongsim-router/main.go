@@ -6,7 +6,9 @@
 // results byte-identically to a single node, /v1/update applies to the
 // router's authoritative store and forwards per-shard diff batches, and
 // every other route (graph introspection, standing queries, metrics,
-// debug) is answered locally over the authoritative store.
+// debug) is answered from the authoritative store. The HTTP surface is
+// package api's one /v1 route tree — the same validation, middleware and
+// debug endpoints a single strongsimd serves.
 //
 //	strongsim-router -data graph.g -shards http://s0:8372,http://s1:8372
 //	strongsim-router -data graph.g -halo 3 -partition hash \

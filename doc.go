@@ -15,7 +15,9 @@
 //
 //   - api: the versioned /v1 wire protocol — the structured pattern schema
 //     (PatternJSON), the unified QuerySpec, structured {code, error}
-//     failures, and the HTTP route tree over engine or store (see API.md)
+//     failures, and the one HTTP route tree every deployment serves, with
+//     evaluation behind the Backend seam: a single node's engine/store or
+//     the shard router (see API.md)
 //   - client: the typed Go SDK for /v1 — Match, MatchStream, TopK, Update,
 //     RegisterStandingQuery, PollDelta — with context deadlines and
 //     structured-error decoding
@@ -73,10 +75,10 @@
 // perfect subgraphs as JSON; POST /v1/match/stream delivers them as NDJSON
 // while balls complete; GET /v1/graph describes the loaded data graph.
 // Failures carry machine-readable codes ({"code","error"}) the client
-// decodes into *api.Error. The pre-/v1 routes remain as deprecated
-// aliases. See API.md for the endpoint reference; examples/server runs the
-// same loop self-contained, and internal/engine documents the embedded API
-// (engine.New, Engine.Match, Engine.Stream, Engine.MatchBatch).
+// decodes into *api.Error. See API.md for the endpoint reference;
+// examples/server runs the same loop self-contained, and internal/engine
+// documents the embedded API (engine.New, Engine.Match, Engine.Stream,
+// Engine.MatchBatch).
 //
 // # Live updates quickstart
 //

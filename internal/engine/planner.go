@@ -14,7 +14,7 @@ import (
 // either a clean entry to serve directly (hit), the center restriction plus
 // retained outcomes of a repair (refresh), or the center restriction of a
 // containment hit. nil when the query cannot use the cache (no planner,
-// cache disabled, Limit set, invalid pattern).
+// Limit set, invalid pattern).
 type cacheCtx struct {
 	cache   *plan.Cache
 	key     string

@@ -49,7 +49,7 @@ func TestPlannerParityProperty(t *testing.T) {
 					{"plus", func() QueryOptions { o := PlusQuery(); o.Radius = radius; return o }()},
 				} {
 					want := mustMatch(t, e, q, mode.opts)
-					p := plan.NewPlanner(plan.Config{})
+					p := plan.NewPlanner()
 
 					var tr1 obs.QueryStats
 					miss := mustMatch(t, e, q, planned(mode.opts, p, &tr1))
@@ -101,7 +101,7 @@ edge d6 d2
 	q1 := graph.MustParse("node a A\nnode b B\nnode c C\nedge a b\nedge b c", labels)
 	q2 := graph.MustParse("node c C\nnode b B\nnode a A\nedge a b\nedge b c", labels)
 
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	mustMatch(t, e, q1, planned(QueryOptions{}, p, nil))
 
 	want := mustMatch(t, e, q2, QueryOptions{})
@@ -149,7 +149,7 @@ edge d7 d5
 		{"plain", QueryOptions{}},
 		{"plus", PlusQuery()},
 	} {
-		p := plan.NewPlanner(plan.Config{})
+		p := plan.NewPlanner()
 		var trBig obs.QueryStats
 		// Pin both executions to the same radius: containment requires the
 		// cached radius to subsume the query's, and the two diameters differ.
@@ -198,7 +198,7 @@ func TestPlannerRefreshParity(t *testing.T) {
 		}(),
 	}
 	for i, dirty := range dirtySets {
-		p := plan.NewPlanner(plan.Config{})
+		p := plan.NewPlanner()
 		e.Snapshot().SetVersion(1)
 		mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
 
@@ -230,7 +230,7 @@ func TestPlannerRefreshParity(t *testing.T) {
 
 	// Dirtying more than half the graph makes repair pointless: the cache
 	// drops the entry and the next planned query is an honest miss.
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	e.Snapshot().SetVersion(1)
 	mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
 	all := make([]int32, g.NumNodes())
@@ -257,7 +257,7 @@ func TestPlannerEmptyResultCached(t *testing.T) {
 	q := graph.MustParse("node a A\nnode b B\nnode c C\nedge a b\nedge b c", labels)
 	e := New(g, Config{Workers: 1})
 
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	opts := PlusQuery() // dual filter proves Q ⊀D G before any ball
 	first := mustMatch(t, e, q, planned(opts, p, nil))
 	if len(first.Subgraphs) != 0 {
@@ -297,7 +297,7 @@ func TestPlannerAllocs(t *testing.T) {
 
 	// Warm snapshot-level lazies (label index, prune index, ball arenas) so
 	// they don't bill the measured runs.
-	warmPlanner := plan.NewPlanner(plan.Config{})
+	warmPlanner := plan.NewPlanner()
 	for i := 0; i < 50; i++ {
 		run(opts)
 		run(planned(opts, warmPlanner, nil))
@@ -305,12 +305,12 @@ func TestPlannerAllocs(t *testing.T) {
 
 	base := testing.AllocsPerRun(100, func() { run(opts) })
 
-	hitPlanner := plan.NewPlanner(plan.Config{})
+	hitPlanner := plan.NewPlanner()
 	run(planned(opts, hitPlanner, nil))
 	hit := testing.AllocsPerRun(100, func() { run(planned(opts, hitPlanner, nil)) })
 
 	miss := testing.AllocsPerRun(100, func() {
-		run(planned(opts, plan.NewPlanner(plan.Config{}), nil))
+		run(planned(opts, plan.NewPlanner(), nil))
 	})
 
 	t.Logf("allocs/op: base=%.0f miss=%.0f hit=%.0f", base, miss, hit)

@@ -205,7 +205,7 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 		byLabel:   make(map[int32][]int32, g.Labels().Len()),
 		numEdges:  g.NumEdges(),
 		queries:   make(map[int64]*StandingQuery),
-		planner:   plan.NewPlanner(plan.Config{}),
+		planner:   plan.NewPlanner(),
 	}
 	for v := int32(0); v < int32(n); v++ {
 		s.nodeLbl[v] = g.Label(v)
@@ -227,8 +227,8 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 // Current returns the latest published version.
 func (s *Store) Current() *Version { return s.current.Load() }
 
-// Engine returns the latest version's query engine (the provider
-// api.NewDynamicServer wants).
+// Engine returns the latest version's query engine. The serving layer
+// resolves it once per request, so a request sees one version throughout.
 func (s *Store) Engine() *engine.Engine { return s.Current().Engine() }
 
 // Planner returns the store's query planner, for the serving layer to hand

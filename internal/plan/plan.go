@@ -63,37 +63,24 @@ var (
 		"completed results not cached because a newer version was already invalidating")
 )
 
-// Config configures a Planner.
-type Config struct {
-	// CacheEntries bounds the match-result cache (LRU). 0 uses the default
-	// (128); negative disables caching entirely, leaving only candidate
-	// pruning — the right setting when the planner cannot observe every
-	// mutation of the underlying data (e.g. an engine provider the planner
-	// has no invalidation hook into).
-	CacheEntries int
-}
+// cacheCapacity bounds the match-result cache (LRU entries).
+const cacheCapacity = 128
 
 // Planner is what a serving layer hands to engine.QueryOptions.Planner:
-// pruning is implied, caching depends on Config. One Planner is shared by
-// every query against the store it serves and is safe for concurrent use.
+// candidate pruning plus the result cache. One Planner is shared by every
+// query against the store it serves and is safe for concurrent use.
 type Planner struct {
-	cache *Cache // nil when caching is disabled
+	cache *Cache
 }
 
-// NewPlanner builds a planner. See Config for the cache policy.
-func NewPlanner(cfg Config) *Planner {
-	n := cfg.CacheEntries
-	if n == 0 {
-		n = 128
-	}
-	p := &Planner{}
-	if n > 0 {
-		p.cache = newCache(n)
-	}
-	return p
+// NewPlanner builds a planner. Every planner prunes and caches; the serving
+// layer owning the data tells it about mutations through Invalidate.
+func NewPlanner() *Planner {
+	return &Planner{cache: newCache(cacheCapacity)}
 }
 
-// Cache returns the planner's result cache, nil when caching is disabled.
+// Cache returns the planner's result cache; nil for a nil planner (an
+// unplanned query).
 func (p *Planner) Cache() *Cache {
 	if p == nil {
 		return nil
@@ -106,9 +93,9 @@ func (p *Planner) Cache() *Cache {
 // ≤ radius-hop neighborhoods the batch touched (under the pre- or
 // post-batch adjacency). Callers must invoke this BEFORE the new version
 // becomes visible to queries, so no query on the new version can observe
-// a not-yet-invalidated entry. A nil planner or disabled cache is a no-op.
+// a not-yet-invalidated entry. A nil planner is a no-op.
 func (p *Planner) Invalidate(version uint64, dirtyFor func(radius int) []int32) {
-	if p == nil || p.cache == nil {
+	if p == nil {
 		return
 	}
 	p.cache.invalidate(version, dirtyFor)

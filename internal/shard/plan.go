@@ -1,9 +1,10 @@
 // Package shard is the scatter/gather serving tier over the /v1 protocol:
 // partition planning with dQ-hop halo replication (plan.go), shard subgraph
 // construction and incremental halo maintenance as ordinary /v1/update
-// batches (push.go), and the router itself (router.go) — an http.Handler
-// that fans /v1/match out to a fleet of plain strongsimd shards and merges
-// the per-center results byte-identically to a single-node server.
+// batches (push.go), and the router itself (router.go) — the api.Backend
+// that fans matches out to a fleet of plain strongsimd shards and merges
+// the per-center results byte-identically to a single-node server, served
+// through package api's one /v1 route tree.
 //
 // The tier rests on the paper's data-locality result (Section 4.3): strong
 // simulation evaluates one ball Ĝ[v, dQ] per candidate center v, and a ball

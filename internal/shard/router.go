@@ -2,15 +2,9 @@ package shard
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,7 +14,6 @@ import (
 	"repro/api"
 	"repro/client"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/obs"
 )
@@ -47,12 +40,9 @@ type Config struct {
 	// HTTPClient, when set, underlies every fan-out client (tests inject
 	// httptest transports).
 	HTTPClient *http.Client
-	// API configures the embedded single-node server that answers every
-	// /v1 route the router does not intercept (graph and metrics
-	// introspection, the standing-query tree, debug routes, legacy
-	// aliases) against the router's authoritative store. Role is forced to
-	// RoleRouter. When EnableDebug is set the router's fan-out spans and
-	// the embedded /v1/debug/traces share one tracer.
+	// API configures the /v1 route tree the router serves through
+	// (timeouts, body cap, access log, debug surface). Role is forced to
+	// RoleRouter.
 	API api.Config
 }
 
@@ -95,21 +85,19 @@ func (rep *replica) markStale(note string) {
 	rep.mu.Unlock()
 }
 
-// Router is the scatter/gather tier: an http.Handler serving the full /v1
-// protocol over a fleet of plain strongsimd shards. It owns the
+// Router is the scatter/gather tier: the api.Backend that evaluates /v1
+// requests over a fleet of plain strongsimd shards. It owns the
 // authoritative global graph in a live.Store — updates apply there first
 // (which also maintains standing queries with exact single-node semantics)
-// and then fan out to the shards as diff batches — while /v1/match and
-// /v1/match/stream fan out to every shard and merge per-center results
-// byte-identically to a single-node server over the same graph.
+// and then fan out to the shards as diff batches — while matches fan out to
+// every shard and merge per-center results byte-identically to a
+// single-node server over the same graph. The HTTP contract itself is
+// api's: Handler is api's one route tree with the router behind it.
 type Router struct {
-	store  *live.Store
-	plan   *Plan
-	cfg    Config
-	nodeID string
-	log    *slog.Logger
-	tracer *obs.Tracer
-	inner  http.Handler
+	store   *live.Store
+	plan    *Plan
+	cfg     Config
+	handler http.Handler
 
 	shards  [][]*replica
 	metrics []*shardMetrics
@@ -173,19 +161,9 @@ func NewRouter(store *live.Store, cfg Config) (*Router, error) {
 		store:   store,
 		plan:    cfg.Plan,
 		cfg:     cfg,
-		nodeID:  cfg.API.NodeID,
-		log:     cfg.API.AccessLog,
 		owner:   cfg.Plan.Owner,
 		members: cfg.Plan.Members(g),
 		want:    make([]uint64, cfg.Plan.K),
-	}
-	if r.nodeID == "" {
-		var buf [4]byte
-		if _, err := rand.Read(buf[:]); err == nil {
-			r.nodeID = "router-" + hex.EncodeToString(buf[:])
-		} else {
-			r.nodeID = "router-unidentified"
-		}
 	}
 	for s, addrs := range cfg.Shards {
 		if len(addrs) == 0 {
@@ -217,29 +195,10 @@ func NewRouter(store *live.Store, cfg Config) (*Router, error) {
 				"fan-outs for which every replica of the shard failed", "shard", si),
 		})
 	}
-	innerCfg := cfg.API
-	innerCfg.Role = api.RoleRouter
-	innerCfg.NodeID = r.nodeID
-	if innerCfg.EnableDebug {
-		r.tracer = innerCfg.Tracer
-		if r.tracer == nil {
-			r.tracer = obs.NewTracer(obs.TraceConfig{
-				SampleRate:    innerCfg.TraceSampleRate,
-				SlowThreshold: innerCfg.SlowQueryThreshold,
-				Log:           innerCfg.AccessLog,
-			})
-			innerCfg.Tracer = r.tracer
-		}
-	}
-	r.inner = api.NewLiveServer(store, innerCfg)
+	cfg.API.Role = api.RoleRouter
+	r.handler = api.NewFleetServer(store, r, cfg.API)
 	return r, nil
 }
-
-// Plan returns the router's (live) partition plan.
-func (r *Router) Plan() *Plan { return r.plan }
-
-// Store returns the router's authoritative store.
-func (r *Router) Store() *live.Store { return r.store }
 
 // Push brings every (empty) shard replica to its halo-extended subgraph of
 // the store's current graph. It fails fast on a replica that is
@@ -369,276 +328,12 @@ func (r *Router) probeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// Handler returns the router's route tree: the fan-out endpoints
-// (/v1/match, /v1/match/stream), the update/routing endpoint (/v1/update)
-// and the fleet health summary (/v1/healthz) are served by the router
-// itself; every other route falls through to the embedded single-node
-// server over the authoritative store, which answers with ordinary
-// single-node semantics (the router holds the whole graph).
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" "+path, r.wrap(method, path, h))
-	}
-	route("POST", api.Prefix+"/match", r.handleMatch)
-	route("POST", api.Prefix+"/match/stream", r.handleMatchStream)
-	route("POST", api.Prefix+"/update", r.handleUpdate)
-	route("GET", api.Prefix+"/healthz", r.handleHealth)
-	mux.Handle("/", r.inner)
-	return mux
-}
-
-// routeState carries per-request observability through the router's own
-// handlers (the inner server has its own equivalent).
-type routeState struct {
-	id   string
-	root obs.Span
-}
-
-type routeStateKey struct{}
-
-func routerState(ctx context.Context) *routeState {
-	st, _ := ctx.Value(routeStateKey{}).(*routeState)
-	if st == nil {
-		return &routeState{}
-	}
-	return st
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// wrap is the router-side serving middleware: request id, per-route
-// metrics under the same series the single-node server uses, one root span
-// per request (adopting a valid incoming traceparent) whose children are
-// the fan-out calls, panic recovery, and the structured access log.
-func (r *Router) wrap(method, endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := obs.Default.Counter("http_requests_total",
-		"requests served by endpoint, method and status class",
-		"code", "2xx", "endpoint", endpoint, "method", method)
-	errs := obs.Default.Counter("http_requests_total",
-		"requests served by endpoint, method and status class",
-		"code", "4xx", "endpoint", endpoint, "method", method)
-	fails := obs.Default.Counter("http_requests_total",
-		"requests served by endpoint, method and status class",
-		"code", "5xx", "endpoint", endpoint, "method", method)
-	latency := obs.Default.Histogram("http_request_seconds",
-		"request latency by endpoint", obs.DefBuckets(),
-		"endpoint", endpoint, "method", method)
-	spanName := method + " " + endpoint
-	return func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		st := &routeState{id: requestID(req)}
-		w.Header().Set(api.RequestIDHeader, st.id)
-		if r.tracer != nil {
-			parent, _ := obs.ParseTraceparent(req.Header.Get(obs.TraceparentHeader))
-			_, st.root = r.tracer.Start(spanName, st.id, parent)
-			w.Header().Set(obs.TraceparentHeader, st.root.Context().String())
-		}
-		ww := &statusWriter{ResponseWriter: w}
-		req = req.WithContext(context.WithValue(req.Context(), routeStateKey{}, st))
-		defer func() {
-			if p := recover(); p != nil {
-				if ww.status == 0 {
-					writeError(ww, api.Errorf(http.StatusInternalServerError, api.CodeInternal,
-						"internal error (request %s)", st.id))
-				}
-				if r.log != nil {
-					r.log.LogAttrs(context.Background(), slog.LevelError, "panic",
-						slog.String("request_id", st.id),
-						slog.String("path", req.URL.Path),
-						slog.Any("panic", p),
-						slog.String("stack", string(debug.Stack())))
-				}
-			}
-			if ww.status == 0 {
-				ww.status = http.StatusOK
-			}
-			d := time.Since(start)
-			latency.Observe(d.Seconds())
-			switch {
-			case ww.status >= 500:
-				fails.Inc()
-			case ww.status >= 400:
-				errs.Inc()
-			default:
-				reqs.Inc()
-			}
-			if r.log != nil {
-				r.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
-					slog.String("method", req.Method),
-					slog.String("path", req.URL.Path),
-					slog.Int("status", ww.status),
-					slog.Float64("dur_ms", float64(d.Microseconds())/1000),
-					slog.String("request_id", st.id))
-			}
-			if st.root.Recording() {
-				status := ""
-				if ww.status >= 400 {
-					status = "error"
-				}
-				st.root.EndStatus(status,
-					obs.Attr{Key: "http_status", Value: int64(ww.status)})
-			}
-		}()
-		h(ww, req)
-	}
-}
-
-// requestID mirrors the single-node sanitation: a usable client-supplied
-// X-Request-Id is kept, anything else replaced.
-func requestID(r *http.Request) string {
-	id := r.Header.Get(api.RequestIDHeader)
-	if id != "" && len(id) <= 64 {
-		ok := true
-		for i := 0; i < len(id); i++ {
-			if id[i] <= ' ' || id[i] > '~' {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
-	}
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return "unidentified"
-	}
-	return hex.EncodeToString(buf[:])
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, e *api.Error) {
-	writeJSON(w, e.Status, e)
-}
-
-func (r *Router) decode(w http.ResponseWriter, req *http.Request, dst any, strict bool) *api.Error {
-	maxBody := r.cfg.API.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 8 << 20
-	}
-	body := http.MaxBytesReader(w, req.Body, maxBody)
-	dec := json.NewDecoder(body)
-	if strict {
-		dec.DisallowUnknownFields()
-	}
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-		}
-		return api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "decoding request: %v", err)
-	}
-	return nil
-}
-
-// timeout resolves the whole fan-out's deadline from the request, mirroring
-// the single-node clamp.
-func (r *Router) timeout(ms int) time.Duration {
-	d := r.cfg.API.DefaultTimeout
-	if d <= 0 {
-		d = 10 * time.Second
-	}
-	max := r.cfg.API.MaxTimeout
-	if max <= 0 {
-		max = time.Minute
-	}
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > max {
-		d = max
-	}
-	return d
-}
-
-// resolvePattern mirrors the single-node pattern resolution against the
-// router's authoritative engine, so invalid patterns fail identically here
-// and never fan out.
-func (r *Router) resolvePattern(req *api.MatchRequest) (*graph.Graph, *api.Error) {
-	e := r.store.Engine()
-	switch {
-	case req.Pattern != nil && req.PatternText != "":
-		return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest,
-			`"pattern" and "pattern_text" are mutually exclusive`)
-	case req.Pattern != nil:
-		q, err := req.Pattern.ToGraph(e.Snapshot().Graph().Labels().Clone())
-		if err != nil {
-			code := api.CodeInvalidPattern
-			if errors.Is(err, api.ErrBoundedEdge) {
-				code = api.CodeUnsupportedBound
-			}
-			return nil, api.Errorf(http.StatusBadRequest, code, "invalid pattern: %v", err)
-		}
-		return q, nil
-	case req.PatternText != "":
-		q, err := e.Snapshot().ParsePattern(req.PatternText)
-		if err != nil {
-			return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalidPattern, "parsing pattern: %v", err)
-		}
-		return q, nil
-	default:
-		return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "missing pattern")
-	}
-}
-
-// checkQuery validates a match request end to end at the router: pattern,
-// spec, connectivity and — the one router-specific constraint — that the
-// effective ball radius fits inside the halo. It returns the effective
-// radius for diagnostics.
-func (r *Router) checkQuery(req *api.MatchRequest) (int, *api.Error) {
-	q, aerr := r.resolvePattern(req)
-	if aerr != nil {
-		return 0, aerr
-	}
-	if _, _, err := req.Query.Compile(); err != nil {
-		return 0, api.Errorf(http.StatusBadRequest, api.CodeInvalidQuery, "%v", err)
-	}
-	dq, connected := graph.Diameter(q)
-	if !connected {
-		return 0, api.Errorf(http.StatusBadRequest, api.CodeInvalidPattern,
-			"pattern graph must be connected (Section 2.1)")
-	}
-	eff := req.Query.Radius
-	if eff == 0 {
-		eff = dq
-	}
-	if eff > r.plan.Halo {
-		return 0, api.Errorf(http.StatusBadRequest, api.CodeHaloExceeded,
-			"effective ball radius %d exceeds the halo replication depth %d: "+
-				"lower the radius or redeploy with a deeper halo", eff, r.plan.Halo)
-	}
-	return eff, nil
-}
+// Handler returns the /v1 route tree of package api — the same routes,
+// validation, middleware and debug surface a single node serves — with the
+// router as its Backend: match, match/stream and update fan out, healthz
+// adds the fleet summary, and every other route is answered from the
+// authoritative store with ordinary single-node semantics.
+func (r *Router) Handler() http.Handler { return r.handler }
 
 // shardRequest strips a match request down to what shards evaluate: the
 // pattern, mode, radius and planner opt-out (each shard prunes and caches
@@ -726,20 +421,11 @@ func toPerfect(sj *api.SubgraphJSON) *core.PerfectSubgraph {
 	return &core.PerfectSubgraph{Center: sj.Center, Nodes: sj.Nodes, Edges: sj.Edges, Rel: rel}
 }
 
-// fanoutResult is one shard's verdict in a match fan-out.
-type fanoutResult struct {
-	resp *api.MatchResponse
-	err  error
-}
-
 // partialOrFail resolves a fan-out with failed shards: a PartialJSON marker
 // when the request allows degraded results, the structured
 // shard_unavailable error otherwise. Never a silently incomplete response.
-func (r *Router) partialOrFail(req *api.MatchRequest, owner []int32, failed []int) (*api.PartialJSON, *api.Error) {
-	if len(failed) == 0 {
-		return nil, nil
-	}
-	if !req.Query.AllowPartial {
+func partialOrFail(allow bool, owner []int32, failed []int) (*api.PartialJSON, error) {
+	if !allow {
 		routerUnavailable.Inc()
 		return nil, api.Errorf(http.StatusBadGateway, api.CodeShardUnavailable,
 			"shards %v unavailable; retry, or set query.allow_partial for degraded results", failed)
@@ -758,34 +444,35 @@ func (r *Router) partialOrFail(req *api.MatchRequest, owner []int32, failed []in
 	return &api.PartialJSON{FailedShards: failed, MissingNodes: missing}, nil
 }
 
-func (r *Router) handleMatch(w http.ResponseWriter, req *http.Request) {
-	var mreq api.MatchRequest
-	if aerr := r.decode(w, req, &mreq, false); aerr != nil {
-		writeError(w, aerr)
-		return
+// gather is the scatter/gather step both match endpoints share: the one
+// router-specific admission rule (the effective ball radius must fit inside
+// the halo), the fan-out of the stripped request to every shard, and the
+// ownership merge. It returns the merged subgraphs — canonically ordered and
+// cut to the request's limit — and the response carrying their Stats and
+// Partial marker. kind names the fan-out spans.
+func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core.PerfectSubgraph, api.MatchResponse, error) {
+	spec := &q.Request.Query
+	eff := spec.Radius
+	if eff == 0 {
+		eff = q.Diameter
 	}
-	if _, aerr := r.checkQuery(&mreq); aerr != nil {
-		writeError(w, aerr)
-		return
+	if eff > r.plan.Halo {
+		return nil, api.MatchResponse{}, api.Errorf(http.StatusBadRequest, api.CodeHaloExceeded,
+			"effective ball radius %d exceeds the halo replication depth %d: "+
+				"lower the radius or redeploy with a deeper halo", eff, r.plan.Halo)
 	}
-	st := routerState(req.Context())
-	ctx, cancel := context.WithTimeout(req.Context(), r.timeout(mreq.Query.DeadlineMS))
-	defer cancel()
 
-	start := time.Now()
-	sreq := shardRequest(&mreq)
-	results := make([]fanoutResult, len(r.shards))
+	sreq := shardRequest(&q.Request)
+	resps := make([]*api.MatchResponse, len(r.shards))
+	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
 	for s := range r.shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s].err = r.callShard(ctx, s, "match", st.root,
-				func(cctx context.Context, cl *client.Client) error {
-					resp, err := cl.Match(cctx, sreq)
-					if err == nil {
-						results[s].resp = resp
-					}
+			errs[s] = r.callShard(ctx, s, kind, q.Root,
+				func(cctx context.Context, cl *client.Client) (err error) {
+					resps[s], err = cl.Match(cctx, sreq)
 					return err
 				})
 		}(s)
@@ -797,46 +484,72 @@ func (r *Router) handleMatch(w http.ResponseWriter, req *http.Request) {
 	r.mu.RUnlock()
 
 	var failed []int
-	for s, res := range results {
-		if res.err == nil {
+	for s, err := range errs {
+		if err == nil {
 			continue
 		}
 		var aerr *api.Error
-		if errors.As(res.err, &aerr) && aerr.Status >= 400 && aerr.Status < 500 {
-			writeError(w, aerr) // a request-level rejection; every shard agrees
-			return
+		if errors.As(err, &aerr) && aerr.Status >= 400 && aerr.Status < 500 {
+			return nil, api.MatchResponse{}, aerr // a request-level rejection; every shard agrees
 		}
 		failed = append(failed, s)
 	}
-	partial, aerr := r.partialOrFail(&mreq, owner, failed)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
+	var resp api.MatchResponse
+	if len(failed) > 0 {
+		// The caller's own deadline or cancellation is no verdict on the
+		// shards: report it as such, not as shard_unavailable or a partial.
+		if err := ctx.Err(); err != nil {
+			return nil, resp, err
+		}
+		var err error
+		if resp.Partial, err = partialOrFail(spec.AllowPartial, owner, failed); err != nil {
+			return nil, resp, err
+		}
 	}
+	subs, stats := mergeOwned(resps, owner)
+	if spec.TopK == 0 && spec.Limit > 0 && len(subs) > spec.Limit {
+		subs = subs[:spec.Limit]
+	}
+	resp.Stats = api.FromStats(stats)
+	return subs, resp, nil
+}
 
-	subs, stats := mergeOwned(results, owner)
-	resp := api.MatchResponse{Stats: api.FromStats(stats), Partial: partial}
-	if mreq.Query.TopK > 0 {
-		_, metric, _ := mreq.Query.Compile() // validated in checkQuery
-		q, _ := r.resolvePattern(&mreq)
+// Match implements api.Backend: the merged fan-out result, ranked
+// router-side when the request asks for top_k (a shard cannot cut to a
+// global top-k without seeing the other shards' results).
+func (r *Router) Match(ctx context.Context, q *api.Query) (api.MatchResponse, error) {
+	subs, resp, err := r.gather(ctx, q, "match")
+	if err != nil {
+		return resp, err
+	}
+	if k := q.Request.Query.TopK; k > 0 {
 		merged := &core.Result{Subgraphs: subs}
-		ranked := merged.TopK(q, r.store.Current().Graph(), mreq.Query.TopK, metric)
-		resp.Matches = make([]api.SubgraphJSON, 0, len(ranked))
-		for _, rk := range ranked {
-			sj := api.FromSubgraph(rk.PerfectSubgraph)
-			score := rk.Score
-			sj.Score = &score
-			resp.Matches = append(resp.Matches, sj)
-		}
+		resp.Matches = api.FromRanked(merged.TopK(q.Pattern, q.Engine.Snapshot().Graph(), k, q.Metric))
 	} else {
-		if mreq.Query.Limit > 0 && len(subs) > mreq.Query.Limit {
-			subs = subs[:mreq.Query.Limit]
-			core.SortSubgraphs(subs)
-		}
 		resp.Matches = api.FromSubgraphs(subs)
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
+}
+
+// Stream implements api.Backend. Unlike a single node — which streams
+// matches as workers finish balls, deduping first-wins — the router must
+// gather complete per-shard result sets before it can apply the ownership
+// merge: shard-side streams dedup in arrival order, so an owned center can
+// lose its subgraph to a halo center on its own shard and the result would
+// be silently dropped. Buffered fan-out keeps the stream byte-equal (as a
+// set) to /v1/match, and lets total shard failure surface as a clean
+// pre-commit 502.
+func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.PerfectSubgraph) bool) (api.MatchResponse, error) {
+	subs, resp, err := r.gather(ctx, q, "stream")
+	if err != nil {
+		return resp, err
+	}
+	for _, ps := range subs {
+		if !emit(ps) {
+			break // client went away
+		}
+	}
+	return resp, nil
 }
 
 // mergeOwned implements the scatter/gather merge rule: keep from shard s
@@ -846,23 +559,24 @@ func (r *Router) handleMatch(w http.ResponseWriter, req *http.Request) {
 // duplicate subgraphs collapse onto the smallest producing center, exactly
 // as a single node admits them), and order canonically. Shard statistics
 // are summed — they count halo-center work a single node would not do — and
-// router-side duplicate discards are added on top.
-func mergeOwned(results []fanoutResult, owner []int32) ([]*core.PerfectSubgraph, core.Stats) {
+// router-side duplicate discards are added on top. A nil response is a
+// shard that did not answer (client.Match returns none beside an error).
+func mergeOwned(resps []*api.MatchResponse, owner []int32) ([]*core.PerfectSubgraph, core.Stats) {
 	var stats core.Stats
 	var owned []*core.PerfectSubgraph
-	for s, res := range results {
-		if res.resp == nil {
+	for s, resp := range resps {
+		if resp == nil {
 			continue
 		}
-		stats.BallsExamined += res.resp.Stats.BallsExamined
-		stats.BallsSkipped += res.resp.Stats.BallsSkipped
-		stats.PairsRemoved += res.resp.Stats.PairsRemoved
-		stats.Duplicates += res.resp.Stats.Duplicates
-		if res.resp.Stats.MinimizedFrom > stats.MinimizedFrom {
-			stats.MinimizedFrom = res.resp.Stats.MinimizedFrom
+		stats.BallsExamined += resp.Stats.BallsExamined
+		stats.BallsSkipped += resp.Stats.BallsSkipped
+		stats.PairsRemoved += resp.Stats.PairsRemoved
+		stats.Duplicates += resp.Stats.Duplicates
+		if resp.Stats.MinimizedFrom > stats.MinimizedFrom {
+			stats.MinimizedFrom = resp.Stats.MinimizedFrom
 		}
-		for i := range res.resp.Matches {
-			sj := &res.resp.Matches[i]
+		for i := range resp.Matches {
+			sj := &resp.Matches[i]
 			if int(sj.Center) >= len(owner) || int(owner[sj.Center]) != s {
 				continue
 			}
@@ -881,104 +595,6 @@ func mergeOwned(results []fanoutResult, owner []int32) ([]*core.PerfectSubgraph,
 	return subs, stats
 }
 
-// handleMatchStream serves the NDJSON framing of the merged fan-out
-// result. Unlike a single node — which streams matches as workers finish
-// balls, deduping first-wins — the router must gather complete per-shard
-// result sets before it can apply the ownership merge: shard-side streams
-// dedup in arrival order, so an owned center can lose its subgraph to a
-// halo center on its own shard and the result would be silently dropped.
-// Buffered fan-out keeps the stream byte-equal (as a set) to /v1/match,
-// and lets total shard failure surface as a clean pre-commit 502.
-func (r *Router) handleMatchStream(w http.ResponseWriter, req *http.Request) {
-	var mreq api.MatchRequest
-	if aerr := r.decode(w, req, &mreq, false); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if mreq.Query.TopK != 0 {
-		writeError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalidQuery,
-			"top_k is not supported on %s/match/stream: ranking needs the full result set", api.Prefix))
-		return
-	}
-	if _, aerr := r.checkQuery(&mreq); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	st := routerState(req.Context())
-	ctx, cancel := context.WithTimeout(req.Context(), r.timeout(mreq.Query.DeadlineMS))
-	defer cancel()
-
-	start := time.Now()
-	sreq := shardRequest(&mreq)
-	results := make([]fanoutResult, len(r.shards))
-	var wg sync.WaitGroup
-	for s := range r.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			results[s].err = r.callShard(ctx, s, "stream", st.root,
-				func(cctx context.Context, cl *client.Client) error {
-					resp, err := cl.Match(cctx, sreq)
-					if err == nil {
-						results[s].resp = resp
-					}
-					return err
-				})
-		}(s)
-	}
-	wg.Wait()
-
-	r.mu.RLock()
-	owner := r.owner
-	r.mu.RUnlock()
-
-	var failed []int
-	for s, res := range results {
-		if res.err == nil {
-			continue
-		}
-		var aerr *api.Error
-		if errors.As(res.err, &aerr) && aerr.Status >= 400 && aerr.Status < 500 {
-			writeError(w, aerr)
-			return
-		}
-		failed = append(failed, s)
-	}
-	partial, aerr := r.partialOrFail(&mreq, owner, failed)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-
-	subs, stats := mergeOwned(results, owner)
-	if mreq.Query.Limit > 0 && len(subs) > mreq.Query.Limit {
-		subs = subs[:mreq.Query.Limit]
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for _, ps := range subs {
-		sj := api.FromSubgraph(ps)
-		if err := enc.Encode(api.StreamEventJSON{Match: &sj}); err != nil {
-			return // client went away; no trailer to deliver
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(api.StreamEventJSON{Done: &api.StreamDoneJSON{
-		Matches:   len(subs),
-		Stats:     api.FromStats(stats),
-		Partial:   partial,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	}})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
 // verifyVersion asks a replica directly, after a failed update delivery,
 // whether the batch nevertheless landed. It runs on a fresh context: the
 // verdict must not depend on whatever killed the delivery.
@@ -989,71 +605,19 @@ func (r *Router) verifyVersion(rep *replica, want uint64) bool {
 	return err == nil && h.Version == want
 }
 
-// toMutation mirrors the single-node wire validation (api keeps its version
-// unexported; the rule is small and must not drift: every destructive op
-// names its target explicitly). The router additionally rejects labels
-// containing NUL: live.TombstoneLabel and shard.FillerLabel are internal
-// markers, and a client-set FillerLabel would make a real member node
+// Update implements api.Backend: apply to the authoritative store, then
+// deliver each shard its diff batch under the version vector. On top of the
+// single-node validation api already ran, the router rejects labels
+// containing NUL: live.TombstoneLabel and FillerLabel are internal markers,
+// and a client-set FillerLabel would make a real member node
 // indistinguishable from halo filler on the shards.
-func toMutation(m api.MutationJSON, i int) (live.Mutation, error) {
-	label := func(op string) (string, error) {
-		if strings.IndexByte(*m.Label, 0) >= 0 {
-			return "", fmt.Errorf("updates[%d]: %s label contains NUL; reserved for internal markers", i, op)
+func (r *Router) Update(ctx context.Context, muts []live.Mutation, root obs.Span) (api.UpdateResponse, error) {
+	for i, m := range muts {
+		if strings.IndexByte(m.Label, 0) >= 0 {
+			return api.UpdateResponse{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidMutation,
+				"updates[%d]: %s label contains NUL; reserved for internal markers", i, m.Op)
 		}
-		return *m.Label, nil
 	}
-	out := live.Mutation{Op: live.Op(m.Op)}
-	switch out.Op {
-	case live.OpAddNode:
-		if m.Label == nil {
-			return out, fmt.Errorf("updates[%d]: add_node requires \"label\"", i)
-		}
-		var err error
-		if out.Label, err = label("add_node"); err != nil {
-			return out, err
-		}
-	case live.OpInsertEdge, live.OpDeleteEdge:
-		if m.U == nil || m.V == nil {
-			return out, fmt.Errorf("updates[%d]: %s requires \"u\" and \"v\"", i, m.Op)
-		}
-		out.U, out.V = *m.U, *m.V
-	case live.OpDeleteNode:
-		if m.Node == nil {
-			return out, fmt.Errorf("updates[%d]: delete_node requires \"node\"", i)
-		}
-		out.Node = *m.Node
-	case live.OpSetLabel:
-		if m.Node == nil || m.Label == nil {
-			return out, fmt.Errorf("updates[%d]: set_label requires \"node\" and \"label\"", i)
-		}
-		out.Node = *m.Node
-		var err error
-		if out.Label, err = label("set_label"); err != nil {
-			return out, err
-		}
-	default:
-		return out, fmt.Errorf("updates[%d]: unknown op %q", i, m.Op)
-	}
-	return out, nil
-}
-
-func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	var ureq api.UpdateRequest
-	if aerr := r.decode(w, req, &ureq, true); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	muts := make([]live.Mutation, 0, len(ureq.Updates))
-	for i, mw := range ureq.Updates {
-		m, err := toMutation(mw, i)
-		if err != nil {
-			writeError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalidMutation, "%v", err))
-			return
-		}
-		muts = append(muts, m)
-	}
-	st := routerState(req.Context())
-	start := time.Now()
 
 	// One update at a time end to end: apply to the authoritative store
 	// (which brings every standing query current, exactly as a single
@@ -1064,10 +628,9 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	defer r.upMu.Unlock()
 
 	oldG := r.store.Current().Graph()
-	res, err := r.store.ApplyTraced(muts, st.root)
+	res, err := r.store.ApplyTraced(muts, root)
 	if err != nil {
-		writeError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalidMutation, "%v", err))
-		return
+		return api.UpdateResponse{}, err
 	}
 	newG := r.store.Current().Graph()
 	r.plan.ExtendTo(newG.NumNodes())
@@ -1083,7 +646,7 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	// must run to completion no matter what the caller does: a client that
 	// disconnects or times out mid-fan-out must not cancel the deliveries
 	// and eject every touched replica. Per-call ShardTimeout is the bound.
-	ctx := context.WithoutCancel(req.Context())
+	ctx = context.WithoutCancel(ctx)
 	versions := make(map[int]uint64, len(r.shards))
 	var wg sync.WaitGroup
 	for s := range r.shards {
@@ -1111,7 +674,7 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 			wg.Add(1)
 			go func(s, ri int, rep *replica, batch []api.MutationJSON, want uint64) {
 				defer wg.Done()
-				sp := st.root.StartChild("shard.update")
+				sp := root.StartChild("shard.update")
 				cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 				defer cancel()
 				if sp.Recording() {
@@ -1150,34 +713,19 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	}
 	wg.Wait()
 
-	writeJSON(w, http.StatusOK, api.UpdateResponse{
+	return api.UpdateResponse{
 		Version:       res.Version,
 		Nodes:         res.Nodes,
 		Edges:         res.Edges,
 		AddedNodes:    res.AddedNodes,
 		Recomputed:    res.Recomputed,
 		ShardVersions: versions,
-		ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}, nil
 }
 
-func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	ver := r.store.Current()
-	g := ver.Graph()
-	h := api.HealthJSON{
-		Status:        "ok",
-		NodeID:        r.nodeID,
-		Role:          api.RoleRouter,
-		Version:       ver.ID(),
-		Nodes:         g.NumNodes(),
-		Edges:         g.NumEdges(),
-		Labels:        g.Labels().Len(),
-		Queries:       r.store.NumQueries(),
-		UptimeSeconds: obs.Uptime().Seconds(),
-		GoVersion:     runtime.Version(),
-		ModuleVersion: moduleVersion(),
-		Workers:       r.store.Engine().Workers(),
-	}
+// Health implements api.Backend: the per-shard serving summary, and a
+// degraded status when some shard has no serving replica.
+func (r *Router) Health(h *api.HealthJSON) {
 	r.mu.RLock()
 	want := append([]uint64(nil), r.want...)
 	r.mu.RUnlock()
@@ -1198,12 +746,4 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 			Version:  want[s],
 		})
 	}
-	writeJSON(w, http.StatusOK, h)
-}
-
-func moduleVersion() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		return bi.Main.Version
-	}
-	return ""
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,29 +30,45 @@ type fleet struct {
 	rc      *client.Client // against the router
 	sc      *client.Client // against the single-node reference
 	shardTS [][]*httptest.Server
+	// Base URLs of the router and the reference, for raw-HTTP assertions.
+	routerURL, singleURL string
 }
 
 func testRetry() client.RetryPolicy {
 	return client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 }
 
-// newShard starts one empty in-process shard server.
-func newShard(t *testing.T) *httptest.Server {
+// newShardHandler builds one empty shard's /v1 handler.
+func newShardHandler(t *testing.T, cfg api.Config) http.Handler {
 	t.Helper()
 	g, err := graph.ParseString("", graph.NewLabels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(api.NewLiveServer(live.NewStore(g, live.Config{Workers: 2}),
-		api.Config{Role: api.RoleShard}))
+	cfg.Role = api.RoleShard
+	cfg.MaxBodyBytes = 0 // push batches need the default cap
+	return api.NewLiveServer(live.NewStore(g, live.Config{Workers: 2}), cfg)
+}
+
+// newShard starts one empty in-process shard server.
+func newShard(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(newShardHandler(t, api.Config{}))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-// newFleet deploys k shards (replicas[s] servers each; default 1) plus the
-// router and the reference server, both over identical copies of g built by
-// build (called twice so no state is shared).
+// newFleet is newFleetCfg with the default api.Config everywhere.
 func newFleet(t *testing.T, build func() *graph.Graph, k, halo int, replicas map[int]int) *fleet {
+	t.Helper()
+	return newFleetCfg(t, build, k, halo, replicas, api.Config{})
+}
+
+// newFleetCfg deploys k shards (replicas[s] servers each; default 1) plus
+// the router and the reference server, both over identical copies of g built
+// by build (called twice so no state is shared). Router, shards and
+// reference all serve under cfg (roles and the shards' body cap aside).
+func newFleetCfg(t *testing.T, build func() *graph.Graph, k, halo int, replicas map[int]int, cfg api.Config) *fleet {
 	t.Helper()
 	g := build()
 	plan, err := BuildPlan(g, k, halo, StrategyBFS)
@@ -65,7 +83,8 @@ func newFleet(t *testing.T, build func() *graph.Graph, k, halo int, replicas map
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			ts := newShard(t)
+			ts := httptest.NewServer(newShardHandler(t, cfg))
+			t.Cleanup(ts.Close)
 			f.shardTS[s] = append(f.shardTS[s], ts)
 			shards[s] = append(shards[s], ts.URL)
 		}
@@ -76,6 +95,7 @@ func newFleet(t *testing.T, build func() *graph.Graph, k, halo int, replicas map
 		ShardTimeout:  5 * time.Second,
 		Retry:         testRetry(),
 		ProbeInterval: time.Hour, // probes run only when tests call probeOnce
+		API:           cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,12 +106,11 @@ func newFleet(t *testing.T, build func() *graph.Graph, k, halo int, replicas map
 	f.router = rt
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
-	f.rc = client.New(rts.URL)
+	f.rc, f.routerURL = client.New(rts.URL), rts.URL
 
-	single := httptest.NewServer(api.NewLiveServer(live.NewStore(build(), live.Config{Workers: 2}),
-		api.Config{}))
+	single := httptest.NewServer(api.NewLiveServer(live.NewStore(build(), live.Config{Workers: 2}), cfg))
 	t.Cleanup(single.Close)
-	f.sc = client.New(single.URL)
+	f.sc, f.singleURL = client.New(single.URL), single.URL
 	return f
 }
 
@@ -459,7 +478,7 @@ func TestRouterUpdateSurvivesCallerCancellation(t *testing.T) {
 	cancel() // the caller is gone before the fan-out even starts
 	req = req.WithContext(cctx)
 	w := httptest.NewRecorder()
-	f.router.handleUpdate(w, req)
+	f.router.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("update with a cancelled caller context: status %d, body %s", w.Code, w.Body)
 	}
@@ -676,5 +695,319 @@ func TestRouterRejectsUnderflowedPlans(t *testing.T) {
 		Shards: [][]string{{"http://s0"}, {}},
 	}); err == nil {
 		t.Fatal("replica-less shard must be rejected")
+	}
+}
+
+// rawPost sends body verbatim and returns the status and the decoded error
+// envelope (zero on 2xx).
+func rawPost(t *testing.T, url, requestID string, body []byte) (int, api.Error) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if requestID != "" {
+		req.Header.Set(api.RequestIDHeader, requestID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aerr api.Error
+	if resp.StatusCode >= 400 {
+		if err := json.Unmarshal(raw, &aerr); err != nil || aerr.Code == "" {
+			t.Fatalf("POST %s: status %d with an unstructured body %q", url, resp.StatusCode, raw)
+		}
+	}
+	return resp.StatusCode, aerr
+}
+
+// TestRouterErrorParity pins that the HTTP contract has one owner: the same
+// malformed request answers the same status, code and message whether a
+// single node or the router serves it, on every endpoint that fans out. The
+// only router-specific verdicts are halo_exceeded and the NUL-label rule.
+func TestRouterErrorParity(t *testing.T) {
+	f := newFleetCfg(t, buildSynthetic(40, 31), 2, 1, nil, api.Config{MaxBodyBytes: 2048})
+	const edge = `"pattern_text":"node a l0\nnode b l1\nedge a b"`
+	const disconnected = `"pattern_text":"node a l0\nnode b l1"`
+	const path3 = `"pattern_text":"node a l0\nnode b l1\nnode c l2\nedge a b\nedge b c"`
+	cases := []struct {
+		name, path, body string
+		status           int
+		code             string
+		routerOnly       bool // the single node serves it; only the router refuses
+	}{
+		{"missing pattern", "/match", `{}`, 400, api.CodeInvalidRequest, false},
+		{"both pattern forms", "/match",
+			`{"pattern":{"nodes":[{"label":"l0"}]},"pattern_text":"node a l0"}`, 400, api.CodeInvalidRequest, false},
+		{"unknown mode", "/match", `{` + edge + `,"query":{"mode":"nope"}}`, 400, api.CodeInvalidQuery, false},
+		{"unknown mode on stream", "/match/stream", `{` + edge + `,"query":{"mode":"nope"}}`, 400, api.CodeInvalidQuery, false},
+		{"top_k on stream", "/match/stream", `{` + edge + `,"query":{"top_k":2}}`, 400, api.CodeInvalidQuery, false},
+		{"top_k on stream, no pattern", "/match/stream", `{"query":{"top_k":2}}`, 400, api.CodeInvalidRequest, false},
+		{"disconnected pattern", "/match", `{` + disconnected + `}`, 400, api.CodeInvalidPattern, false},
+		{"disconnected pattern on stream", "/match/stream", `{` + disconnected + `}`, 400, api.CodeInvalidPattern, false},
+		{"oversized body", "/match", `{"pattern_text":"` + strings.Repeat("# pad\\n", 400) + `"}`, 413, api.CodeBodyTooLarge, false},
+		{"unknown update field", "/update", `{"updates":[{"op":"add_node","lable":"l0"}]}`, 400, api.CodeInvalidRequest, false},
+		{"mutation missing its target", "/update", `{"updates":[{"op":"delete_node"}]}`, 400, api.CodeInvalidMutation, false},
+		{"halo exceeded", "/match", `{` + path3 + `}`, 400, api.CodeHaloExceeded, true},
+		{"halo exceeded on stream", "/match/stream", `{` + path3 + `}`, 400, api.CodeHaloExceeded, true},
+		{"NUL label", "/update", `{"updates":[{"op":"add_node","label":"a\u0000b"}]}`, 400, api.CodeInvalidMutation, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rs, re := rawPost(t, f.routerURL+api.Prefix+tc.path, "", []byte(tc.body))
+			if rs != tc.status || re.Code != tc.code {
+				t.Fatalf("router: status %d code %q (%s), want %d %q", rs, re.Code, re.Message, tc.status, tc.code)
+			}
+			ss, se := rawPost(t, f.singleURL+api.Prefix+tc.path, "", []byte(tc.body))
+			if tc.routerOnly {
+				if ss != http.StatusOK {
+					t.Fatalf("single node: status %d (%s), want 200", ss, se.Message)
+				}
+				return
+			}
+			if ss != rs || se.Code != re.Code || se.Message != re.Message {
+				t.Fatalf("deployments disagree:\nrouter: %d %s %q\nsingle: %d %s %q",
+					rs, re.Code, re.Message, ss, se.Code, se.Message)
+			}
+		})
+	}
+}
+
+// getJSON decodes a GET response body into out and returns the status.
+func getJSON(t *testing.T, url string, out any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return resp.StatusCode
+}
+
+// TestRouterFlightRecordsFanout pins that a fan-out match passes through
+// the same middleware as a single-node one: it lands in the router's
+// /v1/debug/queries/recent as kind "match" with its match count, under the
+// trace id the shards recorded their share of the work under, and the access
+// log line carries bytes, matches and (for a stream) the outcome.
+func TestRouterFlightRecordsFanout(t *testing.T) {
+	var logBuf syncBuffer
+	f := newFleetCfg(t, buildSynthetic(60, 37), 2, 2, nil, api.Config{
+		EnableDebug: true,
+		AccessLog:   slog.New(slog.NewJSONHandler(&logBuf, nil)),
+	})
+	pat := testPatterns(generator.Synthetic(60, 1.2, 5, 37))[0]
+	body, err := json.Marshal(api.MatchRequest{PatternText: pat, Query: api.QuerySpec{Mode: api.ModePlus}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, aerr := rawPost(t, f.routerURL+api.Prefix+"/match", "fanout-1", body); status != http.StatusOK {
+		t.Fatalf("router match: %d %s", status, aerr.Message)
+	}
+	want, err := f.sc.MatchText(context.Background(), pat, api.QuerySpec{Mode: api.ModePlus})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recent := func(base string) []api.QueryRecordJSON {
+		var recs []api.QueryRecordJSON
+		if status := getJSON(t, base+api.Prefix+"/debug/queries/recent", &recs); status != http.StatusOK {
+			t.Fatalf("%s recent ring: status %d", base, status)
+		}
+		return recs
+	}
+	var rec *api.QueryRecordJSON
+	for _, r := range recent(f.routerURL) {
+		if r.RequestID == "fanout-1" {
+			rec = &r
+		}
+	}
+	if rec == nil {
+		t.Fatal("fan-out match missing from the router's /v1/debug/queries/recent")
+	}
+	if rec.Kind != "match" || rec.Outcome != "ok" || rec.Matches != len(want.Matches) {
+		t.Fatalf("router record %+v, want kind match, outcome ok, %d matches", rec, len(want.Matches))
+	}
+	if len(rec.TraceID) != 32 {
+		t.Fatalf("router record trace id %q, want 32 hex digits", rec.TraceID)
+	}
+	// Each shard ran its share of the query under the router's trace.
+	for s, reps := range f.shardTS {
+		seen := false
+		for _, r := range recent(reps[0].URL) {
+			seen = seen || r.TraceID == rec.TraceID
+		}
+		if !seen {
+			t.Fatalf("shard %d recorded no query under the router's trace %s", s, rec.TraceID)
+		}
+	}
+
+	// The router's access-log lines are the ones under the client's request
+	// ids (fan-out calls travel under ids of their own). A stream's line
+	// also says how it ended.
+	if status, aerr := rawPost(t, f.routerURL+api.Prefix+"/match/stream", "fanout-2", body); status != http.StatusOK {
+		t.Fatalf("router stream: %d %s", status, aerr.Message)
+	}
+	for id, outcome := range map[string]string{"fanout-1": "", "fanout-2": "ok"} {
+		found := false
+		for _, raw := range strings.Split(logBuf.String(), "\n") {
+			var line struct {
+				Bytes   int64  `json:"bytes"`
+				Matches *int   `json:"matches"`
+				Outcome string `json:"outcome"`
+				ID      string `json:"request_id"`
+			}
+			if json.Unmarshal([]byte(raw), &line) != nil || line.ID != id {
+				continue
+			}
+			found = true
+			if line.Bytes == 0 || line.Matches == nil || *line.Matches != len(want.Matches) || line.Outcome != outcome {
+				t.Fatalf("router access-log line for %s: %s, want bytes, %d matches, outcome %q",
+					id, raw, len(want.Matches), outcome)
+			}
+		}
+		if !found {
+			t.Fatalf("no router access-log line for %s:\n%s", id, logBuf.String())
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the concurrent writers of a shared
+// access log.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRouterDebugCancelStopsFanout pins that the flight recorder sees a
+// fan-out in flight and that DELETE /v1/debug/queries/{request_id} tears it
+// down: the shard call's context ends and the caller gets 408 cancelled.
+func TestRouterDebugCancelStopsFanout(t *testing.T) {
+	g := generator.Synthetic(30, 1.2, 4, 41)
+	plan, err := BuildPlan(g, 1, 2, StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One shard whose /v1/match blocks until its request context ends.
+	inner := newShardHandler(t, api.Config{})
+	entered := make(chan struct{})
+	released := make(chan struct{})
+	var once sync.Once
+	shardTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != api.Prefix+"/match" {
+			inner.ServeHTTP(w, req)
+			return
+		}
+		// The server notices a departed client only once the body is read.
+		_, _ = io.Copy(io.Discard, req.Body)
+		once.Do(func() { close(entered) })
+		<-req.Context().Done()
+		close(released)
+	}))
+	t.Cleanup(shardTS.Close)
+	rt, err := NewRouter(live.NewStore(g, live.Config{Workers: 2}), Config{
+		Plan:          plan,
+		Shards:        [][]string{{shardTS.URL}},
+		ShardTimeout:  time.Minute,
+		Retry:         testRetry(),
+		ProbeInterval: time.Hour,
+		API:           api.Config{EnableDebug: true, DefaultTimeout: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Push(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	type result struct {
+		status int
+		aerr   api.Error
+	}
+	resultc := make(chan result, 1)
+	go func() { // off the test goroutine: report failure as a status, never t.Fatal
+		req, err := http.NewRequest("POST", rts.URL+api.Prefix+"/match",
+			strings.NewReader(`{"pattern_text":"node a l0\nnode b l1\nedge a b"}`))
+		if err != nil {
+			resultc <- result{status: -1}
+			return
+		}
+		req.Header.Set(api.RequestIDHeader, "cancel-me")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			resultc <- result{status: -1}
+			return
+		}
+		defer resp.Body.Close()
+		res := result{status: resp.StatusCode}
+		_ = json.NewDecoder(resp.Body).Decode(&res.aerr) // a non-error body fails the code check below
+		resultc <- res
+	}()
+	select {
+	case <-entered:
+	case <-time.After(15 * time.Second):
+		t.Fatal("fan-out never reached the shard")
+	}
+
+	var active []api.ActiveQueryJSON
+	if status := getJSON(t, rts.URL+api.Prefix+"/debug/queries", &active); status != http.StatusOK {
+		t.Fatalf("active table: status %d", status)
+	}
+	if len(active) != 1 || active[0].RequestID != "cancel-me" || active[0].Kind != "match" {
+		t.Fatalf("in-flight table %+v, want the one fan-out match", active)
+	}
+	del, err := http.NewRequest("DELETE", rts.URL+api.Prefix+"/debug/queries/cancel-me", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE in-flight fan-out: status %d, want 204", resp.StatusCode)
+	}
+
+	select {
+	case res := <-resultc:
+		if res.status != http.StatusRequestTimeout || res.aerr.Code != api.CodeCancelled {
+			t.Fatalf("cancelled fan-out answered %d %q (%s), want 408 cancelled",
+				res.status, res.aerr.Code, res.aerr.Message)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("cancelled fan-out did not return")
+	}
+	select {
+	case <-released:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the shard call's context never ended")
+	}
+	// The caller's cancellation is no verdict on the replica.
+	if !rt.shards[0][0].available() {
+		t.Fatalf("replica ejected by an admin cancel: %s", rt.shards[0][0].note)
 	}
 }
