@@ -482,6 +482,21 @@ func BenchmarkBallConstructionScratch(b *testing.B) {
 	}
 }
 
+// BenchmarkBallConstructionRestricted is BenchmarkBallConstructionScratch
+// for the balls the serving path builds: restricted to the candidate set of
+// the benchmark pattern (the nodes carrying one of its labels), so only the
+// BFS still scales with the ball.
+func BenchmarkBallConstructionRestricted(b *testing.B) {
+	q, g := benchWorkload(b)
+	cand := g.NodesLabeledIn(q)
+	var s graph.BallScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.BuildRestricted(g, int32(i%g.NumNodes()), 3, cand)
+	}
+}
+
 // execEvalWorkload mirrors the engine workload at per-ball granularity: one
 // iteration = one center's precheck + ball + evaluation, the unit of work
 // the exec pool schedules.
@@ -525,6 +540,25 @@ func BenchmarkExecBallEvalScratch(b *testing.B) {
 			continue
 		}
 		ball := s.Balls.Build(g, center, radius)
+		core.EvalPreparedBallIn(q, ball, center, core.Options{}, nil, &s.Sim)
+	}
+}
+
+// BenchmarkExecBallEvalRestricted is BenchmarkExecBallEvalScratch as the
+// engine runs it: the same centers, each ball restricted to the pattern's
+// candidate set before evaluation.
+func BenchmarkExecBallEvalRestricted(b *testing.B) {
+	q, g, radius := execEvalWorkload(b)
+	cand := g.NodesLabeledIn(q)
+	s := new(exec.Scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		center := int32(i % g.NumNodes())
+		if !cand.Contains(center) {
+			continue
+		}
+		ball := s.Balls.BuildRestricted(g, center, radius, cand)
 		core.EvalPreparedBallIn(q, ball, center, core.Options{}, nil, &s.Sim)
 	}
 }

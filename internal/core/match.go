@@ -87,8 +87,12 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 		return nil, err
 	}
 
-	// Global dual-simulation filter (Fig. 5 precomputation).
+	// Global dual-simulation filter (Fig. 5 precomputation). Either way
+	// cand ends up holding every data node that can be a candidate of some
+	// pattern node in any ball: the matches of the global relation, or the
+	// nodes carrying a pattern label.
 	var global simulation.Relation
+	var cand *graph.NodeSet
 	if opts.DualFilter {
 		rel, ok := simulation.Dual(qEff, g)
 		if !ok {
@@ -97,6 +101,9 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 			return res, nil
 		}
 		global = rel
+		cand = rel.DataNodes(g.NumNodes())
+	} else {
+		cand = g.NodesLabeledIn(qEff)
 	}
 
 	type centerResult struct {
@@ -106,7 +113,7 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	out := make([]centerResult, g.NumNodes())
 	err := exec.Run(ctx, exec.Options{Workers: opts.Workers}, g.NumNodes(),
 		func(s *exec.Scratch, pos int) centerResult {
-			ps, stats := evalBall(s, qEff, g, int32(pos), radius, opts, global)
+			ps, stats := evalBall(s, qEff, g, int32(pos), radius, opts, global, cand)
 			return centerResult{ps: ps, stats: stats}
 		},
 		func(pos int, cr centerResult) bool {
@@ -135,10 +142,10 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 
 // evalBall evaluates one ball Ĝ[center, radius]: lines 2-5 of Match
 // (Fig. 3), or the dualFilter variant (Fig. 5) when a global relation is
-// supplied. The ball is built into the worker's scratch; nothing of it
+// supplied. cand is the run's candidate set (see MatchCtx); the ball is
+// built restricted to it into the worker's scratch, and nothing of it
 // survives the call.
-func evalBall(s *exec.Scratch, q, g *graph.Graph, center int32, radius int, opts Options, global simulation.Relation) (*PerfectSubgraph, Stats) {
-	var stats Stats
+func evalBall(s *exec.Scratch, q, g *graph.Graph, center int32, radius int, opts Options, global simulation.Relation, cand *graph.NodeSet) (*PerfectSubgraph, Stats) {
 	// A perfect subgraph must contain its center (ExtractMaxPG line 1).
 	// With the global relation available, centers it leaves unmatched are
 	// skipped before their ball is even built — the main saving of the
@@ -147,29 +154,11 @@ func evalBall(s *exec.Scratch, q, g *graph.Graph, center int32, radius int, opts
 	// Sw); Fig. 3 nominally builds those balls too, but their DualSim is a
 	// no-op, and skipping them is the obvious implementation choice the
 	// paper's measured Match/Match+ ratio (≈3/2) implies.
-	if global != nil {
-		matched := false
-		for u := range global {
-			if global[u].Contains(center) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			stats.BallsSkipped++
-			return nil, stats
-		}
-	} else if len(q.NodesWithLabel(g.Label(center))) == 0 {
-		stats.BallsSkipped++
-		return nil, stats
+	if !cand.Contains(center) {
+		return nil, Stats{BallsSkipped: 1}
 	}
-
-	ball := s.Balls.Build(g, center, radius)
-	ps, evalStats := EvalPreparedBallIn(q, ball, center, opts, global, &s.Sim)
-	stats.BallsExamined += evalStats.BallsExamined
-	stats.BallsSkipped += evalStats.BallsSkipped
-	stats.PairsRemoved += evalStats.PairsRemoved
-	return ps, stats
+	ball := s.Balls.BuildRestricted(g, center, radius, cand)
+	return EvalPreparedBallIn(q, ball, center, opts, global, &s.Sim)
 }
 
 // EvalPreparedBall runs procedure DualSim followed by ExtractMaxPG (Fig. 3)
@@ -212,9 +201,9 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 		// Project the global relation onto the ball (Fig. 5 line 1).
 		rel = sc.Relation(q.NumNodes(), bg.NumNodes())
 		for u := range global {
-			for _, bv := range ball.Orig {
+			for i, bv := range ball.Orig {
 				if global[u].Contains(bv) {
-					rel[u].Add(ball.ToBall(bv))
+					rel[u].Add(int32(i))
 				}
 			}
 		}

@@ -100,6 +100,9 @@ func (e *Engine) runGroup(ctx context.Context, radius int, idxs []int, queries [
 	g := e.snap.g
 	want := make([]*graph.NodeSet, len(idxs))
 	union := graph.NewNodeSet(g.NumNodes())
+	// One ball serves the whole group, so it is restricted to the union of
+	// the members' candidate sets: a superset of each member's own.
+	cand := graph.NewNodeSet(g.NumNodes())
 	for k, i := range idxs {
 		s := graph.NewNodeSet(g.NumNodes())
 		for _, c := range preps[i].centers {
@@ -107,8 +110,10 @@ func (e *Engine) runGroup(ctx context.Context, radius int, idxs []int, queries [
 		}
 		want[k] = s
 		union.UnionWith(s)
+		cand.UnionWith(preps[i].cand)
 	}
 	centers := union.Slice()
+	ballOf := e.snap.ballProvider(radius, cand)
 
 	// done[k] flips once query k hit its Limit; workers consult it to skip
 	// useless evaluations, and the group cancels when every member is done.
@@ -138,7 +143,7 @@ func (e *Engine) runGroup(ctx context.Context, radius int, idxs []int, queries [
 				continue
 			}
 			if ball == nil {
-				ball = e.snap.BallIn(&s.Balls, center, radius)
+				ball = ballOf(&s.Balls, center)
 			}
 			ps, stats := core.EvalPreparedBallIn(preps[i].qEff, ball, center, queries[i].Opts.coreOptions(), preps[i].global, &s.Sim)
 			outs = append(outs, outcome{qpos: k, center: center, ps: ps, stats: stats})

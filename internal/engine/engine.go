@@ -128,6 +128,11 @@ type preparedQuery struct {
 	centers []int32             // viable ball centers, ascending
 	stats   core.Stats          // prefilter accounting (skipped centers, minQ size)
 	done    bool                // query already answered (dual filter found Q ⊀D G)
+	// cand holds every data node that can be a candidate of some pattern
+	// node in any ball — the global relation's matches, or the nodes
+	// carrying a pattern label — taken before plan pruning thins centers.
+	// Balls are built restricted to it; nil builds them whole.
+	cand *graph.NodeSet
 }
 
 // prepare validates the pattern and runs the per-query precomputation:
@@ -193,6 +198,7 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		sp.EndStatus("cancelled")
 		return nil, err
 	}
+	p.cand = centerSet
 	p.centers = centerSet.Slice()
 	if opts.Planner != nil && len(p.centers) > 0 {
 		// Candidate pruning: every filter is a necessary condition for a
@@ -244,10 +250,11 @@ type ballOutcome struct {
 // span, when recording, becomes the parent of the pool's per-worker
 // "eval.worker" spans; a zero span adds nothing.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, progress *obs.Progress, span obs.Span, sink func(ballOutcome) bool) error {
+	ballOf := e.snap.ballProvider(p.radius, p.cand)
 	return exec.Run(ctx, exec.Options{Workers: e.workers, Progress: progress, Span: span}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
-			ball := e.snap.BallIn(&s.Balls, center, p.radius)
+			ball := ballOf(&s.Balls, center)
 			ps, stats := core.EvalPreparedBallIn(p.qEff, ball, center, coreOpts, p.global, &s.Sim)
 			return ballOutcome{pos: pos, ps: ps, stats: stats,
 				ballNodes: ball.G.NumNodes(), ballEdges: ball.G.NumEdges()}
@@ -256,12 +263,13 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 }
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
-// on the engine's worker pool: the ball Ĝ[c, radius] is fetched from the
-// snapshot (cached or fresh) and run through core.EvalPreparedBallWith with
-// zero options and no global relation — exactly the per-center work of a
-// plain Match restricted to the given centers. report is called on the
-// calling goroutine with the center's index in centers and its maximum
-// perfect subgraph (nil when the ball has none), in worker completion order.
+// on the engine's worker pool: the ball Ĝ[c, radius] comes from the snapshot
+// (prepared, or built whole into the worker's scratch) and is run through
+// core.EvalPreparedBallIn with zero options and no global relation — exactly
+// the per-center work of a plain Match restricted to the given centers.
+// report is called on the calling goroutine with the center's index in
+// centers and its maximum perfect subgraph (nil when the ball has none), in
+// worker completion order.
 // radius <= 0 uses the pattern diameter. Callers are responsible for any
 // center prefiltering (label precheck); every listed center is evaluated.
 //
@@ -282,6 +290,11 @@ func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, ce
 		}
 		radius = dq
 	}
+	// cand stays nil: whole balls, the nil-set case of the one builder.
+	// Restricting them to CandidateCenters(q) gives the same outcomes (the
+	// differential test in internal/core covers centers outside the set) and
+	// is measured (EXPERIMENTS.md); it is left to a change that claims the
+	// standing-query gain on its own (ROADMAP, ball kernel).
 	p := &preparedQuery{qEff: q, radius: radius, centers: centers}
 	trace.EnterStage(obs.StageEval) // nil-safe
 	sp := trace.StartSpan("eval")

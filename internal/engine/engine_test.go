@@ -343,3 +343,45 @@ func TestEvalCentersMatchesPlainMatch(t *testing.T) {
 		t.Fatal("nil pattern should be rejected")
 	}
 }
+
+// TestEvalCentersOutsideCandidates: EvalCenters evaluates every center it is
+// handed, also one whose label the pattern does not carry (live prefilters
+// its dirty centers, other callers need not). Such a center must still get a
+// ball of its own and come back empty, and every listed center must agree
+// with the reference pair NewBall + EvalPreparedBall.
+func TestEvalCentersOutsideCandidates(t *testing.T) {
+	q, g := testWorkload(t, 400, 11)
+	e := New(g, Config{Workers: 3})
+	dq, _ := graph.Diameter(q)
+	cand := e.Snapshot().CandidateCenters(q)
+	centers := make([]int32, g.NumNodes())
+	for i := range centers {
+		centers[i] = int32(i)
+	}
+	got := make([]*core.PerfectSubgraph, len(centers))
+	err := e.EvalCenters(context.Background(), q, 0, centers, nil, func(i int, ps *core.PerfectSubgraph) {
+		got[i] = ps
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside, matched := 0, 0
+	for i, c := range centers {
+		want, _ := core.EvalPreparedBall(q, graph.NewBall(g, c, dq), c)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("center %d: EvalCenters %v, reference %v", c, got[i], want)
+		}
+		if want != nil {
+			matched++
+		}
+		if !cand.Contains(c) {
+			outside++
+			if got[i] != nil {
+				t.Fatalf("center %d carries no pattern label but matched: %v", c, got[i])
+			}
+		}
+	}
+	if outside == 0 || matched == 0 {
+		t.Fatalf("vacuous: %d centers outside the candidate set, %d matching", outside, matched)
+	}
+}

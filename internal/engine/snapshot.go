@@ -152,15 +152,12 @@ func (s *Snapshot) Ball(center int32, radius int) *graph.Ball {
 	return s.BallIn(nil, center, radius)
 }
 
-// BallIn is Ball with on-the-fly construction routed into bs, the ball
-// provider stage of the exec pipeline: a cache hit returns the shared
-// long-lived ball, a miss builds into the worker's scratch (valid until its
-// next build). A nil bs allocates a fresh ball as NewBall does.
+// BallIn is Ball with on-the-fly construction routed into bs: a cache hit
+// returns the shared long-lived ball, a miss builds the whole ball into the
+// scratch (valid until its next build). A nil bs allocates a fresh ball as
+// NewBall does.
 func (s *Snapshot) BallIn(bs *graph.BallScratch, center int32, radius int) *graph.Ball {
-	s.mu.RLock()
-	cached := s.balls[radius]
-	s.mu.RUnlock()
-	if cached != nil {
+	if cached := s.preparedBalls(radius); cached != nil {
 		return cached[center]
 	}
 	if bs == nil {
@@ -169,23 +166,34 @@ func (s *Snapshot) BallIn(bs *graph.BallScratch, center int32, radius int) *grap
 	return bs.Build(s.g, center, radius)
 }
 
+// preparedBalls returns the balls PrepareBalls cached for the radius,
+// indexed by center, or nil.
+func (s *Snapshot) preparedBalls(radius int) []*graph.Ball {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.balls[radius]
+}
+
+// ballProvider is the ball provider stage of one exec run at a fixed
+// radius. The prepared-ball cache is consulted once, here, not under the
+// lock per ball: a prepared radius serves its shared whole balls, any other
+// builds Ĝ[center, radius] restricted to cand into the worker's scratch
+// (nil cand: the whole ball). Both are the same ball to an evaluator whose
+// candidates all lie in cand.
+func (s *Snapshot) ballProvider(radius int, cand *graph.NodeSet) func(bs *graph.BallScratch, center int32) *graph.Ball {
+	if cached := s.preparedBalls(radius); cached != nil {
+		return func(_ *graph.BallScratch, center int32) *graph.Ball { return cached[center] }
+	}
+	return func(bs *graph.BallScratch, center int32) *graph.Ball {
+		return bs.BuildRestricted(s.g, center, radius, cand)
+	}
+}
+
 // CandidateCenters returns the data nodes whose label occurs in q — the only
 // viable ball centers under the label precheck of plain Match (a center
 // absent from every candidate set cannot appear in any Sw, so its ball's
 // DualSim is a no-op). This is the snapshot-side half of the prefilter; the
 // dual-simulation filter narrows it further per query.
 func (s *Snapshot) CandidateCenters(q *graph.Graph) *graph.NodeSet {
-	set := graph.NewNodeSet(s.g.NumNodes())
-	seen := make(map[int32]bool, q.NumNodes())
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
-		lbl := q.Label(u)
-		if seen[lbl] {
-			continue
-		}
-		seen[lbl] = true
-		for _, v := range s.g.NodesWithLabel(lbl) {
-			set.Add(v)
-		}
-	}
-	return set
+	return s.g.NodesLabeledIn(q)
 }

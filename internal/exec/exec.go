@@ -14,9 +14,10 @@
 //
 //   - a center source is just the position space [0, n) plus whatever slice
 //     the caller indexes (all nodes, candidate centers, dirty centers);
-//   - a ball provider runs inside eval — Scratch.Balls.Build for on-demand
-//     BFS, engine.Snapshot.BallIn for cached balls, or a caller-assembled
-//     ball as in distributed and incremental;
+//   - a ball provider runs inside eval — Scratch.Balls.BuildRestricted for
+//     an on-demand BFS that keeps the query's candidates only (Build keeps
+//     the whole ball), the engine's prepared-ball cache, or a
+//     caller-assembled ball as in distributed and incremental;
 //   - the evaluator is core.EvalPreparedBallIn (or any other pure function
 //     of the position);
 //   - the sink runs on the calling goroutine, unordered (Run, worker
@@ -64,17 +65,6 @@ var (
 		"simulation scratch cycles that had to grow state (reuse = evals - misses)")
 )
 
-// flush folds the scratch's cumulative reuse counters into the registry;
-// called once when a worker (or a sequential run) retires its scratch.
-func (s *Scratch) flush() {
-	b, m := s.Balls.Stats()
-	scratchBallBuilds.Add(b)
-	scratchBallMisses.Add(m)
-	ev, em := s.Sim.Stats()
-	scratchSimEvals.Add(ev)
-	scratchSimMisses.Add(em)
-}
-
 // Scratch is the per-worker arena: reusable ball construction buffers and
 // simulation state. Evaluators receive their worker's scratch and may use
 // any part of it; everything built from a scratch is valid only until the
@@ -84,6 +74,36 @@ type Scratch struct {
 	Balls graph.BallScratch
 	// Sim backs the candidate relation and refiner of one ball evaluation.
 	Sim simulation.Scratch
+
+	// What retire has already folded into the registry of the cumulative
+	// counters Balls.Stats() and Sim.Stats() report.
+	ballBuilds, ballMisses, simEvals, simMisses int64
+}
+
+// scratches keeps retired scratches for the next run's workers. A scratch
+// grows to the graph (a bitmap and an int32 per node) and to the largest
+// ball it has met; one per worker per run would have every request allocate
+// and zero all of that again. A worker takes one when it starts and hands it
+// back when it retires, and what sits idle is the collector's to drop.
+// Nothing built from a scratch outlives the evaluation that built it, so a
+// scratch carries nothing from one run into the next but its capacity and
+// its counters.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// retire folds what the scratch did since it last retired into the
+// registry — the growth of its cumulative counters, so a scratch that serves
+// many runs is counted once — and returns it to the pool; called once per
+// worker (or sequential run).
+func (s *Scratch) retire() {
+	b, m := s.Balls.Stats()
+	scratchBallBuilds.Add(b - s.ballBuilds)
+	scratchBallMisses.Add(m - s.ballMisses)
+	s.ballBuilds, s.ballMisses = b, m
+	ev, em := s.Sim.Stats()
+	scratchSimEvals.Add(ev - s.simEvals)
+	scratchSimMisses.Add(em - s.simMisses)
+	s.simEvals, s.simMisses = ev, em
+	scratches.Put(s)
 }
 
 // Options configure one run.
@@ -166,8 +186,8 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 	// the results channel closes), so no further decrements race with it.
 	defer func() { poolQueueDepth.Add(-undelivered.Load()) }()
 	if workers == 1 {
-		s := new(Scratch)
-		defer s.flush()
+		s := scratches.Get().(*Scratch)
+		defer s.retire()
 		poolWorkersActive.Inc()
 		defer poolWorkersActive.Dec()
 		// Plain calls, not a deferred closure: capturing the counter would
@@ -205,8 +225,8 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := new(Scratch)
-			defer s.flush()
+			s := scratches.Get().(*Scratch)
+			defer s.retire()
 			poolWorkersActive.Inc()
 			defer poolWorkersActive.Dec()
 			wsp := opts.Span.StartChild("eval.worker")

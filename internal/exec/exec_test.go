@@ -229,7 +229,8 @@ func TestRunProgressAllocFree(t *testing.T) {
 	if withProgress > base {
 		t.Fatalf("progress ticking allocates: %.2f allocs/run with Progress vs %.2f without", withProgress, base)
 	}
-	// A sequential run allocates its Scratch and nothing else per ball.
+	// A sequential run takes its Scratch from the pool and allocates
+	// nothing per ball.
 	if base > 3 {
 		t.Fatalf("recorder-off run allocates %.2f times, want <= 3", base)
 	}
@@ -276,5 +277,79 @@ func TestMatchCtxCancellation(t *testing.T) {
 	cancel()
 	if _, err := core.MatchCtx(ctx, q, g, core.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled MatchCtx returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRestrictedBallEvalAllocFree pins the served path's steady state: a
+// ball built restricted to the query's candidate set and evaluated on the
+// worker's scratch allocates nothing when it matches nothing (a matching
+// ball still allocates its returned PerfectSubgraph, which is output).
+func TestRestrictedBallEvalAllocFree(t *testing.T) {
+	q, g := allocWorkload()
+	dq, _ := graph.Diameter(q)
+	cand := g.NodesLabeledIn(q)
+	s := new(exec.Scratch)
+	var barren []int32 // candidate centers whose ball has no perfect subgraph
+	for _, c := range cand.Slice() {
+		ball := s.Balls.BuildRestricted(g, c, dq, cand)
+		if ps, _ := core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim); ps == nil {
+			barren = append(barren, c)
+		}
+	}
+	if len(barren) < 50 {
+		t.Fatalf("workload has only %d non-matching candidate centers", len(barren))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		c := barren[i%len(barren)]
+		i++
+		ball := s.Balls.BuildRestricted(g, c, dq, cand)
+		core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim)
+	})
+	if allocs != 0 {
+		t.Fatalf("restricted build + eval of a non-matching ball allocates %.2f times; want 0", allocs)
+	}
+}
+
+// TestScratchPooledAcrossRuns: scratches outlive a run, so after the first
+// run on a graph later runs stop growing arenas, and the scratch_* counters
+// still count every build exactly once however many runs a scratch serves.
+func TestScratchPooledAcrossRuns(t *testing.T) {
+	_, g := allocWorkload()
+	builds := obs.Default.Counter("scratch_ball_builds_total", "")
+	misses := obs.Default.Counter("scratch_ball_misses_total", "")
+	const runs, perRun = 40, 50
+	build := func(s *exec.Scratch, pos int) int {
+		return s.Balls.Build(g, int32(pos*7%g.NumNodes()), 2).NumNodes()
+	}
+	runOnce := func(workers int) {
+		err := exec.Run(context.Background(), exec.Options{Workers: workers}, perRun, build,
+			func(int, int) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// What one run costs a scratch that starts cold.
+	cold := new(exec.Scratch)
+	for pos := 0; pos < perRun; pos++ {
+		build(cold, pos)
+	}
+	_, coldMisses := cold.Balls.Stats()
+
+	runOnce(1)
+	b0, m0 := builds.Value(), misses.Value()
+	for i := 0; i < runs; i++ {
+		runOnce(1)
+	}
+	runOnce(3)
+	if got := builds.Value() - b0; got != (runs+1)*perRun {
+		t.Fatalf("scratch_ball_builds_total grew by %d over %d builds", got, (runs+1)*perRun)
+	}
+	// A fresh scratch per run would miss coldMisses times in every run. The
+	// pool may hand out a cold one now and then (a collection; the race
+	// detector makes sync.Pool drop a quarter of its Puts), not most times.
+	if got := misses.Value() - m0; got >= runs*coldMisses*3/4 {
+		t.Fatalf("scratch_ball_misses_total grew by %d over %d sequential runs (a cold run costs %d): scratches are not reused",
+			got, runs, coldMisses)
 	}
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Ball is the subgraph Ĝ[v, r] of a graph G: all nodes at undirected
 // shortest distance at most r from the center v, together with every edge of
 // G between those nodes (paper Section 2.2). The ball is materialized as its
@@ -11,12 +13,10 @@ type Ball struct {
 	Center int32
 	// Radius is r.
 	Radius int
-	// Orig maps ball node ids back to ids in the parent graph.
+	// Orig maps ball node ids back to ids in the parent graph, ascending.
 	Orig []int32
 	// Dist holds the undirected distance of each ball node from the center.
 	Dist []int32
-	// toBall maps parent ids to ball ids for members only.
-	toBall map[int32]int32
 }
 
 // NewBall constructs Ĝ[center, radius] by undirected BFS.
@@ -28,7 +28,6 @@ func NewBall(g *Graph, center int32, radius int) *Ball {
 		Radius: radius,
 		Orig:   orig,
 		Dist:   make([]int32, len(orig)),
-		toBall: toNew,
 	}
 	for origID, d := range dist {
 		b.Dist[toNew[origID]] = d
@@ -43,12 +42,7 @@ func NewBall(g *Graph, center int32, radius int) *Ball {
 // re-indexed in ascending order of orig; dist holds per-ball-node center
 // distances.
 func AssembleBall(sub *Graph, center int32, radius int, orig, dist []int32) *Ball {
-	b := &Ball{G: sub, Center: center, Radius: radius, Orig: orig, Dist: dist,
-		toBall: make(map[int32]int32, len(orig))}
-	for i, v := range orig {
-		b.toBall[v] = int32(i)
-	}
-	return b
+	return &Ball{G: sub, Center: center, Radius: radius, Orig: orig, Dist: dist}
 }
 
 // bfsUndirected returns the nodes within undirected distance radius of
@@ -79,11 +73,11 @@ func bfsUndirected(g *Graph, start int32, radius int) ([]int32, map[int32]int32)
 	return members, dist
 }
 
-// ToBall translates a parent-graph node id to a ball id, returning -1 when
-// the node is outside the ball.
+// ToBall translates a parent-graph node id to a ball id by binary search of
+// the ascending Orig, returning -1 when the node has no id in the ball.
 func (b *Ball) ToBall(orig int32) int32 {
-	if id, ok := b.toBall[orig]; ok {
-		return id
+	if i, ok := slices.BinarySearch(b.Orig, orig); ok {
+		return int32(i)
 	}
 	return -1
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -124,5 +125,111 @@ func TestBallScratchSteadyStateAllocs(t *testing.T) {
 	// ball arrives; steady state must stay essentially allocation-free.
 	if allocs > 2 {
 		t.Fatalf("scratch ball build allocates %.1f times per ball; want ~0", allocs)
+	}
+}
+
+// TestBuildRestrictedIsInducedSubBall checks BuildRestricted against the
+// definition: the kept members are exactly the ball members in keep plus the
+// center, with the full ball's distances, labels and every edge between two
+// kept members — read off an independent NewBall.
+func TestBuildRestrictedIsInducedSubBall(t *testing.T) {
+	var s BallScratch
+	for _, tc := range []struct{ n, e, labels int }{
+		{1, 0, 1}, {40, 60, 2}, {200, 700, 5}, {150, 90, 3},
+	} {
+		g := randomGraph(tc.n, tc.e, tc.labels, int64(tc.n)*3+int64(tc.e))
+		// keep: the nodes of every other label, so about half the graph,
+		// and a center is inside it as often as not.
+		keep := NewNodeSet(g.NumNodes())
+		for v := int32(0); v < int32(g.NumNodes()); v++ {
+			if g.Label(v)%2 == 0 {
+				keep.Add(v)
+			}
+		}
+		for radius := 0; radius <= 3; radius++ {
+			for center := int32(0); center < int32(g.NumNodes()); center += 3 {
+				ctx := fmt.Sprintf("n=%d e=%d r=%d c=%d", tc.n, tc.e, radius, center)
+				full := NewBall(g, center, radius)
+				got := s.BuildRestricted(g, center, radius, keep)
+				var wantOrig []int32
+				for _, v := range full.Orig {
+					if v == center || keep.Contains(v) {
+						wantOrig = append(wantOrig, v)
+					}
+				}
+				if fmt.Sprint(got.Orig) != fmt.Sprint(wantOrig) {
+					t.Fatalf("%s: members %v, want %v", ctx, got.Orig, wantOrig)
+				}
+				if got.Radius != radius || got.Orig[got.Center] != center {
+					t.Fatalf("%s: radius %d center %d", ctx, got.Radius, got.Center)
+				}
+				edges := 0
+				for i, v := range got.Orig {
+					fv := full.ToBall(v)
+					if got.Dist[i] != full.Dist[fv] || got.G.Label(int32(i)) != g.Label(v) {
+						t.Fatalf("%s: node %d dist/label (%d,%d), want (%d,%d)", ctx, v,
+							got.Dist[i], got.G.Label(int32(i)), full.Dist[fv], g.Label(v))
+					}
+					if got.ToBall(v) != int32(i) {
+						t.Fatalf("%s: ToBall(%d) = %d, want %d", ctx, v, got.ToBall(v), i)
+					}
+					var wantOut, wantIn []int32
+					for _, w := range g.Out(v) {
+						if id := got.ToBall(w); id >= 0 {
+							wantOut = append(wantOut, id)
+						}
+					}
+					for _, w := range g.In(v) {
+						if id := got.ToBall(w); id >= 0 {
+							wantIn = append(wantIn, id)
+						}
+					}
+					if fmt.Sprint(got.G.Out(int32(i))) != fmt.Sprint(wantOut) || fmt.Sprint(got.G.In(int32(i))) != fmt.Sprint(wantIn) {
+						t.Fatalf("%s: adjacency of %d: out %v in %v, want out %v in %v", ctx, v,
+							got.G.Out(int32(i)), got.G.In(int32(i)), wantOut, wantIn)
+					}
+					edges += len(wantOut)
+					ids := got.G.NodesWithLabel(g.Label(v))
+					if j, ok := slices.BinarySearch(ids, int32(i)); !ok || !slices.IsSorted(ids) {
+						t.Fatalf("%s: label index of %d misses ball node %d (pos %d): %v", ctx, g.Label(v), i, j, ids)
+					}
+				}
+				if got.G.NumEdges() != edges {
+					t.Fatalf("%s: NumEdges %d, want %d", ctx, got.G.NumEdges(), edges)
+				}
+				for _, v := range full.Orig {
+					if v != center && !keep.Contains(v) && got.ToBall(v) != -1 {
+						t.Fatalf("%s: dropped member %d still has ball id %d", ctx, v, got.ToBall(v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBallScratchRestrictedAllocFree: in steady state a restricted build —
+// BFS, re-index, adjacency, label index — allocates nothing at all, now that
+// no step goes through a map.
+func TestBallScratchRestrictedAllocFree(t *testing.T) {
+	g := randomGraph(500, 1200, 4, 11)
+	keep := NewNodeSet(g.NumNodes())
+	for v := int32(0); v < int32(g.NumNodes()); v += 3 {
+		keep.Add(v)
+	}
+	var s BallScratch
+	for c := int32(0); c < int32(g.NumNodes()); c++ {
+		s.BuildRestricted(g, c, 3, keep) // warm the arenas on every center
+	}
+	center := int32(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		center = (center + 13) % int32(g.NumNodes())
+		s.BuildRestricted(g, center, 3, keep)
+	})
+	if allocs != 0 {
+		t.Fatalf("restricted ball build allocates %.1f times per ball; want 0", allocs)
+	}
+	builds, misses := s.Stats()
+	if builds < 700 || misses > 40 {
+		t.Fatalf("restricted builds must be counted like full ones: %d builds, %d misses", builds, misses)
 	}
 }

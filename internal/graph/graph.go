@@ -20,7 +20,11 @@ type Graph struct {
 	in       [][]int32 // node -> sorted predecessors
 	numEdges int
 	byLabel  map[int32][]int32 // label id -> sorted nodes
-	name     string
+	// lblRows is byLabel as a slice indexed by label id, for the graphs a
+	// BallScratch builds (their byLabel is nil): filling it per ball costs
+	// no hashing and no allocation.
+	lblRows [][]int32
+	name    string
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -236,7 +240,15 @@ func (g *Graph) HasEdge(u, v int32) bool {
 
 // NodesWithLabel returns the sorted nodes carrying label id, sharing the
 // underlying slice.
-func (g *Graph) NodesWithLabel(label int32) []int32 { return g.byLabel[label] }
+func (g *Graph) NodesWithLabel(label int32) []int32 {
+	if g.byLabel == nil {
+		if label >= 0 && int(label) < len(g.lblRows) {
+			return g.lblRows[label]
+		}
+		return nil
+	}
+	return g.byLabel[label]
+}
 
 // NodesWithLabelName returns the nodes carrying the given label string.
 func (g *Graph) NodesWithLabelName(name string) []int32 {
@@ -244,7 +256,25 @@ func (g *Graph) NodesWithLabelName(name string) []int32 {
 	if id == NoLabel {
 		return nil
 	}
-	return g.byLabel[id]
+	return g.NodesWithLabel(id)
+}
+
+// NodesLabeledIn returns the nodes of g whose label occurs in q: every data
+// node that line 2 of procedure DualSim (Fig. 3, sim(u) = {v | l(v) = l(u)})
+// can make a candidate of some pattern node. q and g must share one label
+// table.
+func (g *Graph) NodesLabeledIn(q *Graph) *NodeSet {
+	set := NewNodeSet(g.NumNodes())
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		lbl := q.Label(u)
+		if q.NodesWithLabel(lbl)[0] != u {
+			continue // label already handled at its first pattern node
+		}
+		for _, v := range g.NodesWithLabel(lbl) {
+			set.Add(v)
+		}
+	}
+	return set
 }
 
 // Edges calls fn for every directed edge (u, v) in ascending (u, v) order.

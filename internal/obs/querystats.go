@@ -101,8 +101,13 @@ type QueryStats struct {
 	// early exit (Limit, cancellation) this can be less than
 	// CandidateCenters; outcomes discarded mid-flight are not counted.
 	BallsBuilt int
-	// BallNodes and BallEdges total the sizes of every evaluated ball — the
-	// dominant term of per-query work.
+	// BallNodes and BallEdges total the sizes of every ball as evaluated:
+	// the engine builds Ĝ[v, r] restricted to the query's candidate nodes
+	// (plus the center), so these count candidates inside the balls and the
+	// edges between them, not ball members — the work refinement saw, while
+	// the BFS that decided membership still walked every member. Balls served
+	// from a PrepareBalls cache, and the balls Engine.EvalCenters builds for
+	// standing queries, are whole and count whole.
 	BallNodes int64
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global

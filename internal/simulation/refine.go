@@ -38,6 +38,9 @@ type Refiner struct {
 	// removed records every pair removed during Run, in removal order;
 	// consumers (dualFilter statistics, tests) may inspect it.
 	removed []Pair
+	// bad is SeedAll's collection buffer, kept so a scratch-owned refiner
+	// seeds without allocating.
+	bad []int32
 }
 
 // NewRefiner prepares a refiner that will shrink rel in place to the unique
@@ -123,9 +126,10 @@ func (r *Refiner) EnqueueSuspect(u, v int32) {
 // SeedAll re-checks every pair in the relation, seeding the full fixpoint
 // computation used by Simulation and Dual.
 func (r *Refiner) SeedAll() {
+	bad := r.bad
 	for u := int32(0); u < int32(r.q.NumNodes()); u++ {
 		// Collect first: Remove mutates rel[u] during iteration otherwise.
-		var bad []int32
+		bad = bad[:0]
 		r.rel[u].ForEach(func(v int32) {
 			if !r.valid(u, v) {
 				bad = append(bad, v)
@@ -135,6 +139,7 @@ func (r *Refiner) SeedAll() {
 			r.Remove(u, v)
 		}
 	}
+	r.bad = bad
 }
 
 // Run propagates all scheduled removals to the fixpoint and reports whether
