@@ -59,10 +59,10 @@ func MatchWith(q, g *graph.Graph, opts Options) (*Result, error) {
 
 // MatchCtx is MatchWith with cancellation: when ctx is cancelled or its
 // deadline passes mid-run, MatchCtx returns ctx's error. Cancellation is
-// observed between balls and between the precomputation phases (the global
-// dual simulation itself is not interruptible). Ball evaluation fans out
-// over the internal/exec pool; Workers: 1 keeps the strictly sequential,
-// deterministic execution the paper's complexity analysis assumes.
+// observed between balls, between the precomputation phases and inside the
+// global dual simulation. Ball evaluation fans out over the internal/exec
+// pool; Workers: 1 keeps the strictly sequential, deterministic execution the
+// paper's complexity analysis assumes.
 func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, error) {
 	if q.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty pattern graph")
@@ -90,30 +90,49 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	// Global dual-simulation filter (Fig. 5 precomputation). Either way
 	// cand ends up holding every data node that can be a candidate of some
 	// pattern node in any ball: the matches of the global relation, or the
-	// nodes carrying a pattern label.
+	// nodes carrying a pattern label. The relation and its node set live in
+	// a pooled scratch held until the balls have read them.
 	var global simulation.Relation
 	var cand *graph.NodeSet
 	if opts.DualFilter {
-		rel, ok := simulation.Dual(qEff, g)
+		sc := exec.GetScratch()
+		defer sc.Release()
+		rel, ok, err := simulation.DualIn(ctx, qEff, g, &sc.Sim)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			// Q ⊀D G: no ball can match (Proposition 1).
 			res.Stats.BallsSkipped = g.NumNodes()
 			return res, nil
 		}
 		global = rel
-		cand = rel.DataNodes(g.NumNodes())
+		cand = rel.DataNodesIn(g.NumNodes(), &sc.Sim)
 	} else {
 		cand = g.NodesLabeledIn(qEff)
 	}
+
+	// Every other node is a skipped ball: a perfect subgraph must contain
+	// its center (ExtractMaxPG line 1). With the global relation available,
+	// centers it leaves unmatched are skipped before their ball is even
+	// built — the main saving of the dual-simulation filter. Plain Match
+	// applies only the trivial label precheck (a center whose label never
+	// occurs in Q cannot appear in any Sw); Fig. 3 nominally builds those
+	// balls too, but their DualSim is a no-op, and skipping them is the
+	// obvious implementation choice the paper's measured Match/Match+ ratio
+	// (≈3/2) implies.
+	centers := cand.Slice()
+	res.Stats.BallsSkipped = g.NumNodes() - len(centers)
 
 	type centerResult struct {
 		ps    *PerfectSubgraph
 		stats Stats
 	}
-	out := make([]centerResult, g.NumNodes())
-	err := exec.Run(ctx, exec.Options{Workers: opts.Workers}, g.NumNodes(),
+	out := make([]centerResult, len(centers))
+	err := exec.Run(ctx, exec.Options{Workers: opts.Workers}, len(centers),
 		func(s *exec.Scratch, pos int) centerResult {
-			ps, stats := evalBall(s, qEff, g, int32(pos), radius, opts, global, cand)
+			ball := s.Balls.BuildRestricted(g, centers[pos], radius, cand)
+			ps, stats := EvalPreparedBallIn(qEff, ball, centers[pos], opts, global, &s.Sim)
 			return centerResult{ps: ps, stats: stats}
 		},
 		func(pos int, cr centerResult) bool {
@@ -138,27 +157,6 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 		expandRelations(res, q, classOf)
 	}
 	return res, nil
-}
-
-// evalBall evaluates one ball Ĝ[center, radius]: lines 2-5 of Match
-// (Fig. 3), or the dualFilter variant (Fig. 5) when a global relation is
-// supplied. cand is the run's candidate set (see MatchCtx); the ball is
-// built restricted to it into the worker's scratch, and nothing of it
-// survives the call.
-func evalBall(s *exec.Scratch, q, g *graph.Graph, center int32, radius int, opts Options, global simulation.Relation, cand *graph.NodeSet) (*PerfectSubgraph, Stats) {
-	// A perfect subgraph must contain its center (ExtractMaxPG line 1).
-	// With the global relation available, centers it leaves unmatched are
-	// skipped before their ball is even built — the main saving of the
-	// dual-simulation filter. Plain Match applies only the trivial label
-	// precheck (a center whose label never occurs in Q cannot appear in any
-	// Sw); Fig. 3 nominally builds those balls too, but their DualSim is a
-	// no-op, and skipping them is the obvious implementation choice the
-	// paper's measured Match/Match+ ratio (≈3/2) implies.
-	if !cand.Contains(center) {
-		return nil, Stats{BallsSkipped: 1}
-	}
-	ball := s.Balls.BuildRestricted(g, center, radius, cand)
-	return EvalPreparedBallIn(q, ball, center, opts, global, &s.Sim)
 }
 
 // EvalPreparedBall runs procedure DualSim followed by ExtractMaxPG (Fig. 3)
@@ -214,10 +212,7 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 	// Connectivity pruning (Section 4.2): keep only candidates in the
 	// center's component of the candidate-induced subgraph.
 	if opts.ConnectivityPruning {
-		cand := sc.SpareSet(bg.NumNodes())
-		for _, cs := range rel {
-			cand.UnionWith(cs)
-		}
+		cand := rel.DataNodesIn(bg.NumNodes(), sc)
 		if !cand.Contains(ball.Center) {
 			stats.BallsSkipped++
 			return nil, stats
@@ -248,7 +243,7 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 		refiner.SeedAll()
 	}
 	ok := refiner.Run()
-	stats.PairsRemoved += len(refiner.Removed())
+	stats.PairsRemoved += refiner.Removed()
 	if !ok {
 		return nil, stats
 	}

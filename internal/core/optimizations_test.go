@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +223,41 @@ func TestRadiusOverride(t *testing.T) {
 	wide := mustMatch(t, q3, g3, Options{Radius: 10})
 	if wide.NodeUnion(g3.NumNodes()).Len() != 4 {
 		t.Fatal("radius ≥ dG should reduce strong simulation to dual simulation on components")
+	}
+}
+
+// TestQuickBallEvalScratchParity: one ball evaluated on a scratch that has
+// served every earlier ball, pattern and option set of the run gives the same
+// subgraph and the same Stats as on freshly allocated state — the refiner's
+// rows, the relation's sets and the pruning sets carry nothing over.
+func TestQuickBallEvalScratchParity(t *testing.T) {
+	var sc simulation.Scratch
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		labels := graph.NewLabels()
+		q := randomConnectedPattern(rng, labels, 2+rng.Intn(4))
+		g := randomData(rng, labels, 5+rng.Intn(30))
+		dq, _ := graph.Diameter(q)
+		global, matched := simulation.Dual(q, g)
+		for _, opts := range []Options{{}, {ConnectivityPruning: true}, {DualFilter: true}, {DualFilter: true, ConnectivityPruning: true}} {
+			rel := global
+			if !opts.DualFilter {
+				rel = nil
+			} else if !matched {
+				continue
+			}
+			for v := int32(0); v < int32(g.NumNodes()); v++ {
+				ball := graph.NewBall(g, v, dq)
+				want, wantStats := EvalPreparedBallIn(q, ball, v, opts, rel, nil)
+				got, gotStats := EvalPreparedBallIn(q, ball, v, opts, rel, &sc)
+				if !reflect.DeepEqual(want, got) || wantStats != gotStats {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,6 +37,11 @@ type BatchResult struct {
 func (e *Engine) MatchBatch(ctx context.Context, queries []BatchQuery) []BatchResult {
 	results := make([]BatchResult, len(queries))
 	preps := make([]*preparedQuery, len(queries))
+	defer func() {
+		for _, p := range preps {
+			p.release()
+		}
+	}()
 
 	// Per-query precomputation (dominated by the global dual-simulation
 	// filters) fans out across the worker budget on the exec pool.

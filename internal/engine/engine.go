@@ -133,14 +133,26 @@ type preparedQuery struct {
 	// carrying a pattern label — taken before plan pruning thins centers.
 	// Balls are built restricted to it; nil builds them whole.
 	cand *graph.NodeSet
+	// scratch owns global and cand when the dual filter computed them; the
+	// query's entry point releases it once the last ball has been evaluated.
+	scratch *exec.Scratch
+}
+
+// release returns the query's pooled state; global and cand are dead after
+// it. Safe on a nil query and on one that holds nothing.
+func (p *preparedQuery) release() {
+	if p != nil {
+		p.scratch.Release()
+		p.scratch = nil
+	}
 }
 
 // prepare validates the pattern and runs the per-query precomputation:
 // minimization, the global dual-simulation filter, and center candidate
 // selection against the snapshot's label index. A dead ctx is observed
-// between the phases (the full-graph dual simulation itself is not
-// interruptible), so cancelled requests shed their heaviest precomputation
-// instead of running it to completion.
+// between the phases and inside the full-graph dual simulation, so cancelled
+// requests shed their heaviest precomputation instead of running it to
+// completion. The caller releases the returned query when it is done with it.
 func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions) (*preparedQuery, error) {
 	tr := opts.Trace
 	tr.EnterStage(obs.StagePrepare) // nil-safe
@@ -178,9 +190,16 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 	g := e.snap.g
 	var centerSet *graph.NodeSet
 	if opts.DualFilter {
-		rel, ok := simulation.Dual(p.qEff, g)
+		p.scratch = exec.GetScratch()
+		rel, ok, err := simulation.DualIn(ctx, p.qEff, g, &p.scratch.Sim)
+		if err != nil {
+			p.release()
+			sp.EndStatus("cancelled")
+			return nil, err
+		}
 		if !ok {
 			// Q ⊀D G: no ball can match (Proposition 1).
+			p.release()
 			p.stats.BallsSkipped = g.NumNodes()
 			p.done = true
 			if tr != nil {
@@ -190,11 +209,12 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 			return p, nil
 		}
 		p.global = rel
-		centerSet = rel.DataNodes(g.NumNodes())
+		centerSet = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
 	} else {
 		centerSet = e.snap.CandidateCenters(p.qEff)
 	}
 	if err := ctx.Err(); err != nil {
+		p.release()
 		sp.EndStatus("cancelled")
 		return nil, err
 	}
@@ -358,6 +378,7 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	if err != nil {
 		return nil, err
 	}
+	defer p.release()
 	res := &core.Result{Stats: p.stats}
 	if p.done {
 		// Q ⊀D G has no matches at any center; the empty entry still
@@ -466,6 +487,7 @@ func (e *Engine) run(ctx context.Context, q *graph.Graph, opts QueryOptions, emi
 	if err != nil {
 		return core.Stats{}, err
 	}
+	defer p.release()
 	stats := p.stats
 	if p.done {
 		return stats, nil

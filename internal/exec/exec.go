@@ -60,7 +60,7 @@ var (
 	scratchBallMisses = obs.Default.Counter("scratch_ball_misses_total",
 		"scratch ball builds that had to grow an arena (reuse = builds - misses)")
 	scratchSimEvals = obs.Default.Counter("scratch_sim_evals_total",
-		"ball evaluations run on per-worker simulation scratch state")
+		"ball evaluations and global dual-simulation passes run on pooled simulation scratch state")
 	scratchSimMisses = obs.Default.Counter("scratch_sim_misses_total",
 		"simulation scratch cycles that had to grow state (reuse = evals - misses)")
 )
@@ -68,14 +68,16 @@ var (
 // Scratch is the per-worker arena: reusable ball construction buffers and
 // simulation state. Evaluators receive their worker's scratch and may use
 // any part of it; everything built from a scratch is valid only until the
-// same worker's next evaluation.
+// same worker's next evaluation. A request that computes something once for
+// all its balls — Match+'s global dual simulation — holds one more for as
+// long as the balls read it (GetScratch, Release).
 type Scratch struct {
 	// Balls builds on-demand balls without per-ball allocation.
 	Balls graph.BallScratch
 	// Sim backs the candidate relation and refiner of one ball evaluation.
 	Sim simulation.Scratch
 
-	// What retire has already folded into the registry of the cumulative
+	// What Release has already folded into the registry of the cumulative
 	// counters Balls.Stats() and Sim.Stats() report.
 	ballBuilds, ballMisses, simEvals, simMisses int64
 }
@@ -90,11 +92,18 @@ type Scratch struct {
 // its counters.
 var scratches = sync.Pool{New: func() any { return new(Scratch) }}
 
-// retire folds what the scratch did since it last retired into the
+// GetScratch takes a scratch from the pool the workers draw theirs from. The
+// caller owns it, and everything built from it, until Release.
+func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
+
+// Release folds what the scratch did since it was last released into the
 // registry — the growth of its cumulative counters, so a scratch that serves
 // many runs is counted once — and returns it to the pool; called once per
-// worker (or sequential run).
-func (s *Scratch) retire() {
+// worker, sequential run or GetScratch. A nil scratch is a no-op.
+func (s *Scratch) Release() {
+	if s == nil {
+		return
+	}
 	b, m := s.Balls.Stats()
 	scratchBallBuilds.Add(b - s.ballBuilds)
 	scratchBallMisses.Add(m - s.ballMisses)
@@ -126,6 +135,13 @@ type Options struct {
 	Span obs.Span
 }
 
+// inlineMax is the largest run that is evaluated on the calling goroutine
+// whatever Workers says: starting workers, two channels and a scratch per
+// worker costs about as much as a handful of restricted balls does
+// (EXPERIMENTS.md, "Candidate-sparse dual simulation"), and a Match+ request
+// has about five.
+const inlineMax = 8
+
 func (o Options) workers(n int) int {
 	w := o.Workers
 	if w <= 0 {
@@ -134,7 +150,7 @@ func (o Options) workers(n int) int {
 	if w > n {
 		w = n
 	}
-	if w < 1 {
+	if w < 1 || n <= inlineMax {
 		w = 1
 	}
 	return w
@@ -186,8 +202,8 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 	// the results channel closes), so no further decrements race with it.
 	defer func() { poolQueueDepth.Add(-undelivered.Load()) }()
 	if workers == 1 {
-		s := scratches.Get().(*Scratch)
-		defer s.retire()
+		s := GetScratch()
+		defer s.Release()
 		poolWorkersActive.Inc()
 		defer poolWorkersActive.Dec()
 		// Plain calls, not a deferred closure: capturing the counter would
@@ -225,8 +241,8 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := scratches.Get().(*Scratch)
-			defer s.retire()
+			s := GetScratch()
+			defer s.Release()
 			poolWorkersActive.Inc()
 			defer poolWorkersActive.Dec()
 			wsp := opts.Span.StartChild("eval.worker")

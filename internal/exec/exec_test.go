@@ -353,3 +353,89 @@ func TestScratchPooledAcrossRuns(t *testing.T) {
 			got, runs, coldMisses)
 	}
 }
+
+// TestSmallRunsInline pins the inline cut-off (inlineMax = 8): a run of up to
+// eight positions takes the sequential path on the calling goroutine whatever
+// Workers says, a larger one the pool, and on both sides of the constant a
+// wide run reports what a Workers: 1 run reports — same outcomes in the same
+// ordered delivery, the same Limit-style early exit, the same Progress ticks
+// and one "eval.worker" span per worker carrying its ball count.
+func TestSmallRunsInline(t *testing.T) {
+	tracer := obs.NewTracer(obs.TraceConfig{SampleRate: 1, Registry: obs.NewRegistry()})
+	for _, n := range []int{7, 8, 9, 10} {
+		for _, stopAfter := range []int{0, 3} { // 0: run to the end
+			type report struct {
+				delivered   []string
+				ticks       int64
+				spans       int
+				balls       int64
+				interleaved bool // eval and sink strictly alternated
+			}
+			run := func(workers int) report {
+				var rep report
+				var events []string // appended by eval and sink; the inline path needs no lock
+				var evals atomic.Int64
+				p := new(obs.Progress)
+				trace, root := tracer.Start("run", fmt.Sprintf("n%d-w%d-s%d", n, workers, stopAfter), obs.TraceContext{})
+				err := exec.RunOrdered(context.Background(), exec.Options{Workers: workers, Progress: p, Span: root}, n,
+					func(_ *exec.Scratch, pos int) int {
+						if evals.Add(1); workers == 1 || n <= 8 {
+							events = append(events, fmt.Sprintf("eval%d", pos))
+						}
+						return pos * pos
+					},
+					func(pos, v int) bool {
+						events = append(events, fmt.Sprintf("sink%d", pos))
+						rep.delivered = append(rep.delivered, fmt.Sprintf("%d=%d", pos, v))
+						return len(rep.delivered) != stopAfter
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				root.End()
+				rec, ok := tracer.Lookup(trace.ID().String())
+				if !ok {
+					t.Fatal("trace not kept")
+				}
+				for _, sp := range rec.Spans {
+					if sp.Name != "eval.worker" {
+						continue
+					}
+					rep.spans++
+					for _, a := range sp.Attrs {
+						if a.Key == "balls" {
+							rep.balls += a.Value
+						}
+					}
+				}
+				rep.ticks = p.Balls()
+				rep.interleaved = true
+				for i, ev := range events {
+					want := fmt.Sprintf("eval%d", i/2)
+					if i%2 == 1 {
+						want = fmt.Sprintf("sink%d", i/2)
+					}
+					rep.interleaved = rep.interleaved && ev == want
+				}
+				if evals.Load() != rep.ticks || rep.balls != rep.ticks {
+					t.Fatalf("n=%d workers=%d: %d evals, %d ticks, %d balls on spans", n, workers, evals.Load(), rep.ticks, rep.balls)
+				}
+				return rep
+			}
+			seq, wide := run(1), run(4)
+			if fmt.Sprint(seq.delivered) != fmt.Sprint(wide.delivered) {
+				t.Fatalf("n=%d stop=%d: sequential delivered %v, 4 workers %v", n, stopAfter, seq.delivered, wide.delivered)
+			}
+			if !seq.interleaved || seq.spans != 1 {
+				t.Fatalf("n=%d: Workers 1 run not sequential (%d worker spans)", n, seq.spans)
+			}
+			if inline := n <= 8; inline != (wide.interleaved && wide.spans == 1) {
+				t.Fatalf("n=%d stop=%d: 4-worker run inline=%v (interleaved %v, %d worker spans), want inline=%v",
+					n, stopAfter, !inline, wide.interleaved, wide.spans, inline)
+			}
+			if n <= 8 && wide.ticks != seq.ticks {
+				t.Fatalf("n=%d stop=%d: %d evaluations inline, %d sequential", n, stopAfter, wide.ticks, seq.ticks)
+			}
+		}
+	}
+}

@@ -55,10 +55,11 @@ type BallScratch struct {
 	// ball nodes labelled l (a window of lblArena), lblCount[l] is its
 	// length. Both are indexed by label id and hold entries for the labels
 	// of the current ball only; the next build clears those by walking the
-	// previous nodeLbl.
+	// previous nodeLbl. rank is the built graph's label-rank array.
 	lblRows  [][]int32
 	lblCount []int32
 	lblArena []int32
+	rank     []int32
 }
 
 // grow ensures the per-parent-node slices cover g's nodes and the per-label
@@ -198,14 +199,17 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	}
 	if cap(s.lblArena) < n {
 		s.lblArena = make([]int32, n)
+		s.rank = make([]int32, 0, n)
 	}
 	off := int32(0)
+	s.rank = s.rank[:0]
 	for i, lbl := range s.nodeLbl {
 		if s.lblRows[lbl] == nil {
 			c := s.lblCount[lbl]
 			s.lblRows[lbl] = s.lblArena[off : off : off+c]
 			off += c
 		}
+		s.rank = append(s.rank, int32(len(s.lblRows[lbl])))
 		s.lblRows[lbl] = append(s.lblRows[lbl], int32(i))
 	}
 
@@ -216,6 +220,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		in:       s.inHdr,
 		numEdges: len(s.outArena),
 		lblRows:  s.lblRows,
+		rank:     s.rank,
 	}
 	s.ball = Ball{
 		G:      &s.sub,

@@ -69,6 +69,9 @@ func sameBall(t *testing.T, want, got *Ball, ctx string) {
 			t.Fatalf("%s: byLabel(%d) %v vs %v", ctx, lbl,
 				wg.NodesWithLabel(lbl), gg.NodesWithLabel(lbl))
 		}
+		if wr, gr := wg.LabelRanks()[v], gg.LabelRanks()[v]; wr != gr || gg.NodesWithLabel(lbl)[gr] != v {
+			t.Fatalf("%s: label rank of %d is %d vs %d", ctx, v, wr, gr)
+		}
 	}
 }
 

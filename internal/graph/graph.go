@@ -24,7 +24,12 @@ type Graph struct {
 	// BallScratch builds (their byLabel is nil): filling it per ball costs
 	// no hashing and no allocation.
 	lblRows [][]int32
-	name    string
+	// rank[v] is v's index within NodesWithLabel(Label(v)). A per-query
+	// structure that holds one slot per candidate of a pattern node (the
+	// simulation refiner's counters) addresses v's slot by it, so its size
+	// follows the label rows the query names, not |V|.
+	rank []int32
+	name string
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -109,6 +114,7 @@ func (b *Builder) Build() *Graph {
 		out:     make([][]int32, n),
 		in:      make([][]int32, n),
 		byLabel: make(map[int32][]int32),
+		rank:    make([]int32, n),
 		name:    b.name,
 	}
 	outDeg := make([]int32, n)
@@ -148,6 +154,7 @@ func (b *Builder) Build() *Graph {
 	}
 	for v := 0; v < n; v++ {
 		lbl := g.nodeLbl[v]
+		g.rank[v] = int32(len(g.byLabel[lbl]))
 		g.byLabel[lbl] = append(g.byLabel[lbl], int32(v))
 	}
 	return g
@@ -166,7 +173,16 @@ func (b *Builder) Build() *Graph {
 // nodeLbl[v] = id); numEdges is the total length of out. Graphs violating
 // the contract misbehave in every algorithm of this repository; prefer a
 // Builder anywhere construction cost is not on a hot path.
+//
+// The one thing derived here is the label-rank array (see LabelRanks): one
+// int32 per node, filled by a walk over byLabel.
 func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[int32][]int32, numEdges int, name string) *Graph {
+	rank := make([]int32, len(nodeLbl))
+	for _, row := range byLabel {
+		for i, v := range row {
+			rank[v] = int32(i)
+		}
+	}
 	return &Graph{
 		labels:   labels,
 		nodeLbl:  nodeLbl,
@@ -174,6 +190,7 @@ func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[i
 		in:       in,
 		numEdges: numEdges,
 		byLabel:  byLabel,
+		rank:     rank,
 		name:     name,
 	}
 }
@@ -249,6 +266,10 @@ func (g *Graph) NodesWithLabel(label int32) []int32 {
 	}
 	return g.byLabel[label]
 }
+
+// LabelRanks returns, per node v, the index of v within
+// NodesWithLabel(Label(v)). The slice is shared; callers must not mutate it.
+func (g *Graph) LabelRanks() []int32 { return g.rank }
 
 // NodesWithLabelName returns the nodes carrying the given label string.
 func (g *Graph) NodesWithLabelName(name string) []int32 {

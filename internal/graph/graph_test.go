@@ -197,6 +197,9 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 		if !reflect.DeepEqual(got.NodesWithLabel(got.Label(v)), want.NodesWithLabel(want.Label(v))) {
 			t.Fatalf("label index of %d differs", v)
 		}
+		if got.LabelRanks()[v] != want.LabelRanks()[v] || got.NodesWithLabel(got.Label(v))[got.LabelRanks()[v]] != v {
+			t.Fatalf("label rank of %d differs", v)
+		}
 	}
 	if got.String() != want.String() {
 		t.Fatalf("String() = %q, want %q", got.String(), want.String())

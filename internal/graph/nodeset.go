@@ -73,11 +73,13 @@ func (s *NodeSet) Clear() {
 
 // Reset empties s and re-bounds its capacity, reusing the existing backing
 // storage when it suffices. Scratch-based evaluators (internal/exec) reset
-// pooled sets per ball instead of allocating fresh ones.
-func (s *NodeSet) Reset(capacity int) {
+// pooled sets per ball instead of allocating fresh ones. It reports whether
+// the storage had to grow.
+func (s *NodeSet) Reset(capacity int) (grew bool) {
 	n := (capacity + 63) / 64
 	if cap(s.words) < n {
 		s.words = make([]uint64, n)
+		grew = true
 	} else {
 		s.words = s.words[:n]
 		for i := range s.words {
@@ -85,6 +87,7 @@ func (s *NodeSet) Reset(capacity int) {
 		}
 	}
 	s.count = 0
+	return grew
 }
 
 // Equal reports whether s and t contain exactly the same nodes.
@@ -156,6 +159,26 @@ func (s *NodeSet) ForEach(fn func(v int32)) {
 			w &^= 1 << uint(b)
 		}
 	}
+}
+
+// Next returns the smallest member that is at least v, or -1 when there is
+// none. for v := s.Next(0); v >= 0; v = s.Next(v + 1) visits the members in
+// ascending order and, unlike ForEach, may stop early or remove the member it
+// is visiting.
+func (s *NodeSet) Next(v int32) int32 {
+	wi := int(v) >> 6
+	if wi >= len(s.words) {
+		return -1
+	}
+	if w := s.words[wi] >> (uint(v) & 63); w != 0 {
+		return v + int32(bits.TrailingZeros64(w))
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return int32(wi*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return -1
 }
 
 // Slice returns the members in ascending order.

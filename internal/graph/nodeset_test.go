@@ -100,6 +100,20 @@ func TestNodeSetForEachOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, []int32{0, 63, 64, 65, 250}) {
 		t.Fatalf("ForEach order = %v", got)
 	}
+	// Next walks the same members, survives the removal of the one it is
+	// at, and answers -1 past the last member and past the capacity.
+	got = nil
+	for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+		got = append(got, v)
+		s.Remove(v)
+	}
+	if !reflect.DeepEqual(got, []int32{0, 63, 64, 65, 250}) || !s.Empty() {
+		t.Fatalf("Next order = %v, %d left", got, s.Len())
+	}
+	s.Add(64)
+	if s.Next(64) != 64 || s.Next(65) != -1 || s.Next(1<<20) != -1 {
+		t.Fatalf("Next(64), Next(65), Next(1<<20) = %d, %d, %d", s.Next(64), s.Next(65), s.Next(1<<20))
+	}
 }
 
 // TestNodeSetQuickAgainstMap cross-checks NodeSet against map[int32]bool

@@ -1,6 +1,12 @@
 package simulation
 
-import "repro/internal/graph"
+import (
+	"context"
+	"math"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // Mode selects which directions a refinement enforces.
 type Mode int
@@ -16,86 +22,244 @@ const (
 	ChildParent
 )
 
+// pollEvery is how many units of work — adjacency entries read, pairs
+// checked — a refinement does between two looks at its context: tens of
+// microseconds.
+const pollEvery = 4096
+
 // Refiner computes maximum simulation relations by counter-based removal
 // propagation, the strategy of Henzinger, Henzinger & Kopke (FOCS 1995)
-// adapted to pattern-vs-data matching. Counters track, for every pattern
-// node u and data node w,
+// adapted to pattern-vs-data matching. It keeps one counter per pattern edge
+// and candidate of an endpoint: for the pattern edge e = (x,u),
 //
-//	cntSucc[u][w] = |succ_g(w) ∩ rel[u]|
-//	cntPred[u][w] = |pred_g(w) ∩ rel[u]|   (ChildParent only)
+//	succ_e[v] = |succ_g(v) ∩ rel[u]|   for v ∈ rel[x]
+//	pred_e[w] = |pred_g(w) ∩ rel[x]|   for w ∈ rel[u]   (ChildParent only)
 //
-// so that v ∈ rel[x] remains valid iff cntSucc[u][v] > 0 for every pattern
-// edge (x,u) and cntPred[p][v] > 0 for every pattern edge (p,x). Each data
-// edge is touched O(1) times per pattern node during the whole run, giving
-// the paper's O((|Vq|+|Eq|)(|V|+|E|)) bound for DualSim.
+// so that v ∈ rel[x] remains valid iff succ_e[v] > 0 for every pattern edge
+// e out of x and pred_e[v] > 0 for every pattern edge e into x. A candidate
+// of x carries x's label, so a row has one slot per node of that label and a
+// node's slot is its rank in the label row (graph.LabelRanks): the counters
+// number Σ_(x,u)∈Eq (|cand(x)| + |cand(u)|), and counting, seeding and
+// propagation read the adjacency of candidates only. Slots of nodes outside
+// rel are never written or read, so nothing is zeroed. Each data edge is
+// still touched O(1) times per pattern edge during the whole run — the
+// paper's O((|Vq|+|Eq|)(|V|+|E|)) bound for DualSim is the worst case, met
+// when every node carries a pattern label.
 type Refiner struct {
-	q, g    *graph.Graph
-	mode    Mode
-	rel     Relation
-	cntSucc [][]int32
-	cntPred [][]int32
+	q, g *graph.Graph
+	mode Mode
+	rel  Relation
+	rank []int32 // g.LabelRanks()
+
+	// Pattern edges are numbered in q.Edges order: those out of x are
+	// outBase[x]..outBase[x+1], in q.Out(x) order; the in-slots
+	// inBase[u]..inBase[u+1] stand for the edges into u, in q.In(u) order.
+	// succOut/predOut give an edge's two row offsets into cnt by its number,
+	// succIn/predIn the same offsets by in-slot. All six are windows of one
+	// arena with cnt.
+	outBase, inBase  []int32
+	succOut, predOut []int32
+	succIn, predIn   []int32
+	cnt              []int32
+
 	queue   []Pair
-	// removed records every pair removed during Run, in removal order;
-	// consumers (dualFilter statistics, tests) may inspect it.
-	removed []Pair
-	// bad is SeedAll's collection buffer, kept so a scratch-owned refiner
-	// seeds without allocating.
-	bad []int32
+	removed int // pairs taken out of rel so far
+
+	// ctx is polled every pollEvery units of work; err is what it said when
+	// it ended the refinement.
+	ctx    context.Context
+	budget int
+	err    error
 }
 
 // NewRefiner prepares a refiner that will shrink rel in place to the unique
-// maximum simulation (per mode) contained in rel. rel must not be mutated
-// by the caller while the refiner is alive.
+// maximum simulation (per mode) contained in rel, which must be
+// label-consistent: rel[u] holds only nodes carrying u's label. rel must not
+// be mutated by the caller while the refiner is alive.
 func NewRefiner(q, g *graph.Graph, rel Relation, mode Mode) *Refiner {
 	return NewRefinerIn(q, g, rel, mode, nil)
 }
 
-// NewRefinerIn is NewRefiner with the counter matrices and worklists carved
-// out of sc instead of freshly allocated. The returned refiner is owned by
-// the scratch (valid until its next evaluation cycle); a nil sc allocates as
-// NewRefiner does.
+// NewRefinerIn is NewRefiner with the counters and worklists carved out of sc
+// instead of freshly allocated. The returned refiner is owned by the scratch
+// (valid until its next evaluation cycle); a nil sc allocates as NewRefiner
+// does.
 func NewRefinerIn(q, g *graph.Graph, rel Relation, mode Mode, sc *Scratch) *Refiner {
+	r := newRefiner(context.Background(), q, g, rel, mode, sc)
+	r.count()
+	return r
+}
+
+// newRefiner lays the counter rows out; count fills them. Every pass over
+// the relation gives up once ctx is done, leaving ctx's error in err and the
+// relation partly refined.
+func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode, sc *Scratch) *Refiner {
 	var r *Refiner
 	if sc != nil {
-		sc.refiner.q, sc.refiner.g, sc.refiner.mode, sc.refiner.rel = q, g, mode, rel
-		sc.refiner.queue = sc.refiner.queue[:0]
-		sc.refiner.removed = sc.refiner.removed[:0]
 		r = &sc.refiner
+		*r = Refiner{queue: r.queue[:0]}
 	} else {
-		r = &Refiner{q: q, g: g, mode: mode, rel: rel}
+		r = new(Refiner)
 	}
-	nq, ng := q.NumNodes(), g.NumNodes()
-	r.cntSucc, r.cntPred = sc.counters(nq, ng, mode == ChildParent)
-	for u := 0; u < nq; u++ {
-		rel[u].ForEach(func(v int32) {
-			for _, w := range g.In(v) {
-				r.cntSucc[u][w]++
-			}
-		})
+	r.q, r.g, r.rel, r.mode, r.rank = q, g, rel, mode, g.LabelRanks()
+	r.ctx, r.budget = ctx, pollEvery
+	dual := mode == ChildParent
+
+	nq, ne := q.NumNodes(), q.NumEdges()
+	row := func(x int) int32 { return int32(len(g.NodesWithLabel(q.Label(int32(x))))) }
+	need := 2*(nq+1) + 4*ne
+	for x := 0; x < nq; x++ {
+		edges := q.OutDegree(int32(x))
+		if dual {
+			edges += q.InDegree(int32(x))
+		}
+		need += int(row(x)) * edges
 	}
-	if mode == ChildParent {
-		for u := 0; u < nq; u++ {
-			rel[u].ForEach(func(v int32) {
-				for _, w := range g.Out(v) {
-					r.cntPred[u][w]++
-				}
-			})
+	arena := sc.ints(need)
+	carve := func(n int) []int32 {
+		w := arena[:n:n]
+		arena = arena[n:]
+		return w
+	}
+	r.outBase, r.inBase = carve(nq+1), carve(nq+1)
+	r.succOut, r.predOut = carve(ne), carve(ne)
+	r.succIn, r.predIn = carve(ne), carve(ne)
+	r.cnt = arena
+
+	off, e := int32(0), int32(0)
+	for x := 0; x < nq; x++ {
+		r.outBase[x] = e
+		rx := row(x)
+		for range q.Out(int32(x)) {
+			r.succOut[e] = off
+			off += rx
+			e++
 		}
 	}
+	r.outBase[nq] = e
+	k := int32(0)
+	for u := 0; u < nq; u++ {
+		r.inBase[u] = k
+		ru := row(u)
+		for _, x := range q.In(int32(u)) {
+			j, _ := slices.BinarySearch(q.Out(x), int32(u))
+			e := r.outBase[x] + int32(j)
+			r.succIn[k] = r.succOut[e]
+			if dual {
+				r.predIn[k], r.predOut[e] = off, off
+				off += ru
+			}
+			k++
+		}
+	}
+	r.inBase[nq] = k
 	return r
+}
+
+// ends returns the pattern nodes that v ∈ rel[x] needs a successor in
+// (outs) and a predecessor in (ins).
+func (r *Refiner) ends(x int32) (outs, ins []int32) {
+	if r.mode == ChildParent {
+		ins = r.q.In(x)
+	}
+	return r.q.Out(x), ins
+}
+
+// sweep drops, in one pass and before any counter exists, every pair that
+// has no witness at all for some pattern edge. On a large graph that is most
+// label candidates, and a scan that stops at the first witness costs a
+// fraction of counting them and then walking their adjacency a second time
+// to propagate their removal. Invalid pairs may go in any order — the
+// maximum simulation inside rel is unique — so the fixpoint is unchanged.
+func (r *Refiner) sweep() {
+	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
+		outs, ins := r.ends(x)
+		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
+			if r.spent(len(outs)*r.g.OutDegree(v) + len(ins)*r.g.InDegree(v)) {
+				return
+			}
+			ok := true
+			for i := 0; ok && i < len(outs); i++ {
+				ok = countIn(r.g.Out(v), r.rel[outs[i]], 1) > 0
+			}
+			for i := 0; ok && i < len(ins); i++ {
+				ok = countIn(r.g.In(v), r.rel[ins[i]], 1) > 0
+			}
+			if !ok {
+				r.rel[x].Remove(v)
+				r.removed++
+			}
+		}
+	}
+}
+
+// count fills the counter rows for the pairs now in rel.
+func (r *Refiner) count() {
+	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
+		outs, ins := r.ends(x)
+		succ, pred := r.succOut[r.outBase[x]:], r.predIn[r.inBase[x]:]
+		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
+			if r.spent(len(outs)*r.g.OutDegree(v) + len(ins)*r.g.InDegree(v)) {
+				return
+			}
+			rv := r.rank[v]
+			for j, u := range outs {
+				r.cnt[succ[j]+rv] = countIn(r.g.Out(v), r.rel[u], math.MaxInt32)
+			}
+			for j, p := range ins {
+				r.cnt[pred[j]+rv] = countIn(r.g.In(v), r.rel[p], math.MaxInt32)
+			}
+		}
+	}
+}
+
+// countIn returns how many of adj are members of set, counting no further
+// than limit.
+func countIn(adj []int32, set *graph.NodeSet, limit int32) int32 {
+	n := int32(0)
+	for _, w := range adj {
+		if set.Contains(w) {
+			if n++; n == limit {
+				break
+			}
+		}
+	}
+	return n
+}
+
+// spent charges n units of work against the polling budget and reports
+// whether the refinement has to stop because its context is done.
+func (r *Refiner) spent(n int) bool {
+	r.budget -= n + 1
+	return r.budget <= 0 && r.poll()
+}
+
+// poll looks at the context. A live one buys the next pollEvery units; a
+// dead one leaves the budget spent, so every later charge ends up here and
+// stops its pass as well.
+func (r *Refiner) poll() bool {
+	if r.err == nil {
+		r.err = r.ctx.Err()
+	}
+	if r.err != nil {
+		return true
+	}
+	r.budget = pollEvery
+	return false
 }
 
 // valid checks the simulation conditions for (u,v) against the current
 // counters.
 func (r *Refiner) valid(u, v int32) bool {
-	for _, c := range r.q.Out(u) {
-		if r.cntSucc[c][v] == 0 {
+	rv := r.rank[v]
+	for e := r.outBase[u]; e < r.outBase[u+1]; e++ {
+		if r.cnt[r.succOut[e]+rv] == 0 {
 			return false
 		}
 	}
 	if r.mode == ChildParent {
-		for _, p := range r.q.In(u) {
-			if r.cntPred[p][v] == 0 {
+		for k := r.inBase[u]; k < r.inBase[u+1]; k++ {
+			if r.cnt[r.predIn[k]+rv] == 0 {
 				return false
 			}
 		}
@@ -109,9 +273,8 @@ func (r *Refiner) Remove(u, v int32) {
 	if !r.rel[u].Remove(v) {
 		return
 	}
-	p := Pair{Q: u, G: v}
-	r.queue = append(r.queue, p)
-	r.removed = append(r.removed, p)
+	r.queue = append(r.queue, Pair{Q: u, G: v})
+	r.removed++
 }
 
 // EnqueueSuspect re-checks a pair and removes it when invalid. Used by
@@ -126,62 +289,70 @@ func (r *Refiner) EnqueueSuspect(u, v int32) {
 // SeedAll re-checks every pair in the relation, seeding the full fixpoint
 // computation used by Simulation and Dual.
 func (r *Refiner) SeedAll() {
-	bad := r.bad
 	for u := int32(0); u < int32(r.q.NumNodes()); u++ {
-		// Collect first: Remove mutates rel[u] during iteration otherwise.
-		bad = bad[:0]
-		r.rel[u].ForEach(func(v int32) {
-			if !r.valid(u, v) {
-				bad = append(bad, v)
+		for v := r.rel[u].Next(0); v >= 0; v = r.rel[u].Next(v + 1) {
+			if r.spent(0) {
+				return
 			}
-		})
-		for _, v := range bad {
-			r.Remove(u, v)
+			if !r.valid(u, v) {
+				r.Remove(u, v)
+			}
 		}
 	}
-	r.bad = bad
 }
 
 // Run propagates all scheduled removals to the fixpoint and reports whether
 // the refined relation is still total (every pattern node keeps at least
 // one candidate). The relation passed to NewRefiner now holds the unique
-// maximum simulation of the requested mode contained in the original.
+// maximum simulation of the requested mode contained in the original. When
+// the refiner's context ended first, Run reports false.
 func (r *Refiner) Run() bool {
 	for len(r.queue) > 0 {
 		p := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
 		u, v := p.Q, p.G
-		// v left rel[u]: predecessors of v lose a witness for pattern
-		// edges (x,u).
-		for _, w := range r.g.In(v) {
-			r.cntSucc[u][w]--
-			if r.cntSucc[u][w] == 0 {
-				for _, x := range r.q.In(u) {
-					if r.rel[x].Contains(w) {
-						r.Remove(x, w)
-					}
+		if r.spent(r.g.Degree(v)) {
+			break
+		}
+		// v left rel[u]: a predecessor of v that is a candidate of x loses
+		// a witness for the pattern edge (x,u).
+		if ins := r.q.In(u); len(ins) > 0 {
+			rows := r.succIn[r.inBase[u]:]
+			for _, w := range r.g.In(v) {
+				for j, x := range ins {
+					r.lost(rows[j], x, w)
 				}
 			}
 		}
-		if r.mode == ChildParent {
-			// Successors of v lose a parent witness for pattern edges (u,c).
+		if r.mode != ChildParent {
+			continue
+		}
+		// And a successor of v that is a candidate of c loses a parent
+		// witness for the pattern edge (u,c).
+		if outs := r.q.Out(u); len(outs) > 0 {
+			rows := r.predOut[r.outBase[u]:]
 			for _, w := range r.g.Out(v) {
-				r.cntPred[u][w]--
-				if r.cntPred[u][w] == 0 {
-					for _, c := range r.q.Out(u) {
-						if r.rel[c].Contains(w) {
-							r.Remove(c, w)
-						}
-					}
+				for j, c := range outs {
+					r.lost(rows[j], c, w)
 				}
 			}
 		}
 	}
-	return r.rel.Total()
+	return r.err == nil && r.rel.Total()
 }
 
-// Removed returns every pair removed so far, in removal order.
-func (r *Refiner) Removed() []Pair { return r.removed }
+// lost takes one witness away from candidate w of pattern node x in the
+// counter row at offset row, and removes (x,w) when that was its last. A
+// node outside rel[x] has no live slot: its counters are not kept.
+func (r *Refiner) lost(row, x, w int32) {
+	if !r.rel[x].Contains(w) {
+		return
+	}
+	c := &r.cnt[row+r.rank[w]]
+	if *c--; *c == 0 {
+		r.Remove(x, w)
+	}
+}
 
-// Relation returns the relation being refined.
-func (r *Refiner) Relation() Relation { return r.rel }
+// Removed returns how many pairs the refiner has taken out of the relation.
+func (r *Refiner) Removed() int { return r.removed }

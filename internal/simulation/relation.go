@@ -37,15 +37,7 @@ func NewRelation(nq, capacity int) Relation {
 
 // InitByLabel returns the label-candidate relation of the paper's Fig. 3
 // (DualSim lines 1-2): rel[u] = all data nodes with u's label.
-func InitByLabel(q, g *graph.Graph) Relation {
-	rel := NewRelation(q.NumNodes(), g.NumNodes())
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
-		for _, v := range g.NodesWithLabel(q.Label(u)) {
-			rel[u].Add(v)
-		}
-	}
-	return rel
-}
+func InitByLabel(q, g *graph.Graph) Relation { return InitByLabelIn(q, g, nil) }
 
 // Clone deep-copies the relation.
 func (rel Relation) Clone() Relation {
@@ -104,7 +96,12 @@ func (rel Relation) Len() int {
 // DataNodes returns the set of data nodes mentioned by the relation (the
 // node set of the paper's match graph).
 func (rel Relation) DataNodes(capacity int) *graph.NodeSet {
-	out := graph.NewNodeSet(capacity)
+	return rel.DataNodesIn(capacity, nil)
+}
+
+// DataNodesIn is DataNodes into one of sc's spare sets (a nil sc allocates).
+func (rel Relation) DataNodesIn(capacity int, sc *Scratch) *graph.NodeSet {
+	out := sc.SpareSet(capacity)
 	for _, s := range rel {
 		out.UnionWith(s)
 	}

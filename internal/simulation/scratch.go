@@ -2,10 +2,12 @@ package simulation
 
 import "repro/internal/graph"
 
-// Scratch holds the reusable allocations of one ball-evaluation worker: the
-// candidate relation's node sets, the refiner's counter arenas and worklists,
-// and a small rotation of spare node sets for pruning. A scratch is NOT safe
-// for concurrent use — internal/exec gives each worker its own.
+// Scratch holds the reusable allocations of one evaluation at a time — a
+// worker's current ball, or a request's pass over the whole graph: the
+// candidate relation's node sets, the refiner's counter arena and worklists,
+// and a small rotation of spare node sets. A scratch is NOT safe for
+// concurrent use — internal/exec gives each worker, and each request's
+// global pass, its own.
 //
 // Everything handed out by a scratch (the Relation from Relation or
 // InitByLabelIn, the Refiner from NewRefinerIn, spare sets) is owned by it
@@ -18,22 +20,21 @@ type Scratch struct {
 	spare    []*graph.NodeSet
 	spareLen int
 
-	refiner  Refiner
-	cntArena []int32
-	cntSucc  [][]int32
-	cntPred  [][]int32
+	refiner Refiner
+	arena   []int32
 
-	// Reuse accounting (see Stats).
+	// Reuse accounting (see Stats); missed marks the current cycle counted.
 	evals  int64
 	misses int64
+	missed bool
 }
 
 // Stats returns the cumulative evaluation-cycle and arena-miss counts of
-// this scratch: evals counts Relation calls (one per ball evaluation),
-// misses counts cycles that had to grow the relation pool or the counter
-// arena instead of running entirely on reused storage. internal/exec folds
-// these into the scratch_sim_* counters of the metrics registry when a
-// worker retires.
+// this scratch: evals counts Relation calls (one per ball evaluation or
+// global pass), misses counts cycles that had to grow the relation's sets or
+// the counter arena instead of running entirely on reused storage.
+// internal/exec folds these into the scratch_sim_* counters of the metrics
+// registry when the scratch goes back to its pool.
 func (s *Scratch) Stats() (evals, misses int64) {
 	if s == nil {
 		return 0, 0
@@ -50,15 +51,15 @@ func (s *Scratch) Relation(nq, capacity int) Relation {
 	}
 	s.evals++
 	s.spareLen = 0
-	if len(s.rel) < nq {
-		s.misses++
-	}
+	s.missed = false
 	for len(s.rel) < nq {
 		s.rel = append(s.rel, graph.NewNodeSet(0))
 	}
 	rel := s.rel[:nq]
 	for _, set := range rel {
-		set.Reset(capacity)
+		if set.Reset(capacity) {
+			s.miss()
+		}
 	}
 	return rel
 }
@@ -75,7 +76,9 @@ func (s *Scratch) SpareSet(capacity int) *graph.NodeSet {
 	}
 	set := s.spare[s.spareLen]
 	s.spareLen++
-	set.Reset(capacity)
+	if set.Reset(capacity) {
+		s.miss()
+	}
 	return set
 }
 
@@ -90,48 +93,24 @@ func InitByLabelIn(q, g *graph.Graph, s *Scratch) Relation {
 	return rel
 }
 
-// counters carves the per-(pattern node, data node) counter matrices out of
-// the scratch arena (one flat allocation, zeroed per evaluation) or, with a
-// nil scratch, out of a fresh one.
-func (s *Scratch) counters(nq, ng int, pred bool) (cntSucc, cntPred [][]int32) {
-	need := nq * ng
-	if pred {
-		need *= 2
-	}
-	var arena []int32
+// ints returns n int32s of unspecified content — the refiner's tables and
+// counter rows, every slot of which it writes before reading — from the
+// scratch arena or, with a nil scratch, freshly allocated.
+func (s *Scratch) ints(n int) []int32 {
 	if s == nil {
-		arena = make([]int32, need)
-	} else {
-		if cap(s.cntArena) < need {
-			s.cntArena = make([]int32, need)
-			s.misses++
-		}
-		arena = s.cntArena[:need]
-		for i := range arena {
-			arena[i] = 0
-		}
+		return make([]int32, n)
 	}
-	carve := func(hdr [][]int32, off int) ([][]int32, int) {
-		hdr = hdr[:0]
-		for u := 0; u < nq; u++ {
-			hdr = append(hdr, arena[off:off+ng:off+ng])
-			off += ng
-		}
-		return hdr, off
+	if cap(s.arena) < n {
+		s.arena = make([]int32, n)
+		s.miss()
 	}
-	var off int
-	if s == nil {
-		cntSucc, off = carve(nil, 0)
-		if pred {
-			cntPred, _ = carve(nil, off)
-		}
-		return cntSucc, cntPred
+	return s.arena[:n]
+}
+
+// miss counts the current cycle as one that grew storage, once.
+func (s *Scratch) miss() {
+	if !s.missed {
+		s.missed = true
+		s.misses++
 	}
-	s.cntSucc, off = carve(s.cntSucc, 0)
-	cntSucc = s.cntSucc
-	if pred {
-		s.cntPred, _ = carve(s.cntPred, off)
-		cntPred = s.cntPred
-	}
-	return cntSucc, cntPred
 }

@@ -51,8 +51,8 @@ edge b2 x
 			if !fresh.Equal(pooled) {
 				t.Fatalf("cycle %d mode %v: relations differ:\n%v\n%v", cycle, mode, fresh, pooled)
 			}
-			if len(fr.Removed()) != len(pr.Removed()) {
-				t.Fatalf("cycle %d mode %v: removed %d vs %d", cycle, mode, len(fr.Removed()), len(pr.Removed()))
+			if fr.Removed() != pr.Removed() {
+				t.Fatalf("cycle %d mode %v: removed %d vs %d", cycle, mode, fr.Removed(), pr.Removed())
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package simulation
 
-import "repro/internal/graph"
+import (
+	"context"
+
+	"repro/internal/graph"
+)
 
 // Simulation computes the maximum graph-simulation relation S for Q ≺ G
 // (paper Section 2.2). The boolean reports whether G matches Q, i.e.
@@ -10,22 +14,34 @@ import "repro/internal/graph"
 //
 // Runs in O((|Vq|+|Eq|)(|V|+|E|)) time via the HHK-style Refiner.
 func Simulation(q, g *graph.Graph) (Relation, bool) {
-	return refineByLabel(q, g, ChildOnly)
+	rel, ok, _ := refineByLabel(context.Background(), q, g, ChildOnly, nil)
+	return rel, ok
 }
 
 // Dual computes the maximum dual-simulation relation for Q ≺D G (paper
 // Section 2.2): simulation that preserves both child and parent
 // relationships. Same complexity as Simulation.
 func Dual(q, g *graph.Graph) (Relation, bool) {
-	return refineByLabel(q, g, ChildParent)
+	rel, ok, _ := refineByLabel(context.Background(), q, g, ChildParent, nil)
+	return rel, ok
 }
 
-func refineByLabel(q, g *graph.Graph, mode Mode) (Relation, bool) {
-	rel := InitByLabel(q, g)
-	r := NewRefiner(q, g, rel, mode)
+// DualIn is Dual for a serving path: the relation, counters and worklists
+// come from sc (a nil sc allocates), so the result is owned by the scratch
+// and valid until its next evaluation cycle, and the pass gives up with
+// ctx's error soon after ctx is done.
+func DualIn(ctx context.Context, q, g *graph.Graph, sc *Scratch) (Relation, bool, error) {
+	return refineByLabel(ctx, q, g, ChildParent, sc)
+}
+
+func refineByLabel(ctx context.Context, q, g *graph.Graph, mode Mode, sc *Scratch) (Relation, bool, error) {
+	rel := InitByLabelIn(q, g, sc)
+	r := newRefiner(ctx, q, g, rel, mode, sc)
+	r.sweep()
+	r.count()
 	r.SeedAll()
 	ok := r.Run()
-	return rel, ok
+	return rel, ok, r.err
 }
 
 // DualWithin computes the maximum dual simulation contained in the given
@@ -44,42 +60,27 @@ func DualWithin(q, g *graph.Graph, init Relation) (Relation, bool) {
 // the executable specification against which Simulation is property-tested;
 // use Simulation in production code.
 func SimulationNaive(q, g *graph.Graph) (Relation, bool) {
-	rel := InitByLabel(q, g)
-	for changed := true; changed; {
-		changed = false
-		for u := int32(0); u < int32(q.NumNodes()); u++ {
-			var bad []int32
-			rel[u].ForEach(func(v int32) {
-				if !naiveValid(q, g, rel, u, v, ChildOnly) {
-					bad = append(bad, v)
-				}
-			})
-			for _, v := range bad {
-				rel[u].Remove(v)
-				changed = true
-			}
-		}
-	}
-	return rel, rel.Total()
+	return naiveFixpoint(q, g, InitByLabel(q, g), ChildOnly)
 }
 
 // DualNaive is the paper's procedure DualSim (Fig. 3, lines 1-12) verbatim:
 // the fixpoint deletes candidates that miss a required child (lines 4-6) or
 // a required parent (lines 7-9). Executable specification for Dual.
 func DualNaive(q, g *graph.Graph) (Relation, bool) {
-	rel := InitByLabel(q, g)
+	return naiveFixpoint(q, g, InitByLabel(q, g), ChildParent)
+}
+
+// naiveFixpoint shrinks rel in place until every pair left is valid, and is
+// also the specification of DualWithin from an arbitrary start.
+func naiveFixpoint(q, g *graph.Graph, rel Relation, mode Mode) (Relation, bool) {
 	for changed := true; changed; {
 		changed = false
 		for u := int32(0); u < int32(q.NumNodes()); u++ {
-			var bad []int32
-			rel[u].ForEach(func(v int32) {
-				if !naiveValid(q, g, rel, u, v, ChildParent) {
-					bad = append(bad, v)
+			for _, v := range rel[u].Slice() {
+				if !naiveValid(q, g, rel, u, v, mode) {
+					rel[u].Remove(v)
+					changed = true
 				}
-			})
-			for _, v := range bad {
-				rel[u].Remove(v)
-				changed = true
 			}
 		}
 	}

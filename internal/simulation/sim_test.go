@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -205,19 +206,28 @@ func TestDualIsSubsetOfSimulation(t *testing.T) {
 	}
 }
 
-// randomPair builds a random pattern/data pair over a shared label table.
+// randomPair builds a random pattern/data pair over a shared label table —
+// the one generator of this package's property tests. Labels repeat inside
+// the pattern, both graphs may carry self-loops, the pattern may use a label
+// the data graph lacks, and the data graph's density varies from half an edge
+// to three edges per node, so that Q ⊀D G is as common as a match.
 func randomPair(rng *rand.Rand) (*graph.Graph, *graph.Graph) {
 	labels := graph.NewLabels()
+	nlabels := 1 + rng.Intn(4)
+	qlabels := nlabels
+	if rng.Intn(8) == 0 {
+		qlabels++ // the last pattern label is absent from G
+	}
 	nq := 2 + rng.Intn(5)
 	qb := graph.NewBuilder(labels)
 	for i := 0; i < nq; i++ {
-		qb.AddNode(string(rune('A' + rng.Intn(3))))
+		qb.AddNode(string(rune('A' + rng.Intn(qlabels))))
 	}
 	// Random connected-ish pattern: spanning chain plus extras.
 	for i := 1; i < nq; i++ {
 		_ = qb.AddEdge(int32(rng.Intn(i)), int32(i))
 	}
-	for i := 0; i < nq; i++ {
+	for i := rng.Intn(nq + 1); i > 0; i-- {
 		_ = qb.AddEdge(int32(rng.Intn(nq)), int32(rng.Intn(nq)))
 	}
 	q := qb.Build()
@@ -225,15 +235,21 @@ func randomPair(rng *rand.Rand) (*graph.Graph, *graph.Graph) {
 	ng := 5 + rng.Intn(40)
 	gb := graph.NewBuilder(labels)
 	for i := 0; i < ng; i++ {
-		gb.AddNode(string(rune('A' + rng.Intn(3))))
+		gb.AddNode(string(rune('A' + rng.Intn(nlabels))))
 	}
-	for i := 0; i < ng*3; i++ {
+	for i := ng * (1 + rng.Intn(6)) / 2; i > 0; i-- {
 		_ = gb.AddEdge(int32(rng.Intn(ng)), int32(rng.Intn(ng)))
 	}
 	return q, gb.Build()
 }
 
+// TestQuickNaiveAgreesWithEfficient is the refiner's correctness property:
+// on random pairs the candidate-indexed refiner computes what the paper's
+// fixpoints compute — through Simulation, Dual, DualWithin from a shrunken
+// start, and DualIn on one scratch reused across all pairs.
 func TestQuickNaiveAgreesWithEfficient(t *testing.T) {
+	var sc Scratch
+	matched, unmatched, absent := 0, 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q, g := randomPair(rng)
@@ -244,10 +260,45 @@ func TestQuickNaiveAgreesWithEfficient(t *testing.T) {
 		}
 		ndRel, ndOK := DualNaive(q, g)
 		edRel, edOK := Dual(q, g)
-		return ndOK == edOK && ndRel.Equal(edRel)
+		if ndOK != edOK || !ndRel.Equal(edRel) {
+			return false
+		}
+		if ndOK {
+			matched++
+		} else {
+			unmatched++
+		}
+		for u := int32(0); u < int32(q.NumNodes()); u++ {
+			if len(g.NodesWithLabel(q.Label(u))) == 0 {
+				absent++
+				break
+			}
+		}
+
+		// A start that lost a random third of its pairs, interior ones too.
+		init := InitByLabel(q, g)
+		for u := range init {
+			for _, v := range init[u].Slice() {
+				if rng.Intn(3) == 0 {
+					init[u].Remove(v)
+				}
+			}
+		}
+		nwRel, nwOK := naiveFixpoint(q, g, init.Clone(), ChildParent)
+		ewRel, ewOK := DualWithin(q, g, init)
+		if nwOK != ewOK || !nwRel.Equal(ewRel) {
+			return false
+		}
+
+		pRel, pOK, err := DualIn(context.Background(), q, g, &sc)
+		return err == nil && pOK == ndOK && pRel.Equal(ndRel)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+	if matched < 40 || unmatched < 40 || absent < 10 {
+		t.Fatalf("generator is lopsided: %d matching pairs, %d with Q ⊀D G, %d with a label absent from G",
+			matched, unmatched, absent)
 	}
 }
 
@@ -299,7 +350,7 @@ func TestRefinerSeededSuspectsMatchFullRun(t *testing.T) {
 	if !relA.Equal(relB) {
 		t.Fatal("suspect-seeded refinement diverged from full refinement")
 	}
-	if len(ra.Removed()) == 0 {
+	if ra.Removed() == 0 {
 		t.Fatal("Fig. 1 refinement should remove pairs")
 	}
 }
