@@ -244,8 +244,10 @@ func TestTraceMatchParity(t *testing.T) {
 }
 
 // TestTraceUpdateSpans: a traced /v1/update records the store's work under
-// the root — one live.apply span for the mutation batch and a live.maintain
-// span per standing query brought current.
+// the root — one live.apply span for the mutation batch, holding a
+// live.patch_index child once a planned match has given the store a pruning
+// index to carry forward, and a live.maintain span per standing query brought
+// current.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -255,6 +257,11 @@ func TestTraceUpdateSpans(t *testing.T) {
 		PatternText: "node a A\nnode b B\nedge a b",
 	}); resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: status %d (%s)", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts.URL+"/v1/match", MatchRequest{
+		PatternText: "node a A\nnode b B\nedge a b",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("match: status %d (%s)", resp.StatusCode, body)
 	}
 	resp, body := post(t, ts.URL+"/v1/update", UpdateRequest{
 		Updates: []MutationJSON{DeleteEdge(0, 1), InsertEdge(0, 2)},
@@ -277,6 +284,12 @@ func TestTraceUpdateSpans(t *testing.T) {
 	}
 	if apply.Attrs["mutations"] != 2 {
 		t.Errorf("live.apply mutations attr %d, want 2", apply.Attrs["mutations"])
+	}
+	// Nodes 0, 1 and 2 had a row rewritten; no label moved.
+	if patch := findChild(apply, "live.patch_index"); patch == nil {
+		t.Errorf("live.apply children %v hold no live.patch_index span", childNames(apply))
+	} else if patch.Attrs["one_hop"] != 3 || patch.Attrs["hop0"] != 0 || patch.Attrs["hop1"] != 3 {
+		t.Errorf("live.patch_index attrs %v, want one_hop 3, hop0 0, hop1 3", patch.Attrs)
 	}
 	if maintain := findChild(tj.Root, "live.maintain"); maintain == nil {
 		t.Errorf("root children %v hold no live.maintain span for the standing query", childNames(tj.Root))

@@ -131,7 +131,7 @@ type preparedQuery struct {
 	// cand holds every data node that can be a candidate of some pattern
 	// node in any ball — the global relation's matches, or the nodes
 	// carrying a pattern label — taken before plan pruning thins centers.
-	// Balls are built restricted to it; nil builds them whole.
+	// Balls are built restricted to it.
 	cand *graph.NodeSet
 	// scratch owns global and cand when the dual filter computed them; the
 	// query's entry point releases it once the last ball has been evaluated.
@@ -284,14 +284,17 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
 // on the engine's worker pool: the ball Ĝ[c, radius] comes from the snapshot
-// (prepared, or built whole into the worker's scratch) and is run through
+// (prepared, or built into the worker's scratch restricted to
+// Snapshot.CandidateCenters(q), as a plain Match builds it) and is run through
 // core.EvalPreparedBallIn with zero options and no global relation — exactly
 // the per-center work of a plain Match restricted to the given centers.
 // report is called on the calling goroutine with the center's index in
 // centers and its maximum perfect subgraph (nil when the ball has none), in
 // worker completion order.
 // radius <= 0 uses the pattern diameter. Callers are responsible for any
-// center prefiltering (label precheck); every listed center is evaluated.
+// center prefiltering (label precheck); every listed center is evaluated — a
+// restricted ball always keeps its center, so one outside the candidate set
+// still gets a ball of its own and comes back nil.
 //
 // internal/live uses this to re-evaluate the dirty centers of a standing
 // query after an update batch; the outcomes are interchangeable with those
@@ -310,12 +313,7 @@ func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, ce
 		}
 		radius = dq
 	}
-	// cand stays nil: whole balls, the nil-set case of the one builder.
-	// Restricting them to CandidateCenters(q) gives the same outcomes (the
-	// differential test in internal/core covers centers outside the set) and
-	// is measured (EXPERIMENTS.md); it is left to a change that claims the
-	// standing-query gain on its own (ROADMAP, ball kernel).
-	p := &preparedQuery{qEff: q, radius: radius, centers: centers}
+	p := &preparedQuery{qEff: q, radius: radius, centers: centers, cand: e.snap.CandidateCenters(q)}
 	trace.EnterStage(obs.StageEval) // nil-safe
 	sp := trace.StartSpan("eval")
 	var evalStart time.Time

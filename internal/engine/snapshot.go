@@ -34,10 +34,11 @@ type Snapshot struct {
 	mu    sync.RWMutex
 	balls map[int][]*graph.Ball // radius -> balls indexed by center
 
-	// planIdx is the candidate-pruning index over g, built lazily on the
-	// first planned query so unplanned deployments pay nothing.
-	planOnce sync.Once
-	planIdx  *plan.Index
+	// planIdx is the candidate-pruning index over g: inherited from the
+	// previous version at publication (InheritPruneIndex) or built under
+	// planMu on the first planned query, so unplanned deployments pay nothing.
+	planMu  sync.Mutex
+	planIdx atomic.Pointer[plan.Index]
 }
 
 // NewSnapshot prepares g for querying.
@@ -58,12 +59,38 @@ func (s *Snapshot) SetVersion(v uint64) { s.version.Store(v) }
 func (s *Snapshot) Version() uint64 { return s.version.Load() }
 
 // PruneIndex returns the snapshot's candidate-pruning index, building it
-// on first use (O(V+E); per-radius hop signatures are materialized lazily
-// inside the index). The index is immutable alongside the graph and shared
-// by every planned query against this snapshot.
+// on first use when the snapshot inherited none (O(V+E); per-radius hop
+// signatures are materialized lazily inside the index). The index is
+// immutable alongside the graph and shared by every planned query against
+// this snapshot.
 func (s *Snapshot) PruneIndex() *plan.Index {
-	s.planOnce.Do(func() { s.planIdx = plan.NewIndex(s.g) })
-	return s.planIdx
+	if ix := s.planIdx.Load(); ix != nil {
+		return ix
+	}
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	ix := s.planIdx.Load()
+	if ix == nil {
+		ix = plan.NewIndex(s.g)
+		s.planIdx.Store(ix)
+	}
+	return ix
+}
+
+// InheritPruneIndex gives s — the snapshot of the version d leads to from
+// prev's — prev's pruning index patched across the batch (plan.Index.Patched)
+// in place of a full build on s's first planned query. When prev never built
+// one it does nothing and reports false: a deployment that never plans
+// derives nothing. internal/live calls it at publication, before s is
+// visible to queries.
+func (s *Snapshot) InheritPruneIndex(prev *Snapshot, d plan.Delta) (plan.PatchStats, bool) {
+	ix := prev.planIdx.Load()
+	if ix == nil {
+		return plan.PatchStats{}, false
+	}
+	nx, st := ix.Patched(s.g, d)
+	s.planIdx.Store(nx)
+	return st, true
 }
 
 // ParsePattern parses a pattern graph in the text format of internal/graph
@@ -177,9 +204,8 @@ func (s *Snapshot) preparedBalls(radius int) []*graph.Ball {
 // ballProvider is the ball provider stage of one exec run at a fixed
 // radius. The prepared-ball cache is consulted once, here, not under the
 // lock per ball: a prepared radius serves its shared whole balls, any other
-// builds Ĝ[center, radius] restricted to cand into the worker's scratch
-// (nil cand: the whole ball). Both are the same ball to an evaluator whose
-// candidates all lie in cand.
+// builds Ĝ[center, radius] restricted to cand into the worker's scratch.
+// Both are the same ball to an evaluator whose candidates all lie in cand.
 func (s *Snapshot) ballProvider(radius int, cand *graph.NodeSet) func(bs *graph.BallScratch, center int32) *graph.Ball {
 	if cached := s.preparedBalls(radius); cached != nil {
 		return func(_ *graph.BallScratch, center int32) *graph.Ball { return cached[center] }

@@ -174,13 +174,28 @@ func (b *Builder) Build() *Graph {
 // the contract misbehave in every algorithm of this repository; prefer a
 // Builder anywhere construction cost is not on a hot path.
 //
-// The one thing derived here is the label-rank array (see LabelRanks): one
-// int32 per node, filled by a walk over byLabel.
-func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[int32][]int32, numEdges int, name string) *Graph {
-	rank := make([]int32, len(nodeLbl))
-	for _, row := range byLabel {
-		for i, v := range row {
-			rank[v] = int32(i)
+// The one thing derived here is the label-rank array (see LabelRanks), and a
+// graph that follows prev by one update batch inherits prev's instead of
+// walking byLabel again: touched lists the label ids whose byLabel row differs
+// from prev's (a node added, removed or moved). With none touched the array is
+// shared outright; otherwise it is copied once (grown for added nodes) and
+// rewritten for the touched rows alone — a node's rank changes only when its
+// own row does. A nil prev walks every row.
+func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[int32][]int32, numEdges int, name string, prev *Graph, touched []int32) *Graph {
+	var rank []int32
+	switch {
+	case prev == nil:
+		rank = make([]int32, len(nodeLbl))
+		for _, row := range byLabel {
+			fillRanks(rank, row)
+		}
+	case len(touched) == 0:
+		rank = prev.rank
+	default:
+		rank = make([]int32, len(nodeLbl))
+		copy(rank, prev.rank)
+		for _, lbl := range touched {
+			fillRanks(rank, byLabel[lbl])
 		}
 	}
 	return &Graph{
@@ -192,6 +207,12 @@ func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[i
 		byLabel:  byLabel,
 		rank:     rank,
 		name:     name,
+	}
+}
+
+func fillRanks(rank, row []int32) {
+	for i, v := range row {
+		rank[v] = int32(i)
 	}
 }
 

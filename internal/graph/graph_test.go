@@ -183,7 +183,7 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 		nodeLbl[v] = want.Label(v)
 		byLabel[want.Label(v)] = append(byLabel[want.Label(v)], v)
 	}
-	got := FromParts(want.Labels(), nodeLbl, out, in, byLabel, want.NumEdges(), "diamond")
+	got := FromParts(want.Labels(), nodeLbl, out, in, byLabel, want.NumEdges(), "diamond", nil, nil)
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("size mismatch: %v vs %v", got, want)
 	}
@@ -203,5 +203,50 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("String() = %q, want %q", got.String(), want.String())
+	}
+}
+
+// TestFromPartsInheritsRanks: a graph that follows another by one batch takes
+// its label ranks from it — the same array when no label row moved, a copy
+// with only the touched rows rewritten otherwise — and either way reads what
+// a full walk over byLabel gives, while the predecessor's stay as they were.
+func TestFromPartsInheritsRanks(t *testing.T) {
+	prev := buildDiamond(t)
+	n := prev.NumNodes()
+	nodeLbl := make([]int32, n)
+	out, in := make([][]int32, n), make([][]int32, n)
+	byLabel := make(map[int32][]int32)
+	for v := int32(0); v < int32(n); v++ {
+		nodeLbl[v], out[v], in[v] = prev.Label(v), prev.Out(v), prev.In(v)
+		byLabel[prev.Label(v)] = append(byLabel[prev.Label(v)], v)
+	}
+	same := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "edges only", prev, nil)
+	if &same.LabelRanks()[0] != &prev.LabelRanks()[0] {
+		t.Fatal("a batch that touched no label row should share its predecessor's ranks")
+	}
+
+	// Move node 0 to node 3's label (row of 0 empties, row of 3 gains a
+	// smaller id, so 3's rank shifts) and add a node with node 1's label.
+	from, to, grown := nodeLbl[0], nodeLbl[3], nodeLbl[1]
+	nodeLbl = append(append([]int32(nil), nodeLbl...), grown)
+	nodeLbl[0] = to
+	out, in = append(out[:n:n], nil), append(in[:n:n], nil)
+	byLabel[from] = nil
+	byLabel[to] = []int32{0, 3}
+	byLabel[grown] = append(byLabel[grown][:1:1], int32(n))
+	before := append([]int32(nil), prev.LabelRanks()...)
+
+	got := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "patched", prev, []int32{from, to, grown})
+	want := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "walked", nil, nil)
+	if !reflect.DeepEqual(got.LabelRanks(), want.LabelRanks()) {
+		t.Fatalf("patched ranks %v, a full walk gives %v", got.LabelRanks(), want.LabelRanks())
+	}
+	for v := int32(0); v <= int32(n); v++ {
+		if got.NodesWithLabel(got.Label(v))[got.LabelRanks()[v]] != v {
+			t.Fatalf("rank of %d does not address it in its label row", v)
+		}
+	}
+	if !reflect.DeepEqual(prev.LabelRanks(), before) {
+		t.Fatalf("the patch wrote into its predecessor's ranks: %v, were %v", prev.LabelRanks(), before)
 	}
 }

@@ -8,8 +8,29 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/generator"
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/plan"
 )
+
+// The planner's index counters, read as before/after differences (the
+// registry is process-wide and get-or-create).
+var (
+	indexBuilds  = obs.Default.Counter("plan_index_builds_total", "")
+	indexPatches = obs.Default.Counter("plan_index_patches_total", "")
+)
+
+// checkIndexPatched asserts the current version's pruning index — inherited
+// through every publish since the chain began — equals a full build on the
+// version's graph, level by level.
+func checkIndexPatched(t testing.TB, s *Store) {
+	t.Helper()
+	snap := s.Current().Engine().Snapshot()
+	if !snap.PruneIndex().Equal(plan.NewIndex(snap.Graph())) {
+		t.Fatalf("v%d: patched pruning index differs from a rebuild", s.Current().ID())
+	}
+}
 
 // randomPatternSrc builds a small random connected pattern over the given
 // label alphabet, in the text format Register accepts.
@@ -103,7 +124,9 @@ func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 // update batches with standing-query registration and unregistration, and
 // after every batch assert each standing result set is byte-identical to
 // engine.Match re-run from scratch on the post-update graph at the same
-// version.
+// version — as is a planned Match, served through a cache the batches keep
+// invalidating — and that the version's pruning index, patched from its
+// predecessor's and never rebuilt, equals a rebuild.
 func TestChurnEquivalence(t *testing.T) {
 	steps := 40
 	if testing.Short() {
@@ -123,6 +146,15 @@ func TestChurnEquivalence(t *testing.T) {
 				_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 			}
 			s := NewStore(b.Build(), Config{Workers: 3})
+
+			// Begin the index chain at version 0 with every level a pattern
+			// of diameter ≤ 3 reads, so each publish carries all of them.
+			a, err := graph.ParseString("node a A", s.Current().Graph().Labels().Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Current().Engine().Snapshot().PruneIndex().Prune(a, 3, []int32{0}, new(plan.PruneStats))
+			builds, patches, applied := indexBuilds.Value(), indexPatches.Value(), int64(0)
 
 			var standing []*StandingQuery
 			alive := make([]int32, n)
@@ -174,15 +206,60 @@ func TestChurnEquivalence(t *testing.T) {
 				}
 				for _, sq := range standing {
 					checkAgainstScratch(t, s, sq)
+					planned, err := s.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{Planner: s.Planner()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _ := sq.Result()
+					// A remapped cache hit serves an empty result as [], not null.
+					if p, w := mustJSON(t, planned.Subgraphs), mustJSON(t, got.Subgraphs); string(p) != string(w) && planned.Len()+got.Len() > 0 {
+						t.Fatalf("step %d: planned Match diverges:\n got: %s\nwant: %s", step, p, w)
+					}
 				}
+				applied++
+				checkIndexPatched(t, s) // one reference build
+			}
+			if b, p := indexBuilds.Value()-builds, indexPatches.Value()-patches; b != applied || p != applied {
+				t.Fatalf("%d batches: %d index patches, %d full builds (want %[1]d and the %[1]d reference builds)", applied, p, b)
 			}
 		})
 	}
 }
 
+// TestUnplannedStoreDerivesNothing: a store whose queries never pass a
+// Planner builds no pruning index and therefore has none to patch, however
+// many versions it publishes.
+func TestUnplannedStoreDerivesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	alphabet := []string{"A", "B", "C"}
+	s := NewStore(chain(alphabet, 40), Config{Workers: 2})
+	sq := edgePattern(t, s)
+	builds, patches := indexBuilds.Value(), indexPatches.Value()
+	for step := 0; step < 50; step++ {
+		u, v := rng.Int31n(40), rng.Int31n(40)
+		edge := Mutation{Op: OpInsertEdge, U: u, V: v}
+		if s.Current().Graph().HasEdge(u, v) {
+			edge.Op = OpDeleteEdge
+		}
+		muts := []Mutation{edge, {Op: OpSetLabel, Node: u, Label: alphabet[rng.Intn(3)]}, {Op: OpAddNode, Label: "A"}}
+		if _, err := s.Apply(muts); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if _, err := s.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAgainstScratch(t, s, sq)
+	if b, p := indexBuilds.Value()-builds, indexPatches.Value()-patches; b != 0 || p != 0 {
+		t.Fatalf("50 unplanned batches: %d index builds, %d patches, want none", b, p)
+	}
+}
+
 // TestChurnConcurrentReaders exercises the readers-never-block-on-writers
 // contract under the race detector: one writer applies batches while
-// readers hammer one-shot matches, standing results and version graphs.
+// readers hammer planned one-shot matches of diameter 1 to 3 — each growing
+// the hop levels of whichever version's index it lands on while publish
+// copies them for the next — standing results and version graphs.
 func TestChurnConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []string{"A", "B", "C"}
@@ -200,25 +277,30 @@ func TestChurnConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	readerPatterns := []string{
+		"node a B\nnode b C\nedge a b",
+		"node a A\nnode b B\nnode c C\nedge a b\nedge b c",
+		"node a A\nnode b B\nnode c C\nnode d A\nedge a b\nedge b c\nedge c d",
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
 				ver := s.Current()
-				q, err := ver.Engine().Snapshot().ParsePattern("node a B\nnode b C\nedge a b")
+				q, err := ver.Engine().Snapshot().ParsePattern(readerPatterns[(r+i)%len(readerPatterns)])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := ver.Engine().Match(context.Background(), q, engine.QueryOptions{}); err != nil {
+				if _, err := ver.Engine().Match(context.Background(), q, engine.QueryOptions{Planner: s.Planner()}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -260,4 +342,63 @@ func TestChurnConcurrentReaders(t *testing.T) {
 	close(done)
 	wg.Wait()
 	checkAgainstScratch(t, s, sq)
+	checkIndexPatched(t, s)
+}
+
+// BenchmarkApplyChurn is the update path in miniature: a 20k-node graph, four
+// standing queries, and per iteration one 4-edge batch (inserts, then the
+// batch that deletes them) followed by one planned Match+ on the new version.
+// Nothing in an iteration may cost O(|V|) again: index_builds/op is 0 — the
+// one full build happens before the timer starts, every later version
+// inherits — and ns/op and B/op are what a per-version pass creeping back
+// would move.
+func BenchmarkApplyChurn(b *testing.B) {
+	g := generator.Synthetic(20000, 1.2, 200, 1)
+	s := NewStore(g, Config{})
+	var pats []*graph.Graph
+	for seed := int64(1); len(pats) < 5; seed++ {
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3 + len(pats)%3, Alpha: 1.2, Seed: seed})
+		if dq, ok := graph.Diameter(q); ok && dq >= 2 && dq <= 3 {
+			pats = append(pats, q)
+		}
+	}
+	for _, q := range pats[:4] {
+		if _, err := s.Register(graph.FormatString(q)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := engine.PlusQuery()
+	opts.Planner = s.Planner()
+	match := func() {
+		if _, err := s.Engine().Match(context.Background(), pats[4], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	match()
+
+	rng := rand.New(rand.NewSource(1))
+	n := int32(g.NumNodes())
+	var batch []Mutation
+	builds := indexBuilds.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			batch = batch[:0]
+			for len(batch) < 4 {
+				if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !s.Current().Graph().HasEdge(u, v) {
+					batch = append(batch, Mutation{Op: OpInsertEdge, U: u, V: v})
+				}
+			}
+		} else {
+			for k := range batch {
+				batch[k].Op = OpDeleteEdge
+			}
+		}
+		if _, err := s.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+		match()
+	}
+	b.ReportMetric(float64(indexBuilds.Value()-builds)/float64(b.N), "index_builds/op")
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -14,18 +15,20 @@ import (
 
 // StandingQuery is one registered pattern whose full strong-simulation
 // result set the store keeps current. The per-center cache holds the
-// maximum perfect subgraph of each ball (nil where there is none), exactly
-// the intermediate state of a plain engine.Match; maintenance overwrites
-// only dirty centers. Readers access the assembled result through an atomic
-// snapshot and never block on maintenance.
+// maximum perfect subgraph of every ball that has one, exactly the
+// intermediate state of a plain engine.Match; maintenance replaces only the
+// outcomes of dirty centers. Readers access the assembled result through an
+// atomic snapshot and never block on maintenance.
 type StandingQuery struct {
 	id      int64
 	pattern *graph.Graph
 	src     string
 	radius  int
 
-	// Maintenance state, guarded by the store's lock.
-	perCenter []*core.PerfectSubgraph
+	// Maintenance state, guarded by the store's lock: the pre-dedup outcomes
+	// of the matching centers only, ascending by Center, so its size follows
+	// the result and not |V|. Replaced, never written in place.
+	matched []*core.PerfectSubgraph
 
 	// state is the published read side, swapped whole so readers never see
 	// a half-maintained result.
@@ -98,21 +101,17 @@ func (s *Store) RegisterCtx(ctx context.Context, patternSrc string, trace *obs.Q
 	}
 
 	ver := s.Current()
-	sq := &StandingQuery{
-		id:        s.nextID,
-		pattern:   q,
-		src:       patternSrc,
-		radius:    dq,
-		perCenter: make([]*core.PerfectSubgraph, len(s.nodeLbl)),
-	}
+	sq := &StandingQuery{id: s.nextID, pattern: q, src: patternSrc, radius: dq}
 	s.nextID++
 
 	// Initial evaluation: every candidate center, on the engine's pool.
-	centers := candidateCenters(q, s.byLabel, len(s.nodeLbl))
-	if err := evalInto(ctx, ver.eng, q, sq.radius, centers, trace, sq.perCenter); err != nil {
+	centers := ver.eng.Snapshot().CandidateCenters(q).Slice()
+	fresh, err := evalMatched(ctx, ver.eng, q, sq.radius, centers, trace)
+	if err != nil {
 		return nil, err
 	}
-	st := &queryState{version: ver.id, fromVersion: ver.id, result: assemble(sq.perCenter)}
+	sq.matched = slices.Clone(fresh) // fresh has a slot per candidate center behind it
+	st := &queryState{version: ver.id, fromVersion: ver.id, result: assemble(sq.matched)}
 	st.added = st.result.Subgraphs
 	sq.state.Store(st)
 
@@ -186,48 +185,37 @@ func (sq *StandingQuery) Delta() (added, removed []*core.PerfectSubgraph, from, 
 // published version: re-evaluate the dirty centers (computed by the
 // caller, shared across queries of equal radius) on the engine's worker
 // pool and publish the new assembled result with its delta. Returns the
-// number of balls evaluated. Callers hold the store lock; s.out/s.in
-// already describe ver's graph, and dirty is read-only here.
+// number of balls evaluated. Callers hold the store lock; s.nodeLbl already
+// describes ver's graph, and dirty (ascending) is read-only here.
 func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) int {
-	// Grow the cache for nodes added by the batch.
-	for len(sq.perCenter) < len(s.nodeLbl) {
-		sq.perCenter = append(sq.perCenter, nil)
-	}
-
 	// Label precheck, as in Match: a center whose label does not occur in
 	// the pattern cannot anchor a perfect subgraph. Evaluate the rest.
-	changed := false
 	eval := make([]int32, 0, len(dirty))
 	for _, c := range dirty {
-		if len(sq.pattern.NodesWithLabel(s.nodeLbl[c])) == 0 {
-			if sq.perCenter[c] != nil {
-				sq.perCenter[c] = nil
-				changed = true
-			}
-			continue
+		if len(sq.pattern.NodesWithLabel(s.nodeLbl[c])) > 0 {
+			eval = append(eval, c)
 		}
-		eval = append(eval, c)
 	}
-	if len(eval) > 0 {
-		// The error path is unreachable: the pattern was validated at
-		// registration and the context cannot expire.
-		_ = evalInto(context.Background(), ver.eng, sq.pattern, sq.radius, eval, nil, sq.perCenter)
-		changed = true
-	}
+	// The error path is unreachable: the pattern was validated at
+	// registration and the context cannot expire.
+	fresh, _ := evalMatched(context.Background(), ver.eng, sq.pattern, sq.radius, eval, nil)
+	matched := replaceDirty(sq.matched, dirty, fresh)
 
 	prev := sq.state.Load()
-	if !changed {
-		// No cache slot moved, so the result set cannot have: republish
-		// the previous result at the new version with an empty delta,
-		// skipping reassembly and diffing — the common case for updates
-		// far from any center carrying a pattern label.
+	if len(eval) == 0 && len(matched) == len(sq.matched) {
+		// No center was evaluated and none lost an outcome to the precheck, so
+		// the result set cannot have moved: republish the previous result at
+		// the new version with an empty delta, skipping reassembly and
+		// diffing — the common case for updates far from any center carrying
+		// a pattern label.
 		sq.state.Store(&queryState{version: ver.id, fromVersion: prev.version, result: prev.result})
 		return 0
 	}
+	sq.matched = matched
 	st := &queryState{
 		version:     ver.id,
 		fromVersion: prev.version,
-		result:      assemble(sq.perCenter),
+		result:      assemble(matched),
 	}
 	st.added, st.removed = diffResults(prev.result, st.result)
 	sq.state.Store(st)
@@ -238,41 +226,60 @@ func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) i
 	return len(eval)
 }
 
-// candidateCenters unions the per-label node lists over the pattern's
-// labels — Snapshot.CandidateCenters against the store's mutable index.
-func candidateCenters(q *graph.Graph, byLabel map[int32][]int32, n int) []int32 {
-	set := graph.NewNodeSet(n)
-	seen := make(map[int32]bool, q.NumNodes())
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
-		lbl := q.Label(u)
-		if seen[lbl] {
-			continue
-		}
-		seen[lbl] = true
-		for _, v := range byLabel[lbl] {
-			set.Add(v)
+// evalMatched evaluates the given ascending centers on the engine's worker
+// pool and returns the outcomes of those whose ball matched, in center order.
+func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats) ([]*core.PerfectSubgraph, error) {
+	if len(centers) == 0 {
+		return nil, nil
+	}
+	out := make([]*core.PerfectSubgraph, len(centers))
+	err := e.EvalCenters(ctx, q, radius, centers, trace, func(i int, ps *core.PerfectSubgraph) {
+		out[i] = ps
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := 0
+	for _, ps := range out {
+		if ps != nil {
+			out[w] = ps
+			w++
 		}
 	}
-	return set.Slice()
+	return out[:w], nil
 }
 
-// evalInto evaluates the given centers on the engine's worker pool and
-// writes each outcome into perCenter at the center's own id.
-func evalInto(ctx context.Context, e *engine.Engine, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats, perCenter []*core.PerfectSubgraph) error {
-	return e.EvalCenters(ctx, q, radius, centers, trace, func(i int, ps *core.PerfectSubgraph) {
-		perCenter[centers[i]] = ps
-	})
+// replaceDirty returns, as a fresh slice, matched with the outcome of every
+// dirty center dropped and fresh — the new outcomes of dirty centers —
+// merged in. All three are ascending by center.
+func replaceDirty(matched []*core.PerfectSubgraph, dirty []int32, fresh []*core.PerfectSubgraph) []*core.PerfectSubgraph {
+	out := make([]*core.PerfectSubgraph, 0, len(matched)+len(fresh))
+	d, f := 0, 0
+	for _, ps := range matched {
+		for f < len(fresh) && fresh[f].Center < ps.Center {
+			out = append(out, fresh[f])
+			f++
+		}
+		for d < len(dirty) && dirty[d] < ps.Center {
+			d++
+		}
+		if d < len(dirty) && dirty[d] == ps.Center {
+			continue // stale; fresh holds its successor, if it still has one
+		}
+		out = append(out, ps)
+	}
+	return append(out, fresh[f:]...)
 }
 
-// assemble folds the per-center cache into a canonical result — the same
-// dedup rule (ascending centers, first admission wins) and ordering as
+// assemble folds the matching centers' outcomes into a canonical result — the
+// same dedup rule (ascending centers, first admission wins) and ordering as
 // engine.Match, so assembled results are byte-identical to a from-scratch
 // Match on the same graph. Stats are not maintained incrementally and
 // stay zero.
-func assemble(perCenter []*core.PerfectSubgraph) *core.Result {
+func assemble(matched []*core.PerfectSubgraph) *core.Result {
 	res := &core.Result{}
 	var discard core.Stats // per-run work counters are not maintained
-	res.Subgraphs = core.DedupSubgraphs(perCenter, &discard)
+	res.Subgraphs = core.DedupSubgraphs(matched, &discard)
 	core.SortSubgraphs(res.Subgraphs)
 	return res
 }

@@ -18,14 +18,16 @@
 //     engine.Snapshot — through one atomic pointer swap. The version is
 //     built copy-on-write: adjacency slices of untouched nodes, the label
 //     table and the per-label node index are shared with prior versions;
-//     only what the batch touched is copied. In-flight queries keep the
-//     version they started with.
+//     only what the batch touched is copied, and what the previous version
+//     derived from its graph (label ranks, the planner's pruning index) is
+//     inherited and patched over the touched region, not derived again.
+//     In-flight queries keep the version they started with.
 //
 //   - Standing-query maintenance is ball-local. An update can change the
 //     ball Ĝ[w, dQ] only if w lies within dQ undirected hops of a mutated
-//     node in the graph before or after the batch
-//     (incremental.DirtyWithin), so maintenance re-evaluates exactly those
-//     centers and keeps every other cached perfect subgraph. Results are
+//     node in the graph before or after the batch (Store.dirtyCenters), so
+//     maintenance re-evaluates exactly those centers and keeps every other
+//     cached perfect subgraph. Results are
 //     assembled with the same dedup and ordering as engine.Match, so a
 //     standing query's result set is byte-identical to re-running Match
 //     from scratch on the current version.
@@ -37,13 +39,14 @@ package live
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/incremental"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -174,6 +177,11 @@ type Store struct {
 	numEdges int
 	nextID   int64
 
+	// Scratch of dirtyCenters, reused across batches: the BFS of one side,
+	// and the union of both sides' reach.
+	visited, reach graph.NodeSet
+	queue          []int32
+
 	// qmu guards only the queries map, separately from mu, so lookups and
 	// listings stay responsive while Apply holds mu through maintenance.
 	// Lock ordering: mu before qmu, never the reverse.
@@ -251,9 +259,9 @@ type batchState struct {
 	touchedLabels map[int32]bool
 	numEdges      int
 
-	seeds []int32 // nodes whose ≤ dQ-hop neighborhoods are dirty
-	seen  map[int32]bool
-	added []int32
+	seeds      []int32 // nodes whose ≤ dQ-hop neighborhoods are dirty; may repeat
+	relabelled []int32 // nodes whose label changed, and added nodes; may repeat
+	added      []int32
 }
 
 func (s *Store) newBatch() *batchState {
@@ -266,16 +274,8 @@ func (s *Store) newBatch() *batchState {
 		byLabel:       s.byLabel,
 		touchedLabels: make(map[int32]bool),
 		numEdges:      s.numEdges,
-		seen:          make(map[int32]bool),
 	}
 	return b
-}
-
-func (b *batchState) seed(v int32) {
-	if !b.seen[v] {
-		b.seen[v] = true
-		b.seeds = append(b.seeds, v)
-	}
 }
 
 func (b *batchState) ownOut(u int32) {
@@ -361,7 +361,8 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		b.ownByLabel(lbl)
 		b.byLabel[lbl] = append(b.byLabel[lbl], v) // ids grow, stays sorted
 		b.added = append(b.added, v)
-		b.seed(v)
+		b.relabelled = append(b.relabelled, v)
+		b.seeds = append(b.seeds, v)
 		return nil
 
 	case OpInsertEdge, OpDeleteEdge:
@@ -395,8 +396,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 			b.in[m.V], _ = removeSorted(b.in[m.V], m.U)
 			b.numEdges--
 		}
-		b.seed(m.U)
-		b.seed(m.V)
+		b.seeds = append(b.seeds, m.U, m.V)
 		return nil
 
 	case OpDeleteNode:
@@ -445,7 +445,8 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		b.byLabel[old], _ = removeSorted(b.byLabel[old], m.Node)
 		b.ownByLabel(s.tombstone)
 		b.byLabel[s.tombstone], _ = insertSorted(b.byLabel[s.tombstone], m.Node)
-		b.seed(m.Node)
+		b.relabelled = append(b.relabelled, m.Node)
+		b.seeds = append(b.seeds, m.Node)
 		return nil
 
 	case OpSetLabel:
@@ -479,7 +480,8 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		b.byLabel[old], _ = removeSorted(b.byLabel[old], m.Node)
 		b.ownByLabel(lbl)
 		b.byLabel[lbl], _ = insertSorted(b.byLabel[lbl], m.Node)
-		b.seed(m.Node)
+		b.relabelled = append(b.relabelled, m.Node)
+		b.seeds = append(b.seeds, m.Node)
 		return nil
 
 	default:
@@ -501,8 +503,10 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 }
 
 // ApplyTraced is Apply under a parent span: the batch records one
-// "live.apply" child covering mutation application and version publication,
-// and one "live.maintain" child per standing query brought current,
+// "live.apply" child covering mutation application and version publication
+// — with a "live.patch_index" child of its own when the new version
+// inherits the pruning index, annotated with the nodes recomputed per level
+// — and one "live.maintain" child per standing query brought current,
 // annotated with the query id and balls re-evaluated. A zero parent (the
 // untraced path — Apply delegates here with one) records nothing.
 func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, error) {
@@ -549,7 +553,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	// marked. (Queries on older versions are unaffected either way — Get
 	// refuses entries newer than the query's version.)
 	s.planner.Invalidate(s.current.Load().id+1, dirtyFor)
-	ver := s.publishLocked()
+	ver := s.publishLocked(b, applySp)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
 	if applySp.Recording() {
@@ -591,9 +595,12 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 
 func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == s.tombstone }
 
-// publishLocked freezes the current mutable state as an immutable version
-// and swaps it in. Callers hold mu.
-func (s *Store) publishLocked() *Version {
+// publishLocked freezes the current mutable state — b, just committed — as
+// an immutable version and swaps it in. The version inherits what its
+// predecessor derived: label ranks (graph.FromParts) and, when the
+// predecessor has one, the pruning index, both patched from what b touched.
+// Callers hold mu.
+func (s *Store) publishLocked(b *batchState, applySp obs.Span) *Version {
 	if s.labelsDirty || s.frozen == nil {
 		s.frozen = s.labels.Clone()
 		s.labelsDirty = false
@@ -604,48 +611,80 @@ func (s *Store) publishLocked() *Version {
 		name = "live"
 	}
 	g := graph.FromParts(s.frozen, s.nodeLbl, s.out, s.in, s.byLabel,
-		s.numEdges, fmt.Sprintf("%s@v%d", name, prev.id+1))
+		s.numEdges, fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), slices.Collect(maps.Keys(b.touchedLabels)))
 	ver := &Version{id: prev.id + 1, eng: engine.New(g, engine.Config{Workers: s.workers})}
 	ver.eng.Snapshot().SetVersion(ver.id)
+	s.inheritIndex(ver, prev, b, applySp)
 	s.current.Store(ver)
 	liveVersion.Set(int64(ver.id))
 	return ver
 }
 
-// dirtyCenters returns, ascending, the centers within radius undirected
-// hops of any seed under the pre-batch or post-batch adjacency.
+// inheritIndex hands ver its predecessor's pruning index patched across b.
+// The patch is driven by the rows and labels b rewrote, not by its seeds:
+// delete_node seeds only the node, yet every former neighbor lost a row
+// entry, and set_label moves no row, yet changes its neighbors' signatures.
+func (s *Store) inheritIndex(ver, prev *Version, b *batchState, applySp obs.Span) {
+	rows := slices.Collect(maps.Keys(b.touchedOut))
+	for v := range b.touchedIn {
+		if !b.touchedOut[v] {
+			rows = append(rows, v)
+		}
+	}
+	sp := applySp.StartChild("live.patch_index")
+	st, ok := ver.eng.Snapshot().InheritPruneIndex(prev.eng.Snapshot(),
+		plan.Delta{Rows: rows, Relabelled: b.relabelled})
+	if !ok || !sp.Recording() {
+		return // an unfinished span records nothing
+	}
+	attrs := []obs.Attr{{Key: "one_hop", Value: int64(st.OneHop)}}
+	for k, n := range st.Levels {
+		attrs = append(attrs, obs.Attr{Key: fmt.Sprintf("hop%d", k), Value: int64(n)})
+	}
+	sp.End(attrs...)
+}
+
+// dirtyCenters returns, ascending and in a slice of its own, the centers
+// within radius undirected hops of any seed under the pre-batch or the
+// post-batch adjacency: one multi-source BFS per side, their reach united in
+// a bitset and read back in id order.
 func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn [][]int32) []int32 {
-	dirty := make(map[int32]bool)
-	oldN := int32(len(oldOut))
-	oldNeighbors := func(v int32, visit func(int32)) {
-		if v >= oldN {
-			return // node added by this batch: absent from the old graph
-		}
-		for _, w := range oldOut[v] {
-			visit(w)
-		}
-		for _, w := range oldIn[v] {
-			visit(w)
-		}
-	}
-	newNeighbors := func(v int32, visit func(int32)) {
-		for _, w := range s.out[v] {
-			visit(w)
-		}
-		for _, w := range s.in[v] {
-			visit(w)
+	s.reach.Reset(len(s.out))
+	s.sweep(seeds, radius, oldOut, oldIn)
+	s.sweep(seeds, radius, s.out, s.in)
+	return s.reach.Slice()
+}
+
+// sweep adds to s.reach every node within radius hops of a seed under the
+// given adjacency. Seeds the adjacency does not cover — nodes the batch
+// added, seen from the old side — are skipped.
+func (s *Store) sweep(seeds []int32, radius int, out, in [][]int32) {
+	s.visited.Reset(len(s.out))
+	q := s.queue[:0]
+	visit := func(w int32) {
+		if s.visited.Add(w) {
+			q = append(q, w)
 		}
 	}
-	for _, seed := range seeds {
-		if seed < oldN {
-			incremental.DirtyWithin(seed, radius, oldNeighbors, dirty)
+	for _, v := range seeds {
+		if int(v) < len(out) {
+			visit(v)
 		}
-		incremental.DirtyWithin(seed, radius, newNeighbors, dirty)
 	}
-	out := make([]int32, 0, len(dirty))
-	for v := range dirty {
-		out = append(out, v)
+	for lo, d := 0, 0; d < radius && lo < len(q); d++ {
+		hi := len(q)
+		for _, v := range q[lo:hi] {
+			for _, w := range out[v] {
+				visit(w)
+			}
+			for _, w := range in[v] {
+				visit(w)
+			}
+		}
+		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for _, v := range q {
+		s.reach.Add(v)
+	}
+	s.queue = q
 }

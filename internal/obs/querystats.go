@@ -105,9 +105,10 @@ type QueryStats struct {
 	// the engine builds Ĝ[v, r] restricted to the query's candidate nodes
 	// (plus the center), so these count candidates inside the balls and the
 	// edges between them, not ball members — the work refinement saw, while
-	// the BFS that decided membership still walked every member. Balls served
-	// from a PrepareBalls cache, and the balls Engine.EvalCenters builds for
-	// standing queries, are whole and count whole.
+	// the BFS that decided membership still walked every member. The balls
+	// Engine.EvalCenters builds for standing queries are restricted the same
+	// way (to the nodes carrying a pattern label); only balls served from a
+	// PrepareBalls cache are whole and count whole.
 	BallNodes int64
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global

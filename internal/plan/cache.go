@@ -191,7 +191,12 @@ func (c *Cache) Put(key string, pat *graph.Graph, invPerm []int32, radius int,
 // invalidate marks the dirty centers of an about-to-publish version as
 // pending on every entry, dropping entries whose accumulated pending set
 // makes repair no cheaper than a fresh evaluation. dirtyFor is called at
-// most once per distinct entry radius.
+// most once per distinct entry radius and its slices are kept: an entry
+// with nothing pending adopts the batch's slice as it is, and entries that
+// share one pending slice (they adopted it from an earlier batch) share one
+// merge, so a batch merges once per distinct (radius, pending set), not
+// once per entry. Pending slices are never written after they are built —
+// readers hold views of them.
 func (c *Cache) invalidate(version uint64, dirtyFor func(radius int) []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -201,7 +206,14 @@ func (c *Cache) invalidate(version uint64, dirtyFor func(radius int) []int32) {
 	if len(c.entries) == 0 {
 		return
 	}
+	// An immutable slice is identified by where it starts and how long it is.
+	type pendingID struct {
+		radius int
+		first  *int32
+		n      int
+	}
 	byRadius := make(map[int][]int32)
+	merges := make(map[pendingID][]int32)
 	for _, e := range c.entries {
 		dirty, ok := byRadius[e.radius]
 		if !ok {
@@ -211,13 +223,20 @@ func (c *Cache) invalidate(version uint64, dirtyFor func(radius int) []int32) {
 		if len(dirty) == 0 {
 			continue
 		}
-		merged := mergeSorted(e.pending, dirty)
-		if e.nodes > 0 && len(merged)*2 > e.nodes {
+		pending := dirty
+		if len(e.pending) > 0 {
+			id := pendingID{e.radius, &e.pending[0], len(e.pending)}
+			if pending, ok = merges[id]; !ok {
+				pending = mergeSorted(e.pending, dirty)
+				merges[id] = pending
+			}
+		}
+		if e.nodes > 0 && len(pending)*2 > e.nodes {
 			c.removeLocked(e)
 			cacheDropped.Inc()
 			continue
 		}
-		e.pending = merged
+		e.pending = pending
 		cacheInvalidated.Inc()
 	}
 	cacheEntries.Set(int64(len(c.entries)))
@@ -236,7 +255,7 @@ func (c *Cache) removeLocked(e *entry) {
 }
 
 // mergeSorted unions two ascending slices into a fresh slice — fresh
-// because readers may hold views of the old pending slice.
+// because readers, and other entries, may hold the old pending slice.
 func mergeSorted(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -18,15 +19,16 @@ const maxHopSig = 6
 func LabelBit(label int32) uint64 { return 1 << (uint32(label) % 64) }
 
 // Index holds the per-snapshot candidate-pruning indexes: one-hop
-// directed neighbor-label signatures plus degrees (built eagerly, O(V+E)),
-// and r-hop undirected label signatures built lazily per requested radius.
-// An Index is immutable after construction except for the lazily grown
-// hop levels, which are guarded; it is safe for concurrent queries.
+// directed neighbor-label signatures (built eagerly, O(V+E)), and r-hop
+// undirected label signatures built lazily per requested radius. An Index is
+// immutable after construction except for the lazily grown hop levels, which
+// are guarded; it is safe for concurrent queries.
 //
 // Every filter is a necessary condition for a center's ball to contain a
 // match (see Prune), so pruning with stale requirements is impossible by
-// construction: the Index is built from one immutable graph and lives
-// exactly as long as that graph's Snapshot.
+// construction: an Index describes one immutable graph and lives exactly as
+// long as that graph's Snapshot. The next version's Index is derived from
+// this one (Patched), never edited in place.
 type Index struct {
 	g *graph.Graph
 
@@ -35,7 +37,8 @@ type Index struct {
 	outSig, inSig []uint64
 
 	// hop[k][v] Bloom-summarizes every label within k undirected hops of
-	// v (hop[0] is v's own label). Grown on demand under mu.
+	// v (hop[0] is v's own label). Grown on demand under mu; a level, once
+	// appended, is never written again.
 	mu  sync.Mutex
 	hop [][]uint64
 }
@@ -50,18 +53,35 @@ func NewIndex(g *graph.Graph) *Index {
 		own[v] = LabelBit(g.Label(v))
 	}
 	for v := int32(0); v < int32(n); v++ {
-		var o, i uint64
-		for _, w := range g.Out(v) {
-			o |= own[w]
-		}
-		for _, w := range g.In(v) {
-			i |= own[w]
-		}
-		ix.outSig[v], ix.inSig[v] = o, i
+		ix.outSig[v], ix.inSig[v] = oneHop(g, own, v)
 	}
 	ix.hop = [][]uint64{own}
 	indexBuilds.Inc()
 	return ix
+}
+
+// oneHop folds the labels (own is hop level 0) of v's out- and in-neighbors.
+func oneHop(g *graph.Graph, own []uint64, v int32) (o, i uint64) {
+	for _, w := range g.Out(v) {
+		o |= own[w]
+	}
+	for _, w := range g.In(v) {
+		i |= own[w]
+	}
+	return o, i
+}
+
+// nextHop is v's signature one level above prev: its own OR its undirected
+// neighbors'.
+func nextHop(g *graph.Graph, prev []uint64, v int32) uint64 {
+	s := prev[v]
+	for _, w := range g.Out(v) {
+		s |= prev[w]
+	}
+	for _, w := range g.In(v) {
+		s |= prev[w]
+	}
+	return s
 }
 
 // Graph returns the data graph this index describes.
@@ -83,20 +103,131 @@ func (ix *Index) hopSig(r int) []uint64 {
 	for len(ix.hop) <= r {
 		prev := ix.hop[len(ix.hop)-1]
 		next := make([]uint64, len(prev))
-		g := ix.g
 		for v := int32(0); v < int32(len(prev)); v++ {
-			s := prev[v]
-			for _, w := range g.Out(v) {
-				s |= prev[w]
-			}
-			for _, w := range g.In(v) {
-				s |= prev[w]
-			}
-			next[v] = s
+			next[v] = nextHop(ix.g, prev, v)
 		}
 		ix.hop = append(ix.hop, next)
 	}
 	return ix.hop[r]
+}
+
+// builtLevels returns the hop levels built so far. The list grows while
+// readers run, so it is read under mu; the levels themselves are immutable.
+func (ix *Index) builtLevels() [][]uint64 {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.hop[:len(ix.hop):len(ix.hop)]
+}
+
+// Delta names what one update batch changed between the graph an Index
+// describes and the graph that follows it.
+type Delta struct {
+	// Rows lists the nodes whose out- or in-row differs, the nodes the batch
+	// added included.
+	Rows []int32
+	// Relabelled lists the nodes whose label differs, and the added nodes
+	// again. Duplicates are tolerated in both lists.
+	Relabelled []int32
+}
+
+// PatchStats counts the nodes one Patched call recomputed.
+type PatchStats struct {
+	OneHop int   // outSig/inSig pairs: |A_1|
+	Levels []int // per carried hop level k: |A_k|
+}
+
+// Patched returns the index of g — the graph d leads to from ix's — derived
+// from ix in time proportional to the region d can reach, plus one flat copy
+// per array. Every array of the result is its own: the copy is what keeps ix,
+// which older versions still read, bit-identical. On the copies, signatures
+// are *recomputed* from g wherever they can differ (a Bloom bit cannot be
+// cleared, so nothing is ever OR-ed into an inherited value):
+//
+//	A_0 = d.Relabelled                 level 0 (own label)
+//	A_k = d.Rows ∪ N[A_{k-1}]          level k, read from the new level k-1
+//
+// with N[·] the closed undirected neighborhood in g; outSig and inSig are
+// recomputed over A_1. Outside A_k a node kept both rows and every member of
+// its closed neighborhood kept its level k-1 value (induction on k), so its
+// level k value stands. Only the levels ix had built when called are
+// carried; the rest stay lazy.
+func (ix *Index) Patched(g *graph.Graph, d Delta) (*Index, PatchStats) {
+	n := g.NumNodes()
+	levels := ix.builtLevels()
+	grown := func(a []uint64) []uint64 {
+		c := make([]uint64, n)
+		copy(c, a)
+		return c
+	}
+	nx := &Index{g: g, outSig: grown(ix.outSig), inSig: grown(ix.inSig), hop: make([][]uint64, len(levels))}
+	for k, level := range levels {
+		nx.hop[k] = grown(level)
+	}
+
+	// area holds A_k in insertion order; A_k ⊇ A_{k-1} from k = 1 on, so each
+	// level only expands the members the previous one added.
+	in := graph.NewNodeSet(n)
+	var area []int32
+	add := func(v int32) {
+		if in.Add(v) {
+			area = append(area, v)
+		}
+	}
+	for _, v := range d.Relabelled {
+		add(v)
+	}
+	own := nx.hop[0]
+	for _, v := range area {
+		own[v] = LabelBit(g.Label(v))
+	}
+	st := PatchStats{Levels: make([]int, len(nx.hop))}
+	st.Levels[0] = len(area)
+	expanded := 0
+	for k := 1; k == 1 || k < len(nx.hop); k++ {
+		end := len(area)
+		for _, v := range area[expanded:end] {
+			for _, w := range g.Out(v) {
+				add(w)
+			}
+			for _, w := range g.In(v) {
+				add(w)
+			}
+		}
+		expanded = end
+		if k == 1 {
+			for _, v := range d.Rows {
+				add(v)
+			}
+			for _, v := range area {
+				nx.outSig[v], nx.inSig[v] = oneHop(g, own, v)
+			}
+			st.OneHop = len(area)
+		}
+		if k < len(nx.hop) {
+			prev, cur := nx.hop[k-1], nx.hop[k]
+			for _, v := range area {
+				cur[v] = nextHop(g, prev, v)
+			}
+			st.Levels[k] = len(area)
+		}
+	}
+	indexPatches.Inc()
+	return nx, st
+}
+
+// Equal reports whether ix and o hold the same signatures: outSig, inSig and
+// every hop level ix has built (o builds the ones it lacks). It is how tests
+// pin a patched index against NewIndex on the same graph.
+func (ix *Index) Equal(o *Index) bool {
+	if !slices.Equal(ix.outSig, o.outSig) || !slices.Equal(ix.inSig, o.inSig) {
+		return false
+	}
+	for k, level := range ix.builtLevels() {
+		if !slices.Equal(level, o.hopSig(k)) {
+			return false
+		}
+	}
+	return true
 }
 
 // PruneStats reports one Prune call: the candidate count walking in and

@@ -20,9 +20,11 @@
 //     from the cached pattern onto the new one, radius subsumed) evaluates
 //     only inside the cached outcome centers. Live stores invalidate
 //     surgically: each update batch marks the ≤ radius-hop dirty centers
-//     (incremental.DirtyWithin, shared with standing-query maintenance) as
+//     (one set per radius, shared with standing-query maintenance) as
 //     pending on every entry, and the next exact-key lookup repairs just
-//     those centers instead of re-evaluating the graph.
+//     those centers instead of re-evaluating the graph. The pruning index
+//     crosses versions the same way: Index.Patched derives the next
+//     version's from this one's over the region the batch can reach.
 //
 // Correctness bar, relied on by the engine's tests: a planner-on query
 // answers byte-identically to a planner-off one on the same snapshot.
@@ -34,7 +36,9 @@ import "repro/internal/obs"
 // /v1/metrics.
 var (
 	indexBuilds = obs.Default.Counter("plan_index_builds_total",
-		"candidate-pruning indexes built (one per snapshot that saw a planned query)")
+		"candidate-pruning indexes built in full from their graph (a version whose predecessor had none)")
+	indexPatches = obs.Default.Counter("plan_index_patches_total",
+		"candidate-pruning indexes derived from the previous version's by patching what an update batch touched")
 	candidatesBefore = obs.Default.Counter("plan_candidates_before_total",
 		"candidate centers entering the pruning filters")
 	prunedSignature = obs.Default.Counter("plan_pruned_signature_total",
@@ -91,9 +95,10 @@ func (p *Planner) Cache() *Cache {
 // Invalidate tells the cache that the given store version is about to be
 // published: dirtyFor(radius) must return, ascending, the centers whose
 // ≤ radius-hop neighborhoods the batch touched (under the pre- or
-// post-batch adjacency). Callers must invoke this BEFORE the new version
-// becomes visible to queries, so no query on the new version can observe
-// a not-yet-invalidated entry. A nil planner is a no-op.
+// post-batch adjacency); the cache keeps the slices it is given, so they
+// must never be written again. Callers must invoke this BEFORE the new
+// version becomes visible to queries, so no query on the new version can
+// observe a not-yet-invalidated entry. A nil planner is a no-op.
 func (p *Planner) Invalidate(version uint64, dirtyFor func(radius int) []int32) {
 	if p == nil {
 		return
