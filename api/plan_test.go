@@ -54,6 +54,10 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	if first.QueryStats.PlanCandidatesBefore <= 0 {
 		t.Fatalf("planned query did not report candidates: %+v", first.QueryStats)
 	}
+	if qs := first.QueryStats; qs.PlanPrunedAnchor <= 0 ||
+		qs.CandidateCenters != qs.PlanCandidatesBefore-qs.PlanPrunedSignature-qs.PlanPrunedDegree-qs.PlanPrunedAnchor {
+		t.Fatalf("the three pruned-by counts do not explain the centers left: %+v", qs)
+	}
 
 	second := matchStats(t, ts.URL, pattern, false)
 	if second.QueryStats.PlanCache != "hit" {
@@ -76,7 +80,7 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	for _, metric := range []string{"plan_cache_hits_total", "plan_candidates_before_total", "plan_cache_entries"} {
+	for _, metric := range []string{"plan_cache_hits_total", "plan_candidates_before_total", "plan_pruned_anchor_total", "plan_cache_entries"} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("/v1/metrics missing %s", metric)
 		}

@@ -412,15 +412,13 @@ func moduleVersion() string {
 
 func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	e := s.engine()
-	snap := e.Snapshot()
-	g := snap.Graph()
+	g := e.Snapshot().Graph()
 	writeJSON(w, http.StatusOK, GraphInfoJSON{
-		Name:          g.Name(),
-		Nodes:         g.NumNodes(),
-		Edges:         g.NumEdges(),
-		Labels:        g.Labels().Len(),
-		Workers:       e.Workers(),
-		PreparedRadii: snap.PreparedRadii(),
+		Name:    g.Name(),
+		Nodes:   g.NumNodes(),
+		Edges:   g.NumEdges(),
+		Labels:  g.Labels().Len(),
+		Workers: e.Workers(),
 	})
 }
 

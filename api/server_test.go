@@ -370,8 +370,7 @@ func TestV1Deadline(t *testing.T) {
 
 func TestV1GraphAndHealth(t *testing.T) {
 	g := generator.Synthetic(300, 1.2, 10, 97)
-	ts, e := newTestServer(t, g, Config{})
-	e.Snapshot().PrepareBalls(1)
+	ts, _ := newTestServer(t, g, Config{})
 
 	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
@@ -399,9 +398,6 @@ func TestV1GraphAndHealth(t *testing.T) {
 	}
 	if info.Nodes != g.NumNodes() || info.Edges != g.NumEdges() {
 		t.Errorf("graph info %+v does not match %v", info, g)
-	}
-	if len(info.PreparedRadii) != 1 || info.PreparedRadii[0] != 1 {
-		t.Errorf("prepared radii %v, want [1]", info.PreparedRadii)
 	}
 }
 

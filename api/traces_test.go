@@ -173,6 +173,14 @@ func TestTracedMatchEndToEnd(t *testing.T) {
 			t.Errorf("root children %v miss engine stage %q", childNames(tj.Root), stage)
 		}
 	}
+	// A planned query's filter span says what the anchor check did.
+	if filter := findChild(tj.Root, "filter"); filter != nil {
+		for _, key := range []string{"candidate_centers", "pruned_anchor", "anchor_entries"} {
+			if _, ok := filter.Attrs[key]; !ok {
+				t.Errorf("filter span attrs %v miss %q", filter.Attrs, key)
+			}
+		}
+	}
 	// The pooled evaluation runs under the eval span: its workers appear as
 	// eval.worker children carrying ball counts.
 	if eval := findChild(tj.Root, "eval"); eval != nil {

@@ -85,12 +85,11 @@ type StreamDoneJSON struct {
 
 // GraphInfoJSON answers GET /v1/graph.
 type GraphInfoJSON struct {
-	Name          string `json:"name"`
-	Nodes         int    `json:"nodes"`
-	Edges         int    `json:"edges"`
-	Labels        int    `json:"labels"`
-	Workers       int    `json:"workers"`
-	PreparedRadii []int  `json:"prepared_radii"`
+	Name    string `json:"name"`
+	Nodes   int    `json:"nodes"`
+	Edges   int    `json:"edges"`
+	Labels  int    `json:"labels"`
+	Workers int    `json:"workers"`
 }
 
 // Deployment roles reported in HealthJSON.Role.
@@ -292,6 +291,7 @@ type QueryStatsJSON struct {
 	PlanCandidatesBefore int    `json:"plan_candidates_before,omitempty"`
 	PlanPrunedSignature  int    `json:"plan_pruned_signature,omitempty"`
 	PlanPrunedDegree     int    `json:"plan_pruned_degree,omitempty"`
+	PlanPrunedAnchor     int    `json:"plan_pruned_anchor,omitempty"`
 	PlanCache            string `json:"plan_cache,omitempty"`
 }
 
@@ -311,6 +311,7 @@ func FromQueryStats(qs *obs.QueryStats) *QueryStatsJSON {
 		PlanCandidatesBefore: qs.PlanCandidatesBefore,
 		PlanPrunedSignature:  qs.PlanPrunedSignature,
 		PlanPrunedDegree:     qs.PlanPrunedDegree,
+		PlanPrunedAnchor:     qs.PlanPrunedAnchor,
 		PlanCache:            qs.PlanCacheOutcome,
 	}
 }

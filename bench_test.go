@@ -299,14 +299,9 @@ func BenchmarkMatchSequentialEngineWorkload(b *testing.B) {
 	}
 }
 
-func benchEngineMatch(b *testing.B, workers int, prepare bool) {
+func benchEngineMatch(b *testing.B, workers int) {
 	q, g := engineWorkload(b)
-	cfg := engine.Config{Workers: workers}
-	if prepare {
-		dq, _ := graph.Diameter(q)
-		cfg.PrepareRadii = []int{dq}
-	}
-	eng := engine.New(g, cfg) // preparation cost paid once, outside the loop
+	eng := engine.New(g, engine.Config{Workers: workers})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -316,13 +311,13 @@ func benchEngineMatch(b *testing.B, workers int, prepare bool) {
 	}
 }
 
-func BenchmarkEngineWorkers1(b *testing.B) { benchEngineMatch(b, 1, false) }
-func BenchmarkEngineWorkers4(b *testing.B) { benchEngineMatch(b, 4, false) }
+func BenchmarkEngineWorkers1(b *testing.B) { benchEngineMatch(b, 1) }
+func BenchmarkEngineWorkers4(b *testing.B) { benchEngineMatch(b, 4) }
 
 // BenchmarkEngineWorkersNumCPU is the production configuration of
-// cmd/strongsimd — NumCPU workers over a prepared snapshot — and the ISSUE's
-// acceptance benchmark: it must beat BenchmarkMatchSequentialEngineWorkload.
-func BenchmarkEngineWorkersNumCPU(b *testing.B) { benchEngineMatch(b, runtime.NumCPU(), true) }
+// cmd/strongsimd: NumCPU workers. It must beat
+// BenchmarkMatchSequentialEngineWorkload.
+func BenchmarkEngineWorkersNumCPU(b *testing.B) { benchEngineMatch(b, runtime.NumCPU()) }
 
 // BenchmarkEngineBatch4 runs four equal-diameter patterns as one batch, so
 // every ball in the union of their candidate centers is constructed once

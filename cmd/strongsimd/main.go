@@ -8,7 +8,6 @@
 //
 //	strongsimd -data graph.g                          # serve on :8372
 //	strongsimd -data graph.g -addr :9000 -workers 8
-//	strongsimd -data graph.g -prepare-radii 1,2      # warm v0 ball caches
 //
 //	curl -s localhost:8372/v1/match -d '{
 //	    "pattern_text": "edge a b", "query": {"mode": "plus"}}'
@@ -41,8 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -60,7 +57,6 @@ func main() {
 		role       = flag.String("role", api.RoleStandalone, "deployment role reported in healthz: standalone or shard (shards start empty and are pushed their subgraph by strongsim-router)")
 		nodeID     = flag.String("node-id", "", "stable node identifier reported in healthz (default: generated at startup)")
 		workers    = flag.Int("workers", 0, "ball-evaluation workers per query (0 = GOMAXPROCS)")
-		radiiSpec  = flag.String("prepare-radii", "", "comma-separated ball radii to precompute (e.g. 1,2)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout = flag.Duration("max-timeout", time.Minute, "largest deadline a request may ask for")
 		maxBody    = flag.Int64("max-body", 8<<20, "request body cap in bytes")
@@ -98,20 +94,7 @@ func main() {
 		log.Printf("loaded %v", g)
 	}
 
-	radii, err := parseRadii(*radiiSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	store := live.NewStore(g, live.Config{Workers: *workers})
-	if len(radii) > 0 {
-		// Ball caches belong to one immutable version; they warm the
-		// initial graph and are superseded by the first update batch.
-		start := time.Now()
-		for _, r := range radii {
-			store.Current().Engine().Snapshot().PrepareBalls(r)
-		}
-		log.Printf("prepared v0 balls for radii %v in %v", radii, time.Since(start))
-	}
 
 	// One structured JSON line per request on stderr: method, path, status,
 	// bytes, duration, request id, plus handler annotations (match counts,
@@ -155,19 +138,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-func parseRadii(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || r <= 0 {
-			return nil, errors.New("-prepare-radii wants positive integers, e.g. 1,2")
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

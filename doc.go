@@ -35,7 +35,7 @@
 //     allocate per ball; core, engine, live, approx, regexsim,
 //     incremental and distributed all schedule through it
 //   - internal/engine: the serving layer — prepared snapshots (frozen
-//     labels, candidate centers, cached balls), a concurrent query engine
+//     labels, candidate centers, pruning index), a concurrent query engine
 //     with worker-pool ball evaluation, context cancellation, streaming,
 //     top-k early termination and radius-sharing batches
 //   - internal/live: the dynamic-graph layer — a mutable versioned store
@@ -62,7 +62,7 @@
 // protocol with the typed client SDK:
 //
 //	go run ./cmd/gengraph -dataset synthetic -n 10000 -o data.g
-//	go run ./cmd/strongsimd -data data.g -addr :8372 -prepare-radii 1,2
+//	go run ./cmd/strongsimd -data data.g -addr :8372
 //
 //	cl := client.New("http://localhost:8372")
 //	res, err := cl.MatchPattern(ctx, &api.PatternJSON{

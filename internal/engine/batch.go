@@ -27,13 +27,12 @@ type BatchResult struct {
 // amortizing the per-center work that single queries repeat: queries whose
 // effective radius coincides are grouped, and each ball Ĝ[v, r] is
 // constructed once per group and evaluated against every member pattern
-// that considers v a viable center (on top of whatever the snapshot has
-// cached for the radius). Per-query prefilters (minimization, the global
-// dual-simulation relation, candidate centers) are computed concurrently up
-// front. Each member's Result is identical to what Match would return for
-// it alone; a member that fails validation gets its own Err without
-// affecting the rest. When ctx ends mid-batch, members not yet finished
-// report ctx's error.
+// that considers v a viable center. Per-query prefilters (minimization, the
+// global dual-simulation relation, candidate centers) are computed
+// concurrently up front. Each member's Result is identical to what Match
+// would return for it alone; a member that fails validation gets its own Err
+// without affecting the rest. When ctx ends mid-batch, members not yet
+// finished report ctx's error.
 func (e *Engine) MatchBatch(ctx context.Context, queries []BatchQuery) []BatchResult {
 	results := make([]BatchResult, len(queries))
 	preps := make([]*preparedQuery, len(queries))
@@ -118,7 +117,6 @@ func (e *Engine) runGroup(ctx context.Context, radius int, idxs []int, queries [
 		cand.UnionWith(preps[i].cand)
 	}
 	centers := union.Slice()
-	ballOf := e.snap.ballProvider(radius, cand)
 
 	// done[k] flips once query k hit its Limit; workers consult it to skip
 	// useless evaluations, and the group cancels when every member is done.
@@ -148,7 +146,7 @@ func (e *Engine) runGroup(ctx context.Context, radius int, idxs []int, queries [
 				continue
 			}
 			if ball == nil {
-				ball = ballOf(&s.Balls, center)
+				ball = s.Balls.BuildRestricted(g, center, radius, cand)
 			}
 			ps, stats := core.EvalPreparedBallIn(preps[i].qEff, ball, center, queries[i].Opts.coreOptions(), preps[i].global, &s.Sim)
 			outs = append(outs, outcome{qpos: k, center: center, ps: ps, stats: stats})

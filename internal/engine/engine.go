@@ -1,7 +1,7 @@
 // Package engine is the serving layer over the paper's Match algorithm: a
 // concurrent strong-simulation query engine. It wraps an immutable data
 // graph as a prepared Snapshot (frozen label table, candidate centers per
-// pattern label, optional cached balls for hot radii) and evaluates queries
+// pattern label, the planner's pruning index) and evaluates queries
 // by fanning per-ball work — the embarrassingly parallel loop of Fig. 3 —
 // across a worker pool, with context cancellation, early termination, result
 // streaming and a batch API that amortizes ball construction across patterns
@@ -33,9 +33,6 @@ type Config struct {
 	// Workers is the number of goroutines evaluating balls per query;
 	// 0 uses GOMAXPROCS.
 	Workers int
-	// PrepareRadii lists ball radii to precompute eagerly at construction
-	// (see Snapshot.PrepareBalls for the memory trade-off).
-	PrepareRadii []int
 }
 
 // Engine executes strong-simulation queries against one Snapshot. It is safe
@@ -57,9 +54,6 @@ func NewWithSnapshot(snap *Snapshot, cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-	}
-	for _, r := range cfg.PrepareRadii {
-		snap.PrepareBalls(r)
 	}
 	return &Engine{snap: snap, workers: w}
 }
@@ -133,13 +127,13 @@ type preparedQuery struct {
 	// carrying a pattern label — taken before plan pruning thins centers.
 	// Balls are built restricted to it.
 	cand *graph.NodeSet
-	// scratch owns global and cand when the dual filter computed them; the
-	// query's entry point releases it once the last ball has been evaluated.
+	// scratch owns global, cand and centers; the query's entry point releases
+	// it once the last ball has been evaluated.
 	scratch *exec.Scratch
 }
 
-// release returns the query's pooled state; global and cand are dead after
-// it. Safe on a nil query and on one that holds nothing.
+// release returns the query's pooled state; global, cand and centers are
+// dead after it. Safe on a nil query and on one that holds nothing.
 func (p *preparedQuery) release() {
 	if p != nil {
 		p.scratch.Release()
@@ -188,9 +182,8 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 	tr.EnterStage(obs.StageFilter)
 
 	g := e.snap.g
-	var centerSet *graph.NodeSet
+	p.scratch = exec.GetScratch()
 	if opts.DualFilter {
-		p.scratch = exec.GetScratch()
 		rel, ok, err := simulation.DualIn(ctx, p.qEff, g, &p.scratch.Sim)
 		if err != nil {
 			p.release()
@@ -209,28 +202,29 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 			return p, nil
 		}
 		p.global = rel
-		centerSet = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
+		p.cand = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
 	} else {
-		centerSet = e.snap.CandidateCenters(p.qEff)
+		p.cand = g.NodesLabeledInto(p.qEff, &p.scratch.Cand)
 	}
 	if err := ctx.Err(); err != nil {
 		p.release()
 		sp.EndStatus("cancelled")
 		return nil, err
 	}
-	p.cand = centerSet
-	p.centers = centerSet.Slice()
+	p.scratch.Centers = p.cand.AppendTo(p.scratch.Centers[:0])
+	p.centers = p.scratch.Centers
+	var pst plan.PruneStats
 	if opts.Planner != nil && len(p.centers) > 0 {
 		// Candidate pruning: every filter is a necessary condition for a
 		// ball match, so dropped centers could not have contributed a
 		// subgraph; they surface as skipped balls in the stats.
-		var pst plan.PruneStats
 		p.centers = e.snap.PruneIndex().Prune(p.qEff, p.radius, p.centers, &pst)
 		plan.CountPruned(pst)
 		if tr != nil {
 			tr.PlanCandidatesBefore = pst.Before
 			tr.PlanPrunedSignature = pst.PrunedSignature
 			tr.PlanPrunedDegree = pst.PrunedDegree
+			tr.PlanPrunedAnchor = pst.PrunedAnchor
 		}
 	}
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
@@ -239,7 +233,12 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		tr.CandidateCenters = len(p.centers)
 	}
 	if sp.Recording() {
-		sp.End(obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))})
+		attrs := []obs.Attr{{Key: "candidate_centers", Value: int64(len(p.centers))}}
+		if opts.Planner != nil {
+			attrs = append(attrs, obs.Attr{Key: "pruned_anchor", Value: int64(pst.PrunedAnchor)},
+				obs.Attr{Key: "anchor_entries", Value: int64(pst.AnchorEntries)})
+		}
+		sp.End(attrs...)
 	}
 	return p, nil
 }
@@ -270,11 +269,10 @@ type ballOutcome struct {
 // span, when recording, becomes the parent of the pool's per-worker
 // "eval.worker" spans; a zero span adds nothing.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, progress *obs.Progress, span obs.Span, sink func(ballOutcome) bool) error {
-	ballOf := e.snap.ballProvider(p.radius, p.cand)
 	return exec.Run(ctx, exec.Options{Workers: e.workers, Progress: progress, Span: span}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
-			ball := ballOf(&s.Balls, center)
+			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand)
 			ps, stats := core.EvalPreparedBallIn(p.qEff, ball, center, coreOpts, p.global, &s.Sim)
 			return ballOutcome{pos: pos, ps: ps, stats: stats,
 				ballNodes: ball.G.NumNodes(), ballEdges: ball.G.NumEdges()}
@@ -283,9 +281,9 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 }
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
-// on the engine's worker pool: the ball Ĝ[c, radius] comes from the snapshot
-// (prepared, or built into the worker's scratch restricted to
-// Snapshot.CandidateCenters(q), as a plain Match builds it) and is run through
+// on the engine's worker pool: the ball Ĝ[c, radius] is built into the
+// worker's scratch restricted to Snapshot.CandidateCenters(q), as a plain
+// Match builds it, and is run through
 // core.EvalPreparedBallIn with zero options and no global relation — exactly
 // the per-center work of a plain Match restricted to the given centers.
 // report is called on the calling goroutine with the center's index in

@@ -107,33 +107,6 @@ func TestMatchErrors(t *testing.T) {
 	}
 }
 
-// TestPreparedBallsParity checks that prepared (cached) balls change nothing
-// about the answer, and that the cache bookkeeping works.
-func TestPreparedBallsParity(t *testing.T) {
-	q, g := testWorkload(t, 400, 11)
-	dq, _ := graph.Diameter(q)
-	want := mustCoreMatch(t, q, g, core.Options{})
-
-	snap := NewSnapshot(g)
-	if n := snap.PrepareBalls(dq); n != g.NumNodes() {
-		t.Fatalf("PrepareBalls: prepared %d balls, want %d", n, g.NumNodes())
-	}
-	if got := snap.PreparedRadii(); !reflect.DeepEqual(got, []int{dq}) {
-		t.Fatalf("PreparedRadii = %v, want [%d]", got, dq)
-	}
-	e := NewWithSnapshot(snap, Config{Workers: 4})
-	if got := mustMatch(t, e, q, QueryOptions{}); !reflect.DeepEqual(got, want) {
-		t.Error("prepared balls changed the result")
-	}
-	snap.DropBalls(dq)
-	if got := snap.PreparedRadii(); len(got) != 0 {
-		t.Fatalf("after DropBalls, PreparedRadii = %v", got)
-	}
-	if got := mustMatch(t, e, q, QueryOptions{}); !reflect.DeepEqual(got, want) {
-		t.Error("dropping the cache changed the result")
-	}
-}
-
 // TestParsePatternLabelIsolation checks that parsing a pattern with novel
 // labels does not grow the snapshot's shared table, while known labels keep
 // their identifiers.

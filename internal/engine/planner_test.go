@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -21,56 +22,79 @@ func planned(opts QueryOptions, p *plan.Planner, tr *obs.QueryStats) QueryOption
 }
 
 // TestPlannerParityProperty is the planner's correctness bar: across graph
-// sizes, densities, radii and both query modes, a planner-on Match answers
-// byte-identically to the planner-off engine — on the cache-miss first run
-// AND on the cache-hit repeat.
+// sizes, densities, label counts, radii and both query modes, a planner-on
+// Match answers byte-identically to the planner-off engine — on the
+// cache-miss first run AND on the cache-hit repeat. Two labels on a dense
+// graph is where the anchor check passes most centers and unfolds deepest;
+// 200 labels is where it prunes nearly all of them.
 func TestPlannerParityProperty(t *testing.T) {
+	type setting struct {
+		n      int
+		alpha  float64
+		labels int
+		radii  []int
+	}
+	var settings []setting
 	for _, n := range []int{60, 200, 400} {
 		for _, alpha := range []float64{0.8, 1.2, 2.0} {
 			if n == 400 && alpha == 0.8 {
 				continue // densest large combo adds ~10s for no extra coverage
 			}
-			g := generator.Synthetic(n, alpha, 8, int64(n)+int64(alpha*10))
-			e := New(g, Config{Workers: 2})
-			q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 4, Alpha: alpha, Seed: int64(n)})
-			if q.NumNodes() == 0 {
-				t.Fatalf("n=%d alpha=%.1f: empty pattern", n, alpha)
-			}
 			radii := []int{0, 1, 2}
 			if n == 400 {
 				radii = []int{0, 1} // radius-2 balls on the large graphs dominate runtime
 			}
-			for _, radius := range radii {
-				for _, mode := range []struct {
-					name string
-					opts QueryOptions
-				}{
-					{"plain", QueryOptions{Radius: radius}},
-					{"plus", func() QueryOptions { o := PlusQuery(); o.Radius = radius; return o }()},
-				} {
-					want := mustMatch(t, e, q, mode.opts)
-					p := plan.NewPlanner()
+			settings = append(settings, setting{n, alpha, 8, radii})
+		}
+	}
+	for _, labels := range []int{2, 200} {
+		settings = append(settings,
+			setting{60, 2.0, labels, []int{0, 1, 2, 5}},
+			setting{200, 1.4, labels, []int{0, 1, 3}},
+			setting{400, 1.2, labels, []int{0, 1}})
+	}
+	for _, s := range settings {
+		n, alpha := s.n, s.alpha
+		g := generator.Synthetic(n, alpha, s.labels, int64(n)+int64(alpha*10))
+		e := New(g, Config{Workers: 2})
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 4, Alpha: alpha, Seed: int64(n)})
+		if q.NumNodes() == 0 {
+			t.Fatalf("n=%d alpha=%.1f: empty pattern", n, alpha)
+		}
+		for _, radius := range s.radii {
+			for _, mode := range []struct {
+				name string
+				opts QueryOptions
+			}{
+				{"plain", QueryOptions{Radius: radius}},
+				{"plus", func() QueryOptions { o := PlusQuery(); o.Radius = radius; return o }()},
+			} {
+				where := fmt.Sprintf("n=%d alpha=%.1f labels=%d r=%d %s", n, alpha, s.labels, radius, mode.name)
+				want := mustMatch(t, e, q, mode.opts)
+				p := plan.NewPlanner()
 
-					var tr1 obs.QueryStats
-					miss := mustMatch(t, e, q, planned(mode.opts, p, &tr1))
-					if !reflect.DeepEqual(want.Subgraphs, miss.Subgraphs) {
-						t.Fatalf("n=%d alpha=%.1f r=%d %s: miss-path subgraphs differ", n, alpha, radius, mode.name)
-					}
-					if tr1.PlanCacheOutcome != plan.OutcomeMiss {
-						t.Fatalf("first run outcome = %q", tr1.PlanCacheOutcome)
-					}
+				var tr1 obs.QueryStats
+				miss := mustMatch(t, e, q, planned(mode.opts, p, &tr1))
+				if !reflect.DeepEqual(want.Subgraphs, miss.Subgraphs) {
+					t.Fatalf("%s: miss-path subgraphs differ", where)
+				}
+				if tr1.PlanCacheOutcome != plan.OutcomeMiss {
+					t.Fatalf("%s: first run outcome = %q", where, tr1.PlanCacheOutcome)
+				}
+				if pruned := tr1.PlanPrunedSignature + tr1.PlanPrunedDegree + tr1.PlanPrunedAnchor; tr1.CandidateCenters != tr1.PlanCandidatesBefore-pruned {
+					t.Fatalf("%s: %d centers left of %d with %d pruned", where, tr1.CandidateCenters, tr1.PlanCandidatesBefore, pruned)
+				}
 
-					var tr2 obs.QueryStats
-					hit := mustMatch(t, e, q, planned(mode.opts, p, &tr2))
-					if !reflect.DeepEqual(want.Subgraphs, hit.Subgraphs) {
-						t.Fatalf("n=%d alpha=%.1f r=%d %s: hit-path subgraphs differ", n, alpha, radius, mode.name)
-					}
-					if tr2.PlanCacheOutcome != plan.OutcomeHit {
-						t.Fatalf("second run outcome = %q, want hit", tr2.PlanCacheOutcome)
-					}
-					if tr2.PlanCandidatesBefore != 0 {
-						t.Fatalf("hit path ran the prefilter (before=%d)", tr2.PlanCandidatesBefore)
-					}
+				var tr2 obs.QueryStats
+				hit := mustMatch(t, e, q, planned(mode.opts, p, &tr2))
+				if !reflect.DeepEqual(want.Subgraphs, hit.Subgraphs) {
+					t.Fatalf("%s: hit-path subgraphs differ", where)
+				}
+				if tr2.PlanCacheOutcome != plan.OutcomeHit {
+					t.Fatalf("%s: second run outcome = %q, want hit", where, tr2.PlanCacheOutcome)
+				}
+				if tr2.PlanCandidatesBefore != 0 {
+					t.Fatalf("%s: hit path ran the prefilter (before=%d)", where, tr2.PlanCandidatesBefore)
 				}
 			}
 		}

@@ -1,21 +1,18 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
 // Snapshot is a query-ready view of one immutable data graph: the graph
-// itself, its frozen label table, and optional per-radius ball caches. One
+// itself, its frozen label table, and the candidate-pruning index. One
 // Snapshot is safe for any number of concurrent queries; everything mutable
-// behind it is either guarded (ball caches) or copied per request (label
+// behind it is either guarded (the index slot) or copied per request (label
 // tables handed to ParsePattern).
 //
 // The graph handed to NewSnapshot must not change afterwards — in
@@ -31,9 +28,6 @@ type Snapshot struct {
 	// results by it.
 	version atomic.Uint64
 
-	mu    sync.RWMutex
-	balls map[int][]*graph.Ball // radius -> balls indexed by center
-
 	// planIdx is the candidate-pruning index over g: inherited from the
 	// previous version at publication (InheritPruneIndex) or built under
 	// planMu on the first planned query, so unplanned deployments pay nothing.
@@ -43,7 +37,7 @@ type Snapshot struct {
 
 // NewSnapshot prepares g for querying.
 func NewSnapshot(g *graph.Graph) *Snapshot {
-	return &Snapshot{g: g, balls: make(map[int][]*graph.Ball)}
+	return &Snapshot{g: g}
 }
 
 // Graph returns the underlying data graph.
@@ -111,108 +105,16 @@ func (s *Snapshot) ParsePattern(src string) (*graph.Graph, error) {
 	return q, nil
 }
 
-// PrepareBalls eagerly materializes Ĝ[v, radius] for every node v and caches
-// the result, so queries whose effective radius equals a prepared one skip
-// ball construction entirely. It returns the number of balls now cached for
-// the radius and is idempotent; concurrent calls for the same radius may
-// duplicate work but converge to one cache entry.
-//
-// Memory scales with the sum of ball sizes, which on dense graphs grows
-// sharply with the radius — prepare only radii that are both hot and small
-// (typical pattern diameters of 1-3 on sparse graphs).
-func (s *Snapshot) PrepareBalls(radius int) int {
-	if radius <= 0 {
-		return 0
-	}
-	s.mu.RLock()
-	cached := s.balls[radius]
-	s.mu.RUnlock()
-	if cached != nil {
-		return len(cached)
-	}
-
-	n := s.g.NumNodes()
-	balls := make([]*graph.Ball, n)
-	// Cached balls outlive the build, so they are constructed with NewBall
-	// (owned storage), not into worker scratch; exec supplies the pool.
-	_ = exec.Run(context.Background(), exec.Options{}, n,
-		func(_ *exec.Scratch, pos int) *graph.Ball {
-			return graph.NewBall(s.g, int32(pos), radius)
-		},
-		func(pos int, b *graph.Ball) bool {
-			balls[pos] = b
-			return true
-		})
-
-	s.mu.Lock()
-	if existing := s.balls[radius]; existing == nil {
-		s.balls[radius] = balls
-	}
-	s.mu.Unlock()
-	return n
-}
-
-// PreparedRadii returns the radii with a cached ball set, ascending.
-func (s *Snapshot) PreparedRadii() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.balls))
-	for r := range s.balls {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DropBalls releases the cached balls for a radius, freeing their memory.
-func (s *Snapshot) DropBalls(radius int) {
-	s.mu.Lock()
-	delete(s.balls, radius)
-	s.mu.Unlock()
-}
-
-// Ball returns Ĝ[center, radius], served from the cache when the radius was
-// prepared and constructed on the fly otherwise. Cached balls are shared
-// across queries and must be treated as read-only, which every evaluator in
-// this repository already does.
-func (s *Snapshot) Ball(center int32, radius int) *graph.Ball {
-	return s.BallIn(nil, center, radius)
-}
-
-// BallIn is Ball with on-the-fly construction routed into bs: a cache hit
-// returns the shared long-lived ball, a miss builds the whole ball into the
-// scratch (valid until its next build). A nil bs allocates a fresh ball as
-// NewBall does.
+// BallIn builds the whole ball Ĝ[center, radius] into bs (valid until its
+// next build); a nil bs allocates a fresh ball. Queries do not come this
+// way — they build balls restricted to their candidates
+// (BallScratch.BuildRestricted) — it is what a caller with no query at hand
+// gets.
 func (s *Snapshot) BallIn(bs *graph.BallScratch, center int32, radius int) *graph.Ball {
-	if cached := s.preparedBalls(radius); cached != nil {
-		return cached[center]
-	}
 	if bs == nil {
 		return graph.NewBall(s.g, center, radius)
 	}
 	return bs.Build(s.g, center, radius)
-}
-
-// preparedBalls returns the balls PrepareBalls cached for the radius,
-// indexed by center, or nil.
-func (s *Snapshot) preparedBalls(radius int) []*graph.Ball {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.balls[radius]
-}
-
-// ballProvider is the ball provider stage of one exec run at a fixed
-// radius. The prepared-ball cache is consulted once, here, not under the
-// lock per ball: a prepared radius serves its shared whole balls, any other
-// builds Ĝ[center, radius] restricted to cand into the worker's scratch.
-// Both are the same ball to an evaluator whose candidates all lie in cand.
-func (s *Snapshot) ballProvider(radius int, cand *graph.NodeSet) func(bs *graph.BallScratch, center int32) *graph.Ball {
-	if cached := s.preparedBalls(radius); cached != nil {
-		return func(_ *graph.BallScratch, center int32) *graph.Ball { return cached[center] }
-	}
-	return func(bs *graph.BallScratch, center int32) *graph.Ball {
-		return bs.BuildRestricted(s.g, center, radius, cand)
-	}
 }
 
 // CandidateCenters returns the data nodes whose label occurs in q — the only

@@ -16,8 +16,8 @@
 //     the caller indexes (all nodes, candidate centers, dirty centers);
 //   - a ball provider runs inside eval — Scratch.Balls.BuildRestricted for
 //     an on-demand BFS that keeps the query's candidates only (Build keeps
-//     the whole ball), the engine's prepared-ball cache, or a
-//     caller-assembled ball as in distributed and incremental;
+//     the whole ball), or a caller-assembled ball as in distributed and
+//     incremental;
 //   - the evaluator is core.EvalPreparedBallIn (or any other pure function
 //     of the position);
 //   - the sink runs on the calling goroutine, unordered (Run, worker
@@ -76,6 +76,11 @@ type Scratch struct {
 	Balls graph.BallScratch
 	// Sim backs the candidate relation and refiner of one ball evaluation.
 	Sim simulation.Scratch
+	// Cand and Centers are for the scratch a request holds, never a worker's:
+	// the candidate set its balls are restricted to when no global relation
+	// in Sim supplies one, and its center list.
+	Cand    graph.NodeSet
+	Centers []int32
 
 	// What Release has already folded into the registry of the cumulative
 	// counters Balls.Stats() and Sim.Stats() report.

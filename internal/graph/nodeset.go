@@ -183,9 +183,19 @@ func (s *NodeSet) Next(v int32) int32 {
 
 // Slice returns the members in ascending order.
 func (s *NodeSet) Slice() []int32 {
-	out := make([]int32, 0, s.count)
-	s.ForEach(func(v int32) { out = append(out, v) })
-	return out
+	return s.AppendTo(make([]int32, 0, s.count))
+}
+
+// AppendTo appends the members to dst in ascending order.
+func (s *NodeSet) AppendTo(dst []int32) []int32 {
+	for wi, w := range s.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			dst = append(dst, int32(wi*64+b))
+			w &^= 1 << uint(b)
+		}
+	}
+	return dst
 }
 
 // First returns the smallest member, or -1 if the set is empty.

@@ -107,8 +107,7 @@ type QueryStats struct {
 	// edges between them, not ball members — the work refinement saw, while
 	// the BFS that decided membership still walked every member. The balls
 	// Engine.EvalCenters builds for standing queries are restricted the same
-	// way (to the nodes carrying a pattern label); only balls served from a
-	// PrepareBalls cache are whole and count whole.
+	// way (to the nodes carrying a pattern label).
 	BallNodes int64
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global
@@ -122,14 +121,16 @@ type QueryStats struct {
 
 	// Planner accounting, filled only on planned queries
 	// (engine.QueryOptions.Planner set). PlanCandidatesBefore is the center
-	// count entering the pruning filters; PlanPrunedSignature and
-	// PlanPrunedDegree split the centers each filter removed.
+	// count entering the pruning filters; PlanPrunedSignature,
+	// PlanPrunedDegree and PlanPrunedAnchor split the centers each filter
+	// removed.
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
 	// ("hit", "refresh", "contained", "miss"), empty when the cache was not
 	// consulted.
 	PlanCandidatesBefore int
 	PlanPrunedSignature  int
 	PlanPrunedDegree     int
+	PlanPrunedAnchor     int
 	PlanCacheOutcome     string
 
 	// Progress, when non-nil, additionally receives live atomic updates —

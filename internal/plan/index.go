@@ -33,7 +33,7 @@ type Index struct {
 	g *graph.Graph
 
 	// outSig[v] / inSig[v] Bloom-summarize the labels of v's out-/in-
-	// neighbors; used by the degree/label-pair filter.
+	// neighbors; used by the label-pair filter.
 	outSig, inSig []uint64
 
 	// hop[k][v] Bloom-summarizes every label within k undirected hops of
@@ -230,122 +230,171 @@ func (ix *Index) Equal(o *Index) bool {
 	return true
 }
 
-// PruneStats reports one Prune call: the candidate count walking in and
-// how many centers each filter removed.
+// PruneStats reports one Prune call: the candidate count walking in, how
+// many centers each filter removed, and what the anchor check read.
 type PruneStats struct {
 	Before          int
 	PrunedSignature int
 	PrunedDegree    int
+	PrunedAnchor    int
+	// AnchorEntries counts the adjacency entries the anchor check examined.
+	AnchorEntries int
 }
 
-// labelReq is the per-pattern-label requirement of the degree/label-pair
-// filter: to host some pattern node with this label, a center must have at
-// least MinOut distinct out-neighbors covering OutSig's label set (and
-// likewise inbound). Only label-set conditions are used — dual simulation
-// maps many pattern nodes to one data node, so multiset counts would
-// over-prune — but nodes of distinct labels are necessarily distinct, so
-// the distinct-successor-label count is a sound degree lower bound.
-type labelReq struct {
-	label         int32
-	outSig, inSig uint64
-	minOut, minIn int32
-}
+// anchorBudget bounds the adjacency entries the anchor check may examine for
+// one center, over every pattern node it tries. The unfolding is not
+// memoised, so on hostile input (one label, high degree, a large radius
+// override) it is exponential in its depth; a center that exhausts the
+// budget is kept undecided. On the 100k-node bench graph a center reaching
+// the check costs 9-16 entries on average and 76 at most (EXPERIMENTS.md "No
+// ball without an anchor").
+const anchorBudget = 4096
 
 // Prune filters centers in place against q at the given ball radius and
-// returns the surviving prefix. Both filters are necessary conditions:
+// returns the surviving prefix. All three filters are necessary conditions,
+// applied cheapest first:
 //
 //   - Signature: a match of Q in Ĝ[v, r] puts every pattern label within r
 //     undirected hops of v, so a pattern label bit missing from hop[r][v]
 //     proves no match. Bloom folding only admits extra centers, never
 //     drops a viable one.
 //
-//   - Degree/label-pair: the center must itself match some pattern node u
-//     with label(u) = label(v) (w ∈ Q(w) by Theorem 4.2's match definition
-//     — the center anchors the ball). Dual simulation then requires v to
-//     have a successor for every edge out of u; successors with distinct
-//     labels are distinct data nodes, and ball adjacency is a subset of
-//     full-graph adjacency, so v needs ≥ |distinct successor labels of u|
-//     out-neighbors whose label set covers u's successor labels (and the
-//     same inbound).
+//   - Label-pair: the center must itself match some pattern node u with
+//     label(u) = label(v) (w ∈ Q(w) by Theorem 4.2's match definition — the
+//     center anchors the ball), and dual simulation then requires v to have
+//     a successor for every edge out of u and a predecessor for every edge
+//     into it; ball adjacency is a subset of full-graph adjacency, so the
+//     Bloom-folded labels of v's out- (in-) neighbors must cover those of
+//     u's.
 //
-// Centers whose label matches no pattern node pass the degree filter
-// untouched (fail open); the caller's candidate selection should have
-// excluded them already.
+//   - Anchor: the same condition, exact and k = min(r, dQ) rounds deep. A
+//     dual simulation on the ball is one on G, and every dual simulation on
+//     G lies inside each round R_0 ⊇ R_1 ⊇ … of refinement from the label
+//     candidates, so (u, v) in the ball's relation puts (u, v) in R_k:
+//     every pattern edge (u, u') has an out-neighbor w of v with (u', w) in
+//     R_{k-1}, every (u″, u) an in-neighbor likewise. The check unfolds
+//     that from v, first fit. Any k is sound (Match+'s global filter is the
+//     limit k → ∞); k ≤ r reads only adjacency rows the ball's BFS would
+//     load next, and past dQ rounds the unfolding revisits pattern nodes
+//     for little.
+//
+// Centers whose label matches no pattern node pass untouched (fail open);
+// the caller's candidate selection should have excluded them already.
 func (ix *Index) Prune(q *graph.Graph, radius int, centers []int32, st *PruneStats) []int32 {
 	st.Before = len(centers)
 	if len(centers) == 0 || q == nil || q.NumNodes() == 0 {
 		return centers
 	}
 
-	// Pattern-side requirements, grouped by label. Patterns are tiny, so a
-	// small slice with linear scans beats a map.
+	// Pattern-side label sets, one entry per pattern node. Patterns are tiny,
+	// so a small slice with linear scans beats a map.
+	type labelReq struct {
+		label         int32
+		outSig, inSig uint64 // Bloom-folded labels of the node's out-/in-neighbors
+	}
 	var qsig uint64
-	reqs := make([]labelReq, 0, q.NumNodes())
-	var distinct [16]int32 // scratch for distinct-neighbor-label counting
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
-		qsig |= LabelBit(q.Label(u))
-		r := labelReq{label: q.Label(u)}
-		r.outSig, r.minOut = neighborLabelSet(q, q.Out(u), distinct[:0])
-		r.inSig, r.minIn = neighborLabelSet(q, q.In(u), distinct[:0])
-		reqs = append(reqs, r)
+	reqs := make([]labelReq, q.NumNodes())
+	for u := range reqs {
+		r := &reqs[u]
+		r.label = q.Label(int32(u))
+		qsig |= LabelBit(r.label)
+		for _, w := range q.Out(int32(u)) {
+			r.outSig |= LabelBit(q.Label(w))
+		}
+		for _, w := range q.In(int32(u)) {
+			r.inSig |= LabelBit(q.Label(w))
+		}
+	}
+	rounds, _ := graph.Diameter(q)
+	if radius < rounds {
+		rounds = radius
 	}
 
 	hop := ix.hopSig(radius)
-	g := ix.g
+	a := anchor{q: q, g: ix.g}
 	w := 0
 	for _, c := range centers {
 		if hop != nil && qsig&^hop[c] != 0 {
 			st.PrunedSignature++
 			continue
 		}
-		ok := false
-		matched := false
-		clbl := g.Label(c)
-		for i := range reqs {
-			r := &reqs[i]
+		// The center is kept by the first pattern node of its label it can
+		// anchor; matched and paired tell which filter turned it away.
+		matched, paired, ok := false, false, false
+		clbl, out, in := ix.g.Label(c), ix.outSig[c], ix.inSig[c]
+		a.budget = anchorBudget
+		for u := range reqs {
+			r := &reqs[u]
 			if r.label != clbl {
 				continue
 			}
 			matched = true
-			if int32(g.OutDegree(c)) >= r.minOut && int32(g.InDegree(c)) >= r.minIn &&
-				r.outSig&^ix.outSig[c] == 0 && r.inSig&^ix.inSig[c] == 0 {
-				ok = true
+			if r.outSig&^out != 0 || r.inSig&^in != 0 {
+				continue
+			}
+			paired = true
+			if ok = a.holds(int32(u), c, rounds); ok {
 				break
 			}
 		}
-		if matched && !ok {
+		st.AnchorEntries += anchorBudget - a.budget
+		switch {
+		case ok || !matched:
+			centers[w] = c
+			w++
+		case paired:
+			st.PrunedAnchor++
+		default:
 			st.PrunedDegree++
-			continue
 		}
-		centers[w] = c
-		w++
 	}
 	candidatesBefore.Add(int64(st.Before))
 	prunedSignature.Add(int64(st.PrunedSignature))
 	prunedDegree.Add(int64(st.PrunedDegree))
+	prunedAnchor.Add(int64(st.PrunedAnchor))
 	return centers[:w]
 }
 
-// neighborLabelSet folds the labels of a pattern node's neighbor list into
-// a signature and counts the distinct labels among them. Labels beyond
-// scratch's capacity are not counted — undercounting only weakens the
-// degree lower bound (fail open), overcounting would prune unsoundly.
-func neighborLabelSet(q *graph.Graph, nbs []int32, scratch []int32) (sig uint64, distinct int32) {
-	seen := scratch
-	for _, w := range nbs {
-		lbl := q.Label(w)
-		sig |= LabelBit(lbl)
-		dup := false
-		for _, s := range seen {
-			if s == lbl {
-				dup = true
-				break
-			}
-		}
-		if !dup && len(seen) < cap(seen) {
-			seen = append(seen, lbl)
-			distinct++
+// anchor is the state of one center's anchor check (see Prune).
+type anchor struct {
+	q, g *graph.Graph
+	// budget is what the center may still examine; once it is spent every
+	// pending question answers yes, which unwinds the recursion and keeps
+	// the center.
+	budget int
+}
+
+// holds reports whether (u, v) survives k refinement rounds from the label
+// candidates. The caller has established label(v) = label(u), which is
+// round 0.
+func (a *anchor) holds(u, v int32, k int) bool {
+	if k == 0 {
+		return true
+	}
+	for _, u2 := range a.q.Out(u) {
+		if !a.witness(a.g.Out(v), u2, k-1) {
+			return false
 		}
 	}
-	return sig, distinct
+	for _, u2 := range a.q.In(u) {
+		if !a.witness(a.g.In(v), u2, k-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// witness reports whether row holds a node that survives k rounds for u.
+func (a *anchor) witness(row []int32, u int32, k int) bool {
+	lbl := a.q.Label(u)
+	for _, w := range row {
+		if a.budget <= 0 {
+			return true
+		}
+		a.budget--
+		if a.g.Label(w) == lbl && a.holds(u, w, k) {
+			return true
+		}
+	}
+	return false
 }

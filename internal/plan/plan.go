@@ -8,9 +8,11 @@
 //
 //   - Candidate pruning (Index): per-snapshot neighborhood label signatures
 //     — the exact-path generalization of TALE's NH-index in internal/approx
-//     — plus degree and label-pair adjacency filters. Every filter is a
-//     necessary condition for a ball match, so pruning never changes
-//     results, only skips balls that provably cannot match.
+//     — a label-pair adjacency filter, and behind them an exact anchor
+//     check: the first dQ rounds of dual-simulation refinement unfolded from
+//     the center. Every filter is a necessary condition for a ball match,
+//     so pruning never changes results, only skips balls that provably
+//     cannot match.
 //
 //   - Result caching (Cache): completed Match results keyed by canonical
 //     pattern (Canon), effective radius and mode, storing the pre-dedup
@@ -44,7 +46,9 @@ var (
 	prunedSignature = obs.Default.Counter("plan_pruned_signature_total",
 		"candidate centers pruned by the r-hop label signature filter")
 	prunedDegree = obs.Default.Counter("plan_pruned_degree_total",
-		"candidate centers pruned by the degree/label-pair filter")
+		"candidate centers pruned by the label-pair filter: the Bloom-folded neighbor labels alone, no degree bound")
+	prunedAnchor = obs.Default.Counter("plan_pruned_anchor_total",
+		"candidate centers pruned by the anchor check: min(radius, dQ) exact refinement rounds unfolded from the center")
 	candidatesPruned = obs.Default.Counter("plan_candidates_pruned_total",
 		"candidate centers pruned before ball construction (all filters)")
 	cacheHits = obs.Default.Counter("plan_cache_hits_total",
@@ -110,7 +114,7 @@ func (p *Planner) Invalidate(version uint64, dirtyFor func(radius int) []int32) 
 // plan_candidates_pruned_total counter (the per-filter counters are
 // incremented by Prune itself).
 func CountPruned(st PruneStats) {
-	if n := st.PrunedSignature + st.PrunedDegree; n > 0 {
+	if n := st.PrunedSignature + st.PrunedDegree + st.PrunedAnchor; n > 0 {
 		candidatesPruned.Add(int64(n))
 	}
 }
