@@ -55,8 +55,8 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 		t.Fatalf("planned query did not report candidates: %+v", first.QueryStats)
 	}
 	if qs := first.QueryStats; qs.PlanPrunedAnchor <= 0 ||
-		qs.CandidateCenters != qs.PlanCandidatesBefore-qs.PlanPrunedSignature-qs.PlanPrunedDegree-qs.PlanPrunedAnchor {
-		t.Fatalf("the three pruned-by counts do not explain the centers left: %+v", qs)
+		qs.CandidateCenters != qs.PlanCandidatesBefore-qs.PlanPrunedDegree-qs.PlanPrunedAnchor {
+		t.Fatalf("the two pruned-by counts do not explain the centers left: %+v", qs)
 	}
 
 	second := matchStats(t, ts.URL, pattern, false)

@@ -255,7 +255,8 @@ func TestTraceMatchParity(t *testing.T) {
 // the root — one live.apply span for the mutation batch, holding a
 // live.patch_index child once a planned match has given the store a pruning
 // index to carry forward, and a live.maintain span per standing query brought
-// current.
+// current — each saying what the batch cost: pages copied, signatures
+// recomputed, balls built and balls spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -293,14 +294,22 @@ func TestTraceUpdateSpans(t *testing.T) {
 	if apply.Attrs["mutations"] != 2 {
 		t.Errorf("live.apply mutations attr %d, want 2", apply.Attrs["mutations"])
 	}
-	// Nodes 0, 1 and 2 had a row rewritten; no label moved.
+	// Nodes 0, 1 and 2 had a row rewritten; no label moved. The six nodes
+	// share one page of out-headers, one of in-headers and one of signatures.
+	if apply.Attrs["pages_copied"] != 2 {
+		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
+	}
 	if patch := findChild(apply, "live.patch_index"); patch == nil {
 		t.Errorf("live.apply children %v hold no live.patch_index span", childNames(apply))
-	} else if patch.Attrs["one_hop"] != 3 || patch.Attrs["hop0"] != 0 || patch.Attrs["hop1"] != 3 {
-		t.Errorf("live.patch_index attrs %v, want one_hop 3, hop0 0, hop1 3", patch.Attrs)
+	} else if patch.Attrs["one_hop"] != 3 || patch.Attrs["pages_copied"] != 1 {
+		t.Errorf("live.patch_index attrs %v, want one_hop 3, pages_copied 1", patch.Attrs)
 	}
+	// Dirty centers 0..3; 2 carries no pattern label, 0 (A) lost its B
+	// successor and 1 (B) its A predecessor, 3 (A) still has 4 (B).
 	if maintain := findChild(tj.Root, "live.maintain"); maintain == nil {
 		t.Errorf("root children %v hold no live.maintain span for the standing query", childNames(tj.Root))
+	} else if maintain.Attrs["balls"] != 1 || maintain.Attrs["unanchored"] != 2 {
+		t.Errorf("live.maintain attrs %v, want balls 1, unanchored 2", maintain.Attrs)
 	}
 }
 

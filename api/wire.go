@@ -289,7 +289,6 @@ type QueryStatsJSON struct {
 	// outcome of an unlimited match: "hit", "refresh", "contained" or
 	// "miss".
 	PlanCandidatesBefore int    `json:"plan_candidates_before,omitempty"`
-	PlanPrunedSignature  int    `json:"plan_pruned_signature,omitempty"`
 	PlanPrunedDegree     int    `json:"plan_pruned_degree,omitempty"`
 	PlanPrunedAnchor     int    `json:"plan_pruned_anchor,omitempty"`
 	PlanCache            string `json:"plan_cache,omitempty"`
@@ -309,7 +308,6 @@ func FromQueryStats(qs *obs.QueryStats) *QueryStatsJSON {
 		MergeMS:          ms(qs.Merge),
 
 		PlanCandidatesBefore: qs.PlanCandidatesBefore,
-		PlanPrunedSignature:  qs.PlanPrunedSignature,
 		PlanPrunedDegree:     qs.PlanPrunedDegree,
 		PlanPrunedAnchor:     qs.PlanPrunedAnchor,
 		PlanCache:            qs.PlanCacheOutcome,

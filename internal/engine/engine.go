@@ -91,8 +91,8 @@ type QueryOptions struct {
 	// Match returns, or after Stream.Wait).
 	Trace *obs.QueryStats
 	// Planner, when non-nil, enables query planning: candidate-center
-	// pruning against the snapshot's signature/degree indexes on every
-	// execution path, and — for unlimited Match — the match-result cache.
+	// pruning against the snapshot's pruning index on every execution path,
+	// and — for unlimited Match — the match-result cache.
 	// Planning never changes the served subgraphs; only stats accounting
 	// (the BallsSkipped/BallsExamined split) reflects the pruned work. The
 	// zero value keeps the historical execution byte for byte.
@@ -222,7 +222,6 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		plan.CountPruned(pst)
 		if tr != nil {
 			tr.PlanCandidatesBefore = pst.Before
-			tr.PlanPrunedSignature = pst.PrunedSignature
 			tr.PlanPrunedDegree = pst.PrunedDegree
 			tr.PlanPrunedAnchor = pst.PrunedAnchor
 		}
@@ -290,7 +289,8 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 // centers and its maximum perfect subgraph (nil when the ball has none), in
 // worker completion order.
 // radius <= 0 uses the pattern diameter. Callers are responsible for any
-// center prefiltering (label precheck); every listed center is evaluated — a
+// center prefiltering (label precheck, plan.Anchored); every listed center is
+// evaluated — a
 // restricted ball always keeps its center, so one outside the candidate set
 // still gets a ball of its own and comes back nil.
 //
@@ -311,7 +311,11 @@ func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, ce
 		}
 		radius = dq
 	}
-	p := &preparedQuery{qEff: q, radius: radius, centers: centers, cand: e.snap.CandidateCenters(q)}
+	// The candidate set is |V| bits; a caller maintaining standing queries
+	// asks once per query per update batch, so it comes from the pool.
+	sc := exec.GetScratch()
+	defer sc.Release()
+	p := &preparedQuery{qEff: q, radius: radius, centers: centers, cand: e.snap.g.NodesLabeledInto(q, &sc.Cand)}
 	trace.EnterStage(obs.StageEval) // nil-safe
 	sp := trace.StartSpan("eval")
 	var evalStart time.Time

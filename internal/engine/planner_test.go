@@ -81,7 +81,7 @@ func TestPlannerParityProperty(t *testing.T) {
 				if tr1.PlanCacheOutcome != plan.OutcomeMiss {
 					t.Fatalf("%s: first run outcome = %q", where, tr1.PlanCacheOutcome)
 				}
-				if pruned := tr1.PlanPrunedSignature + tr1.PlanPrunedDegree + tr1.PlanPrunedAnchor; tr1.CandidateCenters != tr1.PlanCandidatesBefore-pruned {
+				if pruned := tr1.PlanPrunedDegree + tr1.PlanPrunedAnchor; tr1.CandidateCenters != tr1.PlanCandidatesBefore-pruned {
 					t.Fatalf("%s: %d centers left of %d with %d pruned", where, tr1.CandidateCenters, tr1.PlanCandidatesBefore, pruned)
 				}
 

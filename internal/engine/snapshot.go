@@ -53,8 +53,7 @@ func (s *Snapshot) SetVersion(v uint64) { s.version.Store(v) }
 func (s *Snapshot) Version() uint64 { return s.version.Load() }
 
 // PruneIndex returns the snapshot's candidate-pruning index, building it
-// on first use when the snapshot inherited none (O(V+E); per-radius hop
-// signatures are materialized lazily inside the index). The index is
+// on first use when the snapshot inherited none (O(V+E)). The index is
 // immutable alongside the graph and shared by every planned query against
 // this snapshot.
 func (s *Snapshot) PruneIndex() *plan.Index {

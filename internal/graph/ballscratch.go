@@ -48,6 +48,8 @@ type BallScratch struct {
 	nodeLbl  []int32
 	outHdr   [][]int32
 	inHdr    [][]int32
+	outPages [][][]int32 // page tables over outHdr and inHdr
+	inPages  [][][]int32
 	outArena []int32
 	inArena  []int32
 	dist     []int32
@@ -130,7 +132,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	for d := int32(1); int(d) <= radius && lo < len(s.reached); d++ {
 		hi := len(s.reached)
 		for _, v := range s.reached[lo:hi] {
-			for _, adj := range [2][]int32{g.out[v], g.in[v]} {
+			for _, adj := range [2][]int32{g.Out(v), g.In(v)} {
 				for _, w := range adj {
 					if !s.seen.Add(w) {
 						continue
@@ -172,14 +174,14 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	s.inArena = s.inArena[:0]
 	for _, v := range orig {
 		start := len(s.outArena)
-		for _, w := range g.out[v] {
+		for _, w := range g.Out(v) {
 			if member(w) {
 				s.outArena = append(s.outArena, s.slot[w])
 			}
 		}
 		s.outHdr = append(s.outHdr, s.outArena[start:len(s.outArena):len(s.outArena)])
 		start = len(s.inArena)
-		for _, w := range g.in[v] {
+		for _, w := range g.In(v) {
 			if member(w) {
 				s.inArena = append(s.inArena, s.slot[w])
 			}
@@ -213,11 +215,16 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		s.lblRows[lbl] = append(s.lblRows[lbl], int32(i))
 	}
 
+	// The built graph reads its rows through page tables like any other; the
+	// pages are windows of the header arrays, and a ball of up to one page of
+	// members — nearly every restricted ball — has a one-entry table.
+	s.outPages = pageViews(s.outPages[:0], s.outHdr)
+	s.inPages = pageViews(s.inPages[:0], s.inHdr)
 	s.sub = Graph{
 		labels:   g.labels,
 		nodeLbl:  s.nodeLbl,
-		out:      s.outHdr,
-		in:       s.inHdr,
+		out:      Paged[[]int32]{pages: s.outPages, n: n},
+		in:       Paged[[]int32]{pages: s.inPages, n: n},
 		numEdges: len(s.outArena),
 		lblRows:  s.lblRows,
 		rank:     s.rank,

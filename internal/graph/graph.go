@@ -15,9 +15,9 @@ import (
 // DualSim in the paper's Fig. 3).
 type Graph struct {
 	labels   *Labels
-	nodeLbl  []int32   // node -> label id
-	out      [][]int32 // node -> sorted successors
-	in       [][]int32 // node -> sorted predecessors
+	nodeLbl  []int32        // node -> label id
+	out      Paged[[]int32] // node -> sorted successors
+	in       Paged[[]int32] // node -> sorted predecessors
 	numEdges int
 	byLabel  map[int32][]int32 // label id -> sorted nodes
 	// lblRows is byLabel as a slice indexed by label id, for the graphs a
@@ -111,12 +111,11 @@ func (b *Builder) Build() *Graph {
 	g := &Graph{
 		labels:  b.labels,
 		nodeLbl: append([]int32(nil), b.nodeLbl...),
-		out:     make([][]int32, n),
-		in:      make([][]int32, n),
 		byLabel: make(map[int32][]int32),
 		rank:    make([]int32, n),
 		name:    b.name,
 	}
+	out, in := make([][]int32, n), make([][]int32, n)
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
 	for _, e := range b.edges {
@@ -125,33 +124,34 @@ func (b *Builder) Build() *Graph {
 	}
 	for v := 0; v < n; v++ {
 		if outDeg[v] > 0 {
-			g.out[v] = make([]int32, 0, outDeg[v])
+			out[v] = make([]int32, 0, outDeg[v])
 		}
 		if inDeg[v] > 0 {
-			g.in[v] = make([]int32, 0, inDeg[v])
+			in[v] = make([]int32, 0, inDeg[v])
 		}
 	}
 	for _, e := range b.edges {
-		g.out[e[0]] = append(g.out[e[0]], e[1])
-		g.in[e[1]] = append(g.in[e[1]], e[0])
+		out[e[0]] = append(out[e[0]], e[1])
+		in[e[1]] = append(in[e[1]], e[0])
 	}
 	for v := 0; v < n; v++ {
-		g.out[v] = sortDedup(g.out[v])
+		out[v] = sortDedup(out[v])
 	}
 	// Rebuild reverse adjacency from the deduplicated forward lists so the
 	// two sides stay consistent when duplicates were dropped.
-	for v := range g.in {
-		g.in[v] = g.in[v][:0]
+	for v := range in {
+		in[v] = in[v][:0]
 	}
 	for u := 0; u < n; u++ {
-		for _, v := range g.out[u] {
-			g.in[v] = append(g.in[v], int32(u))
+		for _, v := range out[u] {
+			in[v] = append(in[v], int32(u))
 		}
-		g.numEdges += len(g.out[u])
+		g.numEdges += len(out[u])
 	}
 	for v := 0; v < n; v++ {
-		sort.Slice(g.in[v], func(i, j int) bool { return g.in[v][i] < g.in[v][j] })
+		sort.Slice(in[v], func(i, j int) bool { return in[v][i] < in[v][j] })
 	}
+	g.out, g.in = PagedOf(out), PagedOf(in)
 	for v := 0; v < n; v++ {
 		lbl := g.nodeLbl[v]
 		g.rank[v] = int32(len(g.byLabel[lbl]))
@@ -163,14 +163,15 @@ func (b *Builder) Build() *Graph {
 // FromParts adopts pre-built graph internals as an immutable Graph without
 // copying or validation. It exists for callers that maintain graph state in
 // this exact representation already — internal/live publishes copy-on-write
-// versions of a mutable store this way, sharing untouched adjacency slices
-// across versions instead of rebuilding O(|V|+|E|) state per update batch.
+// versions of a mutable store this way, sharing untouched adjacency rows and
+// whole pages of row headers (Paged) across versions instead of rebuilding
+// O(|V|+|E|) state per update batch.
 //
 // The caller must guarantee the Builder invariants hold and that none of the
 // arguments are mutated afterwards: out and in are per-node sorted,
-// duplicate-free and mutually consistent adjacency; byLabel maps each label
-// id to the ascending node ids carrying it (exactly the nodes v with
-// nodeLbl[v] = id); numEdges is the total length of out. Graphs violating
+// duplicate-free and mutually consistent adjacency, one row per node;
+// byLabel maps each label id to the ascending node ids carrying it (exactly
+// the nodes v with nodeLbl[v] = id); numEdges is the total length of out. Graphs violating
 // the contract misbehave in every algorithm of this repository; prefer a
 // Builder anywhere construction cost is not on a hot path.
 //
@@ -181,7 +182,7 @@ func (b *Builder) Build() *Graph {
 // shared outright; otherwise it is copied once (grown for added nodes) and
 // rewritten for the touched rows alone — a node's rank changes only when its
 // own row does. A nil prev walks every row.
-func FromParts(labels *Labels, nodeLbl []int32, out, in [][]int32, byLabel map[int32][]int32, numEdges int, name string, prev *Graph, touched []int32) *Graph {
+func FromParts(labels *Labels, nodeLbl []int32, out, in Paged[[]int32], byLabel map[int32][]int32, numEdges int, name string, prev *Graph, touched []int32) *Graph {
 	var rank []int32
 	switch {
 	case prev == nil:
@@ -254,24 +255,28 @@ func (g *Graph) LabelName(v int32) string { return g.labels.Name(g.nodeLbl[v]) }
 
 // Out returns the sorted successors of v. The slice is shared; callers must
 // not mutate it.
-func (g *Graph) Out(v int32) []int32 { return g.out[v] }
+func (g *Graph) Out(v int32) []int32 { return g.out.At(v) }
 
 // In returns the sorted predecessors of v. The slice is shared; callers must
 // not mutate it.
-func (g *Graph) In(v int32) []int32 { return g.in[v] }
+func (g *Graph) In(v int32) []int32 { return g.in.At(v) }
+
+// Rows returns the whole out- and in-adjacency, one sorted row per node, as
+// FromParts takes them. Everything behind them is shared with g.
+func (g *Graph) Rows() (out, in Paged[[]int32]) { return g.out, g.in }
 
 // OutDegree returns the number of successors of v.
-func (g *Graph) OutDegree(v int32) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v int32) int { return len(g.Out(v)) }
 
 // InDegree returns the number of predecessors of v.
-func (g *Graph) InDegree(v int32) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v int32) int { return len(g.In(v)) }
 
 // Degree returns the undirected degree of v (in + out).
-func (g *Graph) Degree(v int32) int { return len(g.out[v]) + len(g.in[v]) }
+func (g *Graph) Degree(v int32) int { return len(g.Out(v)) + len(g.In(v)) }
 
 // HasEdge reports whether the directed edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int32) bool {
-	adj := g.out[u]
+	adj := g.Out(u)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 	return i < len(adj) && adj[i] == v
 }
@@ -326,9 +331,9 @@ func (g *Graph) NodesLabeledInto(q *Graph, set *NodeSet) *NodeSet {
 
 // Edges calls fn for every directed edge (u, v) in ascending (u, v) order.
 func (g *Graph) Edges(fn func(u, v int32)) {
-	for u := range g.out {
-		for _, v := range g.out[u] {
-			fn(int32(u), v)
+	for u := int32(0); u < int32(g.NumNodes()); u++ {
+		for _, v := range g.Out(u) {
+			fn(u, v)
 		}
 	}
 }
@@ -368,7 +373,7 @@ func (g *Graph) InducedSubgraph(nodes []int32) (*Graph, []int32, map[int32]int32
 	}
 	for _, v := range orig {
 		nv := toNew[v]
-		for _, w := range g.out[v] {
+		for _, w := range g.Out(v) {
 			if nw, ok := toNew[w]; ok {
 				_ = b.AddEdge(nv, nw)
 			}

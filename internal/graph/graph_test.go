@@ -183,7 +183,7 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 		nodeLbl[v] = want.Label(v)
 		byLabel[want.Label(v)] = append(byLabel[want.Label(v)], v)
 	}
-	got := FromParts(want.Labels(), nodeLbl, out, in, byLabel, want.NumEdges(), "diamond", nil, nil)
+	got := FromParts(want.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, want.NumEdges(), "diamond", nil, nil)
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("size mismatch: %v vs %v", got, want)
 	}
@@ -220,7 +220,7 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 		nodeLbl[v], out[v], in[v] = prev.Label(v), prev.Out(v), prev.In(v)
 		byLabel[prev.Label(v)] = append(byLabel[prev.Label(v)], v)
 	}
-	same := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "edges only", prev, nil)
+	same := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "edges only", prev, nil)
 	if &same.LabelRanks()[0] != &prev.LabelRanks()[0] {
 		t.Fatal("a batch that touched no label row should share its predecessor's ranks")
 	}
@@ -236,8 +236,8 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 	byLabel[grown] = append(byLabel[grown][:1:1], int32(n))
 	before := append([]int32(nil), prev.LabelRanks()...)
 
-	got := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "patched", prev, []int32{from, to, grown})
-	want := FromParts(prev.Labels(), nodeLbl, out, in, byLabel, prev.NumEdges(), "walked", nil, nil)
+	got := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "patched", prev, []int32{from, to, grown})
+	want := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "walked", nil, nil)
 	if !reflect.DeepEqual(got.LabelRanks(), want.LabelRanks()) {
 		t.Fatalf("patched ranks %v, a full walk gives %v", got.LabelRanks(), want.LabelRanks())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,8 +23,8 @@ var (
 )
 
 // checkIndexPatched asserts the current version's pruning index — inherited
-// through every publish since the chain began — equals a full build on the
-// version's graph, level by level.
+// through every publish since the chain began, sharing the signature pages no
+// batch wrote into — equals a full build on the version's graph.
 func checkIndexPatched(t testing.TB, s *Store) {
 	t.Helper()
 	snap := s.Current().Engine().Snapshot()
@@ -147,13 +148,8 @@ func TestChurnEquivalence(t *testing.T) {
 			}
 			s := NewStore(b.Build(), Config{Workers: 3})
 
-			// Begin the index chain at version 0 with every level a pattern
-			// of diameter ≤ 3 reads, so each publish carries all of them.
-			a, err := graph.ParseString("node a A", s.Current().Graph().Labels().Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Current().Engine().Snapshot().PruneIndex().Prune(a, 3, []int32{0}, new(plan.PruneStats))
+			// Begin the index chain at version 0, so each publish patches it.
+			s.Current().Engine().Snapshot().PruneIndex()
 			builds, patches, applied := indexBuilds.Value(), indexPatches.Value(), int64(0)
 
 			var standing []*StandingQuery
@@ -256,10 +252,10 @@ func TestUnplannedStoreDerivesNothing(t *testing.T) {
 }
 
 // TestChurnConcurrentReaders exercises the readers-never-block-on-writers
-// contract under the race detector: one writer applies batches while
-// readers hammer planned one-shot matches of diameter 1 to 3 — each growing
-// the hop levels of whichever version's index it lands on while publish
-// copies them for the next — standing results and version graphs.
+// contract under the race detector: one writer applies batches — copying the
+// header and signature pages it writes into, sharing the rest — while readers
+// hammer planned one-shot matches of diameter 1 to 3 on whichever version
+// they land on, standing results and version graphs.
 func TestChurnConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []string{"A", "B", "C"}
@@ -345,13 +341,64 @@ func TestChurnConcurrentReaders(t *testing.T) {
 	checkIndexPatched(t, s)
 }
 
+// TestApplyAllocatesWhatItTouches is the allocation guard of the update path:
+// on a 50k-node store with a built pruning index and two standing queries, a
+// 4-edge batch allocates the pages and rows it writes into and what
+// maintenance reads — under 512 KB. One flat per-version copy of the row
+// headers alone is 2.4 MB here.
+func TestApplyAllocatesWhatItTouches(t *testing.T) {
+	g := generator.Synthetic(50000, 1.2, 200, 1)
+	s := NewStore(g, Config{})
+	for seed, registered := int64(1), 0; registered < 2; seed++ {
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: seed})
+		if dq, ok := graph.Diameter(q); !ok || dq != 2 {
+			continue
+		}
+		if _, err := s.Register(graph.FormatString(q)); err != nil {
+			t.Fatal(err)
+		}
+		registered++
+	}
+	s.Current().Engine().Snapshot().PruneIndex()
+
+	rng := rand.New(rand.NewSource(1))
+	n := int32(g.NumNodes())
+	apply := func() {
+		var batch []Mutation
+		for len(batch) < 4 {
+			if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !s.Current().Graph().HasEdge(u, v) {
+				batch = append(batch, Mutation{Op: OpInsertEdge, U: u, V: v})
+			}
+		}
+		if _, err := s.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		apply() // pooled scratches and the store's BFS buffers reach their size
+	}
+	const batches = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / batches
+	t.Logf("%d KB allocated per 4-edge batch", perBatch>>10)
+	if perBatch >= 512<<10 {
+		t.Fatalf("a 4-edge batch on %d nodes allocates %d KB, want < 512: something copies per version again", n, perBatch>>10)
+	}
+}
+
 // BenchmarkApplyChurn is the update path in miniature: a 20k-node graph, four
 // standing queries, and per iteration one 4-edge batch (inserts, then the
 // batch that deletes them) followed by one planned Match+ on the new version.
 // Nothing in an iteration may cost O(|V|) again: index_builds/op is 0 — the
 // one full build happens before the timer starts, every later version
-// inherits — and ns/op and B/op are what a per-version pass creeping back
-// would move.
+// inherits — pages_copied/op is the header and signature pages the batch
+// wrote into (about 15 of the 120 the store has), and ns/op and B/op
+// (≈0.22 MB) are what a per-version pass creeping back would move.
 func BenchmarkApplyChurn(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
@@ -379,6 +426,7 @@ func BenchmarkApplyChurn(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := int32(g.NumNodes())
 	var batch []Mutation
+	var pages int
 	builds := indexBuilds.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -395,10 +443,13 @@ func BenchmarkApplyChurn(b *testing.B) {
 				batch[k].Op = OpDeleteEdge
 			}
 		}
-		if _, err := s.Apply(batch); err != nil {
+		res, err := s.Apply(batch)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pages += res.PagesCopied
 		match()
 	}
 	b.ReportMetric(float64(indexBuilds.Value()-builds)/float64(b.N), "index_builds/op")
+	b.ReportMetric(float64(pages)/float64(b.N), "pages_copied/op")
 }

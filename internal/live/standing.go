@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // StandingQuery is one registered pattern whose full strong-simulation
@@ -24,6 +25,9 @@ type StandingQuery struct {
 	pattern *graph.Graph
 	src     string
 	radius  int
+	// labels lists the distinct label ids of pattern: the label precheck of
+	// maintenance, asked of every dirty center of every batch.
+	labels []int32
 
 	// Maintenance state, guarded by the store's lock: the pre-dedup outcomes
 	// of the matching centers only, ascending by Center, so its size follows
@@ -103,14 +107,20 @@ func (s *Store) RegisterCtx(ctx context.Context, patternSrc string, trace *obs.Q
 	ver := s.Current()
 	sq := &StandingQuery{id: s.nextID, pattern: q, src: patternSrc, radius: dq}
 	s.nextID++
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		if lbl := q.Label(u); !slices.Contains(sq.labels, lbl) {
+			sq.labels = append(sq.labels, lbl)
+		}
+	}
 
-	// Initial evaluation: every candidate center, on the engine's pool.
+	// Initial evaluation: every candidate center that can anchor a match, on
+	// the engine's pool.
 	centers := ver.eng.Snapshot().CandidateCenters(q).Slice()
-	fresh, err := evalMatched(ctx, ver.eng, q, sq.radius, centers, trace)
+	fresh, _, err := evalMatched(ctx, ver.eng, q, sq.radius, centers, trace)
 	if err != nil {
 		return nil, err
 	}
-	sq.matched = slices.Clone(fresh) // fresh has a slot per candidate center behind it
+	sq.matched = slices.Clone(fresh) // fresh has a slot per evaluated center behind it
 	st := &queryState{version: ver.id, fromVersion: ver.id, result: assemble(sq.matched)}
 	st.added = st.result.Subgraphs
 	sq.state.Store(st)
@@ -185,31 +195,37 @@ func (sq *StandingQuery) Delta() (added, removed []*core.PerfectSubgraph, from, 
 // published version: re-evaluate the dirty centers (computed by the
 // caller, shared across queries of equal radius) on the engine's worker
 // pool and publish the new assembled result with its delta. Returns the
-// number of balls evaluated. Callers hold the store lock; s.nodeLbl already
-// describes ver's graph, and dirty (ascending) is read-only here.
-func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) int {
+// number of balls built, and of centers that carry a pattern label but got
+// none because they cannot anchor a match. Callers hold the store lock;
+// s.nodeLbl already describes ver's graph, and dirty (ascending) is read-only
+// here.
+func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) (balls, unanchored int) {
 	// Label precheck, as in Match: a center whose label does not occur in
 	// the pattern cannot anchor a perfect subgraph. Evaluate the rest.
 	eval := make([]int32, 0, len(dirty))
 	for _, c := range dirty {
-		if len(sq.pattern.NodesWithLabel(s.nodeLbl[c])) > 0 {
+		if slices.Contains(sq.labels, s.nodeLbl[c]) {
 			eval = append(eval, c)
 		}
 	}
+	labelled := len(eval)
 	// The error path is unreachable: the pattern was validated at
 	// registration and the context cannot expire.
-	fresh, _ := evalMatched(context.Background(), ver.eng, sq.pattern, sq.radius, eval, nil)
+	fresh, balls, _ := evalMatched(context.Background(), ver.eng, sq.pattern, sq.radius, eval, nil)
+	unanchored = labelled - balls
+	liveRecomputedBalls.Add(int64(balls))
+	liveUnanchored.Add(int64(unanchored))
 	matched := replaceDirty(sq.matched, dirty, fresh)
 
 	prev := sq.state.Load()
-	if len(eval) == 0 && len(matched) == len(sq.matched) {
-		// No center was evaluated and none lost an outcome to the precheck, so
-		// the result set cannot have moved: republish the previous result at
-		// the new version with an empty delta, skipping reassembly and
-		// diffing — the common case for updates far from any center carrying
-		// a pattern label.
+	if balls == 0 && len(matched) == len(sq.matched) {
+		// No center was evaluated and none lost an outcome to the prechecks,
+		// so the result set cannot have moved: republish the previous result
+		// at the new version with an empty delta, skipping reassembly and
+		// diffing — the common case for updates far from any center that
+		// could anchor the pattern.
 		sq.state.Store(&queryState{version: ver.id, fromVersion: prev.version, result: prev.result})
-		return 0
+		return 0, unanchored
 	}
 	sq.matched = matched
 	st := &queryState{
@@ -219,25 +235,30 @@ func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) i
 	}
 	st.added, st.removed = diffResults(prev.result, st.result)
 	sq.state.Store(st)
-	liveRecomputedBalls.Add(int64(len(eval)))
 	if len(st.added)+len(st.removed) > 0 {
 		liveStandingDeltas.Inc()
 	}
-	return len(eval)
+	return balls, unanchored
 }
 
-// evalMatched evaluates the given ascending centers on the engine's worker
-// pool and returns the outcomes of those whose ball matched, in center order.
-func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats) ([]*core.PerfectSubgraph, error) {
+// evalMatched evaluates the given ascending centers, every one carrying a
+// label of q, on the engine's worker pool and returns the outcomes of those
+// whose ball matched, in center order, and the number of balls built. No
+// ball is built for a center that cannot anchor a match of q
+// (plan.Anchored, which filters centers in place): the check reads a few
+// adjacency rows where a ball costs its BFS, and nearly every dirty center
+// fails it.
+func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats) ([]*core.PerfectSubgraph, int, error) {
+	centers = plan.Anchored(e.Snapshot().Graph(), q, radius, centers)
 	if len(centers) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	out := make([]*core.PerfectSubgraph, len(centers))
 	err := e.EvalCenters(ctx, q, radius, centers, trace, func(i int, ps *core.PerfectSubgraph) {
 		out[i] = ps
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	w := 0
 	for _, ps := range out {
@@ -246,7 +267,7 @@ func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius i
 			w++
 		}
 	}
-	return out[:w], nil
+	return out[:w], len(centers), nil
 }
 
 // replaceDirty returns, as a fresh slice, matched with the outcome of every

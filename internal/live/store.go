@@ -16,9 +16,10 @@
 //   - Readers never block on writers. Every successful update batch
 //     publishes a new immutable version — a full *graph.Graph behind an
 //     engine.Snapshot — through one atomic pointer swap. The version is
-//     built copy-on-write: adjacency slices of untouched nodes, the label
-//     table and the per-label node index are shared with prior versions;
-//     only what the batch touched is copied, and what the previous version
+//     built copy-on-write: adjacency rows of untouched nodes, the pages of
+//     row headers no touched node lives in (graph.Paged), the label table
+//     and the per-label node index are shared with prior versions; only
+//     what the batch touched is copied, and what the previous version
 //     derived from its graph (label ranks, the planner's pruning index) is
 //     inherited and patched over the touched region, not derived again.
 //     In-flight queries keep the version they started with.
@@ -66,7 +67,9 @@ var (
 	liveStandingQueries = obs.Default.Gauge("live_standing_queries",
 		"standing queries currently registered")
 	liveRecomputedBalls = obs.Default.Counter("live_standing_recomputed_balls_total",
-		"balls re-evaluated maintaining standing queries after update batches")
+		"balls built and evaluated maintaining standing queries after update batches")
+	liveUnanchored = obs.Default.Counter("live_standing_unanchored_total",
+		"centers of standing queries that carry a pattern label but fail the anchor check, so no ball was built for them")
 	liveStandingDeltas = obs.Default.Counter("live_standing_deltas_total",
 		"standing-query maintenance steps whose result set actually changed")
 )
@@ -137,9 +140,14 @@ type UpdateResult struct {
 	// AddedNodes lists the ids assigned to add_node mutations, in batch
 	// order.
 	AddedNodes []int32
-	// Recomputed counts, per standing query id, the balls re-evaluated to
-	// maintain it — the dirty centers that survived the label precheck.
+	// Recomputed counts, per standing query id, the balls built to maintain
+	// it — the dirty centers that survived the label precheck and the anchor
+	// check.
 	Recomputed map[int64]int
+	// PagesCopied counts the pages of adjacency row headers, and of pruning-
+	// index signatures when the version inherited an index, the batch copied;
+	// every other page the new version shares with its predecessor.
+	PagesCopied int
 	// Nodes and Edges are the post-batch graph size.
 	Nodes, Edges int
 }
@@ -167,12 +175,13 @@ type Store struct {
 	labelsDirty bool
 	tombstone   int32 // label id of TombstoneLabel, -1 until first deletion
 
-	// Mutable graph state in the exact representation graph.FromParts
-	// adopts. Slices are copy-on-write: publishing hands the current slices
-	// to an immutable view, and the next batch copies (top level always,
-	// per-node and per-label only when touched) before writing.
+	// Graph state in the exact representation graph.FromParts adopts, and
+	// shared with the current version: a batch never writes it in place, it
+	// copies what it touches — the row, the page of row headers the row's
+	// node lives in, the label row, and nodeLbl whole when a label changes
+	// in place — into a batchState that replaces this on commit.
 	nodeLbl  []int32
-	out, in  [][]int32
+	out, in  graph.Paged[[]int32]
 	byLabel  map[int32][]int32
 	numEdges int
 	nextID   int64
@@ -208,17 +217,14 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 		frozen:    g.Labels(),
 		tombstone: -1,
 		nodeLbl:   make([]int32, n),
-		out:       make([][]int32, n),
-		in:        make([][]int32, n),
 		byLabel:   make(map[int32][]int32, g.Labels().Len()),
 		numEdges:  g.NumEdges(),
 		queries:   make(map[int64]*StandingQuery),
 		planner:   plan.NewPlanner(),
 	}
+	s.out, s.in = g.Rows()
 	for v := int32(0); v < int32(n); v++ {
 		s.nodeLbl[v] = g.Label(v)
-		s.out[v] = g.Out(v)
-		s.in[v] = g.In(v)
 	}
 	seen := make(map[int32]bool)
 	for v := int32(0); v < int32(n); v++ {
@@ -247,11 +253,13 @@ func (s *Store) Planner() *plan.Planner { return s.planner }
 
 // batchState is the copy-on-write working state of one Apply call. Nothing
 // in it is visible to readers until publish; abandoning it on error leaves
-// the store exactly as before.
+// the store exactly as before. What a batch may write in place is what this
+// batch copied — never what an earlier one did, whose copies readers of the
+// current version hold by now.
 type batchState struct {
 	nodeLbl       []int32
 	nodeLblCopied bool // full copy taken (a label changed in place)
-	out, in       [][]int32
+	out, in       *graph.PagedEdit[[]int32]
 	touchedOut    map[int32]bool
 	touchedIn     map[int32]bool
 	byLabel       map[int32][]int32
@@ -267,8 +275,8 @@ type batchState struct {
 func (s *Store) newBatch() *batchState {
 	b := &batchState{
 		nodeLbl:       s.nodeLbl,
-		out:           append(make([][]int32, 0, len(s.out)), s.out...),
-		in:            append(make([][]int32, 0, len(s.in)), s.in...),
+		out:           s.out.Edit(),
+		in:            s.in.Edit(),
 		touchedOut:    make(map[int32]bool),
 		touchedIn:     make(map[int32]bool),
 		byLabel:       s.byLabel,
@@ -280,14 +288,14 @@ func (s *Store) newBatch() *batchState {
 
 func (b *batchState) ownOut(u int32) {
 	if !b.touchedOut[u] {
-		b.out[u] = append([]int32(nil), b.out[u]...)
+		b.out.Set(u, slices.Clone(b.out.At(u)))
 		b.touchedOut[u] = true
 	}
 }
 
 func (b *batchState) ownIn(v int32) {
 	if !b.touchedIn[v] {
-		b.in[v] = append([]int32(nil), b.in[v]...)
+		b.in.Set(v, slices.Clone(b.in.At(v)))
 		b.touchedIn[v] = true
 	}
 }
@@ -354,8 +362,8 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		}
 		v := int32(len(b.nodeLbl))
 		b.nodeLbl = append(b.nodeLbl, lbl)
-		b.out = append(b.out, nil)
-		b.in = append(b.in, nil)
+		b.out.Append(nil)
+		b.in.Append(nil)
 		b.touchedOut[v] = true
 		b.touchedIn[v] = true
 		b.ownByLabel(lbl)
@@ -377,23 +385,25 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		}
 		if m.Op == OpInsertEdge {
 			b.ownOut(m.U)
-			xs, ok := insertSorted(b.out[m.U], m.V)
+			xs, ok := insertSorted(b.out.At(m.U), m.V)
 			if !ok {
 				return nil // re-inserting an existing edge is a no-op
 			}
-			b.out[m.U] = xs
+			b.out.Set(m.U, xs)
 			b.ownIn(m.V)
-			b.in[m.V], _ = insertSorted(b.in[m.V], m.U)
+			xs, _ = insertSorted(b.in.At(m.V), m.U)
+			b.in.Set(m.V, xs)
 			b.numEdges++
 		} else {
 			b.ownOut(m.U)
-			xs, ok := removeSorted(b.out[m.U], m.V)
+			xs, ok := removeSorted(b.out.At(m.U), m.V)
 			if !ok {
 				return fmt.Errorf("live: edge (%d,%d) does not exist", m.U, m.V)
 			}
-			b.out[m.U] = xs
+			b.out.Set(m.U, xs)
 			b.ownIn(m.V)
-			b.in[m.V], _ = removeSorted(b.in[m.V], m.U)
+			xs, _ = removeSorted(b.in.At(m.V), m.U)
+			b.in.Set(m.V, xs)
 			b.numEdges--
 		}
 		b.seeds = append(b.seeds, m.U, m.V)
@@ -414,25 +424,27 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		// Drop every incident edge. The node itself is the only dirty seed
 		// needed: any ball containing an incident edge, or the node's
 		// label, contains the node.
-		for _, w := range b.out[m.Node] {
+		for _, w := range b.out.At(m.Node) {
 			if w == m.Node {
 				continue
 			}
 			b.ownIn(w)
-			b.in[w], _ = removeSorted(b.in[w], m.Node)
+			xs, _ := removeSorted(b.in.At(w), m.Node)
+			b.in.Set(w, xs)
 		}
-		b.numEdges -= len(b.out[m.Node])
-		b.out[m.Node] = nil // replaces the pointer; shared slices stay intact
+		b.numEdges -= len(b.out.At(m.Node))
+		b.out.Set(m.Node, nil) // replaces the header; the shared row stays intact
 		b.touchedOut[m.Node] = true
-		for _, w := range b.in[m.Node] {
+		for _, w := range b.in.At(m.Node) {
 			if w == m.Node {
 				continue // the self-loop was already counted once above
 			}
 			b.ownOut(w)
-			b.out[w], _ = removeSorted(b.out[w], m.Node)
+			xs, _ := removeSorted(b.out.At(w), m.Node)
+			b.out.Set(w, xs)
 			b.numEdges--
 		}
-		b.in[m.Node] = nil
+		b.in.Set(m.Node, nil)
 		b.touchedIn[m.Node] = true
 		// Re-label in place: this mutates a shared element, so the whole
 		// label slice goes copy-on-write once per batch.
@@ -504,10 +516,12 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 
 // ApplyTraced is Apply under a parent span: the batch records one
 // "live.apply" child covering mutation application and version publication
-// — with a "live.patch_index" child of its own when the new version
-// inherits the pruning index, annotated with the nodes recomputed per level
-// — and one "live.maintain" child per standing query brought current,
-// annotated with the query id and balls re-evaluated. A zero parent (the
+// (annotated with the header pages the batch copied) — with a
+// "live.patch_index" child of its own when the new version inherits the
+// pruning index, annotated with the signatures recomputed and the pages
+// copied for them — and one "live.maintain" child per standing query brought
+// current, annotated with the query id, the balls built and the centers the
+// anchor check spared one. A zero parent (the
 // untraced path — Apply delegates here with one) records nothing.
 func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, error) {
 	if len(muts) == 0 {
@@ -535,8 +549,8 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	// dirty-center BFS depends only on the radius; one memoized traversal
 	// serves both cache invalidation and standing-query maintenance.
 	s.nodeLbl = b.nodeLbl
-	s.out = b.out
-	s.in = b.in
+	s.out = b.out.Freeze()
+	s.in = b.in.Freeze()
 	s.byLabel = b.byLabel
 	s.numEdges = b.numEdges
 	dirtyByRadius := make(map[int][]int32)
@@ -553,13 +567,15 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	// marked. (Queries on older versions are unaffected either way — Get
 	// refuses entries newer than the query's version.)
 	s.planner.Invalidate(s.current.Load().id+1, dirtyFor)
-	ver := s.publishLocked(b, applySp)
+	ver, sigPages := s.publishLocked(b, applySp)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
+	hdrPages := b.out.Copied() + b.in.Copied()
 	if applySp.Recording() {
 		applySp.End(
 			obs.Attr{Key: "mutations", Value: int64(len(muts))},
-			obs.Attr{Key: "version", Value: int64(ver.id)})
+			obs.Attr{Key: "version", Value: int64(ver.id)},
+			obs.Attr{Key: "pages_copied", Value: int64(hdrPages)})
 	}
 
 	// Maintain standing queries against the new version.
@@ -571,23 +587,25 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	s.qmu.RUnlock()
 
 	res := &UpdateResult{
-		Version:    ver.id,
-		AddedNodes: b.added,
-		Recomputed: make(map[int64]int, len(standing)),
-		Nodes:      len(s.nodeLbl),
-		Edges:      s.numEdges,
+		Version:     ver.id,
+		AddedNodes:  b.added,
+		Recomputed:  make(map[int64]int, len(standing)),
+		PagesCopied: hdrPages + sigPages,
+		Nodes:       len(s.nodeLbl),
+		Edges:       s.numEdges,
 	}
 	// A query unregistered concurrently may still be maintained once here;
 	// harmless, since nothing reads it afterwards.
 	for _, sq := range standing {
 		dirty := dirtyFor(sq.radius)
 		msp := parent.StartChild("live.maintain")
-		n := s.maintainLocked(sq, ver, dirty)
+		n, unanchored := s.maintainLocked(sq, ver, dirty)
 		res.Recomputed[sq.id] = n
 		if msp.Recording() {
 			msp.End(
 				obs.Attr{Key: "query_id", Value: sq.id},
-				obs.Attr{Key: "balls", Value: int64(n)})
+				obs.Attr{Key: "balls", Value: int64(n)},
+				obs.Attr{Key: "unanchored", Value: int64(unanchored)})
 		}
 	}
 	return res, nil
@@ -598,9 +616,10 @@ func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == 
 // publishLocked freezes the current mutable state — b, just committed — as
 // an immutable version and swaps it in. The version inherits what its
 // predecessor derived: label ranks (graph.FromParts) and, when the
-// predecessor has one, the pruning index, both patched from what b touched.
-// Callers hold mu.
-func (s *Store) publishLocked(b *batchState, applySp obs.Span) *Version {
+// predecessor has one, the pruning index, both patched from what b touched;
+// the second result is the signature pages that patch copied. Callers hold
+// mu.
+func (s *Store) publishLocked(b *batchState, applySp obs.Span) (*Version, int) {
 	if s.labelsDirty || s.frozen == nil {
 		s.frozen = s.labels.Clone()
 		s.labelsDirty = false
@@ -614,17 +633,18 @@ func (s *Store) publishLocked(b *batchState, applySp obs.Span) *Version {
 		s.numEdges, fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), slices.Collect(maps.Keys(b.touchedLabels)))
 	ver := &Version{id: prev.id + 1, eng: engine.New(g, engine.Config{Workers: s.workers})}
 	ver.eng.Snapshot().SetVersion(ver.id)
-	s.inheritIndex(ver, prev, b, applySp)
+	sigPages := s.inheritIndex(ver, prev, b, applySp)
 	s.current.Store(ver)
 	liveVersion.Set(int64(ver.id))
-	return ver
+	return ver, sigPages
 }
 
 // inheritIndex hands ver its predecessor's pruning index patched across b.
 // The patch is driven by the rows and labels b rewrote, not by its seeds:
 // delete_node seeds only the node, yet every former neighbor lost a row
-// entry, and set_label moves no row, yet changes its neighbors' signatures.
-func (s *Store) inheritIndex(ver, prev *Version, b *batchState, applySp obs.Span) {
+// entry, and set_label moves no row, yet changes its neighbors' signatures. It
+// returns the signature pages copied, 0 when prev had no index to inherit.
+func (s *Store) inheritIndex(ver, prev *Version, b *batchState, applySp obs.Span) int {
 	rows := slices.Collect(maps.Keys(b.touchedOut))
 	for v := range b.touchedIn {
 		if !b.touchedOut[v] {
@@ -634,22 +654,20 @@ func (s *Store) inheritIndex(ver, prev *Version, b *batchState, applySp obs.Span
 	sp := applySp.StartChild("live.patch_index")
 	st, ok := ver.eng.Snapshot().InheritPruneIndex(prev.eng.Snapshot(),
 		plan.Delta{Rows: rows, Relabelled: b.relabelled})
-	if !ok || !sp.Recording() {
-		return // an unfinished span records nothing
+	if ok && sp.Recording() { // an unfinished span records nothing
+		sp.End(
+			obs.Attr{Key: "one_hop", Value: int64(st.OneHop)},
+			obs.Attr{Key: "pages_copied", Value: int64(st.Pages)})
 	}
-	attrs := []obs.Attr{{Key: "one_hop", Value: int64(st.OneHop)}}
-	for k, n := range st.Levels {
-		attrs = append(attrs, obs.Attr{Key: fmt.Sprintf("hop%d", k), Value: int64(n)})
-	}
-	sp.End(attrs...)
+	return st.Pages
 }
 
 // dirtyCenters returns, ascending and in a slice of its own, the centers
 // within radius undirected hops of any seed under the pre-batch or the
 // post-batch adjacency: one multi-source BFS per side, their reach united in
 // a bitset and read back in id order.
-func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn [][]int32) []int32 {
-	s.reach.Reset(len(s.out))
+func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn graph.Paged[[]int32]) []int32 {
+	s.reach.Reset(s.out.Len())
 	s.sweep(seeds, radius, oldOut, oldIn)
 	s.sweep(seeds, radius, s.out, s.in)
 	return s.reach.Slice()
@@ -658,8 +676,8 @@ func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn [][]int32)
 // sweep adds to s.reach every node within radius hops of a seed under the
 // given adjacency. Seeds the adjacency does not cover — nodes the batch
 // added, seen from the old side — are skipped.
-func (s *Store) sweep(seeds []int32, radius int, out, in [][]int32) {
-	s.visited.Reset(len(s.out))
+func (s *Store) sweep(seeds []int32, radius int, out, in graph.Paged[[]int32]) {
+	s.visited.Reset(s.out.Len())
 	q := s.queue[:0]
 	visit := func(w int32) {
 		if s.visited.Add(w) {
@@ -667,17 +685,17 @@ func (s *Store) sweep(seeds []int32, radius int, out, in [][]int32) {
 		}
 	}
 	for _, v := range seeds {
-		if int(v) < len(out) {
+		if int(v) < out.Len() {
 			visit(v)
 		}
 	}
 	for lo, d := 0, 0; d < radius && lo < len(q); d++ {
 		hi := len(q)
 		for _, v := range q[lo:hi] {
-			for _, w := range out[v] {
+			for _, w := range out.At(v) {
 				visit(w)
 			}
-			for _, w := range in[v] {
+			for _, w := range in.At(v) {
 				visit(w)
 			}
 		}

@@ -3,12 +3,14 @@ package live
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // mustJSON renders a subgraph list canonically for byte-identity checks.
@@ -116,38 +118,188 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
-func TestStoreVersionsAreImmutable(t *testing.T) {
-	g := chain([]string{"A", "B"}, 4)
-	s := NewStore(g, Config{})
-	v0 := s.Current()
-	edges0 := mustJSON(t, v0.Graph().EdgeList())
+// versionImage is everything a reader of one version can see of its graph
+// and pruning index, copied out when the version was current.
+type versionImage struct {
+	ver     *Version
+	labels  []int32
+	out, in [][]int32
+	index   *plan.Index // a full build on the version's graph, then
+}
 
-	if _, err := s.Apply([]Mutation{
-		{Op: OpDeleteEdge, U: 0, V: 1},
+func imageOf(ver *Version) versionImage {
+	g := ver.Graph()
+	im := versionImage{ver: ver, index: plan.NewIndex(g)}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		im.labels = append(im.labels, g.Label(v))
+		im.out = append(im.out, slices.Clone(g.Out(v)))
+		im.in = append(im.in, slices.Clone(g.In(v)))
+	}
+	return im
+}
+
+func (im versionImage) check(t *testing.T, when string) {
+	t.Helper()
+	g := im.ver.Graph()
+	if g.NumNodes() != len(im.labels) {
+		t.Fatalf("%s: version %d has %d nodes, had %d", when, im.ver.ID(), g.NumNodes(), len(im.labels))
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		if g.Label(v) != im.labels[v] || !slices.Equal(g.Out(v), im.out[v]) || !slices.Equal(g.In(v), im.in[v]) {
+			t.Fatalf("%s: node %d of version %d changed: label %d out %v in %v, was %d %v %v",
+				when, v, im.ver.ID(), g.Label(v), g.Out(v), g.In(v), im.labels[v], im.out[v], im.in[v])
+		}
+	}
+	if !im.ver.Engine().Snapshot().PruneIndex().Equal(im.index) {
+		t.Fatalf("%s: the pruning index of version %d changed", when, im.ver.ID())
+	}
+}
+
+// TestStoreVersionsAreImmutable: versions share pages of row headers and
+// signatures, rows and label tables, and none of it may move under a reader.
+// 1 020 nodes (two pages); batches add nodes across the boundary into a third
+// page, delete a hub whose neighbours span all pages, fail midway after
+// writing into several pages, and relabel — after each, every earlier
+// version's rows, labels and signatures read exactly what they read when it
+// was current, and version 0 still answers queries.
+func TestStoreVersionsAreImmutable(t *testing.T) {
+	const n, hub = 1020, 5
+	labels := []string{"A", "B", "C"}
+	b := graph.NewBuilder(nil)
+	for i := 0; i < n; i++ {
+		b.AddNode(labels[i%len(labels)])
+	}
+	for i := int32(0); i+1 < n; i++ {
+		_ = b.AddEdge(i, i+1)
+	}
+	for i := int32(0); i < n; i += 37 {
+		_ = b.AddEdge(hub, i)
+		_ = b.AddEdge(n-1-i, hub)
+	}
+	s := NewStore(b.Build(), Config{Workers: 2})
+	s.Current().Engine().Snapshot().PruneIndex() // from here on every version inherits one
+	sq := edgePattern(t, s)
+	first, _ := sq.Result()
+	registered := first.Len()
+
+	images := []versionImage{imageOf(s.Current())}
+	// maxPages bounds what the batch may copy, of the 3 pages each of
+	// out-headers, in-headers and signatures; 0 expects the batch to fail.
+	step := func(name string, muts []Mutation, maxPages int) {
+		t.Helper()
+		wantErr := maxPages == 0
+		before := s.Current()
+		res, err := s.Apply(muts)
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+		if wantErr {
+			if s.Current() != before {
+				t.Fatalf("%s: a failed batch published version %d", name, s.Current().ID())
+			}
+		} else {
+			if res.PagesCopied == 0 || res.PagesCopied > maxPages {
+				t.Fatalf("%s: %d pages copied, want 1 to %d: a batch copies the pages it writes into", name, res.PagesCopied, maxPages)
+			}
+			images = append(images, imageOf(s.Current()))
+		}
+		for _, im := range images {
+			im.check(t, "after "+name)
+		}
+		checkAgainstScratch(t, s, sq)
+	}
+
+	// Nodes 1020..1026: 1024 opens the third page; wired into pages 0 and 1.
+	var grow []Mutation
+	for i := int32(0); i < 7; i++ {
+		grow = append(grow, Mutation{Op: OpAddNode, Label: labels[i%3]})
+	}
+	grow = append(grow,
+		Mutation{Op: OpInsertEdge, U: 3, V: 1023},
+		Mutation{Op: OpInsertEdge, U: 1025, V: 600},
+		Mutation{Op: OpInsertEdge, U: 1026, V: hub},
+		Mutation{Op: OpInsertEdge, U: hub, V: 1024})
+	// Pages 0 and 1 of each array are written; page 2 is new, not copied.
+	step("grow across a page boundary", grow, 6)
+	step("delete the hub", []Mutation{{Op: OpDeleteNode, Node: hub}}, 9)
+	step("fail midway", []Mutation{
+		{Op: OpInsertEdge, U: 10, V: 700},
+		{Op: OpAddNode, Label: "A"},
+		{Op: OpInsertEdge, U: 1027, V: 1025},
+		{Op: OpDeleteNode, Node: 511},
+		{Op: OpDeleteEdge, U: 0, V: 999}, // no such edge
+	}, 0)
+	step("relabel and rewire", []Mutation{
+		{Op: OpSetLabel, Node: 512, Label: "A"},
+		{Op: OpDeleteEdge, U: 511, V: 512},
+		{Op: OpInsertEdge, U: 10, V: 700},
 		{Op: OpAddNode, Label: "B"},
-		{Op: OpInsertEdge, U: 2, V: 4},
-	}); err != nil {
-		t.Fatal(err)
+	}, 8)
+	if got := s.Current().Graph().NumNodes(); got != n+8 {
+		t.Fatalf("current graph has %d nodes, want %d (the failed batch's node must not exist)", got, n+8)
 	}
-	// The pre-update version is untouched by the mutation.
-	if got := mustJSON(t, v0.Graph().EdgeList()); string(got) != string(edges0) {
-		t.Fatalf("version 0 mutated:\n was %s\n now %s", edges0, got)
-	}
-	if v0.Graph().NumNodes() != 4 {
-		t.Fatalf("version 0 grew to %d nodes", v0.Graph().NumNodes())
-	}
-	// And still answers queries.
-	q, err := v0.Engine().Snapshot().ParsePattern("node a A\nnode b B\nedge a b")
+
+	// Version 0 still answers queries, with the answer it had.
+	v0 := images[0].ver
+	res, err := v0.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := v0.Engine().Match(context.Background(), q, engine.QueryOptions{})
+	if res.Len() != registered {
+		t.Fatalf("version 0 finds %d matches, found %d when it was current", res.Len(), registered)
+	}
+}
+
+// TestStandingSkipsUnanchored: a dirty center that carries a pattern label
+// but cannot anchor the pattern gets no ball, and the maintained result still
+// equals a scratch Match.
+func TestStandingSkipsUnanchored(t *testing.T) {
+	// 0:A -> 1:B -> 2:C and, apart, 3:A -> 4:C. Pattern A -> B -> C.
+	b := graph.NewBuilder(nil)
+	for _, l := range []string{"A", "B", "C", "A", "C", "B"} {
+		b.AddNode(l)
+	}
+	_ = b.AddEdge(0, 1)
+	_ = b.AddEdge(1, 2)
+	_ = b.AddEdge(3, 4)
+	s := NewStore(b.Build(), Config{Workers: 2})
+	sq, err := s.Register("node a A\nnode b B\nnode c C\nedge a b\nedge b c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 2 {
-		t.Fatalf("version 0 match count = %d, want 2", res.Len())
+	if res, _ := sq.Result(); res.Len() != 1 {
+		t.Fatalf("registered with %d matches, want 1", res.Len())
 	}
+	unanchored := liveUnanchored.Value()
+
+	// 3:A gains a B successor with no C behind it: 3, 4 and 5 are dirty and
+	// carry pattern labels, and none of them can anchor — 3 has a B but that B
+	// has no C, 5 has no C successor, 4 has no B predecessor.
+	out, err := s.Apply([]Mutation{{Op: OpInsertEdge, U: 3, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := out.Recomputed[sq.ID()]; n != 0 {
+		t.Fatalf("%d balls built for centers that cannot anchor the pattern, want 0", n)
+	}
+	if d := liveUnanchored.Value() - unanchored; d != 3 {
+		t.Fatalf("live_standing_unanchored_total moved by %d, want 3", d)
+	}
+	checkAgainstScratch(t, s, sq)
+
+	// Completing the path behind 5 makes 3, 4... anchor: balls are built and
+	// the new match appears.
+	out, err = s.Apply([]Mutation{{Op: OpInsertEdge, U: 5, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := out.Recomputed[sq.ID()]; n != 3 {
+		t.Fatalf("%d balls built once 3 -> 5 -> 4 is a match, want its three nodes", n)
+	}
+	if res, _ := sq.Result(); res.Len() != 2 {
+		t.Fatalf("%d matches, want 2", res.Len())
+	}
+	checkAgainstScratch(t, s, sq)
 }
 
 func TestStoreBatchAtomicity(t *testing.T) {

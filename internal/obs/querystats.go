@@ -121,14 +121,12 @@ type QueryStats struct {
 
 	// Planner accounting, filled only on planned queries
 	// (engine.QueryOptions.Planner set). PlanCandidatesBefore is the center
-	// count entering the pruning filters; PlanPrunedSignature,
-	// PlanPrunedDegree and PlanPrunedAnchor split the centers each filter
-	// removed.
+	// count entering the pruning filters; PlanPrunedDegree and
+	// PlanPrunedAnchor split the centers each filter removed.
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
 	// ("hit", "refresh", "contained", "miss"), empty when the cache was not
 	// consulted.
 	PlanCandidatesBefore int
-	PlanPrunedSignature  int
 	PlanPrunedDegree     int
 	PlanPrunedAnchor     int
 	PlanCacheOutcome     string

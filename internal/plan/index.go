@@ -2,27 +2,21 @@ package plan
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 )
-
-// maxHopSig bounds how many hop-signature levels an Index materializes.
-// A level costs 8 bytes per node and one O(E) sweep; realistic pattern
-// diameters are 1-4. Queries with a larger effective radius simply skip
-// the signature filter — soundness never depends on having a level.
-const maxHopSig = 6
 
 // LabelBit maps a label id to its bit in a 64-bit Bloom signature. The
 // same folding as TALE's NH-index (internal/approx), shared here so the
 // exact and approximate paths agree on signature semantics.
 func LabelBit(label int32) uint64 { return 1 << (uint32(label) % 64) }
 
-// Index holds the per-snapshot candidate-pruning indexes: one-hop
-// directed neighbor-label signatures (built eagerly, O(V+E)), and r-hop
-// undirected label signatures built lazily per requested radius. An Index is
-// immutable after construction except for the lazily grown hop levels, which
-// are guarded; it is safe for concurrent queries.
+// sig Bloom-summarizes the labels of one node's out- and in-neighbors.
+type sig struct{ out, in uint64 }
+
+// Index holds the per-snapshot candidate-pruning index: one directed
+// neighbor-label signature pair per node, built in O(V+E). An Index is
+// immutable and safe for concurrent queries.
 //
 // Every filter is a necessary condition for a center's ball to contain a
 // match (see Prune), so pruning with stale requirements is impossible by
@@ -32,92 +26,34 @@ func LabelBit(label int32) uint64 { return 1 << (uint32(label) % 64) }
 type Index struct {
 	g *graph.Graph
 
-	// outSig[v] / inSig[v] Bloom-summarize the labels of v's out-/in-
-	// neighbors; used by the label-pair filter.
-	outSig, inSig []uint64
-
-	// hop[k][v] Bloom-summarizes every label within k undirected hops of
-	// v (hop[0] is v's own label). Grown on demand under mu; a level, once
-	// appended, is never written again.
-	mu  sync.Mutex
-	hop [][]uint64
+	// sigs is paged like the graph's row headers, so the next version's index
+	// shares every page the batch between them cannot have changed.
+	sigs graph.Paged[sig]
 }
 
-// NewIndex builds the one-hop indexes for g. The r-hop signatures are
-// materialized on first use per radius.
+// NewIndex builds the index of g.
 func NewIndex(g *graph.Graph) *Index {
-	n := g.NumNodes()
-	ix := &Index{g: g, outSig: make([]uint64, n), inSig: make([]uint64, n)}
-	own := make([]uint64, n)
-	for v := int32(0); v < int32(n); v++ {
-		own[v] = LabelBit(g.Label(v))
+	sigs := make([]sig, g.NumNodes())
+	for v := range sigs {
+		sigs[v] = oneHop(g, int32(v))
 	}
-	for v := int32(0); v < int32(n); v++ {
-		ix.outSig[v], ix.inSig[v] = oneHop(g, own, v)
-	}
-	ix.hop = [][]uint64{own}
 	indexBuilds.Inc()
-	return ix
+	return &Index{g: g, sigs: graph.PagedOf(sigs)}
 }
 
-// oneHop folds the labels (own is hop level 0) of v's out- and in-neighbors.
-func oneHop(g *graph.Graph, own []uint64, v int32) (o, i uint64) {
+// oneHop folds the labels of v's out- and in-neighbors.
+func oneHop(g *graph.Graph, v int32) (s sig) {
 	for _, w := range g.Out(v) {
-		o |= own[w]
+		s.out |= LabelBit(g.Label(w))
 	}
 	for _, w := range g.In(v) {
-		i |= own[w]
-	}
-	return o, i
-}
-
-// nextHop is v's signature one level above prev: its own OR its undirected
-// neighbors'.
-func nextHop(g *graph.Graph, prev []uint64, v int32) uint64 {
-	s := prev[v]
-	for _, w := range g.Out(v) {
-		s |= prev[w]
-	}
-	for _, w := range g.In(v) {
-		s |= prev[w]
+		s.in |= LabelBit(g.Label(w))
 	}
 	return s
 }
 
 // Graph returns the data graph this index describes.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
-
-// hopSig returns the r-hop label signatures, building missing levels by
-// iterated undirected OR (each level is one O(V+E) sweep). Returns nil
-// when r exceeds maxHopSig — a smaller-radius signature would prune
-// unsoundly, so callers skip the filter instead.
-func (ix *Index) hopSig(r int) []uint64 {
-	if r < 0 {
-		r = 0
-	}
-	if r > maxHopSig {
-		return nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for len(ix.hop) <= r {
-		prev := ix.hop[len(ix.hop)-1]
-		next := make([]uint64, len(prev))
-		for v := int32(0); v < int32(len(prev)); v++ {
-			next[v] = nextHop(ix.g, prev, v)
-		}
-		ix.hop = append(ix.hop, next)
-	}
-	return ix.hop[r]
-}
-
-// builtLevels returns the hop levels built so far. The list grows while
-// readers run, so it is read under mu; the levels themselves are immutable.
-func (ix *Index) builtLevels() [][]uint64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.hop[:len(ix.hop):len(ix.hop)]
-}
 
 // Delta names what one update batch changed between the graph an Index
 // describes and the graph that follows it.
@@ -130,100 +66,50 @@ type Delta struct {
 	Relabelled []int32
 }
 
-// PatchStats counts the nodes one Patched call recomputed.
+// PatchStats counts what one Patched call did.
 type PatchStats struct {
-	OneHop int   // outSig/inSig pairs: |A_1|
-	Levels []int // per carried hop level k: |A_k|
+	OneHop int // signatures recomputed
+	Pages  int // signature pages copied; the rest are shared
 }
 
 // Patched returns the index of g — the graph d leads to from ix's — derived
-// from ix in time proportional to the region d can reach, plus one flat copy
-// per array. Every array of the result is its own: the copy is what keeps ix,
-// which older versions still read, bit-identical. On the copies, signatures
-// are *recomputed* from g wherever they can differ (a Bloom bit cannot be
-// cleared, so nothing is ever OR-ed into an inherited value):
+// from ix in time proportional to what d names. A node's signature reads its
+// own rows and its neighbors' labels, so it can differ only on
 //
-//	A_0 = d.Relabelled                 level 0 (own label)
-//	A_k = d.Rows ∪ N[A_{k-1}]          level k, read from the new level k-1
+//	A = d.Rows ∪ N[d.Relabelled]
 //
-// with N[·] the closed undirected neighborhood in g; outSig and inSig are
-// recomputed over A_1. Outside A_k a node kept both rows and every member of
-// its closed neighborhood kept its level k-1 value (induction on k), so its
-// level k value stands. Only the levels ix had built when called are
-// carried; the rest stay lazy.
+// with N[·] the closed undirected neighborhood in g (a neighbor a relabelled
+// node lost in the same batch is in Rows). There it is *recomputed* from g —
+// a Bloom bit cannot be cleared, so nothing is ever OR-ed into an inherited
+// value — into copies of the pages holding A; every other page is ix's own,
+// shared. ix, which older versions still read, is never written.
 func (ix *Index) Patched(g *graph.Graph, d Delta) (*Index, PatchStats) {
 	n := g.NumNodes()
-	levels := ix.builtLevels()
-	grown := func(a []uint64) []uint64 {
-		c := make([]uint64, n)
-		copy(c, a)
-		return c
+	e := ix.sigs.Edit()
+	for e.Len() < n {
+		e.Append(sig{}) // added nodes; all of them are in d.Rows
 	}
-	nx := &Index{g: g, outSig: grown(ix.outSig), inSig: grown(ix.inSig), hop: make([][]uint64, len(levels))}
-	for k, level := range levels {
-		nx.hop[k] = grown(level)
-	}
-
-	// area holds A_k in insertion order; A_k ⊇ A_{k-1} from k = 1 on, so each
-	// level only expands the members the previous one added.
-	in := graph.NewNodeSet(n)
-	var area []int32
-	add := func(v int32) {
-		if in.Add(v) {
-			area = append(area, v)
-		}
-	}
+	area := slices.Clone(d.Rows)
 	for _, v := range d.Relabelled {
-		add(v)
+		area = append(append(append(area, v), g.Out(v)...), g.In(v)...)
 	}
-	own := nx.hop[0]
+	slices.Sort(area)
+	area = slices.Compact(area)
 	for _, v := range area {
-		own[v] = LabelBit(g.Label(v))
-	}
-	st := PatchStats{Levels: make([]int, len(nx.hop))}
-	st.Levels[0] = len(area)
-	expanded := 0
-	for k := 1; k == 1 || k < len(nx.hop); k++ {
-		end := len(area)
-		for _, v := range area[expanded:end] {
-			for _, w := range g.Out(v) {
-				add(w)
-			}
-			for _, w := range g.In(v) {
-				add(w)
-			}
-		}
-		expanded = end
-		if k == 1 {
-			for _, v := range d.Rows {
-				add(v)
-			}
-			for _, v := range area {
-				nx.outSig[v], nx.inSig[v] = oneHop(g, own, v)
-			}
-			st.OneHop = len(area)
-		}
-		if k < len(nx.hop) {
-			prev, cur := nx.hop[k-1], nx.hop[k]
-			for _, v := range area {
-				cur[v] = nextHop(g, prev, v)
-			}
-			st.Levels[k] = len(area)
-		}
+		e.Set(v, oneHop(g, v))
 	}
 	indexPatches.Inc()
-	return nx, st
+	return &Index{g: g, sigs: e.Freeze()}, PatchStats{OneHop: len(area), Pages: e.Copied()}
 }
 
-// Equal reports whether ix and o hold the same signatures: outSig, inSig and
-// every hop level ix has built (o builds the ones it lacks). It is how tests
+// Equal reports whether ix and o hold the same signatures. It is how tests
 // pin a patched index against NewIndex on the same graph.
 func (ix *Index) Equal(o *Index) bool {
-	if !slices.Equal(ix.outSig, o.outSig) || !slices.Equal(ix.inSig, o.inSig) {
+	if ix.sigs.Len() != o.sigs.Len() {
 		return false
 	}
-	for k, level := range ix.builtLevels() {
-		if !slices.Equal(level, o.hopSig(k)) {
+	for v := int32(0); v < int32(ix.sigs.Len()); v++ {
+		if ix.sigs.At(v) != o.sigs.At(v) {
 			return false
 		}
 	}
@@ -233,10 +119,9 @@ func (ix *Index) Equal(o *Index) bool {
 // PruneStats reports one Prune call: the candidate count walking in, how
 // many centers each filter removed, and what the anchor check read.
 type PruneStats struct {
-	Before          int
-	PrunedSignature int
-	PrunedDegree    int
-	PrunedAnchor    int
+	Before       int
+	PrunedDegree int
+	PrunedAnchor int
 	// AnchorEntries counts the adjacency entries the anchor check examined.
 	AnchorEntries int
 }
@@ -251,13 +136,8 @@ type PruneStats struct {
 const anchorBudget = 4096
 
 // Prune filters centers in place against q at the given ball radius and
-// returns the surviving prefix. All three filters are necessary conditions,
+// returns the surviving prefix. Both filters are necessary conditions,
 // applied cheapest first:
-//
-//   - Signature: a match of Q in Ĝ[v, r] puts every pattern label within r
-//     undirected hops of v, so a pattern label bit missing from hop[r][v]
-//     proves no match. Bloom folding only admits extra centers, never
-//     drops a viable one.
 //
 //   - Label-pair: the center must itself match some pattern node u with
 //     label(u) = label(v) (w ∈ Q(w) by Theorem 4.2's match definition — the
@@ -267,61 +147,75 @@ const anchorBudget = 4096
 //     Bloom-folded labels of v's out- (in-) neighbors must cover those of
 //     u's.
 //
-//   - Anchor: the same condition, exact and k = min(r, dQ) rounds deep. A
-//     dual simulation on the ball is one on G, and every dual simulation on
-//     G lies inside each round R_0 ⊇ R_1 ⊇ … of refinement from the label
-//     candidates, so (u, v) in the ball's relation puts (u, v) in R_k:
-//     every pattern edge (u, u') has an out-neighbor w of v with (u', w) in
-//     R_{k-1}, every (u″, u) an in-neighbor likewise. The check unfolds
-//     that from v, first fit. Any k is sound (Match+'s global filter is the
-//     limit k → ∞); k ≤ r reads only adjacency rows the ball's BFS would
-//     load next, and past dQ rounds the unfolding revisits pattern nodes
-//     for little.
+//   - Anchor: the same condition, exact and k = min(r, dQ) rounds deep (at
+//     least one). A dual simulation on the ball is one on G, and every dual
+//     simulation on G lies inside each round R_0 ⊇ R_1 ⊇ … of refinement
+//     from the label candidates, so (u, v) in the ball's relation puts
+//     (u, v) in R_k: every pattern edge (u, u') has an out-neighbor w of v
+//     with (u', w) in R_{k-1}, every (u″, u) an in-neighbor likewise. The
+//     check unfolds that from v, first fit. Any k is sound (Match+'s global
+//     filter is the limit k → ∞); k ≤ r reads only adjacency rows the
+//     ball's BFS would load next, and past dQ rounds the unfolding revisits
+//     pattern nodes for little.
 //
 // Centers whose label matches no pattern node pass untouched (fail open);
 // the caller's candidate selection should have excluded them already.
 func (ix *Index) Prune(q *graph.Graph, radius int, centers []int32, st *PruneStats) []int32 {
+	kept := prune(ix.g, &ix.sigs, q, radius, centers, st)
+	candidatesBefore.Add(int64(st.Before))
+	prunedDegree.Add(int64(st.PrunedDegree))
+	prunedAnchor.Add(int64(st.PrunedAnchor))
+	return kept
+}
+
+// Anchored is Prune's anchor check alone, for a caller that holds a graph
+// and no Index: it filters centers in place against q at the given ball
+// radius and returns those that can anchor a match of q. The label-pair
+// filter is the anchor check's first round behind a Bloom fold, so the
+// survivors are exactly Prune's.
+func Anchored(g, q *graph.Graph, radius int, centers []int32) []int32 {
+	return prune(g, nil, q, radius, centers, new(PruneStats))
+}
+
+// prune is Prune over g; sigs, when non-nil, holds g's signatures and puts
+// the label-pair filter in front of the anchor check.
+func prune(g *graph.Graph, sigs *graph.Paged[sig], q *graph.Graph, radius int, centers []int32, st *PruneStats) []int32 {
 	st.Before = len(centers)
 	if len(centers) == 0 || q == nil || q.NumNodes() == 0 {
 		return centers
 	}
 
 	// Pattern-side label sets, one entry per pattern node. Patterns are tiny,
-	// so a small slice with linear scans beats a map.
+	// so a small slice with linear scans beats a map, and up to 8 nodes it
+	// lives on the stack.
 	type labelReq struct {
-		label         int32
-		outSig, inSig uint64 // Bloom-folded labels of the node's out-/in-neighbors
+		label int32
+		sig   // Bloom-folded labels of the node's out-/in-neighbors
 	}
-	var qsig uint64
-	reqs := make([]labelReq, q.NumNodes())
-	for u := range reqs {
-		r := &reqs[u]
-		r.label = q.Label(int32(u))
-		qsig |= LabelBit(r.label)
-		for _, w := range q.Out(int32(u)) {
-			r.outSig |= LabelBit(q.Label(w))
-		}
-		for _, w := range q.In(int32(u)) {
-			r.inSig |= LabelBit(q.Label(w))
-		}
+	var small [8]labelReq
+	reqs := small[:0]
+	if q.NumNodes() > len(small) {
+		reqs = make([]labelReq, 0, q.NumNodes())
 	}
-	rounds, _ := graph.Diameter(q)
-	if radius < rounds {
-		rounds = radius
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		reqs = append(reqs, labelReq{q.Label(u), oneHop(q, u)})
 	}
+	// At least one round, so that a one-node pattern with a self-loop is held
+	// to it as the label-pair filter holds it; without edges a round is free.
+	dq, _ := graph.Diameter(q)
+	rounds := max(1, min(radius, dq))
 
-	hop := ix.hopSig(radius)
-	a := anchor{q: q, g: ix.g}
+	a := anchor{q: q, g: g}
 	w := 0
 	for _, c := range centers {
-		if hop != nil && qsig&^hop[c] != 0 {
-			st.PrunedSignature++
-			continue
-		}
 		// The center is kept by the first pattern node of its label it can
 		// anchor; matched and paired tell which filter turned it away.
 		matched, paired, ok := false, false, false
-		clbl, out, in := ix.g.Label(c), ix.outSig[c], ix.inSig[c]
+		clbl := g.Label(c)
+		cs := sig{^uint64(0), ^uint64(0)} // without an index every label pair passes
+		if sigs != nil {
+			cs = sigs.At(c)
+		}
 		a.budget = anchorBudget
 		for u := range reqs {
 			r := &reqs[u]
@@ -329,7 +223,7 @@ func (ix *Index) Prune(q *graph.Graph, radius int, centers []int32, st *PruneSta
 				continue
 			}
 			matched = true
-			if r.outSig&^out != 0 || r.inSig&^in != 0 {
+			if r.out&^cs.out != 0 || r.in&^cs.in != 0 {
 				continue
 			}
 			paired = true
@@ -348,10 +242,6 @@ func (ix *Index) Prune(q *graph.Graph, radius int, centers []int32, st *PruneSta
 			st.PrunedDegree++
 		}
 	}
-	candidatesBefore.Add(int64(st.Before))
-	prunedSignature.Add(int64(st.PrunedSignature))
-	prunedDegree.Add(int64(st.PrunedDegree))
-	prunedAnchor.Add(int64(st.PrunedAnchor))
 	return centers[:w]
 }
 

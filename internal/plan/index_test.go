@@ -83,11 +83,20 @@ func deltaBetween(old, cur *graph.Graph) Delta {
 	return d
 }
 
+// flat reads a paged signature array back node by node.
+func flat(sigs graph.Paged[sig]) []sig {
+	out := make([]sig, sigs.Len())
+	for v := range out {
+		out[v] = sigs.At(int32(v))
+	}
+	return out
+}
+
 // TestIndexPatchedEqualsRebuilt chains Patched over random batches of all
-// five update ops and holds every version's patched index — outSig, inSig
-// and every carried hop level — to NewIndex + hopSig on that version's graph,
-// and the predecessor's arrays to what they were before the patch. Levels
-// grow lazily along the chain, so patches carry 1 to 4 of them.
+// five update ops on graphs of one to three signature pages, and holds every
+// version's patched index to NewIndex on that version's graph and the
+// predecessor's signatures to what they were before the patch. A patch may
+// copy only pages that hold a recomputed signature.
 func TestIndexPatchedEqualsRebuilt(t *testing.T) {
 	// More labels than signature bits, so folded labels share a bit and a
 	// stale bit would survive an OR.
@@ -95,11 +104,14 @@ func TestIndexPatchedEqualsRebuilt(t *testing.T) {
 	for i := range alphabet {
 		alphabet[i] = fmt.Sprintf("L%d", i)
 	}
+	shared := 0
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &mutableGraph{labels: graph.NewLabels(), edges: make(map[[2]int32]bool)}
 		labelsInUse := alphabet[:3+rng.Intn(len(alphabet)-3)]
-		n := 5 + rng.Intn(60)
+		// Every third chain starts just below a page boundary and grows
+		// across it; the rest are small or span several pages.
+		n := []int{5 + rng.Intn(60), 1000 + rng.Intn(400), 508 + rng.Intn(4)}[seed%3]
 		for i := 0; i < n; i++ {
 			m.lbl = append(m.lbl, labelsInUse[rng.Intn(len(labelsInUse))])
 		}
@@ -109,44 +121,35 @@ func TestIndexPatchedEqualsRebuilt(t *testing.T) {
 		g := m.build()
 		ix := NewIndex(g)
 		for step := 0; step < 25; step++ {
-			if rng.Intn(4) == 0 {
-				ix.hopSig(rng.Intn(4)) // a planned query of that radius ran on this version
-			}
-			before := &Index{outSig: slices.Clone(ix.outSig), inSig: slices.Clone(ix.inSig)}
-			for _, level := range ix.hop {
-				before.hop = append(before.hop, slices.Clone(level))
-			}
+			before := flat(ix.sigs)
 
 			m.mutate(rng, labelsInUse)
 			next := m.build()
-			patched, st := ix.Patched(next, deltaBetween(g, next))
+			d := deltaBetween(g, next)
+			patched, st := ix.Patched(next, d)
 
 			where := fmt.Sprintf("seed %d step %d", seed, step)
-			if len(patched.hop) != len(before.hop) || len(st.Levels) != len(before.hop) {
-				t.Fatalf("%s: %d levels carried (%d counted), predecessor had %d", where, len(patched.hop), len(st.Levels), len(before.hop))
-			}
 			fresh := NewIndex(next)
-			if !slices.Equal(patched.outSig, fresh.outSig) || !slices.Equal(patched.inSig, fresh.inSig) {
-				t.Fatalf("%s: patched one-hop signatures differ from a rebuild", where)
-			}
-			for k := range patched.hop {
-				if !slices.Equal(patched.hop[k], fresh.hopSig(k)) {
-					t.Fatalf("%s: patched hop level %d differs from a rebuild", where, k)
-				}
+			if !slices.Equal(flat(patched.sigs), flat(fresh.sigs)) {
+				t.Fatalf("%s: patched signatures differ from a rebuild", where)
 			}
 			if !patched.Equal(fresh) || patched.Graph() != next {
 				t.Fatalf("%s: Equal disagrees with the field comparison", where)
 			}
-			if !slices.Equal(ix.outSig, before.outSig) || !slices.Equal(ix.inSig, before.inSig) || len(ix.hop) != len(before.hop) {
+			if !slices.Equal(flat(ix.sigs), before) {
 				t.Fatalf("%s: the patch wrote into its predecessor", where)
 			}
-			for k := range before.hop {
-				if !slices.Equal(ix.hop[k], before.hop[k]) {
-					t.Fatalf("%s: the patch wrote into its predecessor's level %d", where, k)
-				}
+			if st.OneHop < len(d.Rows) || st.Pages > st.OneHop {
+				t.Fatalf("%s: %d signatures recomputed for %d changed rows, %d pages copied", where, st.OneHop, len(d.Rows), st.Pages)
+			}
+			if pages := (next.NumNodes() + 511) / 512; st.Pages < pages {
+				shared++
 			}
 			g, ix = next, patched
 		}
+	}
+	if shared == 0 {
+		t.Fatal("no patch shared a page with its predecessor")
 	}
 }
 

@@ -6,13 +6,14 @@
 // Two independent mechanisms, composed by the engine when
 // engine.QueryOptions.Planner is set:
 //
-//   - Candidate pruning (Index): per-snapshot neighborhood label signatures
-//     — the exact-path generalization of TALE's NH-index in internal/approx
-//     — a label-pair adjacency filter, and behind them an exact anchor
-//     check: the first dQ rounds of dual-simulation refinement unfolded from
-//     the center. Every filter is a necessary condition for a ball match,
-//     so pruning never changes results, only skips balls that provably
-//     cannot match.
+//   - Candidate pruning (Index): per-snapshot one-hop neighbor-label
+//     signatures — the exact-path counterpart of TALE's NH-index in
+//     internal/approx — behind a label-pair adjacency filter, and behind
+//     that an exact anchor check: the first dQ rounds of dual-simulation
+//     refinement unfolded from the center (Anchored is that check for a
+//     caller with no Index). Every filter is a necessary condition for a
+//     ball match, so pruning never changes results, only skips balls that
+//     provably cannot match.
 //
 //   - Result caching (Cache): completed Match results keyed by canonical
 //     pattern (Canon), effective radius and mode, storing the pre-dedup
@@ -43,8 +44,6 @@ var (
 		"candidate-pruning indexes derived from the previous version's by patching what an update batch touched")
 	candidatesBefore = obs.Default.Counter("plan_candidates_before_total",
 		"candidate centers entering the pruning filters")
-	prunedSignature = obs.Default.Counter("plan_pruned_signature_total",
-		"candidate centers pruned by the r-hop label signature filter")
 	prunedDegree = obs.Default.Counter("plan_pruned_degree_total",
 		"candidate centers pruned by the label-pair filter: the Bloom-folded neighbor labels alone, no degree bound")
 	prunedAnchor = obs.Default.Counter("plan_pruned_anchor_total",
@@ -114,7 +113,7 @@ func (p *Planner) Invalidate(version uint64, dirtyFor func(radius int) []int32) 
 // plan_candidates_pruned_total counter (the per-filter counters are
 // incremented by Prune itself).
 func CountPruned(st PruneStats) {
-	if n := st.PrunedSignature + st.PrunedDegree + st.PrunedAnchor; n > 0 {
+	if n := st.PrunedDegree + st.PrunedAnchor; n > 0 {
 		candidatesPruned.Add(int64(n))
 	}
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -45,7 +46,7 @@ func randomPattern(rng *rand.Rand, lt *graph.Labels, nq, labels int) *graph.Grap
 	return b.Build()
 }
 
-// TestPruneNecessity is the soundness bar of all three Prune stages: on
+// TestPruneNecessity is the soundness bar of both Prune stages: on
 // random graphs from 2 to 200 labels, for random and sampled patterns at
 // radii below, at and above dQ, every center whose ball has a perfect
 // subgraph survives. It also demands that the anchor stage does prune
@@ -80,7 +81,7 @@ func TestPruneNecessity(t *testing.T) {
 				}
 				var st PruneStats
 				kept := graph.SetOf(n, ix.Prune(q, radius, all, &st)...)
-				if st.Before != n || kept.Len() != n-st.PrunedSignature-st.PrunedDegree-st.PrunedAnchor {
+				if st.Before != n || kept.Len() != n-st.PrunedDegree-st.PrunedAnchor {
 					t.Fatalf("seed %d: stats %+v do not add up to %d kept of %d", seed, st, kept.Len(), n)
 				}
 				anchored += st.PrunedAnchor
@@ -100,6 +101,39 @@ func TestPruneNecessity(t *testing.T) {
 	}
 	if anchored == 0 || matching == 0 {
 		t.Fatalf("vacuous run: %d centers pruned by the anchor stage, %d matching centers", anchored, matching)
+	}
+}
+
+// TestAnchoredEqualsPrune: the anchor check alone keeps exactly the centers
+// Prune keeps with its Bloom words in front — the first exact round implies
+// the label-pair condition — on random graphs and patterns, one-node patterns
+// with and without a self-loop included.
+func TestAnchoredEqualsPrune(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		labels := []int{1, 2, 3, 12, 80}[seed%5]
+		n := 20 + rng.Intn(70)
+		lt := graph.NewLabels()
+		g := randomGraph(rng, lt, n, n+rng.Intn(4*n), labels)
+		ix := NewIndex(g)
+		for trial := 0; trial < 6; trial++ {
+			q := randomPattern(rng, lt, 1+rng.Intn(4), min(labels, 3))
+			dq, connected := graph.Diameter(q)
+			if !connected {
+				continue
+			}
+			for _, radius := range []int{dq, 1, dq + 2} {
+				all := make([]int32, n)
+				for i := range all {
+					all[i] = int32(i)
+				}
+				pruned := slices.Clone(ix.Prune(q, radius, slices.Clone(all), new(PruneStats)))
+				if anchored := Anchored(g, q, radius, all); !slices.Equal(anchored, pruned) {
+					t.Fatalf("seed %d trial %d radius %d (dQ %d): Anchored keeps %v, Prune keeps %v\npattern:\n%s",
+						seed, trial, radius, dq, anchored, pruned, graph.FormatString(q))
+				}
+			}
+		}
 	}
 }
 
@@ -165,7 +199,7 @@ func TestPruneAnchorBudget(t *testing.T) {
 
 // BenchmarkPrunePlain is the plain-mode filter on the harness's graph shape
 // at a fifth of its size: label candidates of 64 sampled 2-4-node patterns
-// through all three stages. centers_left/op rising says a stage stopped
+// through both stages. centers_left/op rising says a stage stopped
 // pruning; entries/op rising says the anchor check started walking whole
 // neighbourhoods.
 func BenchmarkPrunePlain(b *testing.B) {
@@ -183,7 +217,6 @@ func BenchmarkPrunePlain(b *testing.B) {
 		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: nodes, Alpha: 1.2, Seed: rng.Int63()})
 		if d, connected := graph.Diameter(q); connected && q.NumNodes() == nodes {
 			queries = append(queries, query{q, d, g.NodesLabeledIn(q).Slice()})
-			ix.hopSig(d)
 		}
 	}
 	var buf []int32
