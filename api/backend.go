@@ -96,7 +96,6 @@ func (local) Stream(ctx context.Context, q *Query, emit func(*core.PerfectSubgra
 
 func (b local) Update(_ context.Context, muts []live.Mutation, root obs.Span) (UpdateResponse, error) {
 	// Under the request's root span, the store records one live.apply child
-	// (live.patch_index under it when the version inherits a pruning index)
 	// plus a live.maintain child per standing query brought current; the
 	// untraced path hands in a zero Span and records nothing.
 	res, err := b.store.ApplyTraced(muts, root)

@@ -252,11 +252,9 @@ func TestTraceMatchParity(t *testing.T) {
 }
 
 // TestTraceUpdateSpans: a traced /v1/update records the store's work under
-// the root — one live.apply span for the mutation batch, holding a
-// live.patch_index child once a planned match has given the store a pruning
-// index to carry forward, and a live.maintain span per standing query brought
-// current — each saying what the batch cost: pages copied, signatures
-// recomputed, balls built and balls spared.
+// the root — one live.apply span for the mutation batch and a live.maintain
+// span per standing query brought current — each saying what the batch cost:
+// header pages copied, balls built and balls spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -295,14 +293,9 @@ func TestTraceUpdateSpans(t *testing.T) {
 		t.Errorf("live.apply mutations attr %d, want 2", apply.Attrs["mutations"])
 	}
 	// Nodes 0, 1 and 2 had a row rewritten; no label moved. The six nodes
-	// share one page of out-headers, one of in-headers and one of signatures.
+	// share one page of out-headers and one of in-headers.
 	if apply.Attrs["pages_copied"] != 2 {
 		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
-	}
-	if patch := findChild(apply, "live.patch_index"); patch == nil {
-		t.Errorf("live.apply children %v hold no live.patch_index span", childNames(apply))
-	} else if patch.Attrs["one_hop"] != 3 || patch.Attrs["pages_copied"] != 1 {
-		t.Errorf("live.patch_index attrs %v, want one_hop 3, pages_copied 1", patch.Attrs)
 	}
 	// Dirty centers 0..3; 2 carries no pattern label, 0 (A) lost its B
 	// successor and 1 (B) its A predecessor, 3 (A) still has 4 (B).

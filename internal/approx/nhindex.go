@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/plan"
 )
 
 // nhEntry is one node's neighborhood index record, TALE's NH-index: label,
@@ -36,10 +35,10 @@ type nhIndex struct {
 	entries []nhEntry
 }
 
-// labelBit delegates to the planner's signature bit so the approximate
-// path (TALE's NH-index) and the exact path (plan.Index) summarize labels
+// labelBit delegates to the graph's signature bit so the approximate path
+// (TALE's NH-index) and the exact path (graph.Sig) summarize labels
 // identically — one hash to reason about, one set of collision semantics.
-func labelBit(label int32) uint64 { return plan.LabelBit(label) }
+func labelBit(label int32) uint64 { return graph.LabelBit(label) }
 
 // nhMemo is a one-slot version-aware memo for the data graph's NH-index.
 // Graphs are immutable once built — a live store publishes each version as

@@ -43,24 +43,17 @@ func (e *Engine) MatchBatch(ctx context.Context, queries []BatchQuery) []BatchRe
 	}()
 
 	// Per-query precomputation (dominated by the global dual-simulation
-	// filters) fans out across the worker budget on the exec pool.
-	type prepOutcome struct {
-		p   *preparedQuery
-		err error
-	}
+	// filters) fans out across the worker budget on the exec pool. Each
+	// evaluation files its own outcome: when ctx ends the fan-out, exec.Run
+	// drops the outcomes still in flight, and a prepared query dropped there
+	// would take its pooled scratch to the collector unreleased. Run returns
+	// only after every evaluation has, so the slots are complete here.
 	_ = exec.Run(ctx, exec.Options{Workers: e.workers}, len(queries),
-		func(_ *exec.Scratch, i int) prepOutcome {
-			p, err := e.prepare(ctx, queries[i].Pattern, queries[i].Opts)
-			return prepOutcome{p: p, err: err}
+		func(_ *exec.Scratch, i int) struct{} {
+			preps[i], results[i].Err = e.prepare(ctx, queries[i].Pattern, queries[i].Opts)
+			return struct{}{}
 		},
-		func(i int, o prepOutcome) bool {
-			if o.err != nil {
-				results[i].Err = o.err
-			} else {
-				preps[i] = o.p
-			}
-			return true
-		})
+		func(int, struct{}) bool { return true })
 
 	// Group live queries by effective radius; the shared radius is what
 	// makes one ball reusable across a group's patterns.

@@ -38,6 +38,75 @@ func (c *flipCtx) Err() error {
 	return context.Canceled
 }
 
+// lateCancelCtx is cancelled by its at-th Err call, which still answers nil:
+// the cancel lands just after a check passed. It is a cancelCtx underneath,
+// so contexts derived from it end at once.
+type lateCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	calls  atomic.Int64
+}
+
+func newLateCancelCtx(at int64) *lateCancelCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &lateCancelCtx{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *lateCancelCtx) Err() error {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestMatchBatchCancelReleasesPrepared cancels a Match+ batch while its
+// prepare fan-out runs — on a prepare's last check, so that prepare completes
+// with its outcome still to deliver — and demands every global pass that ran
+// hand its pooled scratch back: scratch_sim_evals_total, which only Release
+// feeds, grows by exactly the passes started (the queries whose prepare
+// reached the filter stage). A prepared query exec.Run dropped in flight used
+// to take its scratch to the collector uncounted.
+func TestMatchBatchCancelReleasesPrepared(t *testing.T) {
+	g := generator.Synthetic(3000, 1.2, 10, 1)
+	var batch []BatchQuery
+	for seed := int64(1); len(batch) < 12; seed++ {
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: seed})
+		if _, ok := graph.Diameter(q); ok && q.NumNodes() == 3 {
+			batch = append(batch, BatchQuery{Pattern: q})
+		}
+	}
+	e := New(g, Config{Workers: 2}) // 12 > exec's inline limit: a pooled fan-out
+	evals := obs.Default.Counter("scratch_sim_evals_total", "")
+	cancelled := 0
+	for round := 0; round < 40; round++ {
+		for i := range batch {
+			batch[i].Opts = PlusQuery()
+			batch[i].Opts.Trace = &obs.QueryStats{Progress: new(obs.Progress)}
+		}
+		ctx := newLateCancelCtx(int64(2 + round%12))
+		before := evals.Value()
+		for _, r := range e.MatchBatch(ctx, batch) {
+			if errors.Is(r.Err, context.Canceled) {
+				cancelled++
+			}
+		}
+		passes := int64(0)
+		for _, bq := range batch {
+			if bq.Opts.Trace.Progress.Stage() >= obs.StageFilter {
+				passes++
+			}
+		}
+		if got := evals.Value() - before; got != passes {
+			t.Fatalf("round %d: %d global passes ran, scratch_sim_evals_total grew by %d: a prepared query's scratch was not released", round, passes, got)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no batch member saw the cancellation; the test cancels nothing")
+	}
+}
+
 // TestCancelInsideGlobalFilter ends a context while Match+'s global dual
 // simulation runs over a 100k-node graph — one label and a chain pattern, so
 // the pass polls thousands of times — and demands from every entry point the

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -10,10 +9,9 @@ import (
 )
 
 // Snapshot is a query-ready view of one immutable data graph: the graph
-// itself, its frozen label table, and the candidate-pruning index. One
+// itself, its frozen label table, and the planner's handle on it. One
 // Snapshot is safe for any number of concurrent queries; everything mutable
-// behind it is either guarded (the index slot) or copied per request (label
-// tables handed to ParsePattern).
+// behind it is copied per request (label tables handed to ParsePattern).
 //
 // The graph handed to NewSnapshot must not change afterwards — in
 // particular, no further labels may be interned into its table. Graphs built
@@ -28,16 +26,12 @@ type Snapshot struct {
 	// results by it.
 	version atomic.Uint64
 
-	// planIdx is the candidate-pruning index over g: inherited from the
-	// previous version at publication (InheritPruneIndex) or built under
-	// planMu on the first planned query, so unplanned deployments pay nothing.
-	planMu  sync.Mutex
-	planIdx atomic.Pointer[plan.Index]
+	ix *plan.Index
 }
 
 // NewSnapshot prepares g for querying.
 func NewSnapshot(g *graph.Graph) *Snapshot {
-	return &Snapshot{g: g}
+	return &Snapshot{g: g, ix: plan.NewIndex(g)}
 }
 
 // Graph returns the underlying data graph.
@@ -52,39 +46,9 @@ func (s *Snapshot) SetVersion(v uint64) { s.version.Store(v) }
 // graph is not backed by a live store).
 func (s *Snapshot) Version() uint64 { return s.version.Load() }
 
-// PruneIndex returns the snapshot's candidate-pruning index, building it
-// on first use when the snapshot inherited none (O(V+E)). The index is
-// immutable alongside the graph and shared by every planned query against
-// this snapshot.
-func (s *Snapshot) PruneIndex() *plan.Index {
-	if ix := s.planIdx.Load(); ix != nil {
-		return ix
-	}
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	ix := s.planIdx.Load()
-	if ix == nil {
-		ix = plan.NewIndex(s.g)
-		s.planIdx.Store(ix)
-	}
-	return ix
-}
-
-// InheritPruneIndex gives s — the snapshot of the version d leads to from
-// prev's — prev's pruning index patched across the batch (plan.Index.Patched)
-// in place of a full build on s's first planned query. When prev never built
-// one it does nothing and reports false: a deployment that never plans
-// derives nothing. internal/live calls it at publication, before s is
-// visible to queries.
-func (s *Snapshot) InheritPruneIndex(prev *Snapshot, d plan.Delta) (plan.PatchStats, bool) {
-	ix := prev.planIdx.Load()
-	if ix == nil {
-		return plan.PatchStats{}, false
-	}
-	nx, st := ix.Patched(s.g, d)
-	s.planIdx.Store(nx)
-	return st, true
-}
+// PruneIndex returns the planner's candidate-pruning index over the
+// snapshot's graph, whose signatures the graph carries from its construction.
+func (s *Snapshot) PruneIndex() *plan.Index { return s.ix }
 
 // ParsePattern parses a pattern graph in the text format of internal/graph
 // against a private copy of the snapshot's label table. Labels the data

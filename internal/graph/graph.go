@@ -12,17 +12,19 @@ import (
 // a binary search and neighbor iteration is cache-friendly. An index from
 // label to the sorted list of nodes carrying it supports the candidate
 // initialization step of every matching algorithm (line 2 of procedure
-// DualSim in the paper's Fig. 3).
+// DualSim in the paper's Fig. 3); beside each list it keeps its nodes'
+// neighbour-label signatures (SigsWithLabel), the check that initialization
+// puts in front of reading a candidate's adjacency.
 type Graph struct {
 	labels   *Labels
 	nodeLbl  []int32        // node -> label id
 	out      Paged[[]int32] // node -> sorted successors
 	in       Paged[[]int32] // node -> sorted predecessors
 	numEdges int
-	byLabel  map[int32][]int32 // label id -> sorted nodes
-	// lblRows is byLabel as a slice indexed by label id, for the graphs a
-	// BallScratch builds (their byLabel is nil): filling it per ball costs
-	// no hashing and no allocation.
+	byLabel  map[int32]labelRow // label id -> sorted nodes and their signatures
+	// lblRows is byLabel's node lists as a slice indexed by label id, for the
+	// graphs a BallScratch builds (their byLabel is nil): filling it per ball
+	// costs no hashing and no allocation. They carry no signatures.
 	lblRows [][]int32
 	// rank[v] is v's index within NodesWithLabel(Label(v)). A per-query
 	// structure that holds one slot per candidate of a pattern node (the
@@ -111,7 +113,6 @@ func (b *Builder) Build() *Graph {
 	g := &Graph{
 		labels:  b.labels,
 		nodeLbl: append([]int32(nil), b.nodeLbl...),
-		byLabel: make(map[int32][]int32),
 		rank:    make([]int32, n),
 		name:    b.name,
 	}
@@ -152,11 +153,13 @@ func (b *Builder) Build() *Graph {
 		sort.Slice(in[v], func(i, j int) bool { return in[v][i] < in[v][j] })
 	}
 	g.out, g.in = PagedOf(out), PagedOf(in)
+	byLabel := make(map[int32][]int32)
 	for v := 0; v < n; v++ {
 		lbl := g.nodeLbl[v]
-		g.rank[v] = int32(len(g.byLabel[lbl]))
-		g.byLabel[lbl] = append(g.byLabel[lbl], int32(v))
+		g.rank[v] = int32(len(byLabel[lbl]))
+		byLabel[lbl] = append(byLabel[lbl], int32(v))
 	}
+	g.byLabel = g.indexRows(byLabel)
 	return g
 }
 
@@ -170,45 +173,48 @@ func (b *Builder) Build() *Graph {
 // The caller must guarantee the Builder invariants hold and that none of the
 // arguments are mutated afterwards: out and in are per-node sorted,
 // duplicate-free and mutually consistent adjacency, one row per node;
-// byLabel maps each label id to the ascending node ids carrying it (exactly
+// byLabel maps label ids to the ascending node ids carrying them (exactly
 // the nodes v with nodeLbl[v] = id); numEdges is the total length of out. Graphs violating
 // the contract misbehave in every algorithm of this repository; prefer a
 // Builder anywhere construction cost is not on a hot path.
 //
-// The one thing derived here is the label-rank array (see LabelRanks), and a
-// graph that follows prev by one update batch inherits prev's instead of
-// walking byLabel again: touched lists the label ids whose byLabel row differs
-// from prev's (a node added, removed or moved). With none touched the array is
-// shared outright; otherwise it is copied once (grown for added nodes) and
-// rewritten for the touched rows alone — a node's rank changes only when its
-// own row does. A nil prev walks every row.
-func FromParts(labels *Labels, nodeLbl []int32, out, in Paged[[]int32], byLabel map[int32][]int32, numEdges int, name string, prev *Graph, touched []int32) *Graph {
-	var rank []int32
-	switch {
-	case prev == nil:
-		rank = make([]int32, len(nodeLbl))
-		for _, row := range byLabel {
-			fillRanks(rank, row)
-		}
-	case len(touched) == 0:
-		rank = prev.rank
-	default:
-		rank = make([]int32, len(nodeLbl))
-		copy(rank, prev.rank)
-		for _, lbl := range touched {
-			fillRanks(rank, byLabel[lbl])
-		}
-	}
-	return &Graph{
+// What is derived here — the label ranks (LabelRanks) and the neighbour-label
+// signatures (SigsWithLabel) — a graph that follows prev by one update batch
+// inherits from prev instead of deriving it again. With a nil prev, byLabel
+// holds every label's row and both are derived in full. Otherwise byLabel
+// holds only the rows that differ from prev's (a node added, removed or
+// moved; an emptied row as an empty list), d names what else the batch
+// changed, and the rank array is shared outright when no row differs, or
+// copied once (grown for added nodes) and rewritten for the changed rows
+// alone — a node's rank changes only when its own row does. Signatures are
+// patched over the batch's neighbourhood (see patchedRows).
+func FromParts(labels *Labels, nodeLbl []int32, out, in Paged[[]int32], byLabel map[int32][]int32, numEdges int, name string, prev *Graph, d Delta) *Graph {
+	g := &Graph{
 		labels:   labels,
 		nodeLbl:  nodeLbl,
 		out:      out,
 		in:       in,
 		numEdges: numEdges,
-		byLabel:  byLabel,
-		rank:     rank,
 		name:     name,
 	}
+	switch {
+	case prev == nil:
+		g.rank = make([]int32, len(nodeLbl))
+	case len(byLabel) == 0:
+		g.rank = prev.rank
+	default:
+		g.rank = make([]int32, len(nodeLbl))
+		copy(g.rank, prev.rank)
+	}
+	for _, row := range byLabel {
+		fillRanks(g.rank, row)
+	}
+	if prev == nil {
+		g.byLabel = g.indexRows(byLabel)
+	} else {
+		g.byLabel = g.patchedRows(prev, byLabel, d)
+	}
+	return g
 }
 
 func fillRanks(rank, row []int32) {
@@ -290,7 +296,7 @@ func (g *Graph) NodesWithLabel(label int32) []int32 {
 		}
 		return nil
 	}
-	return g.byLabel[label]
+	return g.byLabel[label].nodes
 }
 
 // LabelRanks returns, per node v, the index of v within

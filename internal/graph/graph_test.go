@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -183,7 +184,7 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 		nodeLbl[v] = want.Label(v)
 		byLabel[want.Label(v)] = append(byLabel[want.Label(v)], v)
 	}
-	got := FromParts(want.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, want.NumEdges(), "diamond", nil, nil)
+	got := FromParts(want.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, want.NumEdges(), "diamond", nil, Delta{})
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("size mismatch: %v vs %v", got, want)
 	}
@@ -208,7 +209,7 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 
 // TestFromPartsInheritsRanks: a graph that follows another by one batch takes
 // its label ranks from it — the same array when no label row moved, a copy
-// with only the touched rows rewritten otherwise — and either way reads what
+// with only the changed rows rewritten otherwise — and either way reads what
 // a full walk over byLabel gives, while the predecessor's stay as they were.
 func TestFromPartsInheritsRanks(t *testing.T) {
 	prev := buildDiamond(t)
@@ -220,7 +221,7 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 		nodeLbl[v], out[v], in[v] = prev.Label(v), prev.Out(v), prev.In(v)
 		byLabel[prev.Label(v)] = append(byLabel[prev.Label(v)], v)
 	}
-	same := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "edges only", prev, nil)
+	same := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), nil, prev.NumEdges(), "edges only", prev, Delta{})
 	if &same.LabelRanks()[0] != &prev.LabelRanks()[0] {
 		t.Fatal("a batch that touched no label row should share its predecessor's ranks")
 	}
@@ -231,13 +232,13 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 	nodeLbl = append(append([]int32(nil), nodeLbl...), grown)
 	nodeLbl[0] = to
 	out, in = append(out[:n:n], nil), append(in[:n:n], nil)
-	byLabel[from] = nil
-	byLabel[to] = []int32{0, 3}
-	byLabel[grown] = append(byLabel[grown][:1:1], int32(n))
+	changed := map[int32][]int32{from: nil, to: {0, 3}, grown: append(byLabel[grown][:1:1], int32(n))}
+	maps.Copy(byLabel, changed)
 	before := append([]int32(nil), prev.LabelRanks()...)
 
-	got := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "patched", prev, []int32{from, to, grown})
-	want := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "walked", nil, nil)
+	got := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), changed, prev.NumEdges(), "patched", prev,
+		Delta{Rows: []int32{int32(n)}, Relabelled: []int32{0, int32(n)}})
+	want := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "walked", nil, Delta{})
 	if !reflect.DeepEqual(got.LabelRanks(), want.LabelRanks()) {
 		t.Fatalf("patched ranks %v, a full walk gives %v", got.LabelRanks(), want.LabelRanks())
 	}

@@ -113,9 +113,9 @@ func TestBuilderFromPartsAcrossPages(t *testing.T) {
 			nodeLbl[v] = built.Label(v)
 			byLabel[nodeLbl[v]] = append(byLabel[nodeLbl[v]], v)
 		}
-		adopted := FromParts(built.Labels(), nodeLbl, PagedOf(refOut), PagedOf(refIn), byLabel, built.NumEdges(), "", nil, nil)
+		adopted := FromParts(built.Labels(), nodeLbl, PagedOf(refOut), PagedOf(refIn), byLabel, built.NumEdges(), "", nil, Delta{})
 		out, in := built.Rows()
-		shared := FromParts(built.Labels(), nodeLbl, out, in, byLabel, built.NumEdges(), "", built, nil)
+		shared := FromParts(built.Labels(), nodeLbl, out, in, nil, built.NumEdges(), "", built, Delta{})
 
 		for _, g := range []*Graph{built, adopted, shared} {
 			if g.NumNodes() != n || g.NumEdges() != len(seen) {

@@ -5,31 +5,35 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
-// The planner's index counters, read as before/after differences (the
-// registry is process-wide and get-or-create).
-var (
-	indexBuilds  = obs.Default.Counter("plan_index_builds_total", "")
-	indexPatches = obs.Default.Counter("plan_index_patches_total", "")
-)
-
-// checkIndexPatched asserts the current version's pruning index — inherited
-// through every publish since the chain began, sharing the signature pages no
-// batch wrote into — equals a full build on the version's graph.
-func checkIndexPatched(t testing.TB, s *Store) {
+// checkSignatures asserts that a version's graph — whose label rows, label
+// ranks and neighbour-label signatures every publish since version 0 patched
+// from its predecessor's — carries exactly what a Builder derives from the
+// same nodes and edges.
+func checkSignatures(t testing.TB, g *graph.Graph) {
 	t.Helper()
-	snap := s.Current().Engine().Snapshot()
-	if !snap.PruneIndex().Equal(plan.NewIndex(snap.Graph())) {
-		t.Fatalf("v%d: patched pruning index differs from a rebuild", s.Current().ID())
+	b := graph.NewBuilder(g.Labels()) // every name is interned: nothing is added
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		b.AddNode(g.LabelName(v))
+	}
+	g.Edges(func(u, v int32) { _ = b.AddEdge(u, v) })
+	want := b.Build()
+	if !slices.Equal(g.LabelRanks(), want.LabelRanks()) {
+		t.Fatalf("%s: patched label ranks differ from a rebuild", g.Name())
+	}
+	for lbl := int32(0); lbl < int32(g.Labels().Len()); lbl++ {
+		if !slices.Equal(g.NodesWithLabel(lbl), want.NodesWithLabel(lbl)) ||
+			!slices.Equal(g.SigsWithLabel(lbl), want.SigsWithLabel(lbl)) {
+			t.Fatalf("%s: label %q: patched row or signatures differ from a rebuild", g.Name(), g.Labels().Name(lbl))
+		}
 	}
 }
 
@@ -126,8 +130,8 @@ func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 // after every batch assert each standing result set is byte-identical to
 // engine.Match re-run from scratch on the post-update graph at the same
 // version — as is a planned Match, served through a cache the batches keep
-// invalidating — and that the version's pruning index, patched from its
-// predecessor's and never rebuilt, equals a rebuild.
+// invalidating — and that the version's signatures, patched from its
+// predecessor's and never rebuilt, equal a rebuild's.
 func TestChurnEquivalence(t *testing.T) {
 	steps := 40
 	if testing.Short() {
@@ -147,10 +151,6 @@ func TestChurnEquivalence(t *testing.T) {
 				_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 			}
 			s := NewStore(b.Build(), Config{Workers: 3})
-
-			// Begin the index chain at version 0, so each publish patches it.
-			s.Current().Engine().Snapshot().PruneIndex()
-			builds, patches, applied := indexBuilds.Value(), indexPatches.Value(), int64(0)
 
 			var standing []*StandingQuery
 			alive := make([]int32, n)
@@ -212,48 +212,69 @@ func TestChurnEquivalence(t *testing.T) {
 						t.Fatalf("step %d: planned Match diverges:\n got: %s\nwant: %s", step, p, w)
 					}
 				}
-				applied++
-				checkIndexPatched(t, s) // one reference build
-			}
-			if b, p := indexBuilds.Value()-builds, indexPatches.Value()-patches; b != applied || p != applied {
-				t.Fatalf("%d batches: %d index patches, %d full builds (want %[1]d and the %[1]d reference builds)", applied, p, b)
+				checkSignatures(t, s.Current().Graph())
 			}
 		})
 	}
 }
 
-// TestUnplannedStoreDerivesNothing: a store whose queries never pass a
-// Planner builds no pruning index and therefore has none to patch, however
-// many versions it publishes.
-func TestUnplannedStoreDerivesNothing(t *testing.T) {
+// TestVersionSignaturesEqualRebuilt: every version's graph carries the label
+// rows, ranks and neighbour-label signatures a Builder derives from scratch,
+// though each version patched its predecessor's, across all five ops — label
+// rows that grow (add_node), set_label, edge toggles and delete_node of a hub
+// wired to a fifth of the graph — over more than 64 labels, so that folded
+// label bits collide and a stale bit would survive an OR.
+func TestVersionSignaturesEqualRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	alphabet := []string{"A", "B", "C"}
-	s := NewStore(chain(alphabet, 40), Config{Workers: 2})
-	sq := edgePattern(t, s)
-	builds, patches := indexBuilds.Value(), indexPatches.Value()
-	for step := 0; step < 50; step++ {
-		u, v := rng.Int31n(40), rng.Int31n(40)
-		edge := Mutation{Op: OpInsertEdge, U: u, V: v}
-		if s.Current().Graph().HasEdge(u, v) {
-			edge.Op = OpDeleteEdge
-		}
-		muts := []Mutation{edge, {Op: OpSetLabel, Node: u, Label: alphabet[rng.Intn(3)]}, {Op: OpAddNode, Label: "A"}}
-		if _, err := s.Apply(muts); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if _, err := s.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{}); err != nil {
-			t.Fatal(err)
+	alphabet := make([]string, 70)
+	for i := range alphabet {
+		alphabet[i] = fmt.Sprintf("L%d", i)
+	}
+	const n, hub = 600, 7
+	b := graph.NewBuilder(nil)
+	for i := 0; i < n; i++ {
+		b.AddNode(alphabet[rng.Intn(len(alphabet))])
+	}
+	for i := 0; i < 2*n; i++ {
+		_ = b.AddEdge(rng.Int31n(n), rng.Int31n(n))
+	}
+	for v := int32(0); v < n; v += 5 {
+		_ = b.AddEdge(hub, v)
+		_ = b.AddEdge(v+1, hub)
+	}
+	s := NewStore(b.Build(), Config{Workers: 2})
+	checkSignatures(t, s.Current().Graph())
+
+	var alive []int32
+	for v := int32(0); v < n; v++ {
+		if v != hub {
+			alive = append(alive, v)
 		}
 	}
-	checkAgainstScratch(t, s, sq)
-	if b, p := indexBuilds.Value()-builds, indexPatches.Value()-patches; b != 0 || p != 0 {
-		t.Fatalf("50 unplanned batches: %d index builds, %d patches, want none", b, p)
+	for step := 0; step < 60; step++ {
+		muts := []Mutation{{Op: OpDeleteNode, Node: hub}}
+		if step != 30 {
+			u, v := alive[rng.Intn(len(alive))], alive[rng.Intn(len(alive))]
+			edge := Mutation{Op: OpInsertEdge, U: u, V: v}
+			if s.Current().Graph().HasEdge(u, v) {
+				edge.Op = OpDeleteEdge
+			}
+			muts = []Mutation{edge,
+				{Op: OpSetLabel, Node: alive[rng.Intn(len(alive))], Label: alphabet[rng.Intn(len(alphabet))]},
+				{Op: OpAddNode, Label: alphabet[rng.Intn(len(alphabet))]}}
+		}
+		res, err := s.Apply(muts)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		alive = append(alive, res.AddedNodes...)
+		checkSignatures(t, s.Current().Graph())
 	}
 }
 
 // TestChurnConcurrentReaders exercises the readers-never-block-on-writers
 // contract under the race detector: one writer applies batches — copying the
-// header and signature pages it writes into, sharing the rest — while readers
+// pages, rows and signature rows it writes into, sharing the rest — while readers
 // hammer planned one-shot matches of diameter 1 to 3 on whichever version
 // they land on, standing results and version graphs.
 func TestChurnConcurrentReaders(t *testing.T) {
@@ -338,14 +359,14 @@ func TestChurnConcurrentReaders(t *testing.T) {
 	close(done)
 	wg.Wait()
 	checkAgainstScratch(t, s, sq)
-	checkIndexPatched(t, s)
+	checkSignatures(t, s.Current().Graph())
 }
 
 // TestApplyAllocatesWhatItTouches is the allocation guard of the update path:
-// on a 50k-node store with a built pruning index and two standing queries, a
-// 4-edge batch allocates the pages and rows it writes into and what
-// maintenance reads — under 512 KB. One flat per-version copy of the row
-// headers alone is 2.4 MB here.
+// on a 50k-node store with two standing queries, a 4-edge batch allocates the
+// pages, rows and signature rows it writes into and what maintenance reads —
+// under 512 KB. One flat per-version copy of the row headers alone is 2.4 MB
+// here.
 func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	g := generator.Synthetic(50000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
@@ -359,7 +380,6 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 		}
 		registered++
 	}
-	s.Current().Engine().Snapshot().PruneIndex()
 
 	rng := rand.New(rand.NewSource(1))
 	n := int32(g.NumNodes())
@@ -394,11 +414,9 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 // BenchmarkApplyChurn is the update path in miniature: a 20k-node graph, four
 // standing queries, and per iteration one 4-edge batch (inserts, then the
 // batch that deletes them) followed by one planned Match+ on the new version.
-// Nothing in an iteration may cost O(|V|) again: index_builds/op is 0 — the
-// one full build happens before the timer starts, every later version
-// inherits — pages_copied/op is the header and signature pages the batch
-// wrote into (about 15 of the 120 the store has), and ns/op and B/op
-// (≈0.22 MB) are what a per-version pass creeping back would move.
+// Nothing in an iteration may cost O(|V|) again: pages_copied/op is the
+// header pages the batch wrote into (about 8 of the 80 the store has), and
+// ns/op and B/op are what a per-version pass creeping back would move.
 func BenchmarkApplyChurn(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
@@ -427,7 +445,6 @@ func BenchmarkApplyChurn(b *testing.B) {
 	n := int32(g.NumNodes())
 	var batch []Mutation
 	var pages int
-	builds := indexBuilds.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -450,6 +467,5 @@ func BenchmarkApplyChurn(b *testing.B) {
 		pages += res.PagesCopied
 		match()
 	}
-	b.ReportMetric(float64(indexBuilds.Value()-builds)/float64(b.N), "index_builds/op")
 	b.ReportMetric(float64(pages)/float64(b.N), "pages_copied/op")
 }

@@ -18,11 +18,11 @@
 //     engine.Snapshot — through one atomic pointer swap. The version is
 //     built copy-on-write: adjacency rows of untouched nodes, the pages of
 //     row headers no touched node lives in (graph.Paged), the label table
-//     and the per-label node index are shared with prior versions; only
-//     what the batch touched is copied, and what the previous version
-//     derived from its graph (label ranks, the planner's pruning index) is
-//     inherited and patched over the touched region, not derived again.
-//     In-flight queries keep the version they started with.
+//     and the label rows no node joined or left are shared with prior
+//     versions; only what the batch touched is copied, and what the previous
+//     version derived from its graph (label ranks, neighbour-label
+//     signatures) is inherited and patched over the touched region, not
+//     derived again. In-flight queries keep the version they started with.
 //
 //   - Standing-query maintenance is ball-local. An update can change the
 //     ball Ĝ[w, dQ] only if w lies within dQ undirected hops of a mutated
@@ -144,9 +144,8 @@ type UpdateResult struct {
 	// it — the dirty centers that survived the label precheck and the anchor
 	// check.
 	Recomputed map[int64]int
-	// PagesCopied counts the pages of adjacency row headers, and of pruning-
-	// index signatures when the version inherited an index, the batch copied;
-	// every other page the new version shares with its predecessor.
+	// PagesCopied counts the pages of adjacency row headers the batch
+	// copied; every other page the new version shares with its predecessor.
 	PagesCopied int
 	// Nodes and Edges are the post-batch graph size.
 	Nodes, Edges int
@@ -178,11 +177,11 @@ type Store struct {
 	// Graph state in the exact representation graph.FromParts adopts, and
 	// shared with the current version: a batch never writes it in place, it
 	// copies what it touches — the row, the page of row headers the row's
-	// node lives in, the label row, and nodeLbl whole when a label changes
-	// in place — into a batchState that replaces this on commit.
+	// node lives in, and nodeLbl whole when a label changes in place — into
+	// a batchState that replaces this on commit. Label rows are the current
+	// version's graph's; a batch copies the ones it changes.
 	nodeLbl  []int32
 	out, in  graph.Paged[[]int32]
-	byLabel  map[int32][]int32
 	numEdges int
 	nextID   int64
 
@@ -199,8 +198,8 @@ type Store struct {
 
 	// planner is the query planner shared by every published version: the
 	// match-result cache spans versions (entries are version-stamped and
-	// invalidated surgically by Apply), while pruning indexes live on each
-	// version's snapshot.
+	// invalidated surgically by Apply), while the signatures pruning reads
+	// live on each version's graph.
 	planner *plan.Planner
 }
 
@@ -217,7 +216,6 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 		frozen:    g.Labels(),
 		tombstone: -1,
 		nodeLbl:   make([]int32, n),
-		byLabel:   make(map[int32][]int32, g.Labels().Len()),
 		numEdges:  g.NumEdges(),
 		queries:   make(map[int64]*StandingQuery),
 		planner:   plan.NewPlanner(),
@@ -225,13 +223,6 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 	s.out, s.in = g.Rows()
 	for v := int32(0); v < int32(n); v++ {
 		s.nodeLbl[v] = g.Label(v)
-	}
-	seen := make(map[int32]bool)
-	for v := int32(0); v < int32(n); v++ {
-		if lbl := g.Label(v); !seen[lbl] {
-			seen[lbl] = true
-			s.byLabel[lbl] = g.NodesWithLabel(lbl)
-		}
 	}
 	s.current.Store(&Version{id: 0, eng: engine.New(g, engine.Config{Workers: cfg.Workers})})
 	liveVersion.Set(0)
@@ -257,14 +248,13 @@ func (s *Store) Planner() *plan.Planner { return s.planner }
 // batch copied — never what an earlier one did, whose copies readers of the
 // current version hold by now.
 type batchState struct {
+	g             *graph.Graph // the current version's, which the batch follows
 	nodeLbl       []int32
 	nodeLblCopied bool // full copy taken (a label changed in place)
 	out, in       *graph.PagedEdit[[]int32]
 	touchedOut    map[int32]bool
 	touchedIn     map[int32]bool
-	byLabel       map[int32][]int32
-	byLabelCopied bool
-	touchedLabels map[int32]bool
+	byLabel       map[int32][]int32 // the label rows the batch changed, owned
 	numEdges      int
 
 	seeds      []int32 // nodes whose ≤ dQ-hop neighborhoods are dirty; may repeat
@@ -274,14 +264,14 @@ type batchState struct {
 
 func (s *Store) newBatch() *batchState {
 	b := &batchState{
-		nodeLbl:       s.nodeLbl,
-		out:           s.out.Edit(),
-		in:            s.in.Edit(),
-		touchedOut:    make(map[int32]bool),
-		touchedIn:     make(map[int32]bool),
-		byLabel:       s.byLabel,
-		touchedLabels: make(map[int32]bool),
-		numEdges:      s.numEdges,
+		g:          s.Current().Graph(),
+		nodeLbl:    s.nodeLbl,
+		out:        s.out.Edit(),
+		in:         s.in.Edit(),
+		touchedOut: make(map[int32]bool),
+		touchedIn:  make(map[int32]bool),
+		byLabel:    make(map[int32][]int32),
+		numEdges:   s.numEdges,
 	}
 	return b
 }
@@ -301,17 +291,8 @@ func (b *batchState) ownIn(v int32) {
 }
 
 func (b *batchState) ownByLabel(lbl int32) {
-	if !b.byLabelCopied {
-		m := make(map[int32][]int32, len(b.byLabel))
-		for k, v := range b.byLabel {
-			m[k] = v
-		}
-		b.byLabel = m
-		b.byLabelCopied = true
-	}
-	if !b.touchedLabels[lbl] {
-		b.byLabel[lbl] = append([]int32(nil), b.byLabel[lbl]...)
-		b.touchedLabels[lbl] = true
+	if _, ok := b.byLabel[lbl]; !ok {
+		b.byLabel[lbl] = slices.Clone(b.g.NodesWithLabel(lbl))
 	}
 }
 
@@ -516,13 +497,11 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 
 // ApplyTraced is Apply under a parent span: the batch records one
 // "live.apply" child covering mutation application and version publication
-// (annotated with the header pages the batch copied) — with a
-// "live.patch_index" child of its own when the new version inherits the
-// pruning index, annotated with the signatures recomputed and the pages
-// copied for them — and one "live.maintain" child per standing query brought
-// current, annotated with the query id, the balls built and the centers the
-// anchor check spared one. A zero parent (the
-// untraced path — Apply delegates here with one) records nothing.
+// (annotated with the header pages the batch copied), and one
+// "live.maintain" child per standing query brought current, annotated with
+// the query id, the balls built and the centers the anchor check spared
+// one. A zero parent (the untraced path — Apply delegates here with one)
+// records nothing.
 func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("live: empty update batch")
@@ -551,7 +530,6 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	s.nodeLbl = b.nodeLbl
 	s.out = b.out.Freeze()
 	s.in = b.in.Freeze()
-	s.byLabel = b.byLabel
 	s.numEdges = b.numEdges
 	dirtyByRadius := make(map[int][]int32)
 	dirtyFor := func(radius int) []int32 {
@@ -567,7 +545,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	// marked. (Queries on older versions are unaffected either way — Get
 	// refuses entries newer than the query's version.)
 	s.planner.Invalidate(s.current.Load().id+1, dirtyFor)
-	ver, sigPages := s.publishLocked(b, applySp)
+	ver := s.publishLocked(b)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
 	hdrPages := b.out.Copied() + b.in.Copied()
@@ -590,7 +568,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 		Version:     ver.id,
 		AddedNodes:  b.added,
 		Recomputed:  make(map[int64]int, len(standing)),
-		PagesCopied: hdrPages + sigPages,
+		PagesCopied: hdrPages,
 		Nodes:       len(s.nodeLbl),
 		Edges:       s.numEdges,
 	}
@@ -614,12 +592,13 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == s.tombstone }
 
 // publishLocked freezes the current mutable state — b, just committed — as
-// an immutable version and swaps it in. The version inherits what its
-// predecessor derived: label ranks (graph.FromParts) and, when the
-// predecessor has one, the pruning index, both patched from what b touched;
-// the second result is the signature pages that patch copied. Callers hold
-// mu.
-func (s *Store) publishLocked(b *batchState, applySp obs.Span) (*Version, int) {
+// an immutable version and swaps it in. The version's graph inherits what
+// its predecessor's derived, label ranks and signatures (graph.FromParts),
+// patched over the rows and labels b rewrote — not over its seeds:
+// delete_node seeds only the node, yet every former neighbour lost a row
+// entry, and set_label moves no row, yet changes its neighbours' signatures.
+// Callers hold mu.
+func (s *Store) publishLocked(b *batchState) *Version {
 	if s.labelsDirty || s.frozen == nil {
 		s.frozen = s.labels.Clone()
 		s.labelsDirty = false
@@ -629,37 +608,19 @@ func (s *Store) publishLocked(b *batchState, applySp obs.Span) (*Version, int) {
 	if name == "" {
 		name = "live"
 	}
-	g := graph.FromParts(s.frozen, s.nodeLbl, s.out, s.in, s.byLabel,
-		s.numEdges, fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), slices.Collect(maps.Keys(b.touchedLabels)))
-	ver := &Version{id: prev.id + 1, eng: engine.New(g, engine.Config{Workers: s.workers})}
-	ver.eng.Snapshot().SetVersion(ver.id)
-	sigPages := s.inheritIndex(ver, prev, b, applySp)
-	s.current.Store(ver)
-	liveVersion.Set(int64(ver.id))
-	return ver, sigPages
-}
-
-// inheritIndex hands ver its predecessor's pruning index patched across b.
-// The patch is driven by the rows and labels b rewrote, not by its seeds:
-// delete_node seeds only the node, yet every former neighbor lost a row
-// entry, and set_label moves no row, yet changes its neighbors' signatures. It
-// returns the signature pages copied, 0 when prev had no index to inherit.
-func (s *Store) inheritIndex(ver, prev *Version, b *batchState, applySp obs.Span) int {
 	rows := slices.Collect(maps.Keys(b.touchedOut))
 	for v := range b.touchedIn {
 		if !b.touchedOut[v] {
 			rows = append(rows, v)
 		}
 	}
-	sp := applySp.StartChild("live.patch_index")
-	st, ok := ver.eng.Snapshot().InheritPruneIndex(prev.eng.Snapshot(),
-		plan.Delta{Rows: rows, Relabelled: b.relabelled})
-	if ok && sp.Recording() { // an unfinished span records nothing
-		sp.End(
-			obs.Attr{Key: "one_hop", Value: int64(st.OneHop)},
-			obs.Attr{Key: "pages_copied", Value: int64(st.Pages)})
-	}
-	return st.Pages
+	g := graph.FromParts(s.frozen, s.nodeLbl, s.out, s.in, b.byLabel, s.numEdges,
+		fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), graph.Delta{Rows: rows, Relabelled: b.relabelled})
+	ver := &Version{id: prev.id + 1, eng: engine.New(g, engine.Config{Workers: s.workers})}
+	ver.eng.Snapshot().SetVersion(ver.id)
+	s.current.Store(ver)
+	liveVersion.Set(int64(ver.id))
+	return ver
 }
 
 // dirtyCenters returns, ascending and in a slice of its own, the centers

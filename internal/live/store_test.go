@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/plan"
 )
 
 // mustJSON renders a subgraph list canonically for byte-identity checks.
@@ -118,22 +117,25 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
-// versionImage is everything a reader of one version can see of its graph
-// and pruning index, copied out when the version was current.
+// versionImage is everything a reader of one version can see of its graph,
+// signatures included, copied out when the version was current.
 type versionImage struct {
 	ver     *Version
 	labels  []int32
 	out, in [][]int32
-	index   *plan.Index // a full build on the version's graph, then
+	sigs    [][]graph.Sig // per label id
 }
 
 func imageOf(ver *Version) versionImage {
 	g := ver.Graph()
-	im := versionImage{ver: ver, index: plan.NewIndex(g)}
+	im := versionImage{ver: ver}
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		im.labels = append(im.labels, g.Label(v))
 		im.out = append(im.out, slices.Clone(g.Out(v)))
 		im.in = append(im.in, slices.Clone(g.In(v)))
+	}
+	for lbl := int32(0); lbl < int32(g.Labels().Len()); lbl++ {
+		im.sigs = append(im.sigs, slices.Clone(g.SigsWithLabel(lbl)))
 	}
 	return im
 }
@@ -150,13 +152,15 @@ func (im versionImage) check(t *testing.T, when string) {
 				when, v, im.ver.ID(), g.Label(v), g.Out(v), g.In(v), im.labels[v], im.out[v], im.in[v])
 		}
 	}
-	if !im.ver.Engine().Snapshot().PruneIndex().Equal(im.index) {
-		t.Fatalf("%s: the pruning index of version %d changed", when, im.ver.ID())
+	for lbl, sigs := range im.sigs {
+		if !slices.Equal(g.SigsWithLabel(int32(lbl)), sigs) {
+			t.Fatalf("%s: the signatures of label %d in version %d changed", when, lbl, im.ver.ID())
+		}
 	}
 }
 
-// TestStoreVersionsAreImmutable: versions share pages of row headers and
-// signatures, rows and label tables, and none of it may move under a reader.
+// TestStoreVersionsAreImmutable: versions share pages of row headers, rows,
+// signature rows and label tables, and none of it may move under a reader.
 // 1 020 nodes (two pages); batches add nodes across the boundary into a third
 // page, delete a hub whose neighbours span all pages, fail midway after
 // writing into several pages, and relabel — after each, every earlier
@@ -177,14 +181,13 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		_ = b.AddEdge(n-1-i, hub)
 	}
 	s := NewStore(b.Build(), Config{Workers: 2})
-	s.Current().Engine().Snapshot().PruneIndex() // from here on every version inherits one
 	sq := edgePattern(t, s)
 	first, _ := sq.Result()
 	registered := first.Len()
 
 	images := []versionImage{imageOf(s.Current())}
 	// maxPages bounds what the batch may copy, of the 3 pages each of
-	// out-headers, in-headers and signatures; 0 expects the batch to fail.
+	// out-headers and in-headers; 0 expects the batch to fail.
 	step := func(name string, muts []Mutation, maxPages int) {
 		t.Helper()
 		wantErr := maxPages == 0
@@ -220,8 +223,8 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		Mutation{Op: OpInsertEdge, U: 1026, V: hub},
 		Mutation{Op: OpInsertEdge, U: hub, V: 1024})
 	// Pages 0 and 1 of each array are written; page 2 is new, not copied.
-	step("grow across a page boundary", grow, 6)
-	step("delete the hub", []Mutation{{Op: OpDeleteNode, Node: hub}}, 9)
+	step("grow across a page boundary", grow, 4)
+	step("delete the hub", []Mutation{{Op: OpDeleteNode, Node: hub}}, 6)
 	step("fail midway", []Mutation{
 		{Op: OpInsertEdge, U: 10, V: 700},
 		{Op: OpAddNode, Label: "A"},
@@ -234,7 +237,7 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		{Op: OpDeleteEdge, U: 511, V: 512},
 		{Op: OpInsertEdge, U: 10, V: 700},
 		{Op: OpAddNode, Label: "B"},
-	}, 8)
+	}, 4)
 	if got := s.Current().Graph().NumNodes(); got != n+8 {
 		t.Fatalf("current graph has %d nodes, want %d (the failed batch's node must not exist)", got, n+8)
 	}

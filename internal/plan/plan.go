@@ -6,14 +6,14 @@
 // Two independent mechanisms, composed by the engine when
 // engine.QueryOptions.Planner is set:
 //
-//   - Candidate pruning (Index): per-snapshot one-hop neighbor-label
-//     signatures — the exact-path counterpart of TALE's NH-index in
-//     internal/approx — behind a label-pair adjacency filter, and behind
-//     that an exact anchor check: the first dQ rounds of dual-simulation
-//     refinement unfolded from the center (Anchored is that check for a
-//     caller with no Index). Every filter is a necessary condition for a
-//     ball match, so pruning never changes results, only skips balls that
-//     provably cannot match.
+//   - Candidate pruning (Index, a handle on the snapshot's graph): the
+//     graph's one-hop neighbour-label signatures — the exact-path
+//     counterpart of TALE's NH-index in internal/approx — behind a
+//     label-pair adjacency filter, and behind that an exact anchor check:
+//     the first dQ rounds of dual-simulation refinement unfolded from the
+//     center (Anchored is the same check without stats or counters). Every
+//     filter is a necessary condition for a ball match, so pruning never
+//     changes results, only skips balls that provably cannot match.
 //
 //   - Result caching (Cache): completed Match results keyed by canonical
 //     pattern (Canon), effective radius and mode, storing the pre-dedup
@@ -25,9 +25,7 @@
 //     surgically: each update batch marks the ≤ radius-hop dirty centers
 //     (one set per radius, shared with standing-query maintenance) as
 //     pending on every entry, and the next exact-key lookup repairs just
-//     those centers instead of re-evaluating the graph. The pruning index
-//     crosses versions the same way: Index.Patched derives the next
-//     version's from this one's over the region the batch can reach.
+//     those centers instead of re-evaluating the graph.
 //
 // Correctness bar, relied on by the engine's tests: a planner-on query
 // answers byte-identically to a planner-off one on the same snapshot.
@@ -38,10 +36,6 @@ import "repro/internal/obs"
 // Planner metrics, registered into the process-wide registry and served on
 // /v1/metrics.
 var (
-	indexBuilds = obs.Default.Counter("plan_index_builds_total",
-		"candidate-pruning indexes built in full from their graph (a version whose predecessor had none)")
-	indexPatches = obs.Default.Counter("plan_index_patches_total",
-		"candidate-pruning indexes derived from the previous version's by patching what an update batch touched")
 	candidatesBefore = obs.Default.Counter("plan_candidates_before_total",
 		"candidate centers entering the pruning filters")
 	prunedDegree = obs.Default.Counter("plan_pruned_degree_total",

@@ -12,7 +12,7 @@ import (
 // p builds a pattern from the text format with its own label table — Canon
 // and ContainedIn are label-name based, so independent tables must still
 // collide correctly.
-func p(t *testing.T, text string) *graph.Graph {
+func p(t testing.TB, text string) *graph.Graph {
 	t.Helper()
 	g, err := graph.ParseString(text, nil)
 	if err != nil {

@@ -165,25 +165,67 @@ func (r *Refiner) ends(x int32) (outs, ins []int32) {
 	return r.q.Out(x), ins
 }
 
+// seed fills the empty relation of a whole-graph pass with the label
+// candidates of each pattern node x whose neighbour-label signature covers
+// the labels of x's pattern successors and, under ChildParent, predecessors.
+// That loses nothing: a candidate missing a bit has no neighbour of some
+// label x needs one of, so no witness for that pattern edge, and the
+// refinement would drop it. On a graph of many labels it is most of them,
+// and the check reads one 16-byte word in label-row order where the sweep
+// would load two adjacency rows at random. The walk is charged to the poll
+// budget.
+func (r *Refiner) seed() {
+	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
+		need := r.q.NeighbourSig(x)
+		if r.mode != ChildParent {
+			need.In = 0
+		}
+		lbl, set := r.q.Label(x), r.rel[x]
+		nodes, sigs := r.g.NodesWithLabel(lbl), r.g.SigsWithLabel(lbl)
+		for lo := 0; lo < len(nodes); lo += pollEvery {
+			hi := min(lo+pollEvery, len(nodes))
+			if r.spent(hi - lo) {
+				return
+			}
+			for i, s := range sigs[lo:hi] {
+				if s.Covers(need) {
+					set.Add(nodes[lo+i])
+				}
+			}
+		}
+	}
+}
+
 // sweep drops, in one pass and before any counter exists, every pair that
 // has no witness at all for some pattern edge. On a large graph that is most
-// label candidates, and a scan that stops at the first witness costs a
-// fraction of counting them and then walking their adjacency a second time
-// to propagate their removal. Invalid pairs may go in any order — the
-// maximum simulation inside rel is unique — so the fixpoint is unchanged.
+// of the seeded candidates, and a scan that stops at the first witness costs
+// a fraction of counting them and then walking their adjacency a second time
+// to propagate their removal. It loads a candidate's out-row only when x has
+// pattern successors and its in-row only when x has predecessors and the
+// out-row held, and charges the poll budget for the rows it loads. Invalid
+// pairs may go in any order — the maximum simulation inside rel is unique —
+// so the fixpoint is unchanged.
 func (r *Refiner) sweep() {
 	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
 		outs, ins := r.ends(x)
+		if len(outs)+len(ins) == 0 {
+			continue // nothing to witness
+		}
 		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
-			if r.spent(len(outs)*r.g.OutDegree(v) + len(ins)*r.g.InDegree(v)) {
-				return
-			}
 			ok := true
-			for i := 0; ok && i < len(outs); i++ {
-				ok = countIn(r.g.Out(v), r.rel[outs[i]], 1) > 0
+			if len(outs) > 0 {
+				row := r.g.Out(v)
+				if r.spent(len(outs) * len(row)) {
+					return
+				}
+				ok = r.witnessed(row, outs)
 			}
-			for i := 0; ok && i < len(ins); i++ {
-				ok = countIn(r.g.In(v), r.rel[ins[i]], 1) > 0
+			if ok && len(ins) > 0 {
+				row := r.g.In(v)
+				if r.spent(len(ins) * len(row)) {
+					return
+				}
+				ok = r.witnessed(row, ins)
 			}
 			if !ok {
 				r.rel[x].Remove(v)
@@ -191,6 +233,16 @@ func (r *Refiner) sweep() {
 			}
 		}
 	}
+}
+
+// witnessed reports whether row holds a member of rel[u] for every u in us.
+func (r *Refiner) witnessed(row, us []int32) bool {
+	for _, u := range us {
+		if countIn(row, r.rel[u], 1) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // count fills the counter rows for the pairs now in rel.

@@ -34,9 +34,13 @@ func DualIn(ctx context.Context, q, g *graph.Graph, sc *Scratch) (Relation, bool
 	return refineByLabel(ctx, q, g, ChildParent, sc)
 }
 
+// refineByLabel is the whole-graph pass behind Simulation, Dual and DualIn.
+// g must carry neighbour-label signatures (graph.Graph.SigsWithLabel), as
+// every graph but a BallScratch ball does.
 func refineByLabel(ctx context.Context, q, g *graph.Graph, mode Mode, sc *Scratch) (Relation, bool, error) {
-	rel := InitByLabelIn(q, g, sc)
+	rel := sc.Relation(q.NumNodes(), g.NumNodes())
 	r := newRefiner(ctx, q, g, rel, mode, sc)
+	r.seed()
 	r.sweep()
 	r.count()
 	r.SeedAll()
