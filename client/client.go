@@ -243,8 +243,8 @@ func (c *Client) Healthz(ctx context.Context) (*api.HealthJSON, error) {
 
 // Metrics scrapes GET /v1/metrics and returns the raw Prometheus text
 // exposition. Parse it with obs.ParseText or feed it to any Prometheus
-// scraper; cmd/loadgen diffs two scrapes to derive per-endpoint
-// throughput and latency quantiles.
+// scraper; the benchmark harness diffs two scrapes to attribute a run's
+// cost to layers.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	resp, err := c.send(ctx, http.MethodGet, api.Prefix+"/metrics", nil)
 	if err != nil {

@@ -45,69 +45,32 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 
-	type job struct {
-		id  string
-		run func() (*experiments.Table, error)
+	var selected []experiments.Artifact
+	pick := func(id, unknown string) {
+		a, ok := experiments.ArtifactByID(id)
+		if !ok {
+			log.Fatal(unknown)
+		}
+		selected = append(selected, a)
 	}
-	jobs := []job{
-		{"7c", func() (*experiments.Table, error) { return cfg.ClosenessVaryVq(experiments.Amazon) }},
-		{"7d", func() (*experiments.Table, error) { return cfg.ClosenessVaryVq(experiments.YouTube) }},
-		{"7e", func() (*experiments.Table, error) { return cfg.ClosenessVaryVq(experiments.Synthetic) }},
-		{"7f", func() (*experiments.Table, error) { return cfg.ClosenessVaryV(experiments.Amazon) }},
-		{"7g", func() (*experiments.Table, error) { return cfg.ClosenessVaryV(experiments.YouTube) }},
-		{"7h", func() (*experiments.Table, error) { return cfg.ClosenessVaryV(experiments.Synthetic) }},
-		{"7i", func() (*experiments.Table, error) { return cfg.SubgraphsVaryVq(experiments.Amazon) }},
-		{"7j", func() (*experiments.Table, error) { return cfg.SubgraphsVaryVq(experiments.YouTube) }},
-		{"7k", func() (*experiments.Table, error) { return cfg.SubgraphsVaryVq(experiments.Synthetic) }},
-		{"7l", func() (*experiments.Table, error) { return cfg.SubgraphsVaryV(experiments.Amazon) }},
-		{"7m", func() (*experiments.Table, error) { return cfg.SubgraphsVaryV(experiments.YouTube) }},
-		{"7n", func() (*experiments.Table, error) { return cfg.SubgraphsVaryV(experiments.Synthetic) }},
-		{"8a", func() (*experiments.Table, error) { return cfg.PerfVaryVq(experiments.Amazon) }},
-		{"8b", func() (*experiments.Table, error) { return cfg.PerfVaryVq(experiments.YouTube) }},
-		{"8c", func() (*experiments.Table, error) { return cfg.PerfVaryVq(experiments.Synthetic) }},
-		{"8d", func() (*experiments.Table, error) { return cfg.PerfVaryAlphaQ() }},
-		{"8e", func() (*experiments.Table, error) { return cfg.PerfVaryV(experiments.Amazon) }},
-		{"8f", func() (*experiments.Table, error) { return cfg.PerfVaryV(experiments.YouTube) }},
-		{"8g", func() (*experiments.Table, error) { return cfg.PerfVaryV(experiments.Synthetic) }},
-		{"8h", func() (*experiments.Table, error) { return cfg.PerfVaryAlpha() }},
-		{"table2", cfg.Table2},
-		{"table3", cfg.Table3Sizes},
-		{"ablation", func() (*experiments.Table, error) { return cfg.Ablation(experiments.Synthetic) }},
-	}
-
-	var selected []job
 	switch {
 	case *all:
-		selected = jobs
+		selected = experiments.Artifacts
 	case *fig != "":
-		for _, j := range jobs {
-			if j.id == strings.ToLower(*fig) {
-				selected = append(selected, j)
-			}
-		}
-		if len(selected) == 0 {
-			log.Fatalf("unknown figure %q", *fig)
-		}
+		pick(strings.ToLower(*fig), fmt.Sprintf("unknown figure %q", *fig))
 	case *table != "":
-		for _, j := range jobs {
-			if j.id == "table"+*table {
-				selected = append(selected, j)
-			}
-		}
-		if len(selected) == 0 {
-			log.Fatalf("unknown table %q", *table)
-		}
+		pick("table"+*table, fmt.Sprintf("unknown table %q", *table))
 	case *ablation:
-		selected = append(selected, jobs[len(jobs)-1])
+		pick("ablation", "no ablation artifact")
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	for _, j := range selected {
-		t, err := j.run()
+	for _, a := range selected {
+		t, err := a.Run(cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", j.id, err)
+			log.Fatalf("%s: %v", a.ID, err)
 		}
 		t.Format(os.Stdout)
 	}

@@ -32,8 +32,8 @@
 //     ball providers, evaluators and sinks, context cancellation,
 //     early exit, and a per-worker scratch arena (ball buffers + dual
 //     simulation state, reset between centers) so the hot path does not
-//     allocate per ball; core, engine, live, approx, regexsim,
-//     incremental and distributed all schedule through it
+//     allocate per ball; core, engine (and live through it), approx and
+//     distributed all schedule through it
 //   - internal/engine: the serving layer — prepared snapshots (frozen
 //     labels, candidate centers, pruning index), a concurrent query engine
 //     with worker-pool ball evaluation, context cancellation, streaming,
@@ -48,10 +48,8 @@
 //     YouTube-like dataset stand-ins, pattern sampling
 //   - internal/distributed: Section 4.3 partitioned evaluation with
 //     byte-counted traffic
-//   - internal/incremental: Section 6 future work — single-pattern
-//     ball-local maintenance; exports the dirty-center BFS internal/live
-//     generalizes
-//   - internal/experiments: drivers regenerating every table and figure
+//   - internal/experiments: drivers regenerating every table and figure,
+//     listed once in Artifacts
 //   - examples/, cmd/: runnable entry points — cmd/strongsim (one-shot
 //     CLI), cmd/strongsimd (HTTP/JSON matching server), cmd/experiments,
 //     cmd/gengraph
@@ -98,7 +96,9 @@
 // internal/live documents the embedded API (live.NewStore, Store.Apply,
 // Store.Register).
 //
-// The benchmarks in bench_test.go regenerate one table or figure each; see
-// EXPERIMENTS.md for a captured run against the paper's reported numbers
-// and DESIGN.md for the per-experiment index and substitutions.
+// cmd/experiments regenerates each table and figure of the paper's
+// evaluation (experiments.Artifacts; TestEveryArtifactRuns runs them all at
+// reduced scale); see EXPERIMENTS.md for a captured run against the paper's
+// reported numbers and DESIGN.md for the per-experiment index and
+// substitutions. bench/ is the serving benchmark.
 package repro

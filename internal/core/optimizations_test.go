@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/generator"
 	"repro/internal/graph"
 	"repro/internal/paperdata"
 	"repro/internal/simulation"
@@ -121,6 +122,24 @@ func TestMatchPlusEqualsMatchOnPaperFixtures(t *testing.T) {
 		})
 	}
 }
+
+// benchMatch times sequential MatchWith on an 8-node sampled pattern over a
+// 20k-node synthetic graph with 50 labels.
+func benchMatch(b *testing.B, opts Options) {
+	g := generator.Synthetic(20000, 1.2, 50, 7)
+	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 8, Alpha: 1.2, Seed: 9})
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MatchWith(q, g, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMatchPlain(b *testing.B) { benchMatch(b, Options{}) }
+func BenchmarkMatchPlus(b *testing.B)  { benchMatch(b, PlusOptions()) }
 
 // TestQuickAllVariantsAgree is the central correctness property: every
 // optimization combination returns exactly the plain algorithm's Θ.

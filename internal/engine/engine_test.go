@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -67,6 +68,22 @@ func TestMatchParityWithCore(t *testing.T) {
 						workers, got.Len(), got.Stats, want.Len(), want.Stats)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkMatch is one plain-mode Match at NumCPU workers, the production
+// configuration of cmd/strongsimd: a 6-node sampled pattern over a 5000-node
+// synthetic graph with 50 labels, the snapshot prepared once.
+func BenchmarkMatch(b *testing.B) {
+	g := generator.Synthetic(5000, 1.2, 50, 7)
+	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 6, Alpha: 1.2, Seed: 9})
+	e := New(g, Config{Workers: runtime.NumCPU()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Match(context.Background(), q, QueryOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

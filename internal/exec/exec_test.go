@@ -192,6 +192,29 @@ func TestBallEvalAllocsPerOp(t *testing.T) {
 	t.Logf("ball evaluation: %.2f allocs per center", allocs)
 }
 
+// BenchmarkExecBallEvalRestricted is one center's ball built and evaluated
+// on a worker's scratch as the engine runs it: every center of the
+// pattern's candidate set, each ball restricted to that set.
+func BenchmarkExecBallEvalRestricted(b *testing.B) {
+	q, g := allocWorkload()
+	radius, ok := graph.Diameter(q)
+	if !ok {
+		b.Fatal("pattern disconnected")
+	}
+	cand := g.NodesLabeledIn(q)
+	s := new(exec.Scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		center := int32(i % g.NumNodes())
+		if !cand.Contains(center) {
+			continue
+		}
+		ball := s.Balls.BuildRestricted(g, center, radius, cand)
+		core.EvalPreparedBallIn(q, ball, center, core.Options{}, nil, &s.Sim)
+	}
+}
+
 // TestRunProgressTicks: a supplied Progress counts exactly one tick per
 // completed evaluation, on the sequential and pooled paths alike.
 func TestRunProgressTicks(t *testing.T) {

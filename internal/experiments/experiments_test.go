@@ -156,6 +156,34 @@ func TestAblationStructure(t *testing.T) {
 	}
 }
 
+// TestEveryArtifactRuns executes every driver cmd/experiments can select,
+// on every dataset, at a twentieth of laptop scale.
+func TestEveryArtifactRuns(t *testing.T) {
+	c := Defaults()
+	c.Scale = 0.05
+	c.Trials = 1
+	seen := make(map[string]bool)
+	for _, a := range Artifacts {
+		if seen[a.ID] {
+			t.Fatalf("duplicate artifact id %q", a.ID)
+		}
+		seen[a.ID] = true
+		if got, ok := ArtifactByID(a.ID); !ok || got.ID != a.ID {
+			t.Fatalf("ArtifactByID(%q) = %q, %v", a.ID, got.ID, ok)
+		}
+		tbl, err := a.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", a.ID, err)
+		}
+		if len(tbl.Rows) == 0 || len(tbl.Series) == 0 {
+			t.Fatalf("%s: empty table:\n%s", a.ID, tbl)
+		}
+	}
+	if len(Artifacts) != 23 {
+		t.Fatalf("%d artifacts, want 23 (7c-7n, 8a-8h, table2, table3, ablation)", len(Artifacts))
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{ID: "X", Title: "demo", XLabel: "n", Series: []string{"a", "b"}}
 	tbl.AddRow("1", map[string]float64{"a": 0.5})

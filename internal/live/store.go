@@ -5,11 +5,11 @@
 //
 // It closes the loop the paper leaves open in Section 6 ("incremental
 // methods for strong simulation ... in response to (frequent) changes to
-// real-life graphs") at serving scale: where internal/incremental maintains
-// one pattern over a private hash-map graph, this package maintains many
-// patterns over one shared store, applies updates in atomic batches, and
-// re-evaluates only the ≤ dQ-hop dirty centers of each pattern on the query
-// engine's worker pool.
+// real-life graphs") at serving scale: it maintains many patterns over one
+// shared store, applies updates in atomic batches, and re-evaluates only
+// the ≤ dQ-hop dirty centers of each pattern on the query engine's worker
+// pool. The churn soak holds every standing query to a from-scratch Match
+// at every version.
 //
 // Two properties organize the design:
 //

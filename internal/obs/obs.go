@@ -77,8 +77,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBuckets are the default latency buckets in seconds: 100µs to 60s,
 // roughly logarithmic with extra resolution in the 10–25ms band. The band
-// was widened after auditing BENCH_PR6 (loadgen /v1/match p50 7.9ms,
-// p95 13.6ms, p99 19.4ms): with a bare 0.01→0.025 step both tail quantiles
+// was widened after an 8-client SDK load run (80:10:10 match/update/standing
+// mix; /v1/match p50 7.9ms, p95 13.6ms, p99 19.4ms): with a bare 0.01→0.025 step both tail quantiles
 // collapsed into the same bucket, so histogram_quantile could not tell a
 // 12ms p95 from a 24ms p99. The top end extends to 60s to match the
 // server's MaxTimeout default — before, anything past 10s (slow queries,

@@ -177,8 +177,10 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestDefBuckets audits the default latency buckets against the BENCH_PR6
-// loadgen quantiles (/v1/match p50 7.9ms, p95 13.6ms, p99 19.4ms): the
+// TestDefBuckets audits the default latency buckets against the quantiles of
+// the load run DefBuckets was sized on (8 SDK clients, 80:10:10
+// match/update/standing mix, plus mode; /v1/match p50 7.9ms, p95 13.6ms,
+// p99 19.4ms): the
 // bounds must be strictly increasing, resolve the 5–25ms band finely enough
 // that those three quantiles land in different buckets, and reach the 60s
 // MaxTimeout default so slow queries don't vanish into +Inf.
@@ -199,7 +201,7 @@ func TestDefBuckets(t *testing.T) {
 	}
 	p50, p95, p99 := bucketFor(0.0079), bucketFor(0.0136), bucketFor(0.0194)
 	if p50 == p95 || p95 == p99 {
-		t.Errorf("BENCH_PR6 quantiles collapse: p50/p95/p99 land in buckets %d/%d/%d of %v",
+		t.Errorf("load-run quantiles collapse: p50/p95/p99 land in buckets %d/%d/%d of %v",
 			p50, p95, p99, b)
 	}
 	if top := b[len(b)-1]; top < 60 {

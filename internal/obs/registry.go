@@ -226,7 +226,7 @@ func formatFloat(v float64) string {
 // name (including its rendered labels, e.g. `http_requests_total{code="2xx",
 // endpoint="/v1/match",method="POST"}`) to value. Comment and blank lines
 // are skipped. It is the inverse of WritePrometheus for the subset this
-// package emits, and what cmd/loadgen and cmd/benchjson use to diff scrapes.
+// package emits, and what the benchmark harness uses to diff scrapes.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

@@ -156,7 +156,7 @@ type TraceConfig struct {
 
 // SpanBuckets are the span_duration_seconds histogram buckets: 5µs to 60s.
 // DefBuckets starts at 100µs — right for whole HTTP requests, useless for
-// engine stages: BENCH_PR6's server-side sums put the mean /v1/match handler
+// engine stages: an SDK load run's server-side sums put the mean /v1/match handler
 // at ≈0.96ms and the mean /v1/update at ≈0.11ms, so the prepare, filter and
 // merge stages inside them run tens of microseconds and whole maintenance
 // spans land near 100µs. The sub-100µs decades give those spans resolution;
