@@ -53,12 +53,10 @@ type Query struct {
 	Pattern  *graph.Graph
 	Diameter int
 	// Opts is the compiled spec with the planner (unless no_plan) and the
-	// stage trace installed; Metric ranks top_k queries.
+	// query's observation record installed — its Root parents any fan-out
+	// span; Metric ranks top_k queries.
 	Opts   engine.QueryOptions
 	Metric core.Metric
-	// Root is the request's root span, the parent of any fan-out span;
-	// zero (not recording) when the request is untraced.
-	Root obs.Span
 }
 
 // local is the single-node Backend: the resolved engine evaluates, the live

@@ -37,7 +37,8 @@ type ActiveQueryJSON struct {
 	Stage     string    `json:"stage"`
 	StartedAt time.Time `json:"started_at"`
 	ElapsedMS float64   `json:"elapsed_ms"`
-	// BallsEvaluated is the live progress counter ticked by the worker pool.
+	// BallsEvaluated counts the balls whose outcome the query has collected
+	// so far: the counter query_stats.balls_built reports at completion.
 	BallsEvaluated int64 `json:"balls_evaluated"`
 }
 
@@ -119,44 +120,33 @@ func recordsJSON(recs []obs.QueryRecord) []QueryRecordJSON {
 
 func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// trace hands q the request's root span and returns the stage trace it
-// installed into q.Opts: one is allocated when the caller asked for stats,
-// the flight recorder is on, or the request carries a trace (whose span tree
-// the engine stages then parent under the request's root span); nil
-// otherwise — the allocation-free path the AllocsPerRun guards pin.
-func (s *server) trace(r *http.Request, q *Query) *obs.QueryStats {
+// trace returns the query's observation record: one is allocated when the
+// caller asked for stats, the flight recorder is on, or the request carries
+// a trace (whose root span then parents the engine's stage spans and any
+// fan-out spans); nil otherwise — the allocation-free path the AllocsPerRun
+// guards pin.
+func (s *server) trace(r *http.Request, stats bool) *obs.QueryStats {
 	ri := reqInfo(r.Context())
-	traced := ri != nil && ri.trace != nil
-	if ri != nil {
-		q.Root = ri.root
-	}
-	if !q.Request.Query.Stats && s.flight == nil && !traced {
+	traced := ri != nil && ri.root.Recording()
+	if !stats && s.flight == nil && !traced {
 		return nil
 	}
 	tr := new(obs.QueryStats)
 	if traced {
-		tr.Spans = ri.trace
-		tr.Parent = ri.root.ID()
+		tr.Root = ri.root
 	}
-	q.Opts.Trace = tr
 	return tr
 }
 
 // flightStart registers one query with the flight recorder under the
-// request's id and trace id. Nil-safe end to end: with the recorder off it
-// returns a nil Flight whose Finish is a no-op.
+// request's id. Nil-safe end to end: with the recorder off it returns a nil
+// Flight whose Finish is a no-op.
 func (s *server) flightStart(r *http.Request, kind, digest string, cancel context.CancelFunc, trace *obs.QueryStats) *obs.Flight {
-	if s.flight == nil {
-		return nil
-	}
-	var id, traceID string
+	var id string
 	if ri := reqInfo(r.Context()); ri != nil {
 		id = ri.id
-		if ri.trace != nil {
-			traceID = ri.trace.ID().String()
-		}
 	}
-	return s.flight.Start(id, kind, digest, traceID, cancel, trace)
+	return s.flight.Start(id, kind, digest, cancel, trace)
 }
 
 // failFlight finishes a flight with the outcome matching a wire error and

@@ -120,17 +120,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// mid-way would leave a standing query's per-center cache half-updated.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	ri := reqInfo(r.Context())
-	var trace *obs.QueryStats
-	if s.flight != nil || (ri != nil && ri.trace != nil) {
-		trace = new(obs.QueryStats)
-		if ri != nil && ri.trace != nil {
-			// The initial evaluation's stage spans land under the request's
-			// root span, like any match.
-			trace.Spans = ri.trace
-			trace.Parent = ri.root.ID()
-		}
-	}
+	trace := s.trace(r, false)
 	fl := s.flightStart(r, "standing", textDigest(text), cancel, trace)
 	sq, err := s.store.RegisterCtx(ctx, text, trace)
 	if err != nil {

@@ -69,14 +69,13 @@ func (m *routeMetrics) observe(status int, d time.Duration) {
 // requestInfo is the per-request observability state the middleware threads
 // through the context: the request id plus annotations handlers attach for
 // the access log (match counts, stream outcomes), and — when the tracer is
-// on — the request's trace and root span, which the serving path parents
-// engine stage spans under. It is written by the handler goroutine only.
+// on — the request's root span, which the serving path parents engine stage
+// spans under. It is written by the handler goroutine only.
 type requestInfo struct {
 	id         string
 	matches    int
 	hasMatches bool
 	outcome    string
-	trace      *obs.Trace
 	root       obs.Span
 }
 
@@ -191,7 +190,7 @@ func (s *server) instrument(method, endpoint string, h http.HandlerFunc) http.Ha
 			// effective context so callers learn the trace id (and the root
 			// span id) their request ran under.
 			parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-			info.trace, info.root = s.tracer.Start(spanName, info.id, parent)
+			_, info.root = s.tracer.Start(spanName, info.id, parent)
 			w.Header().Set(obs.TraceparentHeader, info.root.Context().String())
 		}
 		ww := &obsResponseWriter{ResponseWriter: w}

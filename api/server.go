@@ -466,7 +466,8 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	spec := &q.Request.Query
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.DeadlineMS))
 	defer cancel()
-	trace := s.trace(r, q)
+	trace := s.trace(r, spec.Stats)
+	q.Opts.Trace = trace
 	fl := s.flightStart(r, "match", matchDigest(&q.Request), cancel, trace)
 
 	start := time.Now()
@@ -479,7 +480,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// but only "stats": true puts it on the wire — a recorder-on response is
 	// byte-identical to a recorder-off one.
 	if spec.Stats && trace != nil {
-		resp.QueryStats = FromQueryStats(trace)
+		resp.QueryStats = FromQueryStats(&trace.Stats)
 	}
 	fl.Finish(obs.OutcomeOK, "", len(resp.Matches))
 	resp.ElapsedMS = msOf(time.Since(start))
@@ -496,7 +497,8 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	spec := &q.Request.Query
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.DeadlineMS))
 	defer cancel()
-	trace := s.trace(r, q)
+	trace := s.trace(r, spec.Stats)
+	q.Opts.Trace = trace
 	fl := s.flightStart(r, "stream", matchDigest(&q.Request), cancel, trace)
 
 	// The 200 commits with the first line written — a match or the trailer.
@@ -551,7 +553,7 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	info.setOutcome(outcome)
 	fl.Finish(outcome, done.Error, count)
 	if spec.Stats && trace != nil {
-		done.QueryStats = FromQueryStats(trace)
+		done.QueryStats = FromQueryStats(&trace.Stats)
 	}
 	_ = line(StreamEventJSON{Done: &done}) // the client may be gone; nothing left to tell it
 }

@@ -294,12 +294,12 @@ type QueryStatsJSON struct {
 	PlanCache            string `json:"plan_cache,omitempty"`
 }
 
-// FromQueryStats serializes an engine-side stage trace.
-func FromQueryStats(qs *obs.QueryStats) *QueryStatsJSON {
+// FromQueryStats serializes a query record's flat statistics.
+func FromQueryStats(qs *obs.Stats) *QueryStatsJSON {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	return &QueryStatsJSON{
 		CandidateCenters: qs.CandidateCenters,
-		BallsBuilt:       qs.BallsBuilt,
+		BallsBuilt:       int(qs.BallsBuilt),
 		BallNodes:        qs.BallNodes,
 		BallEdges:        qs.BallEdges,
 		PrepareMS:        ms(qs.Prepare),

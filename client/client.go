@@ -325,6 +325,12 @@ func (c *Client) MatchStream(ctx context.Context, req api.MatchRequest, fn func(
 			if errors.Is(err, io.EOF) {
 				break
 			}
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				// A cancelled read fails however the transport noticed it
+				// ("context canceled", "use of closed network connection");
+				// report the cause.
+				err = ctxErr
+			}
 			return done, fmt.Errorf("client: decoding stream: %w", err)
 		}
 		switch {
@@ -337,6 +343,9 @@ func (c *Client) MatchStream(ctx context.Context, req api.MatchRequest, fn func(
 		}
 	}
 	if done == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("client: stream ended without a done trailer: %w", err)
+		}
 		return nil, fmt.Errorf("client: stream ended without a done trailer")
 	}
 	if done.Code != "" {

@@ -83,7 +83,7 @@ func TestMatchBatchCancelReleasesPrepared(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := range batch {
 			batch[i].Opts = PlusQuery()
-			batch[i].Opts.Trace = &obs.QueryStats{Progress: new(obs.Progress)}
+			batch[i].Opts.Trace = new(obs.QueryStats)
 		}
 		ctx := newLateCancelCtx(int64(2 + round%12))
 		before := evals.Value()
@@ -94,7 +94,7 @@ func TestMatchBatchCancelReleasesPrepared(t *testing.T) {
 		}
 		passes := int64(0)
 		for _, bq := range batch {
-			if bq.Opts.Trace.Progress.Stage() >= obs.StageFilter {
+			if bq.Opts.Trace.Stage() >= obs.StageFilter {
 				passes++
 			}
 		}
@@ -152,7 +152,7 @@ func TestCancelInsideGlobalFilter(t *testing.T) {
 		ctx := newFlipCtx(50)
 		trace, root := tracer.Start(entry.name, entry.name, obs.TraceContext{})
 		opts := PlusQuery()
-		opts.Trace = &obs.QueryStats{Spans: trace, Parent: root.ID()}
+		opts.Trace = &obs.QueryStats{Root: root}
 		before := evals.Value()
 		err := entry.run(ctx, opts)
 		root.End()

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -83,12 +82,13 @@ type QueryOptions struct {
 	// and cancels outstanding ball work; 0 returns all matches. Which
 	// subgraphs are returned under a limit depends on worker scheduling.
 	Limit int
-	// Trace, when non-nil, receives the per-stage statistics of this query:
-	// stage wall times, candidate-center counts and evaluated ball sizes.
-	// Tracing never changes results, and a nil Trace adds no per-ball
-	// allocations. The pointed-to struct must not be shared across
-	// concurrent queries; read it only after the query has finished (after
-	// Match returns, or after Stream.Wait).
+	// Trace, when non-nil, is the query's observation record: stage wall
+	// times, candidate-center counts and evaluated ball sizes, the live
+	// stage and ball count, and stage spans under its Root. Recording never
+	// changes results, and a nil Trace adds no per-ball allocations. The
+	// record must not be shared across concurrent queries; read its Stats
+	// only after the query has finished (after Match returns, or after
+	// Stream.Wait).
 	Trace *obs.QueryStats
 	// Planner, when non-nil, enables query planning: candidate-center
 	// pruning against the snapshot's pruning index on every execution path,
@@ -149,16 +149,14 @@ func (p *preparedQuery) release() {
 // completion. The caller releases the returned query when it is done with it.
 func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions) (*preparedQuery, error) {
 	tr := opts.Trace
-	tr.EnterStage(obs.StagePrepare) // nil-safe
-	sp := tr.StartSpan("prepare")   // zero Span when the query is untraced
-	start := time.Now()
+	tr.Begin(obs.StagePrepare) // nil-safe, like every call on the record
 	if q == nil || q.NumNodes() == 0 {
-		sp.EndStatus("error")
+		tr.End("error")
 		return nil, fmt.Errorf("engine: empty pattern graph")
 	}
 	dq, connected := graph.Diameter(q)
 	if !connected {
-		sp.EndStatus("error")
+		tr.End("error")
 		return nil, fmt.Errorf("engine: pattern graph must be connected (Section 2.1)")
 	}
 	p := &preparedQuery{qEff: q, radius: opts.Radius}
@@ -170,16 +168,11 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		p.qEff, p.classOf = core.MinimizeQuery(q)
 	}
 	if err := ctx.Err(); err != nil {
-		sp.EndStatus("cancelled")
+		tr.End("cancelled")
 		return nil, err
 	}
-	if tr != nil {
-		tr.Prepare = time.Since(start)
-		start = time.Now()
-	}
-	sp.End()
-	sp = tr.StartSpan("filter")
-	tr.EnterStage(obs.StageFilter)
+	tr.End("")
+	tr.Begin(obs.StageFilter)
 
 	g := e.snap.g
 	p.scratch = exec.GetScratch()
@@ -187,7 +180,7 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		rel, ok, err := simulation.DualIn(ctx, p.qEff, g, &p.scratch.Sim)
 		if err != nil {
 			p.release()
-			sp.EndStatus("cancelled")
+			tr.End("cancelled")
 			return nil, err
 		}
 		if !ok {
@@ -195,10 +188,7 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 			p.release()
 			p.stats.BallsSkipped = g.NumNodes()
 			p.done = true
-			if tr != nil {
-				tr.Filter = time.Since(start)
-			}
-			sp.End()
+			tr.End("")
 			return p, nil
 		}
 		p.global = rel
@@ -208,7 +198,7 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 	}
 	if err := ctx.Err(); err != nil {
 		p.release()
-		sp.EndStatus("cancelled")
+		tr.End("cancelled")
 		return nil, err
 	}
 	p.scratch.Centers = p.cand.AppendTo(p.scratch.Centers[:0])
@@ -220,24 +210,20 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		// subgraph; they surface as skipped balls in the stats.
 		p.centers = e.snap.PruneIndex().Prune(p.qEff, p.radius, p.centers, &pst)
 		plan.CountPruned(pst)
-		if tr != nil {
-			tr.PlanCandidatesBefore = pst.Before
-			tr.PlanPrunedDegree = pst.PrunedDegree
-			tr.PlanPrunedAnchor = pst.PrunedAnchor
-		}
 	}
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
 	if tr != nil {
-		tr.Filter = time.Since(start)
 		tr.CandidateCenters = len(p.centers)
+		tr.PlanCandidatesBefore = pst.Before
+		tr.PlanPrunedDegree = pst.PrunedDegree
+		tr.PlanPrunedAnchor = pst.PrunedAnchor
 	}
-	if sp.Recording() {
-		attrs := []obs.Attr{{Key: "candidate_centers", Value: int64(len(p.centers))}}
-		if opts.Planner != nil {
-			attrs = append(attrs, obs.Attr{Key: "pruned_anchor", Value: int64(pst.PrunedAnchor)},
-				obs.Attr{Key: "anchor_entries", Value: int64(pst.AnchorEntries)})
-		}
-		sp.End(attrs...)
+	centers := obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))}
+	if opts.Planner == nil {
+		tr.End("", centers)
+	} else {
+		tr.End("", centers, obs.Attr{Key: "pruned_anchor", Value: int64(pst.PrunedAnchor)},
+			obs.Attr{Key: "anchor_entries", Value: int64(pst.AnchorEntries)})
 	}
 	return p, nil
 }
@@ -256,19 +242,20 @@ type ballOutcome struct {
 	ballEdges int
 }
 
-// evalCenters fans ball evaluation over the internal/exec pool and feeds
-// every outcome to sink on the calling goroutine. sink returning false
-// cancels the remaining work (outcomes already in flight are discarded
-// without reaching sink, so early exits undercount stats by design). Returns
-// ctx's error when the context ends the run — even when the sink stopped it
-// first (a stream consumer aborting on ctx.Done stops via the sink; its
-// callers must still see the context error) — and nil for a sink stop with a
-// live context, the Limit early exit. Cancellation is observed between
-// balls; a ball evaluation already underway runs to completion.
-// span, when recording, becomes the parent of the pool's per-worker
-// "eval.worker" spans; a zero span adds nothing.
-func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, progress *obs.Progress, span obs.Span, sink func(ballOutcome) bool) error {
-	return exec.Run(ctx, exec.Options{Workers: e.workers, Progress: progress, Span: span}, len(p.centers),
+// evalCenters runs the eval stage: it fans ball evaluation over the
+// internal/exec pool and feeds every outcome to sink on the calling
+// goroutine, counting it into tr. sink returning false cancels the remaining
+// work (outcomes already in flight are discarded without reaching sink, so
+// early exits undercount stats by design). Returns ctx's error when the
+// context ends the run — even when the sink stopped it first (a stream
+// consumer aborting on ctx.Done stops via the sink; its callers must still
+// see the context error) — and nil for a sink stop with a live context, the
+// Limit early exit. Cancellation is observed between balls; a ball
+// evaluation already underway runs to completion. The eval span, when tr
+// records one, parents the pool's per-worker "eval.worker" spans.
+func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, tr *obs.QueryStats, sink func(ballOutcome) bool) error {
+	tr.Begin(obs.StageEval)
+	err := exec.Run(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
 			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand)
@@ -276,7 +263,27 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 			return ballOutcome{pos: pos, ps: ps, stats: stats,
 				ballNodes: ball.G.NumNodes(), ballEdges: ball.G.NumEdges()}
 		},
-		func(pos int, o ballOutcome) bool { return sink(o) })
+		func(pos int, o ballOutcome) bool {
+			tr.ObserveBall(o.ballNodes, o.ballEdges)
+			return sink(o)
+		})
+	tr.End(spanStatus(err), obs.Attr{Key: "balls", Value: tr.Balls()})
+	return err
+}
+
+// spanStatus names how a stage ended, as its span reports it: empty for
+// success.
+func spanStatus(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	case errors.Is(err, context.Canceled):
+		return "cancelled"
+	default:
+		return "error"
+	}
 }
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
@@ -298,8 +305,8 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 // query after an update batch; the outcomes are interchangeable with those
 // Match computed for the same centers.
 // trace, when non-nil, records the evaluation like a traced Match would
-// (candidate centers, per-ball sizes, eval wall time, live stage/progress);
-// nil adds no per-ball work.
+// (candidate centers, per-ball sizes, the eval stage); nil adds no per-ball
+// work.
 func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats, report func(i int, ps *core.PerfectSubgraph)) error {
 	if q == nil || q.NumNodes() == 0 {
 		return fmt.Errorf("engine: empty pattern graph")
@@ -316,42 +323,13 @@ func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, ce
 	sc := exec.GetScratch()
 	defer sc.Release()
 	p := &preparedQuery{qEff: q, radius: radius, centers: centers, cand: e.snap.g.NodesLabeledInto(q, &sc.Cand)}
-	trace.EnterStage(obs.StageEval) // nil-safe
-	sp := trace.StartSpan("eval")
-	var evalStart time.Time
 	if trace != nil {
 		trace.CandidateCenters = len(centers)
-		evalStart = time.Now()
 	}
-	err := e.evalCenters(ctx, p, core.Options{}, trace.Live(), sp, func(o ballOutcome) bool {
-		trace.ObserveBall(o.ballNodes, o.ballEdges) // nil-safe
+	return e.evalCenters(ctx, p, core.Options{}, trace, func(o ballOutcome) bool {
 		report(o.pos, o.ps)
 		return true
 	})
-	if trace != nil {
-		trace.Eval += time.Since(evalStart)
-	}
-	endEvalSpan(sp, trace, err)
-	return err
-}
-
-// endEvalSpan completes one eval-stage span with the balls-evaluated count
-// and the run's outcome. The guard keeps the untraced path attr-free.
-func endEvalSpan(sp obs.Span, tr *obs.QueryStats, err error) {
-	if !sp.Recording() {
-		return
-	}
-	status := ""
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		status = "deadline"
-	case errors.Is(err, context.Canceled):
-		status = "cancelled"
-	default:
-		status = "error"
-	}
-	sp.EndStatus(status, obs.Attr{Key: "balls", Value: int64(tr.BallsBuilt)})
 }
 
 func foldStats(dst *core.Stats, src core.Stats) {
@@ -401,25 +379,15 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	// with graph size when the prefilter leaves few viable centers.
 	out := make([]*core.PerfectSubgraph, len(p.centers))
 	tr := opts.Trace
-	tr.EnterStage(obs.StageEval)
-	evalSp := tr.StartSpan("eval")
-	evalStart := time.Now()
-	err = e.evalCenters(ctx, p, opts.coreOptions(), tr.Live(), evalSp, func(o ballOutcome) bool {
+	err = e.evalCenters(ctx, p, opts.coreOptions(), tr, func(o ballOutcome) bool {
 		foldStats(&res.Stats, o.stats)
-		tr.ObserveBall(o.ballNodes, o.ballEdges) // nil-safe
 		out[o.pos] = o.ps
 		return true
 	})
-	endEvalSpan(evalSp, tr, err)
 	if err != nil {
 		return nil, err
 	}
-	mergeStart := time.Now()
-	if tr != nil {
-		tr.Eval = mergeStart.Sub(evalStart)
-	}
-	tr.EnterStage(obs.StageMerge)
-	mergeSp := tr.StartSpan("merge")
+	tr.Begin(obs.StageMerge)
 
 	if cc == nil {
 		res.Subgraphs = core.DedupSubgraphs(out, &res.Stats)
@@ -447,12 +415,7 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 		core.SortSubgraphs(res.Subgraphs)
 		cc.store(e, q, centers, outcomes, res)
 	}
-	if tr != nil {
-		tr.Merge = time.Since(mergeStart)
-	}
-	if mergeSp.Recording() {
-		mergeSp.End(obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
-	}
+	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
 	return res, nil
 }
 
@@ -468,14 +431,9 @@ func (e *Engine) matchLimited(ctx context.Context, q *graph.Graph, opts QueryOpt
 		return nil, err
 	}
 	res.Stats = stats
-	opts.Trace.EnterStage(obs.StageMerge)
-	mergeSp := opts.Trace.StartSpan("merge")
-	mergeStart := time.Now()
+	opts.Trace.Begin(obs.StageMerge)
 	core.SortSubgraphs(res.Subgraphs)
-	if tr := opts.Trace; tr != nil {
-		tr.Merge = time.Since(mergeStart)
-	}
-	mergeSp.End()
+	opts.Trace.End("")
 	return res, nil
 }
 
@@ -493,15 +451,12 @@ func (e *Engine) run(ctx context.Context, q *graph.Graph, opts QueryOptions, emi
 		return stats, nil
 	}
 
-	tr := opts.Trace
-	tr.EnterStage(obs.StageEval)
-	evalSp := tr.StartSpan("eval")
-	evalStart := time.Now()
+	// Streaming dedups and expands inside the sink, so for run-based
+	// executions the whole post-prepare phase is the eval stage.
 	dedup := core.NewDeduper()
 	emitted := 0
-	err = e.evalCenters(ctx, p, opts.coreOptions(), tr.Live(), evalSp, func(o ballOutcome) bool {
+	err = e.evalCenters(ctx, p, opts.coreOptions(), opts.Trace, func(o ballOutcome) bool {
 		foldStats(&stats, o.stats)
-		tr.ObserveBall(o.ballNodes, o.ballEdges) // nil-safe
 		if !dedup.Admit(o.ps, &stats) {
 			return true
 		}
@@ -514,12 +469,6 @@ func (e *Engine) run(ctx context.Context, q *graph.Graph, opts QueryOptions, emi
 		emitted++
 		return opts.Limit <= 0 || emitted < opts.Limit
 	})
-	if tr != nil {
-		// Streaming dedups and expands inside the sink, so for run-based
-		// executions the whole post-prepare phase is the eval stage.
-		tr.Eval = time.Since(evalStart)
-	}
-	endEvalSpan(evalSp, tr, err)
 	return stats, err
 }
 
@@ -581,13 +530,8 @@ func (e *Engine) MatchTopK(ctx context.Context, q *graph.Graph, k int, metric co
 	if err != nil {
 		return nil, stats, err
 	}
-	opts.Trace.EnterStage(obs.StageMerge)
-	mergeSp := opts.Trace.StartSpan("merge")
-	mergeStart := time.Now()
+	opts.Trace.Begin(obs.StageMerge)
 	ranked := top.ranked()
-	if tr := opts.Trace; tr != nil {
-		tr.Merge = time.Since(mergeStart)
-	}
-	mergeSp.End()
+	opts.Trace.End("")
 	return ranked, stats, nil
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -124,9 +122,7 @@ func (cc *cacheCtx) mapTo(c *plan.Cached) ([]int32, bool) {
 // PerfectSubgraph per match with the relation keys translated (node and
 // edge slices are always shared — they are data-side and read-only).
 func (e *Engine) serveHit(cc *cacheCtx, tr *obs.QueryStats) *core.Result {
-	tr.EnterStage(obs.StageMerge) // nil-safe
-	sp := tr.StartSpan("plan.hit")
-	start := time.Now()
+	tr.BeginAs(obs.StageMerge, "plan.hit") // nil-safe
 	hit := cc.hit
 	mapTo, identity := cc.mapTo(hit)
 	res := &core.Result{Stats: hit.Result.Stats}
@@ -138,12 +134,7 @@ func (e *Engine) serveHit(cc *cacheCtx, tr *obs.QueryStats) *core.Result {
 			res.Subgraphs = append(res.Subgraphs, remapSubgraph(ps, mapTo))
 		}
 	}
-	if tr != nil {
-		tr.Merge = time.Since(start)
-	}
-	if sp.Recording() {
-		sp.End(obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
-	}
+	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
 	return res
 }
 

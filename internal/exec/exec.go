@@ -126,12 +126,6 @@ type Options struct {
 	// 1 runs sequentially (deterministic, in position order, on the calling
 	// goroutine).
 	Workers int
-	// Progress, when non-nil, is ticked once per completed evaluation — the
-	// live balls-evaluated counter the query flight recorder exposes for
-	// in-flight queries. Ticks happen on the evaluating goroutine, one
-	// atomic add each; a nil Progress costs one predictable branch, keeping
-	// the recorder-off path allocation-free.
-	Progress *obs.Progress
 	// Span, when recording, is the parent under which each worker records
 	// one "eval.worker" child span covering its whole stint, annotated with
 	// the number of positions it evaluated. Spans are batched per worker —
@@ -228,7 +222,6 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 			poolWorkersBusy.Dec()
 			poolTasks.Inc()
 			evaluated++
-			opts.Progress.Tick()
 			if !sink(pos, v) {
 				break
 			}
@@ -261,7 +254,6 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 				poolWorkersBusy.Dec()
 				poolTasks.Inc()
 				evaluated++
-				opts.Progress.Tick()
 				select {
 				case results <- outcome[T]{pos: pos, v: v}:
 				case <-runCtx.Done():

@@ -215,52 +215,30 @@ func BenchmarkExecBallEvalRestricted(b *testing.B) {
 	}
 }
 
-// TestRunProgressTicks: a supplied Progress counts exactly one tick per
-// completed evaluation, on the sequential and pooled paths alike.
-func TestRunProgressTicks(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := new(obs.Progress)
-		const n = 257
-		err := exec.Run(context.Background(), exec.Options{Workers: workers, Progress: p}, n,
-			func(_ *exec.Scratch, pos int) int { return pos },
-			func(pos, v int) bool { return true })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := p.Balls(); got != n {
-			t.Fatalf("workers=%d: progress counted %d balls, want %d", workers, got, n)
-		}
-	}
-}
-
-// TestRunProgressAllocFree pins the observability contract on the pool:
-// threading a Progress through a run adds no allocations over the nil
-// (recorder-off) path — the tick is one atomic add behind one branch — and
-// an explicitly-zero Span (tracing off) adds none either, so the span
-// plumbing stays free for untraced queries.
-func TestRunProgressAllocFree(t *testing.T) {
+// TestRunSpanAllocFree pins the observability contract on the pool: an
+// explicitly-zero Span (tracing off) adds no allocations over the default
+// options, so the span plumbing stays free for untraced queries, and a
+// sequential run allocates nothing per ball. The per-query record's share of
+// the contract is engine.TestRecordAllocs.
+func TestRunSpanAllocFree(t *testing.T) {
 	eval := func(_ *exec.Scratch, pos int) int { return pos }
 	sink := func(pos, v int) bool { return true }
-	runWith := func(p *obs.Progress, sp obs.Span) {
-		if err := exec.Run(context.Background(), exec.Options{Workers: 1, Progress: p, Span: sp}, 64, eval, sink); err != nil {
+	runWith := func(opts exec.Options) {
+		if err := exec.Run(context.Background(), opts, 64, eval, sink); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := testing.AllocsPerRun(200, func() { runWith(nil, obs.Span{}) })
-	p := new(obs.Progress)
-	withProgress := testing.AllocsPerRun(200, func() { runWith(p, obs.Span{}) })
-	if withProgress > base {
-		t.Fatalf("progress ticking allocates: %.2f allocs/run with Progress vs %.2f without", withProgress, base)
+	base := testing.AllocsPerRun(200, func() { runWith(exec.Options{Workers: 1}) })
+	withSpan := testing.AllocsPerRun(200, func() { runWith(exec.Options{Workers: 1, Span: obs.Span{}}) })
+	if withSpan > base {
+		t.Fatalf("an inert span allocates: %.2f allocs/run with it vs %.2f without", withSpan, base)
 	}
 	// A sequential run takes its Scratch from the pool and allocates
 	// nothing per ball.
 	if base > 3 {
-		t.Fatalf("recorder-off run allocates %.2f times, want <= 3", base)
+		t.Fatalf("untraced run allocates %.2f times, want <= 3", base)
 	}
-	if p.Balls() == 0 {
-		t.Fatal("progress never ticked")
-	}
-	t.Logf("allocs/run: %.2f without progress, %.2f with", base, withProgress)
+	t.Logf("allocs/run: %.2f", base)
 }
 
 // TestExecMatchesCoreGolden cross-checks the executor end to end: MatchCtx
@@ -381,7 +359,7 @@ func TestScratchPooledAcrossRuns(t *testing.T) {
 // eight positions takes the sequential path on the calling goroutine whatever
 // Workers says, a larger one the pool, and on both sides of the constant a
 // wide run reports what a Workers: 1 run reports — same outcomes in the same
-// ordered delivery, the same Limit-style early exit, the same Progress ticks
+// ordered delivery, the same Limit-style early exit, the same evaluations
 // and one "eval.worker" span per worker carrying its ball count.
 func TestSmallRunsInline(t *testing.T) {
 	tracer := obs.NewTracer(obs.TraceConfig{SampleRate: 1, Registry: obs.NewRegistry()})
@@ -389,7 +367,7 @@ func TestSmallRunsInline(t *testing.T) {
 		for _, stopAfter := range []int{0, 3} { // 0: run to the end
 			type report struct {
 				delivered   []string
-				ticks       int64
+				evaluated   int64
 				spans       int
 				balls       int64
 				interleaved bool // eval and sink strictly alternated
@@ -398,9 +376,8 @@ func TestSmallRunsInline(t *testing.T) {
 				var rep report
 				var events []string // appended by eval and sink; the inline path needs no lock
 				var evals atomic.Int64
-				p := new(obs.Progress)
 				trace, root := tracer.Start("run", fmt.Sprintf("n%d-w%d-s%d", n, workers, stopAfter), obs.TraceContext{})
-				err := exec.RunOrdered(context.Background(), exec.Options{Workers: workers, Progress: p, Span: root}, n,
+				err := exec.RunOrdered(context.Background(), exec.Options{Workers: workers, Span: root}, n,
 					func(_ *exec.Scratch, pos int) int {
 						if evals.Add(1); workers == 1 || n <= 8 {
 							events = append(events, fmt.Sprintf("eval%d", pos))
@@ -431,7 +408,7 @@ func TestSmallRunsInline(t *testing.T) {
 						}
 					}
 				}
-				rep.ticks = p.Balls()
+				rep.evaluated = evals.Load()
 				rep.interleaved = true
 				for i, ev := range events {
 					want := fmt.Sprintf("eval%d", i/2)
@@ -440,8 +417,8 @@ func TestSmallRunsInline(t *testing.T) {
 					}
 					rep.interleaved = rep.interleaved && ev == want
 				}
-				if evals.Load() != rep.ticks || rep.balls != rep.ticks {
-					t.Fatalf("n=%d workers=%d: %d evals, %d ticks, %d balls on spans", n, workers, evals.Load(), rep.ticks, rep.balls)
+				if rep.balls != rep.evaluated {
+					t.Fatalf("n=%d workers=%d: %d evals, %d balls on spans", n, workers, rep.evaluated, rep.balls)
 				}
 				return rep
 			}
@@ -456,8 +433,8 @@ func TestSmallRunsInline(t *testing.T) {
 				t.Fatalf("n=%d stop=%d: 4-worker run inline=%v (interleaved %v, %d worker spans), want inline=%v",
 					n, stopAfter, !inline, wide.interleaved, wide.spans, inline)
 			}
-			if n <= 8 && wide.ticks != seq.ticks {
-				t.Fatalf("n=%d stop=%d: %d evaluations inline, %d sequential", n, stopAfter, wide.ticks, seq.ticks)
+			if n <= 8 && wide.evaluated != seq.evaluated {
+				t.Fatalf("n=%d stop=%d: %d evaluations inline, %d sequential", n, stopAfter, wide.evaluated, seq.evaluated)
 			}
 		}
 	}

@@ -9,13 +9,15 @@ import (
 	"time"
 )
 
-// Flight-recorder defaults, used when the corresponding FlightConfig field
-// is zero.
+// How many completed queries the recent and slow rings hold.
 const (
-	DefaultRecentSize    = 256
-	DefaultSlowSize      = 64
-	DefaultSlowThreshold = time.Second
+	recentSize = 256
+	slowSize   = 64
 )
+
+// DefaultSlowThreshold is the slow-query threshold of the flight recorder,
+// and the tracer's slow keep, when their configs leave it zero.
+const DefaultSlowThreshold = time.Second
 
 // Outcomes a completed query can record. They mirror the /v1 error codes:
 // cancelled (caller or operator gave up), deadline (the query's own
@@ -29,12 +31,6 @@ const (
 
 // FlightConfig configures a FlightRecorder.
 type FlightConfig struct {
-	// RecentSize caps the ring of completed queries (DefaultRecentSize if
-	// zero).
-	RecentSize int
-	// SlowSize caps the separate ring of slow queries (DefaultSlowSize if
-	// zero).
-	SlowSize int
 	// SlowThreshold classifies completed queries whose latency is at or
 	// above it as slow: kept in the slow ring, counted in
 	// slow_queries_total, and logged through Log with the full stage
@@ -66,8 +62,8 @@ type FlightRecorder struct {
 	mu     sync.Mutex
 	seq    uint64
 	active map[string]*Flight
-	recent ring
-	slow   ring
+	recent ring[QueryRecord]
+	slow   ring[QueryRecord]
 }
 
 // NewFlightRecorder returns a recorder with the given configuration and
@@ -76,12 +72,6 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = Default
-	}
-	if cfg.RecentSize <= 0 {
-		cfg.RecentSize = DefaultRecentSize
-	}
-	if cfg.SlowSize <= 0 {
-		cfg.SlowSize = DefaultSlowSize
 	}
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
@@ -92,8 +82,8 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 		inflight:      reg.Gauge("inflight_queries", "Queries currently registered in the flight recorder."),
 		slowTotal:     reg.Counter("slow_queries_total", "Completed queries at or above the slow-query threshold."),
 		active:        make(map[string]*Flight),
-		recent:        ring{buf: make([]QueryRecord, cfg.RecentSize)},
-		slow:          ring{buf: make([]QueryRecord, cfg.SlowSize)},
+		recent:        newRing[QueryRecord](recentSize),
+		slow:          newRing[QueryRecord](slowSize),
 	}
 }
 
@@ -109,7 +99,6 @@ type Flight struct {
 	start    time.Time
 	cancel   context.CancelFunc
 	stats    *QueryStats
-	progress Progress
 	finished bool // guarded by fr.mu
 }
 
@@ -117,17 +106,17 @@ type Flight struct {
 // empty; a duplicate of a still-running query is suffixed to stay
 // addressable — the effective id is returned by RequestID). kind names the
 // serving path ("match", "stream", "standing"), digest fingerprints the
-// query shape, traceID links the flight to its distributed trace (empty
-// when tracing is off), cancel is invoked by FlightRecorder.Cancel, and
-// stats — when the query is traced — gets its Progress attached so the exec
-// pool's ticks become visible here. A nil recorder returns a nil Flight.
-func (fr *FlightRecorder) Start(id, kind, digest, traceID string, cancel context.CancelFunc, stats *QueryStats) *Flight {
+// query shape, cancel is invoked by FlightRecorder.Cancel, and stats is the
+// query's record: the active table reads its live stage and ball count, the
+// flight takes its trace id from its root span (none when untraced), and
+// Finish files its Stats. A nil recorder returns a nil Flight.
+func (fr *FlightRecorder) Start(id, kind, digest string, cancel context.CancelFunc, stats *QueryStats) *Flight {
 	if fr == nil {
 		return nil
 	}
-	f := &Flight{fr: fr, kind: kind, digest: digest, traceID: traceID, start: time.Now(), cancel: cancel, stats: stats}
-	if stats != nil {
-		stats.Progress = &f.progress
+	f := &Flight{fr: fr, kind: kind, digest: digest, start: time.Now(), cancel: cancel, stats: stats}
+	if stats != nil && stats.Root.Recording() {
+		f.traceID = stats.Root.tr.id.String()
 	}
 	fr.mu.Lock()
 	fr.seq++
@@ -176,11 +165,8 @@ func (f *Flight) Finish(outcome, errMsg string, matches int) {
 	}
 	if f.stats != nil {
 		// The coordinating goroutine is done writing by the time it calls
-		// Finish, so a plain copy is race-free; drop the Progress and Spans
-		// pointers so the record is a pure snapshot.
-		rec.Stats = *f.stats
-		rec.Stats.Progress = nil
-		rec.Stats.Spans = nil
+		// Finish, so a plain copy is race-free.
+		rec.Stats = f.stats.Stats
 	}
 	slow := fr.slowThreshold > 0 && lat >= fr.slowThreshold
 	fr.mu.Lock()
@@ -208,7 +194,7 @@ func (f *Flight) Finish(outcome, errMsg string, matches int) {
 				slog.Float64("latency_ms", ms(lat)),
 				slog.Int("matches", rec.Matches),
 				slog.Int("candidate_centers", rec.Stats.CandidateCenters),
-				slog.Int("balls_built", rec.Stats.BallsBuilt),
+				slog.Int64("balls_built", rec.Stats.BallsBuilt),
 				slog.Int64("ball_nodes", rec.Stats.BallNodes),
 				slog.Int64("ball_edges", rec.Stats.BallEdges),
 				slog.Float64("prepare_ms", ms(rec.Stats.Prepare)),
@@ -241,7 +227,7 @@ func (fr *FlightRecorder) Cancel(id string) bool {
 }
 
 // ActiveQuery is one row of the in-flight table: identity plus the live
-// stage and balls-evaluated progress read from the query's Progress.
+// stage and ball count read from the query's record.
 type ActiveQuery struct {
 	RequestID string
 	Kind      string
@@ -272,8 +258,8 @@ func (fr *FlightRecorder) Active() []ActiveQuery {
 			TraceID:   f.traceID,
 			Start:     f.start,
 			Elapsed:   now.Sub(f.start),
-			Stage:     f.progress.Stage(),
-			Balls:     f.progress.Balls(),
+			Stage:     f.stats.Stage(),
+			Balls:     f.stats.Balls(),
 		})
 	}
 	fr.mu.Unlock()
@@ -312,7 +298,7 @@ type QueryRecord struct {
 	Start   time.Time
 	Latency time.Duration
 	Matches int
-	Stats   QueryStats
+	Stats   Stats
 }
 
 // Recent returns the completed-query ring, newest first. Nil-safe.
@@ -333,32 +319,4 @@ func (fr *FlightRecorder) Slow() []QueryRecord {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	return fr.slow.snapshot()
-}
-
-// ring is a fixed-size overwrite-oldest buffer of QueryRecords. Methods are
-// called with the recorder's mutex held.
-type ring struct {
-	buf  []QueryRecord
-	next int // index the next record lands in
-	n    int // records held, up to len(buf)
-}
-
-func (r *ring) push(rec QueryRecord) {
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = rec
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// snapshot copies the held records newest-first.
-func (r *ring) snapshot() []QueryRecord {
-	out := make([]QueryRecord, 0, r.n)
-	for i := 1; i <= r.n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
 }

@@ -21,17 +21,14 @@ func newTestRecorder(cfg FlightConfig) (*FlightRecorder, *Registry) {
 
 // TestFlightLifecycle walks one query through the recorder: registration
 // shows in the active table, live progress (stage + balls) is visible while
-// the query runs, and Finish moves it into the recent ring with a pure
-// snapshot of its stats.
+// the query runs, and Finish moves it into the recent ring with a snapshot
+// of its stats.
 func TestFlightLifecycle(t *testing.T) {
 	fr, reg := newTestRecorder(FlightConfig{SlowThreshold: -1})
 	stats := new(QueryStats)
-	fl := fr.Start("req-1", "match", "deadbeef00000000", "", nil, stats)
+	fl := fr.Start("req-1", "match", "deadbeef00000000", nil, stats)
 	if fl.RequestID() != "req-1" {
 		t.Fatalf("request id %q, want req-1", fl.RequestID())
-	}
-	if stats.Progress == nil {
-		t.Fatal("Start did not attach a Progress to the trace")
 	}
 	if got := fr.InFlight(); got != 1 {
 		t.Fatalf("InFlight = %d, want 1", got)
@@ -40,11 +37,11 @@ func TestFlightLifecycle(t *testing.T) {
 		t.Fatalf("inflight_queries = %d, want 1", got)
 	}
 
-	// The serving path publishes progress through the trace; the debug
+	// The serving path publishes progress through the record; the debug
 	// handler reads it through Active while the query still runs.
-	stats.EnterStage(StageEval)
-	stats.Live().Tick()
-	stats.Live().Tick()
+	stats.Begin(StageEval)
+	stats.ObserveBall(5, 9)
+	stats.ObserveBall(5, 9)
 	active := fr.Active()
 	if len(active) != 1 {
 		t.Fatalf("Active() = %v, want one entry", active)
@@ -61,7 +58,7 @@ func TestFlightLifecycle(t *testing.T) {
 	}
 
 	stats.CandidateCenters = 7
-	stats.ObserveBall(5, 9)
+	stats.End("")
 	fl.Finish(OutcomeOK, "", 3)
 	if got := fr.InFlight(); got != 0 {
 		t.Fatalf("InFlight after Finish = %d, want 0", got)
@@ -77,11 +74,11 @@ func TestFlightLifecycle(t *testing.T) {
 	if rec.RequestID != "req-1" || rec.Outcome != OutcomeOK || rec.Matches != 3 {
 		t.Errorf("record %+v", rec)
 	}
-	if rec.Stats.CandidateCenters != 7 || rec.Stats.BallsBuilt != 1 {
+	if rec.Stats.CandidateCenters != 7 || rec.Stats.BallsBuilt != 2 || rec.Stats.BallNodes != 10 {
 		t.Errorf("record stats not snapshotted: %+v", rec.Stats)
 	}
-	if rec.Stats.Progress != nil {
-		t.Error("record kept a live Progress pointer; want a pure snapshot")
+	if rec.Stats != stats.Stats {
+		t.Errorf("record stats %+v, want the query's %+v", rec.Stats, stats.Stats)
 	}
 	if rec.Latency < 0 {
 		t.Errorf("negative latency %v", rec.Latency)
@@ -92,12 +89,12 @@ func TestFlightLifecycle(t *testing.T) {
 // with a still-running query is suffixed so both stay addressable.
 func TestFlightIDMinting(t *testing.T) {
 	fr, _ := newTestRecorder(FlightConfig{SlowThreshold: -1})
-	anon := fr.Start("", "match", "d", "", nil, nil)
+	anon := fr.Start("", "match", "d", nil, nil)
 	if anon.RequestID() == "" {
 		t.Fatal("empty id not replaced with a generated one")
 	}
-	first := fr.Start("dup", "match", "d", "", nil, nil)
-	second := fr.Start("dup", "match", "d", "", nil, nil)
+	first := fr.Start("dup", "match", "d", nil, nil)
+	second := fr.Start("dup", "match", "d", nil, nil)
 	if first.RequestID() != "dup" {
 		t.Fatalf("first registration got %q, want dup", first.RequestID())
 	}
@@ -129,15 +126,19 @@ func TestFlightIDMinting(t *testing.T) {
 // TestFlightRingWrap: the recent ring overwrites oldest-first and snapshots
 // newest-first.
 func TestFlightRingWrap(t *testing.T) {
-	fr, _ := newTestRecorder(FlightConfig{RecentSize: 3, SlowThreshold: -1})
-	for i := 1; i <= 5; i++ {
-		fr.Start(fmt.Sprintf("r-%d", i), "match", "d", "", nil, nil).Finish(OutcomeOK, "", i)
+	fr, _ := newTestRecorder(FlightConfig{SlowThreshold: -1})
+	n := recentSize + 2
+	for i := 1; i <= n; i++ {
+		fr.Start(fmt.Sprintf("r-%d", i), "match", "d", nil, nil).Finish(OutcomeOK, "", i)
 	}
 	recent := fr.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("ring holds %d records, want 3", len(recent))
+	if len(recent) != recentSize {
+		t.Fatalf("ring holds %d records, want %d", len(recent), recentSize)
 	}
-	for i, want := range []string{"r-5", "r-4", "r-3"} {
+	if last := recent[recentSize-1].RequestID; last != "r-3" {
+		t.Fatalf("oldest record held = %q, want r-3", last)
+	}
+	for i, want := range []string{fmt.Sprintf("r-%d", n), fmt.Sprintf("r-%d", n-1), fmt.Sprintf("r-%d", n-2)} {
 		if recent[i].RequestID != want {
 			t.Fatalf("recent[%d] = %q, want %q (newest first)", i, recent[i].RequestID, want)
 		}
@@ -153,8 +154,8 @@ func TestFlightSlowClassification(t *testing.T) {
 		SlowThreshold: time.Nanosecond,
 		Log:           slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	})
-	stats := &QueryStats{CandidateCenters: 4, Eval: 2 * time.Millisecond}
-	fl := fr.Start("slow-1", "match", "d", "", nil, stats)
+	stats := &QueryStats{Stats: Stats{CandidateCenters: 4, Eval: 2 * time.Millisecond}}
+	fl := fr.Start("slow-1", "match", "d", nil, stats)
 	time.Sleep(time.Microsecond) // any positive latency crosses a 1ns threshold
 	fl.Finish(OutcomeOK, "", 2)
 
@@ -189,7 +190,7 @@ func TestFlightSlowClassification(t *testing.T) {
 		SlowThreshold: -1,
 		Log:           slog.New(slog.NewJSONHandler(&quiet, nil)),
 	})
-	off.Start("fast", "match", "d", "", nil, nil).Finish(OutcomeOK, "", 0)
+	off.Start("fast", "match", "d", nil, nil).Finish(OutcomeOK, "", 0)
 	if len(off.Slow()) != 0 || offReg.Counter("slow_queries_total", "").Value() != 0 || quiet.Len() != 0 {
 		t.Error("negative threshold still classified a query as slow")
 	}
@@ -200,7 +201,7 @@ func TestFlightSlowClassification(t *testing.T) {
 func TestFlightCancel(t *testing.T) {
 	fr, _ := newTestRecorder(FlightConfig{SlowThreshold: -1})
 	ctx, cancel := context.WithCancel(context.Background())
-	fl := fr.Start("victim", "match", "d", "", cancel, nil)
+	fl := fr.Start("victim", "match", "d", cancel, nil)
 
 	if fr.Cancel("no-such-id") {
 		t.Error("Cancel of an unknown id reported found")
@@ -227,7 +228,7 @@ func TestFlightCancel(t *testing.T) {
 // cannot double-decrement the gauge or duplicate the record.
 func TestFlightDoubleFinish(t *testing.T) {
 	fr, reg := newTestRecorder(FlightConfig{SlowThreshold: -1})
-	fl := fr.Start("once", "match", "d", "", nil, nil)
+	fl := fr.Start("once", "match", "d", nil, nil)
 	fl.Finish(OutcomeError, "boom", 0)
 	fl.Finish(OutcomeOK, "", 9)
 	if got := len(fr.Recent()); got != 1 {
@@ -245,7 +246,7 @@ func TestFlightDoubleFinish(t *testing.T) {
 // flights through the whole serving surface; every call must be a no-op.
 func TestFlightNilSafety(t *testing.T) {
 	var fr *FlightRecorder
-	fl := fr.Start("id", "match", "d", "", nil, nil)
+	fl := fr.Start("id", "match", "d", nil, nil)
 	if fl != nil {
 		t.Fatal("nil recorder returned a non-nil Flight")
 	}
@@ -260,17 +261,12 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Error("nil recorder found queries")
 	}
 
-	var p *Progress
-	p.SetStage(StageMerge)
-	p.Tick()
-	if p.Stage() != StagePrepare || p.Balls() != 0 {
-		t.Error("nil Progress reported progress")
-	}
 	var qs *QueryStats
-	qs.EnterStage(StageEval)
+	qs.Begin(StageEval)
 	qs.ObserveBall(1, 1)
-	if qs.Live() != nil {
-		t.Error("nil QueryStats has a live view")
+	qs.End("error", Attr{Key: "balls", Value: 1})
+	if qs.Stage() != StagePrepare || qs.Balls() != 0 || qs.Span().Recording() {
+		t.Error("nil QueryStats reported progress")
 	}
 }
 
@@ -293,7 +289,7 @@ func TestStageString(t *testing.T) {
 // registrations, finishes, cancels and table scrapes interleaving — so `go
 // test -race` certifies the locking.
 func TestFlightConcurrentUse(t *testing.T) {
-	fr, _ := newTestRecorder(FlightConfig{RecentSize: 8, SlowThreshold: -1})
+	fr, _ := newTestRecorder(FlightConfig{SlowThreshold: -1})
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -301,9 +297,10 @@ func TestFlightConcurrentUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				stats := new(QueryStats)
 				_, cancel := context.WithCancel(context.Background())
-				fl := fr.Start(fmt.Sprintf("w%d-%d", w, i), "match", "d", "", cancel, stats)
-				stats.EnterStage(StageEval)
-				stats.Live().Tick()
+				fl := fr.Start(fmt.Sprintf("w%d-%d", w, i), "match", "d", cancel, stats)
+				stats.Begin(StageEval)
+				stats.ObserveBall(1, 1)
+				stats.End("")
 				if i%3 == 0 {
 					fr.Cancel(fl.RequestID())
 					fl.Finish(OutcomeCancelled, "cancelled", 0)

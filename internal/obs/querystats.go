@@ -37,70 +37,24 @@ func (s Stage) String() string {
 	}
 }
 
-// Progress is the live, concurrency-safe view of one in-flight query: the
-// stage it is currently in and a balls-evaluated counter ticked by the exec
-// pool's workers. The flight recorder attaches one Progress per tracked
-// query and the /v1/debug handlers read it while the query runs; both sides
-// touch only the two atomics below. All methods are nil-safe no-ops so the
-// serving path can publish progress unconditionally — an untracked query
-// pays one predictable branch and allocates nothing.
-type Progress struct {
-	stage atomic.Int32
-	balls atomic.Int64
-}
-
-// SetStage publishes a stage transition. Nil-safe.
-func (p *Progress) SetStage(s Stage) {
-	if p != nil {
-		p.stage.Store(int32(s))
-	}
-}
-
-// Stage returns the last published stage (StagePrepare before any
-// transition). Nil-safe.
-func (p *Progress) Stage() Stage {
-	if p == nil {
-		return StagePrepare
-	}
-	return Stage(p.stage.Load())
-}
-
-// Tick records one evaluated ball. Called from exec worker goroutines; a
-// single atomic add. Nil-safe.
-func (p *Progress) Tick() {
-	if p != nil {
-		p.balls.Add(1)
-	}
-}
-
-// Balls returns the number of balls evaluated so far. Nil-safe.
-func (p *Progress) Balls() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.balls.Load()
-}
-
-// QueryStats is the per-query stage trace of one match execution: where the
-// wall time went (the paper's cost model — ball construction dominated by
-// dQ-hop BFS, then dual-simulation refinement) and how much graph the query
-// actually touched. The engine fills one when QueryOptions.Trace points at
-// it; the /v1 endpoints request that when the QuerySpec carries
-// "stats": true. Collection must never change results — a traced query and
-// an untraced one answer byte-identically.
-//
-// A QueryStats is written by the query's coordinating goroutine only (the
-// exec sink runs on the calling goroutine) and must not be shared across
-// concurrent queries.
-type QueryStats struct {
+// Stats is the flat half of a query's record: where the wall time went (the
+// paper's cost model — ball construction dominated by dQ-hop BFS, then
+// dual-simulation refinement) and how much graph the query touched. It is
+// what query_stats serialises, what the slow-query line logs and what the
+// flight recorder keeps per completed query: a plain value.
+type Stats struct {
+	// BallsBuilt counts balls actually constructed and evaluated. Under an
+	// early exit (Limit, cancellation) this can be less than
+	// CandidateCenters; outcomes discarded mid-flight are not counted. While
+	// the query runs it is written atomically and read through
+	// QueryStats.Balls. It is a plain int64, not an atomic.Int64, so that
+	// Stats stays a value the flight recorder files by copy; it comes first
+	// so the 64-bit atomic is aligned on 32-bit platforms too.
+	BallsBuilt int64
 	// CandidateCenters is how many centers survived prefiltering (label
 	// index or global dual-simulation filter) and were scheduled for ball
 	// evaluation.
 	CandidateCenters int
-	// BallsBuilt counts balls actually constructed and evaluated. Under an
-	// early exit (Limit, cancellation) this can be less than
-	// CandidateCenters; outcomes discarded mid-flight are not counted.
-	BallsBuilt int
 	// BallNodes and BallEdges total the sizes of every ball as evaluated:
 	// the engine builds Ĝ[v, r] restricted to the query's candidate nodes
 	// (plus the center), so these count candidates inside the balls and the
@@ -130,57 +84,114 @@ type QueryStats struct {
 	PlanPrunedDegree     int
 	PlanPrunedAnchor     int
 	PlanCacheOutcome     string
-
-	// Progress, when non-nil, additionally receives live atomic updates —
-	// stage transitions and a per-ball counter — readable from other
-	// goroutines while the query runs. The flight recorder attaches one in
-	// Flight creation; a plain "stats": true trace leaves it nil. Progress
-	// is the only field of a QueryStats that may be touched concurrently.
-	Progress *Progress
-
-	// Spans, when non-nil, receives one hierarchical span per engine stage
-	// in addition to the flat durations above, parented under Parent (the
-	// request's root span on the serving path). StartSpan reads both;
-	// leaving Spans nil keeps the whole span path at one branch per stage.
-	Spans  *Trace
-	Parent SpanID
 }
 
-// StartSpan opens a stage span on the query's trace, parented under the
-// request's root span. A nil receiver or a nil Spans returns a zero Span
-// whose methods are no-ops, so the engine marks stages unconditionally.
-func (qs *QueryStats) StartSpan(name string) Span {
-	if qs == nil || qs.Spans == nil {
+// QueryStats is the one per-query observation record. The engine fills one
+// when QueryOptions.Trace points at it; the serving path allocates one when
+// the request asked for "stats": true, the flight recorder is on, or the
+// request is traced. Every view of the query reads it: query_stats and the
+// flight recorder's records serialise its Stats, /v1/debug reads its live
+// stage and ball count while the query runs, and its stage spans land under
+// Root. Collection must never change results — a recorded query and an
+// unrecorded one answer byte-identically.
+//
+// The engine marks each stage with one Begin … End pair, which publishes
+// the stage, times it with one clock reading for the flat duration and the
+// span alike, and opens and ends the stage span. Every method is nil-safe,
+// so an unrecorded query pays one branch per call.
+//
+// A QueryStats is written by the query's coordinating goroutine only (the
+// exec sink runs on the calling goroutine); Stage and Balls are the reads
+// other goroutines may make while it runs. It must not be copied or shared
+// across concurrent queries.
+type QueryStats struct {
+	Stats
+
+	// Root is the request's root span, the parent of the stage spans and of
+	// a router's fan-out spans; zero (inert) when the request is untraced.
+	Root Span
+
+	stage atomic.Int32 // the stage last begun, as /v1/debug serves it
+	open  Stage        // the stage End closes
+	start time.Time    // when it began: its span's start, its duration's origin
+	span  Span         // its span under Root; inert when untraced
+}
+
+// Begin opens stage s: publishes it to the live /v1/debug view and opens
+// its span, named after the stage, under Root. Nil-safe.
+func (qs *QueryStats) Begin(s Stage) { qs.BeginAs(s, s.String()) }
+
+// BeginAs is Begin with the stage span named span (a cache hit is the merge
+// stage under "plan.hit"). Nil-safe.
+func (qs *QueryStats) BeginAs(s Stage, span string) {
+	if qs == nil {
+		return
+	}
+	qs.stage.Store(int32(s))
+	qs.open = s
+	qs.start = time.Now()
+	qs.span = qs.Root.childAt(span, qs.start)
+}
+
+// End closes the stage Begin opened. One clock reading gives the stage's
+// duration, which is added to its Stats field and ends its span with status
+// ("" for success, else "cancelled", "deadline" or "error") and attrs.
+// Nil-safe; attrs are copied only when the span records, so an untraced
+// query passes them without allocating.
+func (qs *QueryStats) End(status string, attrs ...Attr) {
+	if qs == nil {
+		return
+	}
+	d := time.Since(qs.start)
+	switch qs.open {
+	case StagePrepare:
+		qs.Prepare += d
+	case StageFilter:
+		qs.Filter += d
+	case StageEval:
+		qs.Eval += d
+	case StageMerge:
+		qs.Merge += d
+	}
+	if qs.span.Recording() {
+		qs.span.finish(status, append([]Attr(nil), attrs...), d)
+	}
+}
+
+// Span returns the open stage's span, the parent the exec pool records its
+// eval.worker spans under; inert when untraced. Nil-safe.
+func (qs *QueryStats) Span() Span {
+	if qs == nil {
 		return Span{}
 	}
-	return qs.Spans.StartSpan(name, qs.Parent)
+	return qs.span
 }
 
-// EnterStage publishes a stage transition to the live progress view. A nil
-// receiver or a nil Progress is a no-op, so the engine can mark transitions
-// unconditionally on every path.
-func (qs *QueryStats) EnterStage(s Stage) {
-	if qs != nil {
-		qs.Progress.SetStage(s)
-	}
-}
-
-// Live returns the live progress view to thread into the exec pool; nil
-// when the query is untracked. Nil-safe.
-func (qs *QueryStats) Live() *Progress {
+// Stage returns the stage last begun (StagePrepare before any). Safe to call
+// while the query runs. Nil-safe.
+func (qs *QueryStats) Stage() Stage {
 	if qs == nil {
-		return nil
+		return StagePrepare
 	}
-	return qs.Progress
+	return Stage(qs.stage.Load())
 }
 
-// ObserveBall records one evaluated ball. A nil receiver is a no-op, so the
-// engine's sink can call it unconditionally on the stats-off path.
+// ObserveBall records one evaluated ball. Nil-safe, so the engine's sink can
+// call it unconditionally on the unrecorded path.
 func (qs *QueryStats) ObserveBall(nodes, edges int) {
 	if qs == nil {
 		return
 	}
-	qs.BallsBuilt++
+	atomic.AddInt64(&qs.BallsBuilt, 1)
 	qs.BallNodes += int64(nodes)
 	qs.BallEdges += int64(edges)
+}
+
+// Balls returns BallsBuilt as it stands. Safe to call while the query runs.
+// Nil-safe.
+func (qs *QueryStats) Balls() int64 {
+	if qs == nil {
+		return 0
+	}
+	return atomic.LoadInt64(&qs.BallsBuilt)
 }

@@ -11,14 +11,8 @@ import (
 	"time"
 )
 
-// Tracing defaults, used when the corresponding TraceConfig field is zero.
-const (
-	DefaultTraceCapacity = 128
-	// DefaultTraceSlowThreshold matches the flight recorder's slow-query
-	// threshold: a trace whose root span runs at least this long is kept
-	// regardless of sampling.
-	DefaultTraceSlowThreshold = time.Second
-)
+// keptTraces is how many kept traces the tracer holds, newest first.
+const keptTraces = 128
 
 // TraceparentHeader is the W3C trace-context header spans propagate in,
 // both directions: an incoming traceparent adopts the caller's trace id and
@@ -134,9 +128,6 @@ func isLowerHex(s string) bool {
 
 // TraceConfig configures a Tracer.
 type TraceConfig struct {
-	// Capacity caps the overwrite-oldest store of kept traces
-	// (DefaultTraceCapacity if zero).
-	Capacity int
 	// SampleRate is the head-sampling probability in [0, 1]: the fraction
 	// of traces kept regardless of latency or outcome. Sampling is decided
 	// when the trace starts so the decision is stable across the request,
@@ -145,7 +136,7 @@ type TraceConfig struct {
 	// SlowThreshold keeps every trace whose root span runs at least this
 	// long — the same semantics (and, on the serving path, the same value)
 	// as the flight recorder's slow-query threshold. Zero means
-	// DefaultTraceSlowThreshold; negative disables the slow keep.
+	// DefaultSlowThreshold; negative disables the slow keep.
 	SlowThreshold time.Duration
 	// Log, when non-nil, receives one structured line per kept trace.
 	Log *slog.Logger
@@ -177,7 +168,6 @@ func SpanBuckets() []float64 {
 // safe for concurrent use and nil-safe, so an untraced deployment passes a
 // nil Tracer and every call collapses to one branch.
 type Tracer struct {
-	capacity   int
 	sampleRate float64
 	slow       time.Duration
 	log        *slog.Logger
@@ -198,9 +188,7 @@ type Tracer struct {
 	rng atomic.Uint64
 
 	mu   sync.Mutex
-	kept []TraceRecord // overwrite-oldest ring of kept traces
-	next int
-	n    int
+	kept ring[TraceRecord]
 }
 
 // NewTracer returns a tracer with the given configuration and registers
@@ -211,11 +199,8 @@ func NewTracer(cfg TraceConfig) *Tracer {
 	if reg == nil {
 		reg = Default
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultTraceCapacity
-	}
 	if cfg.SlowThreshold == 0 {
-		cfg.SlowThreshold = DefaultTraceSlowThreshold
+		cfg.SlowThreshold = DefaultSlowThreshold
 	}
 	if cfg.SampleRate < 0 {
 		cfg.SampleRate = 0
@@ -224,7 +209,6 @@ func NewTracer(cfg TraceConfig) *Tracer {
 		cfg.SampleRate = 1
 	}
 	t := &Tracer{
-		capacity:   cfg.Capacity,
 		sampleRate: cfg.SampleRate,
 		slow:       cfg.SlowThreshold,
 		log:        cfg.Log,
@@ -236,7 +220,7 @@ func NewTracer(cfg TraceConfig) *Tracer {
 			"completed traces dropped by tail sampling"),
 		reg:       reg,
 		durations: make(map[string]*Histogram),
-		kept:      make([]TraceRecord, cfg.Capacity),
+		kept:      newRing[TraceRecord](keptTraces),
 	}
 	var seed [8]byte
 	if _, err := crand.Read(seed[:]); err == nil {
@@ -361,11 +345,7 @@ func (t *Tracer) finish(tr *Trace, rootDur time.Duration) {
 		}
 	}
 	t.mu.Lock()
-	t.kept[t.next] = rec
-	t.next = (t.next + 1) % len(t.kept)
-	if t.n < len(t.kept) {
-		t.n++
-	}
+	t.kept.push(rec)
 	t.mu.Unlock()
 	t.keptTotal.Inc()
 	if t.log != nil {
@@ -387,11 +367,7 @@ func (t *Tracer) Kept() []TraceRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TraceRecord, 0, t.n)
-	for i := 1; i <= t.n; i++ {
-		out = append(out, t.kept[(t.next-i+len(t.kept))%len(t.kept)])
-	}
-	return out
+	return t.kept.snapshot()
 }
 
 // Lookup returns the kept trace with the given 32-hex-character id.
@@ -410,9 +386,8 @@ func (t *Tracer) Lookup(idHex string) (TraceRecord, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Newest first, so a reused trace id resolves to its latest trace.
-	for i := 1; i <= t.n; i++ {
-		rec := t.kept[(t.next-i+len(t.kept))%len(t.kept)]
-		if rec.ID == id {
+	for i := 0; i < t.kept.n; i++ {
+		if rec := t.kept.at(i); rec.ID == id {
 			return rec, true
 		}
 	}
@@ -445,14 +420,9 @@ func (tr *Trace) ID() TraceID {
 	return tr.id
 }
 
-// StartSpan opens a span under the given parent span id (the root span's
-// id for request-level stages). Nil-safe: a nil Trace returns a zero Span
-// whose every method is a no-op.
-func (tr *Trace) StartSpan(name string, parent SpanID) Span {
-	if tr == nil {
-		return Span{}
-	}
-	sp := Span{tr: tr, parent: parent, name: name, start: time.Now()}
+// startAt opens a span under parent starting at the given clock reading.
+func (tr *Trace) startAt(name string, parent SpanID, at time.Time) Span {
+	sp := Span{tr: tr, parent: parent, name: name, start: at}
 	binary.LittleEndian.PutUint64(sp.id[:], tr.tracer.rand64())
 	return sp
 }
@@ -513,11 +483,14 @@ func (s Span) Context() TraceContext {
 }
 
 // StartChild opens a child span. A zero receiver returns a zero Span.
-func (s Span) StartChild(name string) Span {
+func (s Span) StartChild(name string) Span { return s.childAt(name, time.Now()) }
+
+// childAt opens a child span starting at the given clock reading.
+func (s Span) childAt(name string, at time.Time) Span {
 	if s.tr == nil {
 		return Span{}
 	}
-	return s.tr.StartSpan(name, s.id)
+	return s.tr.startAt(name, s.id, at)
 }
 
 // End completes the span successfully, recording its duration and any
@@ -531,10 +504,14 @@ func (s Span) End(attrs ...Attr) { s.end("", attrs) }
 func (s Span) EndStatus(status string, attrs ...Attr) { s.end(status, attrs) }
 
 func (s Span) end(status string, attrs []Attr) {
-	if s.tr == nil {
-		return
+	if s.tr != nil {
+		s.finish(status, attrs, time.Since(s.start))
 	}
-	dur := time.Since(s.start)
+}
+
+// finish records the span with the given duration; its caller has checked
+// that the span records.
+func (s Span) finish(status string, attrs []Attr, dur time.Duration) {
 	if status != "" {
 		s.tr.errs.Add(1)
 	}

@@ -103,8 +103,8 @@ func TestTracerTailSampling(t *testing.T) {
 	})
 	t.Run("error", func(t *testing.T) {
 		tr, _ := newTestTracer(TraceConfig{SlowThreshold: time.Hour})
-		trace, root := tr.Start("GET /x", "r1", TraceContext{})
-		sp := trace.StartSpan("eval", root.ID())
+		_, root := tr.Start("GET /x", "r1", TraceContext{})
+		sp := root.StartChild("eval")
 		sp.EndStatus("deadline")
 		root.End()
 		kept := tr.Kept()
@@ -139,8 +139,8 @@ func TestTracerTailSampling(t *testing.T) {
 	})
 	t.Run("dropped", func(t *testing.T) {
 		tr, reg := newTestTracer(TraceConfig{SlowThreshold: time.Hour})
-		trace, root := tr.Start("GET /x", "r1", TraceContext{})
-		sp := trace.StartSpan("eval", root.ID())
+		_, root := tr.Start("GET /x", "r1", TraceContext{})
+		sp := root.StartChild("eval")
 		sp.End()
 		root.End()
 		if kept := tr.Kept(); len(kept) != 0 {
@@ -171,8 +171,8 @@ func TestTracerTailSampling(t *testing.T) {
 // record already snapshotted (or racing the ring).
 func TestTraceLateSpansDropped(t *testing.T) {
 	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
-	trace, root := tr.Start("GET /x", "r1", TraceContext{})
-	late := trace.StartSpan("late", root.ID())
+	_, root := tr.Start("GET /x", "r1", TraceContext{})
+	late := root.StartChild("late")
 	root.End()
 	late.End() // after finish: dropped
 	kept := tr.Kept()
@@ -187,30 +187,34 @@ func TestTraceLateSpansDropped(t *testing.T) {
 // TestTraceRingOverwrite fills the kept store beyond capacity and checks
 // overwrite-oldest order plus Lookup resolution.
 func TestTraceRingOverwrite(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{Capacity: 3, SampleRate: 1, SlowThreshold: time.Hour})
+	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
 	var ids []string
-	for i := 0; i < 5; i++ {
+	n := keptTraces + 2
+	for i := 0; i < n; i++ {
 		_, root := tr.Start(fmt.Sprintf("GET /%d", i), fmt.Sprintf("r%d", i), TraceContext{})
 		ids = append(ids, root.Context().TraceID.String())
 		root.End()
 	}
 	kept := tr.Kept()
-	if len(kept) != 3 {
-		t.Fatalf("kept %d traces, want capacity 3", len(kept))
+	if len(kept) != keptTraces {
+		t.Fatalf("kept %d traces, want capacity %d", len(kept), keptTraces)
 	}
-	for i, want := range []string{"GET /4", "GET /3", "GET /2"} { // newest first
-		if kept[i].RootName != want {
+	for i := 0; i < 3; i++ { // newest first
+		if want := fmt.Sprintf("GET /%d", n-1-i); kept[i].RootName != want {
 			t.Fatalf("kept[%d] = %q, want %q", i, kept[i].RootName, want)
 		}
 	}
-	if _, ok := tr.Lookup(ids[0]); ok {
-		t.Fatalf("evicted trace %s still resolves", ids[0])
+	for _, evicted := range ids[:2] {
+		if _, ok := tr.Lookup(evicted); ok {
+			t.Fatalf("evicted trace %s still resolves", evicted)
+		}
 	}
-	rec, ok := tr.Lookup(ids[4])
-	if !ok || rec.RootName != "GET /4" {
-		t.Fatalf("Lookup(%s) = %+v, %v", ids[4], rec, ok)
+	newest := ids[n-1]
+	rec, ok := tr.Lookup(newest)
+	if !ok || rec.RootName != fmt.Sprintf("GET /%d", n-1) {
+		t.Fatalf("Lookup(%s) = %+v, %v", newest, rec, ok)
 	}
-	for _, bad := range []string{"", "zz", ids[4][:31], ids[4] + "0"} {
+	for _, bad := range []string{"", "zz", newest[:31], newest + "0"} {
 		if _, ok := tr.Lookup(bad); ok {
 			t.Fatalf("Lookup(%q) resolved", bad)
 		}
@@ -236,7 +240,7 @@ func TestTraceKeptLog(t *testing.T) {
 // ending concurrently within a trace, traces finishing concurrently with
 // Kept/Lookup readers — and relies on -race for the verdict.
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{Capacity: 8, SampleRate: 1, SlowThreshold: time.Hour})
+	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -277,8 +281,8 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if kept := tr.Kept(); len(kept) != 8 {
-		t.Fatalf("kept %d traces, want the full capacity 8", len(kept))
+	if kept := tr.Kept(); len(kept) != keptTraces {
+		t.Fatalf("kept %d traces, want the full capacity %d", len(kept), keptTraces)
 	} else {
 		for _, rec := range kept {
 			if len(rec.Spans) != 5 { // root + 4 workers
@@ -299,7 +303,7 @@ func TestTraceNilSafety(t *testing.T) {
 	if got := trace.ID(); !got.IsZero() {
 		t.Fatalf("nil trace ID = %s, want zero", got)
 	}
-	sp := trace.StartSpan("x", SpanID{})
+	sp := root.StartChild("x")
 	sp.End()
 	sp.EndStatus("error")
 	if sp.StartChild("y").Recording() {
@@ -315,26 +319,26 @@ func TestTraceNilSafety(t *testing.T) {
 		t.Fatal("nil tracer Lookup resolved")
 	}
 	var qs *QueryStats
-	if qs.StartSpan("eval").Recording() {
-		t.Fatal("nil QueryStats StartSpan records")
+	if qs.Begin(StageEval); qs.Span().Recording() {
+		t.Fatal("nil QueryStats stage span records")
 	}
-	qs2 := new(QueryStats) // Spans nil: the stats-only path
-	if qs2.StartSpan("eval").Recording() {
-		t.Fatal("QueryStats without Spans records")
+	qs2 := new(QueryStats) // zero Root: the stats-only path
+	if qs2.Begin(StageEval); qs2.Span().Recording() {
+		t.Fatal("QueryStats without a root span records")
 	}
 }
 
 // TestQueryStatsSpanParenting checks the serving-path wiring: stage spans
-// started through QueryStats land under the configured parent.
+// begun through QueryStats land under its root span, timed like the stage.
 func TestQueryStatsSpanParenting(t *testing.T) {
 	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
 	trace, root := tr.Start("POST /v1/match", "r1", TraceContext{})
-	qs := &QueryStats{Spans: trace, Parent: root.ID()}
-	sp := qs.StartSpan("eval")
-	if !sp.Recording() {
+	qs := &QueryStats{Root: root}
+	qs.Begin(StageEval)
+	if !qs.Span().Recording() {
 		t.Fatal("stage span not recording")
 	}
-	sp.End(Attr{Key: "balls", Value: 3})
+	qs.End("", Attr{Key: "balls", Value: 3})
 	root.End()
 	rec, ok := tr.Lookup(trace.ID().String())
 	if !ok {
@@ -349,6 +353,9 @@ func TestQueryStatsSpanParenting(t *testing.T) {
 			}
 			if len(s.Attrs) != 1 || s.Attrs[0] != (Attr{Key: "balls", Value: 3}) {
 				t.Fatalf("attrs = %+v", s.Attrs)
+			}
+			if s.Duration != qs.Eval {
+				t.Fatalf("eval span ran %v, the record's eval stage %v", s.Duration, qs.Eval)
 			}
 		}
 	}

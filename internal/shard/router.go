@@ -463,6 +463,10 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 	}
 
 	sreq := shardRequest(&q.Request)
+	var root obs.Span // the request's root span parents the fan-out spans
+	if q.Opts.Trace != nil {
+		root = q.Opts.Trace.Root
+	}
 	resps := make([]*api.MatchResponse, len(r.shards))
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
@@ -470,7 +474,7 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = r.callShard(ctx, s, kind, q.Root,
+			errs[s] = r.callShard(ctx, s, kind, root,
 				func(cctx context.Context, cl *client.Client) (err error) {
 					resps[s], err = cl.Match(cctx, sreq)
 					return err
