@@ -88,10 +88,10 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 }
 
 // TestPlanCacheInvalidationAcrossUpdate is the staleness bar for the live
-// deployment: a cached answer must never survive an update that touches
-// it. Warm the cache, delete an edge inside the cached match's
-// neighborhood, and require the planned answer to equal the unplanned one
-// (and to have shrunk) — served as a refresh, not a stale hit.
+// deployment: a cached answer must never survive an update. Warm the cache,
+// delete an edge inside the cached match's neighborhood, and require the
+// planned answer to equal the unplanned one (and to have shrunk) — served as
+// a miss, since an entry lives for one version, then as a hit.
 func TestPlanCacheInvalidationAcrossUpdate(t *testing.T) {
 	ts, _ := newLiveTestServer(t)
 	pattern := "node a A\nnode b B\nedge a b"
@@ -116,8 +116,8 @@ func TestPlanCacheInvalidationAcrossUpdate(t *testing.T) {
 
 	control := matchStats(t, ts.URL, pattern, true)
 	planned := matchStats(t, ts.URL, pattern, false)
-	if planned.QueryStats.PlanCache != "refresh" {
-		t.Fatalf("post-update plan_cache = %q, want refresh", planned.QueryStats.PlanCache)
+	if planned.QueryStats.PlanCache != "miss" {
+		t.Fatalf("post-update plan_cache = %q, want miss", planned.QueryStats.PlanCache)
 	}
 	a, _ := json.Marshal(control.Matches)
 	b, _ := json.Marshal(planned.Matches)
@@ -128,14 +128,14 @@ func TestPlanCacheInvalidationAcrossUpdate(t *testing.T) {
 		t.Fatalf("stale answer served: %d matches after the edge delete", len(planned.Matches))
 	}
 
-	// The repaired entry serves the next repeat as a clean hit.
+	// The entry the miss stored serves the next repeat as a hit.
 	again := matchStats(t, ts.URL, pattern, false)
 	if again.QueryStats.PlanCache != "hit" {
-		t.Fatalf("post-repair plan_cache = %q", again.QueryStats.PlanCache)
+		t.Fatalf("post-update repeat plan_cache = %q", again.QueryStats.PlanCache)
 	}
 	c, _ := json.Marshal(again.Matches)
 	if !bytes.Equal(a, c) {
-		t.Fatal("post-repair hit differs from no_plan control")
+		t.Fatal("post-update hit differs from no_plan control")
 	}
 
 	// Insert the edge back: the hit must go stale again and the answer grow.
@@ -145,8 +145,8 @@ func TestPlanCacheInvalidationAcrossUpdate(t *testing.T) {
 		t.Fatalf("re-insert status %d", r.StatusCode)
 	}
 	restored := matchStats(t, ts.URL, pattern, false)
-	if restored.QueryStats.PlanCache == "hit" {
-		t.Fatal("stale hit served across the re-insert")
+	if restored.QueryStats.PlanCache != "miss" {
+		t.Fatalf("post-re-insert plan_cache = %q, want miss", restored.QueryStats.PlanCache)
 	}
 	if len(restored.Matches) != 2 {
 		t.Fatalf("%d matches after re-insert, want 2", len(restored.Matches))

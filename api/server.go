@@ -92,7 +92,7 @@ func (c Config) withDefaults() Config {
 // NewServer serves the /v1 protocol over one prepared engine — the
 // read-only deployment shape. See the package comment for the route tree.
 // The graph is immutable, so the full query planner applies: candidate
-// pruning and the match-result cache (no invalidation ever needed).
+// pruning and the match-result cache, whose one version never changes.
 func NewServer(e *engine.Engine, cfg Config) http.Handler {
 	s := &server{
 		engine:  func() *engine.Engine { return e },
@@ -105,8 +105,8 @@ func NewServer(e *engine.Engine, cfg Config) http.Handler {
 // NewLiveServer serves the full /v1 protocol over a mutable live store:
 // the read-only endpoints (answered against the latest published version)
 // plus /v1/update and the /v1/queries standing-query tree. Queries plan
-// through the store's planner, whose result cache the store invalidates
-// surgically on every update batch.
+// through the store's planner, whose result cache holds answers for the
+// newest version only: the first query after an update batch empties it.
 func NewLiveServer(st *live.Store, cfg Config) http.Handler {
 	return NewFleetServer(st, local{store: st}, cfg)
 }

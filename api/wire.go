@@ -286,8 +286,7 @@ type QueryStatsJSON struct {
 	// absent with "no_plan": true or on unplanned paths). The pruning
 	// counters report the candidate centers entering the planner's filters
 	// and how many each filter removed; plan_cache is the result-cache
-	// outcome of an unlimited match: "hit", "refresh", "contained" or
-	// "miss".
+	// outcome of an unlimited match: "hit", "contained" or "miss".
 	PlanCandidatesBefore int    `json:"plan_candidates_before,omitempty"`
 	PlanPrunedDegree     int    `json:"plan_pruned_degree,omitempty"`
 	PlanPrunedAnchor     int    `json:"plan_pruned_anchor,omitempty"`

@@ -361,13 +361,12 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	if p.done {
 		// Q ⊀D G has no matches at any center; the empty entry still
 		// serves exact repeats and bounds contained queries to nothing.
-		cc.store(e, q, nil, nil, res)
+		cc.store(q, nil, res)
 		return res, nil
 	}
-	if cc != nil && cc.restrict != nil {
-		// Refresh or containment hit: only the listed centers can (still)
-		// produce a new outcome; everything else is either retained from
-		// the cached entry or provably unmatched.
+	if cc != nil && cc.outcome == plan.OutcomeContained {
+		// Containment hit: only the cached entry's matching centers can
+		// produce an outcome; everything else is provably unmatched.
 		kept := intersectSorted(p.centers, cc.restrict)
 		res.Stats.BallsSkipped += len(p.centers) - len(kept)
 		p.centers = kept
@@ -388,33 +387,22 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 		return nil, err
 	}
 	tr.Begin(obs.StageMerge)
-
-	if cc == nil {
-		res.Subgraphs = core.DedupSubgraphs(out, &res.Stats)
-		core.SortSubgraphs(res.Subgraphs)
-		if opts.MinimizeQuery {
-			for _, ps := range res.Subgraphs {
-				core.ExpandRelation(ps, q, p.classOf)
+	var matched []int32 // pre-dedup matching centers, for containment
+	if cc != nil {
+		for pos, ps := range out {
+			if ps != nil {
+				matched = append(matched, p.centers[pos])
 			}
 		}
-	} else {
-		// Cached path: the cache stores pre-dedup per-center outcomes —
-		// later repairs can promote a duplicate to a survivor — so every
-		// outcome is expanded before assembly, not just the survivors.
-		// Dedup and ordering read only (Nodes, Edges), never the relation,
-		// so the served subgraphs are byte-identical either way.
-		if opts.MinimizeQuery {
-			for _, ps := range out {
-				if ps != nil {
-					core.ExpandRelation(ps, q, p.classOf)
-				}
-			}
-		}
-		centers, outcomes := cc.merge(p.centers, out)
-		res.Subgraphs = core.DedupSubgraphs(outcomes, &res.Stats)
-		core.SortSubgraphs(res.Subgraphs)
-		cc.store(e, q, centers, outcomes, res)
 	}
+	res.Subgraphs = core.DedupSubgraphs(out, &res.Stats)
+	core.SortSubgraphs(res.Subgraphs)
+	if opts.MinimizeQuery {
+		for _, ps := range res.Subgraphs {
+			core.ExpandRelation(ps, q, p.classOf)
+		}
+	}
+	cc.store(q, matched, res)
 	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
 	return res, nil
 }

@@ -9,10 +9,9 @@ import (
 
 // cacheCtx is the per-query cache plan of one planned Match: the key and
 // version it will be stored under, and — depending on the lookup outcome —
-// either a clean entry to serve directly (hit), the center restriction plus
-// retained outcomes of a repair (refresh), or the center restriction of a
-// containment hit. nil when the query cannot use the cache (no planner,
-// Limit set, invalid pattern).
+// either an entry of the query's version to serve directly (hit) or the
+// center restriction of a containment hit. nil when the query cannot use
+// the cache (no planner, Limit set, invalid pattern).
 type cacheCtx struct {
 	cache   *plan.Cache
 	key     string
@@ -21,18 +20,12 @@ type cacheCtx struct {
 	version uint64
 	outcome string
 
-	// hit is set for a clean exact-key entry: serve by remapping, no
-	// evaluation at all.
+	// hit is set for an exact-key entry: serve by remapping, no evaluation
+	// at all.
 	hit *plan.Cached
-	// restrict, when non-nil, limits ball evaluation to these centers
-	// (ascending): the pending dirty centers of a refresh, or the cached
-	// outcome centers of a containment hit. Non-nil but empty means
-	// "evaluate nothing" (a refresh whose radius saw no dirty centers).
+	// restrict limits a containment hit's ball evaluation to these centers
+	// (ascending, possibly none): the containing entry's matching centers.
 	restrict []int32
-	// retainC/retainO are the still-valid outcomes carried over from the
-	// stale entry of a refresh, ascending and disjoint from restrict.
-	retainC []int32
-	retainO []*core.PerfectSubgraph
 }
 
 // planLookup consults the planner's result cache for one Match execution.
@@ -71,29 +64,17 @@ func (e *Engine) planLookup(q *graph.Graph, opts QueryOptions) *cacheCtx {
 	}
 	cached, outcome := c.Get(cc.key, cc.version)
 	cc.outcome = outcome
-	switch outcome {
-	case plan.OutcomeHit:
+	if outcome == plan.OutcomeHit {
 		cc.hit = cached
-	case plan.OutcomeRefresh:
-		cc.restrict = cached.Pending
-		if cc.restrict == nil {
-			// The entry predates this version but no update touched its
-			// radius: nothing to re-evaluate, everything to retain.
-			cc.restrict = []int32{}
-		}
-		mapTo, identity := cc.mapTo(cached)
-		cc.retainC, cc.retainO = retainOutcomes(cached, mapTo, identity)
-	default:
-		// Exact key missed; a cached superset query may still bound the
+	} else if cs := c.FindContaining(q, radius, cc.version); cs != nil {
+		// Exact key missed; a cached superset query still bounds the
 		// evaluation. Containment works across modes: the per-center match
 		// outcome is mode-independent (Match+ is result-preserving ball by
-		// ball), so any clean entry's center set is a valid superset.
-		if cs := c.FindContaining(q, radius, cc.version); cs != nil {
-			cc.outcome = plan.OutcomeContained
-			cc.restrict = cs.Centers
-		} else {
-			c.NoteMiss()
-		}
+		// ball), so any entry's center set is a valid superset.
+		cc.outcome = plan.OutcomeContained
+		cc.restrict = cs.Centers
+	} else {
+		c.NoteMiss()
 	}
 	if tr := opts.Trace; tr != nil {
 		tr.PlanCacheOutcome = cc.outcome
@@ -151,67 +132,10 @@ func remapSubgraph(ps *core.PerfectSubgraph, mapTo []int32) *core.PerfectSubgrap
 	return &core.PerfectSubgraph{Center: ps.Center, Nodes: ps.Nodes, Edges: ps.Edges, Rel: rel}
 }
 
-// retainOutcomes filters a stale entry's outcomes down to centers not in
-// its pending set — outcomes provably unchanged by the updates since the
-// entry's version (an unmarked center's ball is identical in both graphs)
-// — remapping relations to the current query's numbering when it differs.
-func retainOutcomes(c *plan.Cached, mapTo []int32, identity bool) ([]int32, []*core.PerfectSubgraph) {
-	centers := make([]int32, 0, len(c.Centers))
-	outs := make([]*core.PerfectSubgraph, 0, len(c.Centers))
-	j := 0
-	for i, ctr := range c.Centers {
-		for j < len(c.Pending) && c.Pending[j] < ctr {
-			j++
-		}
-		if j < len(c.Pending) && c.Pending[j] == ctr {
-			continue // stale; re-evaluation decides its fate
-		}
-		ps := c.Outcomes[i]
-		if !identity {
-			ps = remapSubgraph(ps, mapTo)
-		}
-		centers = append(centers, ctr)
-		outs = append(outs, ps)
-	}
-	return centers, outs
-}
-
-// merge interleaves retained outcomes with freshly evaluated ones into
-// ascending-center arrays (nil evaluation slots dropped). The two sources
-// are disjoint: retained centers were excluded from restrict.
-func (cc *cacheCtx) merge(centers []int32, out []*core.PerfectSubgraph) ([]int32, []*core.PerfectSubgraph) {
-	n := len(cc.retainC)
-	for _, ps := range out {
-		if ps != nil {
-			n++
-		}
-	}
-	mc := make([]int32, 0, n)
-	mo := make([]*core.PerfectSubgraph, 0, n)
-	i := 0
-	for j, ps := range out {
-		if ps == nil {
-			continue
-		}
-		for i < len(cc.retainC) && cc.retainC[i] < centers[j] {
-			mc = append(mc, cc.retainC[i])
-			mo = append(mo, cc.retainO[i])
-			i++
-		}
-		mc = append(mc, centers[j])
-		mo = append(mo, ps)
-	}
-	for ; i < len(cc.retainC); i++ {
-		mc = append(mc, cc.retainC[i])
-		mo = append(mo, cc.retainO[i])
-	}
-	return mc, mo
-}
-
-// store caches a completed execution under the query's key. Nil-safe so
-// Match can call it unconditionally on planned paths.
-func (cc *cacheCtx) store(e *Engine, q *graph.Graph,
-	centers []int32, outcomes []*core.PerfectSubgraph, res *core.Result) {
+// store caches a completed execution under the query's key: centers are its
+// pre-dedup matching centers, ascending. Nil-safe so Match can call it
+// unconditionally on planned paths.
+func (cc *cacheCtx) store(q *graph.Graph, centers []int32, res *core.Result) {
 	if cc == nil {
 		return
 	}
@@ -219,8 +143,7 @@ func (cc *cacheCtx) store(e *Engine, q *graph.Graph,
 	for u, p := range cc.perm {
 		inv[p] = int32(u)
 	}
-	cc.cache.Put(cc.key, q, inv, cc.radius, cc.version,
-		e.snap.g.NumNodes(), centers, outcomes, res)
+	cc.cache.Put(cc.key, q, inv, cc.radius, cc.version, centers, res)
 }
 
 // intersectSorted keeps the elements of a (ascending) also present in b

@@ -201,75 +201,46 @@ edge d7 d5
 	}
 }
 
-// TestPlannerRefreshParity drives the repair path the way a live store
-// does: bump the snapshot version, invalidate with a dirty-center set, and
-// require the refreshed answer to equal a from-scratch evaluation.
-func TestPlannerRefreshParity(t *testing.T) {
+// TestPlannerVersionParity: a cached answer lives for exactly the version
+// it was computed on. Two snapshots of one graph stand in for consecutive
+// live-store versions. Once a query has reached v2, the v1 entry is gone:
+// the query misses, then hits, and a reader still on v1 misses too without
+// displacing v2's entry — every answer byte-identical to the unplanned
+// engine's.
+func TestPlannerVersionParity(t *testing.T) {
 	q, g := testWorkload(t, 300, 11)
-	e := New(g, Config{Workers: 2})
-	e.Snapshot().SetVersion(1)
-	want := mustMatch(t, e, q, QueryOptions{})
-
-	dirtySets := [][]int32{
-		nil,                  // version gap, nothing dirty: pure retain
-		{0, 1, 2, 3, 4, 150}, // partial repair
-		func() []int32 { // a third of the graph: heavy repair, below the drop bound
-			var many []int32
-			for i := int32(0); i < int32(g.NumNodes()); i += 3 {
-				many = append(many, i)
-			}
-			return many
-		}(),
-	}
-	for i, dirty := range dirtySets {
+	for _, mode := range []struct {
+		name string
+		opts QueryOptions
+	}{
+		{"plain", QueryOptions{}},
+		{"plus", PlusQuery()},
+	} {
+		v1, v2 := New(g, Config{Workers: 2}), New(g, Config{Workers: 2})
+		v1.Snapshot().SetVersion(1)
+		v2.Snapshot().SetVersion(2)
+		want := mustMatch(t, v1, q, mode.opts)
 		p := plan.NewPlanner()
-		e.Snapshot().SetVersion(1)
-		mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
+		mustMatch(t, v1, q, planned(mode.opts, p, nil))
 
-		// The graph itself is unchanged — refresh parity is about the repair
-		// machinery (retain + re-evaluate + merge) reproducing the answer,
-		// whatever subset it is told to redo.
-		p.Invalidate(2, func(radius int) []int32 { return dirty })
-		e.Snapshot().SetVersion(2)
-
-		var tr obs.QueryStats
-		got := mustMatch(t, e, q, planned(QueryOptions{}, p, &tr))
-		if tr.PlanCacheOutcome != plan.OutcomeRefresh {
-			t.Fatalf("dirty set %d: outcome = %q, want refresh", i, tr.PlanCacheOutcome)
+		for i, step := range []struct {
+			e       *Engine
+			outcome string
+		}{
+			{v2, plan.OutcomeMiss},
+			{v2, plan.OutcomeHit},
+			{v1, plan.OutcomeMiss},
+			{v2, plan.OutcomeHit},
+		} {
+			var tr obs.QueryStats
+			got := mustMatch(t, step.e, q, planned(mode.opts, p, &tr))
+			if tr.PlanCacheOutcome != step.outcome {
+				t.Fatalf("%s step %d: outcome = %q, want %q", mode.name, i, tr.PlanCacheOutcome, step.outcome)
+			}
+			if !reflect.DeepEqual(want.Subgraphs, got.Subgraphs) {
+				t.Fatalf("%s step %d: planned subgraphs differ from unplanned", mode.name, i)
+			}
 		}
-		if !reflect.DeepEqual(want.Subgraphs, got.Subgraphs) {
-			t.Fatalf("dirty set %d: refreshed subgraphs differ", i)
-		}
-
-		// The repaired entry is clean again: the next lookup is a hit.
-		var tr2 obs.QueryStats
-		got2 := mustMatch(t, e, q, planned(QueryOptions{}, p, &tr2))
-		if tr2.PlanCacheOutcome != plan.OutcomeHit {
-			t.Fatalf("dirty set %d: post-repair outcome = %q", i, tr2.PlanCacheOutcome)
-		}
-		if !reflect.DeepEqual(want.Subgraphs, got2.Subgraphs) {
-			t.Fatalf("dirty set %d: post-repair subgraphs differ", i)
-		}
-	}
-
-	// Dirtying more than half the graph makes repair pointless: the cache
-	// drops the entry and the next planned query is an honest miss.
-	p := plan.NewPlanner()
-	e.Snapshot().SetVersion(1)
-	mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
-	all := make([]int32, g.NumNodes())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	p.Invalidate(2, func(radius int) []int32 { return all })
-	e.Snapshot().SetVersion(2)
-	var tr obs.QueryStats
-	got := mustMatch(t, e, q, planned(QueryOptions{}, p, &tr))
-	if tr.PlanCacheOutcome != plan.OutcomeMiss {
-		t.Fatalf("fully dirty entry outcome = %q, want miss (dropped)", tr.PlanCacheOutcome)
-	}
-	if !reflect.DeepEqual(want.Subgraphs, got.Subgraphs) {
-		t.Fatal("post-drop subgraphs differ")
 	}
 }
 

@@ -31,7 +31,9 @@
 //     cached perfect subgraph. Results are
 //     assembled with the same dedup and ordering as engine.Match, so a
 //     standing query's result set is byte-identical to re-running Match
-//     from scratch on the current version.
+//     from scratch on the current version. Only standing queries are
+//     maintained this way: one-shot matches share the store's plan cache,
+//     whose entries live for one version (see package plan).
 //
 // See DESIGN.md for the versioning model and memory behavior, and
 // cmd/strongsimd for the HTTP surface (POST /update, POST/GET/DELETE
@@ -196,10 +198,10 @@ type Store struct {
 	qmu     sync.RWMutex
 	queries map[int64]*StandingQuery
 
-	// planner is the query planner shared by every published version: the
-	// match-result cache spans versions (entries are version-stamped and
-	// invalidated surgically by Apply), while the signatures pruning reads
-	// live on each version's graph.
+	// planner is the query planner shared by every published version: its
+	// match-result cache holds the newest version queried through it and
+	// empties itself when a query reaches a newer one, while the signatures
+	// pruning reads live on each version's graph.
 	planner *plan.Planner
 }
 
@@ -237,9 +239,9 @@ func (s *Store) Current() *Version { return s.current.Load() }
 func (s *Store) Engine() *engine.Engine { return s.Current().Engine() }
 
 // Planner returns the store's query planner, for the serving layer to hand
-// to engine.QueryOptions.Planner. The store keeps its result cache valid
-// across versions: every update batch marks the dirty centers of each
-// cached entry pending before the new version becomes visible.
+// to engine.QueryOptions.Planner. Apply never touches it: a cached answer is
+// valid for the one version it was computed on, and the first query on a
+// newer version empties the cache.
 func (s *Store) Planner() *plan.Planner { return s.planner }
 
 // batchState is the copy-on-write working state of one Apply call. Nothing
@@ -524,27 +526,11 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 		}
 	}
 
-	// Commit the working state, invalidate cached plans, then publish. The
-	// dirty-center BFS depends only on the radius; one memoized traversal
-	// serves both cache invalidation and standing-query maintenance.
+	// Commit the working state and publish.
 	s.nodeLbl = b.nodeLbl
 	s.out = b.out.Freeze()
 	s.in = b.in.Freeze()
 	s.numEdges = b.numEdges
-	dirtyByRadius := make(map[int][]int32)
-	dirtyFor := func(radius int) []int32 {
-		dirty, ok := dirtyByRadius[radius]
-		if !ok {
-			dirty = s.dirtyCenters(b.seeds, radius, oldOut, oldIn)
-			dirtyByRadius[radius] = dirty
-		}
-		return dirty
-	}
-	// Invalidation must complete before the version swap: a query resolving
-	// the new version must never find a cache entry the batch has not yet
-	// marked. (Queries on older versions are unaffected either way — Get
-	// refuses entries newer than the query's version.)
-	s.planner.Invalidate(s.current.Load().id+1, dirtyFor)
 	ver := s.publishLocked(b)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
@@ -573,9 +559,16 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 		Edges:       s.numEdges,
 	}
 	// A query unregistered concurrently may still be maintained once here;
-	// harmless, since nothing reads it afterwards.
+	// harmless, since nothing reads it afterwards. The dirty-center BFS
+	// depends only on the radius; one traversal serves every standing query
+	// of that radius.
+	dirtyByRadius := make(map[int][]int32)
 	for _, sq := range standing {
-		dirty := dirtyFor(sq.radius)
+		dirty, ok := dirtyByRadius[sq.radius]
+		if !ok {
+			dirty = s.dirtyCenters(b.seeds, sq.radius, oldOut, oldIn)
+			dirtyByRadius[sq.radius] = dirty
+		}
 		msp := parent.StartChild("live.maintain")
 		n, unanchored := s.maintainLocked(sq, ver, dirty)
 		res.Recomputed[sq.id] = n

@@ -78,8 +78,7 @@ type Stats struct {
 	// count entering the pruning filters; PlanPrunedDegree and
 	// PlanPrunedAnchor split the centers each filter removed.
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
-	// ("hit", "refresh", "contained", "miss"), empty when the cache was not
-	// consulted.
+	// ("hit", "contained", "miss"), empty when the cache was not consulted.
 	PlanCandidatesBefore int
 	PlanPrunedDegree     int
 	PlanPrunedAnchor     int

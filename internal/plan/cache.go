@@ -22,29 +22,27 @@ func CacheKey(canon string, radius int, mode int) string {
 
 // Cached is an immutable view of one cache entry, safe to read after the
 // cache lock is released: the maps and slices behind it are replaced, never
-// mutated, by later cache operations.
+// mutated, by later cache operations. An entry is valid at exactly the
+// version it was computed on; a newer version empties the cache.
 type Cached struct {
 	// Pattern is the pattern the entry was computed for, in its original
 	// submitted numbering; InvPerm maps canonical positions back to its
 	// node ids, so an isomorphic query's relation keys can be translated.
 	Pattern *graph.Graph
 	InvPerm []int32
-	// Radius is the effective ball radius the outcomes were evaluated at.
+	// Radius is the effective ball radius the entry was evaluated at.
 	Radius int
-	// Version is the store version the outcomes are valid for.
-	Version uint64
-	// Centers (ascending) and Outcomes are the pre-dedup per-center match
-	// outcomes: every center whose ball matched, with its maximum perfect
-	// subgraph. Pre-dedup matters — dedup discards duplicate-producing
-	// centers that a contained query may still need.
-	Centers  []int32
-	Outcomes []*core.PerfectSubgraph
+	// Centers (ascending) are the pre-dedup matching centers: every center
+	// whose ball matched. Pre-dedup matters — dedup discards
+	// duplicate-producing centers that a contained query may still need.
+	Centers []int32
 	// Result is the assembled (deduped, sorted, expanded) result as Match
 	// returned it.
 	Result *core.Result
-	// Pending (ascending) lists centers whose outcomes may be stale:
-	// update batches touched their ≤ Radius-hop neighborhoods after
-	// Version. Empty for a clean entry.
+	// Pending is always empty: an entry never outlives its version, so no
+	// center of it is ever stale.
+	//
+	// Deprecated: kept only because bench/ names it.
 	Pending []int32
 }
 
@@ -53,30 +51,25 @@ type entry struct {
 	pat      *graph.Graph
 	invPerm  []int32
 	radius   int
-	version  uint64
-	nodes    int    // data-graph size at store time, bounds pending growth
 	labelKey string // sorted distinct label names, the containment prefilter
 	centers  []int32
-	outcomes []*core.PerfectSubgraph
 	result   *core.Result
-	pending  []int32
 	elem     *list.Element
 }
 
 func (e *entry) view() *Cached {
-	return &Cached{
-		Pattern: e.pat, InvPerm: e.invPerm, Radius: e.radius, Version: e.version,
-		Centers: e.centers, Outcomes: e.outcomes, Result: e.result, Pending: e.pending,
-	}
+	return &Cached{Pattern: e.pat, InvPerm: e.invPerm, Radius: e.radius, Centers: e.centers, Result: e.result}
 }
 
-// Cache is the match-result cache: canonical-key entries with LRU bounds
-// and version-aware surgical invalidation. All methods are safe for
-// concurrent use; returned Cached views are immutable snapshots.
+// Cache is the match-result cache: canonical-key entries with an LRU bound,
+// all computed on one store version. A lookup or store at a newer version
+// empties the cache and moves it to that version; one at an older version
+// misses or is rejected. All methods are safe for concurrent use; returned
+// Cached views are immutable snapshots.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
-	current uint64 // latest version invalidate has seen
+	version uint64 // the version every held entry was computed on
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
 }
@@ -88,32 +81,45 @@ func newCache(max int) *Cache {
 // Lookup outcomes, as surfaced in query stats and metrics.
 const (
 	OutcomeHit       = "hit"
-	OutcomeRefresh   = "refresh"
 	OutcomeContained = "contained"
 	OutcomeMiss      = "miss"
 )
 
+// OutcomeRefresh is never produced: there is no stale entry to repair.
+//
+// Deprecated: kept only because bench/ names it.
+const OutcomeRefresh = "refresh"
+
+// atLocked moves the cache to version when it is newer than the entries
+// held, dropping them all, and reports whether version is the cache's own.
+// Callers hold mu.
+func (c *Cache) atLocked(version uint64) bool {
+	if version > c.version {
+		cacheEntries.Add(-int64(len(c.entries)))
+		clear(c.entries)
+		c.lru.Init()
+		c.version = version
+	}
+	return version == c.version
+}
+
 // Get looks up the exact key for a query running at the given store
-// version. It returns (view, OutcomeHit) for a clean same-version entry,
-// (view, OutcomeRefresh) for an entry that needs its Pending centers
-// re-evaluated (possibly none, when the entry predates the query's version
-// but nothing within its radius changed), and (nil, OutcomeMiss) when
-// there is no usable entry — including an entry from a *newer* version
-// than the query's snapshot, which must not travel back in time.
+// version: (view, OutcomeHit) for an entry computed on that version,
+// (nil, OutcomeMiss) otherwise — including for a query on an older version
+// than the cache's, whose entries must not travel back in time.
 func (c *Cache) Get(key string, version uint64) (*Cached, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.atLocked(version) {
+		return nil, OutcomeMiss
+	}
 	e := c.entries[key]
-	if e == nil || e.version > version {
+	if e == nil {
 		return nil, OutcomeMiss
 	}
 	c.lru.MoveToFront(e.elem)
-	if e.version == version && len(e.pending) == 0 {
-		cacheHits.Inc()
-		return e.view(), OutcomeHit
-	}
-	cacheRefreshes.Inc()
-	return e.view(), OutcomeRefresh
+	cacheHits.Inc()
+	return e.view(), OutcomeHit
 }
 
 // NoteMiss records a true cache miss. Get does not count misses itself
@@ -121,18 +127,21 @@ func (c *Cache) Get(key string, version uint64) (*Cached, string) {
 // calls this once the outcome is final.
 func (c *Cache) NoteMiss() { cacheMisses.Inc() }
 
-// FindContaining scans for a clean entry whose pattern contains q (see
-// ContainedIn) at a radius ≥ the query's, valid at the query's version.
-// Among eligible entries it returns the one with the fewest outcome
-// centers — the tightest superset. Returns nil when none qualifies; the
-// caller then evaluates from scratch.
+// FindContaining scans the query version's entries for one whose pattern
+// contains q (see ContainedIn) at a radius ≥ the query's. Among eligible
+// entries it returns the one with the fewest matching centers — the
+// tightest superset. Returns nil when none qualifies; the caller then
+// evaluates from scratch.
 func (c *Cache) FindContaining(q *graph.Graph, radius int, version uint64) *Cached {
 	lk := labelKey(q)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.atLocked(version) {
+		return nil
+	}
 	var best *entry
 	for _, e := range c.entries {
-		if e.version > version || len(e.pending) > 0 || e.radius < radius {
+		if e.radius < radius {
 			continue
 		}
 		if e.labelKey != lk {
@@ -153,17 +162,15 @@ func (c *Cache) FindContaining(q *graph.Graph, radius int, version uint64) *Cach
 	return best.view()
 }
 
-// Put stores a completed execution. centers must be ascending with
-// outcomes aligned; result must be the assembled Result as served. The
-// store is rejected (sound, just unprofitable) when an invalidation for a
-// newer version has already begun — the new entry could not receive that
-// batch's pending marks.
+// Put stores a completed execution at the version it ran on. centers must
+// be the ascending pre-dedup matching centers; result must be the assembled
+// Result as served. A store at an older version than the cache's is
+// rejected: nothing at that version can be looked up any more.
 func (c *Cache) Put(key string, pat *graph.Graph, invPerm []int32, radius int,
-	version uint64, nodes int, centers []int32, outcomes []*core.PerfectSubgraph,
-	result *core.Result) {
+	version uint64, centers []int32, result *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if version < c.current {
+	if !c.atLocked(version) {
 		cacheRejected.Inc()
 		return
 	}
@@ -172,74 +179,19 @@ func (c *Cache) Put(key string, pat *graph.Graph, invPerm []int32, radius int,
 		e = &entry{key: key}
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
+		cacheEntries.Inc()
 		for c.lru.Len() > c.max {
-			oldest := c.lru.Back()
-			c.removeLocked(oldest.Value.(*entry))
+			oldest := c.lru.Remove(c.lru.Back()).(*entry)
+			delete(c.entries, oldest.key)
+			cacheEntries.Dec()
 			cacheEvictions.Inc()
 		}
 	} else {
 		c.lru.MoveToFront(e.elem)
 	}
 	e.pat, e.invPerm, e.radius = pat, invPerm, radius
-	e.version, e.nodes = version, nodes
 	e.labelKey = labelKey(pat)
-	e.centers, e.outcomes, e.result = centers, outcomes, result
-	e.pending = nil
-	cacheEntries.Set(int64(len(c.entries)))
-}
-
-// invalidate marks the dirty centers of an about-to-publish version as
-// pending on every entry, dropping entries whose accumulated pending set
-// makes repair no cheaper than a fresh evaluation. dirtyFor is called at
-// most once per distinct entry radius and its slices are kept: an entry
-// with nothing pending adopts the batch's slice as it is, and entries that
-// share one pending slice (they adopted it from an earlier batch) share one
-// merge, so a batch merges once per distinct (radius, pending set), not
-// once per entry. Pending slices are never written after they are built —
-// readers hold views of them.
-func (c *Cache) invalidate(version uint64, dirtyFor func(radius int) []int32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if version > c.current {
-		c.current = version
-	}
-	if len(c.entries) == 0 {
-		return
-	}
-	// An immutable slice is identified by where it starts and how long it is.
-	type pendingID struct {
-		radius int
-		first  *int32
-		n      int
-	}
-	byRadius := make(map[int][]int32)
-	merges := make(map[pendingID][]int32)
-	for _, e := range c.entries {
-		dirty, ok := byRadius[e.radius]
-		if !ok {
-			dirty = dirtyFor(e.radius)
-			byRadius[e.radius] = dirty
-		}
-		if len(dirty) == 0 {
-			continue
-		}
-		pending := dirty
-		if len(e.pending) > 0 {
-			id := pendingID{e.radius, &e.pending[0], len(e.pending)}
-			if pending, ok = merges[id]; !ok {
-				pending = mergeSorted(e.pending, dirty)
-				merges[id] = pending
-			}
-		}
-		if e.nodes > 0 && len(pending)*2 > e.nodes {
-			c.removeLocked(e)
-			cacheDropped.Inc()
-			continue
-		}
-		e.pending = pending
-		cacheInvalidated.Inc()
-	}
-	cacheEntries.Set(int64(len(c.entries)))
+	e.centers, e.result = centers, result
 }
 
 // Len reports the number of entries held.
@@ -247,35 +199,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-func (c *Cache) removeLocked(e *entry) {
-	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
-}
-
-// mergeSorted unions two ascending slices into a fresh slice — fresh
-// because readers, and other entries, may hold the old pending slice.
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // labelKey is the containment prefilter: the sorted distinct label names

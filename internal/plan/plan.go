@@ -17,15 +17,16 @@
 //
 //   - Result caching (Cache): completed Match results keyed by canonical
 //     pattern (Canon), effective radius and mode, storing the pre-dedup
-//     per-center outcomes alongside the assembled result. An exact hit is
+//     matching centers alongside the assembled result. An exact hit is
 //     served by relation remapping in O(result). A query contained in a
 //     cached one (ContainedIn: surjective label-preserving homomorphism
 //     from the cached pattern onto the new one, radius subsumed) evaluates
-//     only inside the cached outcome centers. Live stores invalidate
-//     surgically: each update batch marks the ≤ radius-hop dirty centers
-//     (one set per radius, shared with standing-query maintenance) as
-//     pending on every entry, and the next exact-key lookup repairs just
-//     those centers instead of re-evaluating the graph.
+//     only inside the cached matching centers. An entry is valid at exactly
+//     the store version it was computed on: the first lookup or store at a
+//     newer version empties the cache, so an update batch pays nothing for
+//     it. On a live store every batch dirties far more centers than the
+//     entries could keep, so a repaired entry would cost about what a miss
+//     costs.
 //
 // Correctness bar, relied on by the engine's tests: a planner-on query
 // answers byte-identically to a planner-off one on the same snapshot.
@@ -45,23 +46,17 @@ var (
 	candidatesPruned = obs.Default.Counter("plan_candidates_pruned_total",
 		"candidate centers pruned before ball construction (all filters)")
 	cacheHits = obs.Default.Counter("plan_cache_hits_total",
-		"match queries answered from a clean cached entry")
+		"match queries answered from a cached entry of their version")
 	cacheContained = obs.Default.Counter("plan_cache_contained_hits_total",
 		"match queries evaluated only inside a containing cached entry's centers")
-	cacheRefreshes = obs.Default.Counter("plan_cache_refresh_total",
-		"stale cached entries repaired by re-evaluating pending dirty centers")
 	cacheMisses = obs.Default.Counter("plan_cache_misses_total",
 		"match queries evaluated from scratch (no usable cached entry)")
 	cacheEntries = obs.Default.Gauge("plan_cache_entries",
-		"match-result cache entries currently held")
+		"match-result cache entries currently held, summed over every planner in the process")
 	cacheEvictions = obs.Default.Counter("plan_cache_evictions_total",
 		"cache entries evicted by the LRU capacity bound")
-	cacheInvalidated = obs.Default.Counter("plan_cache_invalidated_entries_total",
-		"entry invalidations: an update batch marked dirty centers pending on an entry")
-	cacheDropped = obs.Default.Counter("plan_cache_dropped_entries_total",
-		"entries dropped because accumulated dirty centers made repair pointless")
 	cacheRejected = obs.Default.Counter("plan_cache_rejected_stores_total",
-		"completed results not cached because a newer version was already invalidating")
+		"completed results not cached because the cache had already moved to a newer version")
 )
 
 // cacheCapacity bounds the match-result cache (LRU entries).
@@ -74,8 +69,9 @@ type Planner struct {
 	cache *Cache
 }
 
-// NewPlanner builds a planner. Every planner prunes and caches; the serving
-// layer owning the data tells it about mutations through Invalidate.
+// NewPlanner builds a planner. Every planner prunes and caches; its cache
+// follows the versions of the snapshots queried through it, so a mutable
+// store need tell it nothing about updates.
 func NewPlanner() *Planner {
 	return &Planner{cache: newCache(cacheCapacity)}
 }
@@ -87,20 +83,6 @@ func (p *Planner) Cache() *Cache {
 		return nil
 	}
 	return p.cache
-}
-
-// Invalidate tells the cache that the given store version is about to be
-// published: dirtyFor(radius) must return, ascending, the centers whose
-// ≤ radius-hop neighborhoods the batch touched (under the pre- or
-// post-batch adjacency); the cache keeps the slices it is given, so they
-// must never be written again. Callers must invoke this BEFORE the new
-// version becomes visible to queries, so no query on the new version can
-// observe a not-yet-invalidated entry. A nil planner is a no-op.
-func (p *Planner) Invalidate(version uint64, dirtyFor func(radius int) []int32) {
-	if p == nil {
-		return
-	}
-	p.cache.invalidate(version, dirtyFor)
 }
 
 // CountPruned folds one query's pruning stats into the aggregate

@@ -200,13 +200,13 @@ func TestCacheLifecycle(t *testing.T) {
 		t.Fatalf("empty cache Get = %v, %q", got, outcome)
 	}
 
-	c.Put(key, q, inv, 1, 1, 100, []int32{3, 7}, []*core.PerfectSubgraph{{Center: 3}, {Center: 7}}, res)
+	c.Put(key, q, inv, 1, 1, []int32{3, 7}, res)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
 
-	// Clean same-version lookup hits; an older snapshot must not see a
-	// future entry.
+	// A same-version lookup hits; an older snapshot must not see a future
+	// entry.
 	if got, outcome := c.Get(key, 1); outcome != OutcomeHit || got.Result != res {
 		t.Fatalf("Get(v1) = %v, %q", got, outcome)
 	}
@@ -214,55 +214,61 @@ func TestCacheLifecycle(t *testing.T) {
 		t.Fatalf("Get(v0) = %v, %q — entries must not travel back in time", got, outcome)
 	}
 
-	// An invalidation marks pending centers; the next lookup is a refresh
-	// carrying exactly the dirty ∩ anything set.
-	c.invalidate(2, func(radius int) []int32 { return []int32{5, 7} })
-	got, outcome := c.Get(key, 2)
-	if outcome != OutcomeRefresh {
-		t.Fatalf("post-invalidate Get = %q", outcome)
+	// An entry lives for exactly its version: a lookup at the next version
+	// misses and empties the cache.
+	if got, outcome := c.Get(key, 2); got != nil || outcome != OutcomeMiss {
+		t.Fatalf("Get(v2) of a v1 entry = %v, %q", got, outcome)
 	}
-	if len(got.Pending) != 2 || got.Pending[0] != 5 || got.Pending[1] != 7 {
-		t.Fatalf("Pending = %v", got.Pending)
+	if c.Len() != 0 {
+		t.Fatalf("a newer version kept %d entries", c.Len())
 	}
 
-	// A batch that dirtied nothing within the entry's radius leaves Pending
-	// untouched; the version gap alone still demands a refresh (the engine
-	// turns nil Pending into "re-evaluate nothing").
-	c2 := newCache(2)
-	c2.Put(key, q, inv, 1, 1, 100, nil, nil, res)
-	c2.invalidate(2, func(radius int) []int32 { return nil })
-	got, outcome = c2.Get(key, 2)
-	if outcome != OutcomeRefresh || got.Pending != nil {
-		t.Fatalf("version-gap Get = %q, Pending %v", outcome, got.Pending)
+	// The cache has moved on: a store computed on the old version is
+	// rejected, since nothing at that version can be looked up any more.
+	c.Put(key, q, inv, 1, 1, nil, res)
+	if c.Len() != 0 {
+		t.Fatalf("stale Put accepted, Len = %d", c.Len())
 	}
-
-	// Stores for versions older than the newest invalidation are rejected:
-	// they could not have received that batch's pending marks.
-	c2.Put(CacheKey("c|k2", 1, 0), q, inv, 1, 1, 100, nil, nil, res)
-	if c2.Len() != 1 {
-		t.Fatalf("stale Put accepted, Len = %d", c2.Len())
-	}
-
-	// Accumulated pending beyond half the graph drops the entry outright.
-	c3 := newCache(2)
-	c3.Put(key, q, inv, 1, 1, 4, nil, nil, res)
-	c3.invalidate(2, func(radius int) []int32 { return []int32{0, 1, 2} })
-	if c3.Len() != 0 {
-		t.Fatalf("oversized pending kept the entry, Len = %d", c3.Len())
+	if _, outcome := c.Get(key, 1); outcome != OutcomeMiss {
+		t.Fatalf("stale Put served at its version: %q", outcome)
 	}
 
 	// LRU: capacity 2, touching k1 keeps it alive past a third insert.
-	c4 := newCache(2)
+	lru := newCache(2)
 	k1, k2, k3 := CacheKey("c|k1", 1, 0), CacheKey("c|k2", 1, 0), CacheKey("c|k3", 1, 0)
-	c4.Put(k1, q, inv, 1, 1, 100, nil, nil, res)
-	c4.Put(k2, q, inv, 1, 1, 100, nil, nil, res)
-	c4.Get(k1, 1)
-	c4.Put(k3, q, inv, 1, 1, 100, nil, nil, res)
-	if _, outcome := c4.Get(k1, 1); outcome != OutcomeHit {
+	lru.Put(k1, q, inv, 1, 1, nil, res)
+	lru.Put(k2, q, inv, 1, 1, nil, res)
+	lru.Get(k1, 1)
+	lru.Put(k3, q, inv, 1, 1, nil, res)
+	if _, outcome := lru.Get(k1, 1); outcome != OutcomeHit {
 		t.Errorf("recently used k1 evicted")
 	}
-	if _, outcome := c4.Get(k2, 1); outcome != OutcomeMiss {
+	if _, outcome := lru.Get(k2, 1); outcome != OutcomeMiss {
 		t.Errorf("LRU victim k2 survived")
+	}
+}
+
+// TestCacheEntriesGauge: plan_cache_entries is one process-wide gauge, so
+// with several planners it must read the sum of their entries — every
+// insert, eviction and version change moves it by its own delta.
+func TestCacheEntriesGauge(t *testing.T) {
+	base := cacheEntries.Value()
+	q := p(t, "node a A\nnode b B\nedge a b")
+	res := &core.Result{}
+	a, b := NewPlanner().Cache(), NewPlanner().Cache()
+	b.max = 2
+	a.Put(CacheKey("c|a1", 1, 0), q, nil, 1, 0, nil, res)
+	a.Put(CacheKey("c|a1", 1, 0), q, nil, 1, 0, nil, res) // an overwrite adds nothing
+	// b holds two at most: the third insert evicts the first.
+	for _, k := range []string{"c|b1", "c|b2", "c|b3"} {
+		b.Put(CacheKey(k, 1, 0), q, nil, 1, 0, nil, res)
+	}
+	if got := cacheEntries.Value() - base; got != 3 {
+		t.Fatalf("gauge reads %d over two planners holding 1 + 2 entries", got)
+	}
+	b.Get(CacheKey("c|b1", 1, 0), 1) // a newer version empties b
+	if got := cacheEntries.Value() - base; got != 1 {
+		t.Fatalf("gauge reads %d after b moved to a new version, want a's 1", got)
 	}
 }
 
@@ -272,8 +278,7 @@ func TestFindContaining(t *testing.T) {
 	qSmall := p(t, "node a A\nnode b B\nedge a b")
 	res := &core.Result{}
 
-	c.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, 100,
-		[]int32{4, 9}, []*core.PerfectSubgraph{{Center: 4}, {Center: 9}}, res)
+	c.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, []int32{4, 9}, res)
 
 	// Contained, radius subsumed (2 >= 1): the entry bounds the evaluation.
 	got := c.FindContaining(qSmall, 1, 1)
@@ -284,14 +289,16 @@ func TestFindContaining(t *testing.T) {
 	if got := c.FindContaining(qSmall, 3, 1); got != nil {
 		t.Fatal("radius 3 served from a radius-2 entry")
 	}
-	// A stale (pending) entry must not answer containment lookups.
-	c.invalidate(2, func(radius int) []int32 { return []int32{4} })
+	// Containment never crosses a version, in either direction.
+	if got := c.FindContaining(qSmall, 1, 0); got != nil {
+		t.Fatal("a v1 entry served a containment lookup at v0")
+	}
 	if got := c.FindContaining(qSmall, 1, 2); got != nil {
-		t.Fatal("pending entry served a containment lookup")
+		t.Fatal("a v1 entry served a containment lookup at v2")
 	}
 	// Label-set prefilter: disjoint label names can never contain.
 	cc := newCache(8)
-	cc.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, 100, nil, nil, res)
+	cc.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, nil, res)
 	if got := cc.FindContaining(p(t, "node a A\nnode c C\nedge a c"), 1, 1); got != nil {
 		t.Fatal("label-disjoint query matched a cached entry")
 	}
