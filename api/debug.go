@@ -139,14 +139,18 @@ func (s *server) trace(r *http.Request, stats bool) *obs.QueryStats {
 }
 
 // flightStart registers one query with the flight recorder under the
-// request's id. Nil-safe end to end: with the recorder off it returns a nil
-// Flight whose Finish is a no-op.
-func (s *server) flightStart(r *http.Request, kind, digest string, cancel context.CancelFunc, trace *obs.QueryStats) *obs.Flight {
+// request's id, fingerprinted by digest. With the recorder off it calls
+// nothing and returns a nil Flight whose Finish is a no-op, so the serving
+// path pays for no digest.
+func (s *server) flightStart(r *http.Request, kind string, digest func() string, cancel context.CancelFunc, trace *obs.QueryStats) *obs.Flight {
+	if s.flight == nil {
+		return nil
+	}
 	var id string
 	if ri := reqInfo(r.Context()); ri != nil {
 		id = ri.id
 	}
-	return s.flight.Start(id, kind, digest, cancel, trace)
+	return s.flight.Start(id, kind, digest(), cancel, trace)
 }
 
 // failFlight finishes a flight with the outcome matching a wire error and
@@ -169,11 +173,11 @@ func outcomeForCode(code string) string {
 	}
 }
 
-// matchDigest fingerprints a match request's query shape — pattern source
+// digest fingerprints a match request's query shape — pattern source
 // plus the option fields that change what work runs — as 16 hex chars of
 // FNV-1a, so flight-recorder entries group by shape without carrying whole
 // patterns.
-func matchDigest(req *MatchRequest) string {
+func (req *MatchRequest) digest() string {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, req.Query.Mode)
 	if req.PatternText != "" {
@@ -186,7 +190,7 @@ func matchDigest(req *MatchRequest) string {
 	return hexU64(h.Sum64())
 }
 
-// textDigest is matchDigest for pattern-text registrations.
+// textDigest is MatchRequest.digest for pattern-text registrations.
 func textDigest(text string) string {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, "standing|"+text)

@@ -121,7 +121,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	trace := s.trace(r, false)
-	fl := s.flightStart(r, "standing", textDigest(text), cancel, trace)
+	fl := s.flightStart(r, "standing", func() string { return textDigest(text) }, cancel, trace)
 	sq, err := s.store.RegisterCtx(ctx, text, trace)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -6,17 +6,19 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/simulation"
 )
 
 // BoundAny is the edge bound matched by a directed path of any positive
 // length (the "*" edges of bounded simulation).
 const BoundAny = "*"
 
+// boundAny is parseBound's value for BoundAny.
+const boundAny = -1
+
 // ErrBoundedEdge marks a pattern whose edges carry bounds other than 1.
 // Such patterns are valid wire objects — the schema is shared with pattern
 // classes beyond strong simulation — but cannot convert to a plain
-// graph.Graph; use ToBounded instead. Detect it with errors.Is.
+// graph.Graph. Detect it with errors.Is.
 var ErrBoundedEdge = errors.New("pattern has edge bounds other than 1")
 
 // PatternJSON is the structured pattern schema of the /v1 endpoints: nodes
@@ -65,14 +67,14 @@ func (p *PatternJSON) nodeID(i int) string {
 	return "n" + strconv.Itoa(i)
 }
 
-// parseBound maps a wire bound to the internal/simulation convention:
-// 1 for plain edges, k ≥ 2, or simulation.Unbounded for "*".
+// parseBound maps a wire bound to a hop count: 1 for plain edges, k ≥ 2,
+// or boundAny for "*".
 func parseBound(s string) (int, error) {
 	switch s {
 	case "", "1":
 		return 1, nil
 	case BoundAny:
-		return simulation.Unbounded, nil
+		return boundAny, nil
 	}
 	k, err := strconv.Atoi(s)
 	if err != nil || k < 1 {
@@ -113,11 +115,18 @@ func (p *PatternJSON) Validate() error {
 	return nil
 }
 
-// build validates p and constructs the underlying plain graph, returning
-// the builder-assigned index per node id. Bounds are not inspected here.
-func (p *PatternJSON) build(labels *graph.Labels) (*graph.Graph, map[string]int32, error) {
+// ToGraph validates the pattern and converts it to a graph.Graph, interning
+// labels into labels (nil for a fresh table). Node i of the result is
+// Nodes[i], so rel maps keyed by node index line up. Patterns with non-unit
+// bounds fail with an error wrapping ErrBoundedEdge.
+func (p *PatternJSON) ToGraph(labels *graph.Labels) (*graph.Graph, error) {
+	for i, e := range p.Edges {
+		if k, err := parseBound(e.Bound); err == nil && k != 1 {
+			return nil, fmt.Errorf("edges[%d] (%s -> %s) has bound %q: %w", i, e.U, e.V, e.Bound, ErrBoundedEdge)
+		}
+	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b := graph.NewBuilder(labels)
 	b.SetName(p.Name)
@@ -129,41 +138,7 @@ func (p *PatternJSON) build(labels *graph.Labels) (*graph.Graph, map[string]int3
 		// Endpoints were validated; AddEdge cannot fail.
 		_ = b.AddEdge(idx[e.U], idx[e.V])
 	}
-	return b.Build(), idx, nil
-}
-
-// ToGraph converts the pattern to a graph.Graph, interning labels into
-// labels (nil for a fresh table). Node i of the result is Nodes[i], so rel
-// maps keyed by node index line up. Patterns with non-unit bounds fail with
-// an error wrapping ErrBoundedEdge.
-func (p *PatternJSON) ToGraph(labels *graph.Labels) (*graph.Graph, error) {
-	for i, e := range p.Edges {
-		if k, err := parseBound(e.Bound); err == nil && k != 1 {
-			return nil, fmt.Errorf("edges[%d] (%s -> %s) has bound %q: %w", i, e.U, e.V, e.Bound, ErrBoundedEdge)
-		}
-	}
-	g, _, err := p.build(labels)
-	return g, err
-}
-
-// ToBounded converts the pattern to a bounded-simulation pattern, keeping
-// every edge's hop bound. Plain patterns convert too (all bounds 1).
-func (p *PatternJSON) ToBounded(labels *graph.Labels) (*simulation.BoundedPattern, error) {
-	g, idx, err := p.build(labels)
-	if err != nil {
-		return nil, err
-	}
-	bq := simulation.NewBoundedPattern(g)
-	for i, e := range p.Edges {
-		k, _ := parseBound(e.Bound) // validated by build
-		if k == 1 {
-			continue
-		}
-		if err := bq.SetBound(idx[e.U], idx[e.V], k); err != nil {
-			return nil, fmt.Errorf("edges[%d]: %v", i, err)
-		}
-	}
-	return bq, nil
+	return b.Build(), nil
 }
 
 // Text renders the pattern in the text format of internal/graph, the form

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/generator"
 	"repro/internal/graph"
-	"repro/internal/simulation"
 )
 
 // TestPatternRoundTripProperty checks the FromGraph/ToGraph inverse over a
@@ -120,35 +119,6 @@ func TestPatternBounds(t *testing.T) {
 	}
 	if _, err := p.Text(); !errors.Is(err, ErrBoundedEdge) {
 		t.Fatalf("Text = %v, want ErrBoundedEdge", err)
-	}
-	// The bounded form keeps every bound.
-	bq, err := p.ToBounded(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bq.Bound(0, 1); got != 3 {
-		t.Errorf("bound(a,b) = %d, want 3", got)
-	}
-	if got := bq.Bound(1, 2); got != simulation.Unbounded {
-		t.Errorf("bound(b,c) = %d, want Unbounded", got)
-	}
-	if got := bq.Bound(0, 2); got != 1 {
-		t.Errorf("bound(a,c) = %d, want 1", got)
-	}
-	// A bounded pattern still matches under bounded simulation, proving
-	// the conversion is usable, not just well-formed.
-	b := graph.NewBuilder(bq.Q.Labels())
-	n0 := b.AddNode("X")
-	mid := b.AddNode("M")
-	n2 := b.AddNode("Y")
-	n3 := b.AddNode("Z")
-	for _, e := range [][2]int32{{n0, mid}, {mid, n2}, {n2, n3}, {n0, n3}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := simulation.Bounded(bq, b.Build()); !ok {
-		t.Error("bounded pattern should match the 2-hop data graph")
 	}
 }
 

@@ -468,7 +468,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	trace := s.trace(r, spec.Stats)
 	q.Opts.Trace = trace
-	fl := s.flightStart(r, "match", matchDigest(&q.Request), cancel, trace)
+	fl := s.flightStart(r, "match", q.Request.digest, cancel, trace)
 
 	start := time.Now()
 	resp, err := s.backend.Match(ctx, q)
@@ -499,7 +499,7 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	trace := s.trace(r, spec.Stats)
 	q.Opts.Trace = trace
-	fl := s.flightStart(r, "stream", matchDigest(&q.Request), cancel, trace)
+	fl := s.flightStart(r, "stream", q.Request.digest, cancel, trace)
 
 	// The 200 commits with the first line written — a match or the trailer.
 	// Until then a Backend's refusal is still an ordinary HTTP error.

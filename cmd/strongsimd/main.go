@@ -4,7 +4,7 @@
 // live store and serves the versioned /v1 protocol of package api:
 // concurrent one-shot and streaming matches against the latest published
 // version, batched mutations, and incrementally maintained standing
-// queries. The pre-/v1 unversioned routes remain as deprecated aliases.
+// queries.
 //
 //	strongsimd -data graph.g                          # serve on :8372
 //	strongsimd -data graph.g -addr :9000 -workers 8

@@ -23,8 +23,8 @@
 //     structured-error decoding
 //   - internal/graph: node-labeled digraph substrate (balls, components,
 //     cycles, diameters, text format)
-//   - internal/simulation: graph/dual/bounded simulation, bisimulation,
-//     match graphs, the HHK-style refinement engine
+//   - internal/simulation: graph and dual simulation, match graphs, the
+//     HHK-style refinement engine
 //   - internal/core: the paper's contribution — Match (Fig. 3), minQ
 //     (Fig. 4), dualFilter (Fig. 5), connectivity pruning, Match+, ranking
 //   - internal/exec: the one ball-evaluation worker pool — generic
@@ -75,8 +75,7 @@
 // Failures carry machine-readable codes ({"code","error"}) the client
 // decodes into *api.Error. See API.md for the endpoint reference;
 // examples/server runs the same loop self-contained, and internal/engine
-// documents the embedded API (engine.New, Engine.Match, Engine.Stream,
-// Engine.MatchBatch).
+// documents the embedded API (engine.New, Engine.Match, Engine.Stream).
 //
 // # Live updates quickstart
 //

@@ -159,36 +159,21 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	return res, nil
 }
 
-// EvalPreparedBall runs procedure DualSim followed by ExtractMaxPG (Fig. 3)
-// on a ball constructed by the caller, returning the ball's maximum perfect
-// subgraph (nil if none) and the number of match pairs removed during
-// refinement. The distributed evaluator (Section 4.3) assembles balls from
-// fragment-local plus fetched adjacency and delegates here, guaranteeing
-// distributed and centralized runs share one code path.
-func EvalPreparedBall(q *graph.Graph, ball *graph.Ball, center int32) (*PerfectSubgraph, int) {
-	ps, stats := EvalPreparedBallWith(q, ball, center, Options{}, nil)
-	return ps, stats.PairsRemoved
-}
-
-// EvalPreparedBallWith is the options-aware form of EvalPreparedBall: it
-// evaluates one caller-constructed ball under opts, optionally projecting a
+// EvalPreparedBallIn runs procedure DualSim followed by ExtractMaxPG
+// (Fig. 3) on one caller-constructed ball under opts, returning the ball's
+// maximum perfect subgraph (nil if none). A non-nil global projects a
 // precomputed global dual-simulation relation onto the ball (Fig. 5 line 1)
 // instead of starting from label candidates. center is the ball center in
 // the parent graph's coordinates. Callers are responsible for any
 // pre-construction center filtering (label precheck or global-relation
-// membership); this function always evaluates the ball it is given. The
-// executor (internal/exec) fans calls across a worker pool; it must
-// therefore remain safe for concurrent use with a shared read-only q, ball
-// and global.
-func EvalPreparedBallWith(q *graph.Graph, ball *graph.Ball, center int32, opts Options, global simulation.Relation) (*PerfectSubgraph, Stats) {
-	return EvalPreparedBallIn(q, ball, center, opts, global, nil)
-}
-
-// EvalPreparedBallIn is EvalPreparedBallWith with the per-ball working state
-// (candidate relation, pruning sets, refiner counters) drawn from sc instead
-// of freshly allocated — the evaluator stage of the exec pipeline. A nil sc
-// allocates as before. The returned subgraph copies everything out of the
-// ball and scratch, so both may be reused immediately.
+// membership); this function always evaluates the ball it is given.
+//
+// The per-ball working state (candidate relation, pruning sets, refiner
+// counters) is drawn from sc; a nil sc allocates it. The returned subgraph
+// copies everything out of the ball and scratch, so both may be reused
+// immediately. The executor (internal/exec) fans calls across a worker
+// pool, so it must remain safe for concurrent use with a shared read-only
+// q, ball and global.
 func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Options, global simulation.Relation, sc *simulation.Scratch) (*PerfectSubgraph, Stats) {
 	var stats Stats
 	bg := ball.G

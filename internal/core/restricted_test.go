@@ -45,7 +45,7 @@ func diffGraph(rng *rand.Rand, table *graph.Labels, n, edges, labels int, connec
 // TestRestrictedBallDifferential pins the equivalence the serving path rests
 // on: a ball built restricted to the query's candidate set and evaluated on
 // scratch state yields, for every center, exactly what the reference pair —
-// graph.NewBall's full induced ball and the allocating EvalPreparedBallWith —
+// graph.NewBall's full induced ball and EvalPreparedBallIn with no scratch —
 // yields: the same subgraph (nodes, edges, relation) and the same work
 // counters. The reference shares no construction code with the restricted
 // builder (map-based BFS, Builder-built subgraph), so the kernel never
@@ -96,7 +96,7 @@ func TestRestrictedBallDifferential(t *testing.T) {
 					}
 					for v := int32(0); v < int32(g.NumNodes()); v++ {
 						ctx := fmt.Sprintf("shape %d nq %d radius %d %s center %d", si, nq, radius, os.name, v)
-						want, wantStats := EvalPreparedBallWith(qEff, graph.NewBall(g, v, radius), v, os.opts, global)
+						want, wantStats := EvalPreparedBallIn(qEff, graph.NewBall(g, v, radius), v, os.opts, global, nil)
 						ball := balls.BuildRestricted(g, v, radius, cand)
 						if ball.Center < 0 || ball.Orig[ball.Center] != v {
 							t.Fatalf("%s: restricted ball lost its center (id %d)", ctx, ball.Center)

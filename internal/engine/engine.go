@@ -3,11 +3,10 @@
 // graph as a prepared Snapshot (frozen label table, candidate centers per
 // pattern label, the planner's pruning index) and evaluates queries
 // by fanning per-ball work — the embarrassingly parallel loop of Fig. 3 —
-// across a worker pool, with context cancellation, early termination, result
-// streaming and a batch API that amortizes ball construction across patterns
-// of equal effective radius. The per-ball evaluation itself is
-// core.EvalPreparedBallWith, so the engine returns exactly the perfect
-// subgraphs of core.MatchWith under the same options.
+// across a worker pool, with context cancellation, early termination and
+// result streaming. The per-ball evaluation itself is core.EvalPreparedBallIn,
+// so the engine returns exactly the perfect subgraphs of core.MatchWith under
+// the same options.
 //
 // See DESIGN.md for the architecture and cmd/strongsimd for the HTTP server
 // built on top.
@@ -133,12 +132,10 @@ type preparedQuery struct {
 }
 
 // release returns the query's pooled state; global, cand and centers are
-// dead after it. Safe on a nil query and on one that holds nothing.
+// dead after it. Safe on a query that holds nothing.
 func (p *preparedQuery) release() {
-	if p != nil {
-		p.scratch.Release()
-		p.scratch = nil
-	}
+	p.scratch.Release()
+	p.scratch = nil
 }
 
 // prepare validates the pattern and runs the per-query precomputation:

@@ -239,53 +239,6 @@ func TestMatchTopKParity(t *testing.T) {
 	}
 }
 
-// TestMatchBatchParity checks every batch member gets exactly its individual
-// Match result, including invalid and unmatchable members.
-func TestMatchBatchParity(t *testing.T) {
-	g := generator.Synthetic(500, 1.2, 10, 29)
-	q1 := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 31})
-	q2 := generator.SamplePattern(g, generator.PatternOptions{Nodes: 4, Alpha: 1.2, Seed: 37})
-	q3 := generator.SamplePattern(g, generator.PatternOptions{Nodes: 5, Alpha: 1.3, Seed: 41})
-	// An unmatchable pattern: a label the data graph does not contain.
-	nb := graph.NewBuilder(g.Labels().Clone())
-	nu := nb.AddNode("never-seen")
-	nv := nb.AddNode("never-seen")
-	_ = nb.AddEdge(nu, nv)
-	qNone := nb.Build()
-	// An invalid pattern.
-	qBad := graph.NewBuilder(g.Labels().Clone()).Build()
-
-	batch := []BatchQuery{
-		{Pattern: q1, Opts: QueryOptions{}},
-		{Pattern: q2, Opts: PlusQuery()},
-		{Pattern: q3, Opts: QueryOptions{DualFilter: true}},
-		{Pattern: qNone, Opts: QueryOptions{DualFilter: true}},
-		{Pattern: qBad, Opts: QueryOptions{}},
-		{Pattern: q1, Opts: QueryOptions{Limit: 1}},
-	}
-	e := New(g, Config{Workers: 4})
-	results := e.MatchBatch(context.Background(), batch)
-	if len(results) != len(batch) {
-		t.Fatalf("got %d results for %d queries", len(results), len(batch))
-	}
-	for i := 0; i < 4; i++ {
-		if results[i].Err != nil {
-			t.Fatalf("query %d: %v", i, results[i].Err)
-		}
-		want := mustMatch(t, e, batch[i].Pattern, batch[i].Opts)
-		if !reflect.DeepEqual(results[i].Result, want) {
-			t.Errorf("query %d: batch result diverges from individual Match (%d vs %d subgraphs)",
-				i, results[i].Result.Len(), want.Len())
-		}
-	}
-	if results[4].Err == nil {
-		t.Error("invalid member: expected an error")
-	}
-	if results[5].Err != nil || results[5].Result.Len() != 1 {
-		t.Errorf("limited member: want exactly 1 subgraph, got %v / %v", results[5].Result, results[5].Err)
-	}
-}
-
 // TestCandidateCenters cross-checks the snapshot's candidate index against a
 // brute-force scan.
 func TestCandidateCenters(t *testing.T) {
@@ -338,7 +291,7 @@ func TestEvalCentersMatchesPlainMatch(t *testing.T) {
 // handed, also one whose label the pattern does not carry (live prefilters
 // its dirty centers, other callers need not). Such a center must still get a
 // ball of its own and come back empty, and every listed center must agree
-// with the reference pair NewBall + EvalPreparedBall.
+// with the reference pair NewBall + EvalPreparedBallIn with no scratch.
 func TestEvalCentersOutsideCandidates(t *testing.T) {
 	q, g := testWorkload(t, 400, 11)
 	e := New(g, Config{Workers: 3})
@@ -357,7 +310,7 @@ func TestEvalCentersOutsideCandidates(t *testing.T) {
 	}
 	outside, matched := 0, 0
 	for i, c := range centers {
-		want, _ := core.EvalPreparedBall(q, graph.NewBall(g, c, dq), c)
+		want, _ := core.EvalPreparedBallIn(q, graph.NewBall(g, c, dq), c, core.Options{}, nil, nil)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("center %d: EvalCenters %v, reference %v", c, got[i], want)
 		}

@@ -13,7 +13,7 @@ import "slices"
 // until the next build on the same scratch. Callers that need to retain a
 // ball (the engine's snapshot cache) must use NewBall instead; evaluators
 // that consume the ball and copy their findings out
-// (core.EvalPreparedBallWith and everything on top of it) can run on scratch
+// (core.EvalPreparedBallIn and everything on top of it) can run on scratch
 // balls unchanged.
 type BallScratch struct {
 	// Dense per-parent-node state, sized to the largest graph seen. seen

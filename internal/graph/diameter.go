@@ -106,15 +106,3 @@ func smallDiameter(g *Graph) (int, bool) {
 	}
 	return diameter, true
 }
-
-// Eccentricity returns the longest undirected shortest distance from v to
-// any node reachable from it.
-func Eccentricity(g *Graph, v int32) int {
-	max := int32(0)
-	for _, d := range Distances(g, v) {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
-}

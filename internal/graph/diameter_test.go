@@ -72,13 +72,3 @@ func TestDiameterTwoNodeCycle(t *testing.T) {
 		t.Fatalf("Diameter = (%d,%v), want (1,true)", d, ok)
 	}
 }
-
-func TestEccentricity(t *testing.T) {
-	g := chain(t, 5)
-	if e := Eccentricity(g, 0); e != 4 {
-		t.Fatalf("Eccentricity(0) = %d, want 4", e)
-	}
-	if e := Eccentricity(g, 2); e != 2 {
-		t.Fatalf("Eccentricity(2) = %d, want 2", e)
-	}
-}

@@ -9,10 +9,7 @@
 // mapping each node to a label from a (possibly infinite) alphabet Σ.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NoLabel is returned by Labels.ID for strings that were never interned.
 const NoLabel int32 = -1
@@ -81,11 +78,3 @@ func (l *Labels) Name(id int32) string {
 
 // Len returns the number of distinct labels interned so far.
 func (l *Labels) Len() int { return len(l.names) }
-
-// Names returns all interned label names sorted lexicographically.
-func (l *Labels) Names() []string {
-	out := make([]string, len(l.names))
-	copy(out, l.names)
-	sort.Strings(out)
-	return out
-}

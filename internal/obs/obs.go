@@ -123,9 +123,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t.
-func (h *Histogram) ObserveSince(t time.Time) { h.Observe(time.Since(t).Seconds()) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -180,7 +180,7 @@ func TestPruneSound(t *testing.T) {
 						continue
 					}
 					ball := graph.NewBall(g, v, radius)
-					if ps, _ := core.EvalPreparedBall(q, ball, v); ps != nil {
+					if ps, _ := core.EvalPreparedBallIn(q, ball, v, core.Options{}, nil, nil); ps != nil {
 						t.Fatalf("n=%d seed=%d r=%d: pruned center %d actually matches", n, seed, radius, v)
 					}
 				}

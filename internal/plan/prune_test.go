@@ -86,7 +86,7 @@ func TestPruneNecessity(t *testing.T) {
 				}
 				anchored += st.PrunedAnchor
 				for v := int32(0); v < int32(n); v++ {
-					ps, _ := core.EvalPreparedBall(q, graph.NewBall(g, v, radius), v)
+					ps, _ := core.EvalPreparedBallIn(q, graph.NewBall(g, v, radius), v, core.Options{}, nil, nil)
 					if ps == nil {
 						continue
 					}

@@ -2,9 +2,7 @@
 // paper builds on: graph simulation ≺ (Milner; computed with an HHK-style
 // worklist algorithm), dual simulation ≺D (paper Section 2.2), the naive
 // fixpoint variants used as executable specifications (paper Fig. 3,
-// procedure DualSim), match graphs, bounded simulation (the extension of
-// Fan et al. [19] mentioned in the paper's remarks), and bisimulation
-// (Section 3.2).
+// procedure DualSim) and match graphs.
 package simulation
 
 import (
