@@ -254,7 +254,7 @@ func TestTraceMatchParity(t *testing.T) {
 // TestTraceUpdateSpans: a traced /v1/update records the store's work under
 // the root — one live.apply span for the mutation batch and a live.maintain
 // span per standing query brought current — each saying what the batch cost:
-// header pages copied, balls built and balls spared.
+// adjacency pages rebuilt, balls built and balls spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -293,7 +293,7 @@ func TestTraceUpdateSpans(t *testing.T) {
 		t.Errorf("live.apply mutations attr %d, want 2", apply.Attrs["mutations"])
 	}
 	// Nodes 0, 1 and 2 had a row rewritten; no label moved. The six nodes
-	// share one page of out-headers and one of in-headers.
+	// share one adjacency page per direction.
 	if apply.Attrs["pages_copied"] != 2 {
 		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
 	}

@@ -43,16 +43,16 @@ type BallScratch struct {
 	misses int64
 
 	// Reused ball storage.
-	ball     Ball
-	sub      Graph
-	nodeLbl  []int32
-	outHdr   [][]int32
-	inHdr    [][]int32
-	outPages [][][]int32 // page tables over outHdr and inHdr
-	inPages  [][][]int32
-	outArena []int32
-	inArena  []int32
-	dist     []int32
+	ball    Ball
+	sub     Graph
+	nodeLbl []int32
+	// The built graph's adjacency, out ([0]) and in ([1]): page tables whose
+	// pages are windows of one offset arena and one target arena per
+	// direction.
+	pages [2][]csrPage
+	off   [2][]int32
+	to    [2][]int32
+	dist  []int32
 	// Label index of the built graph without a map: lblRows[l] lists the
 	// ball nodes labelled l (a window of lblArena), lblCount[l] is its
 	// length. Both are indexed by label id and hold entries for the labels
@@ -119,7 +119,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	s.builds++
 	grew := s.grow(g)
 	preReached, preMembers := cap(s.reached), cap(s.members)
-	preOut, preIn, preLbl := cap(s.outArena), cap(s.inArena), cap(s.lblArena)
+	preTo, preOff, preLbl := cap(s.to[0])+cap(s.to[1]), cap(s.off[0])+cap(s.off[1]), cap(s.lblArena)
 
 	// Undirected BFS over g. The frontier of distance d-1 is the window
 	// reached[lo:hi]; appends during the sweep may move the backing array,
@@ -165,28 +165,26 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		return s.seen.Contains(w) && (keep == nil || w == center || keep.Contains(w))
 	}
 
-	// Induced adjacency into shared arenas. Growth mid-build leaves earlier
-	// headers pointing at the old backing array, which still holds their
-	// data — only ever read, never appended to again.
-	s.outHdr = s.outHdr[:0]
-	s.inHdr = s.inHdr[:0]
-	s.outArena = s.outArena[:0]
-	s.inArena = s.inArena[:0]
-	for _, v := range orig {
-		start := len(s.outArena)
-		for _, w := range g.Out(v) {
-			if member(w) {
-				s.outArena = append(s.outArena, s.slot[w])
+	// Induced adjacency straight into the arenas, one page per pageSize
+	// members. Growth mid-build leaves earlier pages on the old backing
+	// array, which still holds their data — only ever read, never appended
+	// to again.
+	for d, adj := range [2]CSR{g.out, g.in} {
+		pages, off, to := s.pages[d][:0], s.off[d][:0], s.to[d][:0]
+		for lo := 0; lo < n; lo += pageSize {
+			o, t := len(off), len(to)
+			for _, v := range orig[lo:min(lo+pageSize, n)] {
+				off = append(off, int32(len(to)-t))
+				for _, w := range adj.Row(v) {
+					if member(w) {
+						to = append(to, s.slot[w])
+					}
+				}
 			}
+			off = append(off, int32(len(to)-t))
+			pages = append(pages, csrPage{off: off[o:len(off):len(off)], to: to[t:len(to):len(to)]})
 		}
-		s.outHdr = append(s.outHdr, s.outArena[start:len(s.outArena):len(s.outArena)])
-		start = len(s.inArena)
-		for _, w := range g.In(v) {
-			if member(w) {
-				s.inArena = append(s.inArena, s.slot[w])
-			}
-		}
-		s.inHdr = append(s.inHdr, s.inArena[start:len(s.inArena):len(s.inArena)])
+		s.pages[d], s.off[d], s.to[d] = pages, off, to
 	}
 	centerID := s.slot[center]
 	for _, v := range s.reached {
@@ -215,17 +213,14 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		s.lblRows[lbl] = append(s.lblRows[lbl], int32(i))
 	}
 
-	// The built graph reads its rows through page tables like any other; the
-	// pages are windows of the header arrays, and a ball of up to one page of
-	// members — nearly every restricted ball — has a one-entry table.
-	s.outPages = pageViews(s.outPages[:0], s.outHdr)
-	s.inPages = pageViews(s.inPages[:0], s.inHdr)
+	// A ball of up to one page of members — nearly every restricted ball —
+	// has a one-entry page table.
 	s.sub = Graph{
 		labels:   g.labels,
 		nodeLbl:  s.nodeLbl,
-		out:      Paged[[]int32]{pages: s.outPages, n: n},
-		in:       Paged[[]int32]{pages: s.inPages, n: n},
-		numEdges: len(s.outArena),
+		out:      CSR{pages: s.pages[0], n: n},
+		in:       CSR{pages: s.pages[1], n: n},
+		numEdges: len(s.to[0]),
 		lblRows:  s.lblRows,
 		rank:     s.rank,
 	}
@@ -237,7 +232,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		Dist:   s.dist,
 	}
 	if grew || cap(s.reached) != preReached || cap(s.members) != preMembers ||
-		cap(s.outArena) != preOut || cap(s.inArena) != preIn || cap(s.lblArena) != preLbl {
+		cap(s.to[0])+cap(s.to[1]) != preTo || cap(s.off[0])+cap(s.off[1]) != preOff || cap(s.lblArena) != preLbl {
 		s.misses++
 	}
 	return &s.ball

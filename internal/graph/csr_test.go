@@ -7,66 +7,112 @@ import (
 	"testing"
 )
 
-// flatten reads a paged array back element by element.
-func flatten[T any](p Paged[T]) []T {
-	out := make([]T, p.Len())
-	for i := range out {
-		out[i] = p.At(int32(i))
+// csrOf returns rows as a CSR, built through an edit of the empty one.
+func csrOf(rows [][]int32) CSR {
+	e := CSR{}.Edit()
+	for v, row := range rows {
+		e.Append()
+		e.Set(int32(v), row)
 	}
-	return out
+	c, _ := e.Freeze()
+	return c
 }
 
-// TestPagedEditLeavesPredecessor drives a chain of edits — overwrites on
-// every side of a page boundary, appends across one, an edit abandoned
-// midway — against a flat model, and holds every earlier array to what it
-// read when it was frozen. An edit may copy only pages it wrote into.
-func TestPagedEditLeavesPredecessor(t *testing.T) {
+// rowsOf reads n rows of a CSR, or of an edit, back into slices of their
+// own.
+func rowsOf(n int, row func(int32) []int32) [][]int32 {
+	rows := make([][]int32, n)
+	for v := range rows {
+		rows[v] = slices.Clone(row(int32(v)))
+	}
+	return rows
+}
+
+func sameRows(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
+
+// TestCSREditLeavesPredecessor drives chains of edits — rows grown, shrunk,
+// emptied and given self-loops on every side of a page boundary, nodes
+// appended at 0, 511, 512, 513 and 1025 and beyond, an edit abandoned midway
+// — against a model of per-row slices, and holds every earlier CSR to the
+// rows it read when it was frozen. An edit rebuilds only pages it wrote a
+// row of.
+func TestCSREditLeavesPredecessor(t *testing.T) {
 	for _, n := range []int{0, 1, 511, 512, 513, 1025} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		model := make([]int, n)
-		for i := range model {
-			model[i] = rng.Int()
+		model := make([][]int32, n)
+		for v := range model {
+			for k := rng.Intn(6); k > 0; k-- {
+				model[v] = append(model[v], rng.Int31n(int32(n)))
+			}
+			slices.Sort(model[v])
+			model[v] = slices.Compact(model[v])
 		}
-		cur := PagedOf(slices.Clone(model))
-		type frozen struct {
-			p    Paged[int]
-			want []int
-		}
-		history := []frozen{{cur, slices.Clone(model)}}
+		cur := csrOf(model)
+		history := []CSR{cur}
+		wants := [][][]int32{model}
 		for step := 0; step < 40; step++ {
 			e := cur.Edit()
 			next := slices.Clone(model)
 			written := map[int]bool{}
-			for k := rng.Intn(4); k > 0 && len(next) > 0; k-- {
-				i := []int{0, 510, 511, 512, 513, len(next) - 1, rng.Intn(len(next))}[rng.Intn(7)]
-				if i >= len(next) {
+			appends := rng.Intn(3)
+			if step == 0 {
+				appends = 1 // the first node past the start: 0, 1, 511, 512, 513 or 1025
+			}
+			for ; appends > 0; appends-- {
+				if len(next)&pageMask != 0 {
+					written[len(next)>>pageBits] = true // the partial last page is rebuilt
+				}
+				e.Append()
+				next = append(next, nil)
+			}
+			for k := rng.Intn(5); k > 0 && len(next) > 0; k-- {
+				v := int32([]int{0, 510, 511, 512, 513, len(next) - 1, rng.Intn(len(next))}[rng.Intn(7)])
+				if int(v) >= len(next) {
 					continue
 				}
-				next[i] = rng.Int()
-				e.Set(int32(i), next[i])
-				written[i>>pageBits] = true
-			}
-			for k := rng.Intn(3); k > 0; k-- {
-				if len(next)&pageMask != 0 {
-					written[len(next)>>pageBits] = true // the partial last page is copied
+				row := e.Own(v)
+				switch rng.Intn(4) {
+				case 0: // grow
+					for j := rng.Intn(4) + 1; j > 0; j-- {
+						w := rng.Int31n(int32(len(next)))
+						if i, found := slices.BinarySearch(row, w); !found {
+							row = slices.Insert(row, i, w)
+						}
+					}
+				case 1: // shrink
+					if len(row) > 0 {
+						i := rng.Intn(len(row))
+						row = slices.Delete(row, i, i+1)
+					}
+				case 2: // empty
+					row = nil
+				case 3: // self-loop
+					if i, found := slices.BinarySearch(row, v); !found {
+						row = slices.Insert(row, i, v)
+					}
 				}
-				next = append(next, rng.Int())
-				e.Append(next[len(next)-1])
+				e.Set(v, row)
+				next[v] = slices.Clone(row)
+				written[int(v)>>pageBits] = true
 			}
-			if !slices.Equal(flatten(e.Paged), next) || e.Len() != len(next) {
+			if !sameRows(rowsOf(e.n, e.Row), next) {
 				t.Fatalf("n=%d step %d: the edit reads differently from its model", n, step)
-			}
-			if e.Copied() > len(written) {
-				t.Fatalf("n=%d step %d: %d pages copied, writes touched %d", n, step, e.Copied(), len(written))
 			}
 			if rng.Intn(4) == 0 {
 				continue // abandoned: cur and model stand
 			}
-			cur, model = e.Freeze(), next
-			history = append(history, frozen{cur, slices.Clone(model)})
-			for v, f := range history {
-				if !slices.Equal(flatten(f.p), f.want) {
-					t.Fatalf("n=%d step %d: array %d changed after it was frozen", n, step, v)
+			frozen, rebuilt := e.Freeze()
+			if !sameRows(rowsOf(frozen.Len(), frozen.Row), next) {
+				t.Fatalf("n=%d step %d: the frozen CSR reads differently from its model", n, step)
+			}
+			if rebuilt > len(written) {
+				t.Fatalf("n=%d step %d: %d pages rebuilt, writes touched %d", n, step, rebuilt, len(written))
+			}
+			cur, model = frozen, next
+			history, wants = append(history, cur), append(wants, model)
+			for i, c := range history {
+				if !sameRows(rowsOf(c.Len(), c.Row), wants[i]) {
+					t.Fatalf("n=%d step %d: CSR %d changed after it was frozen", n, step, i)
 				}
 			}
 		}
@@ -113,7 +159,7 @@ func TestBuilderFromPartsAcrossPages(t *testing.T) {
 			nodeLbl[v] = built.Label(v)
 			byLabel[nodeLbl[v]] = append(byLabel[nodeLbl[v]], v)
 		}
-		adopted := FromParts(built.Labels(), nodeLbl, PagedOf(refOut), PagedOf(refIn), byLabel, built.NumEdges(), "", nil, Delta{})
+		adopted := FromParts(built.Labels(), nodeLbl, csrOf(refOut), csrOf(refIn), byLabel, built.NumEdges(), "", nil, Delta{})
 		out, in := built.Rows()
 		shared := FromParts(built.Labels(), nodeLbl, out, in, nil, built.NumEdges(), "", built, Delta{})
 
@@ -137,7 +183,7 @@ func TestBuilderFromPartsAcrossPages(t *testing.T) {
 }
 
 // TestBallScratchAcrossPages: a scratch ball with more than one page of
-// members — its row headers span pages — equals NewBall, and a small ball
+// members — its adjacency spans pages — equals NewBall, and a small ball
 // built next on the same scratch does not read the large one's pages.
 func TestBallScratchAcrossPages(t *testing.T) {
 	g := randomGraph(1500, 6000, 5, 11)

@@ -2,14 +2,15 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable node-labeled directed graph. Nodes are dense int32
 // identifiers in [0, NumNodes()). Construct graphs with a Builder.
 //
-// Both forward and reverse adjacency lists are stored sorted, so HasEdge is
-// a binary search and neighbor iteration is cache-friendly. An index from
+// Both forward and reverse adjacency are stored as paged CSR (see CSR), every
+// row sorted: HasEdge is a binary search, and a row is one contiguous run of
+// the page's target array, read without a per-row header. An index from
 // label to the sorted list of nodes carrying it supports the candidate
 // initialization step of every matching algorithm (line 2 of procedure
 // DualSim in the paper's Fig. 3); beside each list it keeps its nodes'
@@ -17,9 +18,9 @@ import (
 // puts in front of reading a candidate's adjacency.
 type Graph struct {
 	labels   *Labels
-	nodeLbl  []int32        // node -> label id
-	out      Paged[[]int32] // node -> sorted successors
-	in       Paged[[]int32] // node -> sorted predecessors
+	nodeLbl  []int32 // node -> label id
+	out      CSR     // node -> sorted successors
+	in       CSR     // node -> sorted predecessors
 	numEdges int
 	byLabel  map[int32]labelRow // label id -> sorted nodes and their signatures
 	// lblRows is byLabel's node lists as a slice indexed by label id, for the
@@ -116,43 +117,7 @@ func (b *Builder) Build() *Graph {
 		rank:    make([]int32, n),
 		name:    b.name,
 	}
-	out, in := make([][]int32, n), make([][]int32, n)
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	for _, e := range b.edges {
-		outDeg[e[0]]++
-		inDeg[e[1]]++
-	}
-	for v := 0; v < n; v++ {
-		if outDeg[v] > 0 {
-			out[v] = make([]int32, 0, outDeg[v])
-		}
-		if inDeg[v] > 0 {
-			in[v] = make([]int32, 0, inDeg[v])
-		}
-	}
-	for _, e := range b.edges {
-		out[e[0]] = append(out[e[0]], e[1])
-		in[e[1]] = append(in[e[1]], e[0])
-	}
-	for v := 0; v < n; v++ {
-		out[v] = sortDedup(out[v])
-	}
-	// Rebuild reverse adjacency from the deduplicated forward lists so the
-	// two sides stay consistent when duplicates were dropped.
-	for v := range in {
-		in[v] = in[v][:0]
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range out[u] {
-			in[v] = append(in[v], int32(u))
-		}
-		g.numEdges += len(out[u])
-	}
-	for v := 0; v < n; v++ {
-		sort.Slice(in[v], func(i, j int) bool { return in[v][i] < in[v][j] })
-	}
-	g.out, g.in = PagedOf(out), PagedOf(in)
+	g.out, g.in, g.numEdges = b.adjacency()
 	byLabel := make(map[int32][]int32)
 	for v := 0; v < n; v++ {
 		lbl := g.nodeLbl[v]
@@ -163,11 +128,39 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// adjacency returns b's edges, repeats collapsed, as out- and in-CSR and
+// their count. Rows come out sorted without a comparison: the edges are
+// grouped by source in the order they were added, which transposes to
+// ascending in-rows with each repeat next to its original; those are
+// collapsed, and transposing back gives ascending out-rows.
+func (b *Builder) adjacency() (out, in CSR, m int) {
+	n := len(b.nodeLbl)
+	start := make([]int32, n+1)
+	for _, e := range b.edges {
+		start[e[0]+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	next := slices.Clone(start[:n])
+	to := make([]int32, len(b.edges))
+	for _, e := range b.edges {
+		to[next[e[0]]] = e[1]
+		next[e[0]]++
+	}
+	inStart, inTo := transpose(n, start, to)
+	if m = len(dedupRows(inStart, inTo)); m < len(inTo) {
+		inTo = slices.Clone(inTo[:m])
+	}
+	outStart, outTo := transpose(n, inStart, inTo)
+	return pagedCSR(outStart, outTo), pagedCSR(inStart, inTo), m
+}
+
 // FromParts adopts pre-built graph internals as an immutable Graph without
 // copying or validation. It exists for callers that maintain graph state in
 // this exact representation already — internal/live publishes copy-on-write
-// versions of a mutable store this way, sharing untouched adjacency rows and
-// whole pages of row headers (Paged) across versions instead of rebuilding
+// versions of a mutable store this way, sharing every adjacency page its
+// batch left untouched (CSR) across versions instead of rebuilding
 // O(|V|+|E|) state per update batch.
 //
 // The caller must guarantee the Builder invariants hold and that none of the
@@ -188,7 +181,7 @@ func (b *Builder) Build() *Graph {
 // copied once (grown for added nodes) and rewritten for the changed rows
 // alone — a node's rank changes only when its own row does. Signatures are
 // patched over the batch's neighbourhood (see patchedRows).
-func FromParts(labels *Labels, nodeLbl []int32, out, in Paged[[]int32], byLabel map[int32][]int32, numEdges int, name string, prev *Graph, d Delta) *Graph {
+func FromParts(labels *Labels, nodeLbl []int32, out, in CSR, byLabel map[int32][]int32, numEdges int, name string, prev *Graph, d Delta) *Graph {
 	g := &Graph{
 		labels:   labels,
 		nodeLbl:  nodeLbl,
@@ -223,21 +216,6 @@ func fillRanks(rank, row []int32) {
 	}
 }
 
-func sortDedup(xs []int32) []int32 {
-	if len(xs) < 2 {
-		return xs
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[w-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
-}
-
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.nodeLbl) }
 
@@ -261,15 +239,15 @@ func (g *Graph) LabelName(v int32) string { return g.labels.Name(g.nodeLbl[v]) }
 
 // Out returns the sorted successors of v. The slice is shared; callers must
 // not mutate it.
-func (g *Graph) Out(v int32) []int32 { return g.out.At(v) }
+func (g *Graph) Out(v int32) []int32 { return g.out.Row(v) }
 
 // In returns the sorted predecessors of v. The slice is shared; callers must
 // not mutate it.
-func (g *Graph) In(v int32) []int32 { return g.in.At(v) }
+func (g *Graph) In(v int32) []int32 { return g.in.Row(v) }
 
 // Rows returns the whole out- and in-adjacency, one sorted row per node, as
 // FromParts takes them. Everything behind them is shared with g.
-func (g *Graph) Rows() (out, in Paged[[]int32]) { return g.out, g.in }
+func (g *Graph) Rows() (out, in CSR) { return g.out, g.in }
 
 // OutDegree returns the number of successors of v.
 func (g *Graph) OutDegree(v int32) int { return len(g.Out(v)) }
@@ -282,9 +260,8 @@ func (g *Graph) Degree(v int32) int { return len(g.Out(v)) + len(g.In(v)) }
 
 // HasEdge reports whether the directed edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int32) bool {
-	adj := g.Out(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, ok := slices.BinarySearch(g.Out(u), v)
+	return ok
 }
 
 // NodesWithLabel returns the sorted nodes carrying label id, sharing the
@@ -298,6 +275,10 @@ func (g *Graph) NodesWithLabel(label int32) []int32 {
 	}
 	return g.byLabel[label].nodes
 }
+
+// NodeLabels returns every node's label id, indexed by node, as FromParts
+// takes them. The slice is shared; callers must not mutate it.
+func (g *Graph) NodeLabels() []int32 { return g.nodeLbl }
 
 // LabelRanks returns, per node v, the index of v within
 // NodesWithLabel(Label(v)). The slice is shared; callers must not mutate it.
@@ -365,10 +346,10 @@ func (g *Graph) String() string {
 // The second result maps new ids back to original ids (a copy of nodes in
 // sorted order); the third maps original ids to new ids for members.
 func (g *Graph) InducedSubgraph(nodes []int32) (*Graph, []int32, map[int32]int32) {
-	orig := append([]int32(nil), nodes...)
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
+	orig := slices.Clone(nodes)
+	slices.Sort(orig)
 	// Drop duplicates defensively.
-	orig = sortDedup(orig)
+	orig = slices.Compact(orig)
 	toNew := make(map[int32]int32, len(orig))
 	for i, v := range orig {
 		toNew[v] = int32(i)

@@ -184,7 +184,7 @@ func TestFromPartsMatchesBuilder(t *testing.T) {
 		nodeLbl[v] = want.Label(v)
 		byLabel[want.Label(v)] = append(byLabel[want.Label(v)], v)
 	}
-	got := FromParts(want.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, want.NumEdges(), "diamond", nil, Delta{})
+	got := FromParts(want.Labels(), nodeLbl, csrOf(out), csrOf(in), byLabel, want.NumEdges(), "diamond", nil, Delta{})
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("size mismatch: %v vs %v", got, want)
 	}
@@ -221,7 +221,7 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 		nodeLbl[v], out[v], in[v] = prev.Label(v), prev.Out(v), prev.In(v)
 		byLabel[prev.Label(v)] = append(byLabel[prev.Label(v)], v)
 	}
-	same := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), nil, prev.NumEdges(), "edges only", prev, Delta{})
+	same := FromParts(prev.Labels(), nodeLbl, csrOf(out), csrOf(in), nil, prev.NumEdges(), "edges only", prev, Delta{})
 	if &same.LabelRanks()[0] != &prev.LabelRanks()[0] {
 		t.Fatal("a batch that touched no label row should share its predecessor's ranks")
 	}
@@ -236,9 +236,9 @@ func TestFromPartsInheritsRanks(t *testing.T) {
 	maps.Copy(byLabel, changed)
 	before := append([]int32(nil), prev.LabelRanks()...)
 
-	got := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), changed, prev.NumEdges(), "patched", prev,
+	got := FromParts(prev.Labels(), nodeLbl, csrOf(out), csrOf(in), changed, prev.NumEdges(), "patched", prev,
 		Delta{Rows: []int32{int32(n)}, Relabelled: []int32{0, int32(n)}})
-	want := FromParts(prev.Labels(), nodeLbl, PagedOf(out), PagedOf(in), byLabel, prev.NumEdges(), "walked", nil, Delta{})
+	want := FromParts(prev.Labels(), nodeLbl, csrOf(out), csrOf(in), byLabel, prev.NumEdges(), "walked", nil, Delta{})
 	if !reflect.DeepEqual(got.LabelRanks(), want.LabelRanks()) {
 		t.Fatalf("patched ranks %v, a full walk gives %v", got.LabelRanks(), want.LabelRanks())
 	}

@@ -383,9 +383,9 @@ func TestChurnConcurrentReaders(t *testing.T) {
 
 // TestApplyAllocatesWhatItTouches is the allocation guard of the update path:
 // on a 50k-node store with two standing queries, a 4-edge batch allocates the
-// pages, rows and signature rows it writes into and what maintenance reads —
-// under 512 KB. One flat per-version copy of the row headers alone is 2.4 MB
-// here.
+// adjacency pages it rebuilds (≈20 KB each, at most 8), the rows and signature
+// rows it writes into and what maintenance reads — under 512 KB. One flat
+// per-version copy of the adjacency alone is ≈3.9 MB here.
 func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	g := generator.Synthetic(50000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
@@ -434,7 +434,8 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 // standing queries, and per iteration one 4-edge batch (inserts, then the
 // batch that deletes them) followed by one planned Match+ on the new version.
 // Nothing in an iteration may cost O(|V|) again: pages_copied/op is the
-// header pages the batch wrote into (about 8 of the 80 the store has), and
+// adjacency pages the batch rebuilt (about 8 of the 80 the store has, ≈17 KB
+// each), and
 // ns/op and B/op are what a per-version pass creeping back would move.
 func BenchmarkApplyChurn(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)

@@ -16,13 +16,13 @@
 //   - Readers never block on writers. Every successful update batch
 //     publishes a new immutable version — a full *graph.Graph behind an
 //     engine.Snapshot — through one atomic pointer swap. The version is
-//     built copy-on-write: adjacency rows of untouched nodes, the pages of
-//     row headers no touched node lives in (graph.Paged), the label table
-//     and the label rows no node joined or left are shared with prior
-//     versions; only what the batch touched is copied, and what the previous
-//     version derived from its graph (label ranks, neighbour-label
-//     signatures) is inherited and patched over the touched region, not
-//     derived again. In-flight queries keep the version they started with.
+//     built copy-on-write: the adjacency pages no touched node lives in
+//     (graph.CSR), the label table and the label rows no node joined or left
+//     are shared with prior versions; only what the batch touched is
+//     rebuilt, and what the previous version derived from its graph (label
+//     ranks, neighbour-label signatures) is inherited and patched over the
+//     touched region, not derived again. In-flight queries keep the version
+//     they started with.
 //
 //   - Standing-query maintenance is ball-local. An update can change the
 //     ball Ĝ[w, dQ] only if w lies within dQ undirected hops of a mutated
@@ -42,7 +42,6 @@ package live
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -146,8 +145,10 @@ type UpdateResult struct {
 	// it — the dirty centers that survived the label precheck and the anchor
 	// check.
 	Recomputed map[int64]int
-	// PagesCopied counts the pages of adjacency row headers the batch
-	// copied; every other page the new version shares with its predecessor.
+	// PagesCopied counts the adjacency pages — 512 nodes' rows of one
+	// direction, offsets and targets — the batch rebuilt because it replaced
+	// a row in them; every other page the new version shares with its
+	// predecessor. A page that added nodes opened is new, not counted.
 	PagesCopied int
 	// Nodes and Edges are the post-batch graph size.
 	Nodes, Edges int
@@ -177,13 +178,13 @@ type Store struct {
 	tombstone   int32 // label id of TombstoneLabel, -1 until first deletion
 
 	// Graph state in the exact representation graph.FromParts adopts, and
-	// shared with the current version: a batch never writes it in place, it
-	// copies what it touches — the row, the page of row headers the row's
-	// node lives in, and nodeLbl whole when a label changes in place — into
-	// a batchState that replaces this on commit. Label rows are the current
-	// version's graph's; a batch copies the ones it changes.
+	// shared with the current version. A batch never writes it in place: its
+	// batchState records the rows it replaces (the adjacency pages holding
+	// them are rebuilt on commit), copies nodeLbl whole before a label
+	// changes in place, and replaces this on commit. Label rows are the
+	// current version's graph's; a batch copies the ones it changes.
 	nodeLbl  []int32
-	out, in  graph.Paged[[]int32]
+	out, in  graph.CSR
 	numEdges int
 	nextID   int64
 
@@ -217,15 +218,14 @@ func NewStore(g *graph.Graph, cfg Config) *Store {
 		labels:    g.Labels().Clone(),
 		frozen:    g.Labels(),
 		tombstone: -1,
-		nodeLbl:   make([]int32, n),
-		numEdges:  g.NumEdges(),
-		queries:   make(map[int64]*StandingQuery),
-		planner:   plan.NewPlanner(),
+		// Shared with version 0, capped so the first add_node reallocates: a
+		// batch never writes an element a published version can read.
+		nodeLbl:  g.NodeLabels()[:n:n],
+		numEdges: g.NumEdges(),
+		queries:  make(map[int64]*StandingQuery),
+		planner:  plan.NewPlanner(),
 	}
 	s.out, s.in = g.Rows()
-	for v := int32(0); v < int32(n); v++ {
-		s.nodeLbl[v] = g.Label(v)
-	}
 	s.current.Store(&Version{id: 0, eng: engine.New(g, engine.Config{Workers: cfg.Workers})})
 	liveVersion.Set(0)
 	return s
@@ -253,9 +253,7 @@ type batchState struct {
 	g             *graph.Graph // the current version's, which the batch follows
 	nodeLbl       []int32
 	nodeLblCopied bool // full copy taken (a label changed in place)
-	out, in       *graph.PagedEdit[[]int32]
-	touchedOut    map[int32]bool
-	touchedIn     map[int32]bool
+	out, in       *graph.CSREdit
 	byLabel       map[int32][]int32 // the label rows the batch changed, owned
 	numEdges      int
 
@@ -265,30 +263,13 @@ type batchState struct {
 }
 
 func (s *Store) newBatch() *batchState {
-	b := &batchState{
-		g:          s.Current().Graph(),
-		nodeLbl:    s.nodeLbl,
-		out:        s.out.Edit(),
-		in:         s.in.Edit(),
-		touchedOut: make(map[int32]bool),
-		touchedIn:  make(map[int32]bool),
-		byLabel:    make(map[int32][]int32),
-		numEdges:   s.numEdges,
-	}
-	return b
-}
-
-func (b *batchState) ownOut(u int32) {
-	if !b.touchedOut[u] {
-		b.out.Set(u, slices.Clone(b.out.At(u)))
-		b.touchedOut[u] = true
-	}
-}
-
-func (b *batchState) ownIn(v int32) {
-	if !b.touchedIn[v] {
-		b.in.Set(v, slices.Clone(b.in.At(v)))
-		b.touchedIn[v] = true
+	return &batchState{
+		g:        s.Current().Graph(),
+		nodeLbl:  s.nodeLbl,
+		out:      s.out.Edit(),
+		in:       s.in.Edit(),
+		byLabel:  make(map[int32][]int32),
+		numEdges: s.numEdges,
 	}
 }
 
@@ -345,10 +326,8 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		}
 		v := int32(len(b.nodeLbl))
 		b.nodeLbl = append(b.nodeLbl, lbl)
-		b.out.Append(nil)
-		b.in.Append(nil)
-		b.touchedOut[v] = true
-		b.touchedIn[v] = true
+		b.out.Append()
+		b.in.Append()
 		b.ownByLabel(lbl)
 		b.byLabel[lbl] = append(b.byLabel[lbl], v) // ids grow, stays sorted
 		b.added = append(b.added, v)
@@ -367,25 +346,21 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 			return fmt.Errorf("live: %s (%d,%d) touches a deleted node", m.Op, m.U, m.V)
 		}
 		if m.Op == OpInsertEdge {
-			b.ownOut(m.U)
-			xs, ok := insertSorted(b.out.At(m.U), m.V)
+			xs, ok := insertSorted(b.out.Own(m.U), m.V)
 			if !ok {
 				return nil // re-inserting an existing edge is a no-op
 			}
 			b.out.Set(m.U, xs)
-			b.ownIn(m.V)
-			xs, _ = insertSorted(b.in.At(m.V), m.U)
+			xs, _ = insertSorted(b.in.Own(m.V), m.U)
 			b.in.Set(m.V, xs)
 			b.numEdges++
 		} else {
-			b.ownOut(m.U)
-			xs, ok := removeSorted(b.out.At(m.U), m.V)
+			xs, ok := removeSorted(b.out.Own(m.U), m.V)
 			if !ok {
 				return fmt.Errorf("live: edge (%d,%d) does not exist", m.U, m.V)
 			}
 			b.out.Set(m.U, xs)
-			b.ownIn(m.V)
-			xs, _ = removeSorted(b.in.At(m.V), m.U)
+			xs, _ = removeSorted(b.in.Own(m.V), m.U)
 			b.in.Set(m.V, xs)
 			b.numEdges--
 		}
@@ -407,28 +382,24 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		// Drop every incident edge. The node itself is the only dirty seed
 		// needed: any ball containing an incident edge, or the node's
 		// label, contains the node.
-		for _, w := range b.out.At(m.Node) {
+		for _, w := range b.out.Row(m.Node) {
 			if w == m.Node {
 				continue
 			}
-			b.ownIn(w)
-			xs, _ := removeSorted(b.in.At(w), m.Node)
+			xs, _ := removeSorted(b.in.Own(w), m.Node)
 			b.in.Set(w, xs)
 		}
-		b.numEdges -= len(b.out.At(m.Node))
-		b.out.Set(m.Node, nil) // replaces the header; the shared row stays intact
-		b.touchedOut[m.Node] = true
-		for _, w := range b.in.At(m.Node) {
+		b.numEdges -= len(b.out.Row(m.Node))
+		b.out.Set(m.Node, nil)
+		for _, w := range b.in.Row(m.Node) {
 			if w == m.Node {
 				continue // the self-loop was already counted once above
 			}
-			b.ownOut(w)
-			xs, _ := removeSorted(b.out.At(w), m.Node)
+			xs, _ := removeSorted(b.out.Own(w), m.Node)
 			b.out.Set(w, xs)
 			b.numEdges--
 		}
 		b.in.Set(m.Node, nil)
-		b.touchedIn[m.Node] = true
 		// Re-label in place: this mutates a shared element, so the whole
 		// label slice goes copy-on-write once per batch.
 		if !b.nodeLblCopied {
@@ -499,7 +470,7 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 
 // ApplyTraced is Apply under a parent span: the batch records one
 // "live.apply" child covering mutation application and version publication
-// (annotated with the header pages the batch copied), and one
+// (annotated with the adjacency pages the batch rebuilt), and one
 // "live.maintain" child per standing query brought current, annotated with
 // the query id, the balls built and the centers the anchor check spared
 // one. A zero parent (the untraced path — Apply delegates here with one)
@@ -527,19 +498,21 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	}
 
 	// Commit the working state and publish.
+	rows := append(b.out.Replaced(), b.in.Replaced()...)
 	s.nodeLbl = b.nodeLbl
-	s.out = b.out.Freeze()
-	s.in = b.in.Freeze()
+	var outPages, inPages int
+	s.out, outPages = b.out.Freeze()
+	s.in, inPages = b.in.Freeze()
 	s.numEdges = b.numEdges
-	ver := s.publishLocked(b)
+	ver := s.publishLocked(b, rows)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
-	hdrPages := b.out.Copied() + b.in.Copied()
+	pages := outPages + inPages
 	if applySp.Recording() {
 		applySp.End(
 			obs.Attr{Key: "mutations", Value: int64(len(muts))},
 			obs.Attr{Key: "version", Value: int64(ver.id)},
-			obs.Attr{Key: "pages_copied", Value: int64(hdrPages)})
+			obs.Attr{Key: "pages_copied", Value: int64(pages)})
 	}
 
 	// Maintain standing queries against the new version.
@@ -554,7 +527,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 		Version:     ver.id,
 		AddedNodes:  b.added,
 		Recomputed:  make(map[int64]int, len(standing)),
-		PagesCopied: hdrPages,
+		PagesCopied: pages,
 		Nodes:       len(s.nodeLbl),
 		Edges:       s.numEdges,
 	}
@@ -587,11 +560,12 @@ func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == 
 // publishLocked freezes the current mutable state — b, just committed — as
 // an immutable version and swaps it in. The version's graph inherits what
 // its predecessor's derived, label ranks and signatures (graph.FromParts),
-// patched over the rows and labels b rewrote — not over its seeds:
+// patched over the adjacency rows b replaced (rows, repeats allowed) and the
+// labels it rewrote — not over its seeds:
 // delete_node seeds only the node, yet every former neighbour lost a row
 // entry, and set_label moves no row, yet changes its neighbours' signatures.
 // Callers hold mu.
-func (s *Store) publishLocked(b *batchState) *Version {
+func (s *Store) publishLocked(b *batchState, rows []int32) *Version {
 	if s.labelsDirty || s.frozen == nil {
 		s.frozen = s.labels.Clone()
 		s.labelsDirty = false
@@ -600,12 +574,6 @@ func (s *Store) publishLocked(b *batchState) *Version {
 	name := s.name
 	if name == "" {
 		name = "live"
-	}
-	rows := slices.Collect(maps.Keys(b.touchedOut))
-	for v := range b.touchedIn {
-		if !b.touchedOut[v] {
-			rows = append(rows, v)
-		}
 	}
 	g := graph.FromParts(s.frozen, s.nodeLbl, s.out, s.in, b.byLabel, s.numEdges,
 		fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), graph.Delta{Rows: rows, Relabelled: b.relabelled})
@@ -620,7 +588,7 @@ func (s *Store) publishLocked(b *batchState) *Version {
 // within radius undirected hops of any seed under the pre-batch or the
 // post-batch adjacency: one multi-source BFS per side, their reach united in
 // a bitset and read back in id order.
-func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn graph.Paged[[]int32]) []int32 {
+func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn graph.CSR) []int32 {
 	s.reach.Reset(s.out.Len())
 	s.sweep(seeds, radius, oldOut, oldIn)
 	s.sweep(seeds, radius, s.out, s.in)
@@ -630,7 +598,7 @@ func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn graph.Page
 // sweep adds to s.reach every node within radius hops of a seed under the
 // given adjacency. Seeds the adjacency does not cover — nodes the batch
 // added, seen from the old side — are skipped.
-func (s *Store) sweep(seeds []int32, radius int, out, in graph.Paged[[]int32]) {
+func (s *Store) sweep(seeds []int32, radius int, out, in graph.CSR) {
 	s.visited.Reset(s.out.Len())
 	q := s.queue[:0]
 	visit := func(w int32) {
@@ -646,10 +614,10 @@ func (s *Store) sweep(seeds []int32, radius int, out, in graph.Paged[[]int32]) {
 	for lo, d := 0, 0; d < radius && lo < len(q); d++ {
 		hi := len(q)
 		for _, v := range q[lo:hi] {
-			for _, w := range out.At(v) {
+			for _, w := range out.Row(v) {
 				visit(w)
 			}
-			for _, w := range in.At(v) {
+			for _, w := range in.Row(v) {
 				visit(w)
 			}
 		}
