@@ -88,10 +88,11 @@ type Scratch struct {
 }
 
 // scratches keeps retired scratches for the next run's workers. A scratch
-// grows to the graph (a bitmap and an int32 per node) and to the largest
-// ball it has met; one per worker per run would have every request allocate
-// and zero all of that again. A worker takes one when it starts and hands it
-// back when it retires, and what sits idle is the collector's to drop.
+// grows to the graph (a few bitmaps, one bit per node each) and to the
+// largest ball it has met; one per worker per run would have every request
+// allocate and zero all of that again. A worker takes one when it starts and
+// hands it back when it retires, and what sits idle is the collector's to
+// drop.
 // Nothing built from a scratch outlives the evaluation that built it, so a
 // scratch carries nothing from one run into the next but its capacity and
 // its counters.

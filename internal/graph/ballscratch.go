@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // BallScratch builds balls into reusable storage, so a worker evaluating
 // thousands of balls stops paying one BFS map, one Builder and one adjacency
@@ -16,18 +19,14 @@ import "slices"
 // (core.EvalPreparedBallIn and everything on top of it) can run on scratch
 // balls unchanged.
 type BallScratch struct {
-	// Dense per-parent-node state, sized to the largest graph seen. seen
-	// holds the nodes the current BFS reached; a build removes exactly those
-	// (by walking reached) before it returns, so the set is empty between
-	// builds and a reset costs O(|ball|), not O(|V|). A bitmap rather than an
-	// int32 epoch stamp because scratches are pooled across runs
-	// (internal/exec): |V|/8 bytes stay in L1 during the BFS and keep a live
-	// scratch at ≈4.1 bytes per graph node instead of 8.
+	// The scratch's only per-parent-node state, sized to the largest graph
+	// seen. seen holds the nodes the current BFS reached; a build removes
+	// exactly those (by walking reached) before it returns, so the set is
+	// empty between builds and a reset costs O(|ball|), not O(|V|). A bitmap
+	// because scratches are pooled across runs (internal/exec): |V|/8 bytes
+	// stay in L1 during the BFS and are all a live scratch holds per graph
+	// node; everything else is sized to the balls it has built.
 	seen NodeSet
-	// slot[v] is meaningful for the members of the current build only: their
-	// BFS distance while the BFS runs, their ball id once re-indexed. It is
-	// never read for any other node, so it needs no clearing.
-	slot []int32
 
 	// reached is the BFS queue: every node within the radius, in discovery
 	// order. members are the reached nodes that receive a ball id (all of
@@ -35,6 +34,13 @@ type BallScratch struct {
 	// BFS; the returned ball's Orig aliases it.
 	reached []int32
 	members []int32
+	// ids maps each member's parent id to its BFS distance, then to its ball
+	// id: an open-addressing table of node<<32 | value entries sized to the
+	// ball (a power of two, at least twice the members), so the lookup a
+	// per-node array would answer costs one hash and a short probe, and the
+	// table costs the ball, not |V|. idShift turns a hash into a position.
+	ids     []uint64
+	idShift uint
 
 	// Reuse accounting (see Stats): builds counts builds, misses counts
 	// builds that had to grow an arena instead of being served entirely from
@@ -64,13 +70,12 @@ type BallScratch struct {
 	rank     []int32
 }
 
-// grow ensures the per-parent-node slices cover g's nodes and the per-label
-// slices its label table, and clears the label index of the previous ball.
-// It reports whether it had to reallocate.
+// grow ensures seen covers g's nodes and the per-label slices its label
+// table, and clears the label index of the previous ball. It reports whether
+// it had to reallocate.
 func (s *BallScratch) grow(g *Graph) (grew bool) {
-	if n := g.NumNodes(); len(s.slot) < n {
+	if n := g.NumNodes(); s.seen.Capacity() < n {
 		s.seen.Reset(n)
-		s.slot = make([]int32, n)
 		grew = true
 	}
 	if labels := g.labels.Len(); len(s.lblRows) < labels {
@@ -86,6 +91,34 @@ func (s *BallScratch) grow(g *Graph) (grew bool) {
 		s.lblCount[lbl] = 0
 	}
 	return grew
+}
+
+// noID marks an empty entry of BallScratch.ids: no node has id -1.
+const noID = ^uint64(0)
+
+// index empties ids for n members.
+func (s *BallScratch) index(n int) {
+	b := bits.Len(uint(2*n - 1))
+	if cap(s.ids) < 1<<b {
+		s.ids = make([]uint64, 1<<b)
+	}
+	s.ids = s.ids[:1<<b]
+	for i := range s.ids {
+		s.ids[i] = noID
+	}
+	s.idShift = 32 - uint(b)
+}
+
+// at returns the position of parent node v in ids: its entry, or the empty
+// one it would take. The hash is Fibonacci hashing (the top bits of v times
+// 2^32/φ), which spreads the clustered ids of a ball over the table.
+func (s *BallScratch) at(v int32) int {
+	mask := len(s.ids) - 1
+	i := int(uint32(v) * 0x9e3779b9 >> s.idShift)
+	for e := s.ids[i]; e != noID && int32(e>>32) != v; e = s.ids[i] {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // Stats returns the cumulative build and arena-miss counts of this scratch:
@@ -118,16 +151,17 @@ func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
 func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet) *Ball {
 	s.builds++
 	grew := s.grow(g)
-	preReached, preMembers := cap(s.reached), cap(s.members)
+	preReached, preMembers, preIDs := cap(s.reached), cap(s.members), cap(s.ids)
 	preTo, preOff, preLbl := cap(s.to[0])+cap(s.to[1]), cap(s.off[0])+cap(s.off[1]), cap(s.lblArena)
 
 	// Undirected BFS over g. The frontier of distance d-1 is the window
 	// reached[lo:hi]; appends during the sweep may move the backing array,
-	// which the captured window survives.
+	// which the captured window survives. Each member's distance is appended
+	// beside it.
 	s.reached = append(s.reached[:0], center)
 	s.members = append(s.members[:0], center)
+	s.dist = append(s.dist[:0], 0)
 	s.seen.Add(center)
-	s.slot[center] = 0
 	lo := 0
 	for d := int32(1); int(d) <= radius && lo < len(s.reached); d++ {
 		hi := len(s.reached)
@@ -139,28 +173,33 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 					}
 					s.reached = append(s.reached, w)
 					if keep == nil || keep.Contains(w) {
-						s.slot[w] = d
 						s.members = append(s.members, w)
+						s.dist = append(s.dist, d)
 					}
 				}
 			}
 		}
 		lo = hi
 	}
-	slices.Sort(s.members)
 
 	// Re-index: ascending parent ids map to ascending ball ids, so the
-	// translated adjacency below stays sorted without re-sorting.
+	// translated adjacency below stays sorted without re-sorting. ids carries
+	// each member's distance across the sort and holds its ball id after.
+	n := len(s.members)
+	s.index(n)
+	for i, v := range s.members {
+		s.ids[s.at(v)] = uint64(v)<<32 | uint64(uint32(s.dist[i]))
+	}
+	slices.Sort(s.members)
 	orig := s.members
-	n := len(orig)
-	s.dist = s.dist[:0]
 	s.nodeLbl = s.nodeLbl[:0]
 	for i, v := range orig {
-		s.dist = append(s.dist, s.slot[v])
-		s.slot[v] = int32(i)
+		j := s.at(v)
+		s.dist[i] = int32(uint32(s.ids[j]))
+		s.ids[j] = uint64(v)<<32 | uint64(i)
 		s.nodeLbl = append(s.nodeLbl, g.nodeLbl[v])
 	}
-	// member reports whether parent node w received a ball id (then slot[w]).
+	// member reports whether parent node w received a ball id (then in ids).
 	member := func(w int32) bool {
 		return s.seen.Contains(w) && (keep == nil || w == center || keep.Contains(w))
 	}
@@ -177,7 +216,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 				off = append(off, int32(len(to)-t))
 				for _, w := range adj.Row(v) {
 					if member(w) {
-						to = append(to, s.slot[w])
+						to = append(to, int32(uint32(s.ids[s.at(w)])))
 					}
 				}
 			}
@@ -186,7 +225,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		}
 		s.pages[d], s.off[d], s.to[d] = pages, off, to
 	}
-	centerID := s.slot[center]
+	centerID := int32(uint32(s.ids[s.at(center)]))
 	for _, v := range s.reached {
 		s.seen.Remove(v)
 	}
@@ -231,7 +270,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		Orig:   orig,
 		Dist:   s.dist,
 	}
-	if grew || cap(s.reached) != preReached || cap(s.members) != preMembers ||
+	if grew || cap(s.reached) != preReached || cap(s.members) != preMembers || cap(s.ids) != preIDs ||
 		cap(s.to[0])+cap(s.to[1]) != preTo || cap(s.off[0])+cap(s.off[1]) != preOff || cap(s.lblArena) != preLbl {
 		s.misses++
 	}

@@ -77,19 +77,27 @@ func sameBall(t *testing.T, want, got *Ball, ctx string) {
 
 // TestBallScratchMatchesNewBall reuses one scratch across many centers,
 // radii and graphs and demands every build be observably identical to a
-// fresh NewBall — the property the whole exec pipeline rests on.
+// fresh NewBall — the property the whole exec pipeline rests on. The
+// 700-node graph comes after smaller ones, so the scratch must grow its seen
+// set past the capacity it was warmed to, and builds balls of more than one
+// adjacency page.
 func TestBallScratchMatchesNewBall(t *testing.T) {
 	var s BallScratch
 	for _, tc := range []struct{ n, e, labels int }{
-		{1, 0, 1}, {30, 25, 3}, {200, 600, 5}, {120, 80, 2},
+		{1, 0, 1}, {30, 25, 3}, {200, 600, 5}, {700, 1800, 6}, {120, 80, 2},
 	} {
 		g := randomGraph(tc.n, tc.e, tc.labels, int64(tc.n)*7+int64(tc.e))
+		multiPage := false
 		for radius := 0; radius <= 4; radius++ {
 			for center := int32(0); center < int32(g.NumNodes()); center += 7 {
 				want := NewBall(g, center, radius)
 				got := s.Build(g, center, radius)
 				sameBall(t, want, got, fmt.Sprintf("n=%d e=%d r=%d c=%d", tc.n, tc.e, radius, center))
+				multiPage = multiPage || got.NumNodes() > pageSize
 			}
+		}
+		if tc.n > pageSize && !multiPage {
+			t.Fatalf("n=%d: no ball spans more than one %d-node page", tc.n, pageSize)
 		}
 	}
 }

@@ -159,8 +159,8 @@ func (im versionImage) check(t *testing.T, when string) {
 	}
 }
 
-// TestStoreVersionsAreImmutable: versions share pages of row headers, rows,
-// signature rows and label tables, and none of it may move under a reader.
+// TestStoreVersionsAreImmutable: versions share adjacency pages, signature
+// rows and label tables, and none of it may move under a reader.
 // 1 020 nodes (two pages); batches add nodes across the boundary into a third
 // page, delete a hub whose neighbours span all pages, fail midway after
 // writing into several pages, and relabel — after each, every earlier
@@ -186,8 +186,8 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 	registered := first.Len()
 
 	images := []versionImage{imageOf(s.Current())}
-	// maxPages bounds what the batch may copy, of the 3 pages each of
-	// out-headers and in-headers; 0 expects the batch to fail.
+	// maxPages bounds what the batch may copy, of the 3 adjacency pages in
+	// each direction; 0 expects the batch to fail.
 	step := func(name string, muts []Mutation, maxPages int) {
 		t.Helper()
 		wantErr := maxPages == 0
