@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -174,12 +175,17 @@ func outcomeForCode(code string) string {
 }
 
 // digest fingerprints a match request's query shape — pattern source
-// plus the option fields that change what work runs — as 16 hex chars of
-// FNV-1a, so flight-recorder entries group by shape without carrying whole
-// patterns.
+// plus the option fields that change what work runs (canonical mode,
+// radius, limit, top_k, metric) — as 16 hex chars of FNV-1a, so
+// flight-recorder entries group by shape without carrying whole patterns.
 func (req *MatchRequest) digest() string {
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, req.Query.Mode)
+	q := &req.Query
+	metric := q.Metric
+	if metric == "" {
+		metric = MetricDefault
+	}
+	_, _ = fmt.Fprintf(h, "%s|%d|%d|%d|%s", q.mode(), q.Radius, q.Limit, q.TopK, metric)
 	if req.PatternText != "" {
 		_, _ = io.WriteString(h, "|t|"+req.PatternText)
 	} else if req.Pattern != nil {

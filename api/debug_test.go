@@ -312,6 +312,18 @@ func TestDebugRecorderParity(t *testing.T) {
 	if recent[0].Digest == "" || len(recent) > 1 && recent[0].Digest != recent[1].Digest {
 		t.Errorf("same-shape queries got digests %q and %q", recent[0].Digest, recent[1].Digest)
 	}
+	// The shape is the work that runs: a mode alias is the same shape, a
+	// different radius is not.
+	digest := func(spec QuerySpec) string {
+		req := MatchRequest{PatternText: graph.FormatString(q), Query: spec}
+		return req.digest()
+	}
+	if a, b := digest(QuerySpec{Mode: "match"}), digest(QuerySpec{}); a != b {
+		t.Errorf("mode aliases \"match\" and \"\" got digests %q and %q", a, b)
+	}
+	if a, b := digest(QuerySpec{Radius: 1}), digest(QuerySpec{Radius: 3}); a == b {
+		t.Errorf("radius 1 and radius 3 share digest %q", a)
+	}
 }
 
 // TestDebugSlowQueryLog wires the slow-query pipeline end to end through the

@@ -33,9 +33,8 @@ func matchStats(t *testing.T, url, pattern string, noPlan bool) *MatchResponse {
 }
 
 // TestPlanQueryStatsAndNoPlan drives the immutable server's default-on
-// planner: the first query misses and reports its pruning counters, the
-// repeat hits, and no_plan pins the unplanned engine (no plan fields at
-// all) while serving identical matches.
+// planner: the first query misses, the repeat hits, and no_plan pins the
+// uncached engine (no plan_cache field) while serving identical matches.
 func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	g := generator.Synthetic(400, 1.2, 10, 91)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 92})
@@ -43,7 +42,7 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	pattern := graph.FormatString(q)
 
 	control := matchStats(t, ts.URL, pattern, true)
-	if control.QueryStats.PlanCache != "" || control.QueryStats.PlanCandidatesBefore != 0 {
+	if control.QueryStats.PlanCache != "" {
 		t.Fatalf("no_plan query reported planner stats: %+v", control.QueryStats)
 	}
 
@@ -51,12 +50,9 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	if first.QueryStats.PlanCache != "miss" {
 		t.Fatalf("first planned query plan_cache = %q", first.QueryStats.PlanCache)
 	}
-	if first.QueryStats.PlanCandidatesBefore <= 0 {
-		t.Fatalf("planned query did not report candidates: %+v", first.QueryStats)
-	}
-	if qs := first.QueryStats; qs.PlanPrunedAnchor <= 0 ||
-		qs.CandidateCenters != qs.PlanCandidatesBefore-qs.PlanPrunedDegree-qs.PlanPrunedAnchor {
-		t.Fatalf("the two pruned-by counts do not explain the centers left: %+v", qs)
+	if first.QueryStats.CandidateCenters != control.QueryStats.CandidateCenters {
+		t.Fatalf("the cache changed the filter: %d centers planned, %d not",
+			first.QueryStats.CandidateCenters, control.QueryStats.CandidateCenters)
 	}
 
 	second := matchStats(t, ts.URL, pattern, false)
@@ -72,7 +68,8 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 		}
 	}
 
-	// The planner counters surface on /v1/metrics.
+	// The cache counters surface on /v1/metrics; the query path's pruning
+	// counters are gone with its prune stage.
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +77,14 @@ func TestPlanQueryStatsAndNoPlan(t *testing.T) {
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	for _, metric := range []string{"plan_cache_hits_total", "plan_candidates_before_total", "plan_pruned_anchor_total", "plan_cache_entries"} {
+	for _, metric := range []string{"plan_cache_hits_total", "plan_cache_entries"} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("/v1/metrics missing %s", metric)
+		}
+	}
+	for _, metric := range []string{"plan_candidates_", "plan_pruned_"} {
+		if strings.Contains(buf.String(), metric) {
+			t.Errorf("/v1/metrics still exposes %s*", metric)
 		}
 	}
 }

@@ -91,8 +91,8 @@ func (c Config) withDefaults() Config {
 
 // NewServer serves the /v1 protocol over one prepared engine — the
 // read-only deployment shape. See the package comment for the route tree.
-// The graph is immutable, so the full query planner applies: candidate
-// pruning and the match-result cache, whose one version never changes.
+// The graph is immutable, so the match-result cache's one version never
+// changes.
 func NewServer(e *engine.Engine, cfg Config) http.Handler {
 	s := &server{
 		engine:  func() *engine.Engine { return e },
@@ -445,7 +445,7 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request, stream bool) (*
 		return nil, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err)
 	}
 	if !spec.NoPlan {
-		q.Opts.Planner = s.planner // streaming bypasses the cache: pruning only
+		q.Opts.Planner = s.planner // only an unlimited, unranked Match uses it
 	}
 	// Up front, not left to the engine: a stream commits its 200 before the
 	// engine could object, and a fan-out needs dQ to bound the ball radius.

@@ -7,10 +7,12 @@ import (
 	"repro/internal/engine"
 )
 
-// Query modes. Plain is the paper's Fig. 3 Match; Plus enables every
-// Match+ optimization (query minimization, the dual-simulation filter,
-// connectivity pruning). The pre-/v1 spellings "match" and "match+" are
-// accepted for migration.
+// Query modes. Both answer the same matches (Match+ ≡ Match) and both run
+// the global dual-simulation filter (Fig. 5), which is sound for plain Match
+// because a dual simulation on a ball is one on G (Proposition 1). Plain
+// stops there; Plus adds Match+'s query minimization (minQ, Fig. 4) and
+// connectivity pruning (Section 4.2). The pre-/v1 spellings "match" and
+// "match+" are accepted for migration.
 const (
 	ModePlain = "plain"
 	ModePlus  = "plus"
@@ -55,11 +57,22 @@ type QuerySpec struct {
 	// marker instead of failing with CodeShardUnavailable. Single-node
 	// servers ignore it (their responses are always complete).
 	AllowPartial bool `json:"allow_partial,omitempty"`
-	// NoPlan bypasses the server's query planner for this request: no
-	// candidate pruning, no result cache — the escape hatch for debugging
-	// and for parity checks (a planned and an unplanned query answer with
-	// identical matches; only query_stats accounting differs).
+	// NoPlan bypasses the server's result cache for this request — the
+	// escape hatch for debugging and for parity checks (a cached and an
+	// uncached answer carry identical matches).
 	NoPlan bool `json:"no_plan,omitempty"`
+}
+
+// mode returns the canonical spelling of s.Mode: ModePlain for "", "plain"
+// and "match", ModePlus for "plus" and "match+", and anything else as given.
+func (s QuerySpec) mode() string {
+	switch s.Mode {
+	case "", ModePlain, "match":
+		return ModePlain
+	case ModePlus, "match+":
+		return ModePlus
+	}
+	return s.Mode
 }
 
 // MetricByName resolves a wire metric name to its ranking function.
@@ -81,12 +94,13 @@ func MetricByName(name string) (core.Metric, error) {
 // Compile validates the spec and lowers it to the engine's query options
 // and ranking metric. Errors are suitable for an invalid_query response.
 func (s QuerySpec) Compile() (engine.QueryOptions, core.Metric, error) {
-	var opts engine.QueryOptions
-	switch s.Mode {
-	case "", ModePlain, "match":
-		// plain Fig. 3 Match
-	case ModePlus, "match+":
-		opts = engine.PlusQuery()
+	// Both modes start from Match+, whose DualFilter stays set: the engine
+	// ignores it, but bench/ replays and keys the cache by it.
+	opts := engine.PlusQuery()
+	switch s.mode() {
+	case ModePlain:
+		opts.MinimizeQuery, opts.ConnectivityPruning = false, false
+	case ModePlus:
 	default:
 		return opts, nil, fmt.Errorf("unknown mode %q (want %q or %q)", s.Mode, ModePlain, ModePlus)
 	}

@@ -282,15 +282,10 @@ type QueryStatsJSON struct {
 	FilterMS         float64 `json:"filter_ms"`
 	EvalMS           float64 `json:"eval_ms"`
 	MergeMS          float64 `json:"merge_ms"`
-	// Planner accounting, present only on planned queries (the default;
-	// absent with "no_plan": true or on unplanned paths). The pruning
-	// counters report the candidate centers entering the planner's filters
-	// and how many each filter removed; plan_cache is the result-cache
-	// outcome of an unlimited match: "hit", "contained" or "miss".
-	PlanCandidatesBefore int    `json:"plan_candidates_before,omitempty"`
-	PlanPrunedDegree     int    `json:"plan_pruned_degree,omitempty"`
-	PlanPrunedAnchor     int    `json:"plan_pruned_anchor,omitempty"`
-	PlanCache            string `json:"plan_cache,omitempty"`
+	// PlanCache is the result-cache outcome of an unlimited match: "hit",
+	// "contained" or "miss". It is absent when the cache was not consulted
+	// ("no_plan": true, a limit, top_k or a stream).
+	PlanCache string `json:"plan_cache,omitempty"`
 }
 
 // FromQueryStats serializes a query record's flat statistics.
@@ -305,11 +300,7 @@ func FromQueryStats(qs *obs.Stats) *QueryStatsJSON {
 		FilterMS:         ms(qs.Filter),
 		EvalMS:           ms(qs.Eval),
 		MergeMS:          ms(qs.Merge),
-
-		PlanCandidatesBefore: qs.PlanCandidatesBefore,
-		PlanPrunedDegree:     qs.PlanPrunedDegree,
-		PlanPrunedAnchor:     qs.PlanPrunedAnchor,
-		PlanCache:            qs.PlanCacheOutcome,
+		PlanCache:        qs.PlanCacheOutcome,
 	}
 }
 

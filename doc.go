@@ -35,9 +35,10 @@
 //     allocate per ball; core, engine (and live through it), approx and
 //     distributed all schedule through it
 //   - internal/engine: the serving layer — prepared snapshots (frozen
-//     labels, candidate centers, pruning index), a concurrent query engine
-//     with worker-pool ball evaluation, context cancellation, streaming,
-//     top-k early termination and radius-sharing batches
+//     labels, version), a concurrent query engine that runs every query
+//     behind the global dual-simulation filter, with worker-pool ball
+//     evaluation, context cancellation, streaming and top-k early
+//     termination
 //   - internal/live: the dynamic-graph layer — a mutable versioned store
 //     (copy-on-write views, atomic update batches, tombstoned deletions)
 //     with incrementally maintained standing queries, served over HTTP by

@@ -217,9 +217,12 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 	if global != nil && !opts.ConnectivityPruning {
 		// Proposition 5: only border nodes can have lost support to the
 		// ball cut; everything else is revalidated transitively.
-		for _, b := range ball.BorderNodes() {
+		for b := range ball.Dist {
+			if !ball.IsBorder(int32(b)) {
+				continue
+			}
 			for u := int32(0); u < int32(q.NumNodes()); u++ {
-				refiner.EnqueueSuspect(u, b)
+				refiner.EnqueueSuspect(u, int32(b))
 			}
 		}
 	} else {

@@ -142,14 +142,17 @@ func BenchmarkMatchPlain(b *testing.B) { benchMatch(b, Options{}) }
 func BenchmarkMatchPlus(b *testing.B)  { benchMatch(b, PlusOptions()) }
 
 // TestQuickAllVariantsAgree is the central correctness property: every
-// optimization combination returns exactly the plain algorithm's Θ.
+// optimization combination returns exactly the plain algorithm's Θ, at a
+// radius override drawn from 1..dQ+2 as well as at dQ.
 func TestQuickAllVariantsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		labels := graph.NewLabels()
 		q := randomConnectedPattern(rng, labels, 2+rng.Intn(4))
 		g := randomData(rng, labels, 5+rng.Intn(30))
-		base, err := MatchWith(q, g, Options{Workers: 1})
+		dq, _ := graph.Diameter(q)
+		radius := 1 + rng.Intn(dq+2)
+		base, err := MatchWith(q, g, Options{Workers: 1, Radius: radius})
 		if err != nil {
 			return false
 		}
@@ -160,6 +163,7 @@ func TestQuickAllVariantsAgree(t *testing.T) {
 			{DualFilter: true, ConnectivityPruning: true},
 			PlusOptions(),
 		} {
+			opts.Radius = radius
 			res, err := MatchWith(q, g, opts)
 			if err != nil || !resultsEqual(base, res) {
 				return false

@@ -1,12 +1,14 @@
 // Package engine is the serving layer over the paper's Match algorithm: a
 // concurrent strong-simulation query engine. It wraps an immutable data
-// graph as a prepared Snapshot (frozen label table, candidate centers per
-// pattern label, the planner's pruning index) and evaluates queries
-// by fanning per-ball work — the embarrassingly parallel loop of Fig. 3 —
-// across a worker pool, with context cancellation, early termination and
-// result streaming. The per-ball evaluation itself is core.EvalPreparedBallIn,
-// so the engine returns exactly the perfect subgraphs of core.MatchWith under
-// the same options.
+// graph as a prepared Snapshot (the graph, its frozen label table and its
+// version) and evaluates queries by fanning per-ball work — the
+// embarrassingly parallel loop of Fig. 3 — across a worker pool, with context
+// cancellation, early termination and result streaming. Every query takes
+// the global dual-simulation filter (Fig. 5): a dual simulation on a ball is
+// one on G (Proposition 1), so the filter is sound for plain Match too and
+// Match+ ≡ Match. The per-ball evaluation itself is core.EvalPreparedBallIn,
+// so the engine returns exactly the perfect subgraphs of core.MatchWith, and
+// the whole Result of core.MatchWith with DualFilter set.
 //
 // See DESIGN.md for the architecture and cmd/strongsimd for the HTTP server
 // built on top.
@@ -63,16 +65,18 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap }
 func (e *Engine) Workers() int { return e.workers }
 
 // QueryOptions configure one query. The zero value is the paper's plain
-// Match; PlusQuery enables every Match+ optimization.
+// Match behind the global dual-simulation filter; PlusQuery adds Match+'s
+// other two optimizations.
 type QueryOptions struct {
 	// Radius overrides the ball radius; 0 uses the pattern diameter dQ.
 	Radius int
 	// MinimizeQuery runs minQ (Fig. 4) first, keeping the original
 	// diameter as the radius.
 	MinimizeQuery bool
-	// DualFilter computes dual simulation once on the whole data graph,
-	// skips centers it leaves unmatched, and refines balls from their
-	// border only (Fig. 5).
+	// DualFilter is ignored: every query takes the global dual-simulation
+	// filter (Fig. 5).
+	//
+	// Deprecated: the engine always filters; kept only because bench/ reads it.
 	DualFilter bool
 	// ConnectivityPruning drops ball candidates not connected to the
 	// center through candidates (Section 4.2).
@@ -89,12 +93,11 @@ type QueryOptions struct {
 	// only after the query has finished (after Match returns, or after
 	// Stream.Wait).
 	Trace *obs.QueryStats
-	// Planner, when non-nil, enables query planning: candidate-center
-	// pruning against the snapshot's pruning index on every execution path,
-	// and — for unlimited Match — the match-result cache.
-	// Planning never changes the served subgraphs; only stats accounting
-	// (the BallsSkipped/BallsExamined split) reflects the pruned work. The
-	// zero value keeps the historical execution byte for byte.
+	// Planner, when non-nil, lets an unlimited Match use the planner's
+	// match-result cache: an exact hit is served without evaluation, a
+	// contained query evaluates only inside the containing entry's centers.
+	// Other execution paths ignore it. Caching never changes the served
+	// subgraphs.
 	Planner *plan.Planner
 }
 
@@ -103,11 +106,13 @@ func PlusQuery() QueryOptions {
 	return QueryOptions{MinimizeQuery: true, DualFilter: true, ConnectivityPruning: true}
 }
 
+// coreOptions are the core.Options whose Result the engine reproduces:
+// DualFilter is always on.
 func (o QueryOptions) coreOptions() core.Options {
 	return core.Options{
 		Radius:              o.Radius,
 		MinimizeQuery:       o.MinimizeQuery,
-		DualFilter:          o.DualFilter,
+		DualFilter:          true,
 		ConnectivityPruning: o.ConnectivityPruning,
 	}
 }
@@ -117,14 +122,13 @@ type preparedQuery struct {
 	qEff    *graph.Graph // pattern actually matched (minimized or original)
 	classOf []int32      // original pattern node -> qEff node (minimization only)
 	radius  int
-	global  simulation.Relation // dual-filter relation, nil when disabled
+	global  simulation.Relation // the global dual-simulation relation
 	centers []int32             // viable ball centers, ascending
 	stats   core.Stats          // prefilter accounting (skipped centers, minQ size)
 	done    bool                // query already answered (dual filter found Q ⊀D G)
 	// cand holds every data node that can be a candidate of some pattern
-	// node in any ball — the global relation's matches, or the nodes
-	// carrying a pattern label — taken before plan pruning thins centers.
-	// Balls are built restricted to it.
+	// node in any ball: the global relation's matches. Balls are built
+	// restricted to it.
 	cand *graph.NodeSet
 	// scratch owns global, cand and centers; the query's entry point releases
 	// it once the last ball has been evaluated.
@@ -139,11 +143,11 @@ func (p *preparedQuery) release() {
 }
 
 // prepare validates the pattern and runs the per-query precomputation:
-// minimization, the global dual-simulation filter, and center candidate
-// selection against the snapshot's label index. A dead ctx is observed
-// between the phases and inside the full-graph dual simulation, so cancelled
-// requests shed their heaviest precomputation instead of running it to
-// completion. The caller releases the returned query when it is done with it.
+// minimization, then the global dual-simulation filter, whose matches are the
+// query's candidate nodes and viable centers. A dead ctx is observed between
+// the phases and inside the full-graph dual simulation, so cancelled requests
+// shed their heaviest precomputation instead of running it to completion.
+// The caller releases the returned query when it is done with it.
 func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions) (*preparedQuery, error) {
 	tr := opts.Trace
 	tr.Begin(obs.StagePrepare) // nil-safe, like every call on the record
@@ -173,55 +177,29 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 
 	g := e.snap.g
 	p.scratch = exec.GetScratch()
-	if opts.DualFilter {
-		rel, ok, err := simulation.DualIn(ctx, p.qEff, g, &p.scratch.Sim)
-		if err != nil {
-			p.release()
-			tr.End("cancelled")
-			return nil, err
-		}
-		if !ok {
-			// Q ⊀D G: no ball can match (Proposition 1).
-			p.release()
-			p.stats.BallsSkipped = g.NumNodes()
-			p.done = true
-			tr.End("")
-			return p, nil
-		}
-		p.global = rel
-		p.cand = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
-	} else {
-		p.cand = g.NodesLabeledInto(p.qEff, &p.scratch.Cand)
-	}
-	if err := ctx.Err(); err != nil {
+	rel, ok, err := simulation.DualIn(ctx, p.qEff, g, &p.scratch.Sim)
+	if err != nil {
 		p.release()
 		tr.End("cancelled")
 		return nil, err
 	}
+	if !ok {
+		// Q ⊀D G: no ball can match (Proposition 1).
+		p.release()
+		p.stats.BallsSkipped = g.NumNodes()
+		p.done = true
+		tr.End("")
+		return p, nil
+	}
+	p.global = rel
+	p.cand = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
 	p.scratch.Centers = p.cand.AppendTo(p.scratch.Centers[:0])
 	p.centers = p.scratch.Centers
-	var pst plan.PruneStats
-	if opts.Planner != nil && len(p.centers) > 0 {
-		// Candidate pruning: every filter is a necessary condition for a
-		// ball match, so dropped centers could not have contributed a
-		// subgraph; they surface as skipped balls in the stats.
-		p.centers = e.snap.PruneIndex().Prune(p.qEff, p.radius, p.centers, &pst)
-		plan.CountPruned(pst)
-	}
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
 	if tr != nil {
 		tr.CandidateCenters = len(p.centers)
-		tr.PlanCandidatesBefore = pst.Before
-		tr.PlanPrunedDegree = pst.PrunedDegree
-		tr.PlanPrunedAnchor = pst.PrunedAnchor
 	}
-	centers := obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))}
-	if opts.Planner == nil {
-		tr.End("", centers)
-	} else {
-		tr.End("", centers, obs.Attr{Key: "pruned_anchor", Value: int64(pst.PrunedAnchor)},
-			obs.Attr{Key: "anchor_entries", Value: int64(pst.AnchorEntries)})
-	}
+	tr.End("", obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))})
 	return p, nil
 }
 
@@ -285,10 +263,10 @@ func spanStatus(err error) string {
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
 // on the engine's worker pool: the ball Ĝ[c, radius] is built into the
-// worker's scratch restricted to Snapshot.CandidateCenters(q), as a plain
-// Match builds it, and is run through
+// worker's scratch restricted to the nodes carrying a pattern label, as
+// core.Match builds it, and is run through
 // core.EvalPreparedBallIn with zero options and no global relation — exactly
-// the per-center work of a plain Match restricted to the given centers.
+// the per-center work of core.Match restricted to the given centers.
 // report is called on the calling goroutine with the center's index in
 // centers and its maximum perfect subgraph (nil when the ball has none), in
 // worker completion order.
@@ -337,8 +315,9 @@ func foldStats(dst *core.Stats, src core.Stats) {
 
 // Match runs one query to completion and returns the full canonical result —
 // byte-for-byte the Result that core.MatchWith produces for the same pattern
-// and options (same subgraphs, same dedup tie-breaking toward the smallest
-// center, same ordering, same stats), just evaluated against the snapshot
+// under opts.coreOptions(), the same options with DualFilter on (same
+// subgraphs, same dedup tie-breaking toward the smallest center, same
+// ordering, same stats), just evaluated against the snapshot
 // with this engine's worker pool. It honors ctx: when the context is
 // cancelled or its deadline passes mid-run, Match returns ctx's error.
 func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (*core.Result, error) {

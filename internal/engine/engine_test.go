@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -43,10 +42,13 @@ func mustCoreMatch(t testing.TB, q, g *graph.Graph, opts core.Options) *core.Res
 }
 
 // TestMatchParityWithCore checks the engine returns byte-for-byte the result
-// of core.MatchWith — subgraphs, relations, dedup tie-breaking and stats —
-// for plain Match and for Match+, at several worker counts.
+// of core.MatchWith with the global filter on — subgraphs, relations, dedup
+// tie-breaking and stats — for plain Match and for Match+, at several worker
+// counts and radii, and that every row's subgraphs are those of the paper's
+// unfiltered Match (Match+ ≡ Match at every radius).
 func TestMatchParityWithCore(t *testing.T) {
 	q, g := testWorkload(t, 600, 3)
+	dq, _ := graph.Diameter(q)
 	cases := []struct {
 		name string
 		opts QueryOptions
@@ -56,40 +58,54 @@ func TestMatchParityWithCore(t *testing.T) {
 		{"dualFilterOnly", QueryOptions{DualFilter: true}},
 		{"pruningOnly", QueryOptions{ConnectivityPruning: true}},
 		{"radiusOverride", QueryOptions{Radius: 1}},
+		{"radiusAboveDiameter", QueryOptions{Radius: dq + 1}},
 	}
 	for _, workers := range []int{1, 4} {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				want := mustCoreMatch(t, q, g, tc.opts.coreOptions())
+				want := mustCoreMatch(t, q, g, core.Options{Radius: tc.opts.Radius, MinimizeQuery: tc.opts.MinimizeQuery,
+					DualFilter: true, ConnectivityPruning: tc.opts.ConnectivityPruning})
 				e := New(g, Config{Workers: workers})
 				got := mustMatch(t, e, q, tc.opts)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("workers=%d: engine result diverges from core.MatchWith\n got: %d subgraphs, stats %+v\nwant: %d subgraphs, stats %+v",
 						workers, got.Len(), got.Stats, want.Len(), want.Stats)
 				}
+				plain := mustCoreMatch(t, q, g, core.Options{Radius: tc.opts.Radius})
+				if !reflect.DeepEqual(got.Subgraphs, plain.Subgraphs) {
+					t.Errorf("workers=%d: engine subgraphs diverge from unfiltered core.Match: %d vs %d",
+						workers, got.Len(), plain.Len())
+				}
 			})
 		}
 	}
 }
 
-// BenchmarkMatch is one plain-mode Match at NumCPU workers, the production
-// configuration of cmd/strongsimd: a 6-node sampled pattern over a 5000-node
-// synthetic graph with 50 labels, the snapshot prepared once.
+// BenchmarkMatch is one Match per mode at one worker: a 6-node sampled
+// pattern over a 5000-node synthetic graph with 50 labels, the snapshot
+// prepared once.
 func BenchmarkMatch(b *testing.B) {
 	g := generator.Synthetic(5000, 1.2, 50, 7)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 6, Alpha: 1.2, Seed: 9})
-	e := New(g, Config{Workers: runtime.NumCPU()})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Match(context.Background(), q, QueryOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	e := New(g, Config{Workers: 1})
+	for _, mode := range []struct {
+		name string
+		opts QueryOptions
+	}{{"plain", QueryOptions{}}, {"plus", PlusQuery()}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Match(context.Background(), q, mode.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// TestMatchNoMatchPattern exercises both prefilter paths on a pattern whose
-// label exists nowhere in the data graph.
+// TestMatchNoMatchPattern runs a pattern whose label exists nowhere in the
+// data graph, with and without the deprecated DualFilter option (the engine
+// filters either way).
 func TestMatchNoMatchPattern(t *testing.T) {
 	_, g := testWorkload(t, 200, 5)
 	b := graph.NewBuilder(g.Labels().Clone())

@@ -45,12 +45,9 @@ func (e *Engine) planLookup(q *graph.Graph, opts QueryOptions) *cacheCtx {
 		radius = dq
 	}
 	canon, perm := plan.Canon(q)
-	mode := 0
+	mode := 2 // the dual-filter bit: every query takes the global filter
 	if opts.MinimizeQuery {
 		mode |= 1
-	}
-	if opts.DualFilter {
-		mode |= 2
 	}
 	if opts.ConnectivityPruning {
 		mode |= 4

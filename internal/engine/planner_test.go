@@ -23,10 +23,10 @@ func planned(opts QueryOptions, p *plan.Planner, tr *obs.QueryStats) QueryOption
 
 // TestPlannerParityProperty is the planner's correctness bar: across graph
 // sizes, densities, label counts, radii and both query modes, a planner-on
-// Match answers byte-identically to the planner-off engine — on the
-// cache-miss first run AND on the cache-hit repeat. Two labels on a dense
-// graph is where the anchor check passes most centers and unfolds deepest;
-// 200 labels is where it prunes nearly all of them.
+// Match answers byte-identically to the paper's unfiltered core.Match — on
+// the cache-miss first run AND on the cache-hit repeat. Two labels on a
+// dense graph is where the global filter keeps most centers; 200 labels is
+// where it drops nearly all of them.
 func TestPlannerParityProperty(t *testing.T) {
 	type setting struct {
 		n      int
@@ -70,7 +70,7 @@ func TestPlannerParityProperty(t *testing.T) {
 				{"plus", func() QueryOptions { o := PlusQuery(); o.Radius = radius; return o }()},
 			} {
 				where := fmt.Sprintf("n=%d alpha=%.1f labels=%d r=%d %s", n, alpha, s.labels, radius, mode.name)
-				want := mustMatch(t, e, q, mode.opts)
+				want := mustCoreMatch(t, q, g, core.Options{Radius: radius})
 				p := plan.NewPlanner()
 
 				var tr1 obs.QueryStats
@@ -81,9 +81,6 @@ func TestPlannerParityProperty(t *testing.T) {
 				if tr1.PlanCacheOutcome != plan.OutcomeMiss {
 					t.Fatalf("%s: first run outcome = %q", where, tr1.PlanCacheOutcome)
 				}
-				if pruned := tr1.PlanPrunedDegree + tr1.PlanPrunedAnchor; tr1.CandidateCenters != tr1.PlanCandidatesBefore-pruned {
-					t.Fatalf("%s: %d centers left of %d with %d pruned", where, tr1.CandidateCenters, tr1.PlanCandidatesBefore, pruned)
-				}
 
 				var tr2 obs.QueryStats
 				hit := mustMatch(t, e, q, planned(mode.opts, p, &tr2))
@@ -93,8 +90,8 @@ func TestPlannerParityProperty(t *testing.T) {
 				if tr2.PlanCacheOutcome != plan.OutcomeHit {
 					t.Fatalf("%s: second run outcome = %q, want hit", where, tr2.PlanCacheOutcome)
 				}
-				if tr2.PlanCandidatesBefore != 0 {
-					t.Fatalf("%s: hit path ran the prefilter (before=%d)", where, tr2.PlanCandidatesBefore)
+				if tr2.CandidateCenters != 0 {
+					t.Fatalf("%s: hit path ran the filter (%d centers)", where, tr2.CandidateCenters)
 				}
 			}
 		}
@@ -128,7 +125,7 @@ edge d6 d2
 	p := plan.NewPlanner()
 	mustMatch(t, e, q1, planned(QueryOptions{}, p, nil))
 
-	want := mustMatch(t, e, q2, QueryOptions{})
+	want := mustCoreMatch(t, q2, g, core.Options{})
 	var tr obs.QueryStats
 	got := mustMatch(t, e, q2, planned(QueryOptions{}, p, &tr))
 	if tr.PlanCacheOutcome != plan.OutcomeHit {
@@ -145,7 +142,7 @@ edge d6 d2
 func TestPlannerContainedParity(t *testing.T) {
 	labels := graph.NewLabels()
 	// Several A->B sites, one of which also hosts the two-source shape, plus
-	// label-matching noise that pruning and containment must not misjudge.
+	// label-matching noise that the filter and containment must not misjudge.
 	g := graph.MustParse(`
 node d0 A
 node d1 B
@@ -186,7 +183,7 @@ edge d7 d5
 
 		optsSmall := mode.opts
 		optsSmall.Radius = 1
-		want := mustMatch(t, e, qSmall, optsSmall)
+		want := mustCoreMatch(t, qSmall, g, core.Options{Radius: 1})
 		var tr obs.QueryStats
 		got := mustMatch(t, e, qSmall, planned(optsSmall, p, &tr))
 		if tr.PlanCacheOutcome != plan.OutcomeContained {
@@ -205,8 +202,8 @@ edge d7 d5
 // it was computed on. Two snapshots of one graph stand in for consecutive
 // live-store versions. Once a query has reached v2, the v1 entry is gone:
 // the query misses, then hits, and a reader still on v1 misses too without
-// displacing v2's entry — every answer byte-identical to the unplanned
-// engine's.
+// displacing v2's entry — every answer byte-identical to the paper's
+// unfiltered core.Match.
 func TestPlannerVersionParity(t *testing.T) {
 	q, g := testWorkload(t, 300, 11)
 	for _, mode := range []struct {
@@ -219,7 +216,7 @@ func TestPlannerVersionParity(t *testing.T) {
 		v1, v2 := New(g, Config{Workers: 2}), New(g, Config{Workers: 2})
 		v1.Snapshot().SetVersion(1)
 		v2.Snapshot().SetVersion(2)
-		want := mustMatch(t, v1, q, mode.opts)
+		want := mustCoreMatch(t, q, g, core.Options{})
 		p := plan.NewPlanner()
 		mustMatch(t, v1, q, planned(mode.opts, p, nil))
 
@@ -238,7 +235,7 @@ func TestPlannerVersionParity(t *testing.T) {
 				t.Fatalf("%s step %d: outcome = %q, want %q", mode.name, i, tr.PlanCacheOutcome, step.outcome)
 			}
 			if !reflect.DeepEqual(want.Subgraphs, got.Subgraphs) {
-				t.Fatalf("%s step %d: planned subgraphs differ from unplanned", mode.name, i)
+				t.Fatalf("%s step %d: planned subgraphs differ from core.Match", mode.name, i)
 			}
 		}
 	}
@@ -274,7 +271,7 @@ func TestPlannerEmptyResultCached(t *testing.T) {
 //   - hit path: O(result) — a cached answer must not allocate per ball or
 //     per graph node, only the constant lookup machinery (canon, key,
 //     result envelope).
-//   - miss path: pruning plus store add O(pattern + result) on top of the
+//   - miss path: canon plus store add O(pattern + result) on top of the
 //     planner-off execution — nothing that scales with the evaluated balls.
 func TestPlannerAllocs(t *testing.T) {
 	q, g := testWorkload(t, 800, 7)
@@ -290,8 +287,8 @@ func TestPlannerAllocs(t *testing.T) {
 		return res
 	}
 
-	// Warm snapshot-level lazies (label index, prune index, ball arenas) so
-	// they don't bill the measured runs.
+	// Warm the scratch pool (relation bitsets, ball arenas) so it doesn't
+	// bill the measured runs.
 	warmPlanner := plan.NewPlanner()
 	for i := 0; i < 50; i++ {
 		run(opts)
@@ -318,9 +315,8 @@ func TestPlannerAllocs(t *testing.T) {
 		t.Errorf("cache hit allocates %.0f/op vs %.0f planner-off — not O(result)", hit, base)
 	}
 	// The miss path re-runs the full evaluation plus canon/store overhead.
-	// The overhead is constant-ish in the ball count; pruning can only
-	// remove per-ball allocations, so a generous constant catches any
-	// per-ball regression.
+	// The overhead is constant-ish in the ball count, so a generous constant
+	// catches any per-ball regression.
 	if miss > base+150 {
 		t.Errorf("cache miss allocates %.0f/op vs %.0f planner-off — per-ball overhead crept in", miss, base)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Snapshot is a query-ready view of one immutable data graph: the graph
-// itself, its frozen label table, and the planner's handle on it. One
+// itself, its frozen label table and its live-store version. One
 // Snapshot is safe for any number of concurrent queries; everything mutable
 // behind it is copied per request (label tables handed to ParsePattern).
 //
@@ -25,13 +25,11 @@ type Snapshot struct {
 	// for standalone immutable graphs. The query planner keys cached match
 	// results by it.
 	version atomic.Uint64
-
-	ix *plan.Index
 }
 
 // NewSnapshot prepares g for querying.
 func NewSnapshot(g *graph.Graph) *Snapshot {
-	return &Snapshot{g: g, ix: plan.NewIndex(g)}
+	return &Snapshot{g: g}
 }
 
 // Graph returns the underlying data graph.
@@ -46,9 +44,12 @@ func (s *Snapshot) SetVersion(v uint64) { s.version.Store(v) }
 // graph is not backed by a live store).
 func (s *Snapshot) Version() uint64 { return s.version.Load() }
 
-// PruneIndex returns the planner's candidate-pruning index over the
-// snapshot's graph, whose signatures the graph carries from its construction.
-func (s *Snapshot) PruneIndex() *plan.Index { return s.ix }
+// PruneIndex returns a candidate-pruning index over the snapshot's graph,
+// whose signatures the graph carries from its construction. No query reads
+// it: every query takes the global dual-simulation filter.
+//
+// Deprecated: the engine always filters; kept only because bench/ reads it.
+func (s *Snapshot) PruneIndex() *plan.Index { return plan.NewIndex(s.g) }
 
 // ParsePattern parses a pattern graph in the text format of internal/graph
 // against a private copy of the snapshot's label table. Labels the data
@@ -81,10 +82,12 @@ func (s *Snapshot) BallIn(bs *graph.BallScratch, center int32, radius int) *grap
 }
 
 // CandidateCenters returns the data nodes whose label occurs in q — the only
-// viable ball centers under the label precheck of plain Match (a center
-// absent from every candidate set cannot appear in any Sw, so its ball's
-// DualSim is a no-op). This is the snapshot-side half of the prefilter; the
-// dual-simulation filter narrows it further per query.
+// viable ball centers under core.Match's label precheck (a center absent
+// from every candidate set cannot appear in any Sw, so its ball's DualSim is
+// a no-op). Queries narrow it further with the global dual-simulation
+// filter.
+//
+// Deprecated: the engine always filters; kept only because bench/ reads it.
 func (s *Snapshot) CandidateCenters(q *graph.Graph) *graph.NodeSet {
 	return s.g.NodesLabeledIn(q)
 }

@@ -87,16 +87,5 @@ func (b *Ball) ToBall(orig int32) int32 {
 // neighbors to the ball cut, which is what Proposition 5 exploits.
 func (b *Ball) IsBorder(v int32) bool { return int(b.Dist[v]) == b.Radius }
 
-// BorderNodes returns the ball ids of all border nodes.
-func (b *Ball) BorderNodes() []int32 {
-	var out []int32
-	for v := range b.Dist {
-		if b.IsBorder(int32(v)) {
-			out = append(out, int32(v))
-		}
-	}
-	return out
-}
-
 // NumNodes returns the number of nodes in the ball.
 func (b *Ball) NumNodes() int { return b.G.NumNodes() }

@@ -58,8 +58,8 @@ func sameBall(t *testing.T, want, got *Ball, ctx string) {
 	if want.ToBall(int32(1e6)) != got.ToBall(int32(1e6)) {
 		t.Fatalf("%s: ToBall miss behavior differs", ctx)
 	}
-	if fmt.Sprint(want.BorderNodes()) != fmt.Sprint(got.BorderNodes()) {
-		t.Fatalf("%s: border %v vs %v", ctx, want.BorderNodes(), got.BorderNodes())
+	if fmt.Sprint(borderNodes(want)) != fmt.Sprint(borderNodes(got)) {
+		t.Fatalf("%s: border %v vs %v", ctx, borderNodes(want), borderNodes(got))
 	}
 	// The label index must agree too: every label of the induced graph maps
 	// to the same node list.

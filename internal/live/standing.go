@@ -115,7 +115,7 @@ func (s *Store) RegisterCtx(ctx context.Context, patternSrc string, trace *obs.Q
 
 	// Initial evaluation: every candidate center that can anchor a match, on
 	// the engine's pool.
-	centers := ver.eng.Snapshot().CandidateCenters(q).Slice()
+	centers := ver.eng.Snapshot().Graph().NodesLabeledIn(q).Slice()
 	fresh, _, err := evalMatched(ctx, ver.eng, q, sq.radius, centers, trace)
 	if err != nil {
 		return nil, err

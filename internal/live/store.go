@@ -201,8 +201,7 @@ type Store struct {
 
 	// planner is the query planner shared by every published version: its
 	// match-result cache holds the newest version queried through it and
-	// empties itself when a query reaches a newer one, while the signatures
-	// pruning reads live on each version's graph.
+	// empties itself when a query reaches a newer one.
 	planner *plan.Planner
 }
 

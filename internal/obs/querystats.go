@@ -51,9 +51,9 @@ type Stats struct {
 	// Stats stays a value the flight recorder files by copy; it comes first
 	// so the 64-bit atomic is aligned on 32-bit platforms too.
 	BallsBuilt int64
-	// CandidateCenters is how many centers survived prefiltering (label
-	// index or global dual-simulation filter) and were scheduled for ball
-	// evaluation.
+	// CandidateCenters is how many centers survived prefiltering (the
+	// global dual-simulation filter, or the label precheck of a standing
+	// query's re-evaluation) and were scheduled for ball evaluation.
 	CandidateCenters int
 	// BallNodes and BallEdges total the sizes of every ball as evaluated:
 	// the engine builds Ĝ[v, r] restricted to the query's candidate nodes
@@ -65,7 +65,7 @@ type Stats struct {
 	BallNodes int64
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global
-	// dual-simulation filter (Match+) or candidate-center selection; Eval is
+	// dual-simulation filter, which selects the candidate centers; Eval is
 	// the parallel ball-evaluation phase; Merge is dedup, sorting, relation
 	// expansion and ranking after evaluation.
 	Prepare time.Duration
@@ -73,16 +73,10 @@ type Stats struct {
 	Eval    time.Duration
 	Merge   time.Duration
 
-	// Planner accounting, filled only on planned queries
-	// (engine.QueryOptions.Planner set). PlanCandidatesBefore is the center
-	// count entering the pruning filters; PlanPrunedDegree and
-	// PlanPrunedAnchor split the centers each filter removed.
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
-	// ("hit", "contained", "miss"), empty when the cache was not consulted.
-	PlanCandidatesBefore int
-	PlanPrunedDegree     int
-	PlanPrunedAnchor     int
-	PlanCacheOutcome     string
+	// ("hit", "contained", "miss"), empty when the cache was not consulted
+	// (no planner, a limit, top-k or a stream).
+	PlanCacheOutcome string
 }
 
 // QueryStats is the one per-query observation record. The engine fills one

@@ -23,6 +23,8 @@ func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // PruneStats reports one Prune call: the candidate count walking in, how
 // many centers each filter removed, and what the anchor check read.
+//
+// Deprecated: the engine always filters; kept only because bench/ reads it.
 type PruneStats struct {
 	Before       int
 	PrunedDegree int
@@ -65,17 +67,16 @@ const anchorBudget = 4096
 //
 // Centers whose label matches no pattern node pass untouched (fail open);
 // the caller's candidate selection should have excluded them already.
+//
+// Deprecated: the engine always filters; kept only because bench/ reads it.
+// Standing-query maintenance calls Anchored.
 func (ix *Index) Prune(q *graph.Graph, radius int, centers []int32, st *PruneStats) []int32 {
-	kept := prune(ix.g, q, radius, centers, st)
-	candidatesBefore.Add(int64(st.Before))
-	prunedDegree.Add(int64(st.PrunedDegree))
-	prunedAnchor.Add(int64(st.PrunedAnchor))
-	return kept
+	return prune(ix.g, q, radius, centers, st)
 }
 
-// Anchored is Prune for a caller that wants the survivors and neither the
-// stats nor the planner's counters: it filters centers in place against q
-// at the given ball radius and returns those that can anchor a match of q.
+// Anchored is Prune for a caller that wants the survivors and not the
+// stats: it filters centers in place against q at the given ball radius and
+// returns those that can anchor a match of q.
 func Anchored(g, q *graph.Graph, radius int, centers []int32) []int32 {
 	var st PruneStats
 	return prune(g, q, radius, centers, &st)

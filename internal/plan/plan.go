@@ -1,25 +1,14 @@
 // Package plan is the query-planning layer between the /v1 serving surface
-// and the execution engine: it shrinks the candidate-center set before any
-// ball is built, and answers repeated or contained queries from a
-// version-aware match-result cache.
+// and the execution engine: a version-aware match-result cache that answers
+// repeated or contained queries, and the anchor check that standing-query
+// maintenance uses to skip dirty centers.
 //
-// Two independent mechanisms, composed by the engine when
-// engine.QueryOptions.Planner is set:
-//
-//   - Candidate pruning (Index, a handle on the snapshot's graph): the
-//     graph's one-hop neighbour-label signatures — the exact-path
-//     counterpart of TALE's NH-index in internal/approx — behind a
-//     label-pair adjacency filter, and behind that an exact anchor check:
-//     the first dQ rounds of dual-simulation refinement unfolded from the
-//     center (Anchored is the same check without stats or counters). Every
-//     filter is a necessary condition for a ball match, so pruning never
-//     changes results, only skips balls that provably cannot match.
-//
-//   - Result caching (Cache): completed Match results keyed by canonical
-//     pattern (Canon), effective radius and mode, storing the pre-dedup
-//     matching centers alongside the assembled result. An exact hit is
-//     served by relation remapping in O(result). A query contained in a
-//     cached one (ContainedIn: surjective label-preserving homomorphism
+//   - Result caching (Cache), used by the engine when
+//     engine.QueryOptions.Planner is set: completed Match results keyed by
+//     canonical pattern (Canon), effective radius and mode, storing the
+//     pre-dedup matching centers alongside the assembled result. An exact
+//     hit is served by relation remapping in O(result). A query contained in
+//     a cached one (ContainedIn: surjective label-preserving homomorphism
 //     from the cached pattern onto the new one, radius subsumed) evaluates
 //     only inside the cached matching centers. An entry is valid at exactly
 //     the store version it was computed on: the first lookup or store at a
@@ -27,6 +16,15 @@
 //     it. On a live store every batch dirties far more centers than the
 //     entries could keep, so a repaired entry would cost about what a miss
 //     costs.
+//
+//   - Center anchoring (Anchored): the graph's one-hop neighbour-label
+//     signatures — the exact-path counterpart of TALE's NH-index in
+//     internal/approx — behind a label-pair adjacency filter, and behind that
+//     an exact anchor check: the first dQ rounds of dual-simulation
+//     refinement unfolded from the center. Every filter is a necessary
+//     condition for a ball match, so it only skips balls that provably
+//     cannot match. Served queries do not use it: the engine's global
+//     dual-simulation filter implies both checks.
 //
 // Correctness bar, relied on by the engine's tests: a planner-on query
 // answers byte-identically to a planner-off one on the same snapshot.
@@ -37,14 +35,6 @@ import "repro/internal/obs"
 // Planner metrics, registered into the process-wide registry and served on
 // /v1/metrics.
 var (
-	candidatesBefore = obs.Default.Counter("plan_candidates_before_total",
-		"candidate centers entering the pruning filters")
-	prunedDegree = obs.Default.Counter("plan_pruned_degree_total",
-		"candidate centers pruned by the label-pair filter: the Bloom-folded neighbor labels alone, no degree bound")
-	prunedAnchor = obs.Default.Counter("plan_pruned_anchor_total",
-		"candidate centers pruned by the anchor check: min(radius, dQ) exact refinement rounds unfolded from the center")
-	candidatesPruned = obs.Default.Counter("plan_candidates_pruned_total",
-		"candidate centers pruned before ball construction (all filters)")
 	cacheHits = obs.Default.Counter("plan_cache_hits_total",
 		"match queries answered from a cached entry of their version")
 	cacheContained = obs.Default.Counter("plan_cache_contained_hits_total",
@@ -62,15 +52,14 @@ var (
 // cacheCapacity bounds the match-result cache (LRU entries).
 const cacheCapacity = 128
 
-// Planner is what a serving layer hands to engine.QueryOptions.Planner:
-// candidate pruning plus the result cache. One Planner is shared by every
-// query against the store it serves and is safe for concurrent use.
+// Planner is what a serving layer hands to engine.QueryOptions.Planner: the
+// result cache. One Planner is shared by every query against the store it
+// serves and is safe for concurrent use.
 type Planner struct {
 	cache *Cache
 }
 
-// NewPlanner builds a planner. Every planner prunes and caches; its cache
-// follows the versions of the snapshots queried through it, so a mutable
+// NewPlanner builds a planner. Its cache follows the versions of the snapshots queried through it, so a mutable
 // store need tell it nothing about updates.
 func NewPlanner() *Planner {
 	return &Planner{cache: newCache(cacheCapacity)}
@@ -83,13 +72,4 @@ func (p *Planner) Cache() *Cache {
 		return nil
 	}
 	return p.cache
-}
-
-// CountPruned folds one query's pruning stats into the aggregate
-// plan_candidates_pruned_total counter (the per-filter counters are
-// incremented by Prune itself).
-func CountPruned(st PruneStats) {
-	if n := st.PrunedDegree + st.PrunedAnchor; n > 0 {
-		candidatesPruned.Add(int64(n))
-	}
 }

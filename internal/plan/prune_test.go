@@ -223,9 +223,10 @@ func TestPruneAnchorBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkPrunePlain is the plain-mode filter on the harness's graph shape
-// at a fifth of its size: label candidates of 64 sampled 2-4-node patterns
-// through both stages. centers_left/op rising says a stage stopped
+// BenchmarkPrunePlain is the standing-maintenance prefilter (the anchor
+// check behind Anchored) on the harness's graph shape at a fifth of its
+// size: label candidates of 64 sampled 2-4-node patterns through both
+// stages. centers_left/op rising says a stage stopped
 // pruning; entries/op rising says the anchor check started walking whole
 // neighbourhoods.
 func BenchmarkPrunePlain(b *testing.B) {

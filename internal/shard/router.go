@@ -336,7 +336,7 @@ func (r *Router) probeOnce(ctx context.Context) {
 func (r *Router) Handler() http.Handler { return r.handler }
 
 // shardRequest strips a match request down to what shards evaluate: the
-// pattern, mode, radius and planner opt-out (each shard prunes and caches
+// pattern, mode, radius and planner opt-out (each shard filters and caches
 // against its own slice). Ranking, limits and statistics are router-side
 // concerns — a shard cannot cut to a global top-k or limit without seeing
 // the other shards' results.
