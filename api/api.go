@@ -15,17 +15,18 @@
 // All mount the same /v1 endpoints (match, match/stream, graph, healthz,
 // metrics; the store-backed ones add update and queries). The handlers
 // decode, validate in one fixed order, clamp the deadline, register the
-// query with the flight recorder and tracer, and encode; the Backend only
+// query with the debug recorder, and encode; the Backend only
 // evaluates. Every route runs through one middleware (metrics.go):
 // request ids accepted or generated and echoed as
 // X-Request-Id, per-endpoint counters and latency histograms in the
 // process-wide internal/obs registry (rendered by GET /v1/metrics), panic
 // recovery into a structured 500, and an optional structured access log
 // (Config.AccessLog). QuerySpec's "stats" flag opts one query into a
-// per-stage trace returned as query_stats. Config.EnableDebug mounts the
-// /v1/debug flight recorder — the in-flight query table with live stage
-// and progress, rings of recent and slow completions, and admin
-// cancellation by request id. See API.md at the repository root for the
+// per-stage trace returned as query_stats. Config.EnableDebug builds one
+// obs.Recorder and mounts the /v1/debug group over it — the in-flight query
+// table with live stage and progress, admin cancellation by request id, and
+// the recent, slow and trace views of one ring of the last 256 finished
+// requests. See API.md at the repository root for the
 // endpoint reference, and package client for the typed Go SDK.
 package api
 

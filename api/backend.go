@@ -12,8 +12,8 @@ import (
 
 // Backend is the seam between the /v1 HTTP contract and evaluation. The
 // handlers of this package own everything a client can observe about a
-// request — decoding, validation order, the deadline clamp, the flight
-// recorder and tracer, encoding — and hand the resolved request to a
+// request — decoding, validation order, the deadline clamp, the debug
+// recorder, encoding — and hand the resolved request to a
 // Backend, which owns only how it is evaluated. There are two: the single
 // node (local, below) and the scatter/gather tier (shard.Router).
 //

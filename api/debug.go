@@ -12,12 +12,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The /v1/debug route group: operator-facing introspection of the query
-// flight recorder. GET /v1/debug/queries lists in-flight queries with their
-// live stage and balls-evaluated progress, /recent and /slow serve the
-// completed-query rings, and DELETE /v1/debug/queries/{request_id} cancels
-// a running query. The whole group exists only when Config.EnableDebug is
-// set (strongsimd -debug); without it the paths answer the ordinary 404.
+// The /v1/debug route group: operator-facing views of the server's
+// obs.Recorder. GET /v1/debug/queries lists in-flight queries with their
+// live stage and balls-evaluated progress, DELETE
+// /v1/debug/queries/{request_id} cancels a running query, and /recent,
+// /slow and the /traces pair (traces.go) filter the recorder's one ring of
+// the last 256 finished requests. The whole group exists only when
+// Config.EnableDebug is set (strongsimd -debug); without it the paths
+// answer the ordinary 404.
 
 // ActiveQueryJSON is one in-flight query, as served by GET /v1/debug/queries.
 type ActiveQueryJSON struct {
@@ -62,7 +64,7 @@ type QueryRecordJSON struct {
 }
 
 func (s *server) handleDebugActive(w http.ResponseWriter, r *http.Request) {
-	active := s.flight.Active()
+	active := s.recorder.Active()
 	out := make([]ActiveQueryJSON, 0, len(active))
 	for _, a := range active {
 		out = append(out, ActiveQueryJSON{
@@ -79,17 +81,21 @@ func (s *server) handleDebugActive(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleDebugRecent serves the records with a query part.
 func (s *server) handleDebugRecent(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, recordsJSON(s.flight.Recent()))
+	writeJSON(w, http.StatusOK, recordsJSON(s.recorder.Records((*obs.Record).HasQuery)))
 }
 
+// handleDebugSlow serves the records whose query reached the slow threshold.
 func (s *server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, recordsJSON(s.flight.Slow()))
+	writeJSON(w, http.StatusOK, recordsJSON(s.recorder.Records(func(rec *obs.Record) bool {
+		return rec.HasQuery() && rec.Query.Slow
+	})))
 }
 
 func (s *server) handleDebugCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("request_id")
-	if !s.flight.Cancel(id) {
+	if !s.recorder.Cancel(id) {
 		writeError(w, Errorf(http.StatusNotFound, CodeNotFound, "no in-flight query %q", id))
 		return
 	}
@@ -99,22 +105,25 @@ func (s *server) handleDebugCancel(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func recordsJSON(recs []obs.QueryRecord) []QueryRecordJSON {
+func recordsJSON(recs []obs.Record) []QueryRecordJSON {
 	out := make([]QueryRecordJSON, 0, len(recs))
 	for i := range recs {
-		rec := &recs[i]
-		out = append(out, QueryRecordJSON{
-			RequestID: rec.RequestID,
-			Kind:      rec.Kind,
-			Digest:    rec.Digest,
-			TraceID:   rec.TraceID,
-			Outcome:   rec.Outcome,
-			Error:     rec.Error,
-			StartedAt: rec.Start,
-			LatencyMS: msOf(rec.Latency),
-			Matches:   rec.Matches,
-			Stats:     FromQueryStats(&rec.Stats),
-		})
+		q := &recs[i].Query
+		rj := QueryRecordJSON{
+			RequestID: recs[i].RequestID,
+			Kind:      q.Kind,
+			Digest:    q.Digest,
+			Outcome:   q.Outcome,
+			Error:     q.Error,
+			StartedAt: q.Start,
+			LatencyMS: msOf(q.Latency),
+			Matches:   q.Matches,
+			Stats:     FromQueryStats(&q.Stats),
+		}
+		if id := recs[i].TraceID; !id.IsZero() {
+			rj.TraceID = id.String()
+		}
+		out = append(out, rj)
 	}
 	return out
 }
@@ -122,14 +131,14 @@ func recordsJSON(recs []obs.QueryRecord) []QueryRecordJSON {
 func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // trace returns the query's observation record: one is allocated when the
-// caller asked for stats, the flight recorder is on, or the request carries
+// caller asked for stats, the recorder is on, or the request carries
 // a trace (whose root span then parents the engine's stage spans and any
 // fan-out spans); nil otherwise — the allocation-free path the AllocsPerRun
 // guards pin.
 func (s *server) trace(r *http.Request, stats bool) *obs.QueryStats {
 	ri := reqInfo(r.Context())
 	traced := ri != nil && ri.root.Recording()
-	if !stats && s.flight == nil && !traced {
+	if !stats && s.recorder == nil && !traced {
 		return nil
 	}
 	tr := new(obs.QueryStats)
@@ -139,19 +148,25 @@ func (s *server) trace(r *http.Request, stats bool) *obs.QueryStats {
 	return tr
 }
 
-// flightStart registers one query with the flight recorder under the
-// request's id, fingerprinted by digest. With the recorder off it calls
+// flightStart registers one query with the recorder under the request's
+// id, fingerprinted by digest, and hands the flight to the middleware,
+// which finishes it if the handler does not. With the recorder off it calls
 // nothing and returns a nil Flight whose Finish is a no-op, so the serving
 // path pays for no digest.
 func (s *server) flightStart(r *http.Request, kind string, digest func() string, cancel context.CancelFunc, trace *obs.QueryStats) *obs.Flight {
-	if s.flight == nil {
+	if s.recorder == nil {
 		return nil
 	}
+	ri := reqInfo(r.Context())
 	var id string
-	if ri := reqInfo(r.Context()); ri != nil {
+	if ri != nil {
 		id = ri.id
 	}
-	return s.flight.Start(id, kind, digest(), cancel, trace)
+	fl := s.recorder.StartFlight(id, kind, digest(), cancel, trace)
+	if ri != nil {
+		ri.flight = fl
+	}
+	return fl
 }
 
 // failFlight finishes a flight with the outcome matching a wire error and

@@ -64,7 +64,7 @@ type Error struct {
 	Status int `json:"-"`
 	// RequestID is the X-Request-Id the failing response carried, filled by
 	// the client SDK so a failure can be correlated with the server's access
-	// log and flight recorder (/v1/debug/queries/recent). Transport
+	// log and debug recorder (/v1/debug/queries/recent). Transport
 	// metadata, never part of the JSON body.
 	RequestID string `json:"-"`
 	// TraceID is the trace id from the traceparent the failing response

@@ -68,15 +68,17 @@ func (m *routeMetrics) observe(status int, d time.Duration) {
 
 // requestInfo is the per-request observability state the middleware threads
 // through the context: the request id plus annotations handlers attach for
-// the access log (match counts, stream outcomes), and — when the tracer is
-// on — the request's root span, which the serving path parents engine stage
-// spans under. It is written by the handler goroutine only.
+// the access log (match counts, stream outcomes), and — when the recorder
+// is on — the request's root span, which the serving path parents engine
+// stage spans under, and its query's flight. It is written by the handler
+// goroutine only.
 type requestInfo struct {
 	id         string
 	matches    int
 	hasMatches bool
 	outcome    string
 	root       obs.Span
+	flight     *obs.Flight // the request's query, once its handler started one
 }
 
 type requestInfoKey struct{}
@@ -176,7 +178,7 @@ func (w *obsResponseWriter) Flush() {
 func (s *server) instrument(method, endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	m := newRouteMetrics(method, endpoint)
 	// The observability surface itself is not traced: /v1/metrics polls and
-	// the /v1/debug group would otherwise fill the kept-trace ring with the
+	// the /v1/debug group would otherwise fill the recorder's ring with the
 	// requests inspecting it.
 	spanName := method + " " + endpoint
 	traceRoute := endpoint != Prefix+"/metrics" && !strings.HasPrefix(endpoint, Prefix+"/debug/")
@@ -184,13 +186,13 @@ func (s *server) instrument(method, endpoint string, h http.HandlerFunc) http.Ha
 		start := time.Now()
 		info := &requestInfo{id: requestID(r)}
 		w.Header().Set(RequestIDHeader, info.id)
-		if s.tracer != nil && traceRoute {
+		if s.recorder != nil && traceRoute {
 			// A malformed traceparent mints a fresh trace — propagation is
 			// best-effort, never a request error. The response echoes the
 			// effective context so callers learn the trace id (and the root
 			// span id) their request ran under.
 			parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-			_, info.root = s.tracer.Start(spanName, info.id, parent)
+			_, info.root = s.recorder.StartTrace(spanName, info.id, parent)
 			w.Header().Set(obs.TraceparentHeader, info.root.Context().String())
 		}
 		ww := &obsResponseWriter{ResponseWriter: w}
@@ -213,6 +215,10 @@ func (s *server) instrument(method, endpoint string, h http.HandlerFunc) http.Ha
 						slog.String("stack", string(rtdebug.Stack())))
 				}
 			}
+			// A query the handler left in flight (it panicked) finishes here,
+			// before the root span ends: it leaves the in-flight table and
+			// files its record beside its trace.
+			info.flight.Finish(obs.OutcomeError, "internal error", 0)
 			if ww.status == 0 {
 				ww.status = http.StatusOK // handler wrote no body and no header
 			}

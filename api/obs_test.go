@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
+	"repro/internal/live"
 	"repro/internal/obs"
 )
 
@@ -240,7 +242,47 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(logs, "kaboom") || !strings.Contains(logs, "stack") {
 		t.Errorf("panic log line missing value or stack: %s", logs)
 	}
+
+	// With debug on, a query whose backend panics still finishes: it leaves
+	// the in-flight table and the inflight_queries gauge, files a record with
+	// outcome error, and its errored trace is kept beside it.
+	g := generator.Synthetic(200, 1.2, 6, 45)
+	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 46})
+	st := live.NewStore(g, live.Config{Workers: 1})
+	ts := httptest.NewServer(NewFleetServer(st, panicBackend{local{store: st}}, Config{EnableDebug: true}))
+	defer ts.Close()
+	inflight := scrapeCounter(t, "inflight_queries")
+	resp, body := post(t, ts.URL+"/v1/match", MatchRequest{PatternText: graph.FormatString(q)})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("debug on: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get(RequestIDHeader)
+	var active []ActiveQueryJSON
+	debugJSON(t, "GET", ts.URL+"/v1/debug/queries", nil, &active)
+	if len(active) != 0 {
+		t.Errorf("panicked query still in flight: %+v", active)
+	}
+	if got := scrapeCounter(t, "inflight_queries"); got != inflight {
+		t.Errorf("inflight_queries %v after the panic, want %v", got, inflight)
+	}
+	var recent []QueryRecordJSON
+	debugJSON(t, "GET", ts.URL+"/v1/debug/queries/recent", nil, &recent)
+	if len(recent) != 1 || recent[0].RequestID != id || recent[0].Outcome != obs.OutcomeError {
+		t.Errorf("recent = %+v, want one error record for %s", recent, id)
+	}
+	kept := keptTraces(t, ts.URL)
+	if len(kept) != 1 || kept[0].RequestID != id || kept[0].Reason != "error" {
+		t.Errorf("kept traces = %+v, want the errored trace of %s", kept, id)
+	}
+	if len(recent) == 1 && len(kept) == 1 && recent[0].TraceID != kept[0].TraceID {
+		t.Errorf("record trace id %q, kept trace %q", recent[0].TraceID, kept[0].TraceID)
+	}
 }
+
+// panicBackend is the single-node backend whose Match panics.
+type panicBackend struct{ Backend }
+
+func (panicBackend) Match(context.Context, *Query) (MatchResponse, error) { panic("kaboom") }
 
 // scrapeCounter reads one unlabeled series from the global registry.
 func scrapeCounter(t *testing.T, name string) float64 {

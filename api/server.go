@@ -40,22 +40,24 @@ type Config struct {
 	// default: profiles expose internals and belong on operator-facing
 	// listeners only.
 	EnablePprof bool
-	// EnableDebug turns on the query flight recorder and mounts the
-	// /v1/debug route group over it: the in-flight query table (with live
-	// stage and progress), the recent- and slow-query rings, and admin
-	// cancellation by request id. Off by default — the debug surface can
-	// cancel any tenant's query and belongs on operator-facing listeners
-	// only. Match responses are byte-identical either way.
+	// EnableDebug builds the server's recorder, which traces every request
+	// and tracks every query, and mounts the /v1/debug route group over it:
+	// the in-flight query table (with live stage and progress), admin
+	// cancellation by request id, and the recent, slow and trace views of
+	// one ring of the last 256 finished requests. Off by default — the
+	// debug surface can cancel any tenant's query and belongs on
+	// operator-facing listeners only. Match responses are byte-identical
+	// either way.
 	EnableDebug bool
 	// SlowQueryThreshold classifies completed queries at or above this
-	// latency as slow: counted in slow_queries_total, kept in the
-	// /v1/debug/queries/slow ring, and logged through AccessLog with the
-	// full stage breakdown. Zero means 1s; negative disables slow
-	// classification. Only meaningful with EnableDebug; the tracer reuses
-	// it as the tail-sampling "slow" keep threshold.
+	// latency as slow: counted in slow_queries_total, served by
+	// /v1/debug/queries/slow, and logged through AccessLog with the full
+	// stage breakdown. Requests whose root span runs this long keep their
+	// trace ("slow"). Zero means 1s; negative disables both. Only
+	// meaningful with EnableDebug.
 	SlowQueryThreshold time.Duration
-	// TraceSampleRate is the head-sampling probability in [0, 1] for the
-	// request tracer: the fraction of requests whose trace is kept even
+	// TraceSampleRate is the head-sampling probability in [0, 1] of the
+	// debug recorder: the fraction of requests whose trace is kept even
 	// when fast and successful. Slow, errored and cancelled requests are
 	// kept regardless (tail-based sampling), as are requests arriving with
 	// a sampled traceparent. Zero keeps only those; only meaningful with
@@ -129,14 +131,11 @@ type server struct {
 	backend Backend     // evaluates what the handlers resolved
 	cfg     Config
 	log     *slog.Logger // nil disables access logging
-	// flight records every in-flight and recently completed query when
-	// Config.EnableDebug is set; nil otherwise, and every recorder call on
-	// the serving path is a nil-safe no-op.
-	flight *obs.FlightRecorder
-	// tracer mints one span tree per request when Config.EnableDebug is
-	// set, keeping slow/errored/head-sampled traces for /v1/debug/traces;
-	// nil otherwise, and the serving path records nothing.
-	tracer *obs.Tracer
+	// recorder tracks in-flight queries, traces every request and files
+	// finished ones for the /v1/debug group when Config.EnableDebug is set;
+	// nil otherwise, and every recorder call on the serving path is a
+	// nil-safe no-op.
+	recorder *obs.Recorder
 	// planner is handed to every match query unless the request opts out
 	// with "no_plan": true.
 	planner *plan.Planner
@@ -150,13 +149,9 @@ func (s *server) routes(cfg Config) http.Handler {
 	s.log = s.cfg.AccessLog
 	registerProcessMetrics()
 	if s.cfg.EnableDebug {
-		s.flight = obs.NewFlightRecorder(obs.FlightConfig{
+		s.recorder = obs.NewRecorder(obs.RecorderConfig{
 			SlowThreshold: s.cfg.SlowQueryThreshold,
-			Log:           s.cfg.AccessLog,
-		})
-		s.tracer = obs.NewTracer(obs.TraceConfig{
 			SampleRate:    s.cfg.TraceSampleRate,
-			SlowThreshold: s.cfg.SlowQueryThreshold,
 			Log:           s.cfg.AccessLog,
 		})
 	}
@@ -174,7 +169,7 @@ func (s *server) routes(cfg Config) http.Handler {
 		s.route(rt, "DELETE", Prefix+"/queries/{id}", s.handleUnregister)
 		s.route(rt, "GET", Prefix+"/queries/{id}/delta", s.handleDelta)
 	}
-	if s.flight != nil {
+	if s.recorder != nil {
 		// Literal routes win over the {request_id} wildcard in the Go 1.22
 		// mux, so /recent and /slow are never captured as ids. Their
 		// generated method-less 405 fallbacks would be ambiguous against the
@@ -476,7 +471,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.failFlight(w, fl, matchError(err))
 		return
 	}
-	// query_stats stays opt-in: the flight recorder may have forced a trace,
+	// query_stats stays opt-in: the recorder may have forced a trace,
 	// but only "stats": true puts it on the wire — a recorder-on response is
 	// byte-identical to a recorder-off one.
 	if spec.Stats && trace != nil {

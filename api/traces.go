@@ -8,12 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The /v1/debug/traces pair: the kept-trace ring of the request tracer.
-// GET /v1/debug/traces lists kept traces newest first (tail-sampled: slow,
-// errored, or head-sampled requests), and GET /v1/debug/traces/{trace_id}
-// serves one trace as its full span tree. Flight-recorder entries carry the
-// trace_id that pivots here. Like the rest of the debug group, the routes
-// exist only when Config.EnableDebug is set.
+// The /v1/debug/traces pair: the records of the server's obs.Recorder that
+// hold a kept trace. GET /v1/debug/traces lists them newest first
+// (tail-sampled: slow, errored, or head-sampled requests), and GET
+// /v1/debug/traces/{trace_id} serves the newest one with that id as its
+// full span tree. A query's record and its kept trace are one record, so
+// /v1/debug/queries/recent carries the trace_id that pivots here. Like the
+// rest of the debug group, the routes exist only when Config.EnableDebug is
+// set.
 
 // TraceSummaryJSON is one kept trace, as listed by GET /v1/debug/traces.
 type TraceSummaryJSON struct {
@@ -64,18 +66,18 @@ type SpanJSON struct {
 }
 
 func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	kept := s.tracer.Kept()
+	kept := s.recorder.Records((*obs.Record).Kept)
 	out := make([]TraceSummaryJSON, 0, len(kept))
 	for i := range kept {
-		rec := &kept[i]
+		tp := &kept[i].Trace
 		out = append(out, TraceSummaryJSON{
-			TraceID:    rec.ID.String(),
-			RequestID:  rec.RequestID,
-			Root:       rec.RootName,
-			Reason:     rec.Reason,
-			StartedAt:  rec.Start,
-			DurationMS: msOf(rec.Duration),
-			Spans:      len(rec.Spans),
+			TraceID:    kept[i].TraceID.String(),
+			RequestID:  kept[i].RequestID,
+			Root:       tp.RootName,
+			Reason:     tp.Reason,
+			StartedAt:  tp.Start,
+			DurationMS: msOf(tp.Duration),
+			Spans:      len(tp.Spans),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -83,21 +85,22 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("trace_id")
-	rec, ok := s.tracer.Lookup(id)
+	rec, ok := s.recorder.Lookup(id)
 	if !ok {
 		writeError(w, Errorf(http.StatusNotFound, CodeNotFound, "no kept trace %q", id))
 		return
 	}
+	tp := &rec.Trace
 	tj := TraceJSON{
-		TraceID:    rec.ID.String(),
+		TraceID:    rec.TraceID.String(),
 		RequestID:  rec.RequestID,
-		Reason:     rec.Reason,
-		StartedAt:  rec.Start,
-		DurationMS: msOf(rec.Duration),
-		Root:       spanTree(&rec),
+		Reason:     tp.Reason,
+		StartedAt:  tp.Start,
+		DurationMS: msOf(tp.Duration),
+		Root:       spanTree(tp),
 	}
-	if !rec.Parent.IsZero() {
-		tj.ParentSpanID = rec.Parent.String()
+	if !tp.Parent.IsZero() {
+		tj.ParentSpanID = tp.Parent.String()
 	}
 	writeJSON(w, http.StatusOK, tj)
 }
@@ -106,7 +109,7 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // the parent links. A span whose parent is missing from the record (it
 // never Ended — a crashed goroutine) is grafted under the root so nothing
 // recorded is ever dropped from the view.
-func spanTree(rec *obs.TraceRecord) *SpanJSON {
+func spanTree(rec *obs.TracePart) *SpanJSON {
 	nodes := make(map[obs.SpanID]*SpanJSON, len(rec.Spans))
 	for i := range rec.Spans {
 		sr := &rec.Spans[i]

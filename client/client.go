@@ -71,7 +71,7 @@ type (
 
 // WithRequestID returns a context that stamps id into the X-Request-Id
 // header of every call made with it, so a caller can correlate its own
-// requests with the server's access log and flight recorder
+// requests with the server's access log and debug recorder
 // (/v1/debug/queries): the id names the query there and is the handle
 // CancelQuery takes. The server sanitizes unusable ids (and may suffix a
 // duplicate of a still-running query); read the id a call actually got with
@@ -414,7 +414,8 @@ func (c *Client) UnregisterStandingQuery(ctx context.Context, id int64) error {
 	return c.roundTrip(ctx, http.MethodDelete, fmt.Sprintf("%s/queries/%d", api.Prefix, id), nil, nil)
 }
 
-// The /v1/debug group mirrors the server's query flight recorder. The
+// The /v1/debug group mirrors the server's debug recorder: the in-flight
+// queries, and views of its one ring of the last 256 finished requests. The
 // routes exist only on servers started with api.Config.EnableDebug
 // (strongsimd -debug); against anything else every method fails with
 // *api.Error carrying api.CodeNotFound.
@@ -429,8 +430,8 @@ func (c *Client) ActiveQueries(ctx context.Context) ([]api.ActiveQueryJSON, erro
 	return out, nil
 }
 
-// RecentQueries returns the server's ring of recently completed queries,
-// newest first, with outcome, latency and the full stage trace.
+// RecentQueries returns the server's recently completed queries, newest
+// first, with outcome, latency and the full stage trace.
 func (c *Client) RecentQueries(ctx context.Context) ([]api.QueryRecordJSON, error) {
 	var out []api.QueryRecordJSON
 	if err := c.roundTrip(ctx, http.MethodGet, api.Prefix+"/debug/queries/recent", nil, &out); err != nil {
@@ -439,7 +440,7 @@ func (c *Client) RecentQueries(ctx context.Context) ([]api.QueryRecordJSON, erro
 	return out, nil
 }
 
-// SlowQueries returns the ring of completed queries that crossed the
+// SlowQueries returns the recently completed queries that crossed the
 // server's slow-query threshold, newest first.
 func (c *Client) SlowQueries(ctx context.Context) ([]api.QueryRecordJSON, error) {
 	var out []api.QueryRecordJSON

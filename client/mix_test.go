@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/internal/generator"
@@ -20,13 +21,22 @@ import (
 // matches in both modes, insert-then-delete update batches and standing-query
 // delta polls, each request under a client-minted traceparent. Afterwards the
 // server's own records are audited: no recent query ended in outcome
-// "error", every kept trace carries the trace id and parent span the client
-// sent, and every successful match trace records the four engine stages
-// (or, answered from the plan cache, the plan.hit span in their place).
+// "error", every slow query is also a recent one, every kept trace carries
+// the trace id and parent span the client sent, every kept query trace
+// (match, stream, registration) is the trace of a recent query with the same
+// request id, and every successful match trace records the four engine
+// stages (or, answered from the plan cache, the plan.hit span in their
+// place). The whole run files fewer records than the recorder holds, so no
+// view may lose one to wrap-around.
 func TestConcurrentLiveMixAudit(t *testing.T) {
 	g := generator.Synthetic(400, 1.2, 10, 1)
 	st := live.NewStore(g, live.Config{Workers: 2})
-	ts := httptest.NewServer(api.NewLiveServer(st, api.Config{EnableDebug: true, TraceSampleRate: 1}))
+	ts := httptest.NewServer(api.NewLiveServer(st, api.Config{
+		EnableDebug:     true,
+		TraceSampleRate: 1,
+		// Every query is slow, so the slow view has records to audit.
+		SlowQueryThreshold: time.Nanosecond,
+	}))
 	t.Cleanup(ts.Close)
 	cl := New(ts.URL)
 	ctx := context.Background()
@@ -115,9 +125,23 @@ func TestConcurrentLiveMixAudit(t *testing.T) {
 	if len(recent) == 0 {
 		t.Fatal("flight recorder holds no completed query")
 	}
+	traceOf := make(map[string]string, len(recent)) // request id -> trace id
 	for _, rec := range recent {
 		if rec.Outcome == "error" {
 			t.Errorf("query %s (%s) recorded outcome error: %s", rec.RequestID, rec.Kind, rec.Error)
+		}
+		traceOf[rec.RequestID] = rec.TraceID
+	}
+	slow, err := cl.SlowQueries(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slow) == 0 {
+		t.Error("no slow query at a 1ns threshold")
+	}
+	for _, rec := range slow {
+		if tid, ok := traceOf[rec.RequestID]; !ok || tid != rec.TraceID {
+			t.Errorf("slow query %s (trace %s) is not in the recent view", rec.RequestID, rec.TraceID)
 		}
 	}
 
@@ -128,7 +152,7 @@ func TestConcurrentLiveMixAudit(t *testing.T) {
 	if len(kept) == 0 {
 		t.Fatal("no trace kept at sample rate 1")
 	}
-	var staged int
+	var staged, joined int
 	for _, sum := range kept {
 		span, minted := parent[sum.TraceID]
 		if !minted {
@@ -141,6 +165,14 @@ func TestConcurrentLiveMixAudit(t *testing.T) {
 		}
 		if tj.ParentSpanID != span {
 			t.Errorf("trace %s (%s): parent span %q, want the client's %s", sum.TraceID, sum.Root, tj.ParentSpanID, span)
+		}
+		switch sum.Root {
+		case "POST " + api.Prefix + "/match", "POST " + api.Prefix + "/match/stream", "POST " + api.Prefix + "/queries":
+			if tid, ok := traceOf[sum.RequestID]; !ok || tid != sum.TraceID {
+				t.Errorf("kept %s trace %s (request %s) has no recent query record (found %v, trace %q)",
+					sum.Root, sum.TraceID, sum.RequestID, ok, tid)
+			}
+			joined++
 		}
 		if tj.Root == nil || tj.Root.Name != "POST "+api.Prefix+"/match" || tj.Root.Status != "" {
 			continue
@@ -162,6 +194,9 @@ func TestConcurrentLiveMixAudit(t *testing.T) {
 	if staged == 0 {
 		t.Error("no kept match trace ran the engine: the stage audit checked nothing")
 	}
-	t.Logf("%d matches; %d recent queries audited; %d kept traces, %d of them engine-run matches",
-		matches.Load(), len(recent), len(kept), staged)
+	if joined == 0 {
+		t.Error("no kept query trace: the join audit checked nothing")
+	}
+	t.Logf("%d matches; %d recent and %d slow queries audited; %d kept traces, %d of them query traces, %d engine-run matches",
+		matches.Load(), len(recent), len(slow), len(kept), joined, staged)
 }

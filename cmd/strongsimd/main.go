@@ -23,9 +23,10 @@
 // text exposition), POST /v1/match, POST /v1/match/stream, POST /v1/update,
 // POST/GET /v1/queries, GET/DELETE /v1/queries/{id},
 // GET /v1/queries/{id}/delta, /v1/debug/queries (in-flight introspection,
-// recent/slow rings, admin cancellation) and /v1/debug/traces (kept request
+// recent/slow views, admin cancellation) and /v1/debug/traces (kept request
 // traces as span trees; tail sampling keeps slow and errored requests, plus
-// a -trace-sample fraction of the rest) behind -debug, and /debug/pprof
+// a -trace-sample fraction of the rest) behind -debug, all views of the last
+// 256 finished requests, and /debug/pprof
 // behind -pprof. Requests propagate W3C traceparent both directions. See
 // API.md for every schema and error code, and package client for the Go
 // SDK.

@@ -55,7 +55,7 @@ func TestCancelInsideGlobalFilter(t *testing.T) {
 	q := qb.Build()
 
 	e := New(g, Config{Workers: 2})
-	tracer := obs.NewTracer(obs.TraceConfig{SampleRate: 1, Registry: obs.NewRegistry()})
+	tracer := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1, Registry: obs.NewRegistry()})
 	evals := obs.Default.Counter("scratch_sim_evals_total", "")
 	entries := []struct {
 		name   string
@@ -81,7 +81,7 @@ func TestCancelInsideGlobalFilter(t *testing.T) {
 	for _, entry := range entries {
 		// Poll 1 is the check before the filter; 50 is deep inside the pass.
 		ctx := newFlipCtx(50)
-		trace, root := tracer.Start(entry.name, entry.name, obs.TraceContext{})
+		trace, root := tracer.StartTrace(entry.name, entry.name, obs.TraceContext{})
 		opts := PlusQuery()
 		opts.Trace = &obs.QueryStats{Root: root}
 		before := evals.Value()
@@ -104,7 +104,7 @@ func TestCancelInsideGlobalFilter(t *testing.T) {
 			t.Fatalf("%s: trace not kept", entry.name)
 		}
 		status := "no filter span"
-		for _, sp := range rec.Spans {
+		for _, sp := range rec.Trace.Spans {
 			if sp.Name == "filter" {
 				status = sp.Status
 			}

@@ -12,16 +12,14 @@ import (
 
 // TestRecordViewsAgree runs one traced, flight-recorded Match and one Stream
 // and holds every view of the query to its record: each stage span ran
-// exactly the record's stage duration, the recent ring filed the record's
-// Stats (what query_stats serialises), and the eval span's balls attr is
-// BallsBuilt. A /v1/debug-style reader polls the in-flight table throughout,
+// exactly the record's stage duration, the recorder filed the record's Stats
+// (what query_stats serialises) beside the kept trace, and the eval span's
+// balls attr is BallsBuilt. A /v1/debug-style reader polls the in-flight table throughout,
 // so the race detector sees the live reads against the engine's writes.
 func TestRecordViewsAgree(t *testing.T) {
 	q, g := testWorkload(t, 600, 3)
 	e := New(g, Config{Workers: 2})
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TraceConfig{SampleRate: 1, Registry: reg})
-	flight := obs.NewFlightRecorder(obs.FlightConfig{SlowThreshold: -1, Registry: reg})
+	recorder := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1, SlowThreshold: -1, Registry: obs.NewRegistry()})
 
 	stop := make(chan struct{})
 	var poller sync.WaitGroup
@@ -34,7 +32,7 @@ func TestRecordViewsAgree(t *testing.T) {
 				return
 			default:
 			}
-			for _, a := range flight.Active() {
+			for _, a := range recorder.Active() {
 				if a.Balls < 0 || a.Stage > obs.StageMerge {
 					t.Errorf("in-flight %s: stage %v, %d balls", a.RequestID, a.Stage, a.Balls)
 				}
@@ -65,9 +63,9 @@ func TestRecordViewsAgree(t *testing.T) {
 		}},
 	}
 	for _, entry := range entries {
-		trace, root := tracer.Start(entry.name, entry.name, obs.TraceContext{})
+		trace, root := recorder.StartTrace(entry.name, entry.name, obs.TraceContext{})
 		tr := &obs.QueryStats{Root: root}
-		fl := flight.Start(entry.name, entry.name, "d", nil, tr)
+		fl := recorder.StartFlight(entry.name, entry.name, "d", nil, tr)
 		if err := entry.run(QueryOptions{Trace: tr, Planner: plan.NewPlanner()}); err != nil {
 			t.Fatalf("%s: %v", entry.name, err)
 		}
@@ -77,13 +75,13 @@ func TestRecordViewsAgree(t *testing.T) {
 		if tr.BallsBuilt == 0 {
 			t.Fatalf("%s: the query built no balls; the test checks nothing", entry.name)
 		}
-		rec, ok := tracer.Lookup(trace.ID().String())
+		rec, ok := recorder.Lookup(trace.ID().String())
 		if !ok {
 			t.Fatalf("%s: trace not kept", entry.name)
 		}
 		stage := map[string]obs.SpanRecord{}
-		for _, sp := range rec.Spans {
-			if sp.Parent == rec.Root {
+		for _, sp := range rec.Trace.Spans {
+			if sp.Parent == rec.Trace.Root {
 				stage[sp.Name] = sp
 			}
 		}
@@ -110,15 +108,11 @@ func TestRecordViewsAgree(t *testing.T) {
 		if balls != tr.BallsBuilt {
 			t.Errorf("%s: eval span balls=%d, record BallsBuilt=%d", entry.name, balls, tr.BallsBuilt)
 		}
-		recent := flight.Recent()
-		if len(recent) == 0 || recent[0].RequestID != entry.name {
-			t.Fatalf("%s: recent ring %+v holds no record of the query", entry.name, recent)
+		if rec.RequestID != entry.name || !rec.HasQuery() {
+			t.Fatalf("%s: the kept trace's record %+v holds no record of the query", entry.name, rec)
 		}
-		if recent[0].Stats != tr.Stats {
-			t.Errorf("%s: recent ring filed %+v, the record holds %+v", entry.name, recent[0].Stats, tr.Stats)
-		}
-		if recent[0].TraceID != trace.ID().String() {
-			t.Errorf("%s: recent record trace id %q, want %s", entry.name, recent[0].TraceID, trace.ID())
+		if rec.Query.Stats != tr.Stats {
+			t.Errorf("%s: the recorder filed %+v, the record holds %+v", entry.name, rec.Query.Stats, tr.Stats)
 		}
 	}
 }

@@ -362,7 +362,7 @@ func TestScratchPooledAcrossRuns(t *testing.T) {
 // ordered delivery, the same Limit-style early exit, the same evaluations
 // and one "eval.worker" span per worker carrying its ball count.
 func TestSmallRunsInline(t *testing.T) {
-	tracer := obs.NewTracer(obs.TraceConfig{SampleRate: 1, Registry: obs.NewRegistry()})
+	tracer := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1, Registry: obs.NewRegistry()})
 	for _, n := range []int{7, 8, 9, 10} {
 		for _, stopAfter := range []int{0, 3} { // 0: run to the end
 			type report struct {
@@ -376,7 +376,7 @@ func TestSmallRunsInline(t *testing.T) {
 				var rep report
 				var events []string // appended by eval and sink; the inline path needs no lock
 				var evals atomic.Int64
-				trace, root := tracer.Start("run", fmt.Sprintf("n%d-w%d-s%d", n, workers, stopAfter), obs.TraceContext{})
+				trace, root := tracer.StartTrace("run", fmt.Sprintf("n%d-w%d-s%d", n, workers, stopAfter), obs.TraceContext{})
 				err := exec.RunOrdered(context.Background(), exec.Options{Workers: workers, Span: root}, n,
 					func(_ *exec.Scratch, pos int) int {
 						if evals.Add(1); workers == 1 || n <= 8 {
@@ -397,7 +397,7 @@ func TestSmallRunsInline(t *testing.T) {
 				if !ok {
 					t.Fatal("trace not kept")
 				}
-				for _, sp := range rec.Spans {
+				for _, sp := range rec.Trace.Spans {
 					if sp.Name != "eval.worker" {
 						continue
 					}

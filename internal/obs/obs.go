@@ -1,11 +1,13 @@
 // Package obs is the dependency-free observability layer of the serving
 // stack: a concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // latency histograms) rendered in the Prometheus text exposition format, the
-// per-query observation record (QueryStats) the engine fills on demand, the
-// flight recorder behind /v1/debug, and a request Tracer minting
-// hierarchical span traces with W3C traceparent propagation and tail-based
-// sampling (keep when slow, errored, explicitly sampled, or head-sampled)
-// into a fixed-size kept-trace ring served by /v1/debug/traces.
+// per-query observation record (QueryStats) the engine fills on demand, and
+// the Recorder behind /v1/debug. The Recorder tracks in-flight queries,
+// mints hierarchical span traces with W3C traceparent propagation and
+// tail-based sampling (keep when slow, errored, explicitly sampled, or
+// head-sampled), and files every finished query and every kept trace into
+// one fixed-size ring of Records — one record per request, holding its
+// query's Stats and, if kept, its spans — which /v1/debug serves as views.
 //
 // Every instrumented package registers its metrics into Default at package
 // init and updates them with atomic operations; GET /v1/metrics (package api)

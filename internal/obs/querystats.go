@@ -41,14 +41,14 @@ func (s Stage) String() string {
 // paper's cost model — ball construction dominated by dQ-hop BFS, then
 // dual-simulation refinement) and how much graph the query touched. It is
 // what query_stats serialises, what the slow-query line logs and what the
-// flight recorder keeps per completed query: a plain value.
+// Recorder files per finished query: a plain value.
 type Stats struct {
 	// BallsBuilt counts balls actually constructed and evaluated. Under an
 	// early exit (Limit, cancellation) this can be less than
 	// CandidateCenters; outcomes discarded mid-flight are not counted. While
 	// the query runs it is written atomically and read through
 	// QueryStats.Balls. It is a plain int64, not an atomic.Int64, so that
-	// Stats stays a value the flight recorder files by copy; it comes first
+	// Stats stays a value the Recorder files by copy; it comes first
 	// so the 64-bit atomic is aligned on 32-bit platforms too.
 	BallsBuilt int64
 	// CandidateCenters is how many centers survived prefiltering (the
@@ -81,9 +81,9 @@ type Stats struct {
 
 // QueryStats is the one per-query observation record. The engine fills one
 // when QueryOptions.Trace points at it; the serving path allocates one when
-// the request asked for "stats": true, the flight recorder is on, or the
+// the request asked for "stats": true, the Recorder is on, or the
 // request is traced. Every view of the query reads it: query_stats and the
-// flight recorder's records serialise its Stats, /v1/debug reads its live
+// Recorder's records serialise its Stats, /v1/debug reads its live
 // stage and ball count while the query runs, and its stage spans land under
 // Root. Collection must never change results — a recorded query and an
 // unrecorded one answer byte-identically.

@@ -1,7 +1,7 @@
 package obs
 
-// ring is a fixed-size overwrite-oldest buffer: the flight recorder's recent
-// and slow queries and the tracer's kept traces. The owner serialises access.
+// ring is a fixed-size overwrite-oldest buffer: the recorder's finished
+// requests. The owner serialises access.
 type ring[T any] struct {
 	buf  []T
 	next int // slot the next push lands in
@@ -10,24 +10,19 @@ type ring[T any] struct {
 
 func newRing[T any](size int) ring[T] { return ring[T]{buf: make([]T, size)} }
 
-func (r *ring[T]) push(v T) {
-	r.buf[r.next] = v
+// push stores v over the oldest value once the ring is full and returns its
+// slot, which stays v's until len(buf) later pushes overwrite it.
+func (r *ring[T]) push(v T) *T {
+	slot := &r.buf[r.next]
+	*slot = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
+	return slot
 }
 
-// at returns the i-th newest value held, 0 ≤ i < n.
-func (r *ring[T]) at(i int) T {
-	return r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
-}
-
-// snapshot copies the held values, newest first.
-func (r *ring[T]) snapshot() []T {
-	out := make([]T, r.n)
-	for i := range out {
-		out[i] = r.at(i)
-	}
-	return out
+// at returns the slot of the i-th newest value held, 0 ≤ i < n.
+func (r *ring[T]) at(i int) *T {
+	return &r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"log/slog"
@@ -10,9 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// keptTraces is how many kept traces the tracer holds, newest first.
-const keptTraces = 128
 
 // TraceparentHeader is the W3C trace-context header spans propagate in,
 // both directions: an incoming traceparent adopts the caller's trace id and
@@ -49,7 +45,7 @@ const FlagSampled byte = 0x01
 // TraceContext is the wire state of the W3C trace-context traceparent
 // header: which trace the request belongs to, the caller's span, and the
 // sampling decision so far. The zero value means "no incoming context" and
-// makes Tracer.Start mint a fresh trace.
+// makes Recorder.StartTrace mint a fresh trace.
 type TraceContext struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -126,25 +122,6 @@ func isLowerHex(s string) bool {
 	return true
 }
 
-// TraceConfig configures a Tracer.
-type TraceConfig struct {
-	// SampleRate is the head-sampling probability in [0, 1]: the fraction
-	// of traces kept regardless of latency or outcome. Sampling is decided
-	// when the trace starts so the decision is stable across the request,
-	// but applied at the tail, together with the slow and error keeps.
-	SampleRate float64
-	// SlowThreshold keeps every trace whose root span runs at least this
-	// long — the same semantics (and, on the serving path, the same value)
-	// as the flight recorder's slow-query threshold. Zero means
-	// DefaultSlowThreshold; negative disables the slow keep.
-	SlowThreshold time.Duration
-	// Log, when non-nil, receives one structured line per kept trace.
-	Log *slog.Logger
-	// Registry receives the trace counters and per-stage span-duration
-	// histograms (Default if nil).
-	Registry *Registry
-}
-
 // SpanBuckets are the span_duration_seconds histogram buckets: 5µs to 60s.
 // DefBuckets starts at 100µs — right for whole HTTP requests, useless for
 // engine stages: an SDK load run's server-side sums put the mean /v1/match handler
@@ -159,239 +136,102 @@ func SpanBuckets() []float64 {
 		1, 2.5, 5, 10, 30, 60}
 }
 
-// Tracer mints spans into per-trace trees and applies tail-based sampling:
-// every span of a trace is buffered until the root span ends, then the
-// whole tree is kept — queryable through Kept and Lookup, behind
-// GET /v1/debug/traces on the serving path — when the trace was slow,
-// errored, explicitly sampled by the caller, or head-sampled at SampleRate;
-// dropped traces release their spans without further work. All methods are
-// safe for concurrent use and nil-safe, so an untraced deployment passes a
-// nil Tracer and every call collapses to one branch.
-type Tracer struct {
-	sampleRate float64
-	slow       time.Duration
-	log        *slog.Logger
-
-	spansTotal   *Counter
-	keptTotal    *Counter
-	droppedTotal *Counter
-	reg          *Registry
-
-	// durations caches the per-stage span_duration_seconds histograms so
-	// span completion does not pay a registry lookup (which allocates its
-	// label slice) per span.
-	durMu     sync.RWMutex
-	durations map[string]*Histogram
-
-	// rng is a splitmix64 state seeded from crypto/rand, advanced with one
-	// atomic add per id — cheap enough to mint ids on the request path.
-	rng atomic.Uint64
-
-	mu   sync.Mutex
-	kept ring[TraceRecord]
-}
-
-// NewTracer returns a tracer with the given configuration and registers
-// its trace_spans_total, traces_kept_total and traces_dropped_total
-// counters.
-func NewTracer(cfg TraceConfig) *Tracer {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = Default
-	}
-	if cfg.SlowThreshold == 0 {
-		cfg.SlowThreshold = DefaultSlowThreshold
-	}
-	if cfg.SampleRate < 0 {
-		cfg.SampleRate = 0
-	}
-	if cfg.SampleRate > 1 {
-		cfg.SampleRate = 1
-	}
-	t := &Tracer{
-		sampleRate: cfg.SampleRate,
-		slow:       cfg.SlowThreshold,
-		log:        cfg.Log,
-		spansTotal: reg.Counter("trace_spans_total",
-			"spans recorded into completed traces, kept or dropped"),
-		keptTotal: reg.Counter("traces_kept_total",
-			"completed traces kept by tail sampling (slow, errored or sampled)"),
-		droppedTotal: reg.Counter("traces_dropped_total",
-			"completed traces dropped by tail sampling"),
-		reg:       reg,
-		durations: make(map[string]*Histogram),
-		kept:      newRing[TraceRecord](keptTraces),
-	}
-	var seed [8]byte
-	if _, err := crand.Read(seed[:]); err == nil {
-		t.rng.Store(binary.LittleEndian.Uint64(seed[:]))
-	} else {
-		t.rng.Store(uint64(time.Now().UnixNano()))
-	}
-	return t
-}
-
-// rand64 returns the next value of the tracer's lock-free splitmix64
-// sequence; never zero.
-func (t *Tracer) rand64() uint64 {
-	for {
-		x := t.rng.Add(0x9e3779b97f4a7c15)
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		if x != 0 {
-			return x
-		}
-	}
-}
-
-// duration returns the span_duration_seconds histogram for one span name,
-// creating it on first use.
-func (t *Tracer) duration(name string) *Histogram {
-	t.durMu.RLock()
-	h := t.durations[name]
-	t.durMu.RUnlock()
-	if h != nil {
-		return h
-	}
-	t.durMu.Lock()
-	defer t.durMu.Unlock()
-	if h = t.durations[name]; h == nil {
-		h = t.reg.Histogram("span_duration_seconds",
-			"span durations by span name, across kept and dropped traces",
-			SpanBuckets(), "span", name)
-		t.durations[name] = h
-	}
-	return h
-}
-
-// Start opens a new trace with its root span. parent is the incoming
+// StartTrace opens a new trace with its root span. parent is the incoming
 // trace context (the zero value when the request carried none): its trace
 // id is adopted, its span id becomes the root span's parent, and its
 // sampled flag forces the tail keep. name names the root span (the route
-// pattern on the serving path) and requestID links the trace to the flight
-// recorder and access log. The head-sampling draw also happens here, so
+// pattern on the serving path) and requestID identifies the request in the
+// trace's record and log line. The head-sampling draw also happens here, so
 // one trace's keep decision is stable however many spans it records. A nil
-// tracer returns a nil Trace and a zero Span, both inert.
-func (t *Tracer) Start(name, requestID string, parent TraceContext) (*Trace, Span) {
-	if t == nil {
+// recorder returns a nil Trace and a zero Span, both inert.
+func (rc *Recorder) StartTrace(name, requestID string, parent TraceContext) (*Trace, Span) {
+	if rc == nil {
 		return nil, Span{}
 	}
 	tr := &Trace{
-		tracer:    t,
+		rc:        rc,
 		requestID: requestID,
 		parent:    parent.SpanID,
 		sampled:   parent.Sampled(),
 		spans:     make([]SpanRecord, 0, 8),
 	}
 	if parent.TraceID.IsZero() {
-		binary.LittleEndian.PutUint64(tr.id[:8], t.rand64())
-		binary.LittleEndian.PutUint64(tr.id[8:], t.rand64())
+		binary.LittleEndian.PutUint64(tr.id[:8], rc.rand64())
+		binary.LittleEndian.PutUint64(tr.id[8:], rc.rand64())
 	} else {
 		tr.id = parent.TraceID
 	}
-	if !tr.sampled && t.sampleRate > 0 {
+	if !tr.sampled && rc.sampleRate > 0 {
 		// 53-bit uniform draw, the float64 precision of the unit interval.
-		draw := float64(t.rand64()>>11) / float64(1<<53)
-		tr.sampled = draw < t.sampleRate
+		draw := float64(rc.rand64()>>11) / float64(1<<53)
+		tr.sampled = draw < rc.sampleRate
 	}
 	root := Span{tr: tr, parent: parent.SpanID, name: name, start: time.Now()}
-	binary.LittleEndian.PutUint64(root.id[:], t.rand64())
+	binary.LittleEndian.PutUint64(root.id[:], rc.rand64())
 	tr.root = root.id
 	return tr, root
 }
 
-// finish applies the tail decision once a trace's root span has ended.
-func (t *Tracer) finish(tr *Trace, rootDur time.Duration) {
+// finish applies the tail decision once a trace's root span has ended: a
+// kept trace's part is filed on the record its query's flight filed, or on
+// a record of its own.
+func (rc *Recorder) finish(tr *Trace, rootDur time.Duration) {
 	tr.mu.Lock()
 	spans := tr.spans
 	tr.spans = nil // further End calls are dropped
 	tr.mu.Unlock()
 
-	t.spansTotal.Add(int64(len(spans)))
+	rc.spansTotal.Add(int64(len(spans)))
 	for i := range spans {
-		t.duration(spans[i].Name).Observe(spans[i].Duration.Seconds())
+		rc.duration(spans[i].Name).Observe(spans[i].Duration.Seconds())
 	}
 
 	reason := ""
 	switch {
 	case tr.errs.Load() > 0:
 		reason = "error"
-	case t.slow > 0 && rootDur >= t.slow:
+	case rc.slowThreshold > 0 && rootDur >= rc.slowThreshold:
 		reason = "slow"
 	case tr.sampled:
 		reason = "sampled"
 	}
 	if reason == "" {
-		t.droppedTotal.Inc()
+		rc.droppedTotal.Inc()
 		return
 	}
-	rec := TraceRecord{
-		ID:        tr.id,
-		RequestID: tr.requestID,
-		Parent:    tr.parent,
-		Root:      tr.root,
-		Reason:    reason,
-		Duration:  rootDur,
-		Spans:     spans,
+	part := TracePart{
+		Parent:   tr.parent,
+		Root:     tr.root,
+		Reason:   reason,
+		Duration: rootDur,
+		Spans:    spans,
 	}
 	for i := range spans {
 		if spans[i].ID == tr.root {
-			rec.Start = spans[i].Start
-			rec.RootName = spans[i].Name
+			part.Start = spans[i].Start
+			part.RootName = spans[i].Name
 			break
 		}
 	}
-	t.mu.Lock()
-	t.kept.push(rec)
-	t.mu.Unlock()
-	t.keptTotal.Inc()
-	if t.log != nil {
-		t.log.LogAttrs(context.Background(), slog.LevelInfo, "trace",
-			slog.String("trace_id", rec.ID.String()),
-			slog.String("request_id", rec.RequestID),
-			slog.String("root", rec.RootName),
-			slog.String("reason", rec.Reason),
-			slog.Float64("duration_ms", ms(rec.Duration)),
-			slog.Int("spans", len(rec.Spans)),
+	rc.mu.Lock()
+	rec := rc.file(tr)
+	if rec.RequestID == "" {
+		rec.RequestID = tr.requestID
+	}
+	rec.Trace = part
+	requestID := rec.RequestID
+	rc.mu.Unlock()
+	rc.keptTotal.Inc()
+	if rc.log != nil {
+		rc.log.LogAttrs(context.Background(), slog.LevelInfo, "trace",
+			slog.String("trace_id", tr.id.String()),
+			slog.String("request_id", requestID),
+			slog.String("root", part.RootName),
+			slog.String("reason", part.Reason),
+			slog.Float64("duration_ms", ms(part.Duration)),
+			slog.Int("spans", len(part.Spans)),
 		)
 	}
-}
-
-// Kept snapshots the kept-trace store, newest first. Nil-safe.
-func (t *Tracer) Kept() []TraceRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.kept.snapshot()
-}
-
-// Lookup returns the kept trace with the given 32-hex-character id.
-// Nil-safe (never found).
-func (t *Tracer) Lookup(idHex string) (TraceRecord, bool) {
-	if t == nil {
-		return TraceRecord{}, false
-	}
-	var id TraceID
-	if len(idHex) != 32 {
-		return TraceRecord{}, false
-	}
-	if _, err := hex.Decode(id[:], []byte(idHex)); err != nil {
-		return TraceRecord{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Newest first, so a reused trace id resolves to its latest trace.
-	for i := 0; i < t.kept.n; i++ {
-		if rec := t.kept.at(i); rec.ID == id {
-			return rec, true
-		}
-	}
-	return TraceRecord{}, false
 }
 
 // Trace is one in-flight trace: an append-only buffer of completed spans,
@@ -399,7 +239,7 @@ func (t *Tracer) Lookup(idHex string) (TraceRecord, bool) {
 // goroutine of the request may End concurrently; each completion is one
 // short append under the trace's mutex.
 type Trace struct {
-	tracer    *Tracer
+	rc        *Recorder
 	id        TraceID
 	requestID string
 	parent    SpanID // remote parent from the traceparent header, zero if local
@@ -410,6 +250,12 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []SpanRecord
+
+	// filed is the ring slot of the request's record, once its flight or
+	// its kept trace filed one, and seq that record's filing number; the
+	// slot is still the request's while their seqs agree. Guarded by rc.mu.
+	filed *Record
+	seq   uint64
 }
 
 // ID returns the trace id. Nil-safe (zero id).
@@ -423,7 +269,7 @@ func (tr *Trace) ID() TraceID {
 // startAt opens a span under parent starting at the given clock reading.
 func (tr *Trace) startAt(name string, parent SpanID, at time.Time) Span {
 	sp := Span{tr: tr, parent: parent, name: name, start: at}
-	binary.LittleEndian.PutUint64(sp.id[:], tr.tracer.rand64())
+	binary.LittleEndian.PutUint64(sp.id[:], tr.rc.rand64())
 	return sp
 }
 
@@ -442,7 +288,7 @@ type SpanRecord struct {
 	Start    time.Time
 	Duration time.Duration
 	// Status is empty for success; anything else marks the span (and its
-	// trace) errored — the outcome strings of the flight recorder, or
+	// trace) errored — the outcome strings of a query's record, or
 	// "http <status>" on the root span.
 	Status string
 	Attrs  []Attr
@@ -524,23 +370,6 @@ func (s Span) finish(status string, attrs []Attr, dur time.Duration) {
 	}
 	tr.mu.Unlock()
 	if s.id == tr.root {
-		tr.tracer.finish(tr, dur)
+		tr.rc.finish(tr, dur)
 	}
-}
-
-// TraceRecord is one kept trace: identity, the tail-keep reason, and the
-// flat span list (parent links rebuild the tree).
-type TraceRecord struct {
-	ID        TraceID
-	RequestID string
-	// Parent is the remote parent span id from the incoming traceparent,
-	// zero when the trace was minted locally.
-	Parent SpanID
-	// Root is the root span's id — the anchor for tree assembly.
-	Root     SpanID
-	RootName string
-	Reason   string // "slow", "error" or "sampled"
-	Start    time.Time
-	Duration time.Duration
-	Spans    []SpanRecord
 }

@@ -12,14 +12,6 @@ import (
 	"time"
 )
 
-// newTestTracer builds a tracer over a private registry so its counters and
-// histograms never collide with the process-wide Default.
-func newTestTracer(cfg TraceConfig) (*Tracer, *Registry) {
-	reg := NewRegistry()
-	cfg.Registry = reg
-	return NewTracer(cfg), reg
-}
-
 // contextFor deterministically fills a valid TraceContext from a seed.
 func contextFor(rng *rand.Rand) TraceContext {
 	var tc TraceContext
@@ -89,61 +81,61 @@ func TestTraceparentMalformed(t *testing.T) {
 // TestTracerTailSampling exercises every keep reason and the drop path.
 func TestTracerTailSampling(t *testing.T) {
 	t.Run("slow", func(t *testing.T) {
-		tr, _ := newTestTracer(TraceConfig{SlowThreshold: time.Nanosecond})
-		trace, root := tr.Start("GET /x", "r1", TraceContext{})
+		tr, _ := newTestRecorder(RecorderConfig{SlowThreshold: time.Nanosecond})
+		trace, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 		time.Sleep(time.Millisecond)
 		root.End()
-		kept := tr.Kept()
-		if len(kept) != 1 || kept[0].Reason != "slow" {
+		kept := traces(tr)
+		if len(kept) != 1 || kept[0].Trace.Reason != "slow" {
 			t.Fatalf("kept = %+v, want one slow trace", kept)
 		}
-		if kept[0].ID != trace.ID() {
-			t.Fatalf("kept trace id %s, want %s", kept[0].ID, trace.ID())
+		if kept[0].TraceID != trace.ID() {
+			t.Fatalf("kept trace id %s, want %s", kept[0].TraceID, trace.ID())
 		}
 	})
 	t.Run("error", func(t *testing.T) {
-		tr, _ := newTestTracer(TraceConfig{SlowThreshold: time.Hour})
-		_, root := tr.Start("GET /x", "r1", TraceContext{})
+		tr, _ := newTestRecorder(RecorderConfig{SlowThreshold: time.Hour})
+		_, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 		sp := root.StartChild("eval")
 		sp.EndStatus("deadline")
 		root.End()
-		kept := tr.Kept()
-		if len(kept) != 1 || kept[0].Reason != "error" {
+		kept := traces(tr)
+		if len(kept) != 1 || kept[0].Trace.Reason != "error" {
 			t.Fatalf("kept = %+v, want one errored trace", kept)
 		}
 	})
 	t.Run("head-sampled", func(t *testing.T) {
-		tr, _ := newTestTracer(TraceConfig{SlowThreshold: time.Hour, SampleRate: 1})
-		_, root := tr.Start("GET /x", "r1", TraceContext{})
+		tr, _ := newTestRecorder(RecorderConfig{SlowThreshold: time.Hour, SampleRate: 1})
+		_, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 		root.End()
-		kept := tr.Kept()
-		if len(kept) != 1 || kept[0].Reason != "sampled" {
+		kept := traces(tr)
+		if len(kept) != 1 || kept[0].Trace.Reason != "sampled" {
 			t.Fatalf("kept = %+v, want one sampled trace", kept)
 		}
 	})
 	t.Run("propagated-sampled", func(t *testing.T) {
-		tr, _ := newTestTracer(TraceConfig{SlowThreshold: time.Hour})
+		tr, _ := newTestRecorder(RecorderConfig{SlowThreshold: time.Hour})
 		parent := TraceContext{TraceID: TraceID{7}, SpanID: SpanID{9}, Flags: FlagSampled}
-		trace, root := tr.Start("GET /x", "r1", parent)
+		trace, root := tr.StartTrace("GET /x", "r1", parent)
 		if trace.ID() != parent.TraceID {
 			t.Fatalf("trace id %s, want adopted %s", trace.ID(), parent.TraceID)
 		}
 		root.End()
-		kept := tr.Kept()
-		if len(kept) != 1 || kept[0].Reason != "sampled" {
+		kept := traces(tr)
+		if len(kept) != 1 || kept[0].Trace.Reason != "sampled" {
 			t.Fatalf("kept = %+v, want one sampled trace", kept)
 		}
-		if kept[0].Parent != parent.SpanID {
-			t.Fatalf("remote parent %s, want %s", kept[0].Parent, parent.SpanID)
+		if kept[0].Trace.Parent != parent.SpanID {
+			t.Fatalf("remote parent %s, want %s", kept[0].Trace.Parent, parent.SpanID)
 		}
 	})
 	t.Run("dropped", func(t *testing.T) {
-		tr, reg := newTestTracer(TraceConfig{SlowThreshold: time.Hour})
-		_, root := tr.Start("GET /x", "r1", TraceContext{})
+		tr, reg := newTestRecorder(RecorderConfig{SlowThreshold: time.Hour})
+		_, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 		sp := root.StartChild("eval")
 		sp.End()
 		root.End()
-		if kept := tr.Kept(); len(kept) != 0 {
+		if kept := traces(tr); len(kept) != 0 {
 			t.Fatalf("kept = %+v, want none", kept)
 		}
 		// Dropped traces still feed the metrics: span counts and durations
@@ -170,38 +162,39 @@ func TestTracerTailSampling(t *testing.T) {
 // the root has finished the trace is silently discarded, not appended to a
 // record already snapshotted (or racing the ring).
 func TestTraceLateSpansDropped(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
-	_, root := tr.Start("GET /x", "r1", TraceContext{})
+	tr, _ := newTestRecorder(RecorderConfig{SampleRate: 1, SlowThreshold: time.Hour})
+	_, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 	late := root.StartChild("late")
 	root.End()
 	late.End() // after finish: dropped
-	kept := tr.Kept()
+	kept := traces(tr)
 	if len(kept) != 1 {
 		t.Fatalf("kept %d traces, want 1", len(kept))
 	}
-	if len(kept[0].Spans) != 1 || kept[0].Spans[0].Name != "GET /x" {
-		t.Fatalf("spans = %+v, want only the root", kept[0].Spans)
+	if len(kept[0].Trace.Spans) != 1 || kept[0].Trace.Spans[0].Name != "GET /x" {
+		t.Fatalf("spans = %+v, want only the root", kept[0].Trace.Spans)
 	}
 }
 
-// TestTraceRingOverwrite fills the kept store beyond capacity and checks
-// overwrite-oldest order plus Lookup resolution.
+// TestTraceRingOverwrite: with only kept traces finishing, the ring holds
+// recordsHeld of them newest-first, evicted traces stop resolving, and
+// malformed ids never resolve.
 func TestTraceRingOverwrite(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
+	tr, _ := newTestRecorder(RecorderConfig{SampleRate: 1, SlowThreshold: time.Hour})
 	var ids []string
-	n := keptTraces + 2
+	n := recordsHeld + 2
 	for i := 0; i < n; i++ {
-		_, root := tr.Start(fmt.Sprintf("GET /%d", i), fmt.Sprintf("r%d", i), TraceContext{})
+		_, root := tr.StartTrace(fmt.Sprintf("GET /%d", i), fmt.Sprintf("r%d", i), TraceContext{})
 		ids = append(ids, root.Context().TraceID.String())
 		root.End()
 	}
-	kept := tr.Kept()
-	if len(kept) != keptTraces {
-		t.Fatalf("kept %d traces, want capacity %d", len(kept), keptTraces)
+	kept := traces(tr)
+	if len(kept) != recordsHeld {
+		t.Fatalf("kept %d traces, want capacity %d", len(kept), recordsHeld)
 	}
 	for i := 0; i < 3; i++ { // newest first
-		if want := fmt.Sprintf("GET /%d", n-1-i); kept[i].RootName != want {
-			t.Fatalf("kept[%d] = %q, want %q", i, kept[i].RootName, want)
+		if want := fmt.Sprintf("GET /%d", n-1-i); kept[i].Trace.RootName != want {
+			t.Fatalf("kept[%d] = %q, want %q", i, kept[i].Trace.RootName, want)
 		}
 	}
 	for _, evicted := range ids[:2] {
@@ -211,7 +204,7 @@ func TestTraceRingOverwrite(t *testing.T) {
 	}
 	newest := ids[n-1]
 	rec, ok := tr.Lookup(newest)
-	if !ok || rec.RootName != fmt.Sprintf("GET /%d", n-1) {
+	if !ok || rec.Trace.RootName != fmt.Sprintf("GET /%d", n-1) {
 		t.Fatalf("Lookup(%s) = %+v, %v", newest, rec, ok)
 	}
 	for _, bad := range []string{"", "zz", newest[:31], newest + "0"} {
@@ -225,8 +218,8 @@ func TestTraceRingOverwrite(t *testing.T) {
 func TestTraceKeptLog(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
-	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour, Log: log})
-	_, root := tr.Start("POST /v1/match", "req-7", TraceContext{})
+	tr, _ := newTestRecorder(RecorderConfig{SampleRate: 1, SlowThreshold: time.Hour, Log: log})
+	_, root := tr.StartTrace("POST /v1/match", "req-7", TraceContext{})
 	root.End()
 	out := buf.String()
 	for _, want := range []string{"msg=trace", "request_id=req-7", "reason=sampled", "spans=1"} {
@@ -236,15 +229,15 @@ func TestTraceKeptLog(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrentSpans hammers one tracer from many goroutines — spans
+// TestTraceConcurrentSpans hammers one recorder from many goroutines — spans
 // ending concurrently within a trace, traces finishing concurrently with
-// Kept/Lookup readers — and relies on -race for the verdict.
+// view and Lookup readers — and relies on -race for the verdict.
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
+	tr, _ := newTestRecorder(RecorderConfig{SampleRate: 1, SlowThreshold: time.Hour})
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
-	go func() { // concurrent reader over the kept ring
+	go func() { // concurrent reader over the ring
 		defer readers.Done()
 		for {
 			select {
@@ -252,8 +245,8 @@ func TestTraceConcurrentSpans(t *testing.T) {
 				return
 			default:
 			}
-			for _, rec := range tr.Kept() {
-				tr.Lookup(rec.ID.String())
+			for _, rec := range traces(tr) {
+				tr.Lookup(rec.TraceID.String())
 			}
 		}
 	}()
@@ -263,7 +256,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_, root := tr.Start("GET /x", fmt.Sprintf("g%d-%d", g, i), TraceContext{})
+				_, root := tr.StartTrace("GET /x", fmt.Sprintf("g%d-%d", g, i), TraceContext{})
 				var inner sync.WaitGroup
 				for w := 0; w < 4; w++ {
 					sp := root.StartChild("eval.worker")
@@ -281,12 +274,12 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if kept := tr.Kept(); len(kept) != keptTraces {
-		t.Fatalf("kept %d traces, want the full capacity %d", len(kept), keptTraces)
+	if kept := traces(tr); len(kept) != recordsHeld {
+		t.Fatalf("kept %d traces, want the full capacity %d", len(kept), recordsHeld)
 	} else {
 		for _, rec := range kept {
-			if len(rec.Spans) != 5 { // root + 4 workers
-				t.Fatalf("trace %s holds %d spans, want 5", rec.ID, len(rec.Spans))
+			if len(rec.Trace.Spans) != 5 { // root + 4 workers
+				t.Fatalf("trace %s holds %d spans, want 5", rec.TraceID, len(rec.Trace.Spans))
 			}
 		}
 	}
@@ -295,10 +288,10 @@ func TestTraceConcurrentSpans(t *testing.T) {
 // TestTraceNilSafety drives every entry point through nil receivers and
 // zero values: all must be inert no-ops.
 func TestTraceNilSafety(t *testing.T) {
-	var tr *Tracer
-	trace, root := tr.Start("GET /x", "r1", TraceContext{})
+	var tr *Recorder
+	trace, root := tr.StartTrace("GET /x", "r1", TraceContext{})
 	if trace != nil || root.Recording() {
-		t.Fatalf("nil tracer Start = (%v, recording=%v), want inert", trace, root.Recording())
+		t.Fatalf("nil recorder StartTrace = (%v, recording=%v), want inert", trace, root.Recording())
 	}
 	if got := trace.ID(); !got.IsZero() {
 		t.Fatalf("nil trace ID = %s, want zero", got)
@@ -312,11 +305,11 @@ func TestTraceNilSafety(t *testing.T) {
 	if ctx := sp.Context(); ctx != (TraceContext{}) {
 		t.Fatalf("inert span context = %+v, want zero", ctx)
 	}
-	if tr.Kept() != nil {
-		t.Fatal("nil tracer Kept != nil")
+	if traces(tr) != nil {
+		t.Fatal("nil recorder traces != nil")
 	}
 	if _, ok := tr.Lookup(strings.Repeat("0", 32)); ok {
-		t.Fatal("nil tracer Lookup resolved")
+		t.Fatal("nil recorder Lookup resolved")
 	}
 	var qs *QueryStats
 	if qs.Begin(StageEval); qs.Span().Recording() {
@@ -331,8 +324,8 @@ func TestTraceNilSafety(t *testing.T) {
 // TestQueryStatsSpanParenting checks the serving-path wiring: stage spans
 // begun through QueryStats land under its root span, timed like the stage.
 func TestQueryStatsSpanParenting(t *testing.T) {
-	tr, _ := newTestTracer(TraceConfig{SampleRate: 1, SlowThreshold: time.Hour})
-	trace, root := tr.Start("POST /v1/match", "r1", TraceContext{})
+	tr, _ := newTestRecorder(RecorderConfig{SampleRate: 1, SlowThreshold: time.Hour})
+	trace, root := tr.StartTrace("POST /v1/match", "r1", TraceContext{})
 	qs := &QueryStats{Root: root}
 	qs.Begin(StageEval)
 	if !qs.Span().Recording() {
@@ -345,11 +338,11 @@ func TestQueryStatsSpanParenting(t *testing.T) {
 		t.Fatal("trace not kept")
 	}
 	var found bool
-	for _, s := range rec.Spans {
+	for _, s := range rec.Trace.Spans {
 		if s.Name == "eval" {
 			found = true
-			if s.Parent != rec.Root {
-				t.Fatalf("eval span parent %s, want root %s", s.Parent, rec.Root)
+			if s.Parent != rec.Trace.Root {
+				t.Fatalf("eval span parent %s, want root %s", s.Parent, rec.Trace.Root)
 			}
 			if len(s.Attrs) != 1 || s.Attrs[0] != (Attr{Key: "balls", Value: 3}) {
 				t.Fatalf("attrs = %+v", s.Attrs)
