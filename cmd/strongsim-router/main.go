@@ -1,7 +1,8 @@
 // Strongsim-router serves the full /v1 protocol over a fleet of plain
 // strongsimd shards. It loads the data graph, computes (or loads) a
-// ball-locality partition plan with a dQ-hop halo, pushes each shard its
-// halo-extended subgraph over ordinary /v1/update batches, and then
+// ball-locality partition plan with a halo of -halo hops, pushes each shard
+// the subgraph within 2·halo hops of the nodes it owns over ordinary
+// /v1/update batches, and then
 // scatter/gathers: /v1/match fans out to every shard and merges per-center
 // results byte-identically to a single node, /v1/update applies to the
 // router's authoritative store and forwards per-shard diff batches, and
@@ -50,7 +51,7 @@ func main() {
 		dataPath   = flag.String("data", "", "data graph file (required)")
 		addr       = flag.String("addr", ":8373", "listen address")
 		shardsSpec = flag.String("shards", "", "comma-separated shard base URLs; '|'-separated replicas per shard (required)")
-		halo       = flag.Int("halo", 2, "halo replication depth in undirected hops; bounds the effective ball radius servable")
+		halo       = flag.Int("halo", 2, "largest effective ball radius servable; shards replicate 2·halo undirected hops around the nodes they own")
 		partition  = flag.String("partition", shard.StrategyBFS, "partition strategy: bfs or hash")
 		planPath   = flag.String("plan", "", "partition plan file: loaded when it exists, else computed and written")
 		pushChunk  = flag.Int("push-chunk", 25000, "mutations per initial-push batch")

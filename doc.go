@@ -32,8 +32,8 @@
 //     ball providers, evaluators and sinks, context cancellation,
 //     early exit, and a per-worker scratch arena (ball buffers + dual
 //     simulation state, reset between centers) so the hot path does not
-//     allocate per ball; core, engine (and live through it), approx and
-//     distributed all schedule through it
+//     allocate per ball; core, engine (and live through it) and approx
+//     all schedule through it
 //   - internal/engine: the serving layer — prepared snapshots (frozen
 //     labels, version), a concurrent query engine that runs every query
 //     behind the global dual-simulation filter, with worker-pool ball
@@ -47,8 +47,9 @@
 //   - internal/approx: TALE and MCS baselines
 //   - internal/generator: synthetic (n, n^α, l) workloads, Amazon-like and
 //     YouTube-like dataset stand-ins, pattern sampling
-//   - internal/distributed: Section 4.3 partitioned evaluation with
-//     byte-counted traffic
+//   - internal/shard: Section 4.3 partitioned evaluation — partition plans
+//     whose shards replicate 2·halo hops, shard push and diff batches, and
+//     the scatter/gather router behind cmd/strongsim-router
 //   - internal/experiments: drivers regenerating every table and figure,
 //     listed once in Artifacts
 //   - examples/, cmd/: runnable entry points — cmd/strongsim (one-shot

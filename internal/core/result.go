@@ -249,7 +249,7 @@ func DedupSubgraphs(perCenter []*PerfectSubgraph, stats *Stats) []*PerfectSubgra
 
 // SortSubgraphs orders a subgraph slice canonically (by smallest node, then
 // size, then signature); MatchWith applies it before returning and the
-// distributed coordinator applies it after its union step.
+// shard router after its ownership merge.
 func SortSubgraphs(subs []*PerfectSubgraph) {
 	sort.Slice(subs, func(i, j int) bool {
 		a, b := subs[i], subs[j]

@@ -3,9 +3,9 @@
 // Strong simulation's data parallelism is "evaluate a ball per candidate
 // center" (paper Section 4.1). Before this package, several independent
 // implementations of that loop existed — core.MatchWith, the engine's
-// evalCenters and batch groups, and the sequential sweeps of distributed
-// and approx — each allocating a fresh ball plus simulation state per
-// center. exec consolidates them: one pool with context
+// evalCenters and batch groups, and the sequential sweeps of approx — each
+// allocating a fresh ball plus simulation state per center. exec
+// consolidates them: one pool with context
 // cancellation and early exit, driving pluggable per-position evaluators,
 // with a reusable per-worker Scratch so the hot path stops allocating per
 // ball (the auxiliary-structure reuse that GraphMini-style matchers win by).
@@ -16,8 +16,7 @@
 //     the caller indexes (all nodes, candidate centers, dirty centers);
 //   - a ball provider runs inside eval — Scratch.Balls.BuildRestricted for
 //     an on-demand BFS that keeps the query's candidates only (Build keeps
-//     the whole ball), or a caller-assembled ball as in distributed, whose
-//     coordinator assembles each ball from pieces its sites ship;
+//     the whole ball);
 //   - the evaluator is core.EvalPreparedBallIn (or any other pure function
 //     of the position);
 //   - the sink runs on the calling goroutine, unordered (Run, worker

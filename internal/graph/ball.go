@@ -36,15 +36,6 @@ func NewBall(g *Graph, center int32, radius int) *Ball {
 	return b
 }
 
-// AssembleBall wires a Ball from parts gathered elsewhere — the distributed
-// evaluator (Section 4.3) constructs balls from fragment-local and fetched
-// adjacency instead of a global graph. sub must be the induced subgraph
-// re-indexed in ascending order of orig; dist holds per-ball-node center
-// distances.
-func AssembleBall(sub *Graph, center int32, radius int, orig, dist []int32) *Ball {
-	return &Ball{G: sub, Center: center, Radius: radius, Orig: orig, Dist: dist}
-}
-
 // bfsUndirected returns the nodes within undirected distance radius of
 // start, together with their distances.
 func bfsUndirected(g *Graph, start int32, radius int) ([]int32, map[int32]int32) {

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/generator"
@@ -48,48 +50,105 @@ func TestHaloContainment(t *testing.T) {
 }
 
 // TestMembersInducedBallsIdentical checks the stronger statement the merge
-// rule needs: the ball computed inside the shard's induced member subgraph
-// equals the global ball, node for node and edge for edge.
+// rule needs: for every node within Halo of a node the shard owns — every
+// center that can produce an owned center's subgraph — and every radius
+// r ≤ Halo, the ball computed inside the shard's graph equals the global
+// ball, node for node and edge for edge.
 func TestMembersInducedBallsIdentical(t *testing.T) {
 	g := generator.Synthetic(120, 1.2, 5, 7)
 	const halo = 2
-	plan, err := BuildPlan(g, 3, halo, StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := plan.Members(g)
-	for s := 0; s < plan.K; s++ {
-		var keep []int32
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			if members[s][v] {
-				keep = append(keep, v)
-			}
+	for _, strategy := range []string{StrategyBFS, StrategyHash} {
+		plan, err := BuildPlan(g, 3, halo, strategy)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sub, orig, toSub := g.InducedSubgraph(keep)
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			if plan.Owner[v] != int32(s) {
-				continue
+		for s, member := range plan.Members(g) {
+			sub := shardGraph(g, member)
+			near := make(map[int32]bool)
+			for v := int32(0); v < int32(g.NumNodes()); v++ {
+				if plan.Owner[v] == int32(s) {
+					for _, u := range graph.NewBall(g, v, halo).Orig {
+						near[u] = true
+					}
+				}
 			}
-			global := graph.NewBall(g, v, halo)
-			local := graph.NewBall(sub, toSub[v], halo)
-			if global.NumNodes() != local.NumNodes() {
-				t.Fatalf("shard %d center %d: global ball %d nodes, shard-local %d",
-					s, v, global.NumNodes(), local.NumNodes())
-			}
-			if ge, le := global.G.NumEdges(), local.G.NumEdges(); ge != le {
-				t.Fatalf("shard %d center %d: global ball %d edges, shard-local %d", s, v, ge, le)
-			}
-			// Same members, mapped back to global ids.
-			seen := make(map[int32]bool, len(global.Orig))
-			for _, u := range global.Orig {
-				seen[u] = true
-			}
-			for _, u := range local.Orig {
-				if !seen[orig[u]] {
-					t.Fatalf("shard %d center %d: local ball node %d not in global ball", s, v, orig[u])
+			for c := range near {
+				for r := 1; r <= halo; r++ {
+					global, local := ballString(graph.NewBall(g, c, r)), ballString(graph.NewBall(sub, c, r))
+					if global != local {
+						t.Fatalf("%s shard %d center %d r=%d: shard ball differs from the global ball\nshard:  %s\nglobal: %s",
+							strategy, s, c, r, local, global)
+					}
 				}
 			}
 		}
+	}
+}
+
+// ballString renders a ball's nodes and edges in parent-graph ids.
+func ballString(b *graph.Ball) string {
+	var sb strings.Builder
+	fmt.Fprint(&sb, b.Orig)
+	b.G.Edges(func(u, v int32) { fmt.Fprintf(&sb, " %d>%d", b.Orig[u], b.Orig[v]) })
+	return sb.String()
+}
+
+// TestPlanStrategies checks both partitioners: every plan is valid, and on
+// a graph with locality the BFS cut crosses no more edges than hashing.
+func TestPlanStrategies(t *testing.T) {
+	g := generator.Synthetic(200, 1.2, 10, 1)
+	for _, k := range []int{1, 2, 3, 7} {
+		cross := make(map[string]int)
+		for _, strategy := range []string{StrategyBFS, StrategyHash} {
+			plan, err := BuildPlan(g, k, 1, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.Validate(g.NumNodes()); err != nil {
+				t.Fatalf("k=%d %s: %v", k, strategy, err)
+			}
+			g.Edges(func(u, v int32) {
+				if plan.Owner[u] != plan.Owner[v] {
+					cross[strategy]++
+				}
+			})
+		}
+		if cross[StrategyBFS] > cross[StrategyHash] {
+			t.Fatalf("k=%d: BFS cut %d edges, hash cut %d — expected BFS ≤ hash",
+				k, cross[StrategyBFS], cross[StrategyHash])
+		}
+	}
+}
+
+// TestPlanReplication compares what the strategies replicate: members
+// summed over shards, per node. On a sparse graph with a shallow halo,
+// where hashing replicates less than every node on every shard, the BFS
+// cut replicates no more than hashing.
+func TestPlanReplication(t *testing.T) {
+	g := generator.Synthetic(2000, 1.05, 10, 1)
+	const k = 4
+	replication := make(map[string]float64)
+	for _, strategy := range []string{StrategyBFS, StrategyHash} {
+		plan, err := BuildPlan(g, k, 1, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := 0
+		for _, member := range plan.Members(g) {
+			for _, m := range member {
+				if m {
+					members++
+				}
+			}
+		}
+		replication[strategy] = float64(members) / float64(g.NumNodes())
+	}
+	if replication[StrategyHash] >= k {
+		t.Fatalf("hash replicates %.3f, every node on every shard: the comparison says nothing", replication[StrategyHash])
+	}
+	if replication[StrategyBFS] > replication[StrategyHash] {
+		t.Fatalf("BFS replicates %.3f, hash %.3f — expected BFS ≤ hash",
+			replication[StrategyBFS], replication[StrategyHash])
 	}
 }
 
@@ -158,5 +217,11 @@ func TestPlanRejectsBadInput(t *testing.T) {
 	}
 	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, 5}}).Validate(2); err == nil {
 		t.Fatal("out-of-range owner must be rejected")
+	}
+	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, -1}}).Validate(2); err == nil {
+		t.Fatal("negative owner must be rejected")
+	}
+	if err := (&Plan{K: 0, Halo: 1}).Validate(0); err == nil {
+		t.Fatal("k=0 plan must be rejected")
 	}
 }

@@ -538,11 +538,15 @@ func (r *Router) Match(ctx context.Context, q *api.Query) (api.MatchResponse, er
 // Stream implements api.Backend. Unlike a single node — which streams
 // matches as workers finish balls, deduping first-wins — the router must
 // gather complete per-shard result sets before it can apply the ownership
-// merge: shard-side streams dedup in arrival order, so an owned center can
-// lose its subgraph to a halo center on its own shard and the result would
-// be silently dropped. Buffered fan-out keeps the stream byte-equal (as a
-// set) to /v1/match, and lets total shard failure surface as a clean
-// pre-commit 502.
+// merge. A subgraph survives the merge only as reported by the shard that
+// owns its smallest producing center, so shards answer /v1/match, which
+// deduplicates in center order; a shard-side stream deduplicates in
+// arrival order and could leave the subgraph under a center its shard does
+// not own, to be dropped. The members' second halo makes the center-order
+// deduplication exact: every center within halo of an owned one has its
+// whole ball on the shard (Plan.Members). Buffered fan-out keeps the stream
+// byte-equal (as a set) to /v1/match, and lets total shard failure surface
+// as a clean pre-commit 502.
 func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.PerfectSubgraph) bool) (api.MatchResponse, error) {
 	subs, resp, err := r.gather(ctx, q, "stream")
 	if err != nil {

@@ -215,6 +215,46 @@ func TestRouterByteIdenticalMatches(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsMatchesOfTruncatedHaloCenters pins a merge that once lost
+// matches: with Halo hops of replication, shard 0 (owner of 5) holds center
+// 2 with a truncated ball — node 6 missing — which yields center 5's
+// subgraph {0,1,2,4,5}. The shard dedups that subgraph onto 2, the router
+// drops it because shard 0 does not own 2, and 2's owner finds
+// {0,1,2,4,5,6} for it: the router answered 5 matches, the single node 7.
+func TestRouterKeepsMatchesOfTruncatedHaloCenters(t *testing.T) {
+	const data = `node n0 A
+node n1 A
+node n2 A
+node n3 A
+node n4 A
+node n5 A
+node n6 A
+node n7 A
+edge n0 n5
+edge n2 n1
+edge n3 n7
+edge n5 n2
+edge n5 n4
+edge n6 n1
+edge n6 n6
+edge n6 n7
+`
+	build := func() *graph.Graph {
+		g, err := graph.ParseString(data, graph.NewLabels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	f := newFleet(t, build, 4, 2, nil)
+	const pat = "node n0 A\nnode n1 A\nnode n2 A\nedge n1 n0\nedge n2 n0\n"
+	for _, mode := range []string{api.ModePlain, api.ModePlus} {
+		if f.assertIdentical(t, pat, api.QuerySpec{Mode: mode}, mode) != 7 {
+			t.Fatalf("%s: the single node no longer answers the 7 matches this case was built on", mode)
+		}
+	}
+}
+
 func TestRouterMatchesAfterUpdates(t *testing.T) {
 	f := newFleet(t, buildSynthetic(60, 7), 3, 2, nil)
 	g := generator.Synthetic(60, 1.2, 5, 7)
