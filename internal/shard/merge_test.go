@@ -59,12 +59,12 @@ func checkMergeEqualsCentralized(q, g *graph.Graph, plan *Plan, opts engine.Quer
 	return nil
 }
 
-// TestQuickMergeEqualsCentralized checks the merge over both strategies and
-// both modes: on Fig. 1 at k ∈ {1, 2, 3, 5}, then on small random graphs
-// with few labels, where a ball the shard holds truncated often reproduces
-// an owned center's subgraph.
-func TestQuickMergeEqualsCentralized(t *testing.T) {
-	modes := []engine.QueryOptions{{}, engine.PlusQuery()}
+// mergeModes are the query modes every merge check runs in: plain and plus.
+var mergeModes = []engine.QueryOptions{{}, engine.PlusQuery()}
+
+// TestMergeMatchesFig1 checks the merge on Fig. 1 at k ∈ {1, 2, 3, 5}, over
+// both strategies and both modes.
+func TestMergeMatchesFig1(t *testing.T) {
 	q1, g1 := paperdata.Fig1()
 	dq1, _ := graph.Diameter(q1)
 	for _, strategy := range []string{StrategyBFS, StrategyHash} {
@@ -73,14 +73,19 @@ func TestQuickMergeEqualsCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range modes {
+			for _, opts := range mergeModes {
 				if err := checkMergeEqualsCentralized(q1, g1, plan, opts); err != nil {
 					t.Fatalf("Fig. 1, %s k=%d plus=%v: %v", strategy, k, opts.MinimizeQuery, err)
 				}
 			}
 		}
 	}
+}
 
+// TestQuickMergeEqualsCentralized checks the merge over both strategies and
+// both modes on small random graphs with few labels, where a ball the shard
+// holds truncated often reproduces an owned center's subgraph.
+func TestQuickMergeEqualsCentralized(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		labels := graph.NewLabels()
@@ -115,7 +120,7 @@ func TestQuickMergeEqualsCentralized(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		for _, opts := range modes {
+		for _, opts := range mergeModes {
 			if err := checkMergeEqualsCentralized(q, g, plan, opts); err != nil {
 				t.Logf("seed %d, %s k=%d plus=%v: %v", seed, strategy, plan.K, opts.MinimizeQuery, err)
 				return false

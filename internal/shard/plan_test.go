@@ -218,10 +218,24 @@ func TestPlanRejectsBadInput(t *testing.T) {
 	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, 5}}).Validate(2); err == nil {
 		t.Fatal("out-of-range owner must be rejected")
 	}
-	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, -1}}).Validate(2); err == nil {
-		t.Fatal("negative owner must be rejected")
+}
+
+// TestPlanValidate checks the plan's own invariants, independent of how it
+// was built: k ≥ 1, one owner per node, every owner a shard of the plan.
+func TestPlanValidate(t *testing.T) {
+	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, 1}}).Validate(2); err != nil {
+		t.Fatalf("valid plan rejected: %v", err)
 	}
 	if err := (&Plan{K: 0, Halo: 1}).Validate(0); err == nil {
 		t.Fatal("k=0 plan must be rejected")
+	}
+	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, 5}}).Validate(2); err == nil {
+		t.Fatal("out-of-range owner must be rejected")
+	}
+	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0, -1}}).Validate(2); err == nil {
+		t.Fatal("negative owner must be rejected")
+	}
+	if err := (&Plan{K: 2, Halo: 1, Owner: []int32{0}}).Validate(2); err == nil {
+		t.Fatal("owner array shorter than the graph must be rejected")
 	}
 }
