@@ -17,8 +17,8 @@ import (
 // Backend, which owns only how it is evaluated. There are two: the single
 // node (local, below) and the scatter/gather tier (shard.Router).
 //
-// A Backend may refuse a request with an *Error (a router's halo_exceeded,
-// shard_unavailable, or a shard's own 4xx); it is answered as is. Any other
+// A Backend may refuse a request with an *Error (a router's shard_unavailable,
+// or a shard's own 4xx); it is answered as is. Any other
 // error is mapped like an engine failure: deadline, cancellation, or a
 // pattern the engine rejects.
 type Backend interface {

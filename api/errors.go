@@ -40,11 +40,6 @@ const (
 	// failed after retries) and the request did not allow partial results.
 	// Retryable once the shard recovers.
 	CodeShardUnavailable = "shard_unavailable"
-	// CodeHaloExceeded: the query's effective ball radius (explicit radius,
-	// or the pattern diameter dQ) exceeds the router's halo replication
-	// depth, so ball locality cannot be guaranteed. Lower the radius or
-	// redeploy with a deeper halo.
-	CodeHaloExceeded = "halo_exceeded"
 	// CodeInternal: a handler panicked; the recovery middleware counted it
 	// and answered this instead of dropping the connection. The message
 	// carries the request id for log correlation, never the panic value.

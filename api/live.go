@@ -46,6 +46,24 @@ func (m MutationJSON) toMutation(i int) (live.Mutation, error) {
 	return out, nil
 }
 
+// FromMutation is the wire form of a store mutation, the inverse of
+// toMutation: what a router forwards to its replicas.
+func FromMutation(m live.Mutation) MutationJSON {
+	switch m.Op {
+	case live.OpAddNode:
+		return AddNode(m.Label)
+	case live.OpInsertEdge:
+		return InsertEdge(m.U, m.V)
+	case live.OpDeleteEdge:
+		return DeleteEdge(m.U, m.V)
+	case live.OpDeleteNode:
+		return DeleteNode(m.Node)
+	case live.OpSetLabel:
+		return SetLabel(m.Node, m.Label)
+	}
+	return MutationJSON{Op: string(m.Op)}
+}
+
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
 	// Strict: a misspelled mutation field must answer 400, not silently

@@ -61,6 +61,16 @@ type QuerySpec struct {
 	// escape hatch for debugging and for parity checks (a cached and an
 	// uncached answer carry identical matches).
 	NoPlan bool `json:"no_plan,omitempty"`
+	// Slice is set only by a router, on the request it sends each replica:
+	// evaluate only the candidate centers v with v mod Of = Index. A router
+	// refuses a client request that sets it.
+	Slice *SliceJSON `json:"slice,omitempty"`
+}
+
+// SliceJSON names one of Of disjoint shares of a query's candidate centers.
+type SliceJSON struct {
+	Index int `json:"index"`
+	Of    int `json:"of"`
 }
 
 // mode returns the canonical spelling of s.Mode: ModePlain for "", "plain"
@@ -114,6 +124,12 @@ func (s QuerySpec) Compile() (engine.QueryOptions, core.Metric, error) {
 	}
 	opts.Radius = s.Radius
 	opts.Limit = s.Limit
+	if sl := s.Slice; sl != nil {
+		if sl.Of < 1 || sl.Index < 0 || sl.Index >= sl.Of {
+			return opts, nil, fmt.Errorf("slice needs 0 ≤ index < of (got index %d of %d)", sl.Index, sl.Of)
+		}
+		opts.Slice = engine.CenterSlice{Index: sl.Index, Of: sl.Of}
+	}
 	metric, err := MetricByName(s.Metric)
 	if err != nil {
 		return opts, nil, err

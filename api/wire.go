@@ -23,7 +23,7 @@ type MatchRequest struct {
 // present exactly when the request set "stats": true. Partial is present
 // only on router deployments and only when the request set
 // "allow_partial": true and at least one shard was unavailable — the matches
-// are then complete except for centers owned by the failed shards.
+// are then complete except for centers in the failed shards' slices.
 type MatchResponse struct {
 	Matches    []SubgraphJSON  `json:"matches"`
 	Stats      StatsJSON       `json:"stats"`
@@ -34,7 +34,7 @@ type MatchResponse struct {
 
 // PartialJSON marks a degraded scatter/gather response: the shards that
 // could not be reached (after every replica and retry was exhausted) and how
-// many data nodes — potential ball centers — those shards own. Responses
+// many data nodes — potential ball centers — lie in those shards' slices. Responses
 // missing results are never silent: either this marker is present or the
 // request failed with CodeShardUnavailable.
 type PartialJSON struct {
@@ -176,8 +176,7 @@ func DeleteNode(node int32) MutationJSON {
 }
 
 // SetLabel builds a set_label mutation: the node keeps its id and edges but
-// changes label. The sharded serving tier uses it to promote and demote halo
-// replicas; it is equally available to ordinary clients.
+// changes label.
 func SetLabel(node int32, label string) MutationJSON {
 	return MutationJSON{Op: OpSetLabel, Node: &node, Label: &label}
 }
@@ -191,8 +190,8 @@ type UpdateRequest struct {
 // ids (serialized as decimal strings, as encoding/json renders integer
 // keys) to the balls re-evaluated maintaining them. ShardVersions is
 // present only on router deployments: the version the router now expects
-// each shard to be at after forwarding the batch (the router-side version
-// vector), keyed by shard index.
+// each shard to be at after forwarding the batch, keyed by shard index
+// (every replica takes every batch, so the values are equal).
 type UpdateResponse struct {
 	Version       uint64         `json:"version"`
 	Nodes         int            `json:"nodes"`

@@ -1,27 +1,25 @@
 // Strongsim-router serves the full /v1 protocol over a fleet of plain
-// strongsimd shards. It loads the data graph, computes (or loads) a
-// ball-locality partition plan with a halo of -halo hops, pushes each shard
-// the subgraph within 2·halo hops of the nodes it owns over ordinary
-// /v1/update batches, and then
-// scatter/gathers: /v1/match fans out to every shard and merges per-center
-// results byte-identically to a single node, /v1/update applies to the
-// router's authoritative store and forwards per-shard diff batches, and
-// every other route (graph introspection, standing queries, metrics,
-// debug) is answered from the authoritative store. The HTTP surface is
-// package api's one /v1 route tree — the same validation, middleware and
-// debug endpoints a single strongsimd serves.
+// strongsimd shards. It loads the data graph, pushes every shard a full copy
+// over ordinary /v1/update batches, and then scatter/gathers: /v1/match
+// fans out to every shard, shard i of k evaluating only the candidate
+// centers v with v mod k = i, and merges the results byte-identically to a
+// single node, /v1/update applies to the router's authoritative store and
+// forwards the same mutations to every shard, and every other route (graph
+// introspection, standing queries, metrics, debug) is answered from the
+// authoritative store. The HTTP surface is package api's one /v1 route
+// tree — the same validation, middleware and debug endpoints a single
+// strongsimd serves.
 //
 //	strongsim-router -data graph.g -shards http://s0:8372,http://s1:8372
-//	strongsim-router -data graph.g -halo 3 -partition hash \
+//	strongsim-router -data graph.g \
 //	    -shards 'http://s0a:8372|http://s0b:8372,http://s1:8372'
 //
 // The -shards list is comma-separated per shard; replicas of one shard are
-// separated by '|' and tried in order. A match whose effective ball radius
-// exceeds -halo is rejected with 400 halo_exceeded. When a shard loses
-// every replica, matches fail with 502 shard_unavailable unless the
-// request sets query.allow_partial, in which case the response carries a
-// "partial" marker naming the failed shards and the number of centers not
-// evaluated. See API.md, "Sharded serving".
+// separated by '|' and tried in order. When a shard loses every replica,
+// matches fail with 502 shard_unavailable unless the request sets
+// query.allow_partial, in which case the response carries a "partial"
+// marker naming the failed shards and the number of nodes in their center
+// slices. See API.md, "Sharded serving".
 package main
 
 import (
@@ -51,9 +49,6 @@ func main() {
 		dataPath   = flag.String("data", "", "data graph file (required)")
 		addr       = flag.String("addr", ":8373", "listen address")
 		shardsSpec = flag.String("shards", "", "comma-separated shard base URLs; '|'-separated replicas per shard (required)")
-		halo       = flag.Int("halo", 2, "largest effective ball radius servable; shards replicate 2·halo undirected hops around the nodes they own")
-		partition  = flag.String("partition", shard.StrategyBFS, "partition strategy: bfs or hash")
-		planPath   = flag.String("plan", "", "partition plan file: loaded when it exists, else computed and written")
 		pushChunk  = flag.Int("push-chunk", 25000, "mutations per initial-push batch")
 		shardTO    = flag.Duration("shard-timeout", 10*time.Second, "per-shard fan-out deadline")
 		retries    = flag.Int("retries", 3, "total attempts per replica request (incl. the first)")
@@ -90,23 +85,12 @@ func main() {
 	}
 	log.Printf("loaded %v", g)
 
-	plan, err := loadOrBuildPlan(*planPath, g, len(shards), *halo, *partition)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if plan.K != len(shards) {
-		log.Fatalf("plan has %d shards, -shards lists %d", plan.K, len(shards))
-	}
-	counts := plan.OwnedCount(g.NumNodes())
-	log.Printf("plan: k=%d halo=%d strategy=%s owned=%v", plan.K, plan.Halo, plan.Strategy, counts)
-
 	var accessLog *slog.Logger
 	if !*quiet {
 		accessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	store := live.NewStore(g, live.Config{Workers: *workers})
 	rt, err := shard.NewRouter(store, shard.Config{
-		Plan:          plan,
 		Shards:        shards,
 		ShardTimeout:  *shardTO,
 		Retry:         client.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
@@ -131,11 +115,11 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	log.Printf("pushing shard subgraphs (chunk %d)", *pushChunk)
+	log.Printf("pushing the graph to %d shards (chunk %d)", len(shards), *pushChunk)
 	if err := rt.Push(ctx); err != nil {
 		log.Fatalf("push: %v", err)
 	}
-	log.Printf("pushed %d shards in %v", plan.K, time.Since(start))
+	log.Printf("pushed %d shards in %v", len(shards), time.Since(start))
 	rt.StartProbes(ctx)
 	defer rt.Close()
 
@@ -146,7 +130,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("routing %s on %s over %d shards (halo %d)", api.Prefix, *addr, plan.K, plan.Halo)
+		log.Printf("routing %s on %s over %d shards", api.Prefix, *addr, len(shards))
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -181,41 +165,4 @@ func parseShards(spec string) [][]string {
 		}
 	}
 	return shards
-}
-
-// loadOrBuildPlan reads the plan file when it exists; otherwise it computes
-// a fresh plan and, when a path was given, persists it for the next start.
-func loadOrBuildPlan(path string, g *graph.Graph, k, halo int, strategy string) (*shard.Plan, error) {
-	if path != "" {
-		if f, err := os.Open(path); err == nil {
-			defer f.Close()
-			plan, err := shard.ReadPlan(f)
-			if err != nil {
-				return nil, err
-			}
-			if err := plan.Validate(g.NumNodes()); err != nil {
-				return nil, err
-			}
-			log.Printf("loaded plan from %s", path)
-			return plan, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-	}
-	plan, err := shard.BuildPlan(g, k, halo, strategy)
-	if err != nil {
-		return nil, err
-	}
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := shard.WritePlan(f, plan); err != nil {
-			return nil, err
-		}
-		log.Printf("wrote plan to %s", path)
-	}
-	return plan, nil
 }

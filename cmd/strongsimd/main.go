@@ -55,7 +55,7 @@ func main() {
 	var (
 		dataPath   = flag.String("data", "", "data graph file (required unless -role shard)")
 		addr       = flag.String("addr", ":8372", "listen address")
-		role       = flag.String("role", api.RoleStandalone, "deployment role reported in healthz: standalone or shard (shards start empty and are pushed their subgraph by strongsim-router)")
+		role       = flag.String("role", api.RoleStandalone, "deployment role reported in healthz: standalone or shard (shards start empty and are pushed the graph by strongsim-router)")
 		nodeID     = flag.String("node-id", "", "stable node identifier reported in healthz (default: generated at startup)")
 		workers    = flag.Int("workers", 0, "ball-evaluation workers per query (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
@@ -71,8 +71,8 @@ func main() {
 	if *role != api.RoleStandalone && *role != api.RoleShard {
 		log.Fatalf("-role %q: want %q or %q", *role, api.RoleStandalone, api.RoleShard)
 	}
-	// A shard may (and normally does) start empty: the router pushes its
-	// halo-extended subgraph over /v1/update before serving traffic.
+	// A shard may (and normally does) start empty: the router pushes it a
+	// copy of the graph over /v1/update before serving traffic.
 	if *dataPath == "" && *role != api.RoleShard {
 		flag.Usage()
 		os.Exit(2)

@@ -47,9 +47,11 @@
 //   - internal/approx: TALE and MCS baselines
 //   - internal/generator: synthetic (n, n^α, l) workloads, Amazon-like and
 //     YouTube-like dataset stand-ins, pattern sampling
-//   - internal/shard: Section 4.3 partitioned evaluation — partition plans
-//     whose shards replicate 2·halo hops, shard push and diff batches, and
-//     the scatter/gather router behind cmd/strongsim-router
+//   - internal/shard: Section 4.3 distributed evaluation — the scatter/gather
+//     router behind cmd/strongsim-router over full replicas that each
+//     evaluate one slice of the candidate centers, the push that fills an
+//     empty replica, and the partition plan examples/distributed checks
+//     locality with
 //   - internal/experiments: drivers regenerating every table and figure,
 //     listed once in Artifacts
 //   - examples/, cmd/: runnable entry points — cmd/strongsim (one-shot

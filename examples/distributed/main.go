@@ -94,16 +94,21 @@ func main() {
 	}
 }
 
-// shardGraph is the graph a shard serves: every node of g under its global
-// id, members with their true labels and the rest under shard.FillerLabel,
-// and the edges of g between members.
+// filler is the label of the nodes a shard does not hold. It contains
+// whitespace, so no pattern in the text format can name it: a filler node is
+// never a candidate and never matches.
+const filler = "\x00shard filler"
+
+// shardGraph is the graph a shard of the plan would hold: every node of g
+// under its global id, members with their true labels and the rest under
+// filler, and the edges of g between members.
 func shardGraph(g *graph.Graph, member []bool) *graph.Graph {
 	b := graph.NewBuilder(g.Labels().Clone())
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		if member[v] {
 			b.AddNode(g.LabelName(v))
 		} else {
-			b.AddNode(shard.FillerLabel)
+			b.AddNode(filler)
 		}
 	}
 	g.Edges(func(u, v int32) {

@@ -99,7 +99,17 @@ type QueryOptions struct {
 	// Other execution paths ignore it. Caching never changes the served
 	// subgraphs.
 	Planner *plan.Planner
+	// Slice, when its Of is positive, restricts the query to one share of
+	// the candidate centers, those v with v mod Of = Index: one replica's
+	// part of a fleet that splits the centers rather than the graph. Every
+	// execution path honours it. BallsSkipped still counts against all
+	// candidates, and a sliced query never reads or writes the result cache.
+	Slice CenterSlice
 }
+
+// CenterSlice names one of Of disjoint shares of a query's candidate
+// centers: those v with v mod Of = Index. The zero value is every center.
+type CenterSlice struct{ Index, Of int }
 
 // PlusQuery returns the Match+ configuration: every optimization enabled.
 func PlusQuery() QueryOptions {
@@ -200,6 +210,15 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		tr.CandidateCenters = len(p.centers)
 	}
 	tr.End("", obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))})
+	if sl := opts.Slice; sl.Of > 0 {
+		kept := p.centers[:0]
+		for _, v := range p.centers {
+			if int(v)%sl.Of == sl.Index {
+				kept = append(kept, v)
+			}
+		}
+		p.centers = kept
+	}
 	return p, nil
 }
 

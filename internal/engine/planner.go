@@ -11,7 +11,7 @@ import (
 // version it will be stored under, and — depending on the lookup outcome —
 // either an entry of the query's version to serve directly (hit) or the
 // center restriction of a containment hit. nil when the query cannot use
-// the cache (no planner, Limit set, invalid pattern).
+// the cache (no planner, Limit or Slice set, invalid pattern).
 type cacheCtx struct {
 	cache   *plan.Cache
 	key     string
@@ -31,9 +31,11 @@ type cacheCtx struct {
 // planLookup consults the planner's result cache for one Match execution.
 // Pattern validation failures return nil so the normal path reports its
 // usual errors; the caller must already have routed Limit > 0 elsewhere.
+// A sliced query gets nil too: an entry holds whole answers, a slice is part
+// of one.
 func (e *Engine) planLookup(q *graph.Graph, opts QueryOptions) *cacheCtx {
 	c := opts.Planner.Cache()
-	if c == nil || q == nil || q.NumNodes() == 0 {
+	if c == nil || q == nil || q.NumNodes() == 0 || opts.Slice.Of > 0 {
 		return nil
 	}
 	dq, connected := graph.Diameter(q)

@@ -15,44 +15,32 @@ import (
 	"repro/internal/paperdata"
 )
 
-// shardGraph is the graph a pushed shard serves, built in process: every
-// node of g under its global id, members with their true labels and the
-// rest under FillerLabel, and the edges of g between members.
-func shardGraph(g *graph.Graph, member []bool) *graph.Graph {
-	b := graph.NewBuilder(g.Labels().Clone())
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		b.AddNode(shardLabel(g, member, v))
-	}
-	g.Edges(func(u, v int32) {
-		if member[u] && member[v] {
-			_ = b.AddEdge(u, v)
-		}
-	})
-	return b.Build()
-}
-
 // checkMergeEqualsCentralized is the Sec. 4.3 equality on the served tier:
-// every shard of plan evaluates q on its own graph in the given mode, the
-// router's merge rule combines the answers, and the merged matches must be
-// byte-identical to core.MatchWith on the whole graph, centers included.
-func checkMergeEqualsCentralized(q, g *graph.Graph, plan *Plan, opts engine.QueryOptions) error {
-	central, err := core.MatchWith(q, g, core.Options{Workers: 1})
+// each of k shards, a full replica, evaluates q in the given mode over its
+// center slice, the router's merge rule combines the answers, and the merged
+// matches and statistics must be byte-identical to core.MatchWith on the
+// whole graph (the global filter on, as every served query takes it),
+// centers included.
+func checkMergeEqualsCentralized(q, g *graph.Graph, k int, opts engine.QueryOptions) error {
+	central, err := core.MatchWith(q, g, core.Options{Workers: 1, DualFilter: true,
+		MinimizeQuery: opts.MinimizeQuery, ConnectivityPruning: opts.ConnectivityPruning})
 	if err != nil {
 		return err
 	}
-	members := plan.Members(g)
-	resps := make([]*api.MatchResponse, plan.K)
+	eng := engine.New(g, engine.Config{Workers: 1})
+	resps := make([]*api.MatchResponse, k)
 	for s := range resps {
-		res, err := engine.New(shardGraph(g, members[s]), engine.Config{Workers: 1}).
-			Match(context.Background(), q, opts)
+		sliced := opts
+		sliced.Slice = engine.CenterSlice{Index: s, Of: k}
+		res, err := eng.Match(context.Background(), q, sliced)
 		if err != nil {
 			return err
 		}
-		resps[s] = &api.MatchResponse{Matches: api.FromSubgraphs(res.Subgraphs)}
+		resps[s] = &api.MatchResponse{Matches: api.FromSubgraphs(res.Subgraphs), Stats: api.FromStats(res.Stats)}
 	}
-	merged, _ := mergeOwned(resps, plan.Owner)
-	got, _ := json.Marshal(api.FromSubgraphs(merged))
-	want, _ := json.Marshal(api.FromSubgraphs(central.Subgraphs))
+	merged, stats := mergeOwned(resps, k)
+	got, _ := json.Marshal(api.MatchResponse{Matches: api.FromSubgraphs(merged), Stats: api.FromStats(stats)})
+	want, _ := json.Marshal(api.MatchResponse{Matches: api.FromSubgraphs(central.Subgraphs), Stats: api.FromStats(central.Stats)})
 	if string(got) != string(want) {
 		return fmt.Errorf("merged shards diverge from the centralized result\nmerged:      %s\ncentralized: %s", got, want)
 	}
@@ -62,29 +50,22 @@ func checkMergeEqualsCentralized(q, g *graph.Graph, plan *Plan, opts engine.Quer
 // mergeModes are the query modes every merge check runs in: plain and plus.
 var mergeModes = []engine.QueryOptions{{}, engine.PlusQuery()}
 
-// TestMergeMatchesFig1 checks the merge on Fig. 1 at k ∈ {1, 2, 3, 5}, over
-// both strategies and both modes.
+// TestMergeMatchesFig1 checks the merge on Fig. 1 at k ∈ {1, 2, 3, 5} in
+// both modes.
 func TestMergeMatchesFig1(t *testing.T) {
 	q1, g1 := paperdata.Fig1()
-	dq1, _ := graph.Diameter(q1)
-	for _, strategy := range []string{StrategyBFS, StrategyHash} {
-		for _, k := range []int{1, 2, 3, 5} {
-			plan, err := BuildPlan(g1, k, dq1, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, opts := range mergeModes {
-				if err := checkMergeEqualsCentralized(q1, g1, plan, opts); err != nil {
-					t.Fatalf("Fig. 1, %s k=%d plus=%v: %v", strategy, k, opts.MinimizeQuery, err)
-				}
+	for _, k := range []int{1, 2, 3, 5} {
+		for _, opts := range mergeModes {
+			if err := checkMergeEqualsCentralized(q1, g1, k, opts); err != nil {
+				t.Fatalf("Fig. 1, k=%d plus=%v: %v", k, opts.MinimizeQuery, err)
 			}
 		}
 	}
 }
 
-// TestQuickMergeEqualsCentralized checks the merge over both strategies and
-// both modes on small random graphs with few labels, where a ball the shard
-// holds truncated often reproduces an owned center's subgraph.
+// TestQuickMergeEqualsCentralized checks the merge in both modes on small
+// random graphs with few labels, where one subgraph often has producing
+// centers in several slices.
 func TestQuickMergeEqualsCentralized(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,16 +94,10 @@ func TestQuickMergeEqualsCentralized(t *testing.T) {
 			}
 		}
 		q := qb.Build()
-		dq, _ := graph.Diameter(q)
-		strategy := []string{StrategyBFS, StrategyHash}[rng.Intn(2)]
-		plan, err := BuildPlan(g, 2+rng.Intn(3), max(1, dq), strategy)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
+		k := 2 + rng.Intn(3)
 		for _, opts := range mergeModes {
-			if err := checkMergeEqualsCentralized(q, g, plan, opts); err != nil {
-				t.Logf("seed %d, %s k=%d plus=%v: %v", seed, strategy, plan.K, opts.MinimizeQuery, err)
+			if err := checkMergeEqualsCentralized(q, g, k, opts); err != nil {
+				t.Logf("seed %d, k=%d plus=%v: %v", seed, k, opts.MinimizeQuery, err)
 				return false
 			}
 		}

@@ -6,65 +6,37 @@ import (
 	"repro/internal/live"
 )
 
-// FillerLabel is the label non-member nodes carry on a shard. Every shard
-// holds the full global id space so node ids need no translation; nodes
-// outside the shard's halo-extended member set exist only as inert
-// placeholders under this label. Like live.TombstoneLabel it contains
-// whitespace (and a NUL), so the text format can never parse a pattern
-// node to it: filler nodes are never candidate centers and never match any
-// pattern node.
-const FillerLabel = "\x00shard filler"
+// deletedPlaceholder is the label a node already deleted on the
+// authoritative graph is added under before a replica deletes it again, so
+// node ids line up. Like live.TombstoneLabel it contains a NUL, so no pattern
+// can name it.
+const deletedPlaceholder = "\x00pushed deleted node"
 
-// shardLabel returns the label node v carries on a shard with the given
-// membership: its true label for members, FillerLabel otherwise. Deleted
-// (tombstoned) nodes are handled by the callers — they travel as
-// delete_node, never as a label.
-func shardLabel(g *graph.Graph, member []bool, v int32) string {
-	if member[v] {
-		return g.LabelName(v)
-	}
-	return FillerLabel
-}
-
-// tombstoned returns a predicate for globally deleted nodes of g. Deletion
-// re-labels to live.TombstoneLabel; a graph that never saw a deletion has
-// no such label and the predicate is constant false.
-func tombstoned(g *graph.Graph) func(int32) bool {
-	lbl := g.Labels().ID(live.TombstoneLabel)
-	if lbl == graph.NoLabel {
-		return func(int32) bool { return false }
-	}
-	return func(v int32) bool { return g.Label(v) == lbl }
-}
-
-// InitialBatches builds the /v1/update batches that bring an empty shard to
-// its subgraph of g under the given membership: every global node in id
-// order (members with their true labels, the rest as filler, deleted nodes
-// deleted again so tombstone state aligns), then every edge of g whose two
-// endpoints are members. Batches carry at most chunk mutations each
-// (chunk ≤ 0 means one batch); node additions always precede the edges that
-// reference them because mutations are emitted in that order and chunking
-// preserves it.
-func InitialBatches(g *graph.Graph, member []bool, chunk int) [][]api.MutationJSON {
-	dead := tombstoned(g)
+// InitialBatches builds the /v1/update batches that bring an empty replica
+// to a copy of g: every node in id order under its label (deleted nodes
+// under deletedPlaceholder, then deleted again so tombstone state aligns),
+// then every edge. Batches carry at most chunk mutations each (chunk ≤ 0
+// means one batch); node additions always precede the edges that reference
+// them because mutations are emitted in that order and chunking preserves
+// it.
+func InitialBatches(g *graph.Graph, chunk int) [][]api.MutationJSON {
+	tomb := g.Labels().ID(live.TombstoneLabel) // graph.NoLabel before any deletion
 	n := int32(g.NumNodes())
 	muts := make([]api.MutationJSON, 0, g.NumNodes()+g.NumEdges())
 	var deadNodes []int32
 	for v := int32(0); v < n; v++ {
-		if dead(v) {
-			muts = append(muts, api.AddNode(FillerLabel))
+		if tomb != graph.NoLabel && g.Label(v) == tomb {
+			muts = append(muts, api.AddNode(deletedPlaceholder))
 			deadNodes = append(deadNodes, v)
 			continue
 		}
-		muts = append(muts, api.AddNode(shardLabel(g, member, v)))
+		muts = append(muts, api.AddNode(g.LabelName(v)))
 	}
 	for _, v := range deadNodes {
 		muts = append(muts, api.DeleteNode(v))
 	}
 	g.Edges(func(u, v int32) {
-		if member[u] && member[v] {
-			muts = append(muts, api.InsertEdge(u, v))
-		}
+		muts = append(muts, api.InsertEdge(u, v))
 	})
 	return chunkMutations(muts, chunk)
 }
@@ -82,99 +54,4 @@ func chunkMutations(muts []api.MutationJSON, chunk int) [][]api.MutationJSON {
 		muts = muts[chunk:]
 	}
 	return append(out, muts)
-}
-
-// DiffBatch computes the single /v1/update batch that moves one shard from
-// its subgraph of oldG (under oldMember) to its subgraph of newG (under
-// newMember) — the halo-maintenance step after the router applied a batch
-// to the authoritative graph. It diffs the two immutable versions rather
-// than replaying the client's mutations, so intra-batch churn (an edge
-// inserted and deleted in one batch) correctly produces no shard traffic,
-// and membership changes surface as label promotions/demotions and edge
-// deltas regardless of which mutation caused them.
-//
-// Mutation order inside the batch keeps every intermediate state valid for
-// the live store: node deletions first (dropping their shard edges
-// implicitly), then remaining edge deletions (no endpoint deleted), then
-// new nodes in id order (so dense shard ids keep equalling global ids),
-// then label changes (members promoted from or demoted to filler, true
-// label changes), then edge insertions (every endpoint now exists and is
-// alive). An empty diff returns nil: the shard is already current and the
-// live store rejects empty batches.
-func DiffBatch(oldG, newG *graph.Graph, oldMember, newMember []bool) []api.MutationJSON {
-	oldDead := tombstoned(oldG)
-	newDead := tombstoned(newG)
-	oldN := int32(oldG.NumNodes())
-	newN := int32(newG.NumNodes())
-	var muts []api.MutationJSON
-
-	// 1. Globally deleted nodes die on every shard, aligning tombstone
-	// state; delete_node drops their incident shard edges as a side effect.
-	for v := int32(0); v < oldN; v++ {
-		if newDead(v) && !oldDead(v) {
-			muts = append(muts, api.DeleteNode(v))
-		}
-	}
-	// 2. Shard edges that vanished for any other reason: the global edge was
-	// deleted, or an endpoint left the member set. Edges incident to a
-	// newly deleted node were handled by step 1. A previously deleted node
-	// has no edges in oldG, so it cannot appear here.
-	for u := int32(0); u < oldN; u++ {
-		if !oldMember[u] || newDead(u) {
-			continue
-		}
-		for _, w := range oldG.Out(u) {
-			if !oldMember[w] || newDead(w) {
-				continue
-			}
-			if !(newMember[u] && newMember[w] && newG.HasEdge(u, w)) {
-				muts = append(muts, api.DeleteEdge(u, w))
-			}
-		}
-	}
-	// 3. New global nodes, in id order, so the shard assigns them the same
-	// dense ids. A node added and deleted within one router batch arrives
-	// as filler and is deleted immediately after all adds.
-	var bornDead []int32
-	for v := oldN; v < newN; v++ {
-		if newDead(v) {
-			muts = append(muts, api.AddNode(FillerLabel))
-			bornDead = append(bornDead, v)
-			continue
-		}
-		muts = append(muts, api.AddNode(shardLabel(newG, newMember, v)))
-	}
-	for _, v := range bornDead {
-		muts = append(muts, api.DeleteNode(v))
-	}
-	// 4. Label transitions on surviving pre-existing nodes: halo promotion
-	// (filler → true label), demotion (true label → filler), and true label
-	// changes via set_label on the authoritative graph.
-	for v := int32(0); v < oldN; v++ {
-		if oldDead(v) || newDead(v) {
-			continue
-		}
-		oldLbl := shardLabel(oldG, oldMember, v)
-		newLbl := shardLabel(newG, newMember, v)
-		if oldLbl != newLbl {
-			muts = append(muts, api.SetLabel(v, newLbl))
-		}
-	}
-	// 5. Shard edges that appeared: a new global edge between members, or an
-	// existing edge whose endpoints just became members together.
-	for u := int32(0); u < newN; u++ {
-		if !newMember[u] {
-			continue
-		}
-		for _, w := range newG.Out(u) {
-			if !newMember[w] {
-				continue
-			}
-			if u < oldN && w < oldN && oldMember[u] && oldMember[w] && oldG.HasEdge(u, w) {
-				continue
-			}
-			muts = append(muts, api.InsertEdge(u, w))
-		}
-	}
-	return muts
 }

@@ -1,3 +1,22 @@
+// Package shard is the scatter/gather serving tier over the /v1 protocol:
+// the router (router.go) — the api.Backend that fans matches out to a fleet
+// of plain strongsimd replicas and merges their results byte-identically to
+// a single-node server, served through package api's one /v1 route tree —
+// the push that brings an empty replica to a copy of the graph as ordinary
+// /v1/update batches (push.go), and the Section 4.3 partition plan
+// (plan.go), which the served tier no longer uses.
+//
+// The fleet splits work, not data. Every replica holds the whole graph and
+// advances on every update batch, which the router forwards verbatim after
+// applying it to its authoritative store. Strong simulation evaluates one
+// ball Ĝ[v, dQ] per candidate center v (the paper's locality result,
+// Section 4.3), so the candidate centers partition cleanly: shard i of k
+// evaluates only the centers v with v mod k = i, deduplicating its matches
+// in center order, and the router deduplicates the union in center order
+// again. The smallest producer of each subgraph survives both — its own
+// slice's deduplication, because it is smallest there too, and then the
+// router's — so the merged answer, statistics included, is the single
+// node's at any radius.
 package shard
 
 import (
@@ -7,8 +26,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/api"
@@ -20,12 +39,15 @@ import (
 
 // Config configures a Router.
 type Config struct {
-	// Plan is the partition plan; it must cover the store's initial graph.
-	// The router owns it afterwards (ExtendTo runs on every update).
+	// Plan, when set, must have K equal to len(Shards); nothing else is read
+	// from it.
+	//
+	// Deprecated: replicas hold the whole graph and split the centers; kept
+	// only because bench/ sets it.
 	Plan *Plan
 	// Shards lists, per shard index, the base URLs of that shard's
-	// replicas, tried in order. len(Shards) must equal Plan.K and every
-	// shard needs at least one replica.
+	// replicas, tried in order. Every shard needs at least one replica.
+	// Shard i evaluates the candidate centers v with v mod len(Shards) = i.
 	Shards [][]string
 	// ShardTimeout bounds each fan-out request to one replica (default 10s).
 	ShardTimeout time.Duration
@@ -77,7 +99,7 @@ func (rep *replica) setHealthy(ok bool, note string) {
 }
 
 // markStale ejects the replica permanently: its version diverged from the
-// router's vector, so its results can no longer be trusted. Recovery means
+// version the router expects, so its results can no longer be trusted. Recovery means
 // wiping and re-pushing the shard, which is an operator action.
 func (rep *replica) markStale(note string) {
 	rep.mu.Lock()
@@ -86,32 +108,28 @@ func (rep *replica) markStale(note string) {
 }
 
 // Router is the scatter/gather tier: the api.Backend that evaluates /v1
-// requests over a fleet of plain strongsimd shards. It owns the
-// authoritative global graph in a live.Store — updates apply there first
-// (which also maintains standing queries with exact single-node semantics)
-// and then fan out to the shards as diff batches — while matches fan out to
-// every shard and merge per-center results byte-identically to a
-// single-node server over the same graph. The HTTP contract itself is
-// api's: Handler is api's one route tree with the router behind it.
+// requests over a fleet of plain strongsimd shards, each a full replica of
+// the graph. It owns the authoritative graph in a live.Store — updates apply
+// there first (which also maintains standing queries with exact single-node
+// semantics) and are then forwarded verbatim to every replica — while
+// matches fan out to every shard, each evaluating its slice of the candidate
+// centers, and merge byte-identically to a single-node server over the same
+// graph. The HTTP contract itself is api's: Handler is api's one route tree
+// with the router behind it.
 type Router struct {
 	store   *live.Store
-	plan    *Plan
 	cfg     Config
 	handler http.Handler
 
 	shards  [][]*replica
 	metrics []*shardMetrics
 
-	// mu guards the routing state match requests snapshot: the ownership
-	// array, the per-shard member bitmaps, and the version vector.
-	mu      sync.RWMutex
-	owner   []int32
-	members [][]bool
-	want    []uint64
+	// want is the version every replica should be at: the batches pushed
+	// plus the update batches forwarded.
+	want atomic.Uint64
 
-	// upMu serializes updates (store apply + member recompute + fan-out)
-	// and the probe loop, so probes never read a shard mid-batch and
-	// conclude version skew.
+	// upMu serializes updates (store apply + fan-out) and the probe loop, so
+	// probes never read a shard mid-batch and conclude version skew.
 	upMu sync.Mutex
 
 	probeStop chan struct{}
@@ -134,14 +152,10 @@ var (
 // NewRouter builds a router over an authoritative store and a shard fleet.
 // The shards are assumed empty; call Push before serving.
 func NewRouter(store *live.Store, cfg Config) (*Router, error) {
-	g := store.Current().Graph()
-	if cfg.Plan == nil {
-		return nil, fmt.Errorf("shard: router needs a plan")
+	if len(cfg.Shards) == 0 {
+		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
-	if err := cfg.Plan.Validate(g.NumNodes()); err != nil {
-		return nil, err
-	}
-	if len(cfg.Shards) != cfg.Plan.K {
+	if cfg.Plan != nil && len(cfg.Shards) != cfg.Plan.K {
 		return nil, fmt.Errorf("shard: plan has %d shards, config lists %d replica sets",
 			cfg.Plan.K, len(cfg.Shards))
 	}
@@ -157,14 +171,7 @@ func NewRouter(store *live.Store, cfg Config) (*Router, error) {
 	if cfg.Retry.MaxAttempts < 2 {
 		cfg.Retry = client.RetryPolicy{MaxAttempts: 3}
 	}
-	r := &Router{
-		store:   store,
-		plan:    cfg.Plan,
-		cfg:     cfg,
-		owner:   cfg.Plan.Owner,
-		members: cfg.Plan.Members(g),
-		want:    make([]uint64, cfg.Plan.K),
-	}
+	r := &Router{store: store, cfg: cfg}
 	for s, addrs := range cfg.Shards {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no replicas", s)
@@ -200,16 +207,13 @@ func NewRouter(store *live.Store, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Push brings every (empty) shard replica to its halo-extended subgraph of
-// the store's current graph. It fails fast on a replica that is
+// Push brings every (empty) shard replica to a copy of the store's current
+// graph, sending each the same batches. It fails fast on a replica that is
 // unreachable, not empty, or rejects a batch — a half-pushed fleet must not
 // serve.
 func (r *Router) Push(ctx context.Context) error {
-	g := r.store.Current().Graph()
-	r.mu.RLock()
-	members := r.members
-	r.mu.RUnlock()
-
+	batches := InitialBatches(r.store.Current().Graph(), r.cfg.PushChunk)
+	r.want.Store(uint64(len(batches)))
 	nrep := 0
 	for _, reps := range r.shards {
 		nrep += len(reps)
@@ -218,18 +222,14 @@ func (r *Router) Push(ctx context.Context) error {
 	errs := make([]error, nrep) // one slot per replica: goroutines never share one
 	i := 0
 	for s, reps := range r.shards {
-		batches := InitialBatches(g, members[s], r.cfg.PushChunk)
-		r.mu.Lock()
-		r.want[s] = uint64(len(batches))
-		r.mu.Unlock()
 		for _, rep := range reps {
 			wg.Add(1)
-			go func(s, i int, rep *replica, batches [][]api.MutationJSON) {
+			go func(s, i int, rep *replica) {
 				defer wg.Done()
 				if err := r.pushReplica(ctx, rep, batches); err != nil {
 					errs[i] = fmt.Errorf("shard %d replica %s: %w", s, rep.addr, err)
 				}
-			}(s, i, rep, batches)
+			}(s, i, rep)
 			i++
 		}
 	}
@@ -265,7 +265,7 @@ func (r *Router) pushReplica(ctx context.Context, rep *replica, batches [][]api.
 // StartProbes runs the periodic health-probe loop until Close (or ctx
 // cancellation): every replica is probed over /v1/healthz, unreachable
 // replicas are ejected from fan-outs until a later probe readmits them, and
-// replicas whose reported version diverges from the router's version vector
+// replicas whose reported version diverges from the one the router expects
 // are ejected permanently as stale.
 func (r *Router) StartProbes(ctx context.Context) {
 	r.probeStop = make(chan struct{})
@@ -302,14 +302,12 @@ func (r *Router) Close() {
 func (r *Router) probeOnce(ctx context.Context) {
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
-	r.mu.RLock()
-	want := append([]uint64(nil), r.want...)
-	r.mu.RUnlock()
+	want := r.want.Load()
 	var wg sync.WaitGroup
-	for s, reps := range r.shards {
+	for _, reps := range r.shards {
 		for _, rep := range reps {
 			wg.Add(1)
-			go func(s int, rep *replica) {
+			go func(rep *replica) {
 				defer wg.Done()
 				pctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 				defer cancel()
@@ -317,12 +315,12 @@ func (r *Router) probeOnce(ctx context.Context) {
 				switch {
 				case err != nil:
 					rep.setHealthy(false, err.Error())
-				case h.Version != want[s]:
-					rep.markStale(fmt.Sprintf("version %d, router expects %d", h.Version, want[s]))
+				case h.Version != want:
+					rep.markStale(fmt.Sprintf("version %d, router expects %d", h.Version, want))
 				default:
 					rep.setHealthy(true, "")
 				}
-			}(s, rep)
+			}(rep)
 		}
 	}
 	wg.Wait()
@@ -335,17 +333,18 @@ func (r *Router) probeOnce(ctx context.Context) {
 // authoritative store with ordinary single-node semantics.
 func (r *Router) Handler() http.Handler { return r.handler }
 
-// shardRequest strips a match request down to what shards evaluate: the
-// pattern, mode, radius and planner opt-out (each shard filters and caches
-// against its own slice). Ranking, limits and statistics are router-side
-// concerns — a shard cannot cut to a global top-k or limit without seeing
-// the other shards' results.
-func shardRequest(req *api.MatchRequest) api.MatchRequest {
+// shardRequest strips a match request down to what shard s of k evaluates:
+// the pattern, mode and radius, over its slice of the candidate centers.
+// Ranking, limits and statistics are router-side concerns — a shard cannot
+// cut to a global top-k or limit without seeing the other shards' results.
+// A sliced query never touches a shard's result cache, so no_plan has
+// nothing left to switch off there.
+func shardRequest(req *api.MatchRequest, s, k int) api.MatchRequest {
 	return api.MatchRequest{
 		Pattern:     req.Pattern,
 		PatternText: req.PatternText,
 		Query: api.QuerySpec{Mode: req.Query.Mode, Radius: req.Query.Radius,
-			NoPlan: req.Query.NoPlan},
+			Slice: &api.SliceJSON{Index: s, Of: k}},
 	}
 }
 
@@ -424,56 +423,47 @@ func toPerfect(sj *api.SubgraphJSON) *core.PerfectSubgraph {
 // partialOrFail resolves a fan-out with failed shards: a PartialJSON marker
 // when the request allows degraded results, the structured
 // shard_unavailable error otherwise. Never a silently incomplete response.
-func partialOrFail(allow bool, owner []int32, failed []int) (*api.PartialJSON, error) {
+// The missing nodes are those in the failed shards' slices of n nodes.
+func (r *Router) partialOrFail(allow bool, n int, failed []int) (*api.PartialJSON, error) {
 	if !allow {
 		routerUnavailable.Inc()
 		return nil, api.Errorf(http.StatusBadGateway, api.CodeShardUnavailable,
 			"shards %v unavailable; retry, or set query.allow_partial for degraded results", failed)
 	}
-	missing := 0
-	failedSet := make(map[int]bool, len(failed))
+	k, missing := len(r.shards), 0
 	for _, s := range failed {
-		failedSet[s] = true
-	}
-	for _, s := range owner {
-		if failedSet[int(s)] {
-			missing++
-		}
+		missing += (n - s + k - 1) / k // the ids v < n with v mod k = s
 	}
 	routerPartials.Inc()
 	return &api.PartialJSON{FailedShards: failed, MissingNodes: missing}, nil
 }
 
 // gather is the scatter/gather step both match endpoints share: the one
-// router-specific admission rule (the effective ball radius must fit inside
-// the halo), the fan-out of the stripped request to every shard, and the
-// ownership merge. It returns the merged subgraphs — canonically ordered and
-// cut to the request's limit — and the response carrying their Stats and
-// Partial marker. kind names the fan-out spans.
+// router-specific admission rule (only the router sets a center slice), the
+// fan-out of each shard's sliced request, and the merge. It returns the
+// merged subgraphs — canonically ordered and cut to the request's limit —
+// and the response carrying their Stats and Partial marker. kind names the
+// fan-out spans.
 func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core.PerfectSubgraph, api.MatchResponse, error) {
 	spec := &q.Request.Query
-	eff := spec.Radius
-	if eff == 0 {
-		eff = q.Diameter
-	}
-	if eff > r.plan.Halo {
-		return nil, api.MatchResponse{}, api.Errorf(http.StatusBadRequest, api.CodeHaloExceeded,
-			"effective ball radius %d exceeds the halo replication depth %d: "+
-				"lower the radius or redeploy with a deeper halo", eff, r.plan.Halo)
+	if spec.Slice != nil {
+		return nil, api.MatchResponse{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidQuery,
+			"slice is set by the router on the requests it sends its shards, never by a client")
 	}
 
-	sreq := shardRequest(&q.Request)
 	var root obs.Span // the request's root span parents the fan-out spans
 	if q.Opts.Trace != nil {
 		root = q.Opts.Trace.Root
 	}
-	resps := make([]*api.MatchResponse, len(r.shards))
-	errs := make([]error, len(r.shards))
+	k := len(r.shards)
+	resps := make([]*api.MatchResponse, k)
+	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for s := range r.shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			sreq := shardRequest(&q.Request, s, k)
 			errs[s] = r.callShard(ctx, s, kind, root,
 				func(cctx context.Context, cl *client.Client) (err error) {
 					resps[s], err = cl.Match(cctx, sreq)
@@ -482,10 +472,6 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 		}(s)
 	}
 	wg.Wait()
-
-	r.mu.RLock()
-	owner := r.owner
-	r.mu.RUnlock()
 
 	var failed []int
 	for s, err := range errs {
@@ -506,11 +492,12 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 			return nil, resp, err
 		}
 		var err error
-		if resp.Partial, err = partialOrFail(spec.AllowPartial, owner, failed); err != nil {
+		n := q.Engine.Snapshot().Graph().NumNodes()
+		if resp.Partial, err = r.partialOrFail(spec.AllowPartial, n, failed); err != nil {
 			return nil, resp, err
 		}
 	}
-	subs, stats := mergeOwned(resps, owner)
+	subs, stats := mergeOwned(resps, k)
 	if spec.TopK == 0 && spec.Limit > 0 && len(subs) > spec.Limit {
 		subs = subs[:spec.Limit]
 	}
@@ -536,15 +523,12 @@ func (r *Router) Match(ctx context.Context, q *api.Query) (api.MatchResponse, er
 }
 
 // Stream implements api.Backend. Unlike a single node — which streams
-// matches as workers finish balls, deduping first-wins — the router must
-// gather complete per-shard result sets before it can apply the ownership
-// merge. A subgraph survives the merge only as reported by the shard that
-// owns its smallest producing center, so shards answer /v1/match, which
-// deduplicates in center order; a shard-side stream deduplicates in
-// arrival order and could leave the subgraph under a center its shard does
-// not own, to be dropped. The members' second halo makes the center-order
-// deduplication exact: every center within halo of an owned one has its
-// whole ball on the shard (Plan.Members). Buffered fan-out keeps the stream
+// matches as workers finish balls, deduping first-wins — the router gathers
+// complete per-shard result sets and merges them in center order: shards
+// answer /v1/match, which deduplicates within the slice in center order, so
+// each subgraph reaches the router under its smallest producing center. A
+// shard-side stream deduplicates in arrival order, and the merge could not
+// tell which copy is the single node's. Buffered fan-out keeps the stream
 // byte-equal (as a set) to /v1/match, and lets total shard failure surface
 // as a clean pre-commit 502.
 func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.PerfectSubgraph) bool) (api.MatchResponse, error) {
@@ -560,16 +544,17 @@ func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.Perfe
 	return resp, nil
 }
 
-// mergeOwned implements the scatter/gather merge rule: keep from shard s
-// exactly the subgraphs whose center s owns (each center is reported once,
-// by the shard whose ball for it equals the global ball), admit them in
-// ascending center order through the engine's deduper (so cross-center
-// duplicate subgraphs collapse onto the smallest producing center, exactly
-// as a single node admits them), and order canonically. Shard statistics
-// are summed — they count halo-center work a single node would not do — and
-// router-side duplicate discards are added on top. A nil response is a
-// shard that did not answer (client.Match returns none beside an error).
-func mergeOwned(resps []*api.MatchResponse, owner []int32) ([]*core.PerfectSubgraph, core.Stats) {
+// mergeOwned implements the scatter/gather merge rule over k center slices:
+// keep from shard s exactly the subgraphs whose center lies in its slice
+// (center mod k = s), admit them in ascending center order through the
+// engine's deduper (so cross-slice duplicates collapse onto the smallest
+// producing center, exactly as a single node admits them), and order
+// canonically. The slices partition the centers, so the work counters sum
+// to the single node's; every shard filters the same graph, so balls_skipped
+// is any answering shard's. Router-side duplicate discards add to the
+// shards' own. A nil response is a shard that did not answer (client.Match
+// returns none beside an error).
+func mergeOwned(resps []*api.MatchResponse, k int) ([]*core.PerfectSubgraph, core.Stats) {
 	var stats core.Stats
 	var owned []*core.PerfectSubgraph
 	for s, resp := range resps {
@@ -577,15 +562,13 @@ func mergeOwned(resps []*api.MatchResponse, owner []int32) ([]*core.PerfectSubgr
 			continue
 		}
 		stats.BallsExamined += resp.Stats.BallsExamined
-		stats.BallsSkipped += resp.Stats.BallsSkipped
 		stats.PairsRemoved += resp.Stats.PairsRemoved
 		stats.Duplicates += resp.Stats.Duplicates
-		if resp.Stats.MinimizedFrom > stats.MinimizedFrom {
-			stats.MinimizedFrom = resp.Stats.MinimizedFrom
-		}
+		stats.BallsSkipped = resp.Stats.BallsSkipped
+		stats.MinimizedFrom = resp.Stats.MinimizedFrom
 		for i := range resp.Matches {
 			sj := &resp.Matches[i]
-			if int(sj.Center) >= len(owner) || int(owner[sj.Center]) != s {
+			if int(sj.Center)%k != s {
 				continue
 			}
 			owned = append(owned, toPerfect(sj))
@@ -614,73 +597,47 @@ func (r *Router) verifyVersion(rep *replica, want uint64) bool {
 }
 
 // Update implements api.Backend: apply to the authoritative store, then
-// deliver each shard its diff batch under the version vector. On top of the
-// single-node validation api already ran, the router rejects labels
-// containing NUL: live.TombstoneLabel and FillerLabel are internal markers,
-// and a client-set FillerLabel would make a real member node
-// indistinguishable from halo filler on the shards.
+// forward the same mutations to every replica. The store's verdict on the
+// batch is the single node's, and the replicas, holding the same graph,
+// apply what it accepted.
 func (r *Router) Update(ctx context.Context, muts []live.Mutation, root obs.Span) (api.UpdateResponse, error) {
-	for i, m := range muts {
-		if strings.IndexByte(m.Label, 0) >= 0 {
-			return api.UpdateResponse{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidMutation,
-				"updates[%d]: %s label contains NUL; reserved for internal markers", i, m.Op)
-		}
-	}
-
 	// One update at a time end to end: apply to the authoritative store
 	// (which brings every standing query current, exactly as a single
-	// node), recompute the halo member sets, then fan the per-shard diffs
-	// out. Shards of a healthy fleet advance in lockstep with the router's
-	// version vector.
+	// node), then fan the batch out. Replicas of a healthy fleet advance in
+	// lockstep with the router's expected version.
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
 
-	oldG := r.store.Current().Graph()
 	res, err := r.store.ApplyTraced(muts, root)
 	if err != nil {
 		return api.UpdateResponse{}, err
 	}
-	newG := r.store.Current().Graph()
-	r.plan.ExtendTo(newG.NumNodes())
-	newMembers := r.plan.Members(newG)
-
-	r.mu.Lock()
-	oldMembers := r.members
-	r.members = newMembers
-	r.owner = r.plan.Owner
-	r.mu.Unlock()
+	batch := make([]api.MutationJSON, len(muts))
+	for i, m := range muts {
+		batch[i] = api.FromMutation(m)
+	}
+	want := r.want.Add(1)
 
 	// The batch is already in the authoritative store, so the shard fan-out
 	// must run to completion no matter what the caller does: a client that
 	// disconnects or times out mid-fan-out must not cancel the deliveries
-	// and eject every touched replica. Per-call ShardTimeout is the bound.
+	// and eject every replica. Per-call ShardTimeout is the bound.
 	ctx = context.WithoutCancel(ctx)
 	versions := make(map[int]uint64, len(r.shards))
 	var wg sync.WaitGroup
-	for s := range r.shards {
-		batch := DiffBatch(oldG, newG, oldMembers[s], newMembers[s])
-		if len(batch) == 0 {
-			r.mu.RLock()
-			versions[s] = r.want[s]
-			r.mu.RUnlock()
-			continue // the batch did not touch this shard's subgraph
-		}
-		r.mu.Lock()
-		r.want[s]++
-		want := r.want[s]
-		r.mu.Unlock()
+	for s, reps := range r.shards {
 		versions[s] = want
 		// Every replica must apply the batch, so it is attempted even on
 		// replicas a probe currently holds out as unreachable — a delivery
 		// that lands readmits them. One that provably misses the batch is
 		// stale for good (it can no longer serve consistent results) and
 		// the probe loop will not readmit it.
-		for ri, rep := range r.shards[s] {
+		for ri, rep := range reps {
 			if rep.isStale() {
 				continue
 			}
 			wg.Add(1)
-			go func(s, ri int, rep *replica, batch []api.MutationJSON, want uint64) {
+			go func(s, ri int, rep *replica) {
 				defer wg.Done()
 				sp := root.StartChild("shard.update")
 				cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
@@ -716,7 +673,7 @@ func (r *Router) Update(ctx context.Context, muts []live.Mutation, root obs.Span
 						obs.Attr{Key: "replica", Value: int64(ri)},
 						obs.Attr{Key: "mutations", Value: int64(len(batch))})
 				}
-			}(s, ri, rep, batch, want)
+			}(s, ri, rep)
 		}
 	}
 	wg.Wait()
@@ -734,9 +691,7 @@ func (r *Router) Update(ctx context.Context, muts []live.Mutation, root obs.Span
 // Health implements api.Backend: the per-shard serving summary, and a
 // degraded status when some shard has no serving replica.
 func (r *Router) Health(h *api.HealthJSON) {
-	r.mu.RLock()
-	want := append([]uint64(nil), r.want...)
-	r.mu.RUnlock()
+	want := r.want.Load()
 	for s, reps := range r.shards {
 		serving := 0
 		for _, rep := range reps {
@@ -751,7 +706,7 @@ func (r *Router) Health(h *api.HealthJSON) {
 			Shard:    s,
 			Replicas: len(reps),
 			Serving:  serving,
-			Version:  want[s],
+			Version:  want,
 		})
 	}
 }

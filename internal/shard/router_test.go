@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -59,22 +60,17 @@ func newShard(t *testing.T) *httptest.Server {
 }
 
 // newFleet is newFleetCfg with the default api.Config everywhere.
-func newFleet(t *testing.T, build func() *graph.Graph, k, halo int, replicas map[int]int) *fleet {
+func newFleet(t *testing.T, build func() *graph.Graph, k int, replicas map[int]int) *fleet {
 	t.Helper()
-	return newFleetCfg(t, build, k, halo, replicas, api.Config{})
+	return newFleetCfg(t, build, k, replicas, api.Config{})
 }
 
 // newFleetCfg deploys k shards (replicas[s] servers each; default 1) plus
 // the router and the reference server, both over identical copies of g built
 // by build (called twice so no state is shared). Router, shards and
 // reference all serve under cfg (roles and the shards' body cap aside).
-func newFleetCfg(t *testing.T, build func() *graph.Graph, k, halo int, replicas map[int]int, cfg api.Config) *fleet {
+func newFleetCfg(t *testing.T, build func() *graph.Graph, k int, replicas map[int]int, cfg api.Config) *fleet {
 	t.Helper()
-	g := build()
-	plan, err := BuildPlan(g, k, halo, StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := &fleet{shardTS: make([][]*httptest.Server, k)}
 	shards := make([][]string, k)
 	for s := 0; s < k; s++ {
@@ -89,8 +85,7 @@ func newFleetCfg(t *testing.T, build func() *graph.Graph, k, halo int, replicas 
 			shards[s] = append(shards[s], ts.URL)
 		}
 	}
-	rt, err := NewRouter(live.NewStore(g, live.Config{Workers: 2}), Config{
-		Plan:          plan,
+	rt, err := NewRouter(live.NewStore(build(), live.Config{Workers: 2}), Config{
 		Shards:        shards,
 		ShardTimeout:  5 * time.Second,
 		Retry:         testRetry(),
@@ -135,7 +130,9 @@ func matchesJSON(t *testing.T, ms []api.SubgraphJSON) string {
 }
 
 // assertIdentical fans the same request to router and reference and
-// requires byte-identical serialized match lists.
+// requires byte-identical serialized match lists — and, when the spec sets
+// no_plan, identical stats: a result-cache hit on the reference (a contained
+// one changes balls_skipped) is the one legitimate difference.
 func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, label string) int {
 	t.Helper()
 	ctx := context.Background()
@@ -153,6 +150,9 @@ func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, la
 	gj, wj := matchesJSON(t, got.Matches), matchesJSON(t, want.Matches)
 	if gj != wj {
 		t.Fatalf("%s: router diverges from single node\nrouter: %s\nsingle: %s", label, gj, wj)
+	}
+	if spec.NoPlan && got.Stats != want.Stats {
+		t.Fatalf("%s: router stats %+v, single node %+v", label, got.Stats, want.Stats)
 	}
 	return len(want.Matches)
 }
@@ -192,16 +192,20 @@ func buildSynthetic(n int, seed int64) func() *graph.Graph {
 }
 
 func TestRouterByteIdenticalMatches(t *testing.T) {
-	f := newFleet(t, buildSynthetic(80, 11), 3, 2, nil)
+	f := newFleet(t, buildSynthetic(80, 11), 3, nil)
 	g := generator.Synthetic(80, 1.2, 5, 11)
 	total := 0
 	for i, pat := range testPatterns(g) {
 		for _, mode := range []string{api.ModePlain, api.ModePlus} {
 			total += f.assertIdentical(t, pat, api.QuerySpec{Mode: mode},
 				mode+" pattern "+pat)
-			// Explicit radius 1 stays within the halo and must agree too.
-			f.assertIdentical(t, pat, api.QuerySpec{Mode: mode, Radius: 1},
-				mode+" r=1 pattern "+pat)
+			// Any explicit radius must agree too, and with no_plan the
+			// stats as well: the slices split the work, they do not repeat
+			// it.
+			for _, r := range []int{0, 1, 3} {
+				f.assertIdentical(t, pat, api.QuerySpec{Mode: mode, Radius: r, NoPlan: true},
+					fmt.Sprintf("%s r=%d no_plan pattern %s", mode, r, pat))
+			}
 		}
 		// Ranked top-k: the single node's top-k path dedups first-wins in
 		// worker order, so the representative center of a duplicated
@@ -246,7 +250,7 @@ edge n6 n7
 		}
 		return g
 	}
-	f := newFleet(t, build, 4, 2, nil)
+	f := newFleet(t, build, 4, nil)
 	const pat = "node n0 A\nnode n1 A\nnode n2 A\nedge n1 n0\nedge n2 n0\n"
 	for _, mode := range []string{api.ModePlain, api.ModePlus} {
 		if f.assertIdentical(t, pat, api.QuerySpec{Mode: mode}, mode) != 7 {
@@ -256,7 +260,7 @@ edge n6 n7
 }
 
 func TestRouterMatchesAfterUpdates(t *testing.T) {
-	f := newFleet(t, buildSynthetic(60, 7), 3, 2, nil)
+	f := newFleet(t, buildSynthetic(60, 7), 3, nil)
 	g := generator.Synthetic(60, 1.2, 5, 7)
 	pats := testPatterns(g)
 	ctx := context.Background()
@@ -266,9 +270,9 @@ func TestRouterMatchesAfterUpdates(t *testing.T) {
 		{api.InsertEdge(0, 59), api.InsertEdge(59, 30), api.DeleteEdge(0, 59)},
 		// New nodes, wired in.
 		{api.AddNode("l0"), api.AddNode("l1"), api.InsertEdge(60, 61), api.InsertEdge(5, 60)},
-		// Relabels: membership stays, label semantics change.
+		// Relabels.
 		{api.SetLabel(10, "l0"), api.SetLabel(11, "l4")},
-		// Deletion: a node dies globally, halos shrink.
+		// Deletion: a node dies on every replica.
 		{api.DeleteNode(30)},
 	}
 
@@ -286,10 +290,17 @@ func TestRouterMatchesAfterUpdates(t *testing.T) {
 		if len(rres.ShardVersions) != 3 {
 			t.Fatalf("router reported shard versions for %d shards", len(rres.ShardVersions))
 		}
+		for s, v := range rres.ShardVersions {
+			if v != rres.ShardVersions[0] {
+				t.Fatalf("shard %d expected at version %d, shard 0 at %d: every replica takes every batch", s, v, rres.ShardVersions[0])
+			}
+		}
 		for _, pat := range pats {
 			for _, mode := range []string{api.ModePlain, api.ModePlus} {
 				f.assertIdentical(t, pat, api.QuerySpec{Mode: mode},
 					mode+" after batch "+pat)
+				f.assertIdentical(t, pat, api.QuerySpec{Mode: mode, NoPlan: true},
+					mode+" no_plan after batch "+pat)
 			}
 		}
 	}
@@ -311,24 +322,22 @@ func TestRouterMatchesAfterUpdates(t *testing.T) {
 	}
 }
 
+// TestRouterHaloExceeded pins that the router serves every radius: a 3-node
+// path (diameter 2) on a 2-shard fleet once drew halo_exceeded from a router
+// that replicated one hop. Replicas hold the whole graph, so the pattern is
+// served at its diameter and beyond, identically to a single node.
 func TestRouterHaloExceeded(t *testing.T) {
-	f := newFleet(t, buildSynthetic(40, 3), 2, 1, nil)
-	// A 3-node path has diameter 2 > halo 1.
+	f := newFleet(t, buildSynthetic(40, 3), 2, nil)
 	pat := "node a l0\nnode b l1\nnode c l2\nedge a b\nedge b c"
-	_, err := f.rc.MatchText(context.Background(), pat, api.QuerySpec{Mode: api.ModePlus})
-	var aerr *api.Error
-	if !errors.As(err, &aerr) || aerr.Code != api.CodeHaloExceeded {
-		t.Fatalf("want %s, got %v", api.CodeHaloExceeded, err)
-	}
-	// Same pattern with an explicit radius inside the halo is served.
-	if _, err := f.rc.MatchText(context.Background(), pat,
-		api.QuerySpec{Mode: api.ModePlus, Radius: 1}); err != nil {
-		t.Fatalf("radius 1 within halo 1 must serve: %v", err)
+	for _, r := range []int{0, 1, 2, 4} {
+		f.assertIdentical(t, pat, api.QuerySpec{Mode: api.ModePlus, Radius: r, NoPlan: true},
+			fmt.Sprintf("path r=%d", r))
 	}
 }
 
 func TestRouterPartialResults(t *testing.T) {
-	f := newFleet(t, buildSynthetic(60, 5), 3, 2, nil)
+	const k = 3
+	f := newFleet(t, buildSynthetic(60, 5), k, nil)
 	g := generator.Synthetic(60, 1.2, 5, 5)
 	pat := testPatterns(g)[0]
 	ctx := context.Background()
@@ -352,8 +361,8 @@ func TestRouterPartialResults(t *testing.T) {
 	if got.Partial == nil || len(got.Partial.FailedShards) != 1 || got.Partial.FailedShards[0] != dead {
 		t.Fatalf("partial marker = %+v, want failed shard [%d]", got.Partial, dead)
 	}
-	if got.Partial.MissingNodes == 0 {
-		t.Fatal("a dead shard owns centers; missing_nodes must be positive")
+	if got.Partial.MissingNodes != 20 {
+		t.Fatalf("missing_nodes %d; the dead shard's slice holds 20 of 60 nodes", got.Partial.MissingNodes)
 	}
 	full, err := f.sc.MatchText(ctx, pat, api.QuerySpec{Mode: api.ModePlus})
 	if err != nil {
@@ -364,15 +373,14 @@ func TestRouterPartialResults(t *testing.T) {
 		b, _ := json.Marshal(full.Matches[i])
 		fullSet[string(b)] = true
 	}
-	owner := f.router.plan.Owner
 	for i := range got.Matches {
-		if owner[got.Matches[i].Center] == dead {
+		if got.Matches[i].Center%k == dead {
 			t.Fatalf("dead shard's center %d in a partial result", got.Matches[i].Center)
 		}
 	}
 	// Every surviving center the single node reports must still be present.
 	for i := range full.Matches {
-		if owner[full.Matches[i].Center] != dead {
+		if full.Matches[i].Center%k != dead {
 			b, _ := json.Marshal(full.Matches[i])
 			found := false
 			for j := range got.Matches {
@@ -403,7 +411,7 @@ func TestRouterPartialResults(t *testing.T) {
 }
 
 func TestRouterReplicaFailover(t *testing.T) {
-	f := newFleet(t, buildSynthetic(50, 9), 2, 2, map[int]int{0: 2})
+	f := newFleet(t, buildSynthetic(50, 9), 2, map[int]int{0: 2})
 	g := generator.Synthetic(50, 1.2, 5, 9)
 	pat := testPatterns(g)[0]
 
@@ -426,7 +434,7 @@ func TestRouterReplicaFailover(t *testing.T) {
 }
 
 func TestRouterStreamMatchesSingleNode(t *testing.T) {
-	f := newFleet(t, buildSynthetic(70, 13), 3, 2, nil)
+	f := newFleet(t, buildSynthetic(70, 13), 3, nil)
 	g := generator.Synthetic(70, 1.2, 5, 13)
 	ctx := context.Background()
 	for _, pat := range testPatterns(g)[:3] {
@@ -467,7 +475,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 }
 
 func TestRouterStandingQueries(t *testing.T) {
-	f := newFleet(t, buildSynthetic(40, 17), 2, 2, nil)
+	f := newFleet(t, buildSynthetic(40, 17), 2, nil)
 	ctx := context.Background()
 	pat := "node a l0\nnode b l1\nedge a b"
 
@@ -504,7 +512,7 @@ func TestRouterStandingQueries(t *testing.T) {
 // completes must not cancel the deliveries — that would eject every touched
 // replica as terminally stale on one dropped connection.
 func TestRouterUpdateSurvivesCallerCancellation(t *testing.T) {
-	f := newFleet(t, buildSynthetic(50, 19), 3, 2, nil)
+	f := newFleet(t, buildSynthetic(50, 19), 3, nil)
 	ctx := context.Background()
 
 	body, err := json.Marshal(api.UpdateRequest{Updates: []api.MutationJSON{
@@ -553,7 +561,7 @@ func TestRouterUpdateSurvivesCallerCancellation(t *testing.T) {
 // torn down by the caller's own deadline is no verdict on the replicas:
 // they stay admitted, so the next update does not terminally eject them.
 func TestRouterCallerDeadlineKeepsReplicasAdmitted(t *testing.T) {
-	f := newFleet(t, buildSynthetic(40, 23), 2, 2, map[int]int{0: 2, 1: 2})
+	f := newFleet(t, buildSynthetic(40, 23), 2, map[int]int{0: 2, 1: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for s := range f.router.shards {
@@ -634,15 +642,10 @@ func dropProxy(t *testing.T, backend string, drop *atomic.Bool) *httptest.Server
 // asking the replica its actual version — not by terminal ejection.
 func TestRouterUpdateDropAfterApplyNotStale(t *testing.T) {
 	g := generator.Synthetic(30, 1.2, 4, 21)
-	plan, err := BuildPlan(g, 1, 2, StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shardTS := newShard(t)
 	var drop atomic.Bool
 	proxy := dropProxy(t, shardTS.URL, &drop)
 	rt, err := NewRouter(live.NewStore(g, live.Config{Workers: 2}), Config{
-		Plan:          plan,
 		Shards:        [][]string{{proxy.URL}},
 		ShardTimeout:  5 * time.Second,
 		Retry:         testRetry(),
@@ -673,7 +676,7 @@ func TestRouterUpdateDropAfterApplyNotStale(t *testing.T) {
 		t.Fatalf("replica held out after a verified delivery: %s", rep.note)
 	}
 	// The shard applied the batch exactly once: a second update advances the
-	// version vector in lockstep and the probe agrees.
+	// expected version in lockstep and the probe agrees.
 	res, err := rc.Update(ctx, api.AddNode("l1"))
 	if err != nil {
 		t.Fatal(err)
@@ -687,28 +690,31 @@ func TestRouterUpdateDropAfterApplyNotStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Shards[0].Version != res.ShardVersions[0] {
-		t.Fatalf("router vector %d, response says %d", h.Shards[0].Version, res.ShardVersions[0])
+		t.Fatalf("router expects %d, response says %d", h.Shards[0].Version, res.ShardVersions[0])
 	}
 }
 
-// TestRouterRejectsReservedLabels pins that no client can forge the shard
-// filler (or any NUL-carrying marker) through the router: a member node
-// labelled as filler would be indistinguishable from halo padding.
+// TestRouterRejectsReservedLabels pins that the router's verdict on a
+// reserved label is the single node's: live.TombstoneLabel is refused with
+// invalid_mutation by both, before anything applies, and a label merely
+// carrying a NUL is accepted by both and matched alike.
 func TestRouterRejectsReservedLabels(t *testing.T) {
-	f := newFleet(t, buildSynthetic(30, 27), 2, 1, nil)
+	f := newFleet(t, buildSynthetic(30, 27), 2, nil)
 	ctx := context.Background()
 	for _, muts := range [][]api.MutationJSON{
-		{api.AddNode(FillerLabel)},
-		{api.SetLabel(0, FillerLabel)},
-		{api.AddNode("ok"), api.SetLabel(1, "a\x00b")},
+		{api.AddNode(live.TombstoneLabel)},
+		{api.SetLabel(0, live.TombstoneLabel)},
+		{api.AddNode("ok"), api.SetLabel(1, live.TombstoneLabel)},
 	} {
-		_, err := f.rc.Update(ctx, muts...)
-		var aerr *api.Error
-		if !errors.As(err, &aerr) || aerr.Code != api.CodeInvalidMutation {
-			t.Fatalf("NUL label %+v must be rejected with %s, got %v", muts, api.CodeInvalidMutation, err)
+		for name, cl := range map[string]*client.Client{"router": f.rc, "single node": f.sc} {
+			_, err := cl.Update(ctx, muts...)
+			var aerr *api.Error
+			if !errors.As(err, &aerr) || aerr.Code != api.CodeInvalidMutation {
+				t.Fatalf("%s: tombstone label %+v must be rejected with %s, got %v", name, muts, api.CodeInvalidMutation, err)
+			}
 		}
 	}
-	// The rejection happened before the authoritative store applied anything.
+	// The rejections happened before the authoritative store applied anything.
 	h, err := f.rc.Healthz(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -716,6 +722,13 @@ func TestRouterRejectsReservedLabels(t *testing.T) {
 	if h.Version != 0 {
 		t.Fatalf("rejected batches bumped the store to version %d", h.Version)
 	}
+	nul := []api.MutationJSON{api.AddNode("a\x00b"), api.SetLabel(0, "a\x00b"), api.InsertEdge(0, 30)}
+	for name, cl := range map[string]*client.Client{"router": f.rc, "single node": f.sc} {
+		if _, err := cl.Update(ctx, nul...); err != nil {
+			t.Fatalf("%s: a NUL-carrying label must be accepted like any other: %v", name, err)
+		}
+	}
+	f.assertIdentical(t, "node a l1\nnode b l2\nedge a b", api.QuerySpec{NoPlan: true}, "after NUL labels")
 }
 
 func TestRouterRejectsUnderflowedPlans(t *testing.T) {
@@ -771,9 +784,10 @@ func rawPost(t *testing.T, url, requestID string, body []byte) (int, api.Error) 
 // TestRouterErrorParity pins that the HTTP contract has one owner: the same
 // malformed request answers the same status, code and message whether a
 // single node or the router serves it, on every endpoint that fans out. The
-// only router-specific verdicts are halo_exceeded and the NUL-label rule.
+// only router-specific verdict is a client-set slice. The halo and NUL-label
+// cases once drew router-only refusals; both deployments now serve them.
 func TestRouterErrorParity(t *testing.T) {
-	f := newFleetCfg(t, buildSynthetic(40, 31), 2, 1, nil, api.Config{MaxBodyBytes: 2048})
+	f := newFleetCfg(t, buildSynthetic(40, 31), 2, nil, api.Config{MaxBodyBytes: 2048})
 	const edge = `"pattern_text":"node a l0\nnode b l1\nedge a b"`
 	const disconnected = `"pattern_text":"node a l0\nnode b l1"`
 	const path3 = `"pattern_text":"node a l0\nnode b l1\nnode c l2\nedge a b\nedge b c"`
@@ -795,9 +809,13 @@ func TestRouterErrorParity(t *testing.T) {
 		{"oversized body", "/match", `{"pattern_text":"` + strings.Repeat("# pad\\n", 400) + `"}`, 413, api.CodeBodyTooLarge, false},
 		{"unknown update field", "/update", `{"updates":[{"op":"add_node","lable":"l0"}]}`, 400, api.CodeInvalidRequest, false},
 		{"mutation missing its target", "/update", `{"updates":[{"op":"delete_node"}]}`, 400, api.CodeInvalidMutation, false},
-		{"halo exceeded", "/match", `{` + path3 + `}`, 400, api.CodeHaloExceeded, true},
-		{"halo exceeded on stream", "/match/stream", `{` + path3 + `}`, 400, api.CodeHaloExceeded, true},
-		{"NUL label", "/update", `{"updates":[{"op":"add_node","label":"a\u0000b"}]}`, 400, api.CodeInvalidMutation, true},
+		{"invalid slice", "/match", `{` + edge + `,"query":{"slice":{"index":2,"of":2}}}`, 400, api.CodeInvalidQuery, false},
+		{"client-set slice", "/match", `{` + edge + `,"query":{"slice":{"index":0,"of":2}}}`, 400, api.CodeInvalidQuery, true},
+		{"client-set slice on stream", "/match/stream", `{` + edge + `,"query":{"slice":{"index":1,"of":2}}}`, 400, api.CodeInvalidQuery, true},
+		{"halo exceeded", "/match", `{` + path3 + `}`, 200, "", false},
+		{"halo exceeded on stream", "/match/stream", `{` + path3 + `}`, 200, "", false},
+		{"tombstone label", "/update", `{"updates":[{"op":"add_node","label":"\u0000deleted node"}]}`, 400, api.CodeInvalidMutation, false},
+		{"NUL label", "/update", `{"updates":[{"op":"add_node","label":"a\u0000b"}]}`, 200, "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -841,7 +859,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // log line carries bytes, matches and (for a stream) the outcome.
 func TestRouterFlightRecordsFanout(t *testing.T) {
 	var logBuf syncBuffer
-	f := newFleetCfg(t, buildSynthetic(60, 37), 2, 2, nil, api.Config{
+	f := newFleetCfg(t, buildSynthetic(60, 37), 2, nil, api.Config{
 		EnableDebug: true,
 		AccessLog:   slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	})
@@ -945,10 +963,6 @@ func (b *syncBuffer) String() string {
 // down: the shard call's context ends and the caller gets 408 cancelled.
 func TestRouterDebugCancelStopsFanout(t *testing.T) {
 	g := generator.Synthetic(30, 1.2, 4, 41)
-	plan, err := BuildPlan(g, 1, 2, StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// One shard whose /v1/match blocks until its request context ends.
 	inner := newShardHandler(t, api.Config{})
 	entered := make(chan struct{})
@@ -967,7 +981,6 @@ func TestRouterDebugCancelStopsFanout(t *testing.T) {
 	}))
 	t.Cleanup(shardTS.Close)
 	rt, err := NewRouter(live.NewStore(g, live.Config{Workers: 2}), Config{
-		Plan:          plan,
 		Shards:        [][]string{{shardTS.URL}},
 		ShardTimeout:  time.Minute,
 		Retry:         testRetry(),
