@@ -115,8 +115,10 @@ func (p *PatternJSON) Validate() error {
 	return nil
 }
 
-// ToGraph validates the pattern and converts it to a graph.Graph, interning
-// labels into labels (nil for a fresh table). Node i of the result is
+// ToGraph validates the pattern and converts it to a graph.Graph against
+// labels (nil for a fresh table), which it reads and never writes: a pattern
+// naming a label the table lacks gets a private copy of it
+// (graph.NewSharedBuilder). Node i of the result is
 // Nodes[i], so rel maps keyed by node index line up. Patterns with non-unit
 // bounds fail with an error wrapping ErrBoundedEdge.
 func (p *PatternJSON) ToGraph(labels *graph.Labels) (*graph.Graph, error) {
@@ -128,7 +130,7 @@ func (p *PatternJSON) ToGraph(labels *graph.Labels) (*graph.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(labels)
+	b := graph.NewSharedBuilder(labels)
 	b.SetName(p.Name)
 	idx := make(map[string]int32, len(p.Nodes))
 	for i, n := range p.Nodes {

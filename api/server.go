@@ -324,7 +324,7 @@ func resolvePattern(e *engine.Engine, req *MatchRequest) (*graph.Graph, *Error) 
 		return nil, Errorf(http.StatusBadRequest, CodeInvalidRequest,
 			`"pattern" and "pattern_text" are mutually exclusive`)
 	case req.Pattern != nil:
-		q, err := req.Pattern.ToGraph(e.Snapshot().Graph().Labels().Clone())
+		q, err := req.Pattern.ToGraph(e.Snapshot().Graph().Labels())
 		if err != nil {
 			return nil, patternError(err)
 		}

@@ -52,14 +52,16 @@ func (s *Snapshot) Version() uint64 { return s.version.Load() }
 func (s *Snapshot) PruneIndex() *plan.Index { return plan.NewIndex(s.g) }
 
 // ParsePattern parses a pattern graph in the text format of internal/graph
-// against a private copy of the snapshot's label table. Labels the data
-// graph already knows keep their identifiers, so the pattern is
-// label-compatible with the snapshot; labels the data graph has never seen
-// are interned only into the copy, so concurrent calls never mutate shared
-// state. A pattern node with such a fresh label simply has no candidates and
-// the query returns no matches, which is the correct answer.
+// against the snapshot's label table, which it reads and never writes
+// (graph.ParseShared). Labels the data graph already knows keep their
+// identifiers, so the pattern is label-compatible with the snapshot and
+// shares its table; a pattern naming a label the data graph has never seen
+// gets a private copy of the table with the label interned there, so
+// concurrent calls never mutate shared state. A pattern node with such a
+// fresh label simply has no candidates and the query returns no matches,
+// which is the correct answer.
 func (s *Snapshot) ParsePattern(src string) (*graph.Graph, error) {
-	q, err := graph.ParseString(src, s.g.Labels().Clone())
+	q, err := graph.ParseShared(src, s.g.Labels())
 	if err != nil {
 		return nil, err
 	}

@@ -137,9 +137,7 @@ func randomConnectedSample(g *graph.Graph, rng *rand.Rand, start int32, k int) [
 		v := frontier[i]
 		frontier[i] = frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		var nbs []int32
-		nbs = append(nbs, g.Out(v)...)
-		nbs = append(nbs, g.In(v)...)
+		nbs := g.AppendIn(g.Out(v), v)
 		rng.Shuffle(len(nbs), func(i, j int) { nbs[i], nbs[j] = nbs[j], nbs[i] })
 		for _, w := range nbs {
 			if len(nodes) >= k {

@@ -42,6 +42,7 @@ func bfsUndirected(g *Graph, start int32, radius int) ([]int32, map[int32]int32)
 	dist := map[int32]int32{start: 0}
 	frontier := []int32{start}
 	members := []int32{start}
+	var row []int32
 	for d := int32(1); int(d) <= radius && len(frontier) > 0; d++ {
 		var next []int32
 		visit := func(w int32) {
@@ -52,10 +53,8 @@ func bfsUndirected(g *Graph, start int32, radius int) ([]int32, map[int32]int32)
 			}
 		}
 		for _, v := range frontier {
-			for _, w := range g.Out(v) {
-				visit(w)
-			}
-			for _, w := range g.In(v) {
+			row = g.AppendIn(g.AppendOut(row[:0], v), v)
+			for _, w := range row {
 				visit(w)
 			}
 		}

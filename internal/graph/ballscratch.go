@@ -52,12 +52,16 @@ type BallScratch struct {
 	ball    Ball
 	sub     Graph
 	nodeLbl []int32
-	// The built graph's adjacency, out ([0]) and in ([1]): page tables whose
-	// pages are windows of one offset arena and one target arena per
-	// direction.
+	// The built graph's adjacency, out ([0]) and in ([1]): first as a flat
+	// CSR of ball ids (row i is flat[start[i]:start[i+1]]), then encoded
+	// into page tables whose pages are windows of one offset arena and one
+	// byte arena per direction. row is the buffer the BFS decodes into.
+	start [2][]int32
+	flat  [2][]int32
+	row   []int32
 	pages [2][]csrPage
 	off   [2][]int32
-	to    [2][]int32
+	to    [2][]byte
 	dist  []int32
 	// Label index of the built graph without a map: lblRows[l] lists the
 	// ball nodes labelled l (a window of lblArena), lblCount[l] is its
@@ -153,6 +157,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	grew := s.grow(g)
 	preReached, preMembers, preIDs := cap(s.reached), cap(s.members), cap(s.ids)
 	preTo, preOff, preLbl := cap(s.to[0])+cap(s.to[1]), cap(s.off[0])+cap(s.off[1]), cap(s.lblArena)
+	preFlat := cap(s.flat[0]) + cap(s.flat[1]) + cap(s.start[0]) + cap(s.start[1])
 
 	// Undirected BFS over g. The frontier of distance d-1 is the window
 	// reached[lo:hi]; appends during the sweep may move the backing array,
@@ -166,16 +171,15 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	for d := int32(1); int(d) <= radius && lo < len(s.reached); d++ {
 		hi := len(s.reached)
 		for _, v := range s.reached[lo:hi] {
-			for _, adj := range [2][]int32{g.Out(v), g.In(v)} {
-				for _, w := range adj {
-					if !s.seen.Add(w) {
-						continue
-					}
-					s.reached = append(s.reached, w)
-					if keep == nil || keep.Contains(w) {
-						s.members = append(s.members, w)
-						s.dist = append(s.dist, d)
-					}
+			s.row = g.in.AppendRow(g.out.AppendRow(s.row[:0], v), v)
+			for _, w := range s.row {
+				if !s.seen.Add(w) {
+					continue
+				}
+				s.reached = append(s.reached, w)
+				if keep == nil || keep.Contains(w) {
+					s.members = append(s.members, w)
+					s.dist = append(s.dist, d)
 				}
 			}
 		}
@@ -199,31 +203,30 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		s.ids[j] = uint64(v)<<32 | uint64(i)
 		s.nodeLbl = append(s.nodeLbl, g.nodeLbl[v])
 	}
-	// member reports whether parent node w received a ball id (then in ids).
-	member := func(w int32) bool {
-		return s.seen.Contains(w) && (keep == nil || w == center || keep.Contains(w))
-	}
 
-	// Induced adjacency straight into the arenas, one page per pageSize
-	// members. Growth mid-build leaves earlier pages on the old backing
-	// array, which still holds their data — only ever read, never appended
-	// to again.
-	for d, adj := range [2]CSR{g.out, g.in} {
-		pages, off, to := s.pages[d][:0], s.off[d][:0], s.to[d][:0]
-		for lo := 0; lo < n; lo += pageSize {
-			o, t := len(off), len(to)
-			for _, v := range orig[lo:min(lo+pageSize, n)] {
-				off = append(off, int32(len(to)-t))
-				for _, w := range adj.Row(v) {
-					if member(w) {
-						to = append(to, int32(uint32(s.ids[s.at(w)])))
-					}
-				}
+	// Induced adjacency. Each member's out-row is decoded, cut to the
+	// members (the reached nodes that are kept, and the center) and
+	// translated to ball ids, still ascending; the in-rows are its
+	// transpose, so no parent in-row is read. Both are then encoded into the
+	// arenas, mostly at width 1 since ball ids are dense.
+	start, flat := s.start[0][:0], s.flat[0][:0]
+	for _, v := range orig {
+		start = append(start, int32(len(flat)))
+		k := len(flat)
+		flat = g.out.AppendRow(flat, v)
+		for _, w := range flat[k:] {
+			if s.seen.Contains(w) && (keep == nil || w == center || keep.Contains(w)) {
+				flat[k] = int32(uint32(s.ids[s.at(w)]))
+				k++
 			}
-			off = append(off, int32(len(to)-t))
-			pages = append(pages, csrPage{off: off[o:len(off):len(off)], to: to[t:len(to):len(to)]})
 		}
-		s.pages[d], s.off[d], s.to[d] = pages, off, to
+		flat = flat[:k]
+	}
+	start = append(start, int32(len(flat)))
+	s.start[0], s.flat[0] = start, flat
+	s.start[1], s.flat[1] = transpose(s.start[1], s.flat[1], n, start, flat)
+	for d := range s.pages {
+		s.pages[d], s.off[d], s.to[d] = appendPages(s.pages[d][:0], s.off[d][:0], s.to[d][:0], s.start[d], s.flat[d])
 	}
 	centerID := int32(uint32(s.ids[s.at(center)]))
 	for _, v := range s.reached {
@@ -259,7 +262,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		nodeLbl:  s.nodeLbl,
 		out:      CSR{pages: s.pages[0], n: n},
 		in:       CSR{pages: s.pages[1], n: n},
-		numEdges: len(s.to[0]),
+		numEdges: len(s.flat[0]),
 		lblRows:  s.lblRows,
 		rank:     s.rank,
 	}
@@ -271,7 +274,8 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		Dist:   s.dist,
 	}
 	if grew || cap(s.reached) != preReached || cap(s.members) != preMembers || cap(s.ids) != preIDs ||
-		cap(s.to[0])+cap(s.to[1]) != preTo || cap(s.off[0])+cap(s.off[1]) != preOff || cap(s.lblArena) != preLbl {
+		cap(s.to[0])+cap(s.to[1]) != preTo || cap(s.off[0])+cap(s.off[1]) != preOff || cap(s.lblArena) != preLbl ||
+		cap(s.flat[0])+cap(s.flat[1])+cap(s.start[0])+cap(s.start[1]) != preFlat {
 		s.misses++
 	}
 	return &s.ball

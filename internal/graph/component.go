@@ -11,15 +11,7 @@ func ConnectedComponents(g *Graph) [][]int32 {
 		if seen[v] {
 			continue
 		}
-		comp := collectComponent(int32(v), seen, func(x int32, fn func(int32)) {
-			for _, w := range g.Out(x) {
-				fn(w)
-			}
-			for _, w := range g.In(x) {
-				fn(w)
-			}
-		})
-		comps = append(comps, comp)
+		comps = append(comps, collectComponent(g, int32(v), seen))
 	}
 	return comps
 }
@@ -27,15 +19,7 @@ func ConnectedComponents(g *Graph) [][]int32 {
 // ComponentOf returns the undirected connected component of g containing
 // start.
 func ComponentOf(g *Graph, start int32) []int32 {
-	seen := make([]bool, g.NumNodes())
-	return collectComponent(start, seen, func(x int32, fn func(int32)) {
-		for _, w := range g.Out(x) {
-			fn(w)
-		}
-		for _, w := range g.In(x) {
-			fn(w)
-		}
-	})
+	return collectComponent(g, start, make([]bool, g.NumNodes()))
 }
 
 // ComponentWithin returns the undirected connected component containing
@@ -51,21 +35,17 @@ func ComponentWithin(g *Graph, start int32, member func(int32) bool) []int32 {
 	seen[start] = true
 	queue := []int32{start}
 	comp := []int32{start}
-	visit := func(w int32) {
-		if !seen[w] && member(w) {
-			seen[w] = true
-			queue = append(queue, w)
-			comp = append(comp, w)
-		}
-	}
+	row := make([]int32, 0, 16)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range g.Out(v) {
-			visit(w)
-		}
-		for _, w := range g.In(v) {
-			visit(w)
+		row = g.AppendIn(g.AppendOut(row[:0], v), v)
+		for _, w := range row {
+			if !seen[w] && member(w) {
+				seen[w] = true
+				queue = append(queue, w)
+				comp = append(comp, w)
+			}
 		}
 	}
 	return comp
@@ -80,20 +60,24 @@ func (g *Graph) IsConnected() bool {
 	return len(ComponentOf(g, 0)) == g.NumNodes()
 }
 
-func collectComponent(start int32, seen []bool, neighbors func(int32, func(int32))) []int32 {
+// collectComponent returns the undirected component of g containing start,
+// marking its nodes in seen.
+func collectComponent(g *Graph, start int32, seen []bool) []int32 {
 	seen[start] = true
 	queue := []int32{start}
 	comp := []int32{start}
+	var row []int32
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		neighbors(v, func(w int32) {
+		row = g.AppendIn(g.AppendOut(row[:0], v), v)
+		for _, w := range row {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
 				comp = append(comp, w)
 			}
-		})
+		}
 	}
 	return comp
 }
@@ -120,13 +104,14 @@ func StronglyConnectedComponents(g *Graph) [][]int32 {
 
 	type frame struct {
 		v    int32
+		out  []int32
 		next int
 	}
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames := []frame{{v: int32(root)}}
+		frames := []frame{{v: int32(root), out: g.Out(int32(root))}}
 		index[int32(root)] = counter
 		low[int32(root)] = counter
 		counter++
@@ -135,8 +120,8 @@ func StronglyConnectedComponents(g *Graph) [][]int32 {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			adv := false
-			for f.next < len(g.Out(f.v)) {
-				w := g.Out(f.v)[f.next]
+			for f.next < len(f.out) {
+				w := f.out[f.next]
 				f.next++
 				if index[w] == unvisited {
 					index[w] = counter
@@ -144,7 +129,7 @@ func StronglyConnectedComponents(g *Graph) [][]int32 {
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					frames = append(frames, frame{v: w, out: g.Out(w)})
 					adv = true
 					break
 				}

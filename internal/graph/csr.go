@@ -1,91 +1,271 @@
 package graph
 
 import (
-	"maps"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 )
 
 // Adjacency is stored one direction at a time as paged CSR (compressed
-// sparse rows). Nodes are grouped in pages of pageSize; a live-store version
-// that follows another by one update batch shares every page the batch did
-// not touch and rebuilds the rest, so what a version allocates follows its
-// batch and not |V|. A page is 4 bytes per edge plus 2 KB of offsets.
+// sparse rows) of encoded rows. Nodes are grouped in pages of pageSize; a
+// live-store version that follows another by one update batch shares every
+// page the batch did not touch and rebuilds the rest, so what a version
+// allocates follows its batch and not |V|. A page is its rows' bytes (≈2.2
+// per entry on the harness's graphs) plus 2 KB of offsets.
+//
+// Row v lists v's neighbours in that direction, ascending and without
+// repeats. An empty row takes no bytes; any other is
+//
+//   - its first target minus v, zigzag-encoded as a varint;
+//   - one width byte w ∈ {1, 2, 3, 4}, the fewest bytes that hold the row's
+//     largest later gap minus one;
+//   - each later gap (target minus the one before) minus one, little-endian
+//     in w bytes.
+//
+// A decode loads four bytes at every gap and masks off the w it wants, so
+// its loop has no branch per entry; a page ends in pad bytes so that the
+// load never runs past it. A row's length is 1 + (bytes after the width
+// byte)/w, known without decoding.
 const (
 	pageBits = 9
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+	pad      = 3
 )
 
 // CSR is one direction of a graph's adjacency: row v lists node v's
-// neighbours in that direction, ascending. Every page holds the rows of
-// pageSize nodes (the last page the remainder) as one target array, the rows
-// back to back, and one offset per row plus one, relative to that array. A
-// row read loads no per-row header. The zero value is empty; copies share
-// everything and nothing is ever written after construction. Derive a
-// changed CSR through Edit.
+// neighbours in that direction, ascending, in the encoding above. Every page
+// holds the rows of pageSize nodes (the last page the remainder) back to
+// back in one byte array, and one byte offset per row plus one. A row read
+// loads no per-row header and decodes into the caller's buffer (AppendRow);
+// Degree, Any, Intersects and Has read a row without writing it anywhere,
+// and the last three stop where their answer is known. The zero value is
+// empty; copies share everything and nothing is ever written after
+// construction. Derive a changed CSR through Edit.
 type CSR struct {
 	pages []csrPage
 	n     int
 }
 
-// csrPage holds the rows of one page: row i is to[off[i]:off[i+1]].
+// csrPage holds the rows of one page: row i is to[off[i]:off[i+1]], and
+// pad bytes follow the last.
 type csrPage struct {
 	off []int32
-	to  []int32
+	to  []byte
 }
 
 // Len returns the number of rows.
 func (c CSR) Len() int { return c.n }
 
-// Row returns row v. The slice is shared; callers must not mutate it.
-func (c CSR) Row(v int32) []int32 {
+// bytes returns the page array row v lies in and the row's bounds in it.
+func (c CSR) bytes(v int32) (to []byte, lo, hi int) {
 	p := &c.pages[v>>pageBits]
 	i := v & pageMask
-	return p.to[p.off[i]:p.off[i+1]]
+	return p.to, int(p.off[i]), int(p.off[i+1])
 }
 
-// pagedCSR cuts a flat CSR — row v is to[start[v]:start[v+1]], start holding
-// one entry per row plus one — into pages. The pages' targets are windows of
-// to, which must not be written afterwards; their offsets are rebased into one
-// array of their own, and start may be discarded.
+// head decodes the start of a non-empty row v at to[lo]: its first target,
+// the mask of its gap width w, w, and the position of its first later gap.
+// A varint of up to four bytes — a first gap of up to 2^27 either way — is
+// cut out of one four-byte load without a loop; the load stays inside the
+// page, whose last row is followed by pad bytes.
+func head(to []byte, lo int, v int32) (x int32, mask uint32, w, at int) {
+	b := to[lo : lo+4 : lo+4]
+	word := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	var z uint32
+	if stop := ^word & 0x80808080; stop != 0 {
+		k := bits.TrailingZeros32(stop)/8 + 1
+		z = (word&0x7f | word>>1&0x3f80 | word>>2&0x1fc000 | word>>3&0xfe00000) & (1<<(7*uint(k)) - 1)
+		at = lo + k
+	} else {
+		z64, k := binary.Uvarint(to[lo:])
+		z, at = uint32(z64), lo+k
+	}
+	w = int(to[at])
+	return v + (int32(z>>1) ^ -int32(z&1)), uint32(1)<<(8*uint(w)) - 1, w, at + 1
+}
+
+// gap returns the gap stored at to[at] under mask.
+func gap(to []byte, at int, mask uint32) int32 {
+	b := to[at : at+4 : at+4]
+	return int32((uint32(b[0])|uint32(b[1])<<8|uint32(b[2])<<16|uint32(b[3])<<24)&mask) + 1
+}
+
+// AppendRow appends row v to dst and returns the extended slice.
+func (c CSR) AppendRow(dst []int32, v int32) []int32 {
+	to, lo, hi := c.bytes(v)
+	if lo == hi {
+		return dst
+	}
+	x, mask, w, at := head(to, lo, v)
+	dst = append(slices.Grow(dst, 1+hi-at), x) // a gap takes a byte or more
+	for ; at < hi; at += w {
+		x += gap(to, at, mask)
+		dst = append(dst, x)
+	}
+	return dst
+}
+
+// Degree returns the length of row v.
+func (c CSR) Degree(v int32) int {
+	to, lo, hi := c.bytes(v)
+	if lo == hi {
+		return 0
+	}
+	for to[lo] >= 0x80 {
+		lo++
+	}
+	return 1 + (hi-lo-2)/int(to[lo+1])
+}
+
+// Intersects reports whether row v holds a member of set, decoding no
+// further than the first. It is Any with set.Contains, without the call per
+// entry: the refiner's sweep runs it on every candidate.
+func (c CSR) Intersects(v int32, set *NodeSet) bool {
+	to, lo, hi := c.bytes(v)
+	if lo == hi {
+		return false
+	}
+	x, mask, w, at := head(to, lo, v)
+	for !set.Contains(x) {
+		if at >= hi {
+			return false
+		}
+		x += gap(to, at, mask)
+		at += w
+	}
+	return true
+}
+
+// Any reports whether pred holds for a target of row v, decoding and testing
+// no further than the first it holds for.
+func (c CSR) Any(v int32, pred func(w int32) bool) bool {
+	to, lo, hi := c.bytes(v)
+	if lo == hi {
+		return false
+	}
+	x, mask, w, at := head(to, lo, v)
+	for {
+		if pred(x) {
+			return true
+		}
+		if at >= hi {
+			return false
+		}
+		x += gap(to, at, mask)
+		at += w
+	}
+}
+
+// Has reports whether row v holds t, decoding no further than t.
+func (c CSR) Has(v, t int32) bool {
+	to, lo, hi := c.bytes(v)
+	if lo == hi {
+		return false
+	}
+	x, mask, w, at := head(to, lo, v)
+	for ; x < t && at < hi; at += w {
+		x += gap(to, at, mask)
+	}
+	return x == t
+}
+
+// zigzag maps a signed first gap to an unsigned varint payload.
+func zigzag(d int32) uint64 { return uint64(uint32(d<<1) ^ uint32(d>>31)) }
+
+// width returns the gap width of a non-empty row.
+func width(row []int32) int {
+	var m uint32
+	for i := 1; i < len(row); i++ {
+		m |= uint32(row[i] - row[i-1] - 1)
+	}
+	return max(1, (bits.Len32(m)+7)/8)
+}
+
+// encodedLen returns the bytes row v, given as sorted targets, takes.
+func encodedLen(v int32, row []int32) int {
+	if len(row) == 0 {
+		return 0
+	}
+	z := zigzag(row[0] - v)
+	return (bits.Len64(z|1)+6)/7 + 1 + (len(row)-1)*width(row)
+}
+
+// appendEncoded appends the encoding of row v, given as sorted targets, to
+// b.
+func appendEncoded(b []byte, v int32, row []int32) []byte {
+	if len(row) == 0 {
+		return b
+	}
+	w := width(row)
+	b = append(binary.AppendUvarint(b, zigzag(row[0]-v)), byte(w))
+	for i := 1; i < len(row); i++ {
+		g := uint32(row[i] - row[i-1] - 1)
+		for k := 0; k < w; k++ {
+			b = append(b, byte(g>>(8*k)))
+		}
+	}
+	return b
+}
+
+// pagedCSR encodes a flat CSR — row v is to[start[v]:start[v+1]], start
+// holding one entry per row plus one — into pages whose bytes are windows of
+// one exactly sized array, as are their offsets. start and to may be
+// discarded afterwards.
 func pagedCSR(start, to []int32) CSR {
 	n := len(start) - 1
 	np := (n + pageMask) >> pageBits
-	off := make([]int32, 0, n+np)
-	pages := make([]csrPage, 0, np)
-	for lo := 0; lo < n; lo += pageSize {
-		hi := min(lo+pageSize, n)
-		o := len(off)
-		for _, x := range start[lo : hi+1] {
-			off = append(off, x-start[lo])
-		}
-		pages = append(pages, csrPage{
-			off: off[o:len(off):len(off)],
-			to:  to[start[lo]:start[hi]:start[hi]],
-		})
+	size := np * pad
+	for v := 0; v < n; v++ {
+		size += encodedLen(int32(v), to[start[v]:start[v+1]])
 	}
+	pages, _, _ := appendPages(make([]csrPage, 0, np), make([]int32, 0, n+np), make([]byte, 0, size), start, to)
 	return CSR{pages: pages, n: n}
 }
 
-// transpose returns the flat CSR (start, to) of the reverse of the n-row
-// flat CSR it is given: row w lists, ascending, every r whose row holds w,
+// appendPages encodes the flat CSR (start, to) as pages of pageSize rows:
+// it appends them to pages, their offsets to off and their bytes to b, and
+// every page is a window of the off and b it returns — or of an earlier
+// backing array that growth left behind, which still holds its data.
+func appendPages(pages []csrPage, off []int32, b []byte, start, to []int32) ([]csrPage, []int32, []byte) {
+	n := len(start) - 1
+	for lo := 0; lo < n; lo += pageSize {
+		o, t := len(off), len(b)
+		for v := lo; v < min(lo+pageSize, n); v++ {
+			off = append(off, int32(len(b)-t))
+			b = appendEncoded(b, int32(v), to[start[v]:start[v+1]])
+		}
+		off = append(off, int32(len(b)-t))
+		b = append(b, make([]byte, pad)...)
+		pages = append(pages, csrPage{off: off[o:len(off):len(off)], to: b[t:len(b):len(b)]})
+	}
+	return pages, off, b
+}
+
+// transpose returns the flat CSR (tstart, tto) of the reverse of the n-row
+// flat CSR (start, to), in the storage of the tstart and tto it is handed
+// (nil ones allocate): row w lists, ascending, every r whose row holds w,
 // once per occurrence.
-func transpose(n int, start, to []int32) (tstart, tto []int32) {
-	tstart = make([]int32, n+1)
+func transpose(tstart, tto []int32, n int, start, to []int32) ([]int32, []int32) {
+	tstart = slices.Grow(tstart[:0], n+1)[:n+1]
+	clear(tstart)
 	for _, w := range to {
 		tstart[w+1]++
 	}
 	for i := 0; i < n; i++ {
 		tstart[i+1] += tstart[i]
 	}
-	next := slices.Clone(tstart[:n])
-	tto = make([]int32, len(to))
+	tto = slices.Grow(tto[:0], len(to))[:len(to)]
 	for r := 0; r < n; r++ {
 		for _, w := range to[start[r]:start[r+1]] {
-			tto[next[w]] = int32(r)
-			next[w]++
+			tto[tstart[w]] = int32(r)
+			tstart[w]++
 		}
 	}
+	// Each tstart[w] now holds where row w ends, which is where row w+1
+	// starts.
+	copy(tstart[1:], tstart[:n])
+	tstart[0] = 0
 	return tstart, tto
 }
 
@@ -113,7 +293,7 @@ func (c CSR) Edit() *CSREdit {
 }
 
 // CSREdit is a CSR under construction from a predecessor. It records the
-// rows it replaces; reads see those and the predecessor's others. Freeze
+// rows it replaces, decoded; Own reads a row as the edit has it. Freeze
 // rebuilds each page a replaced row lives in, once, and shares every other
 // page with the predecessor, which is never written. An abandoned edit
 // leaves nothing behind. Not safe for concurrent use.
@@ -123,21 +303,13 @@ type CSREdit struct {
 	n    int
 }
 
-// Row returns row v as the edit reads it. Callers must not mutate it.
-func (e *CSREdit) Row(v int32) []int32 {
-	if row, ok := e.rows[v]; ok {
-		return row
-	}
-	return e.base.Row(v)
-}
-
-// Own returns row v as a slice of the edit's own, copying the predecessor's
+// Own returns row v as a slice of the edit's own, decoding the predecessor's
 // on first use. The caller may write it in place, and hands a row that grew
 // or shrank back through Set.
 func (e *CSREdit) Own(v int32) []int32 {
 	row, ok := e.rows[v]
 	if !ok {
-		row = slices.Clone(e.base.Row(v))
+		row = e.base.AppendRow(nil, v)
 		e.rows[v] = row
 	}
 	return row
@@ -153,8 +325,15 @@ func (e *CSREdit) Append() {
 	e.n++
 }
 
-// Replaced lists the rows the edit replaced or appended, in no order.
-func (e *CSREdit) Replaced() []int32 { return slices.Collect(maps.Keys(e.rows)) }
+// Replaced lists the rows the edit replaced or appended, ascending.
+func (e *CSREdit) Replaced() []int32 {
+	rows := make([]int32, 0, len(e.rows))
+	for v := range e.rows {
+		rows = append(rows, v)
+	}
+	slices.Sort(rows)
+	return rows
+}
 
 // Freeze returns the edited CSR and the number of the predecessor's pages
 // it rebuilt; a page appended rows opened is built, not counted. The edit
@@ -163,19 +342,17 @@ func (e *CSREdit) Freeze() (CSR, int) {
 	if len(e.rows) == 0 {
 		return e.base, 0
 	}
-	np := (e.n + pageMask) >> pageBits
-	pages := make([]csrPage, np)
+	pages := make([]csrPage, (e.n+pageMask)>>pageBits)
 	copy(pages, e.base.pages)
-	touched := make([]bool, np)
-	for v := range e.rows {
-		touched[v>>pageBits] = true
-	}
 	rebuilt := 0
-	for p, t := range touched {
-		if !t {
-			continue
+	for rows := e.Replaced(); len(rows) > 0; {
+		p := int(rows[0] >> pageBits)
+		k := 1
+		for k < len(rows) && int(rows[k]>>pageBits) == p {
+			k++
 		}
-		pages[p] = e.page(p)
+		pages[p] = e.page(p, rows[:k])
+		rows = rows[k:]
 		if p < len(e.base.pages) {
 			rebuilt++
 		}
@@ -183,23 +360,49 @@ func (e *CSREdit) Freeze() (CSR, int) {
 	return CSR{pages: pages, n: e.n}, rebuilt
 }
 
-// page builds page p from the rows the edit reads, offsets and targets in
-// one allocation.
-func (e *CSREdit) page(p int) csrPage {
+// page builds page p, whose replaced rows are the ascending rows: each run
+// of rows between two of them is one byte copy from the predecessor's page,
+// its offsets rebased, and only the replaced rows are encoded. Every row of
+// a run lies in the predecessor, because every appended row is replaced.
+func (e *CSREdit) page(p int, rows []int32) csrPage {
 	lo := int32(p << pageBits)
 	hi := min(lo+pageSize, int32(e.n))
-	total := 0
-	for v := lo; v < hi; v++ {
-		total += len(e.Row(v))
+	var base csrPage
+	if p < len(e.base.pages) {
+		base = e.base.pages[p]
 	}
-	rows := int(hi - lo)
-	buf := make([]int32, rows+1+total)
-	off, to := buf[:rows+1:rows+1], buf[rows+1:]
-	k := 0
-	for v := lo; v < hi; v++ {
-		off[v-lo] = int32(k)
-		k += copy(to[k:], e.Row(v))
+	size, v := pad, lo
+	for _, r := range rows {
+		if v < r {
+			size += int(base.off[r-lo] - base.off[v-lo])
+		}
+		size += encodedLen(r, e.rows[r])
+		v = r + 1
 	}
-	off[rows] = int32(k)
-	return csrPage{off: off, to: to}
+	if v < hi {
+		size += int(base.off[hi-lo] - base.off[v-lo])
+	}
+
+	off := make([]int32, hi-lo+1)
+	to := make([]byte, 0, size)
+	run := func(a, b int32) { // rows [a, b) of the predecessor
+		if a == b {
+			return
+		}
+		shift := int32(len(to)) - base.off[a-lo]
+		for i := a - lo; i < b-lo; i++ {
+			off[i] = base.off[i] + shift
+		}
+		to = append(to, base.to[base.off[a-lo]:base.off[b-lo]]...)
+	}
+	v = lo
+	for _, r := range rows {
+		run(v, r)
+		off[r-lo] = int32(len(to))
+		to = appendEncoded(to, r, e.rows[r])
+		v = r + 1
+	}
+	run(v, hi)
+	off[hi-lo] = int32(len(to))
+	return csrPage{off: off, to: to[:len(to)+pad]}
 }

@@ -13,20 +13,16 @@ func Distances(g *Graph, start int32) []int32 {
 	}
 	dist[start] = 0
 	queue := []int32{start}
+	var row []int32
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		visit := func(w int32) {
+		row = g.AppendIn(g.AppendOut(row[:0], v), v)
+		for _, w := range row {
 			if dist[w] == -1 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)
 			}
-		}
-		for _, w := range g.Out(v) {
-			visit(w)
-		}
-		for _, w := range g.In(v) {
-			visit(w)
 		}
 	}
 	return dist
@@ -81,8 +77,10 @@ func bfsDiameter(g *Graph) (int, bool) {
 func smallDiameter(g *Graph) (int, bool) {
 	n := g.NumNodes()
 	var adj [64]uint64 // undirected neighbors
+	row := make([]int32, 0, 64)
 	for v := int32(0); v < int32(n); v++ {
-		for _, w := range g.Out(v) {
+		row = g.AppendOut(row[:0], v)
+		for _, w := range row {
 			adj[v] |= 1 << uint(w)
 			adj[w] |= 1 << uint(v)
 		}

@@ -8,9 +8,10 @@ import (
 // Graph is an immutable node-labeled directed graph. Nodes are dense int32
 // identifiers in [0, NumNodes()). Construct graphs with a Builder.
 //
-// Both forward and reverse adjacency are stored as paged CSR (see CSR), every
-// row sorted: HasEdge is a binary search, and a row is one contiguous run of
-// the page's target array, read without a per-row header. An index from
+// Both forward and reverse adjacency are stored as paged CSR of gap-encoded
+// rows (see CSR), every row sorted: a row costs about as many bytes as its
+// gaps need, AppendOut and AppendIn decode one into the caller's buffer,
+// OutDegree and InDegree are O(1), and HasEdge scans one row. An index from
 // label to the sorted list of nodes carrying it supports the candidate
 // initialization step of every matching algorithm (line 2 of procedure
 // DualSim in the paper's Fig. 3); beside each list it keeps its nodes'
@@ -39,7 +40,10 @@ type Graph struct {
 // Duplicate edges are tolerated and collapsed at Build time (the paper's
 // graphs are simple); self-loops are permitted.
 type Builder struct {
-	labels  *Labels
+	labels *Labels
+	// shared marks labels as a table the builder reads and never writes
+	// (NewSharedBuilder).
+	shared  bool
 	nodeLbl []int32
 	edges   [][2]int32
 	names   map[string]int32 // optional symbolic node names
@@ -56,12 +60,27 @@ func NewBuilder(labels *Labels) *Builder {
 	return &Builder{labels: labels, names: make(map[string]int32)}
 }
 
+// NewSharedBuilder returns a Builder that reads labels and never writes it:
+// a label the table knows costs a map read, and the first one it does not
+// know is interned into a clone of the table, made then. Request patterns
+// built this way against a data graph's table — which concurrent requests
+// share and must not write — cost no copy of it unless they name a label the
+// graph does not have. A nil labels is a fresh table, as for NewBuilder.
+func NewSharedBuilder(labels *Labels) *Builder {
+	b := NewBuilder(labels)
+	b.shared = labels != nil
+	return b
+}
+
 // SetName attaches a human-readable graph name used in String().
 func (b *Builder) SetName(name string) { b.name = name }
 
 // AddNode appends a node with the given label and returns its id.
 func (b *Builder) AddNode(label string) int32 {
 	id := int32(len(b.nodeLbl))
+	if b.shared && b.labels.ID(label) == NoLabel {
+		b.labels, b.shared = b.labels.Clone(), false
+	}
 	b.nodeLbl = append(b.nodeLbl, b.labels.Intern(label))
 	return id
 }
@@ -132,7 +151,8 @@ func (b *Builder) Build() *Graph {
 // their count. Rows come out sorted without a comparison: the edges are
 // grouped by source in the order they were added, which transposes to
 // ascending in-rows with each repeat next to its original; those are
-// collapsed, and transposing back gives ascending out-rows.
+// collapsed, and transposing back gives ascending out-rows. The flat int32
+// rows are transient: only their encoding is kept.
 func (b *Builder) adjacency() (out, in CSR, m int) {
 	n := len(b.nodeLbl)
 	start := make([]int32, n+1)
@@ -148,11 +168,10 @@ func (b *Builder) adjacency() (out, in CSR, m int) {
 		to[next[e[0]]] = e[1]
 		next[e[0]]++
 	}
-	inStart, inTo := transpose(n, start, to)
-	if m = len(dedupRows(inStart, inTo)); m < len(inTo) {
-		inTo = slices.Clone(inTo[:m])
-	}
-	outStart, outTo := transpose(n, inStart, inTo)
+	inStart, inTo := transpose(nil, nil, n, start, to)
+	inTo = dedupRows(inStart, inTo)
+	m = len(inTo)
+	outStart, outTo := transpose(nil, nil, n, inStart, inTo)
 	return pagedCSR(outStart, outTo), pagedCSR(inStart, inTo), m
 }
 
@@ -237,32 +256,38 @@ func (g *Graph) Label(v int32) int32 { return g.nodeLbl[v] }
 // LabelName returns the label string of node v.
 func (g *Graph) LabelName(v int32) string { return g.labels.Name(g.nodeLbl[v]) }
 
-// Out returns the sorted successors of v. The slice is shared; callers must
-// not mutate it.
-func (g *Graph) Out(v int32) []int32 { return g.out.Row(v) }
+// Out returns the sorted successors of v in a slice of its own. It
+// allocates: a loop over many rows decodes them into one buffer of its own
+// with AppendOut.
+func (g *Graph) Out(v int32) []int32 { return g.out.AppendRow(nil, v) }
 
-// In returns the sorted predecessors of v. The slice is shared; callers must
-// not mutate it.
-func (g *Graph) In(v int32) []int32 { return g.in.Row(v) }
+// In returns the sorted predecessors of v in a slice of its own; see Out.
+func (g *Graph) In(v int32) []int32 { return g.in.AppendRow(nil, v) }
+
+// AppendOut appends the sorted successors of v to dst and returns the
+// extended slice.
+func (g *Graph) AppendOut(dst []int32, v int32) []int32 { return g.out.AppendRow(dst, v) }
+
+// AppendIn appends the sorted predecessors of v to dst and returns the
+// extended slice.
+func (g *Graph) AppendIn(dst []int32, v int32) []int32 { return g.in.AppendRow(dst, v) }
 
 // Rows returns the whole out- and in-adjacency, one sorted row per node, as
 // FromParts takes them. Everything behind them is shared with g.
 func (g *Graph) Rows() (out, in CSR) { return g.out, g.in }
 
-// OutDegree returns the number of successors of v.
-func (g *Graph) OutDegree(v int32) int { return len(g.Out(v)) }
+// OutDegree returns the number of successors of v, without decoding them.
+func (g *Graph) OutDegree(v int32) int { return g.out.Degree(v) }
 
-// InDegree returns the number of predecessors of v.
-func (g *Graph) InDegree(v int32) int { return len(g.In(v)) }
+// InDegree returns the number of predecessors of v, without decoding them.
+func (g *Graph) InDegree(v int32) int { return g.in.Degree(v) }
 
 // Degree returns the undirected degree of v (in + out).
-func (g *Graph) Degree(v int32) int { return len(g.Out(v)) + len(g.In(v)) }
+func (g *Graph) Degree(v int32) int { return g.out.Degree(v) + g.in.Degree(v) }
 
-// HasEdge reports whether the directed edge (u, v) exists.
-func (g *Graph) HasEdge(u, v int32) bool {
-	_, ok := slices.BinarySearch(g.Out(u), v)
-	return ok
-}
+// HasEdge reports whether the directed edge (u, v) exists, by a scan of u's
+// successors that stops at v.
+func (g *Graph) HasEdge(u, v int32) bool { return g.out.Has(u, v) }
 
 // NodesWithLabel returns the sorted nodes carrying label id, sharing the
 // underlying slice.
@@ -318,8 +343,10 @@ func (g *Graph) NodesLabeledInto(q *Graph, set *NodeSet) *NodeSet {
 
 // Edges calls fn for every directed edge (u, v) in ascending (u, v) order.
 func (g *Graph) Edges(fn func(u, v int32)) {
+	row := make([]int32, 0, 16)
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		for _, v := range g.Out(u) {
+		row = g.AppendOut(row[:0], u)
+		for _, v := range row {
 			fn(u, v)
 		}
 	}
@@ -358,9 +385,11 @@ func (g *Graph) InducedSubgraph(nodes []int32) (*Graph, []int32, map[int32]int32
 	for _, v := range orig {
 		b.AddNode(g.LabelName(v))
 	}
+	var row []int32
 	for _, v := range orig {
 		nv := toNew[v]
-		for _, w := range g.Out(v) {
+		row = g.AppendOut(row[:0], v)
+		for _, w := range row {
 			if nw, ok := toNew[w]; ok {
 				_ = b.AddEdge(nv, nw)
 			}

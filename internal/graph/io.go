@@ -21,7 +21,17 @@ import (
 // Parse reads a graph in the text format, interning labels into labels
 // (nil for a fresh table).
 func Parse(r io.Reader, labels *Labels) (*Graph, error) {
-	b := NewBuilder(labels)
+	return parse(r, NewBuilder(labels))
+}
+
+// ParseShared parses a graph from an in-memory string without writing
+// labels: it builds through NewSharedBuilder, so the graph shares the table
+// unless it names a label the table lacks, and then owns a clone.
+func ParseShared(s string, labels *Labels) (*Graph, error) {
+	return parse(strings.NewReader(s), NewSharedBuilder(labels))
+}
+
+func parse(r io.Reader, b *Builder) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
 	lineNo := 0

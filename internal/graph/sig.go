@@ -22,10 +22,11 @@ func (s Sig) Covers(need Sig) bool { return need.Out&^s.Out == 0 && need.In&^s.I
 
 // NeighbourSig folds the labels of v's neighbours, reading v's rows.
 func (g *Graph) NeighbourSig(v int32) (s Sig) {
-	for _, w := range g.Out(v) {
+	row := g.AppendOut(make([]int32, 0, 16), v)
+	for _, w := range row {
 		s.Out |= LabelBit(g.nodeLbl[w])
 	}
-	for _, w := range g.In(v) {
+	for _, w := range g.AppendIn(row[:0], v) {
 		s.In |= LabelBit(g.nodeLbl[w])
 	}
 	return s
@@ -91,7 +92,7 @@ type Delta struct {
 func (g *Graph) patchedRows(prev *Graph, changed map[int32][]int32, d Delta) map[int32]labelRow {
 	area := slices.Clone(d.Rows)
 	for _, v := range d.Relabelled {
-		area = append(append(append(area, v), g.Out(v)...), g.In(v)...)
+		area = g.AppendIn(g.AppendOut(append(area, v), v), v)
 	}
 	if len(changed) == 0 && len(area) == 0 {
 		return prev.byLabel

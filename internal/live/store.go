@@ -189,9 +189,9 @@ type Store struct {
 	nextID   int64
 
 	// Scratch of dirtyCenters, reused across batches: the BFS of one side,
-	// and the union of both sides' reach.
+	// the union of both sides' reach, and the buffer rows are decoded into.
 	visited, reach graph.NodeSet
-	queue          []int32
+	queue, row     []int32
 
 	// qmu guards only the queries map, separately from mu, so lookups and
 	// listings stay responsive while Apply holds mu through maintenance.
@@ -381,16 +381,17 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		// Drop every incident edge. The node itself is the only dirty seed
 		// needed: any ball containing an incident edge, or the node's
 		// label, contains the node.
-		for _, w := range b.out.Row(m.Node) {
+		outs := b.out.Own(m.Node)
+		for _, w := range outs {
 			if w == m.Node {
 				continue
 			}
 			xs, _ := removeSorted(b.in.Own(w), m.Node)
 			b.in.Set(w, xs)
 		}
-		b.numEdges -= len(b.out.Row(m.Node))
+		b.numEdges -= len(outs)
 		b.out.Set(m.Node, nil)
-		for _, w := range b.in.Row(m.Node) {
+		for _, w := range b.in.Own(m.Node) {
 			if w == m.Node {
 				continue // the self-loop was already counted once above
 			}
@@ -613,10 +614,8 @@ func (s *Store) sweep(seeds []int32, radius int, out, in graph.CSR) {
 	for lo, d := 0, 0; d < radius && lo < len(q); d++ {
 		hi := len(q)
 		for _, v := range q[lo:hi] {
-			for _, w := range out.Row(v) {
-				visit(w)
-			}
-			for _, w := range in.Row(v) {
+			s.row = in.AppendRow(out.AppendRow(s.row[:0], v), v)
+			for _, w := range s.row {
 				visit(w)
 			}
 		}

@@ -103,6 +103,8 @@ func refine(q *graph.Graph) []string {
 		colors[v] = fmt.Sprintf("%s/%d/%d", q.LabelName(v), q.OutDegree(v), q.InDegree(v))
 	}
 	distinct := countDistinct(colors)
+	out, in := q.Rows()
+	row := make([]int32, 0, 16)
 	for round := 0; round < n; round++ {
 		next := make([]string, n)
 		var sb strings.Builder
@@ -110,9 +112,10 @@ func refine(q *graph.Graph) []string {
 		for v := int32(0); v < int32(n); v++ {
 			sb.Reset()
 			sb.WriteString(colors[v])
-			for _, dir := range [2][]int32{q.Out(v), q.In(v)} {
+			for _, adj := range [2]graph.CSR{out, in} {
 				nb = nb[:0]
-				for _, w := range dir {
+				row = adj.AppendRow(row[:0], v)
+				for _, w := range row {
 					nb = append(nb, colors[w])
 				}
 				sort.Strings(nb)
@@ -158,11 +161,7 @@ func encode(q *graph.Graph, order []int32) string {
 		sb.WriteByte(';')
 	}
 	edges := make([][2]int32, 0, q.NumEdges())
-	for _, v := range order {
-		for _, w := range q.Out(v) {
-			edges = append(edges, [2]int32{pos[v], pos[w]})
-		}
-	}
+	q.Edges(func(u, w int32) { edges = append(edges, [2]int32{pos[u], pos[w]}) })
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i][0] != edges[j][0] {
 			return edges[i][0] < edges[j][0]

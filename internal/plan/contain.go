@@ -108,7 +108,8 @@ func ContainedIn(qNew, qCached *graph.Graph) bool {
 // consistent checks that assigning phi[u] = v preserves every qCached edge
 // whose other endpoint is already assigned.
 func consistent(qCached, qNew *graph.Graph, phi []int32, u, v int32) bool {
-	for _, w := range qCached.Out(u) {
+	row := qCached.AppendOut(make([]int32, 0, 16), u)
+	for _, w := range row {
 		if w == u {
 			if !qNew.HasEdge(v, v) {
 				return false
@@ -119,7 +120,7 @@ func consistent(qCached, qNew *graph.Graph, phi []int32, u, v int32) bool {
 			return false
 		}
 	}
-	for _, w := range qCached.In(u) {
+	for _, w := range qCached.AppendIn(row[:0], u) {
 		if w == u {
 			continue // handled above
 		}

@@ -111,7 +111,7 @@ func prune(g, q *graph.Graph, radius int, centers []int32, st *PruneStats) []int
 	dq, _ := graph.Diameter(q)
 	rounds := max(1, min(radius, dq))
 
-	a := anchor{q: q, g: g}
+	a := newAnchor(q, g)
 	w := 0
 	for _, c := range centers {
 		// The center is kept by the first pattern node of its label it can
@@ -150,10 +150,19 @@ func prune(g, q *graph.Graph, radius int, centers []int32, st *PruneStats) []int
 // anchor is the state of one center's anchor check (see Prune).
 type anchor struct {
 	q, g *graph.Graph
+	// qAdj and gAdj are q's and g's out- ([0]) and in-rows ([1]).
+	qAdj, gAdj [2]graph.CSR
 	// budget is what the center may still examine; once it is spent every
 	// pending question answers yes, which unwinds the recursion and keeps
 	// the center.
 	budget int
+}
+
+func newAnchor(q, g *graph.Graph) anchor {
+	a := anchor{q: q, g: g}
+	a.qAdj[0], a.qAdj[1] = q.Rows()
+	a.gAdj[0], a.gAdj[1] = g.Rows()
+	return a
 }
 
 // holds reports whether (u, v) survives k refinement rounds from the label
@@ -163,30 +172,23 @@ func (a *anchor) holds(u, v int32, k int) bool {
 	if k == 0 {
 		return true
 	}
-	for _, u2 := range a.q.Out(u) {
-		if !a.witness(a.g.Out(v), u2, k-1) {
-			return false
-		}
-	}
-	for _, u2 := range a.q.In(u) {
-		if !a.witness(a.g.In(v), u2, k-1) {
+	for d := range a.qAdj {
+		if a.qAdj[d].Any(u, func(u2 int32) bool { return !a.witness(d, v, u2, k-1) }) {
 			return false
 		}
 	}
 	return true
 }
 
-// witness reports whether row holds a node that survives k rounds for u.
-func (a *anchor) witness(row []int32, u int32, k int) bool {
+// witness reports whether row v of a.gAdj[d] holds a node that survives k
+// rounds for u. The row is decoded only as far as the check reads it.
+func (a *anchor) witness(d int, v, u int32, k int) bool {
 	lbl := a.q.Label(u)
-	for _, w := range row {
+	return a.gAdj[d].Any(v, func(w int32) bool {
 		if a.budget <= 0 {
 			return true
 		}
 		a.budget--
-		if a.g.Label(w) == lbl && a.holds(u, w, k) {
-			return true
-		}
-	}
-	return false
+		return a.g.Label(w) == lbl && a.holds(u, w, k)
+	})
 }

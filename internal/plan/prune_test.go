@@ -111,7 +111,7 @@ func TestPruneNecessity(t *testing.T) {
 func anchoredBare(g, q *graph.Graph, radius int, centers []int32) []int32 {
 	dq, _ := graph.Diameter(q)
 	rounds := max(1, min(radius, dq))
-	a := anchor{q: q, g: g}
+	a := newAnchor(q, g)
 	var kept []int32
 	for _, c := range centers {
 		a.budget = anchorBudget
@@ -217,7 +217,8 @@ func TestPruneAnchorBudget(t *testing.T) {
 	}
 	// What kept the layered centers is the budget, not the check: unbounded,
 	// it refutes a layer-0 center as the path's head — at 60³ entries.
-	a := anchor{q: q, g: g, budget: 1 << 30}
+	a := newAnchor(q, g)
+	a.budget = 1 << 30
 	if a.holds(0, 0, rounds) || 1<<30-a.budget <= anchorBudget {
 		t.Fatalf("unbounded check of center 0: %d entries, want a refutation past the budget of %d", 1<<30-a.budget, anchorBudget)
 	}

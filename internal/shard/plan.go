@@ -75,6 +75,7 @@ func partitionBFS(g *graph.Graph, k int) []int32 {
 	owner := make([]int32, n)
 	order := make([]int32, 0, n)
 	seen := make([]bool, n)
+	var row []int32
 	for v := 0; v < n; v++ {
 		if seen[v] {
 			continue
@@ -85,17 +86,12 @@ func partitionBFS(g *graph.Graph, k int) []int32 {
 		// appended as they are discovered and read from head on.
 		for head := len(order) - 1; head < len(order); head++ {
 			x := order[head]
-			visit := func(w int32) {
+			row = g.AppendIn(g.AppendOut(row[:0], x), x)
+			for _, w := range row {
 				if !seen[w] {
 					seen[w] = true
 					order = append(order, w)
 				}
-			}
-			for _, w := range g.Out(x) {
-				visit(w)
-			}
-			for _, w := range g.In(x) {
-				visit(w)
 			}
 		}
 	}
@@ -119,7 +115,7 @@ func (p *Plan) Members(g *graph.Graph) [][]bool {
 		members[s] = make([]bool, n)
 	}
 	dist := make([]int32, n)
-	var frontier, next []int32
+	var frontier, next, row []int32
 	for s := 0; s < p.K; s++ {
 		member := members[s]
 		frontier = frontier[:0]
@@ -134,17 +130,12 @@ func (p *Plan) Members(g *graph.Graph) [][]bool {
 		for depth := 0; depth < 2*p.Halo && len(frontier) > 0; depth++ {
 			next = next[:0]
 			for _, v := range frontier {
-				visit := func(w int32) {
+				row = g.AppendIn(g.AppendOut(row[:0], v), v)
+				for _, w := range row {
 					if !member[w] {
 						member[w] = true
 						next = append(next, w)
 					}
-				}
-				for _, w := range g.Out(v) {
-					visit(w)
-				}
-				for _, w := range g.In(v) {
-					visit(w)
 				}
 			}
 			frontier, next = next, frontier

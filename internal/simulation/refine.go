@@ -2,7 +2,6 @@ package simulation
 
 import (
 	"context"
-	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -46,24 +45,29 @@ const pollEvery = 4096
 // paper's O((|Vq|+|Eq|)(|V|+|E|)) bound for DualSim is the worst case, met
 // when every node carries a pattern label.
 type Refiner struct {
-	q, g *graph.Graph
-	mode Mode
-	rel  Relation
-	rank []int32 // g.LabelRanks()
+	q, g    *graph.Graph
+	mode    Mode
+	rel     Relation
+	rank    []int32   // g.LabelRanks()
+	out, in graph.CSR // g.Rows()
 
 	// Pattern edges are numbered in q.Edges order: those out of x are
 	// outBase[x]..outBase[x+1], in q.Out(x) order; the in-slots
 	// inBase[u]..inBase[u+1] stand for the edges into u, in q.In(u) order.
-	// succOut/predOut give an edge's two row offsets into cnt by its number,
-	// succIn/predIn the same offsets by in-slot. All six are windows of one
-	// arena with cnt.
+	// qOut and qIn hold q's rows, decoded once: x's successors are
+	// qOut[outBase[x]:outBase[x+1]], u's predecessors
+	// qIn[inBase[u]:inBase[u+1]]. succOut/predOut give an edge's two row
+	// offsets into cnt by its number, succIn/predIn the same offsets by
+	// in-slot. All eight are windows of one arena with cnt.
 	outBase, inBase  []int32
+	qOut, qIn        []int32
 	succOut, predOut []int32
 	succIn, predIn   []int32
 	cnt              []int32
 
 	queue   []Pair
-	removed int // pairs taken out of rel so far
+	row     []int32 // the data row being read, decoded
+	removed int     // pairs taken out of rel so far
 
 	// ctx is polled every pollEvery units of work; err is what it said when
 	// it ended the refinement.
@@ -97,17 +101,18 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 	var r *Refiner
 	if sc != nil {
 		r = &sc.refiner
-		*r = Refiner{queue: r.queue[:0]}
+		*r = Refiner{queue: r.queue[:0], row: r.row[:0]}
 	} else {
 		r = new(Refiner)
 	}
 	r.q, r.g, r.rel, r.mode, r.rank = q, g, rel, mode, g.LabelRanks()
+	r.out, r.in = g.Rows()
 	r.ctx, r.budget = ctx, pollEvery
 	dual := mode == ChildParent
 
 	nq, ne := q.NumNodes(), q.NumEdges()
 	row := func(x int) int32 { return int32(len(g.NodesWithLabel(q.Label(int32(x))))) }
-	need := 2*(nq+1) + 4*ne
+	need := 2*(nq+1) + 6*ne
 	for x := 0; x < nq; x++ {
 		edges := q.OutDegree(int32(x))
 		if dual {
@@ -122,37 +127,38 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 		return w
 	}
 	r.outBase, r.inBase = carve(nq+1), carve(nq+1)
+	r.qOut, r.qIn = carve(ne)[:0], carve(ne)[:0]
 	r.succOut, r.predOut = carve(ne), carve(ne)
 	r.succIn, r.predIn = carve(ne), carve(ne)
 	r.cnt = arena
 
-	off, e := int32(0), int32(0)
 	for x := 0; x < nq; x++ {
-		r.outBase[x] = e
+		r.outBase[x], r.inBase[x] = int32(len(r.qOut)), int32(len(r.qIn))
+		r.qOut, r.qIn = q.AppendOut(r.qOut, int32(x)), q.AppendIn(r.qIn, int32(x))
+	}
+	r.outBase[nq], r.inBase[nq] = int32(ne), int32(ne)
+
+	off := int32(0)
+	for x := 0; x < nq; x++ {
 		rx := row(x)
-		for range q.Out(int32(x)) {
+		for e := r.outBase[x]; e < r.outBase[x+1]; e++ {
 			r.succOut[e] = off
 			off += rx
-			e++
 		}
 	}
-	r.outBase[nq] = e
-	k := int32(0)
 	for u := 0; u < nq; u++ {
-		r.inBase[u] = k
 		ru := row(u)
-		for _, x := range q.In(int32(u)) {
-			j, _ := slices.BinarySearch(q.Out(x), int32(u))
+		for k := r.inBase[u]; k < r.inBase[u+1]; k++ {
+			x := r.qIn[k]
+			j, _ := slices.BinarySearch(r.qOut[r.outBase[x]:r.outBase[x+1]], int32(u))
 			e := r.outBase[x] + int32(j)
 			r.succIn[k] = r.succOut[e]
 			if dual {
 				r.predIn[k], r.predOut[e] = off, off
 				off += ru
 			}
-			k++
 		}
 	}
-	r.inBase[nq] = k
 	return r
 }
 
@@ -160,10 +166,14 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 // (outs) and a predecessor in (ins).
 func (r *Refiner) ends(x int32) (outs, ins []int32) {
 	if r.mode == ChildParent {
-		ins = r.q.In(x)
+		ins = r.qIns(x)
 	}
-	return r.q.Out(x), ins
+	return r.qOuts(x), ins
 }
+
+// qOuts and qIns return the successors and predecessors of pattern node x.
+func (r *Refiner) qOuts(x int32) []int32 { return r.qOut[r.outBase[x]:r.outBase[x+1]] }
+func (r *Refiner) qIns(x int32) []int32  { return r.qIn[r.inBase[x]:r.inBase[x+1]] }
 
 // seed fills the empty relation of a whole-graph pass with the label
 // candidates of each pattern node x whose neighbour-label signature covers
@@ -214,18 +224,16 @@ func (r *Refiner) sweep() {
 		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
 			ok := true
 			if len(outs) > 0 {
-				row := r.g.Out(v)
-				if r.spent(len(outs) * len(row)) {
+				if r.spent(len(outs) * r.out.Degree(v)) {
 					return
 				}
-				ok = r.witnessed(row, outs)
+				ok = r.witnessed(r.out, v, outs)
 			}
 			if ok && len(ins) > 0 {
-				row := r.g.In(v)
-				if r.spent(len(ins) * len(row)) {
+				if r.spent(len(ins) * r.in.Degree(v)) {
 					return
 				}
-				ok = r.witnessed(row, ins)
+				ok = r.witnessed(r.in, v, ins)
 			}
 			if !ok {
 				r.rel[x].Remove(v)
@@ -235,10 +243,11 @@ func (r *Refiner) sweep() {
 	}
 }
 
-// witnessed reports whether row holds a member of rel[u] for every u in us.
-func (r *Refiner) witnessed(row, us []int32) bool {
+// witnessed reports whether row v of adj holds a member of rel[u] for every
+// u in us. Each test decodes the row only up to its first witness.
+func (r *Refiner) witnessed(adj graph.CSR, v int32, us []int32) bool {
 	for _, u := range us {
-		if countIn(row, r.rel[u], 1) == 0 {
+		if !adj.Intersects(v, r.rel[u]) {
 			return false
 		}
 	}
@@ -251,29 +260,32 @@ func (r *Refiner) count() {
 		outs, ins := r.ends(x)
 		succ, pred := r.succOut[r.outBase[x]:], r.predIn[r.inBase[x]:]
 		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
-			if r.spent(len(outs)*r.g.OutDegree(v) + len(ins)*r.g.InDegree(v)) {
+			if r.spent(len(outs)*r.out.Degree(v) + len(ins)*r.in.Degree(v)) {
 				return
 			}
 			rv := r.rank[v]
-			for j, u := range outs {
-				r.cnt[succ[j]+rv] = countIn(r.g.Out(v), r.rel[u], math.MaxInt32)
+			if len(outs) > 0 {
+				r.row = r.out.AppendRow(r.row[:0], v)
+				for j, u := range outs {
+					r.cnt[succ[j]+rv] = countIn(r.row, r.rel[u])
+				}
 			}
-			for j, p := range ins {
-				r.cnt[pred[j]+rv] = countIn(r.g.In(v), r.rel[p], math.MaxInt32)
+			if len(ins) > 0 {
+				r.row = r.in.AppendRow(r.row[:0], v)
+				for j, p := range ins {
+					r.cnt[pred[j]+rv] = countIn(r.row, r.rel[p])
+				}
 			}
 		}
 	}
 }
 
-// countIn returns how many of adj are members of set, counting no further
-// than limit.
-func countIn(adj []int32, set *graph.NodeSet, limit int32) int32 {
+// countIn returns how many of row are members of set.
+func countIn(row []int32, set *graph.NodeSet) int32 {
 	n := int32(0)
-	for _, w := range adj {
+	for _, w := range row {
 		if set.Contains(w) {
-			if n++; n == limit {
-				break
-			}
+			n++
 		}
 	}
 	return n
@@ -363,14 +375,15 @@ func (r *Refiner) Run() bool {
 		p := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
 		u, v := p.Q, p.G
-		if r.spent(r.g.Degree(v)) {
+		if r.spent(r.out.Degree(v) + r.in.Degree(v)) {
 			break
 		}
 		// v left rel[u]: a predecessor of v that is a candidate of x loses
 		// a witness for the pattern edge (x,u).
-		if ins := r.q.In(u); len(ins) > 0 {
+		if ins := r.qIns(u); len(ins) > 0 {
 			rows := r.succIn[r.inBase[u]:]
-			for _, w := range r.g.In(v) {
+			r.row = r.in.AppendRow(r.row[:0], v)
+			for _, w := range r.row {
 				for j, x := range ins {
 					r.lost(rows[j], x, w)
 				}
@@ -381,9 +394,10 @@ func (r *Refiner) Run() bool {
 		}
 		// And a successor of v that is a candidate of c loses a parent
 		// witness for the pattern edge (u,c).
-		if outs := r.q.Out(u); len(outs) > 0 {
+		if outs := r.qOuts(u); len(outs) > 0 {
 			rows := r.predOut[r.outBase[u]:]
-			for _, w := range r.g.Out(v) {
+			r.row = r.out.AppendRow(r.row[:0], v)
+			for _, w := range r.row {
 				for j, c := range outs {
 					r.lost(rows[j], c, w)
 				}

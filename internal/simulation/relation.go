@@ -166,9 +166,11 @@ type MatchGraph struct {
 func BuildMatchGraph(q, g *graph.Graph, rel Relation) *MatchGraph {
 	m := &MatchGraph{Nodes: rel.DataNodes(g.NumNodes()), adj: make(map[int32][]int32)}
 	seen := make(map[[2]int32]bool)
+	row := make([]int32, 0, 16)
 	q.Edges(func(u, u2 int32) {
 		rel[u].ForEach(func(v int32) {
-			for _, w := range g.Out(v) {
+			row = g.AppendOut(row[:0], v)
+			for _, w := range row {
 				if !rel[u2].Contains(w) {
 					continue
 				}
