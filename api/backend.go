@@ -27,8 +27,10 @@ type Backend interface {
 	// on a degraded fan-out, Partial. The handler fills the rest.
 	Match(ctx context.Context, q *Query) (MatchResponse, error)
 	// Stream evaluates q handing each match to emit, which reports whether
-	// to keep going. The returned response carries Stats and Partial only,
-	// and is meaningful even beside an error (the trailer reports both).
+	// to keep going, in ascending order of the match's center: the first
+	// limit of them are exactly the matches Match keeps under that limit.
+	// The returned response carries Stats and Partial only, and is
+	// meaningful even beside an error (the trailer reports both).
 	// An *Error before the first emit is still an ordinary HTTP error.
 	Stream(ctx context.Context, q *Query, emit func(*core.PerfectSubgraph) bool) (MatchResponse, error)
 	// Update applies one validated batch atomically. root is the request's
@@ -64,31 +66,24 @@ type Query struct {
 type local struct{ store *live.Store }
 
 func (local) Match(ctx context.Context, q *Query) (MatchResponse, error) {
-	if k := q.Request.Query.TopK; k > 0 {
-		ranked, stats, err := q.Engine.MatchTopK(ctx, q.Pattern, k, q.Metric, q.Opts)
-		if err != nil {
-			return MatchResponse{}, err
-		}
-		return MatchResponse{Matches: FromRanked(ranked), Stats: FromStats(stats)}, nil
-	}
 	res, err := q.Engine.Match(ctx, q.Pattern, q.Opts)
 	if err != nil {
 		return MatchResponse{}, err
 	}
-	return MatchResponse{Matches: FromSubgraphs(res.Subgraphs), Stats: FromStats(res.Stats)}, nil
+	resp := MatchResponse{Stats: FromStats(res.Stats)}
+	if k := q.Request.Query.TopK; k > 0 {
+		tr := q.Opts.Trace
+		tr.Begin(obs.StageMerge)
+		resp.Matches = FromRanked(res.TopK(q.Pattern, q.Engine.Snapshot().Graph(), k, q.Metric))
+		tr.End("")
+	} else {
+		resp.Matches = FromSubgraphs(res.Subgraphs)
+	}
+	return resp, nil
 }
 
 func (local) Stream(ctx context.Context, q *Query, emit func(*core.PerfectSubgraph) bool) (MatchResponse, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st := q.Engine.Stream(ctx, q.Pattern, q.Opts)
-	for ps := range st.C {
-		if !emit(ps) {
-			cancel() // writer gone: stop the query, drain via Wait
-			break
-		}
-	}
-	stats, err := st.Wait()
+	stats, err := q.Engine.Each(ctx, q.Pattern, q.Opts, emit)
 	return MatchResponse{Stats: FromStats(stats)}, err
 }
 

@@ -36,7 +36,9 @@ type QuerySpec struct {
 	Mode string `json:"mode,omitempty"`
 	// Radius overrides the ball radius; 0 uses the pattern diameter dQ.
 	Radius int `json:"radius,omitempty"`
-	// Limit stops the query after this many distinct subgraphs; 0 = all.
+	// Limit keeps the first this many distinct subgraphs by smallest
+	// producing center and stops the query there; 0 = all. TopK ranks
+	// what the limit kept.
 	Limit int `json:"limit,omitempty"`
 	// TopK returns only the k best matches under Metric; 0 returns every
 	// match unranked.

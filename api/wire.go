@@ -270,8 +270,8 @@ func FromRanked(ranked []core.Ranked) []SubgraphJSON {
 // QueryStatsJSON is the per-query stage trace answering a request with
 // "stats": true — where the query's time went (prepare = parse, validation
 // and Match+ minimization; filter = candidate filtering; eval = per-center
-// ball evaluation; merge = dedup, ordering and wire expansion) and how much
-// graph it touched.
+// ball evaluation, dedup and relation expansion; merge = ordering, the
+// result-cache store and top_k ranking) and how much graph it touched.
 type QueryStatsJSON struct {
 	CandidateCenters int     `json:"candidate_centers"`
 	BallsBuilt       int     `json:"balls_built"`
@@ -283,7 +283,7 @@ type QueryStatsJSON struct {
 	MergeMS          float64 `json:"merge_ms"`
 	// PlanCache is the result-cache outcome of an unlimited match: "hit",
 	// "contained" or "miss". It is absent when the cache was not consulted
-	// ("no_plan": true, a limit, top_k or a stream).
+	// ("no_plan": true, a limit or a stream).
 	PlanCache string `json:"plan_cache,omitempty"`
 }
 

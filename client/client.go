@@ -300,7 +300,7 @@ func (c *Client) TopK(ctx context.Context, req api.MatchRequest, k int, metric s
 }
 
 // MatchStream runs a streaming query: fn is called for every match as the
-// server emits it, in worker completion order. fn returning an error stops
+// server emits it, in ascending center order. fn returning an error stops
 // consuming (the server notices the closed body and cancels the query) and
 // surfaces that error. The returned trailer carries the run's statistics;
 // a query that failed mid-stream (deadline, cancellation) surfaces as an

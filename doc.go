@@ -37,8 +37,8 @@
 //   - internal/engine: the serving layer — prepared snapshots (frozen
 //     labels, version), a concurrent query engine that runs every query
 //     behind the global dual-simulation filter, with worker-pool ball
-//     evaluation, context cancellation, streaming and top-k early
-//     termination
+//     evaluation released in center order — one pass serves match, limit
+//     and stream alike — and context cancellation
 //   - internal/live: the dynamic-graph layer — a mutable versioned store
 //     (copy-on-write views, atomic update batches, tombstoned deletions)
 //     with incrementally maintained standing queries, served over HTTP by
@@ -75,11 +75,12 @@
 // POST /v1/match accepts the structured pattern schema (or the text format
 // via pattern_text) with every option in one QuerySpec, and returns the
 // perfect subgraphs as JSON; POST /v1/match/stream delivers them as NDJSON
-// while balls complete; GET /v1/graph describes the loaded data graph.
+// in ascending center order as balls complete; GET /v1/graph describes the
+// loaded data graph.
 // Failures carry machine-readable codes ({"code","error"}) the client
 // decodes into *api.Error. See API.md for the endpoint reference;
 // examples/server runs the same loop self-contained, and internal/engine
-// documents the embedded API (engine.New, Engine.Match, Engine.Stream).
+// documents the embedded API (engine.New, Engine.Match, Engine.Each).
 //
 // # Live updates quickstart
 //

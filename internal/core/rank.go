@@ -71,20 +71,6 @@ type Ranked struct {
 	Score float64
 }
 
-// RankedLess is the canonical ranking order: score descending, ties toward
-// smaller subgraphs and then canonical signature, so rankings are
-// deterministic. TopK and the engine's bounded top-k selection share it;
-// they must stay interchangeable.
-func RankedLess(a, b Ranked) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return len(a.Nodes) < len(b.Nodes)
-	}
-	return a.signature() < b.signature()
-}
-
 // TopK returns the k best perfect subgraphs under the metric (nil =
 // DefaultMetric), best first; ties break toward smaller subgraphs and then
 // canonical order, so the ranking is deterministic. k ≤ 0 ranks everything.
@@ -96,7 +82,16 @@ func (r *Result) TopK(q, g *graph.Graph, k int, metric Metric) []Ranked {
 	for _, ps := range r.Subgraphs {
 		out = append(out, Ranked{PerfectSubgraph: ps, Score: metric(q, g, ps)})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return RankedLess(out[i], out[j]) })
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		if len(a.Nodes) != len(b.Nodes) {
+			return len(a.Nodes) < len(b.Nodes)
+		}
+		return a.signature() < b.signature()
+	})
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}

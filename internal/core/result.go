@@ -205,7 +205,7 @@ func (r *Result) SizeHistogram() [6]int {
 
 // Deduper incrementally collapses a sequence of per-ball outcomes into
 // distinct subgraphs. It is the one implementation of the dedup rule that
-// MatchWith, the query engine's collected, streamed and batched paths all
+// MatchWith, the query engine's one pass and the shard router's merge all
 // share: first admission wins a duplicate set, so feeding outcomes in
 // ascending center order makes the smallest producing center win.
 type Deduper struct {

@@ -66,11 +66,8 @@ func TestCancelInsideGlobalFilter(t *testing.T) {
 			_, err := e.Match(ctx, q, opts)
 			return err
 		}},
-		{"Engine.Stream", true, func(ctx context.Context, opts QueryOptions) error {
-			s := e.Stream(ctx, q, opts)
-			for range s.C {
-			}
-			_, err := s.Wait()
+		{"Engine.Each", true, func(ctx context.Context, opts QueryOptions) error {
+			_, err := e.Each(ctx, q, opts, func(*core.PerfectSubgraph) bool { return true })
 			return err
 		}},
 		{"core.MatchCtx", false, func(ctx context.Context, _ QueryOptions) error {

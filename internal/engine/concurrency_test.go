@@ -88,20 +88,19 @@ func TestCancellationBeforeStart(t *testing.T) {
 	}
 }
 
-// TestCancellationMidStream cancels a streaming query after the first match
-// and checks the stream terminates promptly with the context's error.
+// TestCancellationMidStream cancels an Each after the first match and checks
+// the pass stops promptly with the context's error.
 func TestCancellationMidStream(t *testing.T) {
 	q, g := testWorkload(t, 4000, 59)
 	e := New(g, Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := e.Stream(ctx, q, QueryOptions{})
 	got := 0
-	for range s.C {
+	stats, err := e.Each(ctx, q, QueryOptions{}, func(*core.PerfectSubgraph) bool {
 		got++
 		cancel()
-	}
-	stats, err := s.Wait()
+		return true
+	})
 	if got > 0 {
 		// The producer observed the cancellation; it must have stopped well
 		// short of the full scan and reported the context error.
@@ -176,15 +175,12 @@ func TestLimitEarlyExit(t *testing.T) {
 	}
 }
 
-// TestLimitViaTopK pairs Limit with MatchTopK: the ranking sees only the
-// subgraphs found before the early exit.
+// TestLimitViaTopK pairs Limit with ranking: Result.TopK on a limited Match
+// sees only the subgraphs found before the early exit.
 func TestLimitViaTopK(t *testing.T) {
 	q, g := testWorkload(t, 500, 71)
 	e := New(g, Config{Workers: 4})
-	ranked, _, err := e.MatchTopK(context.Background(), q, 5, nil, QueryOptions{Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := mustMatch(t, e, q, QueryOptions{Limit: 3}).TopK(q, g, 5, nil)
 	if len(ranked) > 3 {
 		t.Fatalf("Limit=3 but ranking saw %d subgraphs", len(ranked))
 	}

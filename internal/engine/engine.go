@@ -2,13 +2,17 @@
 // concurrent strong-simulation query engine. It wraps an immutable data
 // graph as a prepared Snapshot (the graph, its frozen label table and its
 // version) and evaluates queries by fanning per-ball work — the
-// embarrassingly parallel loop of Fig. 3 — across a worker pool, with context
-// cancellation, early termination and result streaming. Every query takes
-// the global dual-simulation filter (Fig. 5): a dual simulation on a ball is
-// one on G (Proposition 1), so the filter is sound for plain Match too and
-// Match+ ≡ Match. The per-ball evaluation itself is core.EvalPreparedBallIn,
-// so the engine returns exactly the perfect subgraphs of core.MatchWith, and
-// the whole Result of core.MatchWith with DualFilter set.
+// embarrassingly parallel loop of Fig. 3 — across a worker pool. One pass
+// serves every query shape: ball outcomes are released in ascending center
+// order and deduplicated as they arrive, so Match, a Limit and Each's
+// streaming all see the same subgraphs under the same centers whatever the
+// worker count, and a Limit or a cancelled context stops the pass early.
+// Every query takes the global dual-simulation filter (Fig. 5): a dual
+// simulation on a ball is one on G (Proposition 1), so the filter is sound
+// for plain Match too and Match+ ≡ Match. The per-ball evaluation itself is
+// core.EvalPreparedBallIn, so the engine returns exactly the perfect
+// subgraphs of core.MatchWith, and the whole Result of core.MatchWith with
+// DualFilter set.
 //
 // See DESIGN.md for the architecture and cmd/strongsimd for the HTTP server
 // built on top.
@@ -82,22 +86,21 @@ type QueryOptions struct {
 	// center through candidates (Section 4.2).
 	ConnectivityPruning bool
 	// Limit stops the query after this many distinct perfect subgraphs
-	// and cancels outstanding ball work; 0 returns all matches. Which
-	// subgraphs are returned under a limit depends on worker scheduling.
+	// and cancels outstanding ball work; 0 returns all matches. The
+	// subgraphs kept are the first Limit by smallest producing center, the
+	// same at any worker count.
 	Limit int
 	// Trace, when non-nil, is the query's observation record: stage wall
 	// times, candidate-center counts and evaluated ball sizes, the live
 	// stage and ball count, and stage spans under its Root. Recording never
 	// changes results, and a nil Trace adds no per-ball allocations. The
 	// record must not be shared across concurrent queries; read its Stats
-	// only after the query has finished (after Match returns, or after
-	// Stream.Wait).
+	// only after the query has finished (after Match or Each returns).
 	Trace *obs.QueryStats
 	// Planner, when non-nil, lets an unlimited Match use the planner's
 	// match-result cache: an exact hit is served without evaluation, a
 	// contained query evaluates only inside the containing entry's centers.
-	// Other execution paths ignore it. Caching never changes the served
-	// subgraphs.
+	// Each ignores it. Caching never changes the served subgraphs.
 	Planner *plan.Planner
 	// Slice, when its Of is positive, restricts the query to one share of
 	// the candidate centers, those v with v mod Of = Index: one replica's
@@ -238,18 +241,19 @@ type ballOutcome struct {
 
 // evalCenters runs the eval stage: it fans ball evaluation over the
 // internal/exec pool and feeds every outcome to sink on the calling
-// goroutine, counting it into tr. sink returning false cancels the remaining
-// work (outcomes already in flight are discarded without reaching sink, so
-// early exits undercount stats by design). Returns ctx's error when the
-// context ends the run — even when the sink stopped it first (a stream
-// consumer aborting on ctx.Done stops via the sink; its callers must still
-// see the context error) — and nil for a sink stop with a live context, the
-// Limit early exit. Cancellation is observed between balls; a ball
-// evaluation already underway runs to completion. The eval span, when tr
-// records one, parents the pool's per-worker "eval.worker" spans.
+// goroutine in ascending center order, counting it into tr. sink returning
+// false cancels the remaining work; outcomes evaluated past that point never
+// reach sink, so an early exit's stats count exactly the prefix it saw.
+// Returns ctx's error when the context ends the run — even when the sink
+// stopped it first (a consumer aborting on ctx.Done stops via the sink; its
+// callers must still see the context error) — and nil for a sink stop with a
+// live context, the Limit early exit. Cancellation is observed between
+// balls; a ball evaluation already underway runs to completion. The eval
+// span, when tr records one, parents the pool's per-worker "eval.worker"
+// spans.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, tr *obs.QueryStats, sink func(ballOutcome) bool) error {
 	tr.Begin(obs.StageEval)
-	err := exec.Run(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
+	err := exec.RunOrdered(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
 			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand)
@@ -288,7 +292,7 @@ func spanStatus(err error) string {
 // the per-center work of core.Match restricted to the given centers.
 // report is called on the calling goroutine with the center's index in
 // centers and its maximum perfect subgraph (nil when the ball has none), in
-// worker completion order.
+// index order.
 // radius <= 0 uses the pattern diameter. Callers are responsible for any
 // center prefiltering (label precheck, plan.Anchored); every listed center is
 // evaluated — a
@@ -337,76 +341,17 @@ func foldStats(dst *core.Stats, src core.Stats) {
 // under opts.coreOptions(), the same options with DualFilter on (same
 // subgraphs, same dedup tie-breaking toward the smallest center, same
 // ordering, same stats), just evaluated against the snapshot
-// with this engine's worker pool. It honors ctx: when the context is
-// cancelled or its deadline passes mid-run, Match returns ctx's error.
+// with this engine's worker pool. Under opts.Limit it is the first Limit
+// subgraphs Each hands out, canonically ordered. It honors ctx: when the
+// context is cancelled or its deadline passes mid-run, Match returns ctx's
+// error.
 func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (*core.Result, error) {
-	if opts.Limit > 0 {
-		return e.matchLimited(ctx, q, opts)
-	}
 	cc := e.planLookup(q, opts) // nil when the query cannot use the cache
 	if cc != nil && cc.hit != nil {
 		return e.serveHit(cc, opts.Trace), nil
 	}
-	p, err := e.prepare(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release()
-	res := &core.Result{Stats: p.stats}
-	if p.done {
-		// Q ⊀D G has no matches at any center; the empty entry still
-		// serves exact repeats and bounds contained queries to nothing.
-		cc.store(q, nil, res)
-		return res, nil
-	}
-	if cc != nil && cc.outcome == plan.OutcomeContained {
-		// Containment hit: only the cached entry's matching centers can
-		// produce an outcome; everything else is provably unmatched.
-		kept := intersectSorted(p.centers, cc.restrict)
-		res.Stats.BallsSkipped += len(p.centers) - len(kept)
-		p.centers = kept
-	}
-
-	// Collect per center, then dedup in center order so duplicate subgraphs
-	// keep the smallest producing center, exactly as core.MatchWith does.
-	// Sized by candidate count, not |V|: per-query memory must not scale
-	// with graph size when the prefilter leaves few viable centers.
-	out := make([]*core.PerfectSubgraph, len(p.centers))
-	tr := opts.Trace
-	err = e.evalCenters(ctx, p, opts.coreOptions(), tr, func(o ballOutcome) bool {
-		foldStats(&res.Stats, o.stats)
-		out[o.pos] = o.ps
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.Begin(obs.StageMerge)
-	var matched []int32 // pre-dedup matching centers, for containment
-	if cc != nil {
-		for pos, ps := range out {
-			if ps != nil {
-				matched = append(matched, p.centers[pos])
-			}
-		}
-	}
-	res.Subgraphs = core.DedupSubgraphs(out, &res.Stats)
-	core.SortSubgraphs(res.Subgraphs)
-	if opts.MinimizeQuery {
-		for _, ps := range res.Subgraphs {
-			core.ExpandRelation(ps, q, p.classOf)
-		}
-	}
-	cc.store(q, matched, res)
-	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
-	return res, nil
-}
-
-// matchLimited collects up to opts.Limit subgraphs via the streaming path,
-// cancelling outstanding balls once the limit is reached.
-func (e *Engine) matchLimited(ctx context.Context, q *graph.Graph, opts QueryOptions) (*core.Result, error) {
 	res := &core.Result{}
-	stats, err := e.run(ctx, q, opts, func(ps *core.PerfectSubgraph) bool {
+	stats, err := e.each(ctx, q, opts, cc, func(ps *core.PerfectSubgraph) bool {
 		res.Subgraphs = append(res.Subgraphs, ps)
 		return true
 	})
@@ -414,16 +359,31 @@ func (e *Engine) matchLimited(ctx context.Context, q *graph.Graph, opts QueryOpt
 		return nil, err
 	}
 	res.Stats = stats
-	opts.Trace.Begin(obs.StageMerge)
+	tr := opts.Trace
+	tr.Begin(obs.StageMerge)
 	core.SortSubgraphs(res.Subgraphs)
-	opts.Trace.End("")
+	cc.store(q, res)
+	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
 	return res, nil
 }
 
-// run is the streaming execution: incremental dedup (first arrival wins),
-// per-subgraph relation expansion, and limit enforcement. emit returning
-// false stops the query without error.
-func (e *Engine) run(ctx context.Context, q *graph.Graph, opts QueryOptions, emit func(*core.PerfectSubgraph) bool) (core.Stats, error) {
+// Each runs one query and hands emit, on the calling goroutine, every
+// distinct perfect subgraph in ascending order of its smallest producing
+// center — the order core.MatchWith admits them in, so the subgraphs and
+// their Centers are Match's, before its canonical sort. It stops when emit
+// returns false or once opts.Limit subgraphs have been handed out; the
+// returned Stats count the balls evaluated up to there. It never consults
+// opts.Planner. A pattern Match rejects is an error before any emit.
+func (e *Engine) Each(ctx context.Context, q *graph.Graph, opts QueryOptions, emit func(*core.PerfectSubgraph) bool) (core.Stats, error) {
+	return e.each(ctx, q, opts, nil, emit)
+}
+
+// each is the one evaluation path behind Match and Each: prepare, restrict
+// the centers to a containment hit's (cc, nil for an uncached query), then
+// admit every ball outcome through one deduper in ascending center order,
+// expanding each admitted relation under minQ. cc collects the pre-dedup
+// matching centers its entry is stored with.
+func (e *Engine) each(ctx context.Context, q *graph.Graph, opts QueryOptions, cc *cacheCtx, emit func(*core.PerfectSubgraph) bool) (core.Stats, error) {
 	p, err := e.prepare(ctx, q, opts)
 	if err != nil {
 		return core.Stats{}, err
@@ -431,90 +391,32 @@ func (e *Engine) run(ctx context.Context, q *graph.Graph, opts QueryOptions, emi
 	defer p.release()
 	stats := p.stats
 	if p.done {
+		// Q ⊀D G has no matches at any center; a cached empty entry still
+		// serves exact repeats and bounds contained queries to nothing.
 		return stats, nil
 	}
-
-	// Streaming dedups and expands inside the sink, so for run-based
-	// executions the whole post-prepare phase is the eval stage.
+	if cc != nil && cc.outcome == plan.OutcomeContained {
+		// Containment hit: only the cached entry's matching centers can
+		// produce an outcome; everything else is provably unmatched.
+		kept := intersectSorted(p.centers, cc.restrict)
+		stats.BallsSkipped += len(p.centers) - len(kept)
+		p.centers = kept
+	}
 	dedup := core.NewDeduper()
-	emitted := 0
+	left := opts.Limit // subgraphs still wanted; unbounded when Limit <= 0
 	err = e.evalCenters(ctx, p, opts.coreOptions(), opts.Trace, func(o ballOutcome) bool {
 		foldStats(&stats, o.stats)
+		if o.ps != nil && cc != nil {
+			cc.matched = append(cc.matched, p.centers[o.pos])
+		}
 		if !dedup.Admit(o.ps, &stats) {
 			return true
 		}
 		if opts.MinimizeQuery {
 			core.ExpandRelation(o.ps, q, p.classOf)
 		}
-		if !emit(o.ps) {
-			return false
-		}
-		emitted++
-		return opts.Limit <= 0 || emitted < opts.Limit
+		left--
+		return emit(o.ps) && left != 0
 	})
 	return stats, err
-}
-
-// Stream is a handle to an in-flight streaming query: range over C until it
-// closes, then call Wait for the run's statistics and error. Matches arrive
-// deduplicated, in worker completion order (nondeterministic). Abandoning C
-// without cancelling the query's context leaks the query's goroutines until
-// the context ends; cancel the context to stop early.
-type Stream struct {
-	C     <-chan *core.PerfectSubgraph
-	done  chan struct{}
-	stats core.Stats
-	err   error
-}
-
-// Wait blocks until the query has finished and returns its statistics and
-// error. C is closed by the time Wait returns.
-func (s *Stream) Wait() (core.Stats, error) {
-	<-s.done
-	return s.stats, s.err
-}
-
-// Stream starts a query and returns immediately; matches are delivered on
-// the stream's channel as balls complete. Pattern validation errors are
-// reported through Wait.
-func (e *Engine) Stream(ctx context.Context, q *graph.Graph, opts QueryOptions) *Stream {
-	out := make(chan *core.PerfectSubgraph, e.workers)
-	s := &Stream{C: out, done: make(chan struct{})}
-	go func() {
-		defer close(out)
-		defer close(s.done)
-		s.stats, s.err = e.run(ctx, q, opts, func(ps *core.PerfectSubgraph) bool {
-			select {
-			case out <- ps:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return s
-}
-
-// MatchTopK runs a query keeping only the k best matches under the metric
-// (nil = core.DefaultMetric), with the ordering of Result.TopK: score
-// descending, then fewer nodes, then canonical signature. Memory stays
-// O(k) regardless of how many subgraphs the query produces; the query
-// itself still evaluates every viable ball unless opts.Limit also applies.
-// k <= 0 ranks every match.
-func (e *Engine) MatchTopK(ctx context.Context, q *graph.Graph, k int, metric core.Metric, opts QueryOptions) ([]core.Ranked, core.Stats, error) {
-	if metric == nil {
-		metric = core.DefaultMetric
-	}
-	top := newTopK(k)
-	stats, err := e.run(ctx, q, opts, func(ps *core.PerfectSubgraph) bool {
-		top.offer(core.Ranked{PerfectSubgraph: ps, Score: metric(q, e.snap.g, ps)})
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	opts.Trace.Begin(obs.StageMerge)
-	ranked := top.ranked()
-	opts.Trace.End("")
-	return ranked, stats, nil
 }

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/generator"
@@ -169,21 +172,17 @@ func TestParsePatternLabelIsolation(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesMatch checks the streamed set of subgraphs equals the
-// collected result (up to ordering, which streaming does not define).
+// TestStreamMatchesMatch checks the set of subgraphs Each streams equals the
+// collected result of Match on a fixed workload, with the same stats.
 func TestStreamMatchesMatch(t *testing.T) {
 	q, g := testWorkload(t, 500, 17)
 	e := New(g, Config{Workers: 4})
 	want := mustMatch(t, e, q, PlusQuery())
 
-	s := e.Stream(context.Background(), q, PlusQuery())
-	var sigs []string
-	for ps := range s.C {
+	got, stats := mustEach(t, e, q, PlusQuery())
+	sigs := make([]string, 0, len(got))
+	for _, ps := range got {
 		sigs = append(sigs, ps.Signature())
-	}
-	stats, err := s.Wait()
-	if err != nil {
-		t.Fatal(err)
 	}
 	wantSigs := make([]string, 0, want.Len())
 	for _, ps := range want.Subgraphs {
@@ -199,60 +198,106 @@ func TestStreamMatchesMatch(t *testing.T) {
 	}
 }
 
-// TestStreamPatternError checks validation errors surface through Wait.
-func TestStreamPatternError(t *testing.T) {
+// TestEachPatternError checks validation errors surface from Each before
+// any emit.
+func TestEachPatternError(t *testing.T) {
 	_, g := testWorkload(t, 100, 19)
 	e := New(g, Config{})
-	s := e.Stream(context.Background(), graph.NewBuilder(g.Labels().Clone()).Build(), QueryOptions{})
-	for range s.C {
-	}
-	if _, err := s.Wait(); err == nil {
-		t.Error("expected a pattern validation error from Wait")
+	_, err := e.Each(context.Background(), graph.NewBuilder(g.Labels().Clone()).Build(), QueryOptions{},
+		func(*core.PerfectSubgraph) bool {
+			t.Fatal("emitted for an empty pattern")
+			return false
+		})
+	if err == nil {
+		t.Error("expected a pattern validation error")
 	}
 }
 
-// TestMatchTopKParity checks MatchTopK agrees with ranking the full result
-// via Result.TopK for every built-in metric.
-func TestMatchTopKParity(t *testing.T) {
-	g := generator.Synthetic(500, 1.2, 10, 23)
-	e := New(g, Config{Workers: 4})
-	// Pick a pattern with enough matches to make ranking meaningful.
-	var q *graph.Graph
-	var full *core.Result
-	for seed := int64(0); seed < 32; seed++ {
-		cand := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: seed})
-		if res := mustMatch(t, e, cand, QueryOptions{}); res.Len() >= 3 {
-			q, full = cand, res
-			break
+func mustEach(t *testing.T, e *Engine, q *graph.Graph, opts QueryOptions) ([]*core.PerfectSubgraph, core.Stats) {
+	t.Helper()
+	var subs []*core.PerfectSubgraph
+	stats, err := e.Each(context.Background(), q, opts, func(ps *core.PerfectSubgraph) bool {
+		subs = append(subs, ps)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs, stats
+}
+
+// TestEachIsMatchInCenterOrder is the one-pass property. At every worker
+// count, in both modes, on random graphs and patterns: Each hands out
+// exactly Match's subgraphs, Center included, in ascending center order and
+// with Match's stats; Limit n keeps the first n of them, in Each and in
+// Match alike, and ranking a limited Match ranks those n; and repeated runs,
+// limited ones included, agree byte for byte.
+func TestEachIsMatchInCenterOrder(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	matched := 0
+	for trial := 0; trial < 6; trial++ {
+		gs := rng.Int63()
+		g := generator.Synthetic(200+rng.Intn(400), 1.2, 3+rng.Intn(5), gs)
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 2 + rng.Intn(3), Alpha: 1.2, Seed: gs + 1})
+		if q.NumNodes() == 0 {
+			continue
 		}
-	}
-	if q == nil {
-		t.Fatal("no sampled pattern yielded at least 3 matches")
-	}
-	metrics := map[string]core.Metric{
-		"default":     nil,
-		"compactness": core.ScoreCompactness,
-		"density":     core.ScoreDensity,
-		"selectivity": core.ScoreSelectivity,
-	}
-	for name, metric := range metrics {
-		for _, k := range []int{1, 2, full.Len(), 0} {
-			got, _, err := e.MatchTopK(context.Background(), q, k, metric, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := full.TopK(q, g, k, metric)
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: got %d ranked, want %d", name, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Score != want[i].Score || got[i].Signature() != want[i].Signature() {
-					t.Errorf("%s k=%d: rank %d diverges (score %v vs %v)",
-						name, k, i, got[i].Score, want[i].Score)
+		for _, workers := range []int{1, 2, 4} {
+			e := New(g, Config{Workers: workers})
+			for _, mode := range []QueryOptions{{}, PlusQuery()} {
+				where := fmt.Sprintf("graph seed %d, workers %d, plus %v", gs, workers, mode.MinimizeQuery)
+				want := mustMatch(t, e, q, mode)
+				got, stats := mustEach(t, e, q, mode)
+				for i := 1; i < len(got); i++ {
+					if got[i-1].Center >= got[i].Center {
+						t.Fatalf("%s: Each emitted center %d after %d", where, got[i].Center, got[i-1].Center)
+					}
+				}
+				if sorted := canonical(got); !reflect.DeepEqual(sorted, want.Subgraphs) || stats != want.Stats {
+					t.Fatalf("%s: Each gave %d subgraphs, stats %+v; Match %d, stats %+v",
+						where, len(got), stats, want.Len(), want.Stats)
+				}
+				if again, st := mustEach(t, e, q, mode); !reflect.DeepEqual(again, got) || st != stats {
+					t.Fatalf("%s: a second Each differs", where)
+				}
+				matched += len(got)
+				for _, n := range []int{1, 2, len(got) / 2, len(got) + 1} {
+					if n < 1 {
+						continue
+					}
+					lim := mode
+					lim.Limit = n
+					first := got[:min(n, len(got))]
+					if each, _ := mustEach(t, e, q, lim); !reflect.DeepEqual(each, first) {
+						t.Fatalf("%s: Each under Limit %d is not the first %d", where, n, n)
+					}
+					res := mustMatch(t, e, q, lim)
+					if !reflect.DeepEqual(res.Subgraphs, canonical(first)) {
+						t.Fatalf("%s: Match under Limit %d is not the first %d by center", where, n, n)
+					}
+					if again := mustMatch(t, e, q, lim); !reflect.DeepEqual(again, res) {
+						t.Fatalf("%s: two Match runs under Limit %d differ", where, n)
+					}
+					top := (&core.Result{Subgraphs: first}).TopK(q, g, 2, nil)
+					if got := res.TopK(q, g, 2, nil); !reflect.DeepEqual(got, top) {
+						t.Fatalf("%s: ranking under Limit %d does not rank the first %d", where, n, n)
+					}
 				}
 			}
 		}
 	}
+	if matched == 0 {
+		t.Fatal("no sampled pattern matched; the property was vacuous")
+	}
+}
+
+// canonical returns a canonically ordered copy of subs.
+func canonical(subs []*core.PerfectSubgraph) []*core.PerfectSubgraph {
+	out := append([]*core.PerfectSubgraph(nil), subs...)
+	core.SortSubgraphs(out)
+	return out
 }
 
 // TestCandidateCenters cross-checks the snapshot's candidate index against a

@@ -26,16 +26,18 @@ type cacheCtx struct {
 	// restrict limits a containment hit's ball evaluation to these centers
 	// (ascending, possibly none): the containing entry's matching centers.
 	restrict []int32
+	// matched collects the evaluation's pre-dedup matching centers,
+	// ascending: the centers its entry is stored with.
+	matched []int32
 }
 
 // planLookup consults the planner's result cache for one Match execution.
 // Pattern validation failures return nil so the normal path reports its
-// usual errors; the caller must already have routed Limit > 0 elsewhere.
-// A sliced query gets nil too: an entry holds whole answers, a slice is part
-// of one.
+// usual errors. A limited or sliced query gets nil too: an entry holds whole
+// answers, and either is part of one.
 func (e *Engine) planLookup(q *graph.Graph, opts QueryOptions) *cacheCtx {
 	c := opts.Planner.Cache()
-	if c == nil || q == nil || q.NumNodes() == 0 || opts.Slice.Of > 0 {
+	if c == nil || q == nil || q.NumNodes() == 0 || opts.Limit > 0 || opts.Slice.Of > 0 {
 		return nil
 	}
 	dq, connected := graph.Diameter(q)
@@ -131,10 +133,10 @@ func remapSubgraph(ps *core.PerfectSubgraph, mapTo []int32) *core.PerfectSubgrap
 	return &core.PerfectSubgraph{Center: ps.Center, Nodes: ps.Nodes, Edges: ps.Edges, Rel: rel}
 }
 
-// store caches a completed execution under the query's key: centers are its
-// pre-dedup matching centers, ascending. Nil-safe so Match can call it
-// unconditionally on planned paths.
-func (cc *cacheCtx) store(q *graph.Graph, centers []int32, res *core.Result) {
+// store caches a completed execution under the query's key, with the
+// matching centers each collected. Nil-safe so Match can call it
+// unconditionally.
+func (cc *cacheCtx) store(q *graph.Graph, res *core.Result) {
 	if cc == nil {
 		return
 	}
@@ -142,7 +144,7 @@ func (cc *cacheCtx) store(q *graph.Graph, centers []int32, res *core.Result) {
 	for u, p := range cc.perm {
 		inv[p] = int32(u)
 	}
-	cc.cache.Put(cc.key, q, inv, cc.radius, cc.version, centers, res)
+	cc.cache.Put(cc.key, q, inv, cc.radius, cc.version, cc.matched, res)
 }
 
 // intersectSorted keeps the elements of a (ascending) also present in b

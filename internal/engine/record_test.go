@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// TestRecordViewsAgree runs one traced, flight-recorded Match and one Stream
+// TestRecordViewsAgree runs one traced, flight-recorded Match and one Each
 // and holds every view of the query to its record: each stage span ran
 // exactly the record's stage duration, the recorder filed the record's Stats
 // (what query_stats serialises) beside the kept trace, and the eval span's
@@ -54,11 +55,8 @@ func TestRecordViewsAgree(t *testing.T) {
 			_, err := e.Match(ctx, q, opts)
 			return err
 		}},
-		{"stream", []string{"prepare", "filter", "eval"}, func(opts QueryOptions) error {
-			s := e.Stream(ctx, q, opts)
-			for range s.C {
-			}
-			_, err := s.Wait()
+		{"each", []string{"prepare", "filter", "eval"}, func(opts QueryOptions) error {
+			_, err := e.Each(ctx, q, opts, func(*core.PerfectSubgraph) bool { return true })
 			return err
 		}},
 	}

@@ -17,7 +17,7 @@ import (
 // replicas rests on: the k sliced results, admitted in center order through
 // one deduper, are the unsliced Match byte for byte, and their work counters
 // sum to its statistics (balls_skipped, counted against every candidate, is
-// the same in every slice). A stream over a slice emits only its centers.
+// the same in every slice). Each over a slice emits only its centers.
 func TestSlicesMergeToMatch(t *testing.T) {
 	ctx := context.Background()
 	for _, labels := range []int{2, 5} {
@@ -47,13 +47,13 @@ func TestSlicesMergeToMatch(t *testing.T) {
 						stats.BallsSkipped = res.Stats.BallsSkipped
 						stats.MinimizedFrom = res.Stats.MinimizedFrom
 
-						st := e.Stream(ctx, q, opts)
-						for ps := range st.C {
+						_, err := e.Each(ctx, q, opts, func(ps *core.PerfectSubgraph) bool {
 							if int(ps.Center)%k != i {
-								t.Fatalf("%s: stream over slice %d emitted center %d", where, i, ps.Center)
+								t.Fatalf("%s: Each over slice %d emitted center %d", where, i, ps.Center)
 							}
-						}
-						if _, err := st.Wait(); err != nil {
+							return true
+						})
+						if err != nil {
 							t.Fatal(err)
 						}
 					}

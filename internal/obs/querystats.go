@@ -9,7 +9,8 @@ import (
 // model: prepare (validation plus query minimization), filter (candidate
 // center selection or the global dual-simulation filter of Match+), eval
 // (the parallel ball-evaluation phase — the dominant term, dQ-hop BFS per
-// center), merge (dedup, ordering, relation expansion, ranking).
+// center; ball outcomes are deduplicated and their relations expanded as
+// they arrive), merge (canonical ordering, the result-cache store, ranking).
 type Stage int32
 
 // Stages in execution order. A query may revisit StageEval after StageMerge
@@ -66,8 +67,9 @@ type Stats struct {
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global
 	// dual-simulation filter, which selects the candidate centers; Eval is
-	// the parallel ball-evaluation phase; Merge is dedup, sorting, relation
-	// expansion and ranking after evaluation.
+	// the parallel ball-evaluation phase, dedup and relation expansion
+	// included; Merge is sorting, the result-cache store and ranking after
+	// evaluation.
 	Prepare time.Duration
 	Filter  time.Duration
 	Eval    time.Duration
@@ -75,7 +77,7 @@ type Stats struct {
 
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
 	// ("hit", "contained", "miss"), empty when the cache was not consulted
-	// (no planner, a limit, top-k or a stream).
+	// (no planner, a limit, a center slice or a stream).
 	PlanCacheOutcome string
 }
 

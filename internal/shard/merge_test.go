@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,29 +21,45 @@ import (
 // center slice, the router's merge rule combines the answers, and the merged
 // matches and statistics must be byte-identical to core.MatchWith on the
 // whole graph (the global filter on, as every served query takes it),
-// centers included.
+// centers included. Under a limit of 1–3, which each shard applies to its
+// slice and the merge applies again, the merged matches must be
+// core.MatchWith's first ones by center; the statistics then count each
+// side's own work and are not compared.
 func checkMergeEqualsCentralized(q, g *graph.Graph, k int, opts engine.QueryOptions) error {
 	central, err := core.MatchWith(q, g, core.Options{Workers: 1, DualFilter: true,
 		MinimizeQuery: opts.MinimizeQuery, ConnectivityPruning: opts.ConnectivityPruning})
 	if err != nil {
 		return err
 	}
+	byCenter := append([]*core.PerfectSubgraph(nil), central.Subgraphs...)
+	sort.Slice(byCenter, func(i, j int) bool { return byCenter[i].Center < byCenter[j].Center })
 	eng := engine.New(g, engine.Config{Workers: 1})
-	resps := make([]*api.MatchResponse, k)
-	for s := range resps {
-		sliced := opts
-		sliced.Slice = engine.CenterSlice{Index: s, Of: k}
-		res, err := eng.Match(context.Background(), q, sliced)
-		if err != nil {
-			return err
+	for limit := 0; limit <= 3; limit++ {
+		resps := make([]*api.MatchResponse, k)
+		for s := range resps {
+			sliced := opts
+			sliced.Slice = engine.CenterSlice{Index: s, Of: k}
+			sliced.Limit = limit
+			res, err := eng.Match(context.Background(), q, sliced)
+			if err != nil {
+				return err
+			}
+			resps[s] = &api.MatchResponse{Matches: api.FromSubgraphs(res.Subgraphs), Stats: api.FromStats(res.Stats)}
 		}
-		resps[s] = &api.MatchResponse{Matches: api.FromSubgraphs(res.Subgraphs), Stats: api.FromStats(res.Stats)}
-	}
-	merged, stats := mergeOwned(resps, k)
-	got, _ := json.Marshal(api.MatchResponse{Matches: api.FromSubgraphs(merged), Stats: api.FromStats(stats)})
-	want, _ := json.Marshal(api.MatchResponse{Matches: api.FromSubgraphs(central.Subgraphs), Stats: api.FromStats(central.Stats)})
-	if string(got) != string(want) {
-		return fmt.Errorf("merged shards diverge from the centralized result\nmerged:      %s\ncentralized: %s", got, want)
+		merged, stats := mergeOwned(resps, k, limit)
+		core.SortSubgraphs(merged)
+		got := api.MatchResponse{Matches: api.FromSubgraphs(merged), Stats: api.FromStats(stats)}
+		want := api.MatchResponse{Matches: api.FromSubgraphs(central.Subgraphs), Stats: api.FromStats(central.Stats)}
+		if limit > 0 {
+			first := append([]*core.PerfectSubgraph(nil), byCenter[:min(limit, len(byCenter))]...)
+			core.SortSubgraphs(first)
+			got.Stats, want = api.StatsJSON{}, api.MatchResponse{Matches: api.FromSubgraphs(first)}
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if string(gj) != string(wj) {
+			return fmt.Errorf("limit %d: merged shards diverge from the centralized result\nmerged:      %s\ncentralized: %s", limit, gj, wj)
+		}
 	}
 	return nil
 }

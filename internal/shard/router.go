@@ -16,7 +16,9 @@
 // again. The smallest producer of each subgraph survives both — its own
 // slice's deduplication, because it is smallest there too, and then the
 // router's — so the merged answer, statistics included, is the single
-// node's at any radius.
+// node's at any radius. A limit goes to every shard and is cut again in
+// center order, which keeps the single node's matches; its statistics then
+// count the work each deployment did.
 package shard
 
 import (
@@ -334,16 +336,19 @@ func (r *Router) probeOnce(ctx context.Context) {
 func (r *Router) Handler() http.Handler { return r.handler }
 
 // shardRequest strips a match request down to what shard s of k evaluates:
-// the pattern, mode and radius, over its slice of the candidate centers.
-// Ranking, limits and statistics are router-side concerns — a shard cannot
-// cut to a global top-k or limit without seeing the other shards' results.
-// A sliced query never touches a shard's result cache, so no_plan has
-// nothing left to switch off there.
+// the pattern, mode, radius and limit, over its slice of the candidate
+// centers. The limit is exact to forward: each of the first N subgraphs by
+// smallest producing center is among the first N of its producer's slice,
+// and any other subgraph a slice returns carries a larger center than the
+// N-th, so the router's center-ordered cut keeps the same N. Ranking stays
+// router-side — a shard cannot cut to a global top-k without seeing the
+// other shards' results. A sliced query never touches a shard's result
+// cache, so no_plan has nothing left to switch off there.
 func shardRequest(req *api.MatchRequest, s, k int) api.MatchRequest {
 	return api.MatchRequest{
 		Pattern:     req.Pattern,
 		PatternText: req.PatternText,
-		Query: api.QuerySpec{Mode: req.Query.Mode, Radius: req.Query.Radius,
+		Query: api.QuerySpec{Mode: req.Query.Mode, Radius: req.Query.Radius, Limit: req.Query.Limit,
 			Slice: &api.SliceJSON{Index: s, Of: k}},
 	}
 }
@@ -441,7 +446,7 @@ func (r *Router) partialOrFail(allow bool, n int, failed []int) (*api.PartialJSO
 // gather is the scatter/gather step both match endpoints share: the one
 // router-specific admission rule (only the router sets a center slice), the
 // fan-out of each shard's sliced request, and the merge. It returns the
-// merged subgraphs — canonically ordered and cut to the request's limit —
+// merged subgraphs — in ascending center order, cut to the request's limit —
 // and the response carrying their Stats and Partial marker. kind names the
 // fan-out spans.
 func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core.PerfectSubgraph, api.MatchResponse, error) {
@@ -497,17 +502,14 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 			return nil, resp, err
 		}
 	}
-	subs, stats := mergeOwned(resps, k)
-	if spec.TopK == 0 && spec.Limit > 0 && len(subs) > spec.Limit {
-		subs = subs[:spec.Limit]
-	}
+	subs, stats := mergeOwned(resps, k, spec.Limit)
 	resp.Stats = api.FromStats(stats)
 	return subs, resp, nil
 }
 
-// Match implements api.Backend: the merged fan-out result, ranked
-// router-side when the request asks for top_k (a shard cannot cut to a
-// global top-k without seeing the other shards' results).
+// Match implements api.Backend: the merged fan-out result, canonically
+// ordered, or ranked router-side when the request asks for top_k (a shard
+// cannot cut to a global top-k without seeing the other shards' results).
 func (r *Router) Match(ctx context.Context, q *api.Query) (api.MatchResponse, error) {
 	subs, resp, err := r.gather(ctx, q, "match")
 	if err != nil {
@@ -517,20 +519,16 @@ func (r *Router) Match(ctx context.Context, q *api.Query) (api.MatchResponse, er
 		merged := &core.Result{Subgraphs: subs}
 		resp.Matches = api.FromRanked(merged.TopK(q.Pattern, q.Engine.Snapshot().Graph(), k, q.Metric))
 	} else {
+		core.SortSubgraphs(subs)
 		resp.Matches = api.FromSubgraphs(subs)
 	}
 	return resp, nil
 }
 
-// Stream implements api.Backend. Unlike a single node — which streams
-// matches as workers finish balls, deduping first-wins — the router gathers
-// complete per-shard result sets and merges them in center order: shards
-// answer /v1/match, which deduplicates within the slice in center order, so
-// each subgraph reaches the router under its smallest producing center. A
-// shard-side stream deduplicates in arrival order, and the merge could not
-// tell which copy is the single node's. Buffered fan-out keeps the stream
-// byte-equal (as a set) to /v1/match, and lets total shard failure surface
-// as a clean pre-commit 502.
+// Stream implements api.Backend: the merged fan-out result in ascending
+// center order, the order a single node streams in. The router gathers
+// complete per-shard /v1/match answers before the first line, so total
+// shard failure still surfaces as a clean pre-commit 502.
 func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.PerfectSubgraph) bool) (api.MatchResponse, error) {
 	subs, resp, err := r.gather(ctx, q, "stream")
 	if err != nil {
@@ -546,15 +544,16 @@ func (r *Router) Stream(ctx context.Context, q *api.Query, emit func(*core.Perfe
 
 // mergeOwned implements the scatter/gather merge rule over k center slices:
 // keep from shard s exactly the subgraphs whose center lies in its slice
-// (center mod k = s), admit them in ascending center order through the
-// engine's deduper (so cross-slice duplicates collapse onto the smallest
-// producing center, exactly as a single node admits them), and order
-// canonically. The slices partition the centers, so the work counters sum
-// to the single node's; every shard filters the same graph, so balls_skipped
-// is any answering shard's. Router-side duplicate discards add to the
-// shards' own. A nil response is a shard that did not answer (client.Match
-// returns none beside an error).
-func mergeOwned(resps []*api.MatchResponse, k int) ([]*core.PerfectSubgraph, core.Stats) {
+// (center mod k = s) and admit them in ascending center order through the
+// engine's deduper, so cross-slice duplicates collapse onto the smallest
+// producing center, exactly as a single node admits them, stopping after
+// limit admissions when limit is positive. The result stays in center
+// order. The slices partition the centers, so without a limit the work
+// counters sum to the single node's; every shard filters the same graph, so
+// balls_skipped is any answering shard's. Router-side duplicate discards add
+// to the shards' own. A nil response is a shard that did not answer
+// (client.Match returns none beside an error).
+func mergeOwned(resps []*api.MatchResponse, k, limit int) ([]*core.PerfectSubgraph, core.Stats) {
 	var stats core.Stats
 	var owned []*core.PerfectSubgraph
 	for s, resp := range resps {
@@ -578,11 +577,13 @@ func mergeOwned(resps []*api.MatchResponse, k int) ([]*core.PerfectSubgraph, cor
 	dedup := core.NewDeduper()
 	subs := owned[:0]
 	for _, ps := range owned {
+		if limit > 0 && len(subs) == limit {
+			break
+		}
 		if dedup.Admit(ps, &stats) {
 			subs = append(subs, ps)
 		}
 	}
-	core.SortSubgraphs(subs)
 	return subs, stats
 }
 

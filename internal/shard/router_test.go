@@ -131,8 +131,9 @@ func matchesJSON(t *testing.T, ms []api.SubgraphJSON) string {
 
 // assertIdentical fans the same request to router and reference and
 // requires byte-identical serialized match lists — and, when the spec sets
-// no_plan, identical stats: a result-cache hit on the reference (a contained
-// one changes balls_skipped) is the one legitimate difference.
+// no_plan and no limit, identical stats: a result-cache hit on the reference
+// (a contained one changes balls_skipped) is one legitimate difference, and
+// under a limit each deployment counts the work it did before stopping.
 func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, label string) int {
 	t.Helper()
 	ctx := context.Background()
@@ -151,40 +152,10 @@ func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, la
 	if gj != wj {
 		t.Fatalf("%s: router diverges from single node\nrouter: %s\nsingle: %s", label, gj, wj)
 	}
-	if spec.NoPlan && got.Stats != want.Stats {
+	if spec.NoPlan && spec.Limit == 0 && got.Stats != want.Stats {
 		t.Fatalf("%s: router stats %+v, single node %+v", label, got.Stats, want.Stats)
 	}
 	return len(want.Matches)
-}
-
-// assertSameRanking checks a top-k response modulo the representative
-// center: same length, same score sequence, same ranked node sets.
-func (f *fleet) assertSameRanking(t *testing.T, pat string, k int, label string) {
-	t.Helper()
-	ctx := context.Background()
-	spec := api.QuerySpec{Mode: api.ModePlus, TopK: k}
-	got, err := f.rc.MatchText(ctx, pat, spec)
-	if err != nil {
-		t.Fatalf("%s: router: %v", label, err)
-	}
-	want, err := f.sc.MatchText(ctx, pat, spec)
-	if err != nil {
-		t.Fatalf("%s: single node: %v", label, err)
-	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("%s: router ranked %d, single node %d", label, len(got.Matches), len(want.Matches))
-	}
-	for i := range want.Matches {
-		gm, wm := &got.Matches[i], &want.Matches[i]
-		if gm.Score == nil || wm.Score == nil || *gm.Score != *wm.Score {
-			t.Fatalf("%s: rank %d scores diverge: %v vs %v", label, i, gm.Score, wm.Score)
-		}
-		gn, _ := json.Marshal(gm.Nodes)
-		wn, _ := json.Marshal(wm.Nodes)
-		if string(gn) != string(wn) {
-			t.Fatalf("%s: rank %d node sets diverge: %s vs %s", label, i, gn, wn)
-		}
-	}
 }
 
 func buildSynthetic(n int, seed int64) func() *graph.Graph {
@@ -207,12 +178,17 @@ func TestRouterByteIdenticalMatches(t *testing.T) {
 					fmt.Sprintf("%s r=%d no_plan pattern %s", mode, r, pat))
 			}
 		}
-		// Ranked top-k: the single node's top-k path dedups first-wins in
-		// worker order, so the representative center of a duplicated
-		// subgraph is not deterministic even between two single-node runs.
-		// Compare scores and node sets, not bytes.
-		f.assertSameRanking(t, pat, 3, "topk pattern "+pat)
-		_ = i
+		// A limit keeps the first matches by smallest producing center on
+		// both deployments, and top_k ranks what the limit kept.
+		for _, mode := range []string{api.ModePlain, api.ModePlus} {
+			for _, spec := range []api.QuerySpec{
+				{Mode: mode, Limit: 2}, {Mode: mode, TopK: 3}, {Mode: mode, Limit: 2, TopK: 3},
+				{Mode: mode, Limit: 2, NoPlan: true},
+			} {
+				f.assertIdentical(t, pat, spec, fmt.Sprintf("%s limit=%d top_k=%d pattern %d",
+					mode, spec.Limit, spec.TopK, i))
+			}
+		}
 	}
 	if total == 0 {
 		t.Fatal("sampled patterns never matched; the identity check was vacuous")
@@ -433,44 +409,44 @@ func TestRouterReplicaFailover(t *testing.T) {
 	}
 }
 
+// TestRouterStreamMatchesSingleNode: a router streams the single node's
+// lines in the single node's order, ascending center, with and without a
+// limit.
 func TestRouterStreamMatchesSingleNode(t *testing.T) {
 	f := newFleet(t, buildSynthetic(70, 13), 3, nil)
 	g := generator.Synthetic(70, 1.2, 5, 13)
 	ctx := context.Background()
-	for _, pat := range testPatterns(g)[:3] {
-		var streamed []api.SubgraphJSON
-		done, err := f.rc.MatchStream(ctx, api.MatchRequest{
-			PatternText: pat, Query: api.QuerySpec{Mode: api.ModePlus},
-		}, func(sj api.SubgraphJSON) error {
-			streamed = append(streamed, sj)
+	stream := func(cl *client.Client, req api.MatchRequest) []string {
+		t.Helper()
+		var lines []string
+		done, err := cl.MatchStream(ctx, req, func(sj api.SubgraphJSON) error {
+			b, _ := json.Marshal(sj)
+			lines = append(lines, string(b))
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("router stream: %v", err)
+			t.Fatalf("stream: %v", err)
 		}
-		if done.Code != "" || done.Partial != nil {
-			t.Fatalf("healthy stream ended %q partial=%+v", done.Code, done.Partial)
+		if done.Code != "" || done.Partial != nil || done.Matches != len(lines) {
+			t.Fatalf("healthy stream ended %q partial=%+v after %d of %d matches",
+				done.Code, done.Partial, len(lines), done.Matches)
 		}
-		want, err := f.sc.MatchText(ctx, pat, api.QuerySpec{Mode: api.ModePlus})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(want.Matches) || done.Matches != len(want.Matches) {
-			t.Fatalf("streamed %d (done says %d), single node has %d", len(streamed), done.Matches, len(want.Matches))
-		}
-		// Stream order is unspecified; compare as sets of serialized matches.
-		set := make(map[string]int, len(streamed))
-		for i := range streamed {
-			b, _ := json.Marshal(streamed[i])
-			set[string(b)]++
-		}
-		for i := range want.Matches {
-			b, _ := json.Marshal(want.Matches[i])
-			if set[string(b)] == 0 {
-				t.Fatalf("single-node match missing from stream: %s", b)
+		return lines
+	}
+	streamed := 0
+	for _, pat := range testPatterns(g) {
+		for _, spec := range []api.QuerySpec{{Mode: api.ModePlus}, {Mode: api.ModePlain}, {Mode: api.ModePlus, Limit: 2}} {
+			req := api.MatchRequest{PatternText: pat, Query: spec}
+			got, want := stream(f.rc, req), stream(f.sc, req)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("%s limit=%d: router stream diverges from single node\nrouter: %v\nsingle: %v",
+					spec.Mode, spec.Limit, got, want)
 			}
-			set[string(b)]--
+			streamed += len(got)
 		}
+	}
+	if streamed == 0 {
+		t.Fatal("no pattern streamed a match; the comparison was vacuous")
 	}
 }
 
