@@ -51,9 +51,8 @@ type Query struct {
 	// front: evaluating on it gives the whole request one graph version.
 	Engine *engine.Engine
 	// Pattern is the pattern graph, label-compatible with Engine's
-	// snapshot and known to be connected; Diameter is its dQ.
-	Pattern  *graph.Graph
-	Diameter int
+	// snapshot and known to be connected.
+	Pattern *graph.Graph
 	// Opts is the compiled spec with the planner (unless no_plan) and the
 	// query's observation record installed — its Root parents any fan-out
 	// span; Metric ranks top_k queries.

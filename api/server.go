@@ -443,9 +443,9 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request, stream bool) (*
 		q.Opts.Planner = s.planner // only an unlimited, unranked Match uses it
 	}
 	// Up front, not left to the engine: a stream commits its 200 before the
-	// engine could object, and a fan-out needs dQ to bound the ball radius.
-	var connected bool
-	if q.Diameter, connected = graph.Diameter(q.Pattern); !connected {
+	// engine could object, and a router must reject the pattern with the
+	// single node's verdict before it fans out.
+	if _, connected := graph.Diameter(q.Pattern); !connected {
 		return nil, Errorf(http.StatusBadRequest, CodeInvalidPattern,
 			"pattern graph must be connected (Section 2.1)")
 	}

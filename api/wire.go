@@ -281,9 +281,9 @@ type QueryStatsJSON struct {
 	FilterMS         float64 `json:"filter_ms"`
 	EvalMS           float64 `json:"eval_ms"`
 	MergeMS          float64 `json:"merge_ms"`
-	// PlanCache is the result-cache outcome of an unlimited match: "hit",
-	// "contained" or "miss". It is absent when the cache was not consulted
-	// ("no_plan": true, a limit or a stream).
+	// PlanCache is the result-cache outcome of an unlimited match: "hit"
+	// (an exact repeat) or "miss". It is absent when the cache was not
+	// consulted ("no_plan": true, a limit or a stream).
 	PlanCache string `json:"plan_cache,omitempty"`
 }
 

@@ -18,8 +18,8 @@ import (
 // connection that dies after the server applied an update can replay the
 // batch. Match and read traffic is safe to replay; callers replaying
 // non-idempotent update batches should correlate by version (the sharded
-// router cross-checks its version vector against shard healthz for exactly
-// this reason).
+// router checks each replica's healthz version against the one version it
+// expects for exactly this reason).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries, first included; values
 	// below 2 disable retries.

@@ -98,9 +98,10 @@ type QueryOptions struct {
 	// only after the query has finished (after Match or Each returns).
 	Trace *obs.QueryStats
 	// Planner, when non-nil, lets an unlimited Match use the planner's
-	// match-result cache: an exact hit is served without evaluation, a
-	// contained query evaluates only inside the containing entry's centers.
-	// Each ignores it. Caching never changes the served subgraphs.
+	// match-result cache: an exact repeat (the same pattern up to
+	// isomorphism, radius and mode, on the same snapshot version) is served
+	// without evaluation, and any other query is evaluated and stored. Each
+	// ignores it. Caching never changes the served Result, Stats included.
 	Planner *plan.Planner
 	// Slice, when its Of is positive, restricts the query to one share of
 	// the candidate centers, those v with v mod Of = Index: one replica's
@@ -351,7 +352,7 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 		return e.serveHit(cc, opts.Trace), nil
 	}
 	res := &core.Result{}
-	stats, err := e.each(ctx, q, opts, cc, func(ps *core.PerfectSubgraph) bool {
+	stats, err := e.Each(ctx, q, opts, func(ps *core.PerfectSubgraph) bool {
 		res.Subgraphs = append(res.Subgraphs, ps)
 		return true
 	})
@@ -362,7 +363,7 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	tr := opts.Trace
 	tr.Begin(obs.StageMerge)
 	core.SortSubgraphs(res.Subgraphs)
-	cc.store(q, res)
+	cc.store(res)
 	tr.End("", obs.Attr{Key: "matches", Value: int64(len(res.Subgraphs))})
 	return res, nil
 }
@@ -374,16 +375,11 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 // returns false or once opts.Limit subgraphs have been handed out; the
 // returned Stats count the balls evaluated up to there. It never consults
 // opts.Planner. A pattern Match rejects is an error before any emit.
+//
+// It is the one evaluation path behind Match too: prepare, then admit every
+// ball outcome through one deduper in ascending center order, expanding
+// each admitted relation under minQ.
 func (e *Engine) Each(ctx context.Context, q *graph.Graph, opts QueryOptions, emit func(*core.PerfectSubgraph) bool) (core.Stats, error) {
-	return e.each(ctx, q, opts, nil, emit)
-}
-
-// each is the one evaluation path behind Match and Each: prepare, restrict
-// the centers to a containment hit's (cc, nil for an uncached query), then
-// admit every ball outcome through one deduper in ascending center order,
-// expanding each admitted relation under minQ. cc collects the pre-dedup
-// matching centers its entry is stored with.
-func (e *Engine) each(ctx context.Context, q *graph.Graph, opts QueryOptions, cc *cacheCtx, emit func(*core.PerfectSubgraph) bool) (core.Stats, error) {
 	p, err := e.prepare(ctx, q, opts)
 	if err != nil {
 		return core.Stats{}, err
@@ -392,23 +388,13 @@ func (e *Engine) each(ctx context.Context, q *graph.Graph, opts QueryOptions, cc
 	stats := p.stats
 	if p.done {
 		// Q ⊀D G has no matches at any center; a cached empty entry still
-		// serves exact repeats and bounds contained queries to nothing.
+		// serves exact repeats.
 		return stats, nil
-	}
-	if cc != nil && cc.outcome == plan.OutcomeContained {
-		// Containment hit: only the cached entry's matching centers can
-		// produce an outcome; everything else is provably unmatched.
-		kept := intersectSorted(p.centers, cc.restrict)
-		stats.BallsSkipped += len(p.centers) - len(kept)
-		p.centers = kept
 	}
 	dedup := core.NewDeduper()
 	left := opts.Limit // subgraphs still wanted; unbounded when Limit <= 0
 	err = e.evalCenters(ctx, p, opts.coreOptions(), opts.Trace, func(o ballOutcome) bool {
 		foldStats(&stats, o.stats)
-		if o.ps != nil && cc != nil {
-			cc.matched = append(cc.matched, p.centers[o.pos])
-		}
 		if !dedup.Admit(o.ps, &stats) {
 			return true
 		}

@@ -8,27 +8,17 @@ import (
 )
 
 // cacheCtx is the per-query cache plan of one planned Match: the key and
-// version it will be stored under, and — depending on the lookup outcome —
-// either an entry of the query's version to serve directly (hit) or the
-// center restriction of a containment hit. nil when the query cannot use
-// the cache (no planner, Limit or Slice set, invalid pattern).
+// version it will be stored under, and the entry of the query's version to
+// serve directly on a hit. nil when the query cannot use the cache (no
+// planner, Limit or Slice set, invalid pattern).
 type cacheCtx struct {
 	cache   *plan.Cache
 	key     string
 	perm    []int32 // query node -> canonical position
-	radius  int
 	version uint64
-	outcome string
-
 	// hit is set for an exact-key entry: serve by remapping, no evaluation
 	// at all.
 	hit *plan.Cached
-	// restrict limits a containment hit's ball evaluation to these centers
-	// (ascending, possibly none): the containing entry's matching centers.
-	restrict []int32
-	// matched collects the evaluation's pre-dedup matching centers,
-	// ascending: the centers its entry is stored with.
-	matched []int32
 }
 
 // planLookup consults the planner's result cache for one Match execution.
@@ -60,25 +50,16 @@ func (e *Engine) planLookup(q *graph.Graph, opts QueryOptions) *cacheCtx {
 		cache:   c,
 		key:     plan.CacheKey(canon, radius, mode),
 		perm:    perm,
-		radius:  radius,
 		version: e.snap.Version(),
 	}
 	cached, outcome := c.Get(cc.key, cc.version)
-	cc.outcome = outcome
 	if outcome == plan.OutcomeHit {
 		cc.hit = cached
-	} else if cs := c.FindContaining(q, radius, cc.version); cs != nil {
-		// Exact key missed; a cached superset query still bounds the
-		// evaluation. Containment works across modes: the per-center match
-		// outcome is mode-independent (Match+ is result-preserving ball by
-		// ball), so any entry's center set is a valid superset.
-		cc.outcome = plan.OutcomeContained
-		cc.restrict = cs.Centers
 	} else {
 		c.NoteMiss()
 	}
 	if tr := opts.Trace; tr != nil {
-		tr.PlanCacheOutcome = cc.outcome
+		tr.PlanCacheOutcome = outcome
 	}
 	return cc
 }
@@ -133,10 +114,9 @@ func remapSubgraph(ps *core.PerfectSubgraph, mapTo []int32) *core.PerfectSubgrap
 	return &core.PerfectSubgraph{Center: ps.Center, Nodes: ps.Nodes, Edges: ps.Edges, Rel: rel}
 }
 
-// store caches a completed execution under the query's key, with the
-// matching centers each collected. Nil-safe so Match can call it
-// unconditionally.
-func (cc *cacheCtx) store(q *graph.Graph, res *core.Result) {
+// store caches a completed execution under the query's key. Nil-safe so
+// Match can call it unconditionally.
+func (cc *cacheCtx) store(res *core.Result) {
 	if cc == nil {
 		return
 	}
@@ -144,21 +124,5 @@ func (cc *cacheCtx) store(q *graph.Graph, res *core.Result) {
 	for u, p := range cc.perm {
 		inv[p] = int32(u)
 	}
-	cc.cache.Put(cc.key, q, inv, cc.radius, cc.version, cc.matched, res)
-}
-
-// intersectSorted keeps the elements of a (ascending) also present in b
-// (ascending), in place.
-func intersectSorted(a, b []int32) []int32 {
-	w, j := 0, 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			a[w] = x
-			w++
-		}
-	}
-	return a[:w]
+	cc.cache.Put(cc.key, inv, cc.version, res)
 }

@@ -24,9 +24,9 @@ func planned(opts QueryOptions, p *plan.Planner, tr *obs.QueryStats) QueryOption
 // TestPlannerParityProperty is the planner's correctness bar: across graph
 // sizes, densities, label counts, radii and both query modes, a planner-on
 // Match answers byte-identically to the paper's unfiltered core.Match — on
-// the cache-miss first run AND on the cache-hit repeat. Two labels on a
-// dense graph is where the global filter keeps most centers; 200 labels is
-// where it drops nearly all of them.
+// the cache-miss first run AND on the cache-hit repeat — with the Stats of a
+// planner-off Match. Two labels on a dense graph is where the global filter
+// keeps most centers; 200 labels is where it drops nearly all of them.
 func TestPlannerParityProperty(t *testing.T) {
 	type setting struct {
 		n      int
@@ -71,6 +71,7 @@ func TestPlannerParityProperty(t *testing.T) {
 			} {
 				where := fmt.Sprintf("n=%d alpha=%.1f labels=%d r=%d %s", n, alpha, s.labels, radius, mode.name)
 				want := mustCoreMatch(t, q, g, core.Options{Radius: radius})
+				unplanned := mustMatch(t, e, q, mode.opts)
 				p := plan.NewPlanner()
 
 				var tr1 obs.QueryStats
@@ -81,6 +82,9 @@ func TestPlannerParityProperty(t *testing.T) {
 				if tr1.PlanCacheOutcome != plan.OutcomeMiss {
 					t.Fatalf("%s: first run outcome = %q", where, tr1.PlanCacheOutcome)
 				}
+				if miss.Stats != unplanned.Stats {
+					t.Fatalf("%s: miss-path stats %+v, planner-off %+v", where, miss.Stats, unplanned.Stats)
+				}
 
 				var tr2 obs.QueryStats
 				hit := mustMatch(t, e, q, planned(mode.opts, p, &tr2))
@@ -89,6 +93,9 @@ func TestPlannerParityProperty(t *testing.T) {
 				}
 				if tr2.PlanCacheOutcome != plan.OutcomeHit {
 					t.Fatalf("%s: second run outcome = %q, want hit", where, tr2.PlanCacheOutcome)
+				}
+				if hit.Stats != unplanned.Stats {
+					t.Fatalf("%s: hit-path stats %+v, planner-off %+v", where, hit.Stats, unplanned.Stats)
 				}
 				if tr2.CandidateCenters != 0 {
 					t.Fatalf("%s: hit path ran the filter (%d centers)", where, tr2.CandidateCenters)
@@ -136,13 +143,14 @@ edge d6 d2
 	}
 }
 
-// TestPlannerContainedParity: an exact-key miss whose pattern is contained
-// in a cached one evaluates only inside the cached centers — and still
-// answers byte-identically.
-func TestPlannerContainedParity(t *testing.T) {
+// TestPlannerStatsParity: planned ≡ unplanned, stats included. A cached
+// pattern that folds onto the query (qBig's two A sources onto qSmall's
+// one) at a larger radius serves nothing: the query misses, and its whole
+// Result — subgraphs and Stats — equals a planner-off Match.
+func TestPlannerStatsParity(t *testing.T) {
 	labels := graph.NewLabels()
 	// Several A->B sites, one of which also hosts the two-source shape, plus
-	// label-matching noise that the filter and containment must not misjudge.
+	// label-matching noise the filter must not misjudge.
 	g := graph.MustParse(`
 node d0 A
 node d1 B
@@ -172,8 +180,6 @@ edge d7 d5
 	} {
 		p := plan.NewPlanner()
 		var trBig obs.QueryStats
-		// Pin both executions to the same radius: containment requires the
-		// cached radius to subsume the query's, and the two diameters differ.
 		optsBig := mode.opts
 		optsBig.Radius = 2
 		mustMatch(t, e, qBig, planned(optsBig, p, &trBig))
@@ -183,17 +189,17 @@ edge d7 d5
 
 		optsSmall := mode.opts
 		optsSmall.Radius = 1
-		want := mustCoreMatch(t, qSmall, g, core.Options{Radius: 1})
+		want := mustMatch(t, e, qSmall, optsSmall)
 		var tr obs.QueryStats
 		got := mustMatch(t, e, qSmall, planned(optsSmall, p, &tr))
-		if tr.PlanCacheOutcome != plan.OutcomeContained {
-			t.Fatalf("%s: contained query outcome = %q", mode.name, tr.PlanCacheOutcome)
+		if tr.PlanCacheOutcome != plan.OutcomeMiss {
+			t.Fatalf("%s: query outcome = %q, want miss", mode.name, tr.PlanCacheOutcome)
 		}
-		if !reflect.DeepEqual(want.Subgraphs, got.Subgraphs) {
-			t.Fatalf("%s: contained-path subgraphs differ", mode.name)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: planned result differs from planner-off Match\nwant %+v\ngot  %+v", mode.name, want, got)
 		}
 		if len(want.Subgraphs) == 0 {
-			t.Fatalf("%s: degenerate test — the contained query found nothing", mode.name)
+			t.Fatalf("%s: degenerate test — the query found nothing", mode.name)
 		}
 	}
 }

@@ -76,8 +76,8 @@ type Stats struct {
 	Merge   time.Duration
 
 	// PlanCacheOutcome is the result-cache outcome of an unlimited Match
-	// ("hit", "contained", "miss"), empty when the cache was not consulted
-	// (no planner, a limit, a center slice or a stream).
+	// ("hit" or "miss"), empty when the cache was not consulted (no
+	// planner, a limit, a center slice or a stream).
 	PlanCacheOutcome string
 }
 

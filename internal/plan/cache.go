@@ -3,8 +3,6 @@ package plan
 import (
 	"container/list"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -21,24 +19,22 @@ func CacheKey(canon string, radius int, mode int) string {
 }
 
 // Cached is an immutable view of one cache entry, safe to read after the
-// cache lock is released: the maps and slices behind it are replaced, never
-// mutated, by later cache operations. An entry is valid at exactly the
-// version it was computed on; a newer version empties the cache.
+// cache lock is released: the slices behind it are replaced, never mutated,
+// by later cache operations. An entry is valid at exactly the version it was
+// computed on; a newer version empties the cache.
 type Cached struct {
-	// Pattern is the pattern the entry was computed for, in its original
-	// submitted numbering; InvPerm maps canonical positions back to its
-	// node ids, so an isomorphic query's relation keys can be translated.
-	Pattern *graph.Graph
+	// InvPerm maps canonical positions back to the node ids of the pattern
+	// the entry was computed for, so an isomorphic query's relation keys can
+	// be translated.
 	InvPerm []int32
-	// Radius is the effective ball radius the entry was evaluated at.
-	Radius int
-	// Centers (ascending) are the pre-dedup matching centers: every center
-	// whose ball matched. Pre-dedup matters — dedup discards
-	// duplicate-producing centers that a contained query may still need.
-	Centers []int32
 	// Result is the assembled (deduped, sorted, expanded) result as Match
 	// returned it.
 	Result *core.Result
+	// Centers is always empty: no lookup restricts an evaluation to a
+	// cached entry's centers.
+	//
+	// Deprecated: kept only because bench/ names it.
+	Centers []int32
 	// Pending is always empty: an entry never outlives its version, so no
 	// center of it is ever stale.
 	//
@@ -47,18 +43,14 @@ type Cached struct {
 }
 
 type entry struct {
-	key      string
-	pat      *graph.Graph
-	invPerm  []int32
-	radius   int
-	labelKey string // sorted distinct label names, the containment prefilter
-	centers  []int32
-	result   *core.Result
-	elem     *list.Element
+	key     string
+	invPerm []int32
+	result  *core.Result
+	elem    *list.Element
 }
 
 func (e *entry) view() *Cached {
-	return &Cached{Pattern: e.pat, InvPerm: e.invPerm, Radius: e.radius, Centers: e.centers, Result: e.result}
+	return &Cached{InvPerm: e.invPerm, Result: e.result}
 }
 
 // Cache is the match-result cache: canonical-key entries with an LRU bound,
@@ -80,10 +72,14 @@ func newCache(max int) *Cache {
 
 // Lookup outcomes, as surfaced in query stats and metrics.
 const (
-	OutcomeHit       = "hit"
-	OutcomeContained = "contained"
-	OutcomeMiss      = "miss"
+	OutcomeHit  = "hit"
+	OutcomeMiss = "miss"
 )
+
+// OutcomeContained is never produced: the cache answers exact repeats only.
+//
+// Deprecated: kept only because bench/ names it.
+const OutcomeContained = "contained"
 
 // OutcomeRefresh is never produced: there is no stale entry to repair.
 //
@@ -122,52 +118,24 @@ func (c *Cache) Get(key string, version uint64) (*Cached, string) {
 	return e.view(), OutcomeHit
 }
 
-// NoteMiss records a true cache miss. Get does not count misses itself
-// because an exact-key miss may still become a containment hit; the engine
-// calls this once the outcome is final.
+// NoteMiss records a cache miss. Get does not count misses itself, so a
+// lookup made only to inspect the cache moves no counter; the engine calls
+// this for each query it evaluates.
 func (c *Cache) NoteMiss() { cacheMisses.Inc() }
 
-// FindContaining scans the query version's entries for one whose pattern
-// contains q (see ContainedIn) at a radius ≥ the query's. Among eligible
-// entries it returns the one with the fewest matching centers — the
-// tightest superset. Returns nil when none qualifies; the caller then
-// evaluates from scratch.
+// FindContaining always returns nil: the cache answers exact repeats only,
+// so the caller evaluates from scratch.
+//
+// Deprecated: kept only because bench/ names it.
 func (c *Cache) FindContaining(q *graph.Graph, radius int, version uint64) *Cached {
-	lk := labelKey(q)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.atLocked(version) {
-		return nil
-	}
-	var best *entry
-	for _, e := range c.entries {
-		if e.radius < radius {
-			continue
-		}
-		if e.labelKey != lk {
-			continue // a surjective hom forces equal label-name sets
-		}
-		if best != nil && len(e.centers) >= len(best.centers) {
-			continue
-		}
-		if ContainedIn(q, e.pat) {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	c.lru.MoveToFront(best.elem)
-	cacheContained.Inc()
-	return best.view()
+	return nil
 }
 
-// Put stores a completed execution at the version it ran on. centers must
-// be the ascending pre-dedup matching centers; result must be the assembled
-// Result as served. A store at an older version than the cache's is
-// rejected: nothing at that version can be looked up any more.
-func (c *Cache) Put(key string, pat *graph.Graph, invPerm []int32, radius int,
-	version uint64, centers []int32, result *core.Result) {
+// Put stores a completed execution at the version it ran on: invPerm maps
+// canonical positions to the pattern's node ids, and result is the
+// assembled Result as served. A store at an older version than the cache's
+// is rejected: nothing at that version can be looked up any more.
+func (c *Cache) Put(key string, invPerm []int32, version uint64, result *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.atLocked(version) {
@@ -189,9 +157,7 @@ func (c *Cache) Put(key string, pat *graph.Graph, invPerm []int32, radius int,
 	} else {
 		c.lru.MoveToFront(e.elem)
 	}
-	e.pat, e.invPerm, e.radius = pat, invPerm, radius
-	e.labelKey = labelKey(pat)
-	e.centers, e.result = centers, result
+	e.invPerm, e.result = invPerm, result
 }
 
 // Len reports the number of entries held.
@@ -199,20 +165,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// labelKey is the containment prefilter: the sorted distinct label names
-// of a pattern. Patterns related by a surjective label-preserving
-// homomorphism have equal label-name sets.
-func labelKey(q *graph.Graph) string {
-	names := make([]string, 0, q.NumNodes())
-	seen := make(map[string]bool, q.NumNodes())
-	for v := int32(0); v < int32(q.NumNodes()); v++ {
-		if n := q.LabelName(v); !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, "\x00")
 }

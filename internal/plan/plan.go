@@ -1,21 +1,19 @@
 // Package plan is the query-planning layer between the /v1 serving surface
 // and the execution engine: a version-aware match-result cache that answers
-// repeated or contained queries, and the anchor check that standing-query
-// maintenance uses to skip dirty centers.
+// exact repeats, and the anchor check that standing-query maintenance uses
+// to skip dirty centers.
 //
 //   - Result caching (Cache), used by the engine when
 //     engine.QueryOptions.Planner is set: completed Match results keyed by
-//     canonical pattern (Canon), effective radius and mode, storing the
-//     pre-dedup matching centers alongside the assembled result. An exact
-//     hit is served by relation remapping in O(result). A query contained in
-//     a cached one (ContainedIn: surjective label-preserving homomorphism
-//     from the cached pattern onto the new one, radius subsumed) evaluates
-//     only inside the cached matching centers. An entry is valid at exactly
-//     the store version it was computed on: the first lookup or store at a
-//     newer version empties the cache, so an update batch pays nothing for
-//     it. On a live store every batch dirties far more centers than the
-//     entries could keep, so a repaired entry would cost about what a miss
-//     costs.
+//     canonical pattern (Canon), effective radius and mode. A lookup is a
+//     hit or a miss: a hit — the same pattern up to isomorphism, at the same
+//     radius, mode and version — is served by relation remapping in
+//     O(result); a miss evaluates from scratch and stores its result. An
+//     entry is valid at exactly the store version it was computed on: the
+//     first lookup or store at a newer version empties the cache, so an
+//     update batch pays nothing for it. On a live store every batch dirties
+//     far more centers than the entries could keep, so a repaired entry
+//     would cost about what a miss costs.
 //
 //   - Center anchoring (Anchored): the graph's one-hop neighbour-label
 //     signatures — the exact-path counterpart of TALE's NH-index in
@@ -37,10 +35,8 @@ import "repro/internal/obs"
 var (
 	cacheHits = obs.Default.Counter("plan_cache_hits_total",
 		"match queries answered from a cached entry of their version")
-	cacheContained = obs.Default.Counter("plan_cache_contained_hits_total",
-		"match queries evaluated only inside a containing cached entry's centers")
 	cacheMisses = obs.Default.Counter("plan_cache_misses_total",
-		"match queries evaluated from scratch (no usable cached entry)")
+		"match queries evaluated from scratch (no cached entry of their key and version)")
 	cacheEntries = obs.Default.Gauge("plan_cache_entries",
 		"match-result cache entries currently held, summed over every planner in the process")
 	cacheEvictions = obs.Default.Counter("plan_cache_evictions_total",

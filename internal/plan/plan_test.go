@@ -10,8 +10,7 @@ import (
 )
 
 // p builds a pattern from the text format with its own label table — Canon
-// and ContainedIn are label-name based, so independent tables must still
-// collide correctly.
+// is label-name based, so independent tables must still collide correctly.
 func p(t testing.TB, text string) *graph.Graph {
 	t.Helper()
 	g, err := graph.ParseString(text, nil)
@@ -103,45 +102,53 @@ func TestCanonBudgetFallback(t *testing.T) {
 	}
 }
 
+// TestContainedIn: the cache answers exact repeats only. Each pair below
+// relates a new query to a cached pattern — contained in it (a surjective
+// label-preserving homomorphism from the cached pattern onto the query) or
+// not — and only the reflexive pair, the same pattern, may be served from
+// the cached entry; every other query misses, contained or not.
 func TestContainedIn(t *testing.T) {
 	edge := "node a A\nnode b B\nedge a b"
 	cases := []struct {
 		name          string
 		qNew, qCached string
-		want          bool
 	}{
-		{"reflexive", edge, edge, true},
+		{"reflexive", edge, edge},
 		{"two sources fold onto one",
 			edge,
-			"node a1 A\nnode b B\nnode a2 A\nedge a1 b\nedge a2 b",
-			true},
+			"node a1 A\nnode b B\nnode a2 A\nedge a1 b\nedge a2 b"},
 		{"looser cached pattern (subset of edges)",
 			"node a1 A\nnode b B\nnode a2 A\nedge a1 b\nedge b a2",
-			"node a A\nnode b B\nnode a2 A\nedge a b",
-			true},
-		{"cached smaller than query", // surjection impossible
+			"node a A\nnode b B\nnode a2 A\nedge a b"},
+		{"cached smaller than query",
 			"node a1 A\nnode b B\nnode a2 A\nedge a1 b\nedge b a2",
-			edge,
-			false},
-		{"label mismatch", edge, "node a A\nnode c C\nedge a c", false},
-		{"direction flipped", edge, "node a A\nnode b B\nedge b a", false},
+			edge},
+		{"label mismatch", edge, "node a A\nnode c C\nedge a c"},
+		{"direction flipped", edge, "node a A\nnode b B\nedge b a"},
 		{"cycle not contained in edge",
 			edge,
-			"node a A\nnode b B\nedge a b\nedge b a",
-			false},
+			"node a A\nnode b B\nedge a b\nedge b a"},
 		{"edge contained in cycle",
 			"node a A\nnode b B\nedge a b\nedge b a",
-			edge,
-			true},
+			edge},
 		{"self loop needs a self loop",
 			edge,
-			"node a A\nnode b B\nedge a b\nedge b b",
-			false},
+			"node a A\nnode b B\nedge a b\nedge b b"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ContainedIn(p(t, tc.qNew), p(t, tc.qCached)); got != tc.want {
-				t.Fatalf("ContainedIn = %v, want %v", got, tc.want)
+			qNew, qCached := p(t, tc.qNew), p(t, tc.qCached)
+			kCached, _ := Canon(qCached)
+			kNew, _ := Canon(qNew)
+			c := newCache(8)
+			res := &core.Result{}
+			c.Put(CacheKey(kCached, 2, 0), nil, 1, res)
+			got, outcome := c.Get(CacheKey(kNew, 2, 0), 1)
+			if want := tc.qNew == tc.qCached; (outcome == OutcomeHit) != want || (got != nil) != want {
+				t.Fatalf("Get = %v, %q; a hit only for the same pattern (%v)", got, outcome, want)
+			}
+			if got := c.FindContaining(qNew, 1, 1); got != nil {
+				t.Fatalf("FindContaining = %v, want nil", got)
 			}
 		})
 	}
@@ -191,7 +198,6 @@ func TestPruneSound(t *testing.T) {
 
 func TestCacheLifecycle(t *testing.T) {
 	c := newCache(2)
-	q := p(t, "node a A\nnode b B\nedge a b")
 	inv := []int32{0, 1}
 	res := &core.Result{}
 	key := CacheKey("c|k1", 1, 0)
@@ -200,7 +206,7 @@ func TestCacheLifecycle(t *testing.T) {
 		t.Fatalf("empty cache Get = %v, %q", got, outcome)
 	}
 
-	c.Put(key, q, inv, 1, 1, []int32{3, 7}, res)
+	c.Put(key, inv, 1, res)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -225,7 +231,7 @@ func TestCacheLifecycle(t *testing.T) {
 
 	// The cache has moved on: a store computed on the old version is
 	// rejected, since nothing at that version can be looked up any more.
-	c.Put(key, q, inv, 1, 1, nil, res)
+	c.Put(key, inv, 1, res)
 	if c.Len() != 0 {
 		t.Fatalf("stale Put accepted, Len = %d", c.Len())
 	}
@@ -236,10 +242,10 @@ func TestCacheLifecycle(t *testing.T) {
 	// LRU: capacity 2, touching k1 keeps it alive past a third insert.
 	lru := newCache(2)
 	k1, k2, k3 := CacheKey("c|k1", 1, 0), CacheKey("c|k2", 1, 0), CacheKey("c|k3", 1, 0)
-	lru.Put(k1, q, inv, 1, 1, nil, res)
-	lru.Put(k2, q, inv, 1, 1, nil, res)
+	lru.Put(k1, inv, 1, res)
+	lru.Put(k2, inv, 1, res)
 	lru.Get(k1, 1)
-	lru.Put(k3, q, inv, 1, 1, nil, res)
+	lru.Put(k3, inv, 1, res)
 	if _, outcome := lru.Get(k1, 1); outcome != OutcomeHit {
 		t.Errorf("recently used k1 evicted")
 	}
@@ -253,15 +259,14 @@ func TestCacheLifecycle(t *testing.T) {
 // insert, eviction and version change moves it by its own delta.
 func TestCacheEntriesGauge(t *testing.T) {
 	base := cacheEntries.Value()
-	q := p(t, "node a A\nnode b B\nedge a b")
 	res := &core.Result{}
 	a, b := NewPlanner().Cache(), NewPlanner().Cache()
 	b.max = 2
-	a.Put(CacheKey("c|a1", 1, 0), q, nil, 1, 0, nil, res)
-	a.Put(CacheKey("c|a1", 1, 0), q, nil, 1, 0, nil, res) // an overwrite adds nothing
+	a.Put(CacheKey("c|a1", 1, 0), nil, 0, res)
+	a.Put(CacheKey("c|a1", 1, 0), nil, 0, res) // an overwrite adds nothing
 	// b holds two at most: the third insert evicts the first.
 	for _, k := range []string{"c|b1", "c|b2", "c|b3"} {
-		b.Put(CacheKey(k, 1, 0), q, nil, 1, 0, nil, res)
+		b.Put(CacheKey(k, 1, 0), nil, 0, res)
 	}
 	if got := cacheEntries.Value() - base; got != 3 {
 		t.Fatalf("gauge reads %d over two planners holding 1 + 2 entries", got)
@@ -272,34 +277,26 @@ func TestCacheEntriesGauge(t *testing.T) {
 	}
 }
 
+// TestFindContaining: a cached pattern that contains the query, at a radius
+// that subsumes the query's, serves it nothing. FindContaining returns nil
+// and the exact-key lookup misses, while the entry still serves its own
+// exact repeat.
 func TestFindContaining(t *testing.T) {
 	c := newCache(8)
 	qBig := p(t, "node a1 A\nnode b B\nnode a2 A\nedge a1 b\nedge a2 b")
 	qSmall := p(t, "node a A\nnode b B\nedge a b")
+	kBig, _ := Canon(qBig)
+	kSmall, _ := Canon(qSmall)
 	res := &core.Result{}
 
-	c.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, []int32{4, 9}, res)
-
-	// Contained, radius subsumed (2 >= 1): the entry bounds the evaluation.
-	got := c.FindContaining(qSmall, 1, 1)
-	if got == nil || len(got.Centers) != 2 {
-		t.Fatalf("FindContaining = %v", got)
+	c.Put(CacheKey(kBig, 2, 0), []int32{0, 1, 2}, 1, res)
+	if got := c.FindContaining(qSmall, 1, 1); got != nil {
+		t.Fatalf("FindContaining = %v, want nil", got)
 	}
-	// A larger query radius than the entry's is not subsumed.
-	if got := c.FindContaining(qSmall, 3, 1); got != nil {
-		t.Fatal("radius 3 served from a radius-2 entry")
+	if got, outcome := c.Get(CacheKey(kSmall, 1, 0), 1); got != nil || outcome != OutcomeMiss {
+		t.Fatalf("contained query Get = %v, %q, want a miss", got, outcome)
 	}
-	// Containment never crosses a version, in either direction.
-	if got := c.FindContaining(qSmall, 1, 0); got != nil {
-		t.Fatal("a v1 entry served a containment lookup at v0")
-	}
-	if got := c.FindContaining(qSmall, 1, 2); got != nil {
-		t.Fatal("a v1 entry served a containment lookup at v2")
-	}
-	// Label-set prefilter: disjoint label names can never contain.
-	cc := newCache(8)
-	cc.Put(CacheKey("c|big", 2, 0), qBig, []int32{0, 1, 2}, 2, 1, nil, res)
-	if got := cc.FindContaining(p(t, "node a A\nnode c C\nedge a c"), 1, 1); got != nil {
-		t.Fatal("label-disjoint query matched a cached entry")
+	if got, outcome := c.Get(CacheKey(kBig, 2, 0), 1); outcome != OutcomeHit || got.Result != res {
+		t.Fatalf("exact repeat Get = %v, %q, want a hit", got, outcome)
 	}
 }

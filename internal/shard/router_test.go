@@ -130,10 +130,10 @@ func matchesJSON(t *testing.T, ms []api.SubgraphJSON) string {
 }
 
 // assertIdentical fans the same request to router and reference and
-// requires byte-identical serialized match lists — and, when the spec sets
-// no_plan and no limit, identical stats: a result-cache hit on the reference
-// (a contained one changes balls_skipped) is one legitimate difference, and
-// under a limit each deployment counts the work it did before stopping.
+// requires byte-identical serialized match lists — and, under no limit,
+// identical stats, planned or not: a result-cache hit serves the stats of the
+// run it cached. Under a limit each deployment counts the work it did before
+// stopping.
 func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, label string) int {
 	t.Helper()
 	ctx := context.Background()
@@ -152,7 +152,7 @@ func (f *fleet) assertIdentical(t *testing.T, pat string, spec api.QuerySpec, la
 	if gj != wj {
 		t.Fatalf("%s: router diverges from single node\nrouter: %s\nsingle: %s", label, gj, wj)
 	}
-	if spec.NoPlan && spec.Limit == 0 && got.Stats != want.Stats {
+	if spec.Limit == 0 && got.Stats != want.Stats {
 		t.Fatalf("%s: router stats %+v, single node %+v", label, got.Stats, want.Stats)
 	}
 	return len(want.Matches)
