@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -131,7 +130,7 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	out := make([]centerResult, len(centers))
 	err := exec.Run(ctx, exec.Options{Workers: opts.Workers}, len(centers),
 		func(s *exec.Scratch, pos int) centerResult {
-			ball := s.Balls.BuildRestricted(g, centers[pos], radius, cand)
+			ball := s.Balls.BuildRestricted(g, centers[pos], radius, cand, centers)
 			ps, stats := EvalPreparedBallIn(qEff, ball, centers[pos], opts, global, &s.Sim)
 			return centerResult{ps: ps, stats: stats}
 		},
@@ -235,13 +234,18 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 	if !ok {
 		return nil, stats
 	}
-	return extractMaxPG(q, ball, rel, center, &stats), stats
+	return extractMaxPG(q, ball, rel, center, sc), stats
 }
 
 // extractMaxPG is procedure ExtractMaxPG (Fig. 3): return the connected
 // component containing the ball center in the match graph w.r.t. Sw, or nil
-// when the center is unmatched.
-func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, center int32, stats *Stats) *PerfectSubgraph {
+// when the center is unmatched. The component is found on the ball graph
+// itself: a ball edge (v, w) is a match edge iff some pattern edge (u, u2)
+// has v ∈ rel[u] and w ∈ rel[u2]. Ball ids ascend with Orig, so walking them
+// ascending yields Nodes, Edges and every Rel row sorted, with no sort and
+// no map but Rel itself. simulation.BuildMatchGraph and ComponentOf compute
+// the same from the definition.
+func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, center int32, sc *simulation.Scratch) *PerfectSubgraph {
 	centerMatched := false
 	for u := range rel {
 		if rel[u].Contains(ball.Center) {
@@ -252,39 +256,83 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 	if !centerMatched {
 		return nil
 	}
-	mg := simulation.BuildMatchGraph(q, ball.G, rel)
-	nodes, edges, ok := mg.ComponentOf(ball.Center)
-	if !ok {
-		return nil
-	}
-	inComp := make(map[int32]bool, len(nodes))
-	for _, v := range nodes {
-		inComp[v] = true
-	}
-	ps := &PerfectSubgraph{Center: center, Rel: make(map[int32][]int32, len(rel))}
-	ps.Nodes = make([]int32, len(nodes))
-	for i, v := range nodes {
-		ps.Nodes[i] = ball.Orig[v]
-	}
-	sort.Slice(ps.Nodes, func(i, j int) bool { return ps.Nodes[i] < ps.Nodes[j] })
-	ps.Edges = make([][2]int32, len(edges))
-	for i, e := range edges {
-		ps.Edges[i] = [2]int32{ball.Orig[e[0]], ball.Orig[e[1]]}
-	}
-	sort.Slice(ps.Edges, func(i, j int) bool {
-		if ps.Edges[i][0] != ps.Edges[j][0] {
-			return ps.Edges[i][0] < ps.Edges[j][0]
+	// The pattern's edges, read once per ball; buffers start on the stack
+	// and move to the heap only for a pattern or component larger than them.
+	var qeBuf [16][2]int32
+	var rowBuf [64]int32
+	qe := qeBuf[:0]
+	qOut, _ := q.Rows()
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		for _, u2 := range qOut.AppendRow(rowBuf[:0], u) {
+			qe = append(qe, [2]int32{u, u2})
 		}
-		return ps.Edges[i][1] < ps.Edges[j][1]
-	})
-	for u := range rel {
-		var matches []int32
-		rel[u].ForEach(func(v int32) {
-			if inComp[v] {
-				matches = append(matches, ball.Orig[v])
+	}
+
+	// The center's component, breadth-first over match edges in both
+	// directions; comp doubles as the queue.
+	bg := ball.G
+	in := sc.SpareSet(bg.NumNodes())
+	in.Add(ball.Center)
+	var compBuf [64]int32
+	comp := append(compBuf[:0], ball.Center)
+	row := rowBuf[:0]
+	for i := 0; i < len(comp); i++ {
+		v := comp[i]
+		row = bg.AppendOut(row[:0], v)
+		for _, w := range row {
+			if !in.Contains(w) && serves(qe, rel, v, w) {
+				in.Add(w)
+				comp = append(comp, w)
 			}
-		})
-		sort.Slice(matches, func(i, j int) bool { return matches[i] < matches[j] })
+		}
+		row = bg.AppendIn(row[:0], v)
+		for _, w := range row {
+			if !in.Contains(w) && serves(qe, rel, w, v) {
+				in.Add(w)
+				comp = append(comp, w)
+			}
+		}
+	}
+
+	// Both ends of a match edge lie in one component, so the component's
+	// edges are the match edges out of its nodes.
+	ps := &PerfectSubgraph{Center: center, Rel: make(map[int32][]int32, len(rel))}
+	ps.Nodes = make([]int32, 0, len(comp))
+	var edgeBuf [64][2]int32
+	edges := edgeBuf[:0]
+	for v := in.Next(0); v >= 0; v = in.Next(v + 1) {
+		ps.Nodes = append(ps.Nodes, ball.Orig[v])
+		row = bg.AppendOut(row[:0], v)
+		for _, w := range row {
+			if serves(qe, rel, v, w) {
+				edges = append(edges, [2]int32{ball.Orig[v], ball.Orig[w]})
+			}
+		}
+	}
+	ps.Edges = append(make([][2]int32, 0, len(edges)), edges...)
+
+	// Rel rows are windows of one arena, nil where the component holds no
+	// match of the pattern node.
+	total := 0
+	for u := range rel {
+		for v := rel[u].Next(0); v >= 0; v = rel[u].Next(v + 1) {
+			if in.Contains(v) {
+				total++
+			}
+		}
+	}
+	arena := make([]int32, 0, total)
+	for u := range rel {
+		lo := len(arena)
+		for v := rel[u].Next(0); v >= 0; v = rel[u].Next(v + 1) {
+			if in.Contains(v) {
+				arena = append(arena, ball.Orig[v])
+			}
+		}
+		var matches []int32
+		if len(arena) > lo {
+			matches = arena[lo:len(arena):len(arena)]
+		}
 		ps.Rel[int32(u)] = matches
 	}
 	return ps
@@ -308,4 +356,15 @@ func ExpandRelation(ps *PerfectSubgraph, q *graph.Graph, classOf []int32) {
 		expanded[u] = ps.Rel[classOf[u]]
 	}
 	ps.Rel = expanded
+}
+
+// serves reports whether data edge (v, w) serves one of the pattern edges
+// qe under rel: v ∈ rel[u] and w ∈ rel[u2] for some (u, u2) in qe.
+func serves(qe [][2]int32, rel simulation.Relation, v, w int32) bool {
+	for _, e := range qe {
+		if rel[e[0]].Contains(v) && rel[e[1]].Contains(w) {
+			return true
+		}
+	}
+	return false
 }

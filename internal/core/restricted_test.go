@@ -94,10 +94,11 @@ func TestRestrictedBallDifferential(t *testing.T) {
 						}
 						global, cand = rel, rel.DataNodes(g.NumNodes())
 					}
+					kept := cand.Slice()
 					for v := int32(0); v < int32(g.NumNodes()); v++ {
 						ctx := fmt.Sprintf("shape %d nq %d radius %d %s center %d", si, nq, radius, os.name, v)
 						want, wantStats := EvalPreparedBallIn(qEff, graph.NewBall(g, v, radius), v, os.opts, global, nil)
-						ball := balls.BuildRestricted(g, v, radius, cand)
+						ball := balls.BuildRestricted(g, v, radius, cand, kept)
 						if ball.Center < 0 || ball.Orig[ball.Center] != v {
 							t.Fatalf("%s: restricted ball lost its center (id %d)", ctx, ball.Center)
 						}

@@ -142,8 +142,11 @@ type preparedQuery struct {
 	done    bool                // query already answered (dual filter found Q ⊀D G)
 	// cand holds every data node that can be a candidate of some pattern
 	// node in any ball: the global relation's matches. Balls are built
-	// restricted to it.
+	// restricted to it. kept lists it ascending (centers before a slice
+	// cuts them), so a ball's last BFS level may run bottom-up; nil when
+	// only the set is at hand.
 	cand *graph.NodeSet
+	kept []int32
 	// scratch owns global, cand and centers; the query's entry point releases
 	// it once the last ball has been evaluated.
 	scratch *exec.Scratch
@@ -208,20 +211,19 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 	p.global = rel
 	p.cand = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
 	p.scratch.Centers = p.cand.AppendTo(p.scratch.Centers[:0])
-	p.centers = p.scratch.Centers
+	p.kept, p.centers = p.scratch.Centers, p.scratch.Centers
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
 	if tr != nil {
 		tr.CandidateCenters = len(p.centers)
 	}
 	tr.End("", obs.Attr{Key: "candidate_centers", Value: int64(len(p.centers))})
 	if sl := opts.Slice; sl.Of > 0 {
-		kept := p.centers[:0]
-		for _, v := range p.centers {
+		p.centers = make([]int32, 0, len(p.kept)/sl.Of+1)
+		for _, v := range p.kept {
 			if int(v)%sl.Of == sl.Index {
-				kept = append(kept, v)
+				p.centers = append(p.centers, v)
 			}
 		}
-		p.centers = kept
 	}
 	return p, nil
 }
@@ -257,7 +259,7 @@ func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts cor
 	err := exec.RunOrdered(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
-			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand)
+			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand, p.kept)
 			ps, stats := core.EvalPreparedBallIn(p.qEff, ball, center, coreOpts, p.global, &s.Sim)
 			return ballOutcome{pos: pos, ps: ps, stats: stats,
 				ballNodes: ball.G.NumNodes(), ballEdges: ball.G.NumEdges()}

@@ -302,6 +302,7 @@ func TestPlannerAllocs(t *testing.T) {
 	}
 
 	base := testing.AllocsPerRun(100, func() { run(opts) })
+	res := run(opts)
 
 	hitPlanner := plan.NewPlanner()
 	run(planned(opts, hitPlanner, nil))
@@ -311,14 +312,23 @@ func TestPlannerAllocs(t *testing.T) {
 		run(planned(opts, plan.NewPlanner(), nil))
 	})
 
-	t.Logf("allocs/op: base=%.0f miss=%.0f hit=%.0f", base, miss, hit)
-	// The planner-off run allocates per evaluated ball, so it dwarfs the
-	// lookup constant; a hit that allocated per ball would blow this bound.
-	if hit > 120 {
-		t.Errorf("cache hit allocates %.0f/op, want O(result) (≤ 120)", hit)
+	t.Logf("allocs/op: base=%.0f miss=%.0f hit=%.0f; %d balls, %d matches", base, miss, hit, res.Stats.BallsExamined, len(res.Subgraphs))
+	// The figures below, measured with go1.24, plus one. A hit is canon,
+	// key and lookup plus the result envelope (4 matches); one allocation
+	// per ball would add 18. Since balls stopped building match-graph maps,
+	// the planner-off run no longer dwarfs the hit, so the hit has a bound
+	// of its own. The race detector drops sync.Pool puts at random, so
+	// there scratches are rebuilt now and then and only a looser hit bound
+	// holds.
+	maxHit := 48.0
+	if raceBuild {
+		maxHit = 120
 	}
-	if base > 100 && hit > base/4 {
-		t.Errorf("cache hit allocates %.0f/op vs %.0f planner-off — not O(result)", hit, base)
+	if hit > maxHit {
+		t.Errorf("cache hit allocates %.0f/op, want O(result) (≤ %.0f)", hit, maxHit)
+	}
+	if base > 154 && !raceBuild {
+		t.Errorf("Match without a planner allocates %.0f/op, was 153", base)
 	}
 	// The miss path re-runs the full evaluation plus canon/store overhead.
 	// The overhead is constant-ish in the ball count, so a generous constant

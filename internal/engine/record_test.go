@@ -130,7 +130,7 @@ func TestRecordAllocs(t *testing.T) {
 	for _, wl := range []struct {
 		n       int
 		maxBase float64
-	}{{400, 183}, {1500, 1005}} {
+	}{{400, 39}, {1500, 179}} {
 		q, g := testWorkload(t, wl.n, 11)
 		e := New(g, Config{Workers: 1})
 		run := func(tr *obs.QueryStats) {

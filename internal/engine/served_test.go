@@ -1,0 +1,122 @@
+package engine
+
+import (
+	"context"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/generator"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/plan"
+)
+
+// servedWorkload is the benchmark harness's graph and pattern pools
+// (bench/workload.go at seed 1): 100k nodes, n^1.2 edges, 200 labels, and
+// 512 distinct connected patterns of diameter at most 3 per mode, sampled
+// from the graph with the harness's seed sequence; plain cycles 2–4 pattern
+// nodes, plus 3–5.
+var servedWorkload = sync.OnceValues(func() (*graph.Graph, map[string][]*graph.Graph) {
+	g := generator.Synthetic(100000, 1.2, 200, 1)
+	pools := make(map[string][]*graph.Graph, 2)
+	for mode, minNodes := range map[string]int{"plain": 2, "plus": 3} {
+		rng := rand.New(rand.NewSource(1))
+		seen := make(map[string]bool)
+		var qs []*graph.Graph
+		for len(qs) < 512 {
+			nodes := minNodes + len(qs)%3
+			q := generator.SamplePattern(g, generator.PatternOptions{Nodes: nodes, Alpha: 1.2, Seed: rng.Int63()})
+			if d, connected := graph.Diameter(q); !connected || d > 3 || q.NumNodes() != nodes {
+				continue
+			}
+			if key, _ := plan.Canon(q); !seen[key] {
+				seen[key] = true
+				qs = append(qs, q)
+			}
+		}
+		pools[mode] = qs
+	}
+	return g, pools
+})
+
+// servedModes are the two served query modes.
+var servedModes = []struct {
+	name string
+	opts QueryOptions
+}{{"plain", QueryOptions{}}, {"plus", PlusQuery()}}
+
+// BenchmarkMatchServed is one in-process Match per operation over the
+// harness's graph and pattern pools at 2 workers, cycling through 512
+// distinct patterns per mode, as adhoc-plain and adhoc-plus send them but
+// with no HTTP, JSON or result cache in between.
+func BenchmarkMatchServed(b *testing.B) {
+	g, pools := servedWorkload()
+	e := New(g, Config{Workers: 2})
+	ctx := context.Background()
+	for _, mode := range servedModes {
+		qs := pools[mode.name]
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Match(ctx, qs[i%len(qs)], mode.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestServedBallRows pins what a served ball reads of the data graph on the
+// harness's shapes: the adjacency rows its build decodes or tests, summed
+// over every ball the 512 patterns of each mode evaluate, as Match counts
+// them into scratch_ball_rows_total. Beside it, the same balls built
+// without the kept list, so every BFS level runs top-down. The counts
+// moving says the BFS direction rule, the keep set or the ball shape
+// changed.
+func TestServedBallRows(t *testing.T) {
+	g, pools := servedWorkload()
+	e := New(g, Config{Workers: 1})
+	ctx := context.Background()
+	rowsTotal := obs.Default.Counter("scratch_ball_rows_total", "")
+	want := map[string][3]int64{ // balls, rows, rows top-down
+		"plain": {10652, 66785, 129154},
+		"plus":  {2849, 39656, 136411},
+	}
+	for _, mode := range servedModes {
+		var topDown graph.BallScratch
+		var balls, rows int64
+		for _, q := range pools[mode.name] {
+			tr := new(obs.QueryStats)
+			opts := mode.opts
+			opts.Trace = tr
+			before := rowsTotal.Value()
+			if _, err := e.Match(ctx, q, opts); err != nil {
+				t.Fatal(err)
+			}
+			rows += rowsTotal.Value() - before
+			balls += tr.BallsBuilt
+
+			p, err := e.prepare(ctx, q, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range p.centers {
+				topDown.BuildRestricted(g, c, p.radius, p.cand, nil)
+			}
+			p.release()
+		}
+		built, _, rowsTD := topDown.Stats()
+		if built != balls {
+			t.Fatalf("%s: Match built %d balls, the prepared centers number %d", mode.name, balls, built)
+		}
+		t.Logf("%s: %d balls, %.2f rows a ball (%.2f top-down)", mode.name, balls,
+			float64(rows)/float64(balls), float64(rowsTD)/float64(balls))
+		if got := [3]int64{balls, rows, rowsTD}; got != want[mode.name] {
+			t.Errorf("%s: balls, rows and top-down rows %v, want %v", mode.name, got, want[mode.name])
+		}
+		if mode.name == "plus" && 3*rows > rowsTD {
+			t.Errorf("plus: the bottom-up last level reads %d rows against %d top-down, less than a 3× cut", rows, rowsTD)
+		}
+	}
+}

@@ -58,6 +58,8 @@ var (
 		"balls built into per-worker scratch arenas")
 	scratchBallMisses = obs.Default.Counter("scratch_ball_misses_total",
 		"scratch ball builds that had to grow an arena (reuse = builds - misses)")
+	scratchBallRows = obs.Default.Counter("scratch_ball_rows_total",
+		"data-graph adjacency rows read by scratch ball builds (BFS and induced rows)")
 	scratchSimEvals = obs.Default.Counter("scratch_sim_evals_total",
 		"ball evaluations and global dual-simulation passes run on pooled simulation scratch state")
 	scratchSimMisses = obs.Default.Counter("scratch_sim_misses_total",
@@ -83,7 +85,7 @@ type Scratch struct {
 
 	// What Release has already folded into the registry of the cumulative
 	// counters Balls.Stats() and Sim.Stats() report.
-	ballBuilds, ballMisses, simEvals, simMisses int64
+	ballBuilds, ballMisses, ballRows, simEvals, simMisses int64
 }
 
 // scratches keeps retired scratches for the next run's workers. A scratch
@@ -109,10 +111,11 @@ func (s *Scratch) Release() {
 	if s == nil {
 		return
 	}
-	b, m := s.Balls.Stats()
+	b, m, r := s.Balls.Stats()
 	scratchBallBuilds.Add(b - s.ballBuilds)
 	scratchBallMisses.Add(m - s.ballMisses)
-	s.ballBuilds, s.ballMisses = b, m
+	scratchBallRows.Add(r - s.ballRows)
+	s.ballBuilds, s.ballMisses, s.ballRows = b, m, r
 	ev, em := s.Sim.Stats()
 	scratchSimEvals.Add(ev - s.simEvals)
 	scratchSimMisses.Add(em - s.simMisses)
@@ -283,12 +286,15 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 	if ordered {
 		pending = make(map[int]T, workers)
 	}
+	// An outcome reaches the sink only while ctx is live: workers may run
+	// far ahead of the ordered delivery point, and a cancelled run must not
+	// hand its sink everything they finished in the meantime.
 	for out := range results {
 		if stopped {
 			continue // draining after the sink asked to stop
 		}
 		if !ordered {
-			if !sink(out.pos, out.v) {
+			if ctx.Err() != nil || !sink(out.pos, out.v) {
 				stopped = true
 				cancel()
 			}
@@ -303,7 +309,7 @@ func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, 
 			delete(pending, nextPos)
 			pos := nextPos
 			nextPos++
-			if !sink(pos, v) {
+			if ctx.Err() != nil || !sink(pos, v) {
 				stopped = true
 				cancel()
 				break

@@ -210,7 +210,7 @@ func BenchmarkExecBallEvalRestricted(b *testing.B) {
 		if !cand.Contains(center) {
 			continue
 		}
-		ball := s.Balls.BuildRestricted(g, center, radius, cand)
+		ball := s.Balls.BuildRestricted(g, center, radius, cand, nil)
 		core.EvalPreparedBallIn(q, ball, center, core.Options{}, nil, &s.Sim)
 	}
 }
@@ -292,7 +292,7 @@ func TestRestrictedBallEvalAllocFree(t *testing.T) {
 	s := new(exec.Scratch)
 	var barren []int32 // candidate centers whose ball has no perfect subgraph
 	for _, c := range cand.Slice() {
-		ball := s.Balls.BuildRestricted(g, c, dq, cand)
+		ball := s.Balls.BuildRestricted(g, c, dq, cand, nil)
 		if ps, _ := core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim); ps == nil {
 			barren = append(barren, c)
 		}
@@ -304,7 +304,7 @@ func TestRestrictedBallEvalAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		c := barren[i%len(barren)]
 		i++
-		ball := s.Balls.BuildRestricted(g, c, dq, cand)
+		ball := s.Balls.BuildRestricted(g, c, dq, cand, nil)
 		core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim)
 	})
 	if allocs != 0 {
@@ -314,11 +314,13 @@ func TestRestrictedBallEvalAllocFree(t *testing.T) {
 
 // TestScratchPooledAcrossRuns: scratches outlive a run, so after the first
 // run on a graph later runs stop growing arenas, and the scratch_* counters
-// still count every build exactly once however many runs a scratch serves.
+// still count every build, and every row it read, exactly once however many
+// runs a scratch serves.
 func TestScratchPooledAcrossRuns(t *testing.T) {
 	_, g := allocWorkload()
 	builds := obs.Default.Counter("scratch_ball_builds_total", "")
 	misses := obs.Default.Counter("scratch_ball_misses_total", "")
+	rows := obs.Default.Counter("scratch_ball_rows_total", "")
 	const runs, perRun = 40, 50
 	build := func(s *exec.Scratch, pos int) int {
 		return s.Balls.Build(g, int32(pos*7%g.NumNodes()), 2).NumNodes()
@@ -335,16 +337,19 @@ func TestScratchPooledAcrossRuns(t *testing.T) {
 	for pos := 0; pos < perRun; pos++ {
 		build(cold, pos)
 	}
-	_, coldMisses := cold.Balls.Stats()
+	_, coldMisses, coldRows := cold.Balls.Stats()
 
 	runOnce(1)
-	b0, m0 := builds.Value(), misses.Value()
+	b0, m0, r0 := builds.Value(), misses.Value(), rows.Value()
 	for i := 0; i < runs; i++ {
 		runOnce(1)
 	}
 	runOnce(3)
 	if got := builds.Value() - b0; got != (runs+1)*perRun {
 		t.Fatalf("scratch_ball_builds_total grew by %d over %d builds", got, (runs+1)*perRun)
+	}
+	if got := rows.Value() - r0; got != (runs+1)*coldRows {
+		t.Fatalf("scratch_ball_rows_total grew by %d over %d runs of %d rows each", got, runs+1, coldRows)
 	}
 	// A fresh scratch per run would miss coldMisses times in every run. The
 	// pool may hand out a cold one now and then (a collection; the race

@@ -29,7 +29,7 @@ func warmScratch(s *exec.Scratch, g *graph.Graph, qs []*graph.Graph) {
 		cand := g.NodesLabeledInto(q, &req.Cand)
 		req.Centers = cand.AppendTo(req.Centers[:0])
 		for _, c := range req.Centers[:min(len(req.Centers), 64)] {
-			ball := worker.Balls.BuildRestricted(g, c, dq, cand)
+			ball := worker.Balls.BuildRestricted(g, c, dq, cand, req.Centers)
 			core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &worker.Sim)
 		}
 		rel, ok, err := simulation.DualIn(context.Background(), q, g, &req.Sim)
@@ -39,7 +39,7 @@ func warmScratch(s *exec.Scratch, g *graph.Graph, qs []*graph.Graph) {
 		cand = rel.DataNodesIn(g.NumNodes(), &req.Sim)
 		req.Centers = cand.AppendTo(req.Centers[:0])
 		for _, c := range req.Centers {
-			ball := worker.Balls.BuildRestricted(g, c, dq, cand)
+			ball := worker.Balls.BuildRestricted(g, c, dq, cand, req.Centers)
 			core.EvalPreparedBallIn(q, ball, c, plus, rel, &worker.Sim)
 		}
 	}

@@ -44,9 +44,10 @@ type BallScratch struct {
 
 	// Reuse accounting (see Stats): builds counts builds, misses counts
 	// builds that had to grow an arena instead of being served entirely from
-	// reused storage.
+	// reused storage, rows counts the parent adjacency rows the builds read.
 	builds int64
 	misses int64
+	rows   int64
 
 	// Reused ball storage.
 	ball    Ball
@@ -125,18 +126,20 @@ func (s *BallScratch) at(v int32) int {
 	return i
 }
 
-// Stats returns the cumulative build and arena-miss counts of this scratch:
-// builds is how many balls it has constructed (full or restricted alike),
-// misses how many of those had to grow backing storage. builds - misses
-// builds ran entirely on reused arenas; internal/exec folds these into the
-// scratch_ball_* counters of the metrics registry when a worker retires.
-func (s *BallScratch) Stats() (builds, misses int64) { return s.builds, s.misses }
+// Stats returns the cumulative counts of this scratch: builds is how many
+// balls it has constructed (full or restricted alike), misses how many of
+// those had to grow backing storage, and rows how many adjacency rows of the
+// parent graph they read (decoded or tested, one out- or in-row each).
+// builds - misses builds ran entirely on reused arenas; internal/exec folds
+// all three into the scratch_ball_* counters of the metrics registry when a
+// worker retires.
+func (s *BallScratch) Stats() (builds, misses, rows int64) { return s.builds, s.misses, s.rows }
 
 // Build constructs Ĝ[center, radius] into the scratch and returns it. The
 // result is identical to NewBall(g, center, radius) in every observable way;
 // only the storage lifetime differs (see the type comment).
 func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
-	return s.BuildRestricted(g, center, radius, nil)
+	return s.BuildRestricted(g, center, radius, nil, nil)
 }
 
 // BuildRestricted constructs the subgraph of Ĝ[center, radius] induced by
@@ -152,7 +155,14 @@ func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
 // between two candidates (see DESIGN.md, "Per-worker scratch"). A build then
 // costs its BFS plus work proportional to the kept members, not to the
 // ball's induced subgraph.
-func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet) *Ball {
+//
+// kept, when non-nil, lists keep's members ascending. It lets the last BFS
+// level run bottom-up: when kept is shorter than the frontier, the level
+// tests each kept node not yet reached for a neighbour reached at a smaller
+// distance instead of expanding the frontier. Nothing past the radius is
+// ever a member, so the unkept nodes of the last level are never needed,
+// and members, distances and rows come out the same either way.
+func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet, kept []int32) *Ball {
 	s.builds++
 	grew := s.grow(g)
 	preReached, preMembers, preIDs := cap(s.reached), cap(s.members), cap(s.ids)
@@ -170,6 +180,32 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	lo := 0
 	for d := int32(1); int(d) <= radius && lo < len(s.reached); d++ {
 		hi := len(s.reached)
+		if int(d) == radius && kept != nil && len(kept) < hi-lo {
+			// Bottom-up: seen holds exactly the nodes within d-1, so an
+			// unreached kept node with a neighbour in it is at distance d.
+			// The level's nodes join seen only after the scan; marking them
+			// during it would admit kept nodes at d+1 through them.
+			for _, w := range kept {
+				if s.seen.Contains(w) {
+					continue
+				}
+				s.rows++
+				if !g.out.Intersects(w, &s.seen) {
+					s.rows++
+					if !g.in.Intersects(w, &s.seen) {
+						continue
+					}
+				}
+				s.reached = append(s.reached, w)
+				s.members = append(s.members, w)
+				s.dist = append(s.dist, d)
+			}
+			for _, w := range s.reached[hi:] {
+				s.seen.Add(w)
+			}
+			break
+		}
+		s.rows += 2 * int64(hi-lo)
 		for _, v := range s.reached[lo:hi] {
 			s.row = g.in.AppendRow(g.out.AppendRow(s.row[:0], v), v)
 			for _, w := range s.row {
@@ -210,6 +246,7 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	// transpose, so no parent in-row is read. Both are then encoded into the
 	// arenas, mostly at width 1 since ball ids are dense.
 	start, flat := s.start[0][:0], s.flat[0][:0]
+	s.rows += int64(n)
 	for _, v := range orig {
 		start = append(start, int32(len(flat)))
 		k := len(flat)
