@@ -196,15 +196,10 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 	// Connectivity pruning (Section 4.2): keep only candidates in the
 	// center's component of the candidate-induced subgraph.
 	if opts.ConnectivityPruning {
-		cand := rel.DataNodesIn(bg.NumNodes(), sc)
-		if !cand.Contains(ball.Center) {
+		keep := sc.Component(bg, ball.Center, rel.DataNodesIn(bg.NumNodes(), sc))
+		if keep == nil {
 			stats.BallsSkipped++
 			return nil, stats
-		}
-		comp := graph.ComponentWithin(bg, ball.Center, cand.Contains)
-		keep := sc.SpareSet(bg.NumNodes())
-		for _, v := range comp {
-			keep.Add(v)
 		}
 		for u := range rel {
 			rel[u].IntersectWith(keep)

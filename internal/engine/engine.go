@@ -209,9 +209,12 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 		return p, nil
 	}
 	p.global = rel
-	p.cand = rel.DataNodesIn(g.NumNodes(), &p.scratch.Sim)
-	p.scratch.Centers = p.cand.AppendTo(p.scratch.Centers[:0])
+	p.scratch.Centers = p.scratch.Sim.Matched(p.scratch.Centers[:0])
 	p.kept, p.centers = p.scratch.Centers, p.scratch.Centers
+	p.cand = p.scratch.Sim.SpareSet(g.NumNodes())
+	for _, v := range p.kept {
+		p.cand.Add(v)
+	}
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
 	if tr != nil {
 		tr.CandidateCenters = len(p.centers)

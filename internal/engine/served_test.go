@@ -120,3 +120,45 @@ func TestServedBallRows(t *testing.T) {
 		}
 	}
 }
+
+// TestServedGlobalRows pins what the served queries' global dual-simulation
+// passes do on the harness's shapes, summed over the 512 patterns of each
+// mode as Match counts them into the scratch_global_* counters: the pairs
+// the signature gate seeds, the pairs the witness sweep keeps of them, and
+// the adjacency rows the sweep, the counting and the propagation test or
+// decode. Loading a batch's rows early changes when a row is read, never
+// whether: the counts moving says the gate, the sweep or the propagation
+// changed.
+func TestServedGlobalRows(t *testing.T) {
+	g, pools := servedWorkload()
+	e := New(g, Config{Workers: 1})
+	ctx := context.Background()
+	counters := []*obs.Counter{
+		obs.Default.Counter("scratch_global_seeded_total", ""),
+		obs.Default.Counter("scratch_global_kept_total", ""),
+		obs.Default.Counter("scratch_global_rows_total", ""),
+	}
+	want := map[string][3]int64{ // seeded, kept, rows
+		"plain": {91853, 10687, 103443},
+		"plus":  {116957, 2849, 120982},
+	}
+	for _, mode := range servedModes {
+		var before, got [3]int64
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
+		for _, q := range pools[mode.name] {
+			if _, err := e.Match(ctx, q, mode.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range counters {
+			got[i] = c.Value() - before[i]
+		}
+		t.Logf("%s: seeded %d, kept %d, rows %d (%.1f a query)", mode.name, got[0], got[1], got[2],
+			float64(got[2])/float64(len(pools[mode.name])))
+		if got != want[mode.name] {
+			t.Errorf("%s: seeded, kept and rows %v, want %v", mode.name, got, want[mode.name])
+		}
+	}
+}

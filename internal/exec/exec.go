@@ -64,6 +64,12 @@ var (
 		"ball evaluations and global dual-simulation passes run on pooled simulation scratch state")
 	scratchSimMisses = obs.Default.Counter("scratch_sim_misses_total",
 		"simulation scratch cycles that had to grow state (reuse = evals - misses)")
+	scratchGlobalSeeded = obs.Default.Counter("scratch_global_seeded_total",
+		"candidate pairs the global dual-simulation passes' signature gate let through")
+	scratchGlobalKept = obs.Default.Counter("scratch_global_kept_total",
+		"seeded pairs the global passes' witness sweep kept")
+	scratchGlobalRows = obs.Default.Counter("scratch_global_rows_total",
+		"data-graph adjacency rows the global passes tested or decoded")
 )
 
 // Scratch is the per-worker arena: reusable ball construction buffers and
@@ -85,7 +91,8 @@ type Scratch struct {
 
 	// What Release has already folded into the registry of the cumulative
 	// counters Balls.Stats() and Sim.Stats() report.
-	ballBuilds, ballMisses, ballRows, simEvals, simMisses int64
+	ballBuilds, ballMisses, ballRows int64
+	sim                              simulation.ScratchStats
 }
 
 // scratches keeps retired scratches for the next run's workers. A scratch
@@ -116,10 +123,13 @@ func (s *Scratch) Release() {
 	scratchBallMisses.Add(m - s.ballMisses)
 	scratchBallRows.Add(r - s.ballRows)
 	s.ballBuilds, s.ballMisses, s.ballRows = b, m, r
-	ev, em := s.Sim.Stats()
-	scratchSimEvals.Add(ev - s.simEvals)
-	scratchSimMisses.Add(em - s.simMisses)
-	s.simEvals, s.simMisses = ev, em
+	sim := s.Sim.Stats()
+	scratchSimEvals.Add(sim.Evals - s.sim.Evals)
+	scratchSimMisses.Add(sim.Misses - s.sim.Misses)
+	scratchGlobalSeeded.Add(sim.Seeded - s.sim.Seeded)
+	scratchGlobalKept.Add(sim.Kept - s.sim.Kept)
+	scratchGlobalRows.Add(sim.Rows - s.sim.Rows)
+	s.sim = sim
 	scratches.Put(s)
 }
 

@@ -22,33 +22,36 @@ func ComponentOf(g *Graph, start int32) []int32 {
 	return collectComponent(g, start, make([]bool, g.NumNodes()))
 }
 
-// ComponentWithin returns the undirected connected component containing
-// start in the subgraph of g induced by member. It returns nil when start
-// itself is not a member. Used by the connectivity-pruning optimization
-// (paper Section 4.2): only candidates connected to the ball center can
-// contribute to the perfect subgraph.
-func ComponentWithin(g *Graph, start int32, member func(int32) bool) []int32 {
-	if !member(start) {
-		return nil
+// ComponentWithin adds to comp, which must be empty and hold g's nodes, the
+// undirected connected component containing start in the subgraph of g
+// induced by member, and returns the component's nodes in breadth-first
+// order in queue's storage, so a caller that keeps the queue allocates
+// nothing. It adds nothing and returns queue[:0] when start itself is not a
+// member. Used by the connectivity-pruning optimization (paper Section 4.2):
+// only candidates connected to the ball center can contribute to the perfect
+// subgraph.
+func ComponentWithin(g *Graph, start int32, member, comp *NodeSet, queue []int32) []int32 {
+	queue = queue[:0]
+	if !member.Contains(start) {
+		return queue
 	}
-	seen := make(map[int32]bool, 16)
-	seen[start] = true
-	queue := []int32{start}
-	comp := []int32{start}
-	row := make([]int32, 0, 16)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		row = g.AppendIn(g.AppendOut(row[:0], v), v)
-		for _, w := range row {
-			if !seen[w] && member(w) {
-				seen[w] = true
-				queue = append(queue, w)
-				comp = append(comp, w)
+	comp.Add(start)
+	queue = append(queue, start)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		// v's rows are decoded past the queue's end and compacted, in
+		// place, to the members they newly reach.
+		n := len(queue)
+		queue = g.AppendIn(g.AppendOut(queue, v), v)
+		for _, w := range queue[n:] {
+			if member.Contains(w) && comp.Add(w) {
+				queue[n] = w
+				n++
 			}
 		}
+		queue = queue[:n]
 	}
-	return comp
+	return queue
 }
 
 // IsConnected reports whether g is (undirected) connected. The empty graph

@@ -44,14 +44,27 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestComponentWithin(t *testing.T) {
 	g := chain(t, 6) // 0->1->2->3->4->5
-	member := func(v int32) bool { return v != 3 }
-	got := ComponentWithin(g, 1, member)
+	member := SetOf(6, 0, 1, 2, 4, 5)
+	comp := NewNodeSet(6)
+	got := ComponentWithin(g, 1, member, comp, nil)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !reflect.DeepEqual(got, []int32{0, 1, 2}) {
 		t.Fatalf("ComponentWithin = %v, want [0 1 2]", got)
 	}
-	if ComponentWithin(g, 3, member) != nil {
-		t.Fatal("start outside membership should give nil")
+	if !comp.Equal(SetOf(6, 0, 1, 2)) {
+		t.Fatalf("ComponentWithin marked %v, want [0 1 2]", comp.Slice())
+	}
+	comp.Clear()
+	if got := ComponentWithin(g, 3, member, comp, got); len(got) != 0 || !comp.Empty() {
+		t.Fatal("start outside membership should give an empty component")
+	}
+	// A kept queue is reused: the second walk allocates nothing.
+	queue := ComponentWithin(g, 5, member, comp, got)
+	if allocs := testing.AllocsPerRun(10, func() {
+		comp.Clear()
+		queue = ComponentWithin(g, 5, member, comp, queue)
+	}); allocs != 0 || len(queue) != 2 {
+		t.Fatalf("ComponentWithin(5) = %v with %.0f allocations, want [5 4] with none", queue, allocs)
 	}
 }
 

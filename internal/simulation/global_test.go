@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/generator"
 	"repro/internal/graph"
@@ -65,7 +64,7 @@ func TestSeedGateShare(t *testing.T) {
 	labelled, seeded := 0, 0
 	for _, q := range qs {
 		rel := sc.Relation(q.NumNodes(), g.NumNodes())
-		newRefiner(context.Background(), q, g, rel, ChildParent, &sc).seed()
+		newRefiner(context.Background(), q, g, rel, ChildParent, &sc, true).seed()
 		for x, set := range rel {
 			labelled += len(g.NodesWithLabel(q.Label(int32(x))))
 			seeded += set.Len()
@@ -77,43 +76,50 @@ func TestSeedGateShare(t *testing.T) {
 }
 
 // TestDualInAllocFree: on a warmed scratch the global pass allocates nothing
-// — not the relation's |V|-bit sets, not the counters, not the worklist.
+// — not the relation's |V|-bit sets, not the counters, not the candidate
+// lists, not the worklist — and neither does reading its matched nodes out
+// as a served query does.
 func TestDualInAllocFree(t *testing.T) {
 	g, qs := dualGlobalWorkload()
 	var sc Scratch
+	var matched []int32
 	for _, q := range qs {
-		rel, _, _ := DualIn(context.Background(), q, g, &sc)
-		rel.DataNodesIn(g.NumNodes(), &sc)
+		DualIn(context.Background(), q, g, &sc)
+		matched = sc.Matched(matched[:0])
 	}
-	evals, misses := sc.Stats()
+	before := sc.Stats()
 	i := 0
 	allocs := testing.AllocsPerRun(120, func() {
-		rel, _, _ := DualIn(context.Background(), qs[i%len(qs)], g, &sc)
-		rel.DataNodesIn(g.NumNodes(), &sc)
+		DualIn(context.Background(), qs[i%len(qs)], g, &sc)
+		matched = sc.Matched(matched[:0])
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("DualIn on a warmed scratch allocates %.2f times per pass; want 0", allocs)
 	}
-	if e, m := sc.Stats(); e-evals != 121 || m != misses {
-		t.Fatalf("scratch counted %d cycles and %d misses over 121 warmed passes; want 121 and 0", e-evals, m-misses)
+	if after := sc.Stats(); after.Evals-before.Evals != 121 || after.Misses != before.Misses {
+		t.Fatalf("scratch counted %d cycles and %d misses over 121 warmed passes; want 121 and 0",
+			after.Evals-before.Evals, after.Misses-before.Misses)
 	}
 }
 
-// flipCtx counts the polls of its context, keeps the longest wait between
-// two of them (the first counts from last as the caller set it), and reports the context cancelled from the at-th poll on — the
-// way to cancel a pass while it runs without racing a timer against it.
-type flipCtx struct {
+// countCtx counts the polls of its context and reports the context
+// cancelled from the at-th poll on — the way to cancel a pass while it runs
+// without racing a timer against it. With a refiner to watch it also keeps
+// the most work units the refiner charged between two polls (the first
+// counts from the start): pollEvery less the budget the refiner has left when
+// it polls.
+type countCtx struct {
 	context.Context
 	at, calls int
-	last      time.Time
-	maxGap    time.Duration
+	r         *Refiner
+	maxGap    int
 }
 
-func (c *flipCtx) Err() error {
-	now := time.Now()
-	c.maxGap = max(c.maxGap, now.Sub(c.last))
-	c.last = now
+func (c *countCtx) Err() error {
+	if c.r != nil {
+		c.maxGap = max(c.maxGap, pollEvery-c.r.budget)
+	}
 	if c.calls++; c.calls >= c.at {
 		return context.Canceled
 	}
@@ -136,30 +142,56 @@ func worstCasePair() (q, g *graph.Graph) {
 
 // TestDualInCancel: a pass whose context ends while it runs returns the
 // context's error within one polling interval instead of finishing, from
-// every phase of the pass, and on the worst-case pattern never goes 2 ms
-// without looking — the seeding walk included, which at 1.5 ms was the
-// longest stretch while label initialisation went unpolled.
+// every phase of the pass. The interval is stated in work units, not wall
+// time, so a loaded host cannot break it: on the worst-case pattern every
+// phase — the seeding walk and the batched sweep included — polls, and no
+// stretch between two polls, before the first or after the last charges
+// more than pollEvery plus the largest single charge.
 func TestDualInCancel(t *testing.T) {
 	q, g := worstCasePair()
 	var sc Scratch
-	// A cancel is seen at the next poll, so the longest the full pass goes
-	// without polling — before its first poll and after its last included —
-	// bounds the cancel latency. Best of three: a stall of the host is not
-	// the refiner's.
-	var live *flipCtx
-	var full time.Duration
-	for attempt := 0; attempt < 3 && (live == nil || live.maxGap > 2*time.Millisecond); attempt++ {
-		live = &flipCtx{Context: context.Background(), at: 1 << 62, last: time.Now()}
-		start := live.last
-		if _, ok, err := DualIn(live, q, g, &sc); err != nil || !ok {
-			t.Fatalf("uncancelled pass: ok=%v err=%v", ok, err)
+	// The largest single charge: a seeding chunk, or a candidate's rows
+	// under the pattern's widest node.
+	largest := pollEvery
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		for x := int32(0); x < int32(q.NumNodes()); x++ {
+			largest = max(largest, q.OutDegree(x)*g.OutDegree(v)+q.InDegree(x)*g.InDegree(v))
 		}
-		full = time.Since(start)
-		live.maxGap = max(live.maxGap, time.Since(live.last))
 	}
-	t.Logf("full pass %v with %d polls; cancel latency at most %v", full, live.calls, live.maxGap)
-	if live.maxGap > 2*time.Millisecond && !raceBuild {
-		t.Fatalf("the pass went %v without looking at its context; want < 2ms", live.maxGap)
+	largest++
+
+	// The pass phase by phase, as refineByLabel runs it.
+	live := &countCtx{Context: context.Background(), at: 1 << 62, r: &sc.refiner}
+	rel := sc.Relation(q.NumNodes(), g.NumNodes())
+	r := newRefiner(live, q, g, rel, ChildParent, &sc, true)
+	ok := false
+	// On this pattern the propagation has almost nothing left to remove, so
+	// it may end before its first poll is due.
+	for _, phase := range []struct {
+		name  string
+		run   func()
+		polls bool
+	}{
+		{"seed", r.seed, true}, {"sweep", r.sweep, true}, {"count", r.count, true},
+		{"recheck", r.SeedAll, true}, {"propagate", func() { ok = r.Run() }, false},
+	} {
+		polls := live.calls
+		live.maxGap = 0
+		phase.run()
+		t.Logf("%s: %d polls, at most %d units between two", phase.name, live.calls-polls, live.maxGap)
+		if phase.polls && live.calls == polls {
+			t.Errorf("%s never polled its context", phase.name)
+		}
+		if live.maxGap > pollEvery+largest {
+			t.Errorf("%s charged %d units between two polls; want ≤ %d + %d", phase.name, live.maxGap, pollEvery, largest)
+		}
+	}
+	if tail := pollEvery - r.budget; tail > pollEvery {
+		t.Errorf("the pass charged %d units after its last poll; want ≤ %d", tail, pollEvery)
+	}
+	want, wantOK := Dual(q, g)
+	if r.err != nil || ok != wantOK || !rel.Equal(want) {
+		t.Fatalf("the phases run one by one end at ok=%v err=%v, unlike Dual", ok, r.err)
 	}
 	if live.calls < 1000 {
 		t.Fatalf("the full pass polled its context %d times; the workload is too small to cancel inside", live.calls)
@@ -167,7 +199,7 @@ func TestDualInCancel(t *testing.T) {
 	// Flip early (seeding walk), in the middle (sweep and counting) and late
 	// (re-check and propagation).
 	for _, at := range []int{2, live.calls / 2, live.calls - 1} {
-		ctx := &flipCtx{Context: context.Background(), at: at, last: time.Now()}
+		ctx := &countCtx{Context: context.Background(), at: at}
 		_, ok, err := DualIn(ctx, q, g, &sc)
 		if !errors.Is(err, context.Canceled) || ok {
 			t.Fatalf("flip at poll %d: ok=%v err=%v, want context.Canceled", at, ok, err)
@@ -176,5 +208,4 @@ func TestDualInCancel(t *testing.T) {
 			t.Fatalf("flip at poll %d: the pass went on to poll %d times", at, ctx.calls)
 		}
 	}
-
 }

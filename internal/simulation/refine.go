@@ -65,9 +65,19 @@ type Refiner struct {
 	succIn, predIn   []int32
 	cnt              []int32
 
+	// A whole-graph pass also keeps each pattern node's candidates as an
+	// ascending list, so that no phase walks a |V|-bit set to find them:
+	// x's is cand[candAt[x]:candAt[x]+candN[x]], a window of the arena as
+	// long as x's label row. It holds rel[x] from seed through SeedAll; Run
+	// removes pairs from the sets only. candPos is Scratch.Matched's cursor
+	// per list. All nil on the ball path.
+	candAt, candN, candPos []int32
+	cand                   []int32
+
 	queue   []Pair
 	row     []int32 // the data row being read, decoded
 	removed int     // pairs taken out of rel so far
+	rows    int64   // adjacency rows tested or decoded so far
 
 	// ctx is polled every pollEvery units of work; err is what it said when
 	// it ended the refinement.
@@ -89,15 +99,16 @@ func NewRefiner(q, g *graph.Graph, rel Relation, mode Mode) *Refiner {
 // (valid until its next evaluation cycle); a nil sc allocates as NewRefiner
 // does.
 func NewRefinerIn(q, g *graph.Graph, rel Relation, mode Mode, sc *Scratch) *Refiner {
-	r := newRefiner(context.Background(), q, g, rel, mode, sc)
+	r := newRefiner(context.Background(), q, g, rel, mode, sc, false)
 	r.count()
 	return r
 }
 
-// newRefiner lays the counter rows out; count fills them. Every pass over
-// the relation gives up once ctx is done, leaving ctx's error in err and the
-// relation partly refined.
-func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode, sc *Scratch) *Refiner {
+// newRefiner lays the counter rows out, and with lists the candidate lists
+// seed fills; count fills the counters. Every pass over the relation gives
+// up once ctx is done, leaving ctx's error in err and the relation partly
+// refined.
+func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode, sc *Scratch, lists bool) *Refiner {
 	var r *Refiner
 	if sc != nil {
 		r = &sc.refiner
@@ -119,6 +130,9 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 			edges += q.InDegree(int32(x))
 		}
 		need += int(row(x)) * edges
+		if lists {
+			need += int(row(x)) + 3
+		}
 	}
 	arena := sc.ints(need)
 	carve := func(n int) []int32 {
@@ -130,6 +144,15 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 	r.qOut, r.qIn = carve(ne)[:0], carve(ne)[:0]
 	r.succOut, r.predOut = carve(ne), carve(ne)
 	r.succIn, r.predIn = carve(ne), carve(ne)
+	if lists {
+		r.candAt, r.candN, r.candPos = carve(nq), carve(nq), carve(nq)
+		n := int32(0)
+		for x := 0; x < nq; x++ {
+			r.candAt[x], r.candN[x] = n, 0
+			n += row(x)
+		}
+		r.cand = carve(int(n))
+	}
 	r.cnt = arena
 
 	for x := 0; x < nq; x++ {
@@ -175,15 +198,15 @@ func (r *Refiner) ends(x int32) (outs, ins []int32) {
 func (r *Refiner) qOuts(x int32) []int32 { return r.qOut[r.outBase[x]:r.outBase[x+1]] }
 func (r *Refiner) qIns(x int32) []int32  { return r.qIn[r.inBase[x]:r.inBase[x+1]] }
 
-// seed fills the empty relation of a whole-graph pass with the label
-// candidates of each pattern node x whose neighbour-label signature covers
-// the labels of x's pattern successors and, under ChildParent, predecessors.
-// That loses nothing: a candidate missing a bit has no neighbour of some
-// label x needs one of, so no witness for that pattern edge, and the
-// refinement would drop it. On a graph of many labels it is most of them,
-// and the check reads one 16-byte word in label-row order where the sweep
-// would load two adjacency rows at random. The walk is charged to the poll
-// budget.
+// seed fills the empty relation of a whole-graph pass, and the candidate
+// lists beside it, with the label candidates of each pattern node x whose
+// neighbour-label signature covers the labels of x's pattern successors and,
+// under ChildParent, predecessors. That loses nothing: a candidate missing a
+// bit has no neighbour of some label x needs one of, so no witness for that
+// pattern edge, and the refinement would drop it. On a graph of many labels
+// it is most of them, and the check reads one 16-byte word in label-row
+// order where the sweep would load two adjacency rows at random. The walk is
+// charged to the poll budget.
 func (r *Refiner) seed() {
 	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
 		need := r.q.NeighbourSig(x)
@@ -192,6 +215,7 @@ func (r *Refiner) seed() {
 		}
 		lbl, set := r.q.Label(x), r.rel[x]
 		nodes, sigs := r.g.NodesWithLabel(lbl), r.g.SigsWithLabel(lbl)
+		list := r.cand[r.candAt[x]:][:0]
 		for lo := 0; lo < len(nodes); lo += pollEvery {
 			hi := min(lo+pollEvery, len(nodes))
 			if r.spent(hi - lo) {
@@ -200,46 +224,78 @@ func (r *Refiner) seed() {
 			for i, s := range sigs[lo:hi] {
 				if s.Covers(need) {
 					set.Add(nodes[lo+i])
+					list = append(list, nodes[lo+i])
 				}
 			}
+			r.candN[x] = int32(len(list))
 		}
 	}
 }
 
+// cands returns the candidate list of pattern node x.
+func (r *Refiner) cands(x int32) []int32 {
+	return r.cand[r.candAt[x] : r.candAt[x]+r.candN[x]]
+}
+
+// sweepBatch is how many candidates the sweep takes at a time: it reads
+// their row lengths first, so the loads of their rows' first bytes overlap
+// instead of each stalling the test that needs it.
+const sweepBatch = 32
+
 // sweep drops, in one pass and before any counter exists, every pair that
-// has no witness at all for some pattern edge. On a large graph that is most
-// of the seeded candidates, and a scan that stops at the first witness costs
-// a fraction of counting them and then walking their adjacency a second time
-// to propagate their removal. It loads a candidate's out-row only when x has
-// pattern successors and its in-row only when x has predecessors and the
-// out-row held, and charges the poll budget for the rows it loads. Invalid
-// pairs may go in any order — the maximum simulation inside rel is unique —
-// so the fixpoint is unchanged.
+// has no witness at all for some pattern edge, and compacts the candidate
+// lists to the pairs it keeps. On a large graph that is most of the seeded
+// candidates, and a scan that stops at the first witness costs a fraction of
+// counting them and then walking their adjacency a second time to propagate
+// their removal. It tests a candidate's out-row only when x has pattern
+// successors and its in-row only when x has predecessors and the out-row
+// held, and charges the poll budget for the rows it tests. Invalid pairs may
+// go in any order — the maximum simulation inside rel is unique — so the
+// fixpoint is unchanged.
 func (r *Refiner) sweep() {
+	var outDeg, inDeg [sweepBatch]int
 	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
 		outs, ins := r.ends(x)
 		if len(outs)+len(ins) == 0 {
 			continue // nothing to witness
 		}
-		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
-			ok := true
-			if len(outs) > 0 {
-				if r.spent(len(outs) * r.out.Degree(v)) {
-					return
+		list, kept := r.cands(x), 0
+		for lo := 0; lo < len(list); lo += sweepBatch {
+			batch := list[lo:min(lo+sweepBatch, len(list))]
+			for i, v := range batch {
+				if len(outs) > 0 {
+					outDeg[i] = r.out.Degree(v)
 				}
-				ok = r.witnessed(r.out, v, outs)
-			}
-			if ok && len(ins) > 0 {
-				if r.spent(len(ins) * r.in.Degree(v)) {
-					return
+				if len(ins) > 0 {
+					inDeg[i] = r.in.Degree(v)
 				}
-				ok = r.witnessed(r.in, v, ins)
 			}
-			if !ok {
-				r.rel[x].Remove(v)
-				r.removed++
+			for i, v := range batch {
+				ok := true
+				if len(outs) > 0 {
+					if r.spent(len(outs) * outDeg[i]) {
+						return
+					}
+					r.rows++
+					ok = r.witnessed(r.out, v, outs)
+				}
+				if ok && len(ins) > 0 {
+					if r.spent(len(ins) * inDeg[i]) {
+						return
+					}
+					r.rows++
+					ok = r.witnessed(r.in, v, ins)
+				}
+				if ok {
+					list[kept] = v
+					kept++
+				} else {
+					r.rel[x].Remove(v)
+					r.removed++
+				}
 			}
 		}
+		r.candN[x] = int32(kept)
 	}
 }
 
@@ -254,30 +310,49 @@ func (r *Refiner) witnessed(adj graph.CSR, v int32, us []int32) bool {
 	return true
 }
 
-// count fills the counter rows for the pairs now in rel.
+// count fills the counter rows for the pairs now in rel, walking the
+// candidate lists when the pass keeps them.
 func (r *Refiner) count() {
 	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
-		outs, ins := r.ends(x)
-		succ, pred := r.succOut[r.outBase[x]:], r.predIn[r.inBase[x]:]
+		if r.cand != nil {
+			for _, v := range r.cands(x) {
+				if !r.countPair(x, v) {
+					return
+				}
+			}
+			continue
+		}
 		for v := r.rel[x].Next(0); v >= 0; v = r.rel[x].Next(v + 1) {
-			if r.spent(len(outs)*r.out.Degree(v) + len(ins)*r.in.Degree(v)) {
+			if !r.countPair(x, v) {
 				return
-			}
-			rv := r.rank[v]
-			if len(outs) > 0 {
-				r.row = r.out.AppendRow(r.row[:0], v)
-				for j, u := range outs {
-					r.cnt[succ[j]+rv] = countIn(r.row, r.rel[u])
-				}
-			}
-			if len(ins) > 0 {
-				r.row = r.in.AppendRow(r.row[:0], v)
-				for j, p := range ins {
-					r.cnt[pred[j]+rv] = countIn(r.row, r.rel[p])
-				}
 			}
 		}
 	}
+}
+
+// countPair fills the counters of (x,v), and reports false when the
+// refinement has to stop instead.
+func (r *Refiner) countPair(x, v int32) bool {
+	outs, ins := r.ends(x)
+	if r.spent(len(outs)*r.out.Degree(v) + len(ins)*r.in.Degree(v)) {
+		return false
+	}
+	rv := r.rank[v]
+	if len(outs) > 0 {
+		r.rows++
+		r.row = r.out.AppendRow(r.row[:0], v)
+		for j, u := range outs {
+			r.cnt[r.succOut[r.outBase[x]+int32(j)]+rv] = countIn(r.row, r.rel[u])
+		}
+	}
+	if len(ins) > 0 {
+		r.rows++
+		r.row = r.in.AppendRow(r.row[:0], v)
+		for j, p := range ins {
+			r.cnt[r.predIn[r.inBase[x]+int32(j)]+rv] = countIn(r.row, r.rel[p])
+		}
+	}
+	return true
 }
 
 // countIn returns how many of row are members of set.
@@ -354,15 +429,32 @@ func (r *Refiner) EnqueueSuspect(u, v int32) {
 // computation used by Simulation and Dual.
 func (r *Refiner) SeedAll() {
 	for u := int32(0); u < int32(r.q.NumNodes()); u++ {
-		for v := r.rel[u].Next(0); v >= 0; v = r.rel[u].Next(v + 1) {
-			if r.spent(0) {
-				return
+		if r.cand != nil {
+			for _, v := range r.cands(u) {
+				if !r.recheck(u, v) {
+					return
+				}
 			}
-			if !r.valid(u, v) {
-				r.Remove(u, v)
+			continue
+		}
+		for v := r.rel[u].Next(0); v >= 0; v = r.rel[u].Next(v + 1) {
+			if !r.recheck(u, v) {
+				return
 			}
 		}
 	}
+}
+
+// recheck removes (u,v) when invalid, and reports false when the refinement
+// has to stop instead.
+func (r *Refiner) recheck(u, v int32) bool {
+	if r.spent(0) {
+		return false
+	}
+	if !r.valid(u, v) {
+		r.Remove(u, v)
+	}
+	return true
 }
 
 // Run propagates all scheduled removals to the fixpoint and reports whether
@@ -382,6 +474,7 @@ func (r *Refiner) Run() bool {
 		// a witness for the pattern edge (x,u).
 		if ins := r.qIns(u); len(ins) > 0 {
 			rows := r.succIn[r.inBase[u]:]
+			r.rows++
 			r.row = r.in.AppendRow(r.row[:0], v)
 			for _, w := range r.row {
 				for j, x := range ins {
@@ -396,6 +489,7 @@ func (r *Refiner) Run() bool {
 		// witness for the pattern edge (u,c).
 		if outs := r.qOuts(u); len(outs) > 0 {
 			rows := r.predOut[r.outBase[u]:]
+			r.rows++
 			r.row = r.out.AppendRow(r.row[:0], v)
 			for _, w := range r.row {
 				for j, c := range outs {
@@ -422,3 +516,12 @@ func (r *Refiner) lost(row, x, w int32) {
 
 // Removed returns how many pairs the refiner has taken out of the relation.
 func (r *Refiner) Removed() int { return r.removed }
+
+// listed returns how many candidates the lists hold.
+func (r *Refiner) listed() int64 {
+	n := int64(0)
+	for _, c := range r.candN {
+		n += int64(c)
+	}
+	return n
+}

@@ -1,6 +1,10 @@
 package simulation
 
-import "repro/internal/graph"
+import (
+	"math"
+
+	"repro/internal/graph"
+)
 
 // Scratch holds the reusable allocations of one evaluation at a time — a
 // worker's current ball, or a request's pass over the whole graph: the
@@ -22,24 +26,35 @@ type Scratch struct {
 
 	refiner Refiner
 	arena   []int32
+	queue   []int32 // Component's breadth-first queue
 
-	// Reuse accounting (see Stats); missed marks the current cycle counted.
-	evals  int64
-	misses int64
+	// Reuse and work accounting (see Stats); missed marks the current cycle
+	// counted.
+	stats  ScratchStats
 	missed bool
 }
 
-// Stats returns the cumulative evaluation-cycle and arena-miss counts of
-// this scratch: evals counts Relation calls (one per ball evaluation or
-// global pass), misses counts cycles that had to grow the relation's sets or
-// the counter arena instead of running entirely on reused storage.
-// internal/exec folds these into the scratch_sim_* counters of the metrics
+// ScratchStats is what a scratch has done since it was made.
+type ScratchStats struct {
+	// Evals counts evaluation cycles (Relation calls: one per ball
+	// evaluation or global pass), Misses the cycles that had to grow the
+	// relation's sets or the counter arena instead of running entirely on
+	// reused storage.
+	Evals, Misses int64
+	// The whole-graph passes' work (DualIn): the pairs the seeding walk let
+	// through, the pairs the sweep kept of them, and the adjacency rows the
+	// sweep, the counting and the propagation tested or decoded.
+	Seeded, Kept, Rows int64
+}
+
+// Stats returns the cumulative counts of this scratch. internal/exec folds
+// them into the scratch_sim_* and scratch_global_* counters of the metrics
 // registry when the scratch goes back to its pool.
-func (s *Scratch) Stats() (evals, misses int64) {
+func (s *Scratch) Stats() ScratchStats {
 	if s == nil {
-		return 0, 0
+		return ScratchStats{}
 	}
-	return s.evals, s.misses
+	return s.stats
 }
 
 // Relation returns an all-empty relation for nq pattern nodes over capacity
@@ -49,7 +64,7 @@ func (s *Scratch) Relation(nq, capacity int) Relation {
 	if s == nil {
 		return NewRelation(nq, capacity)
 	}
-	s.evals++
+	s.stats.Evals++
 	s.spareLen = 0
 	s.missed = false
 	for len(s.rel) < nq {
@@ -82,6 +97,56 @@ func (s *Scratch) SpareSet(capacity int) *graph.NodeSet {
 	return set
 }
 
+// Component returns a spare set holding the undirected connected component
+// of start in the subgraph of g induced by member (graph.ComponentWithin),
+// or nil when start is not a member. The breadth-first queue is the
+// scratch's, so a warmed scratch allocates nothing.
+func (s *Scratch) Component(g *graph.Graph, start int32, member *graph.NodeSet) *graph.NodeSet {
+	if !member.Contains(start) {
+		return nil
+	}
+	comp := s.SpareSet(g.NumNodes())
+	if s == nil {
+		graph.ComponentWithin(g, start, member, comp, nil)
+		return comp
+	}
+	s.queue = graph.ComponentWithin(g, start, member, comp, s.queue)
+	return comp
+}
+
+// Matched appends to dst, ascending and once each, the data nodes that the
+// relation of the whole-graph pass last run on s (DualIn) matches to some
+// pattern node — the node set of its match graph, as Relation.DataNodes
+// has it. It merges the pass's candidate lists, skipping the pairs the
+// propagation removed, and so reads a few candidates per pattern node where
+// DataNodes reads |V| bits.
+func (s *Scratch) Matched(dst []int32) []int32 {
+	r := &s.refiner
+	pos := r.candPos
+	clear(pos)
+	for {
+		next := int32(math.MaxInt32)
+		for x := range pos {
+			list, set := r.cands(int32(x)), r.rel[x]
+			for int(pos[x]) < len(list) && !set.Contains(list[pos[x]]) {
+				pos[x]++
+			}
+			if int(pos[x]) < len(list) {
+				next = min(next, list[pos[x]])
+			}
+		}
+		if next == math.MaxInt32 {
+			return dst
+		}
+		dst = append(dst, next)
+		for x := range pos {
+			if list := r.cands(int32(x)); int(pos[x]) < len(list) && list[pos[x]] == next {
+				pos[x]++
+			}
+		}
+	}
+}
+
 // InitByLabelIn is InitByLabel into scratch-owned storage.
 func InitByLabelIn(q, g *graph.Graph, s *Scratch) Relation {
 	rel := s.Relation(q.NumNodes(), g.NumNodes())
@@ -111,6 +176,6 @@ func (s *Scratch) ints(n int) []int32 {
 func (s *Scratch) miss() {
 	if !s.missed {
 		s.missed = true
-		s.misses++
+		s.stats.Misses++
 	}
 }

@@ -39,12 +39,19 @@ func DualIn(ctx context.Context, q, g *graph.Graph, sc *Scratch) (Relation, bool
 // every graph but a BallScratch ball does.
 func refineByLabel(ctx context.Context, q, g *graph.Graph, mode Mode, sc *Scratch) (Relation, bool, error) {
 	rel := sc.Relation(q.NumNodes(), g.NumNodes())
-	r := newRefiner(ctx, q, g, rel, mode, sc)
+	r := newRefiner(ctx, q, g, rel, mode, sc, true)
 	r.seed()
+	seeded := r.listed()
 	r.sweep()
+	kept := r.listed()
 	r.count()
 	r.SeedAll()
 	ok := r.Run()
+	if sc != nil {
+		sc.stats.Seeded += seeded
+		sc.stats.Kept += kept
+		sc.stats.Rows += r.rows
+	}
 	return rel, ok, r.err
 }
 
