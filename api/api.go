@@ -8,12 +8,12 @@
 // serves every deployment shape; the constructors differ only in what
 // evaluates a resolved request (the Backend seam, backend.go):
 //
-//	NewServer(engine, cfg)               read-only deployment over one prepared engine
-//	NewLiveServer(store, cfg)            mutable deployment over a live store
+//	NewLiveServer(store, cfg)            a single node over a live store
 //	NewFleetServer(store, backend, cfg)  the same tree in front of a shard fleet
 //
-// All mount the same /v1 endpoints (match, match/stream, graph, healthz,
-// metrics; the store-backed ones add update and queries). The handlers
+// Both mount the same /v1 endpoints (match, match/stream, graph, healthz,
+// metrics, update and queries) over a live store, which owns the node's
+// state. The handlers
 // decode, validate in one fixed order, clamp the deadline, register the
 // query with the debug recorder, and encode; the Backend only
 // evaluates. Every route runs through one middleware (metrics.go):

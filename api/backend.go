@@ -61,7 +61,7 @@ type Query struct {
 }
 
 // local is the single-node Backend: the resolved engine evaluates, the live
-// store (nil on read-only deployments, which mount no update route) applies.
+// store applies.
 type local struct{ store *live.Store }
 
 func (local) Match(ctx context.Context, q *Query) (MatchResponse, error) {

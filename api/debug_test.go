@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
 	"repro/internal/live"
@@ -117,8 +116,8 @@ func TestDebugCancelFlow(t *testing.T) {
 	// every node is a candidate center and each ball is a large BFS, so the
 	// match runs for many seconds unless cancelled.
 	g := generator.Synthetic(30000, 1.2, 4, 91)
-	e := engine.New(g, engine.Config{Workers: 1})
-	ts := httptest.NewServer(NewServer(e, Config{
+	st := live.NewStore(g, live.Config{Workers: 1})
+	ts := httptest.NewServer(NewLiveServer(st, Config{
 		EnableDebug:    true,
 		DefaultTimeout: time.Minute,
 		MaxTimeout:     time.Minute,
@@ -335,8 +334,8 @@ func TestDebugSlowQueryLog(t *testing.T) {
 	lw.w = &logBuf
 	g := generator.Synthetic(200, 1.2, 8, 65)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 66})
-	e := engine.New(g, engine.Config{Workers: 2})
-	ts := httptest.NewServer(NewServer(e, Config{
+	st := live.NewStore(g, live.Config{Workers: 2})
+	ts := httptest.NewServer(NewLiveServer(st, Config{
 		EnableDebug:        true,
 		SlowQueryThreshold: time.Nanosecond,
 		AccessLog:          slog.New(slog.NewJSONHandler(&lw, nil)),

@@ -12,8 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The handlers over the mutable store: /v1/update and the /v1/queries
-// standing-query tree. Read-only (NewServer) deployments do not mount them.
+// The handlers that change the store: /v1/update and the /v1/queries
+// standing-query tree.
 
 // toMutation validates one wire mutation and lowers it to the store's
 // form. i names the mutation in error messages.

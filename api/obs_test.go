@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
 	"repro/internal/live"
@@ -305,8 +304,8 @@ func TestAccessLog(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&mu, nil))
 	g := generator.Synthetic(200, 1.2, 6, 45)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 46})
-	e := engine.New(g, engine.Config{Workers: 2})
-	ts := httptest.NewServer(NewServer(e, Config{AccessLog: logger}))
+	st := live.NewStore(g, live.Config{Workers: 2})
+	ts := httptest.NewServer(NewLiveServer(st, Config{AccessLog: logger}))
 	defer ts.Close()
 
 	resp, body := post(t, ts.URL+"/v1/match", MatchRequest{PatternText: graph.FormatString(q)})
@@ -473,9 +472,9 @@ func TestHealthzEnrichment(t *testing.T) {
 // TestPprofGate: off by default, mounted when enabled.
 func TestPprofGate(t *testing.T) {
 	g := generator.Synthetic(40, 1.2, 4, 50)
-	e := engine.New(g, engine.Config{Workers: 1})
+	st := live.NewStore(g, live.Config{Workers: 1})
 
-	off := httptest.NewServer(NewServer(e, Config{}))
+	off := httptest.NewServer(NewLiveServer(st, Config{}))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/")
 	if err != nil {
@@ -486,7 +485,7 @@ func TestPprofGate(t *testing.T) {
 		t.Errorf("pprof off: status %d, want 404", resp.StatusCode)
 	}
 
-	on := httptest.NewServer(NewServer(e, Config{EnablePprof: true}))
+	on := httptest.NewServer(NewLiveServer(st, Config{EnablePprof: true}))
 	defer on.Close()
 	resp, err = http.Get(on.URL + "/debug/pprof/")
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // Config tunes the HTTP front end. Zero values take the defaults noted on
@@ -91,24 +90,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NewServer serves the /v1 protocol over one prepared engine — the
-// read-only deployment shape. See the package comment for the route tree.
-// The graph is immutable, so the match-result cache's one version never
-// changes.
-func NewServer(e *engine.Engine, cfg Config) http.Handler {
-	s := &server{
-		engine:  func() *engine.Engine { return e },
-		backend: local{},
-		planner: plan.NewPlanner(),
-	}
-	return s.routes(cfg)
-}
-
-// NewLiveServer serves the full /v1 protocol over a mutable live store:
-// the read-only endpoints (answered against the latest published version)
-// plus /v1/update and the /v1/queries standing-query tree. Queries plan
-// through the store's planner, whose result cache holds answers for the
-// newest version only: the first query after an update batch empties it.
+// NewLiveServer serves the /v1 protocol over a live store: every request
+// is answered against the store's latest published version, and /v1/update
+// and the /v1/queries standing-query tree change what it holds. See the
+// package comment for the route tree. Queries plan through the store's
+// planner, whose result cache holds answers for the newest version only:
+// the first query after an update batch empties it.
 func NewLiveServer(st *live.Store, cfg Config) http.Handler {
 	return NewFleetServer(st, local{store: st}, cfg)
 }
@@ -119,16 +106,16 @@ func NewLiveServer(st *live.Store, cfg Config) http.Handler {
 // out) and healthz amended by it. Everything else — graph, metrics, the
 // standing-query tree, debug — is answered from st as on a single node.
 func NewFleetServer(st *live.Store, b Backend, cfg Config) http.Handler {
-	s := &server{engine: st.Engine, store: st, backend: b, planner: st.Planner()}
+	s := &server{store: st, backend: b}
 	return s.routes(cfg)
 }
 
 type server struct {
-	// engine resolves the engine a request is validated against, once per
-	// request: the latest published version on live deployments.
-	engine  func() *engine.Engine
-	store   *live.Store // nil on read-only deployments
-	backend Backend     // evaluates what the handlers resolved
+	// store holds the node's graph; a request resolves its engine, the
+	// latest published version's, once, and plans through its planner
+	// unless it opts out with "no_plan": true.
+	store   *live.Store
+	backend Backend // evaluates what the handlers resolved
 	cfg     Config
 	log     *slog.Logger // nil disables access logging
 	// recorder tracks in-flight queries, traces every request and files
@@ -136,9 +123,6 @@ type server struct {
 	// nil otherwise, and every recorder call on the serving path is a
 	// nil-safe no-op.
 	recorder *obs.Recorder
-	// planner is handed to every match query unless the request opts out
-	// with "no_plan": true.
-	planner *plan.Planner
 }
 
 // routes builds the one /v1 route tree every deployment shape serves. Every
@@ -161,14 +145,12 @@ func (s *server) routes(cfg Config) http.Handler {
 	s.route(rt, "GET", Prefix+"/metrics", s.handleMetrics)
 	s.route(rt, "POST", Prefix+"/match", s.handleMatch)
 	s.route(rt, "POST", Prefix+"/match/stream", s.handleMatchStream)
-	if s.store != nil {
-		s.route(rt, "POST", Prefix+"/update", s.handleUpdate)
-		s.route(rt, "POST", Prefix+"/queries", s.handleRegister)
-		s.route(rt, "GET", Prefix+"/queries", s.handleListQueries)
-		s.route(rt, "GET", Prefix+"/queries/{id}", s.handleGetQuery)
-		s.route(rt, "DELETE", Prefix+"/queries/{id}", s.handleUnregister)
-		s.route(rt, "GET", Prefix+"/queries/{id}/delta", s.handleDelta)
-	}
+	s.route(rt, "POST", Prefix+"/update", s.handleUpdate)
+	s.route(rt, "POST", Prefix+"/queries", s.handleRegister)
+	s.route(rt, "GET", Prefix+"/queries", s.handleListQueries)
+	s.route(rt, "GET", Prefix+"/queries/{id}", s.handleGetQuery)
+	s.route(rt, "DELETE", Prefix+"/queries/{id}", s.handleUnregister)
+	s.route(rt, "GET", Prefix+"/queries/{id}/delta", s.handleDelta)
 	if s.recorder != nil {
 		// Literal routes win over the {request_id} wildcard in the Go 1.22
 		// mux, so /recent and /slow are never captured as ids. Their
@@ -369,28 +351,22 @@ func matchError(err error) *Error {
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	e := s.engine()
+	ver := s.store.Current()
+	g := ver.Graph()
 	h := HealthJSON{
 		Status:        "ok",
 		NodeID:        s.cfg.NodeID,
 		Role:          s.cfg.Role,
+		Version:       ver.ID(),
+		Nodes:         g.NumNodes(),
+		Edges:         g.NumEdges(),
+		Labels:        g.Labels().Len(),
+		Queries:       s.store.NumQueries(),
 		UptimeSeconds: obs.Uptime().Seconds(),
 		GoVersion:     runtime.Version(),
 		ModuleVersion: moduleVersion(),
-		Workers:       e.Workers(),
+		Workers:       ver.Engine().Workers(),
 	}
-	var g *graph.Graph
-	if s.store != nil {
-		ver := s.store.Current()
-		g = ver.Graph()
-		h.Version = ver.ID()
-		h.Queries = s.store.NumQueries()
-	} else {
-		g = e.Snapshot().Graph()
-	}
-	h.Nodes = g.NumNodes()
-	h.Edges = g.NumEdges()
-	h.Labels = g.Labels().Len()
 	s.backend.Health(&h)
 	writeJSON(w, http.StatusOK, h)
 }
@@ -406,7 +382,7 @@ func moduleVersion() string {
 }
 
 func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	e := s.engine()
+	e := s.store.Engine()
 	g := e.Snapshot().Graph()
 	writeJSON(w, http.StatusOK, GraphInfoJSON{
 		Name:    g.Name(),
@@ -425,7 +401,7 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request, stream bool) (*
 	if aerr := s.decode(w, r, &q.Request, false); aerr != nil {
 		return nil, aerr
 	}
-	q.Engine = s.engine() // one resolution: the whole request sees one version
+	q.Engine = s.store.Engine() // one resolution: the whole request sees one version
 	var aerr *Error
 	if q.Pattern, aerr = resolvePattern(q.Engine, &q.Request); aerr != nil {
 		return nil, aerr
@@ -440,7 +416,7 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request, stream bool) (*
 		return nil, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err)
 	}
 	if !spec.NoPlan {
-		q.Opts.Planner = s.planner // only an unlimited, unranked Match uses it
+		q.Opts.Planner = s.store.Planner() // only an unlimited, unranked Match uses it
 	}
 	// Up front, not left to the engine: a stream commits its 200 before the
 	// engine could object, and a router must reject the pattern with the

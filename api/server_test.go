@@ -16,14 +16,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
+	"repro/internal/live"
 )
 
 func newTestServer(t *testing.T, g *graph.Graph, cfg Config) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	e := engine.New(g, engine.Config{Workers: 4})
-	ts := httptest.NewServer(NewServer(e, cfg))
+	st := live.NewStore(g, live.Config{Workers: 4})
+	ts := httptest.NewServer(NewLiveServer(st, cfg))
 	t.Cleanup(ts.Close)
-	return ts, e
+	return ts, st.Engine()
 }
 
 // post sends one JSON request and returns the response and its body.

@@ -8,24 +8,15 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/graph"
 	"repro/internal/live"
 )
 
-func newEngineServer(t *testing.T, g *graph.Graph, cfg api.Config) *Client {
+func newServer(t *testing.T, g *graph.Graph, cfg api.Config) *Client {
 	t.Helper()
-	e := engine.New(g, engine.Config{Workers: 4})
-	ts := httptest.NewServer(api.NewServer(e, cfg))
-	t.Cleanup(ts.Close)
-	return New(ts.URL)
-}
-
-func newLiveServer(t *testing.T, g *graph.Graph) *Client {
-	t.Helper()
-	st := live.NewStore(g, live.Config{Workers: 2})
-	ts := httptest.NewServer(api.NewLiveServer(st, api.Config{}))
+	st := live.NewStore(g, live.Config{Workers: 4})
+	ts := httptest.NewServer(api.NewLiveServer(st, cfg))
 	t.Cleanup(ts.Close)
 	return New(ts.URL)
 }
@@ -33,7 +24,7 @@ func newLiveServer(t *testing.T, g *graph.Graph) *Client {
 func TestClientMatchForms(t *testing.T) {
 	g := generator.Synthetic(300, 1.2, 10, 51)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 52})
-	cl := newEngineServer(t, g, api.Config{})
+	cl := newServer(t, g, api.Config{})
 	ctx := context.Background()
 
 	info, err := cl.Graph(ctx)
@@ -94,7 +85,7 @@ func TestClientMatchForms(t *testing.T) {
 
 func TestClientStructuredErrors(t *testing.T) {
 	g := generator.Synthetic(200, 1.2, 10, 53)
-	cl := newEngineServer(t, g, api.Config{})
+	cl := newServer(t, g, api.Config{})
 	ctx := context.Background()
 
 	_, err := cl.MatchText(ctx, "", api.QuerySpec{})
@@ -126,7 +117,7 @@ func TestClientContextDeadline(t *testing.T) {
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 4, Alpha: 1.2, Seed: 56})
 	// Server-side default far above the context deadline: only the
 	// propagated deadline can cause the 504.
-	cl := newEngineServer(t, g, api.Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	cl := newServer(t, g, api.Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
@@ -151,7 +142,7 @@ func TestClientMatchStreamCancel(t *testing.T) {
 	// cancellation lands.
 	g := generator.Synthetic(6000, 1.2, 4, 57)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 58})
-	cl := newEngineServer(t, g, api.Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	cl := newServer(t, g, api.Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -188,7 +179,7 @@ func TestClientMatchStreamCancel(t *testing.T) {
 func TestClientRequestIDPlumbing(t *testing.T) {
 	g := generator.Synthetic(200, 1.2, 8, 71)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 72})
-	cl := newEngineServer(t, g, api.Config{})
+	cl := newServer(t, g, api.Config{})
 
 	var echoed string
 	ctx := WithEchoedRequestID(WithRequestID(context.Background(), "sdk-trace-7"), &echoed)
@@ -229,7 +220,7 @@ func TestClientDebugEndpoints(t *testing.T) {
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 74})
 	// A nanosecond threshold makes every completed query slow, so the slow
 	// ring and the recent ring are both observable.
-	cl := newEngineServer(t, g, api.Config{EnableDebug: true, SlowQueryThreshold: time.Nanosecond})
+	cl := newServer(t, g, api.Config{EnableDebug: true, SlowQueryThreshold: time.Nanosecond})
 	ctx := context.Background()
 
 	if _, err := cl.MatchText(WithRequestID(ctx, "sdk-q1"), graph.FormatString(q), api.QuerySpec{}); err != nil {
@@ -268,7 +259,7 @@ func TestClientDebugEndpoints(t *testing.T) {
 	}
 
 	// Against a debug-off server the whole surface answers not_found.
-	off := newEngineServer(t, g, api.Config{})
+	off := newServer(t, g, api.Config{})
 	if _, err := off.RecentQueries(ctx); !errors.As(err, &aerr) || aerr.Code != api.CodeNotFound {
 		t.Fatalf("RecentQueries against debug-off server: %v, want not_found", err)
 	}
@@ -278,8 +269,8 @@ func TestClientDebugEndpoints(t *testing.T) {
 // asserts the caller observes the structured cancelled error.
 func TestClientCancelQuery(t *testing.T) {
 	g := generator.Synthetic(20000, 1.2, 4, 75)
-	e := engine.New(g, engine.Config{Workers: 1})
-	ts := httptest.NewServer(api.NewServer(e, api.Config{
+	st := live.NewStore(g, live.Config{Workers: 1})
+	ts := httptest.NewServer(api.NewLiveServer(st, api.Config{
 		EnableDebug:    true,
 		DefaultTimeout: time.Minute,
 		MaxTimeout:     time.Minute,
@@ -343,7 +334,7 @@ func TestClientStandingQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl := newLiveServer(t, b.Build())
+	cl := newServer(t, b.Build(), api.Config{})
 	ctx := context.Background()
 
 	reg, err := cl.RegisterText(ctx, "node a A\nnode b B\nedge a b")
@@ -405,7 +396,7 @@ func TestClientStandingQueries(t *testing.T) {
 func TestClientTracePropagation(t *testing.T) {
 	g := generator.Synthetic(200, 1.2, 8, 75)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 76})
-	cl := newEngineServer(t, g, api.Config{EnableDebug: true})
+	cl := newServer(t, g, api.Config{EnableDebug: true})
 	ctx := context.Background()
 
 	const (

@@ -19,8 +19,8 @@ import (
 
 	"repro/api"
 	"repro/client"
-	"repro/internal/engine"
 	"repro/internal/generator"
+	"repro/internal/live"
 )
 
 func main() {
@@ -28,14 +28,14 @@ func main() {
 
 	// Server side: a synthetic data graph behind the /v1 handler.
 	g := generator.Synthetic(3000, 1.2, 20, 7)
-	eng := engine.New(g, engine.Config{})
+	st := live.NewStore(g, live.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ln.Close()
 	go func() {
-		_ = http.Serve(ln, api.NewServer(eng, api.Config{}))
+		_ = http.Serve(ln, api.NewLiveServer(st, api.Config{}))
 	}()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("strongsimd-style server listening on %s\n\n", base)

@@ -14,7 +14,7 @@ import (
 // The Ball returned by Build or BuildRestricted, including its induced Graph
 // and every slice reachable from it, is owned by the scratch and valid only
 // until the next build on the same scratch. Callers that need to retain a
-// ball (the engine's snapshot cache) must use NewBall instead; evaluators
+// ball must use NewBall instead; evaluators
 // that consume the ball and copy their findings out
 // (core.EvalPreparedBallIn and everything on top of it) can run on scratch
 // balls unchanged.

@@ -88,13 +88,9 @@ func (s *Store) RegisterCtx(ctx context.Context, patternSrc string, trace *obs.Q
 	// labels future updates introduce. (A per-query clone, as /match uses,
 	// would be wrong here — standing queries outlive the snapshot they
 	// were parsed against.)
-	before := s.labels.Len()
 	q, err := graph.ParseString(patternSrc, s.labels)
 	if err != nil {
 		return nil, fmt.Errorf("live: parsing pattern: %w", err)
-	}
-	if s.labels.Len() != before {
-		s.labelsDirty = true
 	}
 	if q.NumNodes() == 0 {
 		return nil, fmt.Errorf("live: pattern is empty")

@@ -36,8 +36,8 @@
 //     whose entries live for one version (see package plan).
 //
 // See DESIGN.md for the versioning model and memory behavior, and
-// cmd/strongsimd for the HTTP surface (POST /update, POST/GET/DELETE
-// /queries, GET /queries/{id}, plus the engine's /match and /graph).
+// api.NewLiveServer for the HTTP surface: the /v1 tree (API.md), whose
+// /v1/update and /v1/queries routes front Apply and the standing queries.
 package live
 
 import (
@@ -169,24 +169,21 @@ type Store struct {
 	mu sync.Mutex // guards everything below
 
 	// labels is the master intern table. It is mutated only under mu (new
-	// node labels, pattern labels at registration); published versions see
-	// frozen clones, re-cloned only when the table grew since the last
-	// publish.
-	labels      *graph.Labels
-	frozen      *graph.Labels
-	labelsDirty bool
-	tombstone   int32 // label id of TombstoneLabel, -1 until first deletion
+	// node labels, pattern labels at registration) and only ever appended
+	// to; a publish hands the new version a frozen clone when the table
+	// holds more labels than the current version's, and the current
+	// version's table otherwise.
+	labels    *graph.Labels
+	tombstone int32 // label id of TombstoneLabel, -1 until first deletion
 
-	// Graph state in the exact representation graph.FromParts adopts, and
-	// shared with the current version. A batch never writes it in place: its
-	// batchState records the rows it replaces (the adjacency pages holding
-	// them are rebuilt on commit), copies nodeLbl whole before a label
-	// changes in place, and replaces this on commit. Label rows are the
-	// current version's graph's; a batch copies the ones it changes.
-	nodeLbl  []int32
-	out, in  graph.CSR
-	numEdges int
-	nextID   int64
+	// nodeLbl is the current version's node labels, capped at its length so
+	// the first add_node reallocates: version 0's slice is the caller's
+	// graph's, which other stores may share. A batch never writes it in
+	// place; it copies it whole before a label changes and replaces it on
+	// commit. Adjacency, label rows and the edge count are the current
+	// version's graph's, which a batch starts from (batchState.g).
+	nodeLbl []int32
+	nextID  int64
 
 	// Scratch of dirtyCenters, reused across batches: the BFS of one side,
 	// the union of both sides' reach, and the buffer rows are decoded into.
@@ -210,21 +207,15 @@ type Store struct {
 // contract as engine.NewSnapshot); the store never mutates them either —
 // the first update batch copies what it touches.
 func NewStore(g *graph.Graph, cfg Config) *Store {
-	n := g.NumNodes()
 	s := &Store{
 		workers:   cfg.Workers,
 		name:      g.Name(),
 		labels:    g.Labels().Clone(),
-		frozen:    g.Labels(),
 		tombstone: -1,
-		// Shared with version 0, capped so the first add_node reallocates: a
-		// batch never writes an element a published version can read.
-		nodeLbl:  g.NodeLabels()[:n:n],
-		numEdges: g.NumEdges(),
-		queries:  make(map[int64]*StandingQuery),
-		planner:  plan.NewPlanner(),
+		nodeLbl:   slices.Clip(g.NodeLabels()),
+		queries:   make(map[int64]*StandingQuery),
+		planner:   plan.NewPlanner(),
 	}
-	s.out, s.in = g.Rows()
 	s.current.Store(&Version{id: 0, eng: engine.New(g, engine.Config{Workers: cfg.Workers})})
 	liveVersion.Set(0)
 	return s
@@ -262,13 +253,15 @@ type batchState struct {
 }
 
 func (s *Store) newBatch() *batchState {
+	g := s.Current().Graph()
+	out, in := g.Rows()
 	return &batchState{
-		g:        s.Current().Graph(),
+		g:        g,
 		nodeLbl:  s.nodeLbl,
-		out:      s.out.Edit(),
-		in:       s.in.Edit(),
+		out:      out.Edit(),
+		in:       in.Edit(),
 		byLabel:  make(map[int32][]int32),
-		numEdges: s.numEdges,
+		numEdges: g.NumEdges(),
 	}
 }
 
@@ -315,14 +308,10 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		if m.Label == TombstoneLabel {
 			return fmt.Errorf("live: label is reserved")
 		}
-		lbl := s.labels.ID(m.Label)
-		if lbl == graph.NoLabel {
-			// Interning is append-only and survives even a failed batch
-			// (identifiers must stay stable); flag the publish-time clone
-			// immediately so no later version ships a table missing it.
-			lbl = s.labels.Intern(m.Label)
-			s.labelsDirty = true
-		}
+		// Interning is append-only and survives even a failed batch
+		// (identifiers must stay stable); the next publish sees the table
+		// grew and clones it.
+		lbl := s.labels.Intern(m.Label)
 		v := int32(len(b.nodeLbl))
 		b.nodeLbl = append(b.nodeLbl, lbl)
 		b.out.Append()
@@ -376,7 +365,6 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		}
 		if s.tombstone < 0 {
 			s.tombstone = s.labels.Intern(TombstoneLabel)
-			s.labelsDirty = true
 		}
 		// Drop every incident edge. The node itself is the only dirty seed
 		// needed: any ball containing an incident edge, or the node's
@@ -428,11 +416,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		if s.isTombstone(b.nodeLbl[m.Node]) {
 			return fmt.Errorf("live: set_label targets deleted node %d", m.Node)
 		}
-		lbl := s.labels.ID(m.Label)
-		if lbl == graph.NoLabel {
-			lbl = s.labels.Intern(m.Label)
-			s.labelsDirty = true
-		}
+		lbl := s.labels.Intern(m.Label)
 		old := b.nodeLbl[m.Node]
 		if old == lbl {
 			return nil // re-labeling to the current label is a no-op
@@ -482,8 +466,6 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	oldOut, oldIn := s.out, s.in
-
 	applySp := parent.StartChild("live.apply")
 	b := s.newBatch()
 	for i, m := range muts {
@@ -500,11 +482,9 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	// Commit the working state and publish.
 	rows := append(b.out.Replaced(), b.in.Replaced()...)
 	s.nodeLbl = b.nodeLbl
-	var outPages, inPages int
-	s.out, outPages = b.out.Freeze()
-	s.in, inPages = b.in.Freeze()
-	s.numEdges = b.numEdges
-	ver := s.publishLocked(b, rows)
+	out, outPages := b.out.Freeze()
+	in, inPages := b.in.Freeze()
+	ver := s.publishLocked(b, out, in, rows)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
 	pages := outPages + inPages
@@ -529,7 +509,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 		Recomputed:  make(map[int64]int, len(standing)),
 		PagesCopied: pages,
 		Nodes:       len(s.nodeLbl),
-		Edges:       s.numEdges,
+		Edges:       ver.Graph().NumEdges(),
 	}
 	// A query unregistered concurrently may still be maintained once here;
 	// harmless, since nothing reads it afterwards. The dirty-center BFS
@@ -539,7 +519,7 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	for _, sq := range standing {
 		dirty, ok := dirtyByRadius[sq.radius]
 		if !ok {
-			dirty = s.dirtyCenters(b.seeds, sq.radius, oldOut, oldIn)
+			dirty = s.dirtyCenters(b.seeds, sq.radius, b.g, ver.Graph())
 			dirtyByRadius[sq.radius] = dirty
 		}
 		msp := parent.StartChild("live.maintain")
@@ -557,26 +537,29 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 
 func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == s.tombstone }
 
-// publishLocked freezes the current mutable state — b, just committed — as
+// publishLocked publishes b, just committed to the adjacency out and in, as
 // an immutable version and swaps it in. The version's graph inherits what
-// its predecessor's derived, label ranks and signatures (graph.FromParts),
-// patched over the adjacency rows b replaced (rows, repeats allowed) and the
-// labels it rewrote — not over its seeds:
+// its predecessor's — b.g — derived, label ranks and signatures
+// (graph.FromParts), patched over the adjacency rows b replaced (rows,
+// repeats allowed) and the labels it rewrote — not over its seeds:
 // delete_node seeds only the node, yet every former neighbour lost a row
 // entry, and set_label moves no row, yet changes its neighbours' signatures.
-// Callers hold mu.
-func (s *Store) publishLocked(b *batchState, rows []int32) *Version {
-	if s.labelsDirty || s.frozen == nil {
-		s.frozen = s.labels.Clone()
-		s.labelsDirty = false
+// Its label table is b.g's unless the master table grew since b.g's was
+// cloned — by this batch, by a rejected one or by a registration; interning
+// is append-only, so a longer table is the only way to differ. Callers hold
+// mu.
+func (s *Store) publishLocked(b *batchState, out, in graph.CSR, rows []int32) *Version {
+	labels := b.g.Labels()
+	if s.labels.Len() > labels.Len() {
+		labels = s.labels.Clone()
 	}
 	prev := s.current.Load()
 	name := s.name
 	if name == "" {
 		name = "live"
 	}
-	g := graph.FromParts(s.frozen, s.nodeLbl, s.out, s.in, b.byLabel, s.numEdges,
-		fmt.Sprintf("%s@v%d", name, prev.id+1), prev.Graph(), graph.Delta{Rows: rows, Relabelled: b.relabelled})
+	g := graph.FromParts(labels, b.nodeLbl, out, in, b.byLabel, b.numEdges,
+		fmt.Sprintf("%s@v%d", name, prev.id+1), b.g, graph.Delta{Rows: rows, Relabelled: b.relabelled})
 	ver := &Version{id: prev.id + 1, eng: engine.New(g, engine.Config{Workers: s.workers})}
 	ver.eng.Snapshot().SetVersion(ver.id)
 	s.current.Store(ver)
@@ -585,21 +568,23 @@ func (s *Store) publishLocked(b *batchState, rows []int32) *Version {
 }
 
 // dirtyCenters returns, ascending and in a slice of its own, the centers
-// within radius undirected hops of any seed under the pre-batch or the
-// post-batch adjacency: one multi-source BFS per side, their reach united in
-// a bitset and read back in id order.
-func (s *Store) dirtyCenters(seeds []int32, radius int, oldOut, oldIn graph.CSR) []int32 {
-	s.reach.Reset(s.out.Len())
-	s.sweep(seeds, radius, oldOut, oldIn)
-	s.sweep(seeds, radius, s.out, s.in)
+// within radius undirected hops of any seed in the pre-batch graph old or
+// the post-batch graph cur: one multi-source BFS per side, their reach
+// united in a bitset and read back in id order.
+func (s *Store) dirtyCenters(seeds []int32, radius int, old, cur *graph.Graph) []int32 {
+	n := cur.NumNodes()
+	s.reach.Reset(n)
+	s.sweep(seeds, radius, n, old)
+	s.sweep(seeds, radius, n, cur)
 	return s.reach.Slice()
 }
 
-// sweep adds to s.reach every node within radius hops of a seed under the
-// given adjacency. Seeds the adjacency does not cover — nodes the batch
-// added, seen from the old side — are skipped.
-func (s *Store) sweep(seeds []int32, radius int, out, in graph.CSR) {
-	s.visited.Reset(s.out.Len())
+// sweep adds to s.reach every node within radius hops of a seed in g, whose
+// ids lie below n. Seeds g does not cover — nodes the batch added, seen
+// from the old side — are skipped.
+func (s *Store) sweep(seeds []int32, radius, n int, g *graph.Graph) {
+	out, in := g.Rows()
+	s.visited.Reset(n)
 	q := s.queue[:0]
 	visit := func(w int32) {
 		if s.visited.Add(w) {

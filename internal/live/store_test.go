@@ -451,6 +451,75 @@ func TestStoreRegisterUnknownLabelThenAppears(t *testing.T) {
 	}
 }
 
+// TestStoreLabelsInternedOutsideABatch pins the publish rule for the label
+// table: a label the master table gained since the current version was
+// published — by a registration, or by an add_node in a rejected batch —
+// reaches the next version's table, even when that version's batch is
+// edge-only and interns nothing itself.
+func TestStoreLabelsInternedOutsideABatch(t *testing.T) {
+	s := NewStore(chain([]string{"A", "B"}, 3), Config{})
+	if _, err := s.Register("node z Z"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply([]Mutation{{Op: OpInsertEdge, U: 2, V: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Current().Graph().Labels().ID("Z") == graph.NoLabel {
+		t.Fatal("label Z, interned by Register, is missing from the next version's table")
+	}
+	if _, err := s.Apply([]Mutation{
+		{Op: OpAddNode, Label: "W"},
+		{Op: OpDeleteEdge, U: 0, V: 2}, // no such edge: the batch is rejected
+	}); err == nil {
+		t.Fatal("deleting a missing edge should reject the batch")
+	}
+	if _, err := s.Apply([]Mutation{{Op: OpDeleteEdge, U: 2, V: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	labels := s.Current().Graph().Labels()
+	if labels.ID("W") == graph.NoLabel {
+		t.Fatal("label W, interned by a rejected batch, is missing from the next version's table")
+	}
+	if labels.ID("W") != s.labels.ID("W") || labels.Len() != s.labels.Len() {
+		t.Fatalf("version table has %d labels (W=%d), master %d (W=%d)",
+			labels.Len(), labels.ID("W"), s.labels.Len(), s.labels.ID("W"))
+	}
+}
+
+// TestStoreLabelTableSharedUntilItGrows pins the other half of the rule: a
+// batch that interns nothing publishes its predecessor's label table itself,
+// not a copy, from version 0 (the caller's table) on.
+func TestStoreLabelTableSharedUntilItGrows(t *testing.T) {
+	g := chain([]string{"A", "B"}, 3)
+	s := NewStore(g, Config{})
+	if _, err := s.Apply([]Mutation{{Op: OpInsertEdge, U: 2, V: 0}, {Op: OpAddNode, Label: "B"}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Current().Graph().Labels() != g.Labels() {
+		t.Fatal("a batch that interns nothing should publish version 0's label table")
+	}
+	if _, err := s.Apply([]Mutation{{Op: OpAddNode, Label: "C"}}); err != nil {
+		t.Fatal(err)
+	}
+	grown := s.Current().Graph().Labels()
+	if grown == g.Labels() || grown.ID("C") == graph.NoLabel {
+		t.Fatal("a batch that interns C should publish a new table holding it")
+	}
+	if _, err := s.Apply([]Mutation{{Op: OpSetLabel, Node: 3, Label: "C"}, {Op: OpDeleteNode, Node: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Current().Graph().Labels() == grown {
+		t.Fatal("the first delete_node interns the tombstone label, so the table must grow")
+	}
+	tomb := s.Current().Graph().Labels()
+	if _, err := s.Apply([]Mutation{{Op: OpDeleteNode, Node: 0}, {Op: OpSetLabel, Node: 2, Label: "A"}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Current().Graph().Labels() != tomb {
+		t.Fatal("a batch of known labels should publish its predecessor's label table")
+	}
+}
+
 // TestTombstoneLabelUnreachable pins the deletion model: no pattern that
 // parses can carry the tombstone label, so deleted nodes are invisible to
 // standing queries and one-shot matches alike.
