@@ -1,15 +1,19 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -255,32 +259,88 @@ func (rt *router) build() http.Handler {
 	return rt.mux
 }
 
+// writeJSON answers v as one JSON body followed by a newline, the bytes
+// json.Encoder writes, with its Content-Length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(Errorf(status, CodeInternal, "encoding response: %v", err)) // an Error always encodes
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody answers status with the JSON body b in one write.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b) // a failed write means the client is gone; there is no one left to tell
+}
+
+// bodyBufs holds the buffers request bodies are read into and match
+// responses appended into; buffers above maxPooledBody are dropped.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+func putBodyBuf(p *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*p = b[:0]
+		bodyBufs.Put(p)
+	}
 }
 
 func writeError(w http.ResponseWriter, e *Error) {
 	writeJSON(w, e.Status, e)
 }
 
-// decode reads the request body as JSON under the server's byte cap.
-// strict additionally rejects unknown fields (the update endpoint, where a
-// misspelled field must not silently change meaning).
+// decode reads the request body whole under the server's byte cap and
+// decodes it as one JSON value with nothing after it. A match request goes
+// through the schema decoder (codec.go); whatever it refuses, and every other
+// body, through encoding/json. strict additionally rejects unknown fields
+// (the update endpoint, where a misspelled field must not silently change
+// meaning).
 func (s *server) decode(w http.ResponseWriter, r *http.Request, dst any, strict bool) *Error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if strict {
-		dec.DisallowUnknownFields()
+	p := bodyBufs.Get().(*[]byte)
+	buf := bytes.NewBuffer(*p)
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
 	}
-	if err := dec.Decode(dst); err != nil {
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := buf.Bytes()
+	defer putBodyBuf(p, body)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return Errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
 				"request body exceeds %d bytes", mbe.Limit)
 		}
 		return Errorf(http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
+	}
+	return decodeBody(body, dst, strict)
+}
+
+// decodeBody is decode's work on the read body.
+func decodeBody(body []byte, dst any, strict bool) *Error {
+	if req, ok := dst.(*MatchRequest); ok {
+		if decodeMatchRequest(body, req) {
+			return nil
+		}
+		*req = MatchRequest{}
+		dst = (*matchRequestAlias)(req)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(dst); err != nil {
+		return Errorf(http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", aliasError(err))
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return Errorf(http.StatusBadRequest, CodeInvalidRequest,
+			"decoding request: unexpected data after the JSON value")
 	}
 	return nil
 }
@@ -456,7 +516,15 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	fl.Finish(obs.OutcomeOK, "", len(resp.Matches))
 	resp.ElapsedMS = msOf(time.Since(start))
 	reqInfo(r.Context()).setMatches(len(resp.Matches))
-	writeJSON(w, http.StatusOK, resp)
+	p := bodyBufs.Get().(*[]byte)
+	b, err := appendMatchResponse(*p, &resp)
+	if err != nil {
+		writeError(w, Errorf(http.StatusInternalServerError, CodeInternal, "encoding response: %v", err))
+	} else {
+		b = append(b, '\n')
+		writeBody(w, http.StatusOK, b)
+	}
+	putBodyBuf(p, b)
 }
 
 func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
@@ -476,14 +544,13 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	// Until then a Backend's refusal is still an ordinary HTTP error.
 	committed := false
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	line := func(ev StreamEventJSON) error {
+	line := func(b []byte) error {
 		if !committed {
 			committed = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		err := enc.Encode(ev)
+		_, err := w.Write(b)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -492,9 +559,14 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	count := 0
+	var buf []byte
 	resp, err := s.backend.Stream(ctx, q, func(ps *core.PerfectSubgraph) bool {
+		// The bytes json.Encoder writes for StreamEventJSON{Match: &sj}.
 		sj := FromSubgraph(ps)
-		if line(StreamEventJSON{Match: &sj}) != nil {
+		e := encoder{b: append(buf[:0], `{"match":`...)}
+		e.subgraph(&sj)
+		buf = append(e.b, "}\n"...)
+		if line(buf) != nil {
 			return false // writer gone
 		}
 		count++
@@ -526,5 +598,7 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	if spec.Stats && trace != nil {
 		done.QueryStats = FromQueryStats(&trace.Stats)
 	}
-	_ = line(StreamEventJSON{Done: &done}) // the client may be gone; nothing left to tell it
+	// The trailer carries free-text errors: encoding/json writes it.
+	b, _ := json.Marshal(StreamEventJSON{Done: &done})
+	_ = line(append(b, '\n')) // the client may be gone; nothing left to tell it
 }

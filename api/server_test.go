@@ -276,6 +276,30 @@ func TestV1Errors(t *testing.T) {
 		t.Fatalf("invalid JSON: status %d code %q", resp.StatusCode, e.Code)
 	}
 
+	// A body is one JSON value: bytes after it answer 400, on the strict
+	// update endpoint too.
+	for _, tc := range []struct{ name, path, body string }{
+		{"match, trailing garbage", "/v1/match", `{"pattern_text":"edge a b"} trailing garbage`},
+		{"match, two values", "/v1/match", `{"pattern_text":"edge a b"}{"pattern_text":"edge b a"}`},
+		{"stream, trailing garbage", "/v1/match/stream", `{"pattern_text":"edge a b"} junk`},
+		{"update, trailing junk", "/v1/update", `{"updates":[{"op":"add_node","label":"l0"}]} junk`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e Error
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Code != CodeInvalidRequest {
+				t.Fatalf("status %d code %q (%s), want 400 %s", resp.StatusCode, e.Code, e.Message, CodeInvalidRequest)
+			}
+		})
+	}
+
 	// Unknown routes answer a structured 404.
 	resp, body := post(t, ts.URL+"/v1/nope", struct{}{})
 	if resp.StatusCode != http.StatusNotFound {
@@ -283,6 +307,24 @@ func TestV1Errors(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &e); err != nil || e.Code != CodeNotFound {
 		t.Fatalf("unknown route not structured: %s", body)
+	}
+}
+
+// TestV1MatchContentLength: a match answer longer than net/http's 2 KB
+// pre-chunking buffer still carries its length, and is not chunked.
+func TestV1MatchContentLength(t *testing.T) {
+	g := generator.Synthetic(2000, 1.2, 10, 91)
+	ts, _ := newTestServer(t, g, Config{})
+	resp, body := post(t, ts.URL+"/v1/match", MatchRequest{PatternText: "node a l0\nnode b l1\nedge a b\n"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("answer of %d bytes, want more than 2 KB", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+			resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 }
 

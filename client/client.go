@@ -17,15 +17,16 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/api"
@@ -149,11 +150,34 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if u, ok := out.(json.Unmarshaler); ok {
+		// A match response: api's schema decoder reads the whole body in
+		// one pass, with no scan ahead of it.
+		buf := bodyBufs.Get().(*bytes.Buffer)
+		buf.Reset()
+		if n := resp.ContentLength; n > 0 && n <= maxPooledBody {
+			buf.Grow(int(n) + bytes.MinRead)
+		}
+		if _, err = buf.ReadFrom(resp.Body); err == nil {
+			err = u.UnmarshalJSON(buf.Bytes())
+		}
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
 }
+
+// bodyBufs holds the buffers match responses are read into; buffers above
+// maxPooledBody are dropped. The decoded response copies what it keeps.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var buf []byte
@@ -315,31 +339,46 @@ func (c *Client) MatchStream(ctx context.Context, req api.MatchRequest, fn func(
 	if resp.StatusCode >= 300 {
 		return nil, decodeError(resp)
 	}
-	// NDJSON is concatenated JSON values; a Decoder reads them without a
-	// line-length cap, so arbitrarily large single matches stream fine.
-	dec := json.NewDecoder(resp.Body)
+	// One JSON value a line, read without a line-length cap, so
+	// arbitrarily large single matches stream fine.
+	br := bufio.NewReader(resp.Body)
 	var done *api.StreamDoneJSON
+	var long []byte
 	for {
-		var ev api.StreamEventJSON
-		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull {
+				line, rerr = br.ReadSlice('\n')
+				long = append(long, line...)
 			}
+			line = long
+		}
+		if rerr != nil && rerr != io.EOF {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				// A cancelled read fails however the transport noticed it
 				// ("context canceled", "use of closed network connection");
 				// report the cause.
-				err = ctxErr
+				rerr = ctxErr
 			}
-			return done, fmt.Errorf("client: decoding stream: %w", err)
+			return done, fmt.Errorf("client: decoding stream: %w", rerr)
 		}
-		switch {
-		case ev.Match != nil:
-			if err := fn(*ev.Match); err != nil {
-				return done, err
+		if len(bytes.TrimSpace(line)) > 0 {
+			var ev api.StreamEventJSON
+			if err := decodeEvent(line, &ev); err != nil {
+				return done, fmt.Errorf("client: decoding stream: %w", err)
 			}
-		case ev.Done != nil:
-			done = ev.Done
+			switch {
+			case ev.Match != nil:
+				if err := fn(*ev.Match); err != nil {
+					return done, err
+				}
+			case ev.Done != nil:
+				done = ev.Done
+			}
+		}
+		if rerr == io.EOF {
+			break
 		}
 	}
 	if done == nil {
@@ -352,6 +391,25 @@ func (c *Client) MatchStream(ctx context.Context, req api.MatchRequest, fn func(
 		return done, &api.Error{Code: done.Code, Message: done.Error, Status: resp.StatusCode}
 	}
 	return done, nil
+}
+
+// matchLine is how the server starts a stream's match lines.
+const matchLine = `{"match":`
+
+// decodeEvent decodes one stream line. A match line as the server writes
+// it, {"match":<subgraph>}, goes to the subgraph's schema decoder; any
+// other line, and one that decoder cannot take, to encoding/json.
+func decodeEvent(line []byte, ev *api.StreamEventJSON) error {
+	t := bytes.TrimRight(line, " \t\r\n")
+	if inner, ok := bytes.CutPrefix(t, []byte(matchLine)); ok && len(inner) > 0 && inner[len(inner)-1] == '}' {
+		inner = inner[:len(inner)-1]
+		var sj api.SubgraphJSON
+		if !bytes.Equal(bytes.TrimSpace(inner), []byte("null")) && sj.UnmarshalJSON(inner) == nil {
+			ev.Match = &sj
+			return nil
+		}
+	}
+	return json.Unmarshal(line, ev)
 }
 
 // Update applies one atomic mutation batch. Build mutations with
