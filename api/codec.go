@@ -2,9 +2,9 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -16,8 +16,8 @@ import (
 // PartialJSON) and MatchRequest. It has three parts:
 //
 //   - an appender that writes exactly the bytes encoding/json writes for the
-//     method-less types (field order, omitempty, rel keys sorted as
-//     strings, encoding/json's float format and HTML-safe string escapes);
+//     method-less types (field order, omitempty, a Rel as a map keyed by its
+//     indices, encoding/json's float format and HTML-safe string escapes);
 //   - a schema decoder for responses, which the client SDK and through it
 //     the router's fan-out read with;
 //   - a schema decoder for requests, which /v1/match and /v1/match/stream
@@ -69,6 +69,37 @@ func (s *SubgraphJSON) UnmarshalJSON(data []byte) error {
 		*s = SubgraphJSON{}
 	}
 	return aliasError(json.Unmarshal(data, (*subgraphAlias)(s)))
+}
+
+// MarshalJSON writes r as encoding/json writes the map from each index of r,
+// in decimal, to its row.
+func (r Rel) MarshalJSON() ([]byte, error) {
+	e := encoder{}
+	e.rel(r)
+	return e.b, nil
+}
+
+// UnmarshalJSON decodes a rel with the schema decoder, or where it refuses
+// with encoding/json into a map whose keys must then be "0" to "n-1" in
+// canonical decimal; any other key set is an error. A rel given twice
+// decodes to the last one, not to a merge.
+func (r *Rel) UnmarshalJSON(data []byte) error {
+	if decodeWhole(data, r, (*decoder).rel) {
+		return nil
+	}
+	var m map[string][]int32 // not nil once decoded: null is the schema decoder's
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*r = make(Rel, len(m))
+	for k, row := range m {
+		u, err := strconv.Atoi(k)
+		if err != nil || u < 0 || u >= len(m) || strconv.Itoa(u) != k {
+			return fmt.Errorf("api: rel key %q is not a pattern node index 0 to %d", k, len(m)-1)
+		}
+		(*r)[u] = row
+	}
+	return nil
 }
 
 // UnmarshalJSON decodes a request body as MatchResponse.UnmarshalJSON does.
@@ -236,50 +267,30 @@ func (e *encoder) subgraph(s *SubgraphJSON) {
 	e.b = append(e.b, '}')
 }
 
-// relKeys are the rel keys FromSubgraph writes for patterns of up to ten
-// nodes, "0" to "9": their numeric order is their order as strings.
-var relKeys = [...]string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
-
-// rel writes a rel map with its keys sorted as strings, as encoding/json
-// does ("10" before "2"). A map keyed "0" to "n-1", n ≤ 10, is read by
-// lookups in that order, which is cheaper than iterating it.
-func (e *encoder) rel(m map[string][]int32) {
-	if m == nil {
+// rel writes r as encoding/json writes the map from each index, in decimal,
+// to its row: keys sorted as strings, a preorder walk of their digits in
+// which the key after u is u0, else the next sibling of u or of its nearest
+// ancestor that has one below len(r) (0, 1, 10, 11, …, 19, 2, 20, …).
+func (e *encoder) rel(r Rel) {
+	if r == nil {
 		e.b = append(e.b, "null"...)
 		return
 	}
-	var vals [len(relKeys)][]int32
-	n := len(m)
-	indexed := n <= len(relKeys)
-	for i := 0; indexed && i < n; i++ {
-		vals[i], indexed = m[relKeys[i]]
-	}
 	e.b = append(e.b, '{')
-	if indexed {
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				e.b = append(e.b, ',')
+	for i, u := 0, 0; i < len(r); i++ {
+		if i > 0 {
+			if u > 0 && u*10 < len(r) {
+				u *= 10
+			} else {
+				for u%10 == 9 || u+1 >= len(r) {
+					u /= 10
+				}
+				u++
 			}
-			e.b = append(e.b, '"', relKeys[i][0], '"', ':')
-			e.int32s(vals[i])
+			e.b = append(e.b, ',')
 		}
-	} else {
-		// Any other keys: a rel map has one per pattern node, so they fit
-		// on the stack.
-		var stack [16]string
-		keys := stack[:0]
-		for k := range m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.string(k)
-			e.b = append(e.b, ':')
-			e.int32s(m[k])
-		}
+		e.b = append(strconv.AppendInt(append(e.b, '"'), int64(u), 10), '"', ':')
+		e.int32s(r[u])
 	}
 	e.b = append(e.b, '}')
 }
@@ -853,9 +864,11 @@ func (d *decoder) int32s(p *[]int32) bool {
 	return true
 }
 
-// rel reads a subgraph's rel map. Its keys are pattern node indices, so a
-// one-digit key takes its string from relKeys instead of a new one.
-func (d *decoder) rel(p *map[string][]int32) bool {
+// rel reads a match relation keyed "0" to "n-1" in canonical decimal, each
+// once, in any order. Rows are read as given, then cycled to their keys, so
+// the relation holds the rows read whatever a key says. Any other key set is
+// refused; so is a key given twice or escaped, which Rel.UnmarshalJSON takes.
+func (d *decoder) rel(p *Rel) bool {
 	if d.null() {
 		*p = nil
 		return true
@@ -863,35 +876,45 @@ func (d *decoder) rel(p *map[string][]int32) bool {
 	if !d.consume('{') {
 		return false
 	}
-	m := make(map[string][]int32, 4)
-	for i := 0; ; i++ {
-		c := d.peek()
-		if c == '}' {
-			d.pos++
-			*p = m
-			return true
-		}
-		if i > 0 {
-			if c != ',' {
-				return false
-			}
-			d.pos++
-		}
-		var k string
-		if lit := d.data[d.pos:]; len(lit) >= 3 && lit[0] == '"' && '0' <= lit[1] && lit[1] <= '9' && lit[2] == '"' {
-			k, d.pos = relKeys[lit[1]-'0'], d.pos+3
-		} else {
-			var ok bool
-			if k, ok = d.str(); !ok {
-				return false
-			}
-		}
-		var v []int32
-		if !d.consume(':') || !d.int32s(&v) {
+	keys, rows := make([]int, 0, 16), make([][]int32, 0, 16)
+	for !d.consume('}') {
+		if len(keys) > 0 && !d.consume(',') {
 			return false
 		}
-		m[k] = v
+		u, ok := d.relKey()
+		var row []int32
+		if !ok || !d.consume(':') || !d.int32s(&row) {
+			return false
+		}
+		keys, rows = append(keys, u), append(rows, row)
 	}
+	for i := range keys {
+		for u := keys[i]; u != i; u = keys[i] {
+			if u >= len(keys) || keys[u] == u {
+				return false
+			}
+			keys[i], keys[u] = keys[u], keys[i]
+			rows[i], rows[u] = rows[u], rows[i]
+		}
+	}
+	*p = append(make(Rel, 0, len(rows)), rows...)
+	return true
+}
+
+// relKey reads a key spelling an index in canonical decimal: "0", or one to
+// nine digits not starting with 0.
+func (d *decoder) relKey() (int, bool) {
+	d.peek()
+	lit := d.data[d.pos:]
+	i, u := 1, 0
+	for ; i < len(lit) && i <= 9 && '0' <= lit[i] && lit[i] <= '9'; i++ {
+		u = u*10 + int(lit[i]-'0')
+	}
+	if i == 1 || i == len(lit) || lit[0] != '"' || lit[i] != '"' || i > 2 && lit[1] == '0' {
+		return 0, false
+	}
+	d.pos += i + 1
+	return u, true
 }
 
 // fields is the bit set of keys an object has given.

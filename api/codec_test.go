@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,14 +22,62 @@ import (
 	"repro/internal/plan"
 )
 
-// The method-less mirrors of the codec's types: what encoding/json makes of
-// the wire form on its own. matchRequestAlias (codec.go) is already one.
+// The mirrors of the codec's types: what encoding/json makes of the wire
+// form on its own. matchRequestAlias (codec.go) is already one. A rel is
+// the map from its indices in decimal to its rows, as encoding/json writes
+// it. It decodes as encoding/json decodes such a map, each rel afresh (of a
+// rel given twice, the last), and only when the map's keys are "0" to "n-1"
+// in canonical decimal.
 type plainSubgraph struct {
-	Center int32              `json:"center"`
-	Score  *float64           `json:"score,omitempty"`
-	Nodes  []int32            `json:"nodes"`
-	Edges  [][2]int32         `json:"edges"`
-	Rel    map[string][]int32 `json:"rel"`
+	Center int32      `json:"center"`
+	Score  *float64   `json:"score,omitempty"`
+	Nodes  []int32    `json:"nodes"`
+	Edges  [][2]int32 `json:"edges"`
+	Rel    plainRel   `json:"rel"`
+}
+
+type plainRel map[string][]int32
+
+func (m *plainRel) UnmarshalJSON(data []byte) error {
+	*m = nil
+	if err := json.Unmarshal(data, (*map[string][]int32)(m)); err != nil {
+		return err
+	}
+	if _, ok := relOfPlain(*m); !ok {
+		return fmt.Errorf("rel %v: keys are not 0 to n-1", *m)
+	}
+	return nil
+}
+
+// relOfPlain is the Rel a key-checked map stands for.
+func relOfPlain(m plainRel) (Rel, bool) {
+	if m == nil {
+		return nil, true
+	}
+	r := make(Rel, len(m))
+	for k, row := range m {
+		u, err := strconv.Atoi(k)
+		if err != nil || u < 0 || u >= len(m) || strconv.Itoa(u) != k {
+			return nil, false
+		}
+		r[u] = row
+	}
+	return r, true
+}
+
+func plainOfRel(r Rel) plainRel {
+	if r == nil {
+		return nil
+	}
+	m := make(plainRel, len(r))
+	for u, row := range r {
+		m[strconv.Itoa(u)] = row
+	}
+	return m
+}
+
+func toPlainSubgraph(s SubgraphJSON) plainSubgraph {
+	return plainSubgraph{Center: s.Center, Score: s.Score, Nodes: s.Nodes, Edges: s.Edges, Rel: plainOfRel(s.Rel)}
 }
 
 type plainResponse struct {
@@ -43,7 +93,7 @@ func toPlain(r *MatchResponse) plainResponse {
 	if r.Matches != nil {
 		p.Matches = make([]plainSubgraph, len(r.Matches))
 		for i, m := range r.Matches {
-			p.Matches[i] = plainSubgraph(m)
+			p.Matches[i] = toPlainSubgraph(m)
 		}
 	}
 	return p
@@ -54,7 +104,8 @@ func fromPlain(p *plainResponse) MatchResponse {
 	if p.Matches != nil {
 		r.Matches = make([]SubgraphJSON, len(p.Matches))
 		for i, m := range p.Matches {
-			r.Matches[i] = SubgraphJSON(m)
+			rel, _ := relOfPlain(m.Rel)
+			r.Matches[i] = SubgraphJSON{Center: m.Center, Score: m.Score, Nodes: m.Nodes, Edges: m.Edges, Rel: rel}
 		}
 	}
 	return r
@@ -228,16 +279,25 @@ func TestMatchCodecTakesWhatIsSent(t *testing.T) {
 // TestMatchCodecAgreesOnDamagedBodies: served bodies cut short at every
 // byte, or with one byte changed to a character JSON gives meaning to, are
 // taken by the schema decoders only when encoding/json takes them, and to
-// its value.
+// its value. A response body meets FuzzMatchResponse's oracle: UnmarshalJSON
+// takes it exactly when encoding/json takes it into the map-typed mirror
+// with every rel keyed "0" to "n-1", and to the same value.
 func TestMatchCodecAgreesOnDamagedBodies(t *testing.T) {
 	c := servedCorpus()
 	check := func(body []byte) {
+		var want plainResponse
+		perr := json.Unmarshal(body, &want)
 		var resp MatchResponse
 		if decodeMatchResponse(body, &resp) {
-			var want plainResponse
-			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(resp, fromPlain(&want)) {
-				t.Fatalf("response decoder took %q as %+v, encoding/json %+v (%v)", body, resp, want, err)
+			if perr != nil || !reflect.DeepEqual(resp, fromPlain(&want)) {
+				t.Fatalf("response decoder took %q as %+v, encoding/json %+v (%v)", body, resp, want, perr)
 			}
+		}
+		var viaMethod MatchResponse
+		if err := viaMethod.UnmarshalJSON(body); (err == nil) != (perr == nil) {
+			t.Fatalf("%q: UnmarshalJSON error %v, encoding/json error %v", body, err, perr)
+		} else if err == nil && !reflect.DeepEqual(viaMethod, fromPlain(&want)) {
+			t.Fatalf("%q: UnmarshalJSON decoded %+v, encoding/json %+v", body, viaMethod, want)
 		}
 		var req MatchRequest
 		if decodeMatchRequest(body, &req) {
@@ -269,6 +329,55 @@ func TestMatchCodecAgreesOnDamagedBodies(t *testing.T) {
 	}
 }
 
+// TestRelKeyRule: a rel of every length up to 1 001 is written as
+// encoding/json writes its map, keys sorted as strings, and decodes back to
+// itself through the schema decoder. A rel decodes when its keys are "0" to
+// "n-1" in canonical decimal, in any order, a repeated key's last value
+// winning as in encoding/json; any other key set is an error that names rel.
+func TestRelKeyRule(t *testing.T) {
+	for n := 0; n <= 1001; n++ {
+		r := make(Rel, n)
+		for u := range r {
+			r[u] = []int32{int32(u)}
+		}
+		got, _ := r.MarshalJSON()
+		if want, _ := json.Marshal(plainOfRel(r)); !bytes.Equal(got, want) {
+			t.Fatalf("%d rows written as\n%s\nencoding/json\n%s", n, got, want)
+		}
+		var back Rel
+		if !decodeWhole(got, &back, (*decoder).rel) || !reflect.DeepEqual(back, r) {
+			t.Fatalf("%d rows: %s decoded to %v", n, got, back)
+		}
+	}
+	for _, tc := range []struct {
+		rel  string
+		want Rel
+	}{
+		{`null`, nil},
+		{`{}`, Rel{}},
+		{`{"1":[2],"0":[1]}`, Rel{{1}, {2}}},
+		{`{"0":[1],"1":null,"0":[3]}`, Rel{{3}, nil}},
+		{`{"0":[1],"\u0031":[2]}`, Rel{{1}, {2}}},
+		{`{"0":[1],"2":[3]}`, nil},
+		{`{"0":[1],"01":[2]}`, nil},
+		{`{"-1":[1]}`, nil},
+		{`{"x":[1]}`, nil},
+		{`{"1000000000":[1]}`, nil},
+	} {
+		var s SubgraphJSON
+		err := json.Unmarshal([]byte(`{"center":1,"rel":`+tc.rel+`}`), &s)
+		if tc.want == nil && tc.rel != `null` {
+			if err == nil || !strings.Contains(err.Error(), "rel") {
+				t.Errorf("rel %s: decoded to %v, error %v; want an error naming rel", tc.rel, s.Rel, err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(s.Rel, tc.want) {
+			t.Errorf("rel %s: decoded to %#v (%v), want %#v", tc.rel, s.Rel, err, tc.want)
+		}
+	}
+}
+
 // TestAppendMatchResponseAllocates0: appending a response into a buffer
 // that already holds one allocates nothing.
 func TestAppendMatchResponseAllocates0(t *testing.T) {
@@ -276,7 +385,7 @@ func TestAppendMatchResponseAllocates0(t *testing.T) {
 	r := withPartial(MatchResponse{
 		Matches: []SubgraphJSON{{
 			Center: 7, Score: &score, Nodes: []int32{1, 7, 9}, Edges: [][2]int32{{1, 7}, {7, 9}},
-			Rel: map[string][]int32{"0": {7}, "1": {1, 9}, "2": {9}, "10": nil, "3": {}},
+			Rel: Rel{{7}, {1, 9}, {9}, {}, nil, {1}, {7}, {9}, {1, 7, 9}, {7}, {9}},
 		}},
 		Stats:     StatsJSON{BallsExamined: 12, Duplicates: 3, MinimizedFrom: 4},
 		ElapsedMS: 0.318,
@@ -368,14 +477,10 @@ func (f *fuzzBytes) response() MatchResponse {
 				m.Edges[j] = [2]int32{int32(f.int()), int32(f.int())}
 			}
 		}
-		if n := int(f.byte() % 6); n > 0 {
-			m.Rel = make(map[string][]int32)
-			for range n - 1 {
-				key := []string{"0", "1", "2", "10", "11", ""}[f.byte()%6]
-				if key == "" {
-					key = f.string()
-				}
-				m.Rel[key] = f.int32s()
+		if n := int(f.byte() % 14); n > 0 {
+			m.Rel = make(Rel, n-1)
+			for u := range m.Rel {
+				m.Rel[u] = f.int32s()
 			}
 		}
 	}
@@ -399,22 +504,24 @@ func (f *fuzzBytes) response() MatchResponse {
 
 // FuzzMatchResponse checks the response codec against encoding/json. A
 // response built from the fuzz bytes is appended as encoding/json writes
-// it (both refuse a NaN or infinite float) and decodes back to itself; and
-// the fuzz bytes taken as a body are decoded by the schema decoder only
-// when encoding/json decodes them, to the same value, and by UnmarshalJSON
-// exactly when encoding/json decodes them.
+// its map-typed mirror (both refuse a NaN or infinite float) and decodes
+// back to itself. The fuzz bytes taken as a body are the oracle's: the
+// codec accepts exactly what encoding/json accepts into the mirror and
+// whose rel keys are "0" to "n-1", and then decodes the same value; the
+// schema decoder takes a subset of those bodies, UnmarshalJSON all of them.
 func FuzzMatchResponse(f *testing.F) {
 	for _, seed := range []string{
 		"",
 		"\x02\x01\x05\x03\x04\x05",
-		`{"matches":[{"center":7,"score":0.5,"nodes":[1,7],"edges":[[1,7]],"rel":{"0":[7],"1":[1],"10":null}}],` +
+		`{"matches":[{"center":7,"score":0.5,"nodes":[1,7],"edges":[[1,7]],` +
+			`"rel":{"0":[7],"1":[1],"10":null,"2":[],"3":[7],"4":[1,7],"5":[7],"6":[1],"7":[7],"8":[1],"9":[7]}}],` +
 			`"stats":{"balls_examined":3,"balls_skipped":0,"pairs_removed":2,"duplicates":0,"minimized_from":4},` +
 			`"query_stats":{"candidate_centers":1,"balls_built":1,"ball_nodes":6,"ball_edges":9,"prepare_ms":1e-7,` +
 			`"filter_ms":0.01,"eval_ms":2e21,"merge_ms":0,"plan_cache":"miss"},` +
 			`"partial":{"failed_shards":[2],"missing_nodes":5},"elapsed_ms":0.318}`,
 		`{"matches":[],"stats":{},"elapsed_ms":-0}`,
 		`{"matches":null,"stats":null,"query_stats":null,"partial":null,"elapsed_ms":null}`,
-		` { "elapsed_ms" : 1E+2 , "matches" : [ null , { "rel" : { "2" : [ ] } } ] } `,
+		` { "elapsed_ms" : 1E+2 , "matches" : [ null , { "rel" : { "1" : [ ] , "0" : null } } ] } `,
 		`{"matches":[{"center":1}],"matches":[{"nodes":[2]}]}`,
 		`{"Matches":[{"Center":1}]}`,
 		`{"matches":[{"center":1.5}]}`,
@@ -423,6 +530,16 @@ func FuzzMatchResponse(f *testing.F) {
 		`{"extra":{"a":[1,"x\ud800",true,false,null,{}]},"matches":[]}`,
 		`{"matches":[]} trailing`,
 		`null`,
+		// rel key sets that do not decode: sparse, not canonical, negative,
+		// not a number.
+		`{"matches":[{"center":1,"rel":{"0":[1],"1":[2],"10":[3]}}]}`,
+		`{"matches":[{"rel":{"0":[1],"01":[2]}}]}`,
+		`{"matches":[{"rel":{"-1":[1]}}]}`,
+		`{"matches":[{"rel":{"x":[1]}}]}`,
+		// ones the fallback decodes: a key given twice, the last value
+		// winning, and an escaped key.
+		`{"matches":[{"rel":{"0":[1],"1":[2],"0":[3]}}]}`,
+		`{"matches":[{"rel":{"0":[1],"\u0031":[2]}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -466,6 +583,22 @@ func FuzzMatchResponse(f *testing.F) {
 	})
 }
 
+// rawResponse is what a response decoded into before the codec: the
+// mirror with no method, a rel a plain map.
+type rawResponse struct {
+	Matches []struct {
+		Center int32              `json:"center"`
+		Score  *float64           `json:"score,omitempty"`
+		Nodes  []int32            `json:"nodes"`
+		Edges  [][2]int32         `json:"edges"`
+		Rel    map[string][]int32 `json:"rel"`
+	} `json:"matches"`
+	Stats      StatsJSON       `json:"stats"`
+	QueryStats *QueryStatsJSON `json:"query_stats,omitempty"`
+	Partial    *PartialJSON    `json:"partial,omitempty"`
+	ElapsedMS  float64         `json:"elapsed_ms"`
+}
+
 // BenchmarkMatchCodec times the codec against encoding/json on the
 // harness's traffic: per mode, a response encode (the handler's write), a
 // response decode (the SDK's read) and a request decode (the handler's
@@ -506,7 +639,7 @@ func BenchmarkMatchCodec(b *testing.B) {
 			return r.UnmarshalJSON(resps[i])
 		})
 		run("response-decode/encoding-json", func(i int) error {
-			var r plainResponse
+			var r rawResponse
 			return json.NewDecoder(bytes.NewReader(resps[i])).Decode(&r)
 		})
 		run("request-decode/codec", func(i int) error {

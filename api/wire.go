@@ -1,7 +1,6 @@
 package api
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -42,16 +41,19 @@ type PartialJSON struct {
 	MissingNodes int   `json:"missing_nodes"`
 }
 
-// SubgraphJSON serializes one perfect subgraph. Rel maps pattern node ids
-// (as decimal strings, matching the node order of the submitted pattern) to
-// their data-node matches inside the subgraph.
+// SubgraphJSON serializes one perfect subgraph with its match relation.
 type SubgraphJSON struct {
-	Center int32              `json:"center"`
-	Score  *float64           `json:"score,omitempty"`
-	Nodes  []int32            `json:"nodes"`
-	Edges  [][2]int32         `json:"edges"`
-	Rel    map[string][]int32 `json:"rel"`
+	Center int32      `json:"center"`
+	Score  *float64   `json:"score,omitempty"`
+	Nodes  []int32    `json:"nodes"`
+	Edges  [][2]int32 `json:"edges"`
+	Rel    Rel        `json:"rel"`
 }
+
+// Rel is a subgraph's match relation: Rel[u] holds the matches of pattern
+// node u, in the submitted pattern's node order. On the wire it is an object
+// keyed "0" to "n-1" (codec.go); no other key set decodes.
+type Rel [][]int32
 
 // StatsJSON serializes core.Stats.
 type StatsJSON struct {
@@ -234,16 +236,7 @@ type DeltaJSON struct {
 // FromSubgraph serializes one perfect subgraph in the wire form shared by
 // match responses, standing-query results and deltas.
 func FromSubgraph(ps *core.PerfectSubgraph) SubgraphJSON {
-	rel := make(map[string][]int32, len(ps.Rel))
-	for u, matches := range ps.Rel {
-		rel[strconv.Itoa(int(u))] = matches
-	}
-	return SubgraphJSON{
-		Center: ps.Center,
-		Nodes:  ps.Nodes,
-		Edges:  ps.Edges,
-		Rel:    rel,
-	}
+	return SubgraphJSON{Center: ps.Center, Nodes: ps.Nodes, Edges: ps.Edges, Rel: ps.Rel}
 }
 
 // FromSubgraphs serializes a subgraph slice, never as JSON null.

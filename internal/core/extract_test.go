@@ -20,7 +20,7 @@ func extractByDefinition(q *graph.Graph, ball *graph.Ball, rel simulation.Relati
 		return nil
 	}
 	inComp := make(map[int32]bool, len(nodes))
-	ps := &PerfectSubgraph{Center: center, Rel: make(map[int32][]int32, len(rel))}
+	ps := &PerfectSubgraph{Center: center, Rel: make([][]int32, len(rel))}
 	ps.Nodes = make([]int32, len(nodes))
 	for i, v := range nodes {
 		inComp[v] = true
@@ -45,7 +45,7 @@ func extractByDefinition(q *graph.Graph, ball *graph.Ball, rel simulation.Relati
 			}
 		})
 		sort.Slice(matches, func(i, j int) bool { return matches[i] < matches[j] })
-		ps.Rel[int32(u)] = matches
+		ps.Rel[u] = matches
 	}
 	return ps
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -66,16 +65,11 @@ func dumpResult(res *core.Result) string {
 		s.BallsExamined, s.BallsSkipped, s.PairsRemoved, s.Duplicates, s.MinimizedFrom)
 	for _, ps := range res.Subgraphs {
 		fmt.Fprintf(&sb, "sub center=%d nodes=%v edges=%v rel={", ps.Center, ps.Nodes, ps.Edges)
-		keys := make([]int32, 0, len(ps.Rel))
-		for u := range ps.Rel {
-			keys = append(keys, u)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, u := range keys {
-			if i > 0 {
+		for u, row := range ps.Rel {
+			if u > 0 {
 				sb.WriteByte(' ')
 			}
-			fmt.Fprintf(&sb, "%d:%v", u, ps.Rel[u])
+			fmt.Fprintf(&sb, "%d:%v", u, row)
 		}
 		sb.WriteString("}\n")
 	}

@@ -153,7 +153,9 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	SortSubgraphs(res.Subgraphs)
 
 	if opts.MinimizeQuery {
-		expandRelations(res, q, classOf)
+		for _, ps := range res.Subgraphs {
+			ExpandRelation(ps, q, classOf)
+		}
 	}
 	return res, nil
 }
@@ -238,8 +240,8 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 // itself: a ball edge (v, w) is a match edge iff some pattern edge (u, u2)
 // has v ∈ rel[u] and w ∈ rel[u2]. Ball ids ascend with Orig, so walking them
 // ascending yields Nodes, Edges and every Rel row sorted, with no sort and
-// no map but Rel itself. simulation.BuildMatchGraph and ComponentOf compute
-// the same from the definition.
+// no map. simulation.BuildMatchGraph and ComponentOf compute the same from
+// the definition.
 func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, center int32, sc *simulation.Scratch) *PerfectSubgraph {
 	centerMatched := false
 	for u := range rel {
@@ -291,7 +293,7 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 
 	// Both ends of a match edge lie in one component, so the component's
 	// edges are the match edges out of its nodes.
-	ps := &PerfectSubgraph{Center: center, Rel: make(map[int32][]int32, len(rel))}
+	ps := &PerfectSubgraph{Center: center, Rel: make([][]int32, len(rel))}
 	ps.Nodes = make([]int32, 0, len(comp))
 	var edgeBuf [64][2]int32
 	edges := edgeBuf[:0]
@@ -324,21 +326,11 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 				arena = append(arena, ball.Orig[v])
 			}
 		}
-		var matches []int32
 		if len(arena) > lo {
-			matches = arena[lo:len(arena):len(arena)]
+			ps.Rel[u] = arena[lo:len(arena):len(arena)]
 		}
-		ps.Rel[int32(u)] = matches
 	}
 	return ps
-}
-
-// expandRelations rewrites every subgraph relation from minimized-pattern
-// nodes back to the caller's original pattern nodes.
-func expandRelations(res *Result, q *graph.Graph, classOf []int32) {
-	for _, ps := range res.Subgraphs {
-		ExpandRelation(ps, q, classOf)
-	}
 }
 
 // ExpandRelation rewrites one subgraph's relation from minimized-pattern
@@ -346,8 +338,8 @@ func expandRelations(res *Result, q *graph.Graph, classOf []int32) {
 // by MinimizeQuery. Streaming consumers (internal/engine) apply it per
 // subgraph as results arrive instead of in a final pass.
 func ExpandRelation(ps *PerfectSubgraph, q *graph.Graph, classOf []int32) {
-	expanded := make(map[int32][]int32, q.NumNodes())
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
+	expanded := make([][]int32, q.NumNodes())
+	for u := range expanded {
 		expanded[u] = ps.Rel[classOf[u]]
 	}
 	ps.Rel = expanded

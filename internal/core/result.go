@@ -26,10 +26,10 @@ type PerfectSubgraph struct {
 	Nodes []int32
 	// Edges are the data edges of Gs, ascending.
 	Edges [][2]int32
-	// Rel maps every pattern node (in the caller's original pattern, even
-	// when matching ran on a minimized pattern) to its sorted matches
-	// inside Gs.
-	Rel map[int32][]int32
+	// Rel is the match relation S: Rel[u] holds the sorted matches inside
+	// Gs of pattern node u, for every node of the caller's original pattern
+	// (even when matching ran on a minimized pattern); nil where u has none.
+	Rel [][]int32
 }
 
 // Size returns |Gs| = |nodes| + |edges|.

@@ -72,7 +72,7 @@ func (ps *PerfectSubgraph) Verify(q, g *graph.Graph, radius int) error {
 			if !in {
 				return fmt.Errorf("relation maps q%d to %d outside the subgraph", u, v)
 			}
-			if int(u) < len(rel) && !rel[u].Contains(nv) {
+			if u < len(rel) && !rel[u].Contains(nv) {
 				return fmt.Errorf("relation pair (q%d,%d) not in recomputed maximum relation", u, v)
 			}
 		}

@@ -102,14 +102,12 @@ func (e *Engine) serveHit(cc *cacheCtx, tr *obs.QueryStats) *core.Result {
 }
 
 // remapSubgraph translates a cached subgraph's relation to the query's
-// pattern numbering. Center, node and edge data are shared; only the Rel
-// map is rebuilt.
+// pattern numbering. Center, node and edge data and the Rel rows are
+// shared; only the slice of rows is new.
 func remapSubgraph(ps *core.PerfectSubgraph, mapTo []int32) *core.PerfectSubgraph {
-	rel := make(map[int32][]int32, len(mapTo))
+	rel := make([][]int32, len(mapTo))
 	for u, cu := range mapTo {
-		if m, ok := ps.Rel[cu]; ok {
-			rel[int32(u)] = m
-		}
+		rel[u] = ps.Rel[cu]
 	}
 	return &core.PerfectSubgraph{Center: ps.Center, Nodes: ps.Nodes, Edges: ps.Edges, Rel: rel}
 }

@@ -225,7 +225,7 @@ func randomG(rng *rand.Rand, labels *graph.Labels) *graph.Graph {
 type matchedSub struct {
 	nodes map[int32]bool
 	edges [][2]int32
-	rel   map[int32][]int32
+	rel   [][]int32
 }
 
 // matchesOf normalizes every notion to a list of matchedSubs:
@@ -280,7 +280,7 @@ func matchesOf(n notion, q, g *graph.Graph) ([]matchedSub, error) {
 		}
 		var out []matchedSub
 		for _, img := range enum.DistinctImages(q) {
-			m := matchedSub{nodes: map[int32]bool{}, edges: img.Edges, rel: map[int32][]int32{}}
+			m := matchedSub{nodes: map[int32]bool{}, edges: img.Edges, rel: make([][]int32, q.NumNodes())}
 			for _, v := range img.Nodes {
 				m.nodes[v] = true
 			}
@@ -288,7 +288,7 @@ func matchesOf(n notion, q, g *graph.Graph) ([]matchedSub, error) {
 			for _, emb := range enum.Embeddings {
 				if sameImage(img, emb) {
 					for u, v := range emb {
-						m.rel[int32(u)] = appendUnique(m.rel[int32(u)], v)
+						m.rel[u] = appendUnique(m.rel[u], v)
 					}
 				}
 			}
@@ -324,14 +324,14 @@ func appendUnique(xs []int32, v int32) []int32 {
 // fromRelation builds a matchedSub over explicit nodes/edges, restricting
 // the relation to those nodes.
 func fromRelation(nodes []int32, edges [][2]int32, rel simulation.Relation) matchedSub {
-	m := matchedSub{nodes: map[int32]bool{}, edges: edges, rel: map[int32][]int32{}}
+	m := matchedSub{nodes: map[int32]bool{}, edges: edges, rel: make([][]int32, len(rel))}
 	for _, v := range nodes {
 		m.nodes[v] = true
 	}
 	for u := range rel {
 		rel[u].ForEach(func(v int32) {
 			if m.nodes[v] {
-				m.rel[int32(u)] = append(m.rel[int32(u)], v)
+				m.rel[u] = append(m.rel[u], v)
 			}
 		})
 	}

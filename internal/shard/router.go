@@ -411,20 +411,6 @@ func (r *Router) callShard(ctx context.Context, s int, kind string, root obs.Spa
 	return fmt.Errorf("shard %d unavailable: %w", s, lastErr)
 }
 
-// toPerfect converts a wire subgraph back to the engine's form so the
-// router can reuse the engine's dedup, ordering and ranking primitives.
-func toPerfect(sj *api.SubgraphJSON) *core.PerfectSubgraph {
-	rel := make(map[int32][]int32, len(sj.Rel))
-	for k, v := range sj.Rel {
-		u, err := strconv.Atoi(k)
-		if err != nil {
-			continue // a shard never emits non-numeric keys
-		}
-		rel[int32(u)] = v
-	}
-	return &core.PerfectSubgraph{Center: sj.Center, Nodes: sj.Nodes, Edges: sj.Edges, Rel: rel}
-}
-
 // partialOrFail resolves a fan-out with failed shards: a PartialJSON marker
 // when the request allows degraded results, the structured
 // shard_unavailable error otherwise. Never a silently incomplete response.
@@ -470,8 +456,16 @@ func (r *Router) gather(ctx context.Context, q *api.Query, kind string) ([]*core
 			defer wg.Done()
 			sreq := shardRequest(&q.Request, s, k)
 			errs[s] = r.callShard(ctx, s, kind, root,
-				func(cctx context.Context, cl *client.Client) (err error) {
-					resps[s], err = cl.Match(cctx, sreq)
+				func(cctx context.Context, cl *client.Client) error {
+					resp, err := cl.Match(cctx, sreq)
+					for i := 0; err == nil && i < len(resp.Matches); i++ {
+						if n := len(resp.Matches[i].Rel); n != q.Pattern.NumNodes() {
+							err = fmt.Errorf("a match's rel has %d pattern nodes, the pattern %d", n, q.Pattern.NumNodes())
+						}
+					}
+					if err == nil {
+						resps[s] = resp
+					}
 					return err
 				})
 		}(s)
@@ -570,7 +564,7 @@ func mergeOwned(resps []*api.MatchResponse, k, limit int) ([]*core.PerfectSubgra
 			if int(sj.Center)%k != s {
 				continue
 			}
-			owned = append(owned, toPerfect(sj))
+			owned = append(owned, &core.PerfectSubgraph{Center: sj.Center, Nodes: sj.Nodes, Edges: sj.Edges, Rel: sj.Rel})
 		}
 	}
 	sort.Slice(owned, func(i, j int) bool { return owned[i].Center < owned[j].Center })

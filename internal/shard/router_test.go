@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -609,6 +610,103 @@ func dropProxy(t *testing.T, backend string, drop *atomic.Bool) *httptest.Server
 	}))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// relProxy forwards to a real shard, but answers every /v1/match with each
+// subgraph's rel replaced by rel.
+func relProxy(t *testing.T, backend, rel string) *httptest.Server {
+	t.Helper()
+	relField := regexp.MustCompile(`"rel":\{[^}]*\}`)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		out, err := http.NewRequestWithContext(req.Context(), req.Method, backend+req.URL.Path, req.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		out.Header = req.Header.Clone()
+		resp, err := http.DefaultClient.Do(out)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		rb, _ := io.ReadAll(resp.Body)
+		if req.URL.Path == "/v1/match" {
+			rb = relField.ReplaceAll(rb, []byte(`"rel":`+rel))
+		}
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(rb)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRouterFailsReplicaOnMalformedRel: a replica whose match answer holds
+// a rel key that is not a pattern node index, or a rel of fewer rows than
+// the pattern has nodes, fails as a dead one does. The router answers from
+// the next replica, and with none left answers shard_unavailable, or
+// partial under allow_partial; it never merges a subgraph with a relation
+// row missing.
+func TestRouterFailsReplicaOnMalformedRel(t *testing.T) {
+	build := buildSynthetic(60, 5)
+	pat := testPatterns(build())[0] // two pattern nodes
+	ctx := context.Background()
+	router := func(replicas ...string) *client.Client {
+		rt, err := NewRouter(live.NewStore(build(), live.Config{Workers: 2}), Config{
+			Shards:        [][]string{replicas},
+			ShardTimeout:  5 * time.Second,
+			Retry:         testRetry(),
+			ProbeInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Push(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rts := httptest.NewServer(rt.Handler())
+		t.Cleanup(rts.Close)
+		return client.New(rts.URL)
+	}
+	single := httptest.NewServer(api.NewLiveServer(live.NewStore(build(), live.Config{Workers: 2}), api.Config{}))
+	t.Cleanup(single.Close)
+	for _, spec := range []api.QuerySpec{{Mode: api.ModePlus}, {Mode: api.ModePlus, TopK: 3}} {
+		want, err := client.New(single.URL).MatchText(ctx, pat, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Matches) == 0 {
+			t.Fatal("the pattern has no match; a malformed rel would go unseen")
+		}
+		for _, rel := range []string{`{"x":[1]}`, `{"0":[1]}`} {
+			got, err := router(relProxy(t, newShard(t).URL, rel).URL, newShard(t).URL).MatchText(ctx, pat, spec)
+			if err != nil {
+				t.Fatalf("rel %s, top_k %d: the second replica must serve: %v", rel, spec.TopK, err)
+			}
+			if g, w := matchesJSON(t, got.Matches), matchesJSON(t, want.Matches); g != w {
+				t.Fatalf("rel %s, top_k %d: router answered\n%s\nsingle node\n%s", rel, spec.TopK, g, w)
+			}
+
+			rc := router(relProxy(t, newShard(t).URL, rel).URL)
+			_, err = rc.MatchText(ctx, pat, spec)
+			var aerr *api.Error
+			if !errors.As(err, &aerr) || aerr.Code != api.CodeShardUnavailable {
+				t.Fatalf("rel %s, top_k %d: want %s from the malformed replica alone, got %v",
+					rel, spec.TopK, api.CodeShardUnavailable, err)
+			}
+			partial := spec
+			partial.AllowPartial = true
+			part, err := rc.MatchText(ctx, pat, partial)
+			if err != nil {
+				t.Fatalf("rel %s, top_k %d: allow_partial must serve: %v", rel, spec.TopK, err)
+			}
+			if part.Partial == nil || len(part.Matches) != 0 {
+				t.Fatalf("rel %s, top_k %d: want an empty partial answer, got %d matches, partial %+v",
+					rel, spec.TopK, len(part.Matches), part.Partial)
+			}
+		}
+	}
 }
 
 // TestRouterUpdateDropAfterApplyNotStale pins two behaviors at once: the
