@@ -15,15 +15,22 @@ import (
 // edge. Quotienting can in principle expose further equivalences, so the
 // construction repeats until a fixpoint — patterns are small, and each round
 // is O((|Vq|+|Eq|)²) (Theorem 6).
+//
+// Dual simulation relates only nodes that share a label, so a pattern whose
+// nodes carry distinct labels is already minimal: it is returned as is, with
+// the identity classOf, and no round runs.
 func MinimizeQuery(q *graph.Graph) (*graph.Graph, []int32) {
 	classOf := make([]int32, q.NumNodes())
 	for i := range classOf {
 		classOf[i] = int32(i)
 	}
+	if distinctLabels(q) {
+		return q, classOf
+	}
 	cur := q
 	for {
 		next, step := minimizeOnce(cur)
-		if next.NumNodes() == cur.NumNodes() {
+		if next == cur {
 			return cur, classOf
 		}
 		for i := range classOf {
@@ -33,6 +40,18 @@ func MinimizeQuery(q *graph.Graph) (*graph.Graph, []int32) {
 	}
 }
 
+// distinctLabels reports whether no two nodes of q share a label.
+func distinctLabels(q *graph.Graph) bool {
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		if len(q.NodesWithLabel(q.Label(u))) > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// minimizeOnce runs one round of minQ. It returns q itself when every class
+// is a single node, and the quotient and each node's class otherwise.
 func minimizeOnce(q *graph.Graph) (*graph.Graph, []int32) {
 	// Line 1: maximum match relation of Q ≺D Q. The identity is always a
 	// dual simulation, so S is reflexive and the fixpoint is total.
@@ -57,6 +76,10 @@ func minimizeOnce(q *graph.Graph) (*graph.Graph, []int32) {
 				classOf[v] = id
 			}
 		}
+	}
+
+	if len(reps) == n {
+		return q, nil
 	}
 
 	// Lines 3-4: one node per class, plus every edge witnessed between

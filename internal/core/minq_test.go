@@ -152,3 +152,37 @@ func randomData(rng *rand.Rand, labels *graph.Labels, n int) *graph.Graph {
 	}
 	return b.Build()
 }
+
+// TestMinQReturnsMinimalPatternItself: a pattern whose nodes carry distinct
+// labels (no two can be dual-simulation equivalent), or one that shares a
+// label between nodes no round can merge, comes back as the same *Graph with
+// the identity classOf.
+func TestMinQReturnsMinimalPatternItself(t *testing.T) {
+	q1, _ := paperdata.Fig1()
+	labels := graph.NewLabels()
+	distinct := graph.NewBuilder(labels) // A→B→C, D→B
+	for _, l := range []string{"A", "B", "C", "D"} {
+		distinct.AddNode(l)
+	}
+	_ = distinct.AddEdge(0, 1)
+	_ = distinct.AddEdge(1, 2)
+	_ = distinct.AddEdge(3, 1)
+	shared := graph.NewBuilder(labels) // A→B→A: the two A nodes differ
+	for _, l := range []string{"A", "B", "A"} {
+		shared.AddNode(l)
+	}
+	_ = shared.AddEdge(0, 1)
+	_ = shared.AddEdge(1, 2)
+	for name, q := range map[string]*graph.Graph{"Q1": q1, "distinct": distinct.Build(), "shared": shared.Build()} {
+		qm, classOf := MinimizeQuery(q)
+		if qm != q {
+			t.Errorf("%s: MinimizeQuery built a new pattern for a minimal one", name)
+		}
+		for u, c := range classOf {
+			if c != int32(u) {
+				t.Errorf("%s: classOf %v, want the identity", name, classOf)
+				break
+			}
+		}
+	}
+}

@@ -49,33 +49,44 @@ func batchPair(k int, rng *rand.Rand) (q, g *graph.Graph) {
 }
 
 // checkAgainstNaive compares Simulation and Dual with the paper's fixpoints
-// on one pair, and the matched nodes a served query reads off the pass
-// (Scratch.Matched) with the relation's node set.
+// on one pair, the pooled pass of each mode on sc (DualIn under
+// ChildParent) with them, and the matched nodes a served query reads off the
+// pass (Scratch.Matched) with the relation's node set.
 func checkAgainstNaive(t *testing.T, name string, q, g *graph.Graph, sc *Scratch) {
 	t.Helper()
-	nRel, nOK := SimulationNaive(q, g)
-	if eRel, eOK := Simulation(q, g); eOK != nOK || !eRel.Equal(nRel) {
-		t.Fatalf("%s: Simulation %v (%v), SimulationNaive %v (%v)", name, eRel, eOK, nRel, nOK)
-	}
-	nRel, nOK = DualNaive(q, g)
-	if eRel, eOK := Dual(q, g); eOK != nOK || !eRel.Equal(nRel) {
-		t.Fatalf("%s: Dual %v (%v), DualNaive %v (%v)", name, eRel, eOK, nRel, nOK)
-	}
-	rel, ok, err := DualIn(context.Background(), q, g, sc)
-	if err != nil || ok != nOK || !rel.Equal(nRel) {
-		t.Fatalf("%s: DualIn %v (%v, %v), DualNaive %v (%v)", name, rel, ok, err, nRel, nOK)
-	}
-	if got, want := sc.Matched(nil), rel.DataNodes(g.NumNodes()).Slice(); ok && !slices.Equal(got, want) {
-		t.Fatalf("%s: Matched %v, the relation's nodes %v", name, got, want)
+	for _, m := range []struct {
+		mode         Mode
+		fresh, naive func(q, g *graph.Graph) (Relation, bool)
+	}{{ChildOnly, Simulation, SimulationNaive}, {ChildParent, Dual, DualNaive}} {
+		nRel, nOK := m.naive(q, g)
+		if eRel, eOK := m.fresh(q, g); eOK != nOK || !eRel.Equal(nRel) {
+			t.Fatalf("%s, mode %d: fresh pass %v (%v), naive fixpoint %v (%v)", name, m.mode, eRel, eOK, nRel, nOK)
+		}
+		var rel Relation
+		var ok bool
+		var err error
+		if m.mode == ChildParent {
+			rel, ok, err = DualIn(context.Background(), q, g, sc)
+		} else {
+			rel, ok, err = refineByLabel(context.Background(), q, g, m.mode, sc)
+		}
+		if err != nil || ok != nOK || !rel.Equal(nRel) {
+			t.Fatalf("%s, mode %d: pooled pass %v (%v, %v), naive fixpoint %v (%v)", name, m.mode, rel, ok, err, nRel, nOK)
+		}
+		if got, want := sc.Matched(nil), rel.DataNodes(g.NumNodes()).Slice(); !slices.Equal(got, want) {
+			t.Fatalf("%s, mode %d: Matched %v, the relation's nodes %v", name, m.mode, got, want)
+		}
 	}
 }
 
-// TestSweepBatchBoundaries: the sweep takes candidates sweepBatch at a time
+// TestSweepBatchBoundaries: a pull takes candidates sweepBatch at a time
 // and compacts each list to its survivors. On lists that end just before,
-// on and just after a batch boundary, and on random graphs of 1–16 labels
-// whose label rows span several batches, the pass computes what the paper's
-// fixpoints compute, and a pass cancelled at any of its polls reports
-// context.Canceled.
+// on and just after a batch boundary — the pattern's A node, which the
+// sweep reaches from D's single candidate and pulls for its edge to B
+// (after a push from D once it has more candidates than D) — and on random
+// graphs of 1–16 labels whose label rows span several batches, the pass
+// computes what the paper's fixpoints compute, and a pass cancelled at any
+// of its polls reports context.Canceled.
 func TestSweepBatchBoundaries(t *testing.T) {
 	if sweepBatch != 32 {
 		t.Fatalf("the boundary sizes below assume batches of 32, not %d", sweepBatch)

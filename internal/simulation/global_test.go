@@ -108,19 +108,29 @@ func TestDualInAllocFree(t *testing.T) {
 // without racing a timer against it. With a refiner to watch it also keeps
 // the most work units the refiner charged between two polls (the first
 // counts from the start): pollEvery less the budget the refiner has left when
-// it polls.
+// it polls. pushPolls counts the polls made inside a push, firstPushPoll
+// numbers the first of them, and lastInPush says whether the latest was.
 type countCtx struct {
 	context.Context
-	at, calls int
-	r         *Refiner
-	maxGap    int
+	at, calls                int
+	r                        *Refiner
+	maxGap                   int
+	pushPolls, firstPushPoll int
+	lastInPush               bool
 }
 
 func (c *countCtx) Err() error {
 	if c.r != nil {
 		c.maxGap = max(c.maxGap, pollEvery-c.r.budget)
 	}
-	if c.calls++; c.calls >= c.at {
+	c.calls++
+	if c.lastInPush = inPush(); c.lastInPush {
+		c.pushPolls++
+		if c.firstPushPoll == 0 {
+			c.firstPushPoll = c.calls
+		}
+	}
+	if c.calls >= c.at {
 		return context.Canceled
 	}
 	return nil
@@ -128,7 +138,10 @@ func (c *countCtx) Err() error {
 
 // worstCasePair is the pattern the candidate index cannot help: one label,
 // so every node is a candidate of every pattern node, and a chain. It is also
-// where the signature gate passes every candidate: the no-benefit case.
+// where the signature gate passes nearly every candidate: the no-benefit
+// case. The chain's middle nodes seed a few fewer candidates than its ends,
+// which need a neighbour on one side only, so the sweep explores from the
+// second node and pushes to both ends: every row of ≈10^5 survivors.
 func worstCasePair() (q, g *graph.Graph) {
 	g = generator.Synthetic(100000, 1.2, 1, 1)
 	qb := graph.NewBuilder(g.Labels())
@@ -144,9 +157,9 @@ func worstCasePair() (q, g *graph.Graph) {
 // context's error within one polling interval instead of finishing, from
 // every phase of the pass. The interval is stated in work units, not wall
 // time, so a loaded host cannot break it: on the worst-case pattern every
-// phase — the seeding walk and the batched sweep included — polls, and no
-// stretch between two polls, before the first or after the last charges
-// more than pollEvery plus the largest single charge.
+// phase — the seeding walk and the sweep's pulls and pushes included —
+// polls, and no stretch between two polls, before the first or after the
+// last charges more than pollEvery plus the largest single charge.
 func TestDualInCancel(t *testing.T) {
 	q, g := worstCasePair()
 	var sc Scratch
@@ -175,12 +188,16 @@ func TestDualInCancel(t *testing.T) {
 		{"seed", r.seed, true}, {"sweep", r.sweep, true}, {"count", r.count, true},
 		{"recheck", r.SeedAll, true}, {"propagate", func() { ok = r.Run() }, false},
 	} {
-		polls := live.calls
+		polls, pushPolls := live.calls, live.pushPolls
 		live.maxGap = 0
 		phase.run()
-		t.Logf("%s: %d polls, at most %d units between two", phase.name, live.calls-polls, live.maxGap)
+		t.Logf("%s: %d polls (%d inside a push), at most %d units between two", phase.name,
+			live.calls-polls, live.pushPolls-pushPolls, live.maxGap)
 		if phase.polls && live.calls == polls {
 			t.Errorf("%s never polled its context", phase.name)
+		}
+		if phase.name == "sweep" && live.pushPolls == pushPolls {
+			t.Errorf("the sweep polled no push: it took none, or none long enough to poll")
 		}
 		if live.maxGap > pollEvery+largest {
 			t.Errorf("%s charged %d units between two polls; want ≤ %d + %d", phase.name, live.maxGap, pollEvery, largest)
@@ -196,9 +213,9 @@ func TestDualInCancel(t *testing.T) {
 	if live.calls < 1000 {
 		t.Fatalf("the full pass polled its context %d times; the workload is too small to cancel inside", live.calls)
 	}
-	// Flip early (seeding walk), in the middle (sweep and counting) and late
-	// (re-check and propagation).
-	for _, at := range []int{2, live.calls / 2, live.calls - 1} {
+	// Flip early (seeding walk), inside the sweep's first push, in the middle
+	// (sweep and counting) and late (re-check and propagation).
+	for _, at := range []int{2, live.firstPushPoll, live.calls / 2, live.calls - 1} {
 		ctx := &countCtx{Context: context.Background(), at: at}
 		_, ok, err := DualIn(ctx, q, g, &sc)
 		if !errors.Is(err, context.Canceled) || ok {
@@ -206,6 +223,9 @@ func TestDualInCancel(t *testing.T) {
 		}
 		if ctx.calls != at {
 			t.Fatalf("flip at poll %d: the pass went on to poll %d times", at, ctx.calls)
+		}
+		if at == live.firstPushPoll && !ctx.lastInPush {
+			t.Fatalf("flip at poll %d: not inside a push", at)
 		}
 	}
 }

@@ -69,10 +69,11 @@ type Refiner struct {
 	// ascending list, so that no phase walks a |V|-bit set to find them:
 	// x's is cand[candAt[x]:candAt[x]+candN[x]], a window of the arena as
 	// long as x's label row. It holds rel[x] from seed through SeedAll; Run
-	// removes pairs from the sets only. candPos is Scratch.Matched's cursor
-	// per list. All nil on the ball path.
+	// removes pairs from the sets only. candPos is the sweep's visited mark
+	// per pattern node, then Scratch.Matched's cursor per list; order is the
+	// sweep's breadth-first queue. All nil on the ball path.
 	candAt, candN, candPos []int32
-	cand                   []int32
+	order, cand            []int32
 
 	queue   []Pair
 	row     []int32 // the data row being read, decoded
@@ -131,7 +132,7 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 		}
 		need += int(row(x)) * edges
 		if lists {
-			need += int(row(x)) + 3
+			need += int(row(x)) + 4
 		}
 	}
 	arena := sc.ints(need)
@@ -145,7 +146,7 @@ func newRefiner(ctx context.Context, q, g *graph.Graph, rel Relation, mode Mode,
 	r.succOut, r.predOut = carve(ne), carve(ne)
 	r.succIn, r.predIn = carve(ne), carve(ne)
 	if lists {
-		r.candAt, r.candN, r.candPos = carve(nq), carve(nq), carve(nq)
+		r.candAt, r.candN, r.candPos, r.order = carve(nq), carve(nq), carve(nq), carve(nq)
 		n := int32(0)
 		for x := 0; x < nq; x++ {
 			r.candAt[x], r.candN[x] = n, 0
@@ -237,73 +238,192 @@ func (r *Refiner) cands(x int32) []int32 {
 	return r.cand[r.candAt[x] : r.candAt[x]+r.candN[x]]
 }
 
-// sweepBatch is how many candidates the sweep takes at a time: it reads
-// their row lengths first, so the loads of their rows' first bytes overlap
-// instead of each stalling the test that needs it.
+// sweepBatch is how many candidates a pull takes at a time: it reads their
+// row lengths first, so the loads of their rows' first bytes overlap instead
+// of each stalling the test that needs it.
 const sweepBatch = 32
 
-// sweep drops, in one pass and before any counter exists, every pair that
-// has no witness at all for some pattern edge, and compacts the candidate
-// lists to the pairs it keeps. On a large graph that is most of the seeded
-// candidates, and a scan that stops at the first witness costs a fraction of
-// counting them and then walking their adjacency a second time to propagate
-// their removal. It tests a candidate's out-row only when x has pattern
-// successors and its in-row only when x has predecessors and the out-row
-// held, and charges the poll budget for the rows it tests. Invalid pairs may
-// go in any order — the maximum simulation inside rel is unique — so the
-// fixpoint is unchanged.
+// sweep drops, in one pass and before any counter exists, pairs that have
+// no witness at all for some pattern edge, and compacts the candidate lists
+// to the pairs it keeps. On a large graph that is most of the seeded
+// candidates, and finding them costs a fraction of counting them and then
+// walking their adjacency a second time to propagate their removal.
+//
+// It explores q one connected component at a time, from the pattern node
+// with the fewest seeded candidates, which it pulls (tests each candidate's
+// rows). It then walks q's edges breadth-first: a node x reached from the
+// filtered node p takes a push from p's survivors where that pays, and a
+// pull for the pattern edges the push did not enforce (reach). A label row
+// seeds hundreds of candidates where the fixpoint keeps a handful, so the
+// rows of p's few survivors name x's few valid candidates, and the
+// candidates no survivor names are never loaded.
+//
+// Invalid pairs may go in any order — the maximum simulation inside rel is
+// unique — so the fixpoint is unchanged.
 func (r *Refiner) sweep() {
-	var outDeg, inDeg [sweepBatch]int
-	for x := int32(0); x < int32(r.q.NumNodes()); x++ {
-		outs, ins := r.ends(x)
-		if len(outs)+len(ins) == 0 {
-			continue // nothing to witness
-		}
-		list, kept := r.cands(x), 0
-		for lo := 0; lo < len(list); lo += sweepBatch {
-			batch := list[lo:min(lo+sweepBatch, len(list))]
-			for i, v := range batch {
-				if len(outs) > 0 {
-					outDeg[i] = r.out.Degree(v)
-				}
-				if len(ins) > 0 {
-					inDeg[i] = r.in.Degree(v)
-				}
+	seen := r.candPos // the visited marks; Scratch.Matched's cursor afterwards
+	clear(seen)
+	for {
+		root := int32(-1)
+		for x := range seen {
+			if seen[x] == 0 && (root < 0 || r.candN[x] < r.candN[root]) {
+				root = int32(x)
 			}
-			for i, v := range batch {
-				ok := true
-				if len(outs) > 0 {
-					if r.spent(len(outs) * outDeg[i]) {
+		}
+		if root < 0 || !r.pull(root, -1, -1) {
+			return
+		}
+		seen[root] = 1
+		queue := append(r.order[:0], root)
+		for i := 0; i < len(queue); i++ {
+			p := queue[i]
+			for _, xs := range [2][]int32{r.qOuts(p), r.qIns(p)} {
+				for _, x := range xs {
+					if seen[x] != 0 {
+						continue
+					}
+					seen[x] = 1
+					queue = append(queue, x)
+					if !r.reach(p, x) {
 						return
 					}
-					r.rows++
-					ok = r.witnessed(r.out, v, outs)
-				}
-				if ok && len(ins) > 0 {
-					if r.spent(len(ins) * inDeg[i]) {
-						return
-					}
-					r.rows++
-					ok = r.witnessed(r.in, v, ins)
-				}
-				if ok {
-					list[kept] = v
-					kept++
-				} else {
-					r.rel[x].Remove(v)
-					r.removed++
 				}
 			}
 		}
-		r.candN[x] = int32(kept)
 	}
 }
 
+// reach filters pattern node x, reached from p, whose candidates the sweep
+// has already filtered, and reports false when the refinement has to stop.
+// When p keeps fewer candidates than x has and x needs a neighbour in
+// rel[p] — a successor along x→p in both modes, a predecessor along p→x
+// under ChildParent only — it pushes: x keeps the candidates that the rows
+// of p's survivors name. Then it pulls x for its other pattern edges.
+// Otherwise it pulls x for all of them. Under ChildOnly a push along p→x
+// would drop x's candidates without a parent in rel[p], which plain
+// simulation keeps.
+func (r *Refiner) reach(p, x int32) bool {
+	skipOut, skipIn := int32(-1), int32(-1)
+	if r.candN[p] < r.candN[x] {
+		outs, ins := r.ends(x)
+		switch {
+		case slices.Contains(outs, p):
+			skipOut = p
+			if !r.push(r.in, p, x) {
+				return false
+			}
+		case slices.Contains(ins, p):
+			skipIn = p
+			if !r.push(r.out, p, x) {
+				return false
+			}
+		}
+	}
+	return r.pull(x, skipOut, skipIn)
+}
+
+// push keeps of x's candidates those that some survivor of p lists in its
+// adj row, and reports false when the refinement has to stop instead. It
+// decodes each survivor's row whole and clears every target it names in
+// rel[x], so that afterwards the listed candidates still in rel[x] are the
+// ones no survivor named: compacting x's list, in list order, removes those
+// and puts the named ones back. The rows and the compaction's walk are
+// charged to the poll budget. A stop in between leaves rel[x] with its bits
+// flipped; a cancelled pass's relation is dead anyway.
+func (r *Refiner) push(adj graph.CSR, p, x int32) bool {
+	set, list := r.rel[x], r.cands(x)
+	for _, s := range r.cands(p) {
+		if r.spent(adj.Degree(s)) {
+			return false
+		}
+		r.rows++
+		r.row = adj.AppendRow(r.row[:0], s)
+		for _, w := range r.row {
+			set.Remove(w)
+		}
+	}
+	kept := 0
+	for i, v := range list {
+		if i%pollEvery == 0 && r.spent(min(pollEvery, len(list)-i)) {
+			return false
+		}
+		if set.Remove(v) {
+			r.removed++
+			continue
+		}
+		set.Add(v)
+		list[kept] = v
+		kept++
+	}
+	r.candN[x] = int32(kept)
+	return true
+}
+
+// pull tests each of x's candidates for a witness of every pattern edge x
+// has but the ones to skipOut (a successor) and skipIn (a predecessor) — a
+// push enforced those; -1 skips none — and removes the candidates that miss
+// one. It reads a candidate's out-row only when x has such successors and
+// its in-row only when it has such predecessors and the out-row held,
+// charges the poll budget for the rows it tests, and reports false when the
+// refinement has to stop.
+func (r *Refiner) pull(x, skipOut, skipIn int32) bool {
+	outs, ins := r.ends(x)
+	nOut, nIn := len(outs), len(ins)
+	if slices.Contains(outs, skipOut) {
+		nOut--
+	}
+	if slices.Contains(ins, skipIn) {
+		nIn--
+	}
+	if nOut+nIn == 0 {
+		return true // nothing to witness
+	}
+	var outDeg, inDeg [sweepBatch]int
+	list, kept := r.cands(x), 0
+	for lo := 0; lo < len(list); lo += sweepBatch {
+		batch := list[lo:min(lo+sweepBatch, len(list))]
+		for i, v := range batch {
+			if nOut > 0 {
+				outDeg[i] = r.out.Degree(v)
+			}
+			if nIn > 0 {
+				inDeg[i] = r.in.Degree(v)
+			}
+		}
+		for i, v := range batch {
+			ok := true
+			if nOut > 0 {
+				if r.spent(nOut * outDeg[i]) {
+					return false
+				}
+				r.rows++
+				ok = r.witnessed(r.out, v, outs, skipOut)
+			}
+			if ok && nIn > 0 {
+				if r.spent(nIn * inDeg[i]) {
+					return false
+				}
+				r.rows++
+				ok = r.witnessed(r.in, v, ins, skipIn)
+			}
+			if ok {
+				list[kept] = v
+				kept++
+			} else {
+				r.rel[x].Remove(v)
+				r.removed++
+			}
+		}
+	}
+	r.candN[x] = int32(kept)
+	return true
+}
+
 // witnessed reports whether row v of adj holds a member of rel[u] for every
-// u in us. Each test decodes the row only up to its first witness.
-func (r *Refiner) witnessed(adj graph.CSR, v int32, us []int32) bool {
+// u in us but skip. Each test decodes the row only up to its first witness.
+func (r *Refiner) witnessed(adj graph.CSR, v int32, us []int32, skip int32) bool {
 	for _, u := range us {
-		if !adj.Intersects(v, r.rel[u]) {
+		if u != skip && !adj.Intersects(v, r.rel[u]) {
 			return false
 		}
 	}
