@@ -57,7 +57,7 @@ func main() {
 		addr       = flag.String("addr", ":8372", "listen address")
 		role       = flag.String("role", api.RoleStandalone, "deployment role reported in healthz: standalone or shard (shards start empty and are pushed the graph by strongsim-router)")
 		nodeID     = flag.String("node-id", "", "stable node identifier reported in healthz (default: generated at startup)")
-		workers    = flag.Int("workers", 0, "ball-evaluation workers per query (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "cap on goroutines evaluating one query's balls, from the process's one pool (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout = flag.Duration("max-timeout", time.Minute, "largest deadline a request may ask for")
 		maxBody    = flag.Int64("max-body", 8<<20, "request body cap in bytes")

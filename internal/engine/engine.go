@@ -2,9 +2,9 @@
 // concurrent strong-simulation query engine. It wraps an immutable data
 // graph as a prepared Snapshot (the graph, its frozen label table and its
 // version) and evaluates queries by fanning per-ball work — the
-// embarrassingly parallel loop of Fig. 3 — across a worker pool. One pass
-// serves every query shape: ball outcomes are released in ascending center
-// order and deduplicated as they arrive, so Match, a Limit and Each's
+// embarrassingly parallel loop of Fig. 3 — across the process's exec pool.
+// One pass serves every query shape: ball outcomes are released in ascending
+// center order and deduplicated as they arrive, so Match, a Limit and Each's
 // streaming all see the same subgraphs under the same centers whatever the
 // worker count, and a Limit or a cancelled context stops the pass early.
 // Every query takes the global dual-simulation filter (Fig. 5): a dual
@@ -34,14 +34,16 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Workers is the number of goroutines evaluating balls per query;
-	// 0 uses GOMAXPROCS.
+	// Workers caps the goroutines evaluating one query's balls, the
+	// query's own goroutine included, the others idle workers of the
+	// process's one exec pool; 0 uses GOMAXPROCS, 1 evaluates on the
+	// query's goroutine alone.
 	Workers int
 }
 
 // Engine executes strong-simulation queries against one Snapshot. It is safe
-// for concurrent use; all per-query state lives on the goroutines of that
-// query.
+// for concurrent use; all per-query state lives in the query's own run of the
+// exec pool.
 type Engine struct {
 	snap    *Snapshot
 	workers int
@@ -65,7 +67,7 @@ func NewWithSnapshot(snap *Snapshot, cfg Config) *Engine {
 // Snapshot returns the engine's prepared snapshot.
 func (e *Engine) Snapshot() *Snapshot { return e.snap }
 
-// Workers returns the per-query worker count.
+// Workers returns the per-query cap on evaluating goroutines.
 func (e *Engine) Workers() int { return e.workers }
 
 // QueryOptions configure one query. The zero value is the paper's plain
@@ -255,8 +257,8 @@ type ballOutcome struct {
 // callers must still see the context error) — and nil for a sink stop with a
 // live context, the Limit early exit. Cancellation is observed between
 // balls; a ball evaluation already underway runs to completion. The eval
-// span, when tr records one, parents the pool's per-worker "eval.worker"
-// spans.
+// span, when tr records one, parents the pool's "eval.worker" spans, one
+// per goroutine that evaluated the query's balls.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, tr *obs.QueryStats, sink func(ballOutcome) bool) error {
 	tr.Begin(obs.StageEval)
 	err := exec.RunOrdered(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
@@ -291,8 +293,8 @@ func spanStatus(err error) string {
 }
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
-// on the engine's worker pool: the ball Ĝ[c, radius] is built into the
-// worker's scratch restricted to the nodes carrying a pattern label, as
+// on the exec pool: the ball Ĝ[c, radius] is built into the evaluating
+// goroutine's scratch restricted to the nodes carrying a pattern label, as
 // core.Match builds it, and is run through
 // core.EvalPreparedBallIn with zero options and no global relation — exactly
 // the per-center work of core.Match restricted to the given centers.
@@ -347,7 +349,7 @@ func foldStats(dst *core.Stats, src core.Stats) {
 // under opts.coreOptions(), the same options with DualFilter on (same
 // subgraphs, same dedup tie-breaking toward the smallest center, same
 // ordering, same stats), just evaluated against the snapshot
-// with this engine's worker pool. Under opts.Limit it is the first Limit
+// on the exec pool. Under opts.Limit it is the first Limit
 // subgraphs Each hands out, canonically ordered. It honors ctx: when the
 // context is cancelled or its deadline passes mid-run, Match returns ctx's
 // error.

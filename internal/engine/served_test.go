@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/generator"
@@ -47,23 +50,85 @@ var servedModes = []struct {
 }{{"plain", QueryOptions{}}, {"plus", PlusQuery()}}
 
 // BenchmarkMatchServed is one in-process Match per operation over the
-// harness's graph and pattern pools at 2 workers, cycling through 512
-// distinct patterns per mode, as adhoc-plain and adhoc-plus send them but
-// with no HTTP, JSON or result cache in between.
+// harness's graph and pattern pools at the default worker cap, cycling
+// through 512 distinct patterns per mode, as adhoc-plain and adhoc-plus send
+// them but with no HTTP, JSON or result cache in between. clients=1 is one
+// query at a time, which idle pool workers help; clients=2 runs two
+// concurrent streams of queries through the same engine (b.RunParallel,
+// which cannot start fewer goroutines than GOMAXPROCS: two clients at
+// GOMAXPROCS 1 or 2), where each query mostly runs its own balls.
 func BenchmarkMatchServed(b *testing.B) {
 	g, pools := servedWorkload()
-	e := New(g, Config{Workers: 2})
+	e := New(g, Config{})
 	ctx := context.Background()
 	for _, mode := range servedModes {
 		qs := pools[mode.name]
+		match := func(b *testing.B, i int) {
+			if _, err := e.Match(ctx, qs[i%len(qs)], mode.opts); err != nil {
+				b.Error(err)
+			}
+		}
 		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Match(ctx, qs[i%len(qs)], mode.opts); err != nil {
-					b.Fatal(err)
-				}
+			for _, clients := range []int{1, 2} {
+				b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+					b.ReportAllocs()
+					if clients == 1 {
+						for i := 0; i < b.N; i++ {
+							match(b, i)
+						}
+						return
+					}
+					procs := runtime.GOMAXPROCS(0)
+					b.SetParallelism((clients + procs - 1) / procs)
+					var next atomic.Int64
+					b.RunParallel(func(pb *testing.PB) {
+						for pb.Next() {
+							match(b, int(next.Add(1)-1))
+						}
+					})
+				})
 			}
 		})
+	}
+}
+
+// TestServedScratchCounters: a query's scratch counters are folded in by
+// every goroutine that evaluated its balls before Match returns, whether
+// the balls ran on the caller alone (Workers: 1) or on pool workers beside
+// it, whose scratches are never released. Over the harness's plain pool the
+// counters that count work — balls built and their rows, simulation
+// evaluations, the global passes' pairs and rows — grow by the same amount
+// either way. The misses counters are left out: which scratch had to grow
+// depends on which goroutine met which ball first. On a host with one P the
+// pool has no room beside the caller, and both runs are sequential.
+func TestServedScratchCounters(t *testing.T) {
+	g, pools := servedWorkload()
+	ctx := context.Background()
+	var counters []*obs.Counter
+	for _, name := range []string{"scratch_ball_builds_total", "scratch_ball_rows_total", "scratch_sim_evals_total",
+		"scratch_global_seeded_total", "scratch_global_kept_total", "scratch_global_rows_total"} {
+		counters = append(counters, obs.Default.Counter(name, ""))
+	}
+	growth := func(workers int) []int64 {
+		e := New(g, Config{Workers: workers})
+		before := make([]int64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
+		for _, q := range pools["plain"] {
+			if _, err := e.Match(ctx, q, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range counters {
+			before[i] = c.Value() - before[i]
+		}
+		return before
+	}
+	seq, pooled := growth(1), growth(2)
+	t.Logf("growth over %d plain queries (builds, rows, evals, seeded, kept, global rows): %v", len(pools["plain"]), seq)
+	if fmt.Sprint(seq) != fmt.Sprint(pooled) {
+		t.Fatalf("scratch counters grew by %v at Workers 1, by %v at Workers 2", seq, pooled)
 	}
 }
 

@@ -1,31 +1,31 @@
 // Package exec is the one ball-evaluation worker pool of this repository.
 //
 // Strong simulation's data parallelism is "evaluate a ball per candidate
-// center" (paper Section 4.1). Before this package, several independent
-// implementations of that loop existed — core.MatchWith, the engine's
-// evalCenters and batch groups, and the sequential sweeps of approx — each
-// allocating a fresh ball plus simulation state per center. exec
-// consolidates them: one pool with context
-// cancellation and early exit, driving pluggable per-position evaluators,
-// with a reusable per-worker Scratch so the hot path stops allocating per
-// ball (the auxiliary-structure reuse that GraphMini-style matchers win by).
+// center" (paper Section 4.1), and every such loop of the repository —
+// core.MatchWith, the engine, standing-query maintenance, approx — runs
+// here: context cancellation and early exit around pluggable per-position
+// evaluators, each handed a reusable Scratch so the hot path allocates
+// nothing per ball (the auxiliary-state reuse GraphMini-style matchers win
+// by). The stages are closures over the Scratch:
 //
-// The stages are supplied by the caller as closures over the Scratch:
+//   - a center source is the position space [0, n) plus whatever slice the
+//     caller indexes (all nodes, candidate centers, dirty centers);
+//   - a ball provider runs inside eval: Scratch.Balls.BuildRestricted keeps
+//     the query's candidates only, Build the whole ball;
+//   - the evaluator is core.EvalPreparedBallIn, or any pure function of the
+//     position;
+//   - the sink runs on the calling goroutine, in ascending position order.
 //
-//   - a center source is just the position space [0, n) plus whatever slice
-//     the caller indexes (all nodes, candidate centers, dirty centers);
-//   - a ball provider runs inside eval — Scratch.Balls.BuildRestricted for
-//     an on-demand BFS that keeps the query's candidates only (Build keeps
-//     the whole ball);
-//   - the evaluator is core.EvalPreparedBallIn (or any other pure function
-//     of the position);
-//   - the sink runs on the calling goroutine, unordered (Run, worker
-//     completion order) or ordered (RunOrdered, ascending position).
-//
-// Sequential runs (Workers == 1) bypass the pool entirely: eval and sink
-// alternate in position order on the calling goroutine, which keeps the
-// paper's complexity experiments deterministic and makes the executor free
-// when there is nothing to parallelize.
+// The pool is the process's: GOMAXPROCS workers, started by the first run
+// that wants help, each holding its own Scratch for good. A run publishes
+// its position count, its eval closure and an atomic claim index; the
+// calling goroutine claims positions and offers the run, without blocking,
+// to idle workers, which claim beside it into a slot per position. No run
+// starts a goroutine or makes a channel. When no worker is idle, or Workers
+// is 1, the caller evaluates every position itself, eval and sink
+// alternating in position order: the paper's complexity experiments stay
+// deterministic, and a loaded server pays nothing for parallelism it cannot
+// get.
 package exec
 
 import (
@@ -40,20 +40,19 @@ import (
 )
 
 // Pool metrics, registered into the process-wide registry so /v1/metrics can
-// report pipeline saturation. Per-task updates are single atomic operations;
-// scratch reuse counters are folded in once per retiring worker, so the
-// per-ball path stays allocation-free and nearly contention-free.
+// report pipeline saturation. They move once per claimed position or once
+// per participant in a run, so the per-ball path stays allocation-free.
 var (
 	poolRuns = obs.Default.Counter("exec_runs_total",
 		"ball-evaluation pipeline runs started")
 	poolTasks = obs.Default.Counter("exec_tasks_total",
 		"positions (balls) evaluated across all pipeline runs")
 	poolWorkersActive = obs.Default.Gauge("exec_workers_active",
-		"evaluation goroutines currently alive")
+		"workers in the process's evaluation pool (GOMAXPROCS once started)")
 	poolWorkersBusy = obs.Default.Gauge("exec_workers_busy",
-		"evaluation goroutines currently inside an evaluation")
+		"pool workers inside a run; at exec_workers_active every run evaluates on its caller alone")
 	poolQueueDepth = obs.Default.Gauge("exec_queue_depth",
-		"positions admitted to runs but not yet picked up by a worker")
+		"positions admitted to runs but not yet claimed")
 	scratchBallBuilds = obs.Default.Counter("scratch_ball_builds_total",
 		"balls built into per-worker scratch arenas")
 	scratchBallMisses = obs.Default.Counter("scratch_ball_misses_total",
@@ -73,11 +72,11 @@ var (
 )
 
 // Scratch is the per-worker arena: reusable ball construction buffers and
-// simulation state. Evaluators receive their worker's scratch and may use
-// any part of it; everything built from a scratch is valid only until the
-// same worker's next evaluation. A request that computes something once for
-// all its balls — Match+'s global dual simulation — holds one more for as
-// long as the balls read it (GetScratch, Release).
+// simulation state. Evaluators receive their participant's scratch and may
+// use any part of it; everything built from a scratch is valid only until
+// the same participant's next evaluation. A request that computes something
+// once for all its balls — Match+'s global dual simulation — holds one more
+// for as long as the balls read it (GetScratch, Release).
 type Scratch struct {
 	// Balls builds on-demand balls without per-ball allocation.
 	Balls graph.BallScratch
@@ -89,35 +88,38 @@ type Scratch struct {
 	Cand    graph.NodeSet
 	Centers []int32
 
-	// What Release has already folded into the registry of the cumulative
+	// What fold has already added to the registry of the cumulative
 	// counters Balls.Stats() and Sim.Stats() report.
 	ballBuilds, ballMisses, ballRows int64
 	sim                              simulation.ScratchStats
 }
 
-// scratches keeps retired scratches for the next run's workers. A scratch
-// grows to the graph (a few bitmaps, one bit per node each) and to the
-// largest ball it has met; one per worker per run would have every request
-// allocate and zero all of that again. A worker takes one when it starts and
-// hands it back when it retires, and what sits idle is the collector's to
-// drop.
-// Nothing built from a scratch outlives the evaluation that built it, so a
-// scratch carries nothing from one run into the next but its capacity and
-// its counters.
+// scratches keeps the scratches of calling goroutines between runs and of
+// requests between queries. A scratch grows to the graph (a few bitmaps, one
+// bit per node each) and to the largest ball it has met; one per run would
+// have every request allocate and zero all of that again. A scratch carries
+// nothing from one run into the next but its capacity and its counters.
 var scratches = sync.Pool{New: func() any { return new(Scratch) }}
 
-// GetScratch takes a scratch from the pool the workers draw theirs from. The
-// caller owns it, and everything built from it, until Release.
+// GetScratch takes a scratch from the pool calling goroutines draw theirs
+// from. The caller owns it, and everything built from it, until Release.
 func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
 
-// Release folds what the scratch did since it was last released into the
-// registry — the growth of its cumulative counters, so a scratch that serves
-// many runs is counted once — and returns it to the pool; called once per
-// worker, sequential run or GetScratch. A nil scratch is a no-op.
+// Release folds the scratch's counters into the registry and returns it to
+// the pool; called once per run's caller or GetScratch. A nil scratch is a
+// no-op.
 func (s *Scratch) Release() {
 	if s == nil {
 		return
 	}
+	s.fold()
+	scratches.Put(s)
+}
+
+// fold adds the growth of the scratch's cumulative counters since it last
+// folded to the registry. Every participant folds at the end of its stint,
+// so a run's counts are in before it returns.
+func (s *Scratch) fold() {
 	b, m, r := s.Balls.Stats()
 	scratchBallBuilds.Add(b - s.ballBuilds)
 	scratchBallMisses.Add(m - s.ballMisses)
@@ -130,201 +132,192 @@ func (s *Scratch) Release() {
 	scratchGlobalKept.Add(sim.Kept - s.sim.Kept)
 	scratchGlobalRows.Add(sim.Rows - s.sim.Rows)
 	s.sim = sim
-	scratches.Put(s)
 }
 
 // Options configure one run.
 type Options struct {
-	// Workers is the number of evaluating goroutines; 0 uses GOMAXPROCS and
-	// 1 runs sequentially (deterministic, in position order, on the calling
-	// goroutine).
+	// Workers caps the goroutines evaluating one run, the caller included;
+	// 0 uses GOMAXPROCS and 1 runs sequentially (deterministic, in position
+	// order, on the calling goroutine).
 	Workers int
-	// Span, when recording, is the parent under which each worker records
-	// one "eval.worker" child span covering its whole stint, annotated with
-	// the number of positions it evaluated. Spans are batched per worker —
-	// never per position — so per-ball work stays untouched; a zero Span
-	// costs one Recording branch per worker and nothing per ball.
+	// Span, when recording, is the parent under which each participant
+	// records one "eval.worker" child span covering its stint in the run,
+	// annotated with the number of positions it evaluated; never one per
+	// position, so a zero Span costs nothing per ball.
 	Span obs.Span
 }
 
-// inlineMax is the largest run that is evaluated on the calling goroutine
-// whatever Workers says: starting workers, two channels and a scratch per
-// worker costs about as much as a handful of restricted balls does
-// (EXPERIMENTS.md, "Candidate-sparse dual simulation"), and a Match+ request
-// has about five.
-const inlineMax = 8
+// pool is the process's evaluation workers. offers is unbuffered, so a send
+// that does not block is taken by a worker parked on it: an idle one.
+var pool struct {
+	once   sync.Once
+	size   int64
+	offers chan interface{ help(*Scratch) }
+}
 
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+func startPool() {
+	pool.size = int64(runtime.GOMAXPROCS(0))
+	pool.offers = make(chan interface{ help(*Scratch) })
+	poolWorkersActive.Set(pool.size)
+	for range pool.size {
+		go func() {
+			s := new(Scratch)
+			for r := range pool.offers {
+				r.help(s)
+			}
+		}()
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 || n <= inlineMax {
-		w = 1
-	}
-	return w
 }
 
 // Run evaluates positions [0, n) across the pool and feeds every outcome to
-// sink on the calling goroutine, in worker completion order. sink returning
-// false cancels the remaining work; outcomes already in flight are discarded
-// without reaching the sink. Cancellation of ctx is observed between
-// evaluations — an evaluation underway runs to completion. Run returns ctx's
-// error when the context ended the run (even when the sink stopped it
-// first), nil otherwise.
+// sink on the calling goroutine, in an order of the pool's choosing. sink
+// returning false stops the run: nothing more is claimed, and outcomes
+// already evaluated are discarded without reaching the sink. Cancellation of
+// ctx is observed between evaluations and before every delivery — an
+// evaluation underway runs to completion, and no outcome reaches the sink
+// after ctx ends. Run returns once every evaluation it started has returned,
+// with ctx's error when the context ended the run (even when the sink
+// stopped it first), nil otherwise.
 func Run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, pos int) T, sink func(pos int, v T) bool) error {
-	return run(ctx, opts, n, eval, sink, false)
+	return RunOrdered(ctx, opts, n, eval, sink)
 }
 
 // RunOrdered is Run with the sink invoked in ascending position order,
-// whatever order workers complete in. Callers whose admission rule depends
-// on arrival order (first-seen dedup, result caps) get sequential semantics
-// at parallel speed; an early exit may leave later positions evaluated but
-// unreported.
+// whatever order participants complete in. Callers whose admission rule
+// depends on arrival order (first-seen dedup, result caps) get sequential
+// semantics at parallel speed; an early exit may leave later positions
+// evaluated but unreported.
 func RunOrdered[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, pos int) T, sink func(pos int, v T) bool) error {
-	return run(ctx, opts, n, eval, sink, true)
+	if n <= 0 {
+		return ctx.Err()
+	}
+	poolRuns.Inc()
+	poolQueueDepth.Add(int64(n))
+	r := &run[T]{ctx: ctx, n: n, eval: eval, span: opts.Span}
+	want := opts.Workers - 1 // pool workers beside the caller
+	if want < 0 {
+		want = runtime.GOMAXPROCS(0) - 1
+	}
+	want = min(want, n-1)
+	s, sp := GetScratch(), r.span.StartChild("eval.worker")
+	evaluated, next := 0, 0 // next: the first position not yet delivered
+	for {
+		if want > 0 {
+			want = r.offer(want)
+		}
+		pos, ok := r.claim()
+		if !ok {
+			break
+		}
+		v := eval(s, pos)
+		evaluated++
+		if r.slots == nil { // alone so far, so pos is next
+			r.deliver(sink, pos, v)
+			next++
+		} else {
+			r.slots[pos].v = v
+			r.slots[pos].full.Store(true)
+			next = r.deliverFull(sink, next)
+		}
+	}
+	r.leave(sp, evaluated)
+	s.Release()
+	r.helpers.Wait()
+	r.deliverFull(sink, next) // every claimed position is evaluated now
+	poolQueueDepth.Add(-int64(n - min(int(r.claimed.Load()), n)))
+	return ctx.Err()
 }
 
-type outcome[T any] struct {
-	pos int
-	v   T
+// run is one run's shared state: what its participants claim from and
+// deliver into.
+type run[T any] struct {
+	ctx     context.Context
+	n       int
+	eval    func(*Scratch, int) T
+	span    obs.Span
+	claimed atomic.Int64   // the next position to claim
+	stop    atomic.Bool    // the sink stopped or ctx ended: claim no more
+	slots   []slot[T]      // one per position; nil until a worker is offered the run
+	helpers sync.WaitGroup // workers that took the run and have not left it
 }
 
-// endWorkerSpan completes one worker's batched eval span. The Recording
-// guard keeps the variadic Attr slice from being built when tracing is off.
-func endWorkerSpan(sp obs.Span, evaluated int) {
-	if sp.Recording() {
+type slot[T any] struct {
+	v    T
+	full atomic.Bool
+}
+
+// offer hands the run to idle workers without blocking, while fewer than
+// want of them took it, the busy gauge says one is idle and at least two
+// positions are left to claim; it returns how many it still wants.
+func (r *run[T]) offer(want int) int {
+	pool.once.Do(startPool)
+	for want > 0 && poolWorkersBusy.Value() < pool.size && int64(r.n)-r.claimed.Load() > 1 && !r.stop.Load() {
+		if r.slots == nil {
+			r.slots = make([]slot[T], r.n)
+		}
+		r.helpers.Add(1)
+		select {
+		case pool.offers <- r:
+			want--
+		default:
+			r.helpers.Done()
+			return want
+		}
+	}
+	return want
+}
+
+// help is a pool worker's stint in the run.
+func (r *run[T]) help(s *Scratch) {
+	poolWorkersBusy.Inc()
+	sp, evaluated := r.span.StartChild("eval.worker"), 0
+	for pos, ok := r.claim(); ok; pos, ok = r.claim() {
+		r.slots[pos].v = r.eval(s, pos)
+		r.slots[pos].full.Store(true)
+		evaluated++
+	}
+	s.fold()
+	r.leave(sp, evaluated)
+	poolWorkersBusy.Dec()
+	r.helpers.Done()
+}
+
+// leave ends one participant's stint: its count and its "eval.worker" span.
+func (r *run[T]) leave(sp obs.Span, evaluated int) {
+	poolTasks.Add(int64(evaluated))
+	if sp.Recording() { // no variadic Attr slice when tracing is off
 		sp.End(obs.Attr{Key: "balls", Value: int64(evaluated)})
 	}
 }
 
-func run[T any](ctx context.Context, opts Options, n int, eval func(s *Scratch, pos int) T, sink func(pos int, v T) bool, ordered bool) error {
-	if n <= 0 {
-		return ctx.Err()
+// claim takes the next position, or reports that none is left or the run
+// stopped.
+func (r *run[T]) claim() (int, bool) {
+	if r.stop.Load() || r.ctx.Err() != nil {
+		return 0, false
 	}
-	workers := opts.workers(n)
-	poolRuns.Inc()
-	poolQueueDepth.Add(int64(n))
-	var undelivered atomic.Int64 // positions still counted in poolQueueDepth
-	undelivered.Store(int64(n))
-	// Runs after every worker has retired (the pooled path returns only once
-	// the results channel closes), so no further decrements race with it.
-	defer func() { poolQueueDepth.Add(-undelivered.Load()) }()
-	if workers == 1 {
-		s := GetScratch()
-		defer s.Release()
-		poolWorkersActive.Inc()
-		defer poolWorkersActive.Dec()
-		// Plain calls, not a deferred closure: capturing the counter would
-		// heap-allocate it even with tracing off, which the allocs/run
-		// guards forbid.
-		wsp := opts.Span.StartChild("eval.worker")
-		evaluated := 0
-		for pos := 0; pos < n; pos++ {
-			if err := ctx.Err(); err != nil {
-				endWorkerSpan(wsp, evaluated)
-				return err
-			}
-			poolQueueDepth.Dec()
-			undelivered.Add(-1)
-			poolWorkersBusy.Inc()
-			v := eval(s, pos)
-			poolWorkersBusy.Dec()
-			poolTasks.Inc()
-			evaluated++
-			if !sink(pos, v) {
-				break
-			}
-		}
-		endWorkerSpan(wsp, evaluated)
-		return ctx.Err()
+	pos := int(r.claimed.Add(1) - 1)
+	if pos >= r.n {
+		return 0, false
 	}
+	poolQueueDepth.Dec()
+	return pos, true
+}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	tasks := make(chan int)
-	results := make(chan outcome[T], workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := GetScratch()
-			defer s.Release()
-			poolWorkersActive.Inc()
-			defer poolWorkersActive.Dec()
-			wsp := opts.Span.StartChild("eval.worker")
-			evaluated := 0
-			defer func() { endWorkerSpan(wsp, evaluated) }()
-			for pos := range tasks {
-				poolQueueDepth.Dec()
-				undelivered.Add(-1)
-				poolWorkersBusy.Inc()
-				v := eval(s, pos)
-				poolWorkersBusy.Dec()
-				poolTasks.Inc()
-				evaluated++
-				select {
-				case results <- outcome[T]{pos: pos, v: v}:
-				case <-runCtx.Done():
-					return
-				}
-			}
-		}()
+// deliver hands one outcome to the sink unless ctx has ended, and stops the
+// run when it has or the sink says so.
+func (r *run[T]) deliver(sink func(int, T) bool, pos int, v T) {
+	if r.ctx.Err() != nil || !sink(pos, v) {
+		r.stop.Store(true)
 	}
-	go func() {
-		defer close(tasks)
-		for pos := 0; pos < n; pos++ {
-			select {
-			case tasks <- pos:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+}
 
-	stopped := false
-	var pending map[int]T
-	nextPos := 0
-	if ordered {
-		pending = make(map[int]T, workers)
+// deliverFull delivers the evaluated positions from next on, in order, up to
+// the first one not yet evaluated, and returns where it stopped. A run no
+// worker was offered has no slots and nothing to deliver here.
+func (r *run[T]) deliverFull(sink func(int, T) bool, next int) int {
+	for ; next < len(r.slots) && !r.stop.Load() && r.slots[next].full.Load(); next++ {
+		r.deliver(sink, next, r.slots[next].v)
 	}
-	// An outcome reaches the sink only while ctx is live: workers may run
-	// far ahead of the ordered delivery point, and a cancelled run must not
-	// hand its sink everything they finished in the meantime.
-	for out := range results {
-		if stopped {
-			continue // draining after the sink asked to stop
-		}
-		if !ordered {
-			if ctx.Err() != nil || !sink(out.pos, out.v) {
-				stopped = true
-				cancel()
-			}
-			continue
-		}
-		pending[out.pos] = out.v
-		for {
-			v, ok := pending[nextPos]
-			if !ok {
-				break
-			}
-			delete(pending, nextPos)
-			pos := nextPos
-			nextPos++
-			if ctx.Err() != nil || !sink(pos, v) {
-				stopped = true
-				cancel()
-				break
-			}
-		}
-	}
-	return ctx.Err()
+	return next
 }

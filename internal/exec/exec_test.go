@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -360,33 +361,88 @@ func TestScratchPooledAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSmallRunsInline pins the inline cut-off (inlineMax = 8): a run of up to
-// eight positions takes the sequential path on the calling goroutine whatever
-// Workers says, a larger one the pool, and on both sides of the constant a
-// wide run reports what a Workers: 1 run reports — same outcomes in the same
-// ordered delivery, the same Limit-style early exit, the same evaluations
-// and one "eval.worker" span per worker carrying its ball count.
-func TestSmallRunsInline(t *testing.T) {
-	tracer := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1, Registry: obs.NewRegistry()})
-	for _, n := range []int{7, 8, 9, 10} {
-		for _, stopAfter := range []int{0, 3} { // 0: run to the end
-			type report struct {
-				delivered   []string
-				evaluated   int64
-				spans       int
-				balls       int64
-				interleaved bool // eval and sink strictly alternated
+// occupyPool starts runs whose evaluations block until release is closed,
+// one after another, until every worker of the pool sits inside one of them,
+// and returns a function that releases them and waits for each to deliver
+// all its positions. A run is offered only to workers parked waiting for
+// one, so blockers keep coming until the evaluations underway exceed their
+// callers by the pool's size.
+func occupyPool(t *testing.T) (finish func()) {
+	t.Helper()
+	// A wide run starts the pool, and the pool's size is its gauge.
+	_ = exec.Run(context.Background(), exec.Options{Workers: 2}, 64,
+		func(*exec.Scratch, int) int { return 0 }, func(int, int) bool { return true })
+	size := obs.Default.Gauge("exec_workers_active", "").Value()
+	release := make(chan struct{})
+	var entered atomic.Int64
+	const n = 16
+	errs := make(chan error, 64)
+	blockers := int64(0)
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load()-blockers < size {
+		if time.Now().After(deadline) || blockers == int64(cap(errs)) {
+			t.Fatalf("%d evaluations entered under %d blocking runs; the pool's %d workers never all joined",
+				entered.Load(), blockers, size)
+		}
+		blockers++
+		go func() {
+			delivered := 0
+			err := exec.RunOrdered(context.Background(), exec.Options{Workers: n}, n,
+				func(*exec.Scratch, int) int { entered.Add(1); <-release; return 0 },
+				func(int, int) bool { delivered++; return true })
+			if err == nil && delivered != n {
+				err = fmt.Errorf("a blocked run delivered %d of %d positions", delivered, n)
 			}
+			errs <- err
+		}()
+		for entered.Load() < blockers { // its caller is inside its first evaluation
+			time.Sleep(time.Millisecond)
+		}
+		// The workers it was offered to follow; one that was not yet parked
+		// when it offered waits for the next blocker.
+		for wait := time.Now().Add(20 * time.Millisecond); entered.Load()-blockers < size && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if busy := obs.Default.Gauge("exec_workers_busy", "").Value(); busy < size {
+		t.Fatalf("every worker sits in a blocked run, but exec_workers_busy reads %d of %d", busy, size)
+	}
+	return func() {
+		close(release)
+		for range blockers {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// TestCallerRuns: with every pool worker held by a run blocked inside its
+// evaluation, a wide run finishes on its calling goroutine alone — eval and
+// sink strictly alternating, one "eval.worker" span — with the same ordered
+// delivery, Limit-style early exit and evaluations as a Workers: 1 run; and
+// the runs that held the workers complete afterwards.
+func TestCallerRuns(t *testing.T) {
+	finish := occupyPool(t)
+	defer finish()
+	tracer := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1, Registry: obs.NewRegistry()})
+	type report struct {
+		delivered   []string
+		evaluated   int
+		spans       int
+		balls       int64
+		interleaved bool // eval and sink strictly alternated
+	}
+	for _, n := range []int{1, 9, 64} {
+		for _, stopAfter := range []int{0, 3} { // 0: run to the end
 			run := func(workers int) report {
 				var rep report
-				var events []string // appended by eval and sink; the inline path needs no lock
-				var evals atomic.Int64
+				var events []string // no lock: a caller alone appends from one goroutine
 				trace, root := tracer.StartTrace("run", fmt.Sprintf("n%d-w%d-s%d", n, workers, stopAfter), obs.TraceContext{})
 				err := exec.RunOrdered(context.Background(), exec.Options{Workers: workers, Span: root}, n,
 					func(_ *exec.Scratch, pos int) int {
-						if evals.Add(1); workers == 1 || n <= 8 {
-							events = append(events, fmt.Sprintf("eval%d", pos))
-						}
+						rep.evaluated++
+						events = append(events, fmt.Sprintf("eval%d", pos))
 						return pos * pos
 					},
 					func(pos, v int) bool {
@@ -413,7 +469,6 @@ func TestSmallRunsInline(t *testing.T) {
 						}
 					}
 				}
-				rep.evaluated = evals.Load()
 				rep.interleaved = true
 				for i, ev := range events {
 					want := fmt.Sprintf("eval%d", i/2)
@@ -422,25 +477,99 @@ func TestSmallRunsInline(t *testing.T) {
 					}
 					rep.interleaved = rep.interleaved && ev == want
 				}
-				if rep.balls != rep.evaluated {
-					t.Fatalf("n=%d workers=%d: %d evals, %d balls on spans", n, workers, rep.evaluated, rep.balls)
-				}
 				return rep
 			}
-			seq, wide := run(1), run(4)
-			if fmt.Sprint(seq.delivered) != fmt.Sprint(wide.delivered) {
-				t.Fatalf("n=%d stop=%d: sequential delivered %v, 4 workers %v", n, stopAfter, seq.delivered, wide.delivered)
+			seq, wide := run(1), run(8)
+			for name, rep := range map[string]report{"Workers 1": seq, "Workers 8 on a busy pool": wide} {
+				if !rep.interleaved || rep.spans != 1 || rep.balls != int64(rep.evaluated) {
+					t.Fatalf("n=%d stop=%d: %s run not on its caller alone (interleaved %v, %d worker spans, %d balls on them for %d evaluations)",
+						n, stopAfter, name, rep.interleaved, rep.spans, rep.balls, rep.evaluated)
+				}
 			}
-			if !seq.interleaved || seq.spans != 1 {
-				t.Fatalf("n=%d: Workers 1 run not sequential (%d worker spans)", n, seq.spans)
-			}
-			if inline := n <= 8; inline != (wide.interleaved && wide.spans == 1) {
-				t.Fatalf("n=%d stop=%d: 4-worker run inline=%v (interleaved %v, %d worker spans), want inline=%v",
-					n, stopAfter, !inline, wide.interleaved, wide.spans, inline)
-			}
-			if n <= 8 && wide.evaluated != seq.evaluated {
-				t.Fatalf("n=%d stop=%d: %d evaluations inline, %d sequential", n, stopAfter, wide.evaluated, seq.evaluated)
+			if fmt.Sprint(seq.delivered) != fmt.Sprint(wide.delivered) || seq.evaluated != wide.evaluated {
+				t.Fatalf("n=%d stop=%d: Workers 1 delivered %v in %d evaluations, a busy pool %v in %d",
+					n, stopAfter, seq.delivered, seq.evaluated, wide.delivered, wide.evaluated)
 			}
 		}
+	}
+}
+
+// TestRunStopsAtEveryPosition stops runs at every position in turn — the
+// context cancelled by the evaluation of that position, or the sink
+// answering false on it — at several sizes and widths, both delivery
+// orders. No outcome reaches the sink after the stop, RunOrdered delivers a
+// gap-free ascending prefix, and no evaluation of the run is running or
+// starts once Run has returned. CI runs it under the race detector.
+func TestRunStopsAtEveryPosition(t *testing.T) {
+	var late atomic.Int64 // evaluations that started after their run returned
+	for _, n := range []int{1, 9, 64, 1000} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, ordered := range []bool{false, true} {
+				for _, byCancel := range []bool{false, true} {
+					for at := 0; at < n; at++ {
+						ctx, cancel := context.WithCancel(context.Background())
+						var inFlight atomic.Int64
+						var returned atomic.Bool
+						stopped := false
+						var seen []int
+						eval := func(_ *exec.Scratch, pos int) int {
+							inFlight.Add(1)
+							defer inFlight.Add(-1)
+							if returned.Load() {
+								late.Add(1)
+							}
+							if byCancel && pos == at {
+								cancel()
+							}
+							return pos
+						}
+						sink := func(pos, v int) bool {
+							if stopped {
+								t.Fatalf("n=%d workers=%d ordered=%v: position %d delivered after the sink stopped at %d", n, workers, ordered, pos, at)
+							}
+							if v != pos {
+								t.Fatalf("position %d delivered %d", pos, v)
+							}
+							seen = append(seen, pos)
+							stopped = !byCancel && pos == at
+							return !stopped
+						}
+						run := exec.Run[int]
+						if ordered {
+							run = exec.RunOrdered[int]
+						}
+						err := run(ctx, exec.Options{Workers: workers}, n, eval, sink)
+						returned.Store(true)
+						if got := inFlight.Load(); got != 0 {
+							t.Fatalf("n=%d workers=%d at=%d: %d evaluations running after Run returned", n, workers, at, got)
+						}
+						if byCancel != errors.Is(err, context.Canceled) || (!byCancel && err != nil) {
+							t.Fatalf("n=%d workers=%d at=%d cancel=%v: Run returned %v", n, workers, at, byCancel, err)
+						}
+						if !byCancel && (len(seen) == 0 || seen[len(seen)-1] != at) {
+							t.Fatalf("n=%d workers=%d at=%d: the sink's stop came after %v", n, workers, at, seen)
+						}
+						if ordered || workers == 1 {
+							for i, pos := range seen {
+								if pos != i {
+									t.Fatalf("n=%d workers=%d at=%d: delivered %v, not a gap-free ascending prefix", n, workers, at, seen)
+								}
+							}
+							if !byCancel && len(seen) != at+1 {
+								t.Fatalf("n=%d workers=%d at=%d: %d positions delivered before the stop", n, workers, at, len(seen))
+							}
+						}
+						if byCancel && (ordered || workers == 1) && len(seen) > at {
+							// The position that cancelled, or a later one, was delivered.
+							t.Fatalf("n=%d workers=%d at=%d: %d positions delivered, the cancelling one among them", n, workers, at, len(seen))
+						}
+						cancel()
+					}
+				}
+			}
+		}
+	}
+	if got := late.Load(); got != 0 {
+		t.Fatalf("%d evaluations started after their run returned", got)
 	}
 }

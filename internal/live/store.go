@@ -110,9 +110,10 @@ type Mutation struct {
 
 // Config configures a Store.
 type Config struct {
-	// Workers is the number of goroutines evaluating balls during standing-
-	// query maintenance and registration; 0 uses GOMAXPROCS. It is also the
-	// worker budget of every published version's engine.
+	// Workers caps the goroutines evaluating one query's balls — a served
+	// match, or a standing query's registration or maintenance — from the
+	// process's one exec pool; 0 uses GOMAXPROCS. Every published version's
+	// engine takes it.
 	Workers int
 }
 
