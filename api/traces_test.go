@@ -250,9 +250,11 @@ func TestTraceMatchParity(t *testing.T) {
 }
 
 // TestTraceUpdateSpans: a traced /v1/update records the store's work under
-// the root — one live.apply span for the mutation batch and a live.maintain
-// span per standing query brought current — each saying what the batch cost:
-// adjacency pages rebuilt, balls built and balls spared.
+// the root — one live.apply span for the mutation batch, a live.dirty span
+// per standing radius and a live.maintain span per standing query brought
+// current — each saying what the batch cost: adjacency pages rebuilt, sides
+// swept and dirty centers, centers handed to the query, balls built and balls
+// spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -295,12 +297,20 @@ func TestTraceUpdateSpans(t *testing.T) {
 	if apply.Attrs["pages_copied"] != 2 {
 		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
 	}
-	// Dirty centers 0..3; 2 carries no pattern label, 0 (A) lost its B
-	// successor and 1 (B) its A predecessor, 3 (A) still has 4 (B).
+	// The batch deleted and inserted an edge, so both sides are swept:
+	// dirty centers 0..3 at the pattern's radius 1.
+	if dirty := findChild(tj.Root, "live.dirty"); dirty == nil {
+		t.Errorf("root children %v hold no live.dirty span", childNames(tj.Root))
+	} else if dirty.Attrs["radius"] != 1 || dirty.Attrs["sides"] != 2 || dirty.Attrs["dirty"] != 4 {
+		t.Errorf("live.dirty attrs %v, want radius 1, sides 2, dirty 4", dirty.Attrs)
+	}
+	// 2 carries no pattern label, so three centers are handed to the query:
+	// 0 (A) lost its B successor and 1 (B) its A predecessor, 3 (A) still has
+	// 4 (B).
 	if maintain := findChild(tj.Root, "live.maintain"); maintain == nil {
 		t.Errorf("root children %v hold no live.maintain span for the standing query", childNames(tj.Root))
-	} else if maintain.Attrs["balls"] != 1 || maintain.Attrs["unanchored"] != 2 {
-		t.Errorf("live.maintain attrs %v, want balls 1, unanchored 2", maintain.Attrs)
+	} else if maintain.Attrs["labelled"] != 3 || maintain.Attrs["balls"] != 1 || maintain.Attrs["unanchored"] != 2 {
+		t.Errorf("live.maintain attrs %v, want labelled 3, balls 1, unanchored 2", maintain.Attrs)
 	}
 }
 

@@ -38,16 +38,24 @@ func checkSignatures(t testing.TB, g *graph.Graph) {
 	}
 }
 
-// randomPatternSrc builds a small random connected pattern over the given
-// label alphabet, in the text format Register accepts.
-func randomPatternSrc(rng *rand.Rand, alphabet []string) string {
-	n := 1 + rng.Intn(3)
+// randomPatternSrc builds a random connected pattern of the given diameter
+// over the label alphabet, in the text format Register accepts: a path of
+// radius+1 nodes, edges randomly directed, and from radius 2 up to two more
+// leaves hung on inner path nodes, which leave the diameter as it is.
+func randomPatternSrc(rng *rand.Rand, alphabet []string, radius int) string {
+	n := radius + 1
+	if radius >= 2 {
+		n += rng.Intn(3)
+	}
 	src := ""
 	for i := 0; i < n; i++ {
 		src += fmt.Sprintf("node p%d %s\n", i, alphabet[rng.Intn(len(alphabet))])
 	}
 	for i := 1; i < n; i++ {
-		p := rng.Intn(i)
+		p := i - 1 // the path
+		if i > radius {
+			p = 1 + rng.Intn(radius-1) // a leaf on an inner path node
+		}
 		if rng.Intn(2) == 0 {
 			src += fmt.Sprintf("edge p%d p%d\n", p, i)
 		} else {
@@ -126,8 +134,10 @@ func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 	return out
 }
 
-// TestChurnEquivalence is the acceptance soak test: interleave random
-// update batches with standing-query registration and unregistration, and
+// TestChurnEquivalence is the acceptance soak test: register standing
+// queries of every radius 0-4, so that one batch's dirty sweep serves five
+// radius groups, then interleave random update batches with further
+// registrations and unregistrations, and
 // after every batch assert each standing result set is byte-identical to
 // engine.Match re-run from scratch on the post-update graph at the same
 // version — as is a planned Match, served through a cache the batches keep
@@ -167,10 +177,20 @@ func TestChurnEquivalence(t *testing.T) {
 				}
 			}
 
+			for radius := 0; radius <= 4; radius++ {
+				sq, err := s.Register(randomPatternSrc(rng, alphabet, radius))
+				if err != nil {
+					t.Fatalf("register radius %d: %v", radius, err)
+				}
+				if sq.Radius() != radius {
+					t.Fatalf("pattern built for radius %d has radius %d:\n%s", radius, sq.Radius(), sq.Source())
+				}
+				standing = append(standing, sq)
+			}
 			for step := 0; step < steps; step++ {
 				// Churn the query set: mostly register, sometimes drop.
 				if rng.Intn(3) == 0 || len(standing) == 0 {
-					sq, err := s.Register(randomPatternSrc(rng, alphabet))
+					sq, err := s.Register(randomPatternSrc(rng, alphabet, rng.Intn(5)))
 					if err != nil {
 						t.Fatalf("step %d: register: %v", step, err)
 					}
@@ -430,14 +450,61 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyChurn is the update path in miniature: a 20k-node graph, four
-// standing queries, and per iteration one 4-edge batch (inserts, then the
-// batch that deletes them) followed by one planned Match+ on the new version.
-// Nothing in an iteration may cost O(|V|) again: pages_copied/op is the
-// adjacency pages the batch rebuilt (about 8 of the 80 the store has, ≈17 KB
-// each), and
-// ns/op and B/op are what a per-version pass creeping back would move.
+// BenchmarkApplyChurn is the update path in miniature, in two cells.
+//
+// 20k: a 20k-node graph, four standing queries, and per iteration one 4-edge
+// batch (inserts, then the batch that deletes them) followed by one planned
+// Match+ on the new version. Nothing in an iteration may cost O(|V|) again:
+// pages_copied/op is the adjacency pages the batch rebuilt (about 8 of the 80
+// the store has, ≈17 KB each), and ns/op and B/op are what a per-version pass
+// creeping back would move.
+//
+// 100k: the update path alone at the benchmark harness's repeat-churn shape —
+// 100k nodes, four standing queries of 3, 4 and 5 nodes sampled as the
+// harness samples them (connected, dQ ≤ 3), alternating insert and delete
+// 4-edge batches, no match. dirty/op is the centers within the largest
+// standing radius of a mutated node, labelled/op the centers handed to the
+// queries, summed over them.
 func BenchmarkApplyChurn(b *testing.B) {
+	b.Run("20k", benchmarkApplyChurn20k)
+	b.Run("100k", func(b *testing.B) {
+		g := generator.Synthetic(100000, 1.2, 200, 1)
+		s := NewStore(g, Config{})
+		rng := rand.New(rand.NewSource(1))
+		for registered := 0; registered < 4; {
+			nodes := 3 + registered%3
+			q := generator.SamplePattern(g, generator.PatternOptions{Nodes: nodes, Alpha: 1.2, Seed: rng.Int63()})
+			if dq, ok := graph.Diameter(q); !ok || dq > 3 || q.NumNodes() != nodes {
+				continue
+			}
+			if _, err := s.Register(graph.FormatString(q)); err != nil {
+				b.Fatal(err)
+			}
+			registered++
+		}
+		var last, dirty, labelled int
+		s.dispatched = func(_ int, d *graph.NodeSet, group []*StandingQuery) {
+			last = d.Len() // the last group's is the largest radius's
+			for _, sq := range group {
+				labelled += len(sq.eval)
+			}
+		}
+		var batch []Mutation
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch = nextChurnBatch(rng, s, batch, i)
+			if _, err := s.Apply(batch); err != nil {
+				b.Fatal(err)
+			}
+			dirty += last
+		}
+		b.ReportMetric(float64(dirty)/float64(b.N), "dirty/op")
+		b.ReportMetric(float64(labelled)/float64(b.N), "labelled/op")
+	})
+}
+
+func benchmarkApplyChurn20k(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
 	var pats []*graph.Graph
@@ -462,24 +529,12 @@ func BenchmarkApplyChurn(b *testing.B) {
 	match()
 
 	rng := rand.New(rand.NewSource(1))
-	n := int32(g.NumNodes())
 	var batch []Mutation
 	var pages int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			batch = batch[:0]
-			for len(batch) < 4 {
-				if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !s.Current().Graph().HasEdge(u, v) {
-					batch = append(batch, Mutation{Op: OpInsertEdge, U: u, V: v})
-				}
-			}
-		} else {
-			for k := range batch {
-				batch[k].Op = OpDeleteEdge
-			}
-		}
+		batch = nextChurnBatch(rng, s, batch, i)
 		res, err := s.Apply(batch)
 		if err != nil {
 			b.Fatal(err)
@@ -488,4 +543,24 @@ func BenchmarkApplyChurn(b *testing.B) {
 		match()
 	}
 	b.ReportMetric(float64(pages)/float64(b.N), "pages_copied/op")
+}
+
+// nextChurnBatch returns the i-th batch of an alternating churn, reusing
+// batch: four fresh edges inserted at even i, the same four deleted at odd i.
+func nextChurnBatch(rng *rand.Rand, s *Store, batch []Mutation, i int) []Mutation {
+	if i%2 == 1 {
+		for k := range batch {
+			batch[k].Op = OpDeleteEdge
+		}
+		return batch
+	}
+	g := s.Current().Graph()
+	n := int32(g.NumNodes())
+	batch = batch[:0]
+	for len(batch) < 4 {
+		if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !g.HasEdge(u, v) {
+			batch = append(batch, Mutation{Op: OpInsertEdge, U: u, V: v})
+		}
+	}
+	return batch
 }

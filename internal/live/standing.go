@@ -25,9 +25,13 @@ type StandingQuery struct {
 	pattern *graph.Graph
 	src     string
 	radius  int
-	// labels lists the distinct label ids of pattern: the label precheck of
-	// maintenance, asked of every dirty center of every batch.
+	// labels lists the distinct label ids of pattern: the labels under
+	// which a batch's dirty centers are handed to the query.
 	labels []int32
+	// eval is the batch's dirty centers that carry a pattern label,
+	// ascending: filled by dirtySweep.dispatch, read by maintainLocked and
+	// reused across batches. Guarded by the store's lock.
+	eval []int32
 
 	// Maintenance state, guarded by the store's lock: the pre-dedup outcomes
 	// of the matching centers only, ascending by Center, so its size follows
@@ -188,26 +192,17 @@ func (sq *StandingQuery) Delta() (added, removed []*core.PerfectSubgraph, from, 
 }
 
 // maintainLocked brings one standing query up to date with a freshly
-// published version: re-evaluate the dirty centers (computed by the
-// caller, shared across queries of equal radius) on the engine's worker
-// pool and publish the new assembled result with its delta. Returns the
-// number of balls built, and of centers that carry a pattern label but got
-// none because they cannot anchor a match. Callers hold the store lock;
-// s.nodeLbl already describes ver's graph, and dirty (ascending) is read-only
-// here.
-func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) (balls, unanchored int) {
-	// Label precheck, as in Match: a center whose label does not occur in
-	// the pattern cannot anchor a perfect subgraph. Evaluate the rest.
-	eval := make([]int32, 0, len(dirty))
-	for _, c := range dirty {
-		if slices.Contains(sq.labels, s.nodeLbl[c]) {
-			eval = append(eval, c)
-		}
-	}
-	labelled := len(eval)
+// published version: evaluate the centers the batch's dirty sweep handed it
+// (sq.eval: the dirty centers carrying a pattern label, ascending) on the
+// engine's worker pool, drop the outcome of every center in dirty, and
+// publish the new assembled result with its delta. Returns the number of
+// balls built, and of handed centers that got none because they cannot
+// anchor a match. Callers hold the store lock; dirty is read-only here.
+func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty *graph.NodeSet) (balls, unanchored int) {
+	labelled := len(sq.eval)
 	// The error path is unreachable: the pattern was validated at
 	// registration and the context cannot expire.
-	fresh, balls, _ := evalMatched(context.Background(), ver.eng, sq.pattern, sq.radius, eval, nil)
+	fresh, balls, _ := evalMatched(context.Background(), ver.eng, sq.pattern, sq.radius, sq.eval, nil)
 	unanchored = labelled - balls
 	liveRecomputedBalls.Add(int64(balls))
 	liveUnanchored.Add(int64(unanchored))
@@ -215,11 +210,11 @@ func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty []int32) (
 
 	prev := sq.state.Load()
 	if balls == 0 && len(matched) == len(sq.matched) {
-		// No center was evaluated and none lost an outcome to the prechecks,
-		// so the result set cannot have moved: republish the previous result
-		// at the new version with an empty delta, skipping reassembly and
-		// diffing — the common case for updates far from any center that
-		// could anchor the pattern.
+		// No center was evaluated and none lost an outcome, so the result
+		// set cannot have moved: republish the previous result at the new
+		// version with an empty delta, skipping reassembly and diffing — the
+		// common case for updates far from any center that could anchor the
+		// pattern.
 		sq.state.Store(&queryState{version: ver.id, fromVersion: prev.version, result: prev.result})
 		return 0, unanchored
 	}
@@ -266,24 +261,30 @@ func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius i
 	return out[:w], len(centers), nil
 }
 
-// replaceDirty returns, as a fresh slice, matched with the outcome of every
-// dirty center dropped and fresh — the new outcomes of dirty centers —
-// merged in. All three are ascending by center.
-func replaceDirty(matched []*core.PerfectSubgraph, dirty []int32, fresh []*core.PerfectSubgraph) []*core.PerfectSubgraph {
+// replaceDirty returns matched with the outcome of every center in dirty
+// dropped — whether or not the center was evaluated again: a center the
+// batch relabelled out of the pattern or deleted loses its outcome too — and
+// fresh, the new outcomes, merged in. matched and fresh are ascending by
+// center. When nothing is dropped or added it returns matched itself, and a
+// fresh slice otherwise.
+func replaceDirty(matched []*core.PerfectSubgraph, dirty *graph.NodeSet, fresh []*core.PerfectSubgraph) []*core.PerfectSubgraph {
+	i := 0
+	for i < len(matched) && !dirty.Contains(matched[i].Center) {
+		i++
+	}
+	if i == len(matched) && len(fresh) == 0 {
+		return matched
+	}
 	out := make([]*core.PerfectSubgraph, 0, len(matched)+len(fresh))
-	d, f := 0, 0
+	f := 0
 	for _, ps := range matched {
 		for f < len(fresh) && fresh[f].Center < ps.Center {
 			out = append(out, fresh[f])
 			f++
 		}
-		for d < len(dirty) && dirty[d] < ps.Center {
-			d++
+		if !dirty.Contains(ps.Center) { // else stale: fresh holds its successor, if it has one
+			out = append(out, ps)
 		}
-		if d < len(dirty) && dirty[d] == ps.Center {
-			continue // stale; fresh holds its successor, if it still has one
-		}
-		out = append(out, ps)
 	}
 	return append(out, fresh[f:]...)
 }

@@ -26,8 +26,9 @@
 //
 //   - Standing-query maintenance is ball-local. An update can change the
 //     ball Ĝ[w, dQ] only if w lies within dQ undirected hops of a mutated
-//     node in the graph before or after the batch (Store.dirtyCenters), so
-//     maintenance re-evaluates exactly those centers and keeps every other
+//     node in the graph before or after the batch (dirtySweep: one search
+//     per batch serves every radius), so maintenance re-evaluates exactly
+//     those of its centers that carry a pattern label and keeps every other
 //     cached perfect subgraph. Results are
 //     assembled with the same dedup and ordering as engine.Match, so a
 //     standing query's result set is byte-identical to re-running Match
@@ -41,6 +42,7 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -186,10 +188,13 @@ type Store struct {
 	nodeLbl []int32
 	nextID  int64
 
-	// Scratch of dirtyCenters, reused across batches: the BFS of one side,
-	// the union of both sides' reach, and the buffer rows are decoded into.
-	visited, reach graph.NodeSet
-	queue, row     []int32
+	// sweep finds and hands out the dirty centers of a batch (maintainAll).
+	sweep dirtySweep
+	// dispatched, when set, sees every radius group right after its dirty
+	// centers are handed out and before it is maintained: the dirty bitset
+	// and the group, each query's eval buffer filled. Tests and benchmarks
+	// read the sweep through it.
+	dispatched func(radius int, dirty *graph.NodeSet, group []*StandingQuery)
 
 	// qmu guards only the queries map, separately from mu, so lookups and
 	// listings stay responsive while Apply holds mu through maintenance.
@@ -251,6 +256,10 @@ type batchState struct {
 	seeds      []int32 // nodes whose ≤ dQ-hop neighborhoods are dirty; may repeat
 	relabelled []int32 // nodes whose label changed, and added nodes; may repeat
 	added      []int32
+	// grew and shrank say whether the batch added adjacency (an edge
+	// inserted, a node added) and whether it removed some (an edge or a node
+	// deleted): which sides of it the dirty sweep reads.
+	grew, shrank bool
 }
 
 func (s *Store) newBatch() *batchState {
@@ -322,6 +331,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		b.added = append(b.added, v)
 		b.relabelled = append(b.relabelled, v)
 		b.seeds = append(b.seeds, v)
+		b.grew = true
 		return nil
 
 	case OpInsertEdge, OpDeleteEdge:
@@ -343,6 +353,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 			xs, _ = insertSorted(b.in.Own(m.V), m.U)
 			b.in.Set(m.V, xs)
 			b.numEdges++
+			b.grew = true
 		} else {
 			xs, ok := removeSorted(b.out.Own(m.U), m.V)
 			if !ok {
@@ -352,6 +363,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 			xs, _ = removeSorted(b.in.Own(m.V), m.U)
 			b.in.Set(m.V, xs)
 			b.numEdges--
+			b.shrank = true
 		}
 		b.seeds = append(b.seeds, m.U, m.V)
 		return nil
@@ -402,6 +414,7 @@ func (s *Store) applyOne(b *batchState, m Mutation) error {
 		b.byLabel[s.tombstone], _ = insertSorted(b.byLabel[s.tombstone], m.Node)
 		b.relabelled = append(b.relabelled, m.Node)
 		b.seeds = append(b.seeds, m.Node)
+		b.shrank = true
 		return nil
 
 	case OpSetLabel:
@@ -455,11 +468,15 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 
 // ApplyTraced is Apply under a parent span: the batch records one
 // "live.apply" child covering mutation application and version publication
-// (annotated with the adjacency pages the batch rebuilt), and one
-// "live.maintain" child per standing query brought current, annotated with
-// the query id, the balls built and the centers the anchor check spared
-// one. A zero parent (the untraced path — Apply delegates here with one)
-// records nothing.
+// (annotated with the adjacency pages the batch rebuilt), one "live.dirty"
+// child per distinct standing radius — the sweep extended to that radius and
+// its dirty centers handed out, annotated with the radius, the sides swept
+// and the dirty centers — and one "live.maintain" child per standing query
+// brought current, annotated with the query id, the dirty centers carrying a
+// pattern label, the balls built and the centers the anchor check spared
+// one. One dirty sweep serves every standing query of the batch, whatever
+// its radius (maintainAll). A zero parent (the untraced path — Apply
+// delegates here with one) records nothing.
 func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("live: empty update batch")
@@ -496,44 +513,78 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 			obs.Attr{Key: "pages_copied", Value: int64(pages)})
 	}
 
-	// Maintain standing queries against the new version.
+	res := &UpdateResult{
+		Version:     ver.id,
+		AddedNodes:  b.added,
+		PagesCopied: pages,
+		Nodes:       len(s.nodeLbl),
+		Edges:       ver.Graph().NumEdges(),
+	}
+	res.Recomputed = s.maintainAll(b, ver, parent)
+	return res, nil
+}
+
+// maintainAll brings every standing query current with ver, which b just
+// published, and returns the balls built per query id. The queries are
+// maintained in groups of equal radius, ascending: one dirty sweep serves the
+// whole batch (dirtySweep), extended to each group's radius in turn, and each
+// group is handed its dirty centers by label before the sweep grows again.
+// Each group records a "live.dirty" span (its radius, the sides swept, the
+// dirty centers) and each query a "live.maintain" span. A query unregistered
+// concurrently may still be maintained once here; harmless, since nothing
+// reads it afterwards. Callers hold mu.
+func (s *Store) maintainAll(b *batchState, ver *Version, parent obs.Span) map[int64]int {
 	s.qmu.RLock()
 	standing := make([]*StandingQuery, 0, len(s.queries))
 	for _, sq := range s.queries {
 		standing = append(standing, sq)
 	}
 	s.qmu.RUnlock()
+	recomputed := make(map[int64]int, len(standing))
+	if len(standing) == 0 {
+		return recomputed
+	}
+	slices.SortFunc(standing, func(a, b *StandingQuery) int {
+		return cmp.Or(cmp.Compare(a.radius, b.radius), cmp.Compare(a.id, b.id))
+	})
 
-	res := &UpdateResult{
-		Version:     ver.id,
-		AddedNodes:  b.added,
-		Recomputed:  make(map[int64]int, len(standing)),
-		PagesCopied: pages,
-		Nodes:       len(s.nodeLbl),
-		Edges:       ver.Graph().NumEdges(),
-	}
-	// A query unregistered concurrently may still be maintained once here;
-	// harmless, since nothing reads it afterwards. The dirty-center BFS
-	// depends only on the radius; one traversal serves every standing query
-	// of that radius.
-	dirtyByRadius := make(map[int][]int32)
-	for _, sq := range standing {
-		dirty, ok := dirtyByRadius[sq.radius]
-		if !ok {
-			dirty = s.dirtyCenters(b.seeds, sq.radius, b.g, ver.Graph())
-			dirtyByRadius[sq.radius] = dirty
+	s.sweep.begin(b.seeds, b.g, ver.Graph(), b.grew, b.shrank)
+	for len(standing) > 0 {
+		radius := standing[0].radius
+		k := 1
+		for k < len(standing) && standing[k].radius == radius {
+			k++
 		}
-		msp := parent.StartChild("live.maintain")
-		n, unanchored := s.maintainLocked(sq, ver, dirty)
-		res.Recomputed[sq.id] = n
-		if msp.Recording() {
-			msp.End(
-				obs.Attr{Key: "query_id", Value: sq.id},
-				obs.Attr{Key: "balls", Value: int64(n)},
-				obs.Attr{Key: "unanchored", Value: int64(unanchored)})
+		group := standing[:k]
+		standing = standing[k:]
+
+		dsp := parent.StartChild("live.dirty")
+		s.sweep.extend(radius)
+		s.sweep.dispatch(group, s.nodeLbl, s.labels.Len())
+		if dsp.Recording() {
+			dsp.End(
+				obs.Attr{Key: "radius", Value: int64(radius)},
+				obs.Attr{Key: "sides", Value: int64(s.sweep.sides)},
+				obs.Attr{Key: "dirty", Value: int64(s.sweep.dirty.Len())})
+		}
+		if s.dispatched != nil {
+			s.dispatched(radius, &s.sweep.dirty, group)
+		}
+		for _, sq := range group {
+			msp := parent.StartChild("live.maintain")
+			labelled := len(sq.eval)
+			n, unanchored := s.maintainLocked(sq, ver, &s.sweep.dirty)
+			recomputed[sq.id] = n
+			if msp.Recording() {
+				msp.End(
+					obs.Attr{Key: "query_id", Value: sq.id},
+					obs.Attr{Key: "labelled", Value: int64(labelled)},
+					obs.Attr{Key: "balls", Value: int64(n)},
+					obs.Attr{Key: "unanchored", Value: int64(unanchored)})
+			}
 		}
 	}
-	return res, nil
+	return recomputed
 }
 
 func (s *Store) isTombstone(lbl int32) bool { return s.tombstone >= 0 && lbl == s.tombstone }
@@ -566,49 +617,4 @@ func (s *Store) publishLocked(b *batchState, out, in graph.CSR, rows []int32) *V
 	s.current.Store(ver)
 	liveVersion.Set(int64(ver.id))
 	return ver
-}
-
-// dirtyCenters returns, ascending and in a slice of its own, the centers
-// within radius undirected hops of any seed in the pre-batch graph old or
-// the post-batch graph cur: one multi-source BFS per side, their reach
-// united in a bitset and read back in id order.
-func (s *Store) dirtyCenters(seeds []int32, radius int, old, cur *graph.Graph) []int32 {
-	n := cur.NumNodes()
-	s.reach.Reset(n)
-	s.sweep(seeds, radius, n, old)
-	s.sweep(seeds, radius, n, cur)
-	return s.reach.Slice()
-}
-
-// sweep adds to s.reach every node within radius hops of a seed in g, whose
-// ids lie below n. Seeds g does not cover — nodes the batch added, seen
-// from the old side — are skipped.
-func (s *Store) sweep(seeds []int32, radius, n int, g *graph.Graph) {
-	out, in := g.Rows()
-	s.visited.Reset(n)
-	q := s.queue[:0]
-	visit := func(w int32) {
-		if s.visited.Add(w) {
-			q = append(q, w)
-		}
-	}
-	for _, v := range seeds {
-		if int(v) < out.Len() {
-			visit(v)
-		}
-	}
-	for lo, d := 0, 0; d < radius && lo < len(q); d++ {
-		hi := len(q)
-		for _, v := range q[lo:hi] {
-			s.row = in.AppendRow(out.AppendRow(s.row[:0], v), v)
-			for _, w := range s.row {
-				visit(w)
-			}
-		}
-		lo = hi
-	}
-	for _, v := range q {
-		s.reach.Add(v)
-	}
-	s.queue = q
 }

@@ -305,6 +305,47 @@ func TestStandingSkipsUnanchored(t *testing.T) {
 	checkAgainstScratch(t, s, sq)
 }
 
+// TestStandingDropsCentersLeavingThePattern: a matched center that a batch
+// relabels out of the pattern, or deletes, is not handed to the query — it
+// carries no pattern label any more — and still loses its outcome, because
+// it is dirty; the standing result keeps equal to a scratch Match.
+func TestStandingDropsCentersLeavingThePattern(t *testing.T) {
+	s := NewStore(chain([]string{"A", "B", "C"}, 9), Config{Workers: 2}) // A->B->C->A->...
+	sq := edgePattern(t, s)                                              // A->B: centers 0 1 3 4 6 7
+	var handed []int32
+	s.dispatched = func(_ int, _ *graph.NodeSet, group []*StandingQuery) {
+		handed = slices.Clone(group[0].eval)
+	}
+	hasCenter := func(c int32) bool {
+		return slices.ContainsFunc(sq.matched, func(ps *core.PerfectSubgraph) bool { return ps.Center == c })
+	}
+	for _, step := range []struct {
+		name   string
+		mut    Mutation
+		center int32
+	}{
+		{"relabelled", Mutation{Op: OpSetLabel, Node: 0, Label: "C"}, 0},
+		{"deleted", Mutation{Op: OpDeleteNode, Node: 3}, 3},
+	} {
+		if !hasCenter(step.center) {
+			t.Fatalf("%s: center %d holds no outcome before the batch", step.name, step.center)
+		}
+		if _, err := s.Apply([]Mutation{step.mut}); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(handed, step.center) {
+			t.Fatalf("%s: center %d handed to the query (%v), though it carries no pattern label", step.name, step.center, handed)
+		}
+		if hasCenter(step.center) {
+			t.Fatalf("%s: center %d kept its outcome", step.name, step.center)
+		}
+		checkAgainstScratch(t, s, sq)
+	}
+	if res, _ := sq.Result(); res.Len() != 1 {
+		t.Fatalf("%d matches left, want 1 (6 -> 7)", res.Len())
+	}
+}
+
 func TestStoreBatchAtomicity(t *testing.T) {
 	g := chain([]string{"A", "B"}, 4)
 	s := NewStore(g, Config{})
