@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -163,36 +165,35 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 // EvalPreparedBallIn runs procedure DualSim followed by ExtractMaxPG
 // (Fig. 3) on one caller-constructed ball under opts, returning the ball's
 // maximum perfect subgraph (nil if none). A non-nil global projects a
-// precomputed global dual-simulation relation onto the ball (Fig. 5 line 1)
-// instead of starting from label candidates. center is the ball center in
-// the parent graph's coordinates. Callers are responsible for any
-// pre-construction center filtering (label precheck or global-relation
-// membership); this function always evaluates the ball it is given.
+// precomputed global dual-simulation relation onto the ball's members
+// (Fig. 5 line 1) instead of starting from label candidates. center is the
+// ball center in the parent graph's coordinates. The ball may be a graph of
+// its own or a view of a query's kept graph (graph.BallScratch.View): the
+// relation only ever holds members, so the matcher reads no node of the
+// graph outside the ball. Callers are responsible for any pre-construction
+// center filtering (label precheck or global-relation membership); this
+// function always evaluates the ball it is given.
 //
 // The per-ball working state (candidate relation, pruning sets, refiner
 // counters) is drawn from sc; a nil sc allocates it. The returned subgraph
 // copies everything out of the ball and scratch, so both may be reused
 // immediately. The executor (internal/exec) fans calls across a worker
 // pool, so it must remain safe for concurrent use with a shared read-only
-// q, ball and global.
+// q, ball graph and global.
 func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Options, global simulation.Relation, sc *simulation.Scratch) (*PerfectSubgraph, Stats) {
 	var stats Stats
 	bg := ball.G
 
-	// Initial candidates within the ball.
-	var rel simulation.Relation
-	if global != nil {
-		// Project the global relation onto the ball (Fig. 5 line 1).
-		rel = sc.Relation(q.NumNodes(), bg.NumNodes())
-		for u := range global {
-			for i, bv := range ball.Orig {
-				if global[u].Contains(bv) {
-					rel[u].Add(int32(i))
-				}
+	// Initial candidates among the members: the global relation projected
+	// onto the ball (Fig. 5 line 1), or the label candidates.
+	rel := sc.Relation(q.NumNodes(), bg.NumNodes())
+	for i := range ball.Dist {
+		v := ball.Member(i)
+		for u := range rel {
+			if global != nil && global[u].Contains(ball.Orig[v]) || global == nil && q.Label(int32(u)) == bg.Label(v) {
+				rel[u].Add(v)
 			}
 		}
-	} else {
-		rel = simulation.InitByLabelIn(q, bg, sc)
 	}
 
 	// Connectivity pruning (Section 4.2): keep only candidates in the
@@ -213,12 +214,12 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 	if global != nil && !opts.ConnectivityPruning {
 		// Proposition 5: only border nodes can have lost support to the
 		// ball cut; everything else is revalidated transitively.
-		for b := range ball.Dist {
-			if !ball.IsBorder(int32(b)) {
+		for i := range ball.Dist {
+			if !ball.IsBorder(i) {
 				continue
 			}
 			for u := int32(0); u < int32(q.NumNodes()); u++ {
-				refiner.EnqueueSuspect(u, int32(b))
+				refiner.EnqueueSuspect(u, ball.Member(i))
 			}
 		}
 	} else {
@@ -239,9 +240,10 @@ func EvalPreparedBallIn(q *graph.Graph, ball *graph.Ball, center int32, opts Opt
 // when the center is unmatched. The component is found on the ball graph
 // itself: a ball edge (v, w) is a match edge iff some pattern edge (u, u2)
 // has v ∈ rel[u] and w ∈ rel[u2]. Ball ids ascend with Orig, so walking them
-// ascending yields Nodes, Edges and every Rel row sorted, with no sort and
-// no map. simulation.BuildMatchGraph and ComponentOf compute the same from
-// the definition.
+// ascending yields Nodes and every Rel row sorted, with no map; the edges,
+// collected by the walk, take one sort of the component's few.
+// simulation.BuildMatchGraph and ComponentOf compute the same from the
+// definition.
 func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, center int32, sc *simulation.Scratch) *PerfectSubgraph {
 	centerMatched := false
 	for u := range rel {
@@ -266,20 +268,26 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 	}
 
 	// The center's component, breadth-first over match edges in both
-	// directions; comp doubles as the queue.
+	// directions; comp doubles as the queue. Both ends of a match edge lie
+	// in one component, so the component's edges are the match edges out of
+	// its nodes: the walk collects them, in ball ids, as it reads the
+	// out-rows.
 	bg := ball.G
 	in := sc.SpareSet(bg.NumNodes())
 	in.Add(ball.Center)
 	var compBuf [64]int32
-	comp := append(compBuf[:0], ball.Center)
+	var edgeBuf [64][2]int32
+	comp, edges := append(compBuf[:0], ball.Center), edgeBuf[:0]
 	row := rowBuf[:0]
 	for i := 0; i < len(comp); i++ {
 		v := comp[i]
 		row = bg.AppendOut(row[:0], v)
 		for _, w := range row {
-			if !in.Contains(w) && serves(qe, rel, v, w) {
-				in.Add(w)
-				comp = append(comp, w)
+			if serves(qe, rel, v, w) {
+				edges = append(edges, [2]int32{v, w})
+				if in.Add(w) {
+					comp = append(comp, w)
+				}
 			}
 		}
 		row = bg.AppendIn(row[:0], v)
@@ -291,26 +299,10 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 		}
 	}
 
-	// Both ends of a match edge lie in one component, so the component's
-	// edges are the match edges out of its nodes.
-	ps := &PerfectSubgraph{Center: center, Rel: make([][]int32, len(rel))}
-	ps.Nodes = make([]int32, 0, len(comp))
-	var edgeBuf [64][2]int32
-	edges := edgeBuf[:0]
-	for v := in.Next(0); v >= 0; v = in.Next(v + 1) {
-		ps.Nodes = append(ps.Nodes, ball.Orig[v])
-		row = bg.AppendOut(row[:0], v)
-		for _, w := range row {
-			if serves(qe, rel, v, w) {
-				edges = append(edges, [2]int32{ball.Orig[v], ball.Orig[w]})
-			}
-		}
-	}
-	ps.Edges = append(make([][2]int32, 0, len(edges)), edges...)
-
-	// Rel rows are windows of one arena, nil where the component holds no
-	// match of the pattern node.
-	total := 0
+	// Nodes and the Rel rows are windows of one arena; a Rel row is nil
+	// where the component holds no match of the pattern node. Ball ids
+	// ascend with Orig, so the edges sorted by ball ids are sorted.
+	total := len(comp)
 	for u := range rel {
 		for v := rel[u].Next(0); v >= 0; v = rel[u].Next(v + 1) {
 			if in.Contains(v) {
@@ -319,6 +311,18 @@ func extractMaxPG(q *graph.Graph, ball *graph.Ball, rel simulation.Relation, cen
 		}
 	}
 	arena := make([]int32, 0, total)
+	ps := &PerfectSubgraph{Center: center, Rel: make([][]int32, len(rel))}
+	for v := in.Next(0); v >= 0; v = in.Next(v + 1) {
+		arena = append(arena, ball.Orig[v])
+	}
+	ps.Nodes = arena[:len(arena):len(arena)]
+	slices.SortFunc(edges, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	ps.Edges = make([][2]int32, len(edges))
+	for i, e := range edges {
+		ps.Edges[i] = [2]int32{ball.Orig[e[0]], ball.Orig[e[1]]}
+	}
 	for u := range rel {
 		lo := len(arena)
 		for v := rel[u].Next(0); v >= 0; v = rel[u].Next(v + 1) {

@@ -19,7 +19,7 @@ func resultsEqual(a, b *Result) bool {
 		return false
 	}
 	for i := range a.Subgraphs {
-		if a.Subgraphs[i].signature() != b.Subgraphs[i].signature() {
+		if a.Subgraphs[i].Signature() != b.Subgraphs[i].Signature() {
 			return false
 		}
 	}

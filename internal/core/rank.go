@@ -90,7 +90,7 @@ func (r *Result) TopK(q, g *graph.Graph, k int, metric Metric) []Ranked {
 		if len(a.Nodes) != len(b.Nodes) {
 			return len(a.Nodes) < len(b.Nodes)
 		}
-		return a.signature() < b.signature()
+		return signatureLess(a.PerfectSubgraph, b.PerfectSubgraph)
 	})
 	if k > 0 && k < len(out) {
 		out = out[:k]

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -35,11 +36,10 @@ type PerfectSubgraph struct {
 // Size returns |Gs| = |nodes| + |edges|.
 func (ps *PerfectSubgraph) Size() int { return len(ps.Nodes) + len(ps.Edges) }
 
-// signature is a canonical byte encoding of (Nodes, Edges) used to
-// deduplicate subgraphs found from different ball centers (the paper's Θ is
-// a set, Theorem 1).
-func (ps *PerfectSubgraph) signature() string {
-	buf := make([]byte, 0, 4*(len(ps.Nodes)+2*len(ps.Edges))+16)
+// appendSignature appends a canonical byte encoding of (Nodes, Edges) to
+// buf, used to deduplicate subgraphs found from different ball centers (the
+// paper's Θ is a set, Theorem 1).
+func (ps *PerfectSubgraph) appendSignature(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ps.Nodes)))
 	prev := int64(0)
 	for _, v := range ps.Nodes {
@@ -50,14 +50,16 @@ func (ps *PerfectSubgraph) signature() string {
 		buf = binary.AppendUvarint(buf, uint64(e[0]))
 		buf = binary.AppendUvarint(buf, uint64(e[1]))
 	}
-	return string(buf)
+	return buf
 }
 
 // Signature returns an opaque canonical key for (Nodes, Edges): two perfect
 // subgraphs carry the same key iff they are the same subgraph of G,
 // regardless of which ball center produced them. Streaming consumers
 // (internal/engine) use it to deduplicate matches incrementally.
-func (ps *PerfectSubgraph) Signature() string { return ps.signature() }
+func (ps *PerfectSubgraph) Signature() string {
+	return string(ps.appendSignature(make([]byte, 0, 4*(len(ps.Nodes)+2*len(ps.Edges))+16)))
+}
 
 // Contains reports whether the subgraph contains data node v.
 func (ps *PerfectSubgraph) Contains(v int32) bool {
@@ -209,26 +211,29 @@ func (r *Result) SizeHistogram() [6]int {
 // share: first admission wins a duplicate set, so feeding outcomes in
 // ascending center order makes the smallest producing center win.
 type Deduper struct {
-	seen map[string]bool
+	seen map[string]struct{}
+	buf  []byte // the signature being looked up
 }
 
 // NewDeduper returns an empty deduper.
 func NewDeduper() *Deduper {
-	return &Deduper{seen: make(map[string]bool)}
+	return &Deduper{seen: make(map[string]struct{})}
 }
 
 // Admit reports whether ps is a subgraph not seen before, counting nil
-// outcomes as nothing and repeats into stats.Duplicates.
+// outcomes as nothing and repeats into stats.Duplicates. The signature is
+// built in the deduper's buffer and looked up without a copy; only an
+// admitted subgraph's is stored.
 func (d *Deduper) Admit(ps *PerfectSubgraph, stats *Stats) bool {
 	if ps == nil {
 		return false
 	}
-	sig := ps.signature()
-	if d.seen[sig] {
+	d.buf = ps.appendSignature(d.buf[:0])
+	if _, dup := d.seen[string(d.buf)]; dup {
 		stats.Duplicates++
 		return false
 	}
-	d.seen[sig] = true
+	d.seen[string(d.buf)] = struct{}{}
 	return true
 }
 
@@ -259,6 +264,14 @@ func SortSubgraphs(subs []*PerfectSubgraph) {
 		if len(a.Nodes) != len(b.Nodes) {
 			return len(a.Nodes) < len(b.Nodes)
 		}
-		return a.signature() < b.signature()
+		return signatureLess(a, b)
 	})
+}
+
+// signatureLess orders two subgraphs by their signatures, built in stack
+// buffers: sorts compare signatures only to break ties, and each comparison
+// would otherwise allocate two strings.
+func signatureLess(a, b *PerfectSubgraph) bool {
+	var sa, sb [128]byte
+	return bytes.Compare(a.appendSignature(sa[:0]), b.appendSignature(sb[:0])) < 0
 }

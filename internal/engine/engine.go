@@ -142,20 +142,32 @@ type preparedQuery struct {
 	centers []int32             // viable ball centers, ascending
 	stats   core.Stats          // prefilter accounting (skipped centers, minQ size)
 	done    bool                // query already answered (dual filter found Q ⊀D G)
-	// cand holds every data node that can be a candidate of some pattern
-	// node in any ball: the global relation's matches. Balls are built
-	// restricted to it. kept lists it ascending (centers before a slice
-	// cuts them), so a ball's last BFS level may run bottom-up; nil when
-	// only the set is at hand.
-	cand *graph.NodeSet
+	// kept lists, ascending, every data node that can be a candidate of
+	// some pattern node in any ball: the global relation's matches (centers
+	// before a slice cuts them). kg is the subgraph they induce, built once
+	// by the eval stage, and every ball is a view of it.
 	kept []int32
-	// scratch owns global, cand and centers; the query's entry point releases
-	// it once the last ball has been evaluated.
+	kg   *graph.KeptGraph
+	// cand stands in for the kept graph where no global relation is at
+	// hand (EvalCenters): the nodes carrying a pattern label, which balls
+	// are built restricted to.
+	cand *graph.NodeSet
+	// scratch owns global, centers and the kept graph; the query's entry
+	// point releases it once the last ball has been evaluated.
 	scratch *exec.Scratch
 }
 
-// release returns the query's pooled state; global, cand and centers are
-// dead after it. Safe on a query that holds nothing.
+// ball builds the ball of center into bs: a view of the kept graph, or,
+// without one, a ball restricted to cand.
+func (p *preparedQuery) ball(bs *graph.BallScratch, g *graph.Graph, center int32) *graph.Ball {
+	if p.kg != nil {
+		return bs.View(p.kg, center, p.radius)
+	}
+	return bs.BuildRestricted(g, center, p.radius, p.cand, nil)
+}
+
+// release returns the query's pooled state; global, centers and the kept
+// graph are dead after it. Safe on a query that holds nothing.
 func (p *preparedQuery) release() {
 	p.scratch.Release()
 	p.scratch = nil
@@ -213,10 +225,6 @@ func (e *Engine) prepare(ctx context.Context, q *graph.Graph, opts QueryOptions)
 	p.global = rel
 	p.scratch.Centers = p.scratch.Sim.Matched(p.scratch.Centers[:0])
 	p.kept, p.centers = p.scratch.Centers, p.scratch.Centers
-	p.cand = p.scratch.Sim.SpareSet(g.NumNodes())
-	for _, v := range p.kept {
-		p.cand.Add(v)
-	}
 	p.stats.BallsSkipped = g.NumNodes() - len(p.centers)
 	if tr != nil {
 		tr.CandidateCenters = len(p.centers)
@@ -241,8 +249,8 @@ type ballOutcome struct {
 	ps    *core.PerfectSubgraph
 	stats core.Stats
 	// ballNodes/ballEdges record the evaluated ball's size for query
-	// tracing; plain ints in the outcome struct, so the stats-off path pays
-	// two register stores per ball and no allocation.
+	// tracing; counted only when the query is traced, and plain ints in the
+	// outcome struct, so no path allocates for them.
 	ballNodes int
 	ballEdges int
 }
@@ -259,15 +267,26 @@ type ballOutcome struct {
 // balls; a ball evaluation already underway runs to completion. The eval
 // span, when tr records one, parents the pool's "eval.worker" spans, one
 // per goroutine that evaluated the query's balls.
+//
+// A query with a global relation first builds its kept graph, once, on the
+// calling goroutine into its own scratch; every ball is then a view of it,
+// built by whichever goroutine evaluates the ball, which only reads the kept
+// graph.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, tr *obs.QueryStats, sink func(ballOutcome) bool) error {
 	tr.Begin(obs.StageEval)
+	if p.global != nil {
+		p.kg = p.scratch.Balls.Kept(e.snap.g, p.kept, p.radius)
+	}
 	err := exec.RunOrdered(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
-			ball := s.Balls.BuildRestricted(e.snap.g, center, p.radius, p.cand, p.kept)
+			ball := p.ball(&s.Balls, e.snap.g, center)
 			ps, stats := core.EvalPreparedBallIn(p.qEff, ball, center, coreOpts, p.global, &s.Sim)
-			return ballOutcome{pos: pos, ps: ps, stats: stats,
-				ballNodes: ball.G.NumNodes(), ballEdges: ball.G.NumEdges()}
+			o := ballOutcome{pos: pos, ps: ps, stats: stats}
+			if tr != nil {
+				o.ballNodes, o.ballEdges = ball.NumNodes(), ball.NumEdges()
+			}
+			return o
 		},
 		func(pos int, o ballOutcome) bool {
 			tr.ObserveBall(o.ballNodes, o.ballEdges)

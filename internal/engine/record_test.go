@@ -116,11 +116,15 @@ func TestRecordViewsAgree(t *testing.T) {
 }
 
 // TestRecordAllocs is the record's zero-cost-when-off proof at the engine:
-// a Match without a record allocates no more than it did before stages were
-// recorded through one call (the figures below, measured with go1.24 on
-// these workloads), and a record with no tracer and no flight recorder adds
-// a constant — the same on two workloads whose ball counts differ
-// several-fold, so nothing it does is per ball.
+// a Match without a record allocates no more than the figures below
+// (measured with go1.24 on these workloads: 27 and 106 since served balls
+// became views of one kept graph), and a record with no tracer and no
+// flight recorder adds a constant — the same on two workloads whose ball
+// counts differ several-fold, so nothing it does is per ball. Each side
+// averages 500 queries: now and then a garbage collection leaves the
+// scratch pool a scratch short, and the replacement's first query allocates
+// its arenas, 60–90 allocations once, which over 50 queries moved the
+// average by one.
 func TestRecordAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector drops sync.Pool puts at random, so scratch allocations vary run to run")
@@ -130,7 +134,7 @@ func TestRecordAllocs(t *testing.T) {
 	for _, wl := range []struct {
 		n       int
 		maxBase float64
-	}{{400, 39}, {1500, 179}} {
+	}{{400, 30}, {1500, 115}} {
 		q, g := testWorkload(t, wl.n, 11)
 		e := New(g, Config{Workers: 1})
 		run := func(tr *obs.QueryStats) {
@@ -144,9 +148,9 @@ func TestRecordAllocs(t *testing.T) {
 		}
 		counted := new(obs.QueryStats)
 		run(counted)
-		base := testing.AllocsPerRun(50, func() { run(nil) })
+		base := testing.AllocsPerRun(500, func() { run(nil) })
 		tr := new(obs.QueryStats)
-		with := testing.AllocsPerRun(50, func() { run(tr) })
+		with := testing.AllocsPerRun(500, func() { run(tr) })
 		t.Logf("n=%d: %d balls, %.0f allocs/op without a record, %.0f with", wl.n, counted.BallsBuilt, base, with)
 		if base > wl.maxBase {
 			t.Errorf("n=%d: Match without a record allocates %.0f/op, was %.0f", wl.n, base, wl.maxBase)

@@ -73,9 +73,8 @@ func (s *Snapshot) ParsePattern(src string) (*graph.Graph, error) {
 
 // BallIn builds the whole ball Ĝ[center, radius] into bs (valid until its
 // next build); a nil bs allocates a fresh ball. Queries do not come this
-// way — they build balls restricted to their candidates
-// (BallScratch.BuildRestricted) — it is what a caller with no query at hand
-// gets.
+// way — their balls are views of the graph their candidates induce
+// (BallScratch.View) — it is what a caller with no query at hand gets.
 func (s *Snapshot) BallIn(bs *graph.BallScratch, center int32, radius int) *graph.Ball {
 	if bs == nil {
 		return graph.NewBall(s.g, center, radius)

@@ -10,8 +10,11 @@
 //
 //   - a center source is the position space [0, n) plus whatever slice the
 //     caller indexes (all nodes, candidate centers, dirty centers);
-//   - a ball provider runs inside eval: Scratch.Balls.BuildRestricted keeps
-//     the query's candidates only, Build the whole ball;
+//   - a ball provider runs inside eval: Scratch.Balls.View makes a served
+//     query's ball a view of the kept graph the query built once into the
+//     scratch it holds (GetScratch) — its candidates and their adjacency —
+//     BuildRestricted builds a ball of its own restricted to a candidate
+//     set, Build the whole ball;
 //   - the evaluator is core.EvalPreparedBallIn, or any pure function of the
 //     position;
 //   - the sink runs on the calling goroutine, in ascending position order.

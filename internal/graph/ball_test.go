@@ -135,7 +135,7 @@ func TestBallIncludesAllInducedEdges(t *testing.T) {
 func borderNodes(b *Ball) []int32 {
 	var out []int32
 	for v := range b.Dist {
-		if b.IsBorder(int32(v)) {
+		if b.IsBorder(v) {
 			out = append(out, int32(v))
 		}
 	}

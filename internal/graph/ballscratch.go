@@ -11,10 +11,11 @@ import (
 // NOT safe for concurrent use — give each worker its own (internal/exec does
 // exactly that).
 //
-// The Ball returned by Build or BuildRestricted, including its induced Graph
+// The Ball returned by Build, BuildRestricted or View, including its Graph
 // and every slice reachable from it, is owned by the scratch and valid only
-// until the next build on the same scratch. Callers that need to retain a
-// ball must use NewBall instead; evaluators
+// until the next build on the same scratch (a view's Graph is the kept
+// graph's, which lives as long as the scratch that built it with Kept).
+// Callers that need to retain a ball must use NewBall instead; evaluators
 // that consume the ball and copy their findings out
 // (core.EvalPreparedBallIn and everything on top of it) can run on scratch
 // balls unchanged.
@@ -49,25 +50,44 @@ type BallScratch struct {
 	misses int64
 	rows   int64
 
-	// Reused ball storage.
-	ball    Ball
+	// Reused ball storage: the ball, its graph's arenas, the buffer the BFS
+	// decodes rows into, and the members' distances.
+	ball  Ball
+	arena subArena
+	row   []int32
+	dist  []int32
+
+	// A view's state beside seen: mark holds its members as kept ids, a
+	// set as long as the kept graph that a view empties by walking its
+	// members; slots holds, beside each node its BFS reached past depth 1,
+	// its position in the kept graph's index (-1 when it has none).
+	mark  NodeSet
+	slots []int32
+	// kg is the kept graph Kept builds, for the scratch a request holds.
+	kg KeptGraph
+}
+
+// subArena is the reusable storage of a graph a scratch builds over
+// re-indexed nodes — a restricted ball's, or a query's kept graph — and the
+// code that freezes it: the caller fills nodeLbl and both directions of the
+// adjacency as flat CSR of new ids, and finish encodes them into pages and
+// indexes the labels.
+type subArena struct {
 	sub     Graph
 	nodeLbl []int32
-	// The built graph's adjacency, out ([0]) and in ([1]): first as a flat
-	// CSR of ball ids (row i is flat[start[i]:start[i+1]]), then encoded
-	// into page tables whose pages are windows of one offset arena and one
-	// byte arena per direction. row is the buffer the BFS decodes into.
+	// The adjacency, out ([0]) and in ([1]): first as a flat CSR of new ids
+	// (row i is flat[start[i]:start[i+1]]), then encoded into page tables
+	// whose pages are windows of one offset arena and one byte arena per
+	// direction.
 	start [2][]int32
 	flat  [2][]int32
-	row   []int32
 	pages [2][]csrPage
 	off   [2][]int32
 	to    [2][]byte
-	dist  []int32
 	// Label index of the built graph without a map: lblRows[l] lists the
-	// ball nodes labelled l (a window of lblArena), lblCount[l] is its
-	// length. Both are indexed by label id and hold entries for the labels
-	// of the current ball only; the next build clears those by walking the
+	// nodes labelled l (a window of lblArena), lblCount[l] is its length.
+	// Both are indexed by label id and hold entries for the labels of the
+	// current graph only; the next build clears those by walking the
 	// previous nodeLbl. rank is the built graph's label-rank array.
 	lblRows  [][]int32
 	lblCount []int32
@@ -75,27 +95,86 @@ type BallScratch struct {
 	rank     []int32
 }
 
-// grow ensures seen covers g's nodes and the per-label slices its label
-// table, and clears the label index of the previous ball. It reports whether
-// it had to reallocate.
-func (s *BallScratch) grow(g *Graph) (grew bool) {
+// reset sizes the per-label slices to g's label table and clears the label
+// index of the previous graph. It reports whether it had to reallocate.
+func (a *subArena) reset(g *Graph) (grew bool) {
+	if labels := g.labels.Len(); len(a.lblRows) < labels {
+		// Rows of the previous graph die with the old slice; no build is in
+		// progress, so nothing else refers to them.
+		a.lblRows = make([][]int32, labels)
+		a.lblCount = make([]int32, labels)
+		a.nodeLbl = a.nodeLbl[:0]
+		grew = true
+	}
+	for _, lbl := range a.nodeLbl {
+		a.lblRows[lbl] = nil
+		a.lblCount[lbl] = 0
+	}
+	a.nodeLbl = a.nodeLbl[:0]
+	return grew
+}
+
+// footprint sums the capacities of the arenas, which only ever grow: a
+// build that leaves it unchanged ran on reused storage.
+func (a *subArena) footprint() int {
+	n := cap(a.lblArena) + cap(a.rank)
+	for d := range a.start {
+		n += cap(a.start[d]) + cap(a.flat[d]) + cap(a.off[d]) + cap(a.to[d]) + cap(a.pages[d])
+	}
+	return n
+}
+
+// finish freezes the graph over len(nodeLbl) nodes labelled nodeLbl, whose
+// adjacency is the flat CSR in start and flat, every row ascending, and
+// returns it. The graph shares g's label table and lives in the arena.
+func (a *subArena) finish(g *Graph) *Graph {
+	n := len(a.nodeLbl)
+	for d := range a.pages {
+		a.pages[d], a.off[d], a.to[d] = appendPages(a.pages[d][:0], a.off[d][:0], a.to[d][:0], a.start[d], a.flat[d])
+	}
+	// Label index: count, then carve each label's window out of one arena
+	// at its first node and fill in ascending node order. Appends stay
+	// inside each window because capacities are exact.
+	for _, lbl := range a.nodeLbl {
+		a.lblCount[lbl]++
+	}
+	if cap(a.lblArena) < n {
+		a.lblArena = make([]int32, n)
+		a.rank = make([]int32, 0, n)
+	}
+	off := int32(0)
+	a.rank = a.rank[:0]
+	for i, lbl := range a.nodeLbl {
+		if a.lblRows[lbl] == nil {
+			c := a.lblCount[lbl]
+			a.lblRows[lbl] = a.lblArena[off : off : off+c]
+			off += c
+		}
+		a.rank = append(a.rank, int32(len(a.lblRows[lbl])))
+		a.lblRows[lbl] = append(a.lblRows[lbl], int32(i))
+	}
+	// A graph of up to one page of nodes — nearly every restricted ball —
+	// has a one-entry page table.
+	a.sub = Graph{
+		labels:   g.labels,
+		nodeLbl:  a.nodeLbl,
+		out:      CSR{pages: a.pages[0], n: n},
+		in:       CSR{pages: a.pages[1], n: n},
+		numEdges: len(a.flat[0]),
+		lblRows:  a.lblRows,
+		rank:     a.rank,
+	}
+	return &a.sub
+}
+
+// grow ensures seen covers g's nodes, and reports whether it had to
+// reallocate.
+func (s *BallScratch) grow(g *Graph) bool {
 	if n := g.NumNodes(); s.seen.Capacity() < n {
 		s.seen.Reset(n)
-		grew = true
+		return true
 	}
-	if labels := g.labels.Len(); len(s.lblRows) < labels {
-		// Rows of the previous ball die with the old slice; no build is in
-		// progress, so nothing else refers to them.
-		s.lblRows = make([][]int32, labels)
-		s.lblCount = make([]int32, labels)
-		s.nodeLbl = s.nodeLbl[:0]
-		grew = true
-	}
-	for _, lbl := range s.nodeLbl {
-		s.lblRows[lbl] = nil
-		s.lblCount[lbl] = 0
-	}
-	return grew
+	return false
 }
 
 // noID marks an empty entry of BallScratch.ids: no node has id -1.
@@ -165,9 +244,10 @@ func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
 func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet, kept []int32) *Ball {
 	s.builds++
 	grew := s.grow(g)
-	preReached, preMembers, preIDs := cap(s.reached), cap(s.members), cap(s.ids)
-	preTo, preOff, preLbl := cap(s.to[0])+cap(s.to[1]), cap(s.off[0])+cap(s.off[1]), cap(s.lblArena)
-	preFlat := cap(s.flat[0]) + cap(s.flat[1]) + cap(s.start[0]) + cap(s.start[1])
+	if s.arena.reset(g) {
+		grew = true
+	}
+	preReached, preMembers, preIDs, preArena := cap(s.reached), cap(s.members), cap(s.ids), s.arena.footprint()
 
 	// Undirected BFS over g. The frontier of distance d-1 is the window
 	// reached[lo:hi]; appends during the sweep may move the backing array,
@@ -232,20 +312,19 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	}
 	slices.Sort(s.members)
 	orig := s.members
-	s.nodeLbl = s.nodeLbl[:0]
+	a := &s.arena
 	for i, v := range orig {
 		j := s.at(v)
 		s.dist[i] = int32(uint32(s.ids[j]))
 		s.ids[j] = uint64(v)<<32 | uint64(i)
-		s.nodeLbl = append(s.nodeLbl, g.nodeLbl[v])
+		a.nodeLbl = append(a.nodeLbl, g.nodeLbl[v])
 	}
 
 	// Induced adjacency. Each member's out-row is decoded, cut to the
 	// members (the reached nodes that are kept, and the center) and
 	// translated to ball ids, still ascending; the in-rows are its
-	// transpose, so no parent in-row is read. Both are then encoded into the
-	// arenas, mostly at width 1 since ball ids are dense.
-	start, flat := s.start[0][:0], s.flat[0][:0]
+	// transpose, so no parent in-row is read.
+	start, flat := a.start[0][:0], a.flat[0][:0]
 	s.rows += int64(n)
 	for _, v := range orig {
 		start = append(start, int32(len(flat)))
@@ -260,59 +339,22 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 		flat = flat[:k]
 	}
 	start = append(start, int32(len(flat)))
-	s.start[0], s.flat[0] = start, flat
-	s.start[1], s.flat[1] = transpose(s.start[1], s.flat[1], n, start, flat)
-	for d := range s.pages {
-		s.pages[d], s.off[d], s.to[d] = appendPages(s.pages[d][:0], s.off[d][:0], s.to[d][:0], s.start[d], s.flat[d])
-	}
+	a.start[0], a.flat[0] = start, flat
+	a.start[1], a.flat[1] = transpose(a.start[1], a.flat[1], n, start, flat)
 	centerID := int32(uint32(s.ids[s.at(center)]))
 	for _, v := range s.reached {
 		s.seen.Remove(v)
 	}
 
-	// Label index: count, then carve each label's window out of one arena
-	// at its first node and fill in ascending node order. Appends stay
-	// inside each window because capacities are exact.
-	for _, lbl := range s.nodeLbl {
-		s.lblCount[lbl]++
-	}
-	if cap(s.lblArena) < n {
-		s.lblArena = make([]int32, n)
-		s.rank = make([]int32, 0, n)
-	}
-	off := int32(0)
-	s.rank = s.rank[:0]
-	for i, lbl := range s.nodeLbl {
-		if s.lblRows[lbl] == nil {
-			c := s.lblCount[lbl]
-			s.lblRows[lbl] = s.lblArena[off : off : off+c]
-			off += c
-		}
-		s.rank = append(s.rank, int32(len(s.lblRows[lbl])))
-		s.lblRows[lbl] = append(s.lblRows[lbl], int32(i))
-	}
-
-	// A ball of up to one page of members — nearly every restricted ball —
-	// has a one-entry page table.
-	s.sub = Graph{
-		labels:   g.labels,
-		nodeLbl:  s.nodeLbl,
-		out:      CSR{pages: s.pages[0], n: n},
-		in:       CSR{pages: s.pages[1], n: n},
-		numEdges: len(s.flat[0]),
-		lblRows:  s.lblRows,
-		rank:     s.rank,
-	}
 	s.ball = Ball{
-		G:      &s.sub,
+		G:      a.finish(g),
 		Center: centerID,
 		Radius: radius,
 		Orig:   orig,
 		Dist:   s.dist,
 	}
 	if grew || cap(s.reached) != preReached || cap(s.members) != preMembers || cap(s.ids) != preIDs ||
-		cap(s.to[0])+cap(s.to[1]) != preTo || cap(s.off[0])+cap(s.off[1]) != preOff || cap(s.lblArena) != preLbl ||
-		cap(s.flat[0])+cap(s.flat[1])+cap(s.start[0])+cap(s.start[1]) != preFlat {
+		a.footprint() != preArena {
 		s.misses++
 	}
 	return &s.ball

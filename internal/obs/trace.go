@@ -328,8 +328,14 @@ func (s Span) Context() TraceContext {
 	return TraceContext{TraceID: s.tr.id, SpanID: s.id, Flags: flags}
 }
 
-// StartChild opens a child span. A zero receiver returns a zero Span.
-func (s Span) StartChild(name string) Span { return s.childAt(name, time.Now()) }
+// StartChild opens a child span. A zero receiver returns a zero Span without
+// reading the clock, so spans that do not record cost nothing.
+func (s Span) StartChild(name string) Span {
+	if s.tr == nil {
+		return Span{}
+	}
+	return s.tr.startAt(name, s.id, time.Now())
+}
 
 // childAt opens a child span starting at the given clock reading.
 func (s Span) childAt(name string, at time.Time) Span {

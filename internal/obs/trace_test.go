@@ -356,3 +356,22 @@ func TestQueryStatsSpanParenting(t *testing.T) {
 		t.Fatal("eval span missing from kept trace")
 	}
 }
+
+// TestZeroSpanChildIsZero: a span that does not record opens children that
+// do not record either — zero Spans, at any depth, which End ignores — and
+// opening one allocates nothing. Untraced queries open one per evaluating
+// goroutine (exec's "eval.worker") and per live stage.
+func TestZeroSpanChildIsZero(t *testing.T) {
+	var zero Span
+	child := zero.StartChild("eval.worker")
+	if child != (Span{}) || child.Recording() {
+		t.Fatalf("a zero span's child is %+v, want a zero Span", child)
+	}
+	if grand := child.StartChild("live.maintain"); grand != (Span{}) {
+		t.Fatalf("a zero span's grandchild is %+v, want a zero Span", grand)
+	}
+	child.End(Attr{Key: "balls", Value: 1})
+	if allocs := testing.AllocsPerRun(100, func() { zero.StartChild("eval.worker").End() }); allocs != 0 {
+		t.Fatalf("a zero span's child allocates %.1f times", allocs)
+	}
+}

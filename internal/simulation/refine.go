@@ -450,17 +450,17 @@ func (r *Refiner) count() {
 	}
 }
 
-// countPair fills the counters of (x,v), and reports false when the
-// refinement has to stop instead.
+// countPair fills the counters of (x,v), charges the entries it read, and
+// reports false when the refinement has to stop. The charge follows the
+// rows it decoded, so no row is sized before it is read.
 func (r *Refiner) countPair(x, v int32) bool {
 	outs, ins := r.ends(x)
-	if r.spent(len(outs)*r.out.Degree(v) + len(ins)*r.in.Degree(v)) {
-		return false
-	}
 	rv := r.rank[v]
+	work := 0
 	if len(outs) > 0 {
 		r.rows++
 		r.row = r.out.AppendRow(r.row[:0], v)
+		work += len(outs) * len(r.row)
 		for j, u := range outs {
 			r.cnt[r.succOut[r.outBase[x]+int32(j)]+rv] = countIn(r.row, r.rel[u])
 		}
@@ -468,11 +468,12 @@ func (r *Refiner) countPair(x, v int32) bool {
 	if len(ins) > 0 {
 		r.rows++
 		r.row = r.in.AppendRow(r.row[:0], v)
+		work += len(ins) * len(r.row)
 		for j, p := range ins {
 			r.cnt[r.predIn[r.inBase[x]+int32(j)]+rv] = countIn(r.row, r.rel[p])
 		}
 	}
-	return true
+	return !r.spent(work)
 }
 
 // countIn returns how many of row are members of set.
