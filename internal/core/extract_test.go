@@ -73,7 +73,7 @@ func TestExtractMaxPGIsMatchGraphComponent(t *testing.T) {
 		if trial%2 == 0 {
 			ball = graph.NewBall(g, center, 1+rng.Intn(3))
 		} else {
-			ball = balls.BuildRestricted(g, center, 1+rng.Intn(3), nil, nil)
+			ball = balls.BuildRestricted(g, center, 1+rng.Intn(3), nil)
 		}
 		bg := ball.G
 		density := 0.2 + 0.7*rng.Float64()

@@ -132,7 +132,7 @@ func MatchCtx(ctx context.Context, q, g *graph.Graph, opts Options) (*Result, er
 	out := make([]centerResult, len(centers))
 	err := exec.Run(ctx, exec.Options{Workers: opts.Workers}, len(centers),
 		func(s *exec.Scratch, pos int) centerResult {
-			ball := s.Balls.BuildRestricted(g, centers[pos], radius, cand, centers)
+			ball := s.Balls.BuildRestricted(g, centers[pos], radius, cand)
 			ps, stats := EvalPreparedBallIn(qEff, ball, centers[pos], opts, global, &s.Sim)
 			return centerResult{ps: ps, stats: stats}
 		},

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -148,22 +149,9 @@ type preparedQuery struct {
 	// by the eval stage, and every ball is a view of it.
 	kept []int32
 	kg   *graph.KeptGraph
-	// cand stands in for the kept graph where no global relation is at
-	// hand (EvalCenters): the nodes carrying a pattern label, which balls
-	// are built restricted to.
-	cand *graph.NodeSet
 	// scratch owns global, centers and the kept graph; the query's entry
 	// point releases it once the last ball has been evaluated.
 	scratch *exec.Scratch
-}
-
-// ball builds the ball of center into bs: a view of the kept graph, or,
-// without one, a ball restricted to cand.
-func (p *preparedQuery) ball(bs *graph.BallScratch, g *graph.Graph, center int32) *graph.Ball {
-	if p.kg != nil {
-		return bs.View(p.kg, center, p.radius)
-	}
-	return bs.BuildRestricted(g, center, p.radius, p.cand, nil)
 }
 
 // release returns the query's pooled state; global, centers and the kept
@@ -268,19 +256,16 @@ type ballOutcome struct {
 // span, when tr records one, parents the pool's "eval.worker" spans, one
 // per goroutine that evaluated the query's balls.
 //
-// A query with a global relation first builds its kept graph, once, on the
-// calling goroutine into its own scratch; every ball is then a view of it,
-// built by whichever goroutine evaluates the ball, which only reads the kept
-// graph.
+// The query first builds its kept graph, once, on the calling goroutine into
+// its own scratch; every ball is then a view of it, built by whichever
+// goroutine evaluates the ball, which only reads the kept graph.
 func (e *Engine) evalCenters(ctx context.Context, p *preparedQuery, coreOpts core.Options, tr *obs.QueryStats, sink func(ballOutcome) bool) error {
 	tr.Begin(obs.StageEval)
-	if p.global != nil {
-		p.kg = p.scratch.Balls.Kept(e.snap.g, p.kept, p.radius)
-	}
+	p.kg = p.scratch.Balls.Kept(e.snap.g, p.kept, p.radius)
 	err := exec.RunOrdered(ctx, exec.Options{Workers: e.workers, Span: tr.Span()}, len(p.centers),
 		func(s *exec.Scratch, pos int) ballOutcome {
 			center := p.centers[pos]
-			ball := p.ball(&s.Balls, e.snap.g, center)
+			ball := s.Balls.View(p.kg, center, p.radius)
 			ps, stats := core.EvalPreparedBallIn(p.qEff, ball, center, coreOpts, p.global, &s.Sim)
 			o := ballOutcome{pos: pos, ps: ps, stats: stats}
 			if tr != nil {
@@ -312,47 +297,44 @@ func spanStatus(err error) string {
 }
 
 // EvalCenters evaluates the plain-Match ball outcome for each listed center
-// on the exec pool: the ball Ĝ[c, radius] is built into the evaluating
-// goroutine's scratch restricted to the nodes carrying a pattern label, as
-// core.Match builds it, and is run through
-// core.EvalPreparedBallIn with zero options and no global relation — exactly
-// the per-center work of core.Match restricted to the given centers.
-// report is called on the calling goroutine with the center's index in
-// centers and its maximum perfect subgraph (nil when the ball has none), in
-// index order.
-// radius <= 0 uses the pattern diameter. Callers are responsible for any
-// center prefiltering (label precheck, plan.Anchored); every listed center is
-// evaluated — a
-// restricted ball always keeps its center, so one outside the candidate set
-// still gets a ball of its own and comes back nil.
+// on the exec pool, as Match evaluates it: prepare runs the global
+// dual-simulation filter, and every listed center the relation matches gets
+// a view of the query's kept graph, run through core.EvalPreparedBallIn with
+// zero options. A listed center outside the relation gets no ball: no ball
+// of it can match (Proposition 1). report is called on the calling goroutine,
+// in index order, with the index in centers of each center that got a ball
+// and its maximum perfect subgraph (nil when the ball has none), so the
+// calls count the balls built. radius <= 0 uses the pattern diameter, and a
+// pattern Match rejects is an error before any report.
 //
 // internal/live uses this to re-evaluate the dirty centers of a standing
 // query after an update batch; the outcomes are interchangeable with those
 // Match computed for the same centers.
 // trace, when non-nil, records the evaluation like a traced Match would
-// (candidate centers, per-ball sizes, the eval stage); nil adds no per-ball
-// work.
+// (the prepare, filter and eval stages, the listed centers that got a ball
+// as candidate centers, per-ball sizes); nil adds no per-ball work.
 func (e *Engine) EvalCenters(ctx context.Context, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats, report func(i int, ps *core.PerfectSubgraph)) error {
-	if q == nil || q.NumNodes() == 0 {
-		return fmt.Errorf("engine: empty pattern graph")
+	p, err := e.prepare(ctx, q, QueryOptions{Radius: radius, Trace: trace})
+	if err != nil || p.done {
+		return err
 	}
-	if radius <= 0 {
-		dq, connected := graph.Diameter(q)
-		if !connected {
-			return fmt.Errorf("engine: pattern graph must be connected (Section 2.1)")
+	defer p.release()
+	p.centers = nil
+	var index []int // index[pos] is p.centers[pos]'s index in centers
+	for i, c := range centers {
+		if _, ok := slices.BinarySearch(p.kept, c); ok {
+			p.centers = append(p.centers, c)
+			index = append(index, i)
 		}
-		radius = dq
 	}
-	// The candidate set is |V| bits; a caller maintaining standing queries
-	// asks once per query per update batch, so it comes from the pool.
-	sc := exec.GetScratch()
-	defer sc.Release()
-	p := &preparedQuery{qEff: q, radius: radius, centers: centers, cand: e.snap.g.NodesLabeledInto(q, &sc.Cand)}
 	if trace != nil {
-		trace.CandidateCenters = len(centers)
+		trace.CandidateCenters = len(p.centers)
+	}
+	if len(p.centers) == 0 {
+		return nil // no kept graph to build
 	}
 	return e.evalCenters(ctx, p, core.Options{}, trace, func(o ballOutcome) bool {
-		report(o.pos, o.ps)
+		report(index[o.pos], o.ps)
 		return true
 	})
 }

@@ -348,11 +348,11 @@ func TestEvalCentersMatchesPlainMatch(t *testing.T) {
 	}
 }
 
-// TestEvalCentersOutsideCandidates: EvalCenters evaluates every center it is
+// TestEvalCentersOutsideCandidates: EvalCenters takes any center it is
 // handed, also one whose label the pattern does not carry (live prefilters
-// its dirty centers, other callers need not). Such a center must still get a
-// ball of its own and come back empty, and every listed center must agree
-// with the reference pair NewBall + EvalPreparedBallIn with no scratch.
+// its dirty centers, other callers need not). Such a center must come back
+// empty, and every listed center must agree with the reference pair
+// NewBall + EvalPreparedBallIn with no scratch.
 func TestEvalCentersOutsideCandidates(t *testing.T) {
 	q, g := testWorkload(t, 400, 11)
 	e := New(g, Config{Workers: 3})
@@ -387,5 +387,26 @@ func TestEvalCentersOutsideCandidates(t *testing.T) {
 	}
 	if outside == 0 || matched == 0 {
 		t.Fatalf("vacuous: %d centers outside the candidate set, %d matching", outside, matched)
+	}
+}
+
+// TestEvalCentersRejectsDisconnected: EvalCenters refuses a pattern Match
+// refuses (Section 2.1), whatever the radius; a caller-supplied radius does
+// not stand in for the diameter check. No center is reported.
+func TestEvalCentersRejectsDisconnected(t *testing.T) {
+	_, g := testWorkload(t, 200, 7)
+	e := New(g, Config{Workers: 2})
+	b := graph.NewBuilder(g.Labels().Clone())
+	b.AddNode("l0")
+	b.AddNode("l1") // no edge: disconnected
+	q := b.Build()
+	centers := e.Snapshot().CandidateCenters(q).Slice()
+	for _, radius := range []int{0, 2} {
+		err := e.EvalCenters(context.Background(), q, radius, centers, nil, func(i int, ps *core.PerfectSubgraph) {
+			t.Fatalf("radius %d: center %d reported for a disconnected pattern", radius, centers[i])
+		})
+		if err == nil {
+			t.Fatalf("radius %d: disconnected pattern accepted", radius)
+		}
 	}
 }

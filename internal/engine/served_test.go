@@ -207,16 +207,16 @@ func TestServedScratchCounters(t *testing.T) {
 // and its views' BFS reads, summed over the 512 patterns of each mode, as
 // Match counts them into scratch_ball_rows_total, with the balls evaluated.
 // Beside them, the rows the same balls read when each was built on its own
-// restricted to the kept nodes (BuildRestricted with the kept list, as
-// served balls were built before the kept graph). The guard: a query of
+// restricted to the kept nodes (BuildRestricted's top-down BFS, as
+// core.MatchCtx builds its balls). The guard: a query of
 // radius ≤ 2 reads its kept graph's rows and nothing else, two a kept node.
 // The counts moving says the kept graph, the view's BFS or the ball shape
 // changed. With STRONGSIM_1M set, the same counts at a million nodes are
 // logged beside (not pinned).
 func TestServedBallRows(t *testing.T) {
 	want := map[string][3]int64{ // balls, rows, rows built one by one
-		"plain": {10652, 21304, 66785},
-		"plus":  {2849, 5698, 39656},
+		"plain": {10652, 21304, 129154},
+		"plus":  {2849, 5698, 136411},
 	}
 	ctx := context.Background()
 	rowsTotal := obs.Default.Counter("scratch_ball_rows_total", "")
@@ -248,7 +248,7 @@ func TestServedBallRows(t *testing.T) {
 				kept += int64(len(p.kept))
 				keep := graph.SetOf(g.NumNodes(), p.kept...)
 				for _, c := range p.centers {
-					oneByOne.BuildRestricted(g, c, p.radius, keep, p.kept)
+					oneByOne.BuildRestricted(g, c, p.radius, keep)
 				}
 				p.release()
 			}

@@ -10,11 +10,11 @@
 //
 //   - a center source is the position space [0, n) plus whatever slice the
 //     caller indexes (all nodes, candidate centers, dirty centers);
-//   - a ball provider runs inside eval: Scratch.Balls.View makes a served
-//     query's ball a view of the kept graph the query built once into the
-//     scratch it holds (GetScratch) — its candidates and their adjacency —
-//     BuildRestricted builds a ball of its own restricted to a candidate
-//     set, Build the whole ball;
+//   - a ball provider runs inside eval: Scratch.Balls.View makes an engine
+//     query's ball — served or standing — a view of the kept graph the query
+//     built once into the scratch it holds (GetScratch), its candidates and
+//     their adjacency; BuildRestricted builds a ball of its own restricted
+//     to a candidate set (core.MatchWith), Build the whole ball;
 //   - the evaluator is core.EvalPreparedBallIn, or any pure function of the
 //     position;
 //   - the sink runs on the calling goroutine, in ascending position order.
@@ -85,10 +85,8 @@ type Scratch struct {
 	Balls graph.BallScratch
 	// Sim backs the candidate relation and refiner of one ball evaluation.
 	Sim simulation.Scratch
-	// Cand and Centers are for the scratch a request holds, never a worker's:
-	// the candidate set its balls are restricted to when no global relation
-	// in Sim supplies one, and its center list.
-	Cand    graph.NodeSet
+	// Centers is for the scratch a request holds, never a worker's: its
+	// center list.
 	Centers []int32
 
 	// What fold has already added to the registry of the cumulative
@@ -109,13 +107,17 @@ var scratches = sync.Pool{New: func() any { return new(Scratch) }}
 func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
 
 // Release folds the scratch's counters into the registry and returns it to
-// the pool; called once per run's caller or GetScratch. A nil scratch is a
-// no-op.
+// the pool; called once per run's caller or GetScratch. The scratch forgets
+// the graphs it read: a pooled scratch, or a worker's ball still pointing
+// into one, must not keep a graph version alive after the live store has
+// moved past it. A nil scratch is a no-op.
 func (s *Scratch) Release() {
 	if s == nil {
 		return
 	}
 	s.fold()
+	s.Balls.Forget()
+	s.Sim.Forget()
 	scratches.Put(s)
 }
 

@@ -211,7 +211,7 @@ func BenchmarkExecBallEvalRestricted(b *testing.B) {
 		if !cand.Contains(center) {
 			continue
 		}
-		ball := s.Balls.BuildRestricted(g, center, radius, cand, nil)
+		ball := s.Balls.BuildRestricted(g, center, radius, cand)
 		core.EvalPreparedBallIn(q, ball, center, core.Options{}, nil, &s.Sim)
 	}
 }
@@ -293,7 +293,7 @@ func TestRestrictedBallEvalAllocFree(t *testing.T) {
 	s := new(exec.Scratch)
 	var barren []int32 // candidate centers whose ball has no perfect subgraph
 	for _, c := range cand.Slice() {
-		ball := s.Balls.BuildRestricted(g, c, dq, cand, nil)
+		ball := s.Balls.BuildRestricted(g, c, dq, cand)
 		if ps, _ := core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim); ps == nil {
 			barren = append(barren, c)
 		}
@@ -305,7 +305,7 @@ func TestRestrictedBallEvalAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		c := barren[i%len(barren)]
 		i++
-		ball := s.Balls.BuildRestricted(g, c, dq, cand, nil)
+		ball := s.Balls.BuildRestricted(g, c, dq, cand)
 		core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &s.Sim)
 	})
 	if allocs != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -12,11 +13,11 @@ import (
 	"repro/internal/simulation"
 )
 
-// warmScratch runs s through every role a pooled scratch takes on the served
-// path, as a plain and as a Match+ request would: the request's candidate
-// set (NodesLabeledInto) and global dual simulation (DualIn), and a worker's
-// restricted builds and evaluations. Roles rotate in the pool, so s takes
-// each in turn, with a second scratch in the other.
+// warmScratch runs s through every role a pooled scratch takes on, as a
+// plain and as a Match+ request of core.MatchCtx would: the request's global
+// dual simulation (DualIn) and center list, and a worker's restricted builds
+// and evaluations. Roles rotate in the pool, so s takes each in turn, with a
+// second scratch in the other.
 func warmScratch(s *exec.Scratch, g *graph.Graph, qs []*graph.Graph) {
 	other := new(exec.Scratch)
 	plus := core.Options{DualFilter: true, ConnectivityPruning: true}
@@ -26,10 +27,10 @@ func warmScratch(s *exec.Scratch, g *graph.Graph, qs []*graph.Graph) {
 			req, worker = other, s
 		}
 		dq, _ := graph.Diameter(q)
-		cand := g.NodesLabeledInto(q, &req.Cand)
+		cand := g.NodesLabeledIn(q)
 		req.Centers = cand.AppendTo(req.Centers[:0])
 		for _, c := range req.Centers[:min(len(req.Centers), 64)] {
-			ball := worker.Balls.BuildRestricted(g, c, dq, cand, req.Centers)
+			ball := worker.Balls.BuildRestricted(g, c, dq, cand)
 			core.EvalPreparedBallIn(q, ball, c, core.Options{}, nil, &worker.Sim)
 		}
 		rel, ok, err := simulation.DualIn(context.Background(), q, g, &req.Sim)
@@ -39,7 +40,7 @@ func warmScratch(s *exec.Scratch, g *graph.Graph, qs []*graph.Graph) {
 		cand = rel.DataNodesIn(g.NumNodes(), &req.Sim)
 		req.Centers = cand.AppendTo(req.Centers[:0])
 		for _, c := range req.Centers {
-			ball := worker.Balls.BuildRestricted(g, c, dq, cand, req.Centers)
+			ball := worker.Balls.BuildRestricted(g, c, dq, cand)
 			core.EvalPreparedBallIn(q, ball, c, plus, rel, &worker.Sim)
 		}
 	}
@@ -71,10 +72,10 @@ func scratchBytesPerNode(n int) float64 {
 
 // TestScratchRetainedBytesPerNode is the footprint guard of a pooled
 // scratch. Its per-node state is bitsets only — the ball builder's seen set,
-// the request's candidate set, the relation's and the spare sets, |V|/8
-// bytes each — and everything else is sized to the balls and candidates it
-// has met: ≈1.4 bytes a node in all at 50k nodes. A per-node int32 array in
-// the ball builder held 4 more (≈5.5 in all).
+// the relation's and the spare sets, |V|/8 bytes each — and everything else
+// is sized to the balls and candidates it has met: ≈1.4 bytes a node in all
+// at 50k nodes. A per-node int32 array in the ball builder held 4 more
+// (≈5.5 in all).
 func TestScratchRetainedBytesPerNode(t *testing.T) {
 	const bound = 2.0
 	got := scratchBytesPerNode(50000)
@@ -92,4 +93,33 @@ func BenchmarkScratchFootprint(b *testing.B) {
 		perNode = scratchBytesPerNode(100000)
 	}
 	b.ReportMetric(perNode, "B/node")
+}
+
+// TestReleasedScratchForgetsItsGraph: a request scratch that ran a global
+// pass and built a kept graph holds no reference to the data graph once
+// released, although a worker's last view still points into it. A live
+// store publishes a graph version per update batch; a scratch that kept one
+// alive would keep every page the store has rewritten since.
+func TestReleasedScratchForgetsItsGraph(t *testing.T) {
+	g := generator.Synthetic(2000, 1.2, 20, 1)
+	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 3})
+	dq, _ := graph.Diameter(q)
+	req, worker := exec.GetScratch(), new(exec.Scratch)
+	rel, ok, err := simulation.DualIn(context.Background(), q, g, &req.Sim)
+	if err != nil || !ok {
+		t.Fatalf("the sampled pattern has no dual match: %v", err)
+	}
+	req.Centers = req.Sim.Matched(req.Centers[:0])
+	kg := req.Balls.Kept(g, req.Centers, dq)
+	for _, c := range req.Centers {
+		core.EvalPreparedBallIn(q, worker.Balls.View(kg, c, dq), c, core.Options{}, rel, &worker.Sim)
+	}
+	alive := weak.Make(g)
+	req.Release()
+	runtime.GC()
+	runtime.GC() // the second collection empties the pool's victim cache
+	if alive.Value() != nil {
+		t.Fatal("a released scratch keeps its data graph alive")
+	}
+	runtime.KeepAlive(worker)
 }

@@ -214,11 +214,15 @@ func (s *BallScratch) at(v int32) int {
 // worker retires.
 func (s *BallScratch) Stats() (builds, misses, rows int64) { return s.builds, s.misses, s.rows }
 
+// Forget lets go of the graph the kept graph was built over, and keeps the
+// storage.
+func (s *BallScratch) Forget() { s.kg.parent = nil }
+
 // Build constructs Ĝ[center, radius] into the scratch and returns it. The
 // result is identical to NewBall(g, center, radius) in every observable way;
 // only the storage lifetime differs (see the type comment).
 func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
-	return s.BuildRestricted(g, center, radius, nil, nil)
+	return s.BuildRestricted(g, center, radius, nil)
 }
 
 // BuildRestricted constructs the subgraph of Ĝ[center, radius] induced by
@@ -234,14 +238,7 @@ func (s *BallScratch) Build(g *Graph, center int32, radius int) *Ball {
 // between two candidates (see DESIGN.md, "Per-worker scratch"). A build then
 // costs its BFS plus work proportional to the kept members, not to the
 // ball's induced subgraph.
-//
-// kept, when non-nil, lists keep's members ascending. It lets the last BFS
-// level run bottom-up: when kept is shorter than the frontier, the level
-// tests each kept node not yet reached for a neighbour reached at a smaller
-// distance instead of expanding the frontier. Nothing past the radius is
-// ever a member, so the unkept nodes of the last level are never needed,
-// and members, distances and rows come out the same either way.
-func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet, kept []int32) *Ball {
+func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *NodeSet) *Ball {
 	s.builds++
 	grew := s.grow(g)
 	if s.arena.reset(g) {
@@ -260,31 +257,6 @@ func (s *BallScratch) BuildRestricted(g *Graph, center int32, radius int, keep *
 	lo := 0
 	for d := int32(1); int(d) <= radius && lo < len(s.reached); d++ {
 		hi := len(s.reached)
-		if int(d) == radius && kept != nil && len(kept) < hi-lo {
-			// Bottom-up: seen holds exactly the nodes within d-1, so an
-			// unreached kept node with a neighbour in it is at distance d.
-			// The level's nodes join seen only after the scan; marking them
-			// during it would admit kept nodes at d+1 through them.
-			for _, w := range kept {
-				if s.seen.Contains(w) {
-					continue
-				}
-				s.rows++
-				if !g.out.Intersects(w, &s.seen) {
-					s.rows++
-					if !g.in.Intersects(w, &s.seen) {
-						continue
-					}
-				}
-				s.reached = append(s.reached, w)
-				s.members = append(s.members, w)
-				s.dist = append(s.dist, d)
-			}
-			for _, w := range s.reached[hi:] {
-				s.seen.Add(w)
-			}
-			break
-		}
 		s.rows += 2 * int64(hi-lo)
 		for _, v := range s.reached[lo:hi] {
 			s.row = g.in.AppendRow(g.out.AppendRow(s.row[:0], v), v)

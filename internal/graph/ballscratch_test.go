@@ -161,7 +161,7 @@ func TestBuildRestrictedIsInducedSubBall(t *testing.T) {
 			for center := int32(0); center < int32(g.NumNodes()); center += 3 {
 				ctx := fmt.Sprintf("n=%d e=%d r=%d c=%d", tc.n, tc.e, radius, center)
 				full := NewBall(g, center, radius)
-				got := s.BuildRestricted(g, center, radius, keep, nil)
+				got := s.BuildRestricted(g, center, radius, keep)
 				var wantOrig []int32
 				for _, v := range full.Orig {
 					if v == center || keep.Contains(v) {
@@ -218,91 +218,6 @@ func TestBuildRestrictedIsInducedSubBall(t *testing.T) {
 	}
 }
 
-// hubGraph is randomGraph plus hubs: nodes joined to about a third of the
-// graph each, in both directions, so a BFS frontier jumps from a handful of
-// nodes to most of the graph in one level.
-func hubGraph(n, edges, hubs int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(nil)
-	for i := 0; i < n; i++ {
-		b.AddNode(fmt.Sprintf("L%d", rng.Intn(3)))
-	}
-	for i := 0; i < edges; i++ {
-		_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-	}
-	for h := 0; h < hubs; h++ {
-		hub := int32(rng.Intn(n))
-		for i := 0; i < n/3; i++ {
-			if w := int32(rng.Intn(n)); rng.Intn(2) == 0 {
-				_ = b.AddEdge(hub, w)
-			} else {
-				_ = b.AddEdge(w, hub)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// TestBottomUpLevelIsTopDown: a build handed the kept list — whose last
-// level runs bottom-up whenever the list is shorter than the frontier — is
-// the build without it in every observable way: members, distances, center,
-// both directions' rows and the label index. Keep sets range from a single
-// node to a third of the graph, some closed under neighbours so that kept
-// nodes sit next to each other across the last level; a level that marked
-// its nodes reached while still scanning would admit some of those at one
-// hop past the radius.
-func TestBottomUpLevelIsTopDown(t *testing.T) {
-	var withList, withSet, whole BallScratch
-	bottomUp, topDown := 0, 0
-	for gi, tc := range []struct{ n, e, hubs int }{
-		{1, 0, 0}, {30, 25, 0}, {120, 150, 0}, {200, 260, 2}, {300, 900, 1}, {80, 60, 4},
-	} {
-		g := hubGraph(tc.n, tc.e, tc.hubs, int64(gi)+7)
-		rng := rand.New(rand.NewSource(int64(gi)))
-		for ki, size := range []int{1, 3, 8, 20, tc.n / 3} {
-			keep := NewNodeSet(g.NumNodes())
-			for i := 0; i < size; i++ {
-				v := int32(rng.Intn(tc.n))
-				keep.Add(v)
-				if ki%2 == 1 { // close this sample under neighbours
-					for _, w := range g.Out(v) {
-						keep.Add(w)
-					}
-					for _, w := range g.In(v) {
-						keep.Add(w)
-					}
-				}
-			}
-			kept := keep.Slice()
-			for radius := 0; radius <= 4; radius++ {
-				for center := int32(0); center < int32(g.NumNodes()); center++ {
-					ctx := fmt.Sprintf("graph %d keep %d (%d nodes) r=%d c=%d", gi, ki, len(kept), radius, center)
-					want := withSet.BuildRestricted(g, center, radius, keep, nil)
-					got := withList.BuildRestricted(g, center, radius, keep, kept)
-					sameBall(t, want, got, ctx)
-					if radius > 0 {
-						frontier := 0
-						for _, d := range whole.Build(g, center, radius).Dist {
-							if int(d) == radius-1 {
-								frontier++
-							}
-						}
-						if len(kept) < frontier {
-							bottomUp++
-						} else {
-							topDown++
-						}
-					}
-				}
-			}
-		}
-	}
-	if bottomUp < 1000 || topDown < 1000 {
-		t.Fatalf("the directions are not both exercised: %d bottom-up last levels, %d top-down", bottomUp, topDown)
-	}
-	t.Logf("%d bottom-up last levels, %d top-down", bottomUp, topDown)
-}
-
 // TestBallScratchRestrictedAllocFree: in steady state a restricted build —
 // BFS, re-index, adjacency, label index — allocates nothing at all, now that
 // no step goes through a map.
@@ -314,12 +229,12 @@ func TestBallScratchRestrictedAllocFree(t *testing.T) {
 	}
 	var s BallScratch
 	for c := int32(0); c < int32(g.NumNodes()); c++ {
-		s.BuildRestricted(g, c, 3, keep, nil) // warm the arenas on every center
+		s.BuildRestricted(g, c, 3, keep) // warm the arenas on every center
 	}
 	center := int32(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		center = (center + 13) % int32(g.NumNodes())
-		s.BuildRestricted(g, center, 3, keep, nil)
+		s.BuildRestricted(g, center, 3, keep)
 	})
 	if allocs != 0 {
 		t.Fatalf("restricted ball build allocates %.1f times per ball; want 0", allocs)

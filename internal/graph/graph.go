@@ -323,12 +323,7 @@ func (g *Graph) NodesWithLabelName(name string) []int32 {
 // can make a candidate of some pattern node. q and g must share one label
 // table.
 func (g *Graph) NodesLabeledIn(q *Graph) *NodeSet {
-	return g.NodesLabeledInto(q, NewNodeSet(g.NumNodes()))
-}
-
-// NodesLabeledInto is NodesLabeledIn into set, which it empties first.
-func (g *Graph) NodesLabeledInto(q *Graph, set *NodeSet) *NodeSet {
-	set.Reset(g.NumNodes())
+	set := NewNodeSet(g.NumNodes())
 	for u := int32(0); u < int32(q.NumNodes()); u++ {
 		lbl := q.Label(u)
 		if q.NodesWithLabel(lbl)[0] != u {

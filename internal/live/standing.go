@@ -120,7 +120,7 @@ func (s *Store) RegisterCtx(ctx context.Context, patternSrc string, trace *obs.Q
 	if err != nil {
 		return nil, err
 	}
-	sq.matched = slices.Clone(fresh) // fresh has a slot per evaluated center behind it
+	sq.matched = slices.Clone(fresh) // fresh grew by appends: drop its spare capacity
 	st := &queryState{version: ver.id, fromVersion: ver.id, result: assemble(sq.matched)}
 	st.added = st.result.Subgraphs
 	sq.state.Store(st)
@@ -197,7 +197,8 @@ func (sq *StandingQuery) Delta() (added, removed []*core.PerfectSubgraph, from, 
 // engine's worker pool, drop the outcome of every center in dirty, and
 // publish the new assembled result with its delta. Returns the number of
 // balls built, and of handed centers that got none because they cannot
-// anchor a match. Callers hold the store lock; dirty is read-only here.
+// anchor a match or the global dual filter dropped them. Callers hold the
+// store lock; dirty is read-only here.
 func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty *graph.NodeSet) (balls, unanchored int) {
 	labelled := len(sq.eval)
 	// The error path is unreachable: the pattern was validated at
@@ -236,29 +237,27 @@ func (s *Store) maintainLocked(sq *StandingQuery, ver *Version, dirty *graph.Nod
 // label of q, on the engine's worker pool and returns the outcomes of those
 // whose ball matched, in center order, and the number of balls built. No
 // ball is built for a center that cannot anchor a match of q
-// (plan.Anchored, which filters centers in place): the check reads a few
-// adjacency rows where a ball costs its BFS, and nearly every dirty center
-// fails it.
+// (plan.Anchored, which filters centers in place), nor for one that the
+// global dual filter EvalCenters runs drops. The anchor check comes first:
+// it reads a few adjacency rows where the filter sweeps the whole graph, and
+// nearly every dirty center fails it, so most batches never run the filter.
 func evalMatched(ctx context.Context, e *engine.Engine, q *graph.Graph, radius int, centers []int32, trace *obs.QueryStats) ([]*core.PerfectSubgraph, int, error) {
 	centers = plan.Anchored(e.Snapshot().Graph(), q, radius, centers)
 	if len(centers) == 0 {
 		return nil, 0, nil
 	}
-	out := make([]*core.PerfectSubgraph, len(centers))
-	err := e.EvalCenters(ctx, q, radius, centers, trace, func(i int, ps *core.PerfectSubgraph) {
-		out[i] = ps
+	var out []*core.PerfectSubgraph
+	balls := 0
+	err := e.EvalCenters(ctx, q, radius, centers, trace, func(_ int, ps *core.PerfectSubgraph) {
+		balls++
+		if ps != nil {
+			out = append(out, ps)
+		}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	w := 0
-	for _, ps := range out {
-		if ps != nil {
-			out[w] = ps
-			w++
-		}
-	}
-	return out[:w], len(centers), nil
+	return out, balls, nil
 }
 
 // replaceDirty returns matched with the outcome of every center in dirty

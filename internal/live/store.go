@@ -72,7 +72,7 @@ var (
 	liveRecomputedBalls = obs.Default.Counter("live_standing_recomputed_balls_total",
 		"balls built and evaluated maintaining standing queries after update batches")
 	liveUnanchored = obs.Default.Counter("live_standing_unanchored_total",
-		"centers of standing queries that carry a pattern label but fail the anchor check, so no ball was built for them")
+		"centers of standing queries that carry a pattern label but fail the anchor check or the global dual filter, so no ball was built for them")
 	liveStandingDeltas = obs.Default.Counter("live_standing_deltas_total",
 		"standing-query maintenance steps whose result set actually changed")
 )
@@ -145,8 +145,8 @@ type UpdateResult struct {
 	// order.
 	AddedNodes []int32
 	// Recomputed counts, per standing query id, the balls built to maintain
-	// it — the dirty centers that survived the label precheck and the anchor
-	// check.
+	// it — the dirty centers that survived the label precheck, the anchor
+	// check and the global dual filter.
 	Recomputed map[int64]int
 	// PagesCopied counts the adjacency pages — 512 nodes' rows of one
 	// direction, offsets and targets — the batch rebuilt because it replaced

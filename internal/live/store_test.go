@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // mustJSON renders a subgraph list canonically for byte-identity checks.
@@ -301,6 +302,51 @@ func TestStandingSkipsUnanchored(t *testing.T) {
 	}
 	if res, _ := sq.Result(); res.Len() != 2 {
 		t.Fatalf("%d matches, want 2", res.Len())
+	}
+	checkAgainstScratch(t, s, sq)
+}
+
+// TestStandingSkipsFilteredCenters: a dirty center that passes the anchor
+// check but lies outside the global dual-simulation relation gets no ball
+// either, and counts as unanchored, so labelled = balls + unanchored still
+// holds; the maintained result still equals a scratch Match.
+func TestStandingSkipsFilteredCenters(t *testing.T) {
+	// Pattern a <-> b (radius 1). 3:B -> 0:A -> 1:B and 2:A apart, beside
+	// the match 4:A <-> 5:B.
+	b := graph.NewBuilder(nil)
+	for _, l := range []string{"A", "B", "A", "B", "A", "B"} {
+		b.AddNode(l)
+	}
+	_ = b.AddEdge(3, 0)
+	_ = b.AddEdge(0, 1)
+	_ = b.AddEdge(4, 5)
+	_ = b.AddEdge(5, 4)
+	s := NewStore(b.Build(), Config{Workers: 2})
+	sq, err := s.Register("node a A\nnode b B\nedge a b\nedge b a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := sq.Result(); res.Len() != 1 {
+		t.Fatalf("registered with %d matches, want 1", res.Len())
+	}
+	unanchored := liveUnanchored.Value()
+
+	// 1:B gains an A successor: 0, 1 and 2 are dirty and carry pattern
+	// labels. One round deep, 0 and 1 anchor the pattern (0 has a B on
+	// either side, 1 an A), but the path 3 -> 0 -> 1 -> 2 starts and ends
+	// unsupported, so dual simulation drops all of it.
+	out, err := s.Apply([]Mutation{{Op: OpInsertEdge, U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Anchored(s.Current().Engine().Snapshot().Graph(), sq.Pattern(), 1, []int32{0, 1, 2}); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("anchored centers %v, want [0 1]: the test no longer reaches the filter", got)
+	}
+	if n := out.Recomputed[sq.ID()]; n != 0 {
+		t.Fatalf("%d balls built for centers outside the global relation, want 0", n)
+	}
+	if d := liveUnanchored.Value() - unanchored; d != 3 {
+		t.Fatalf("live_standing_unanchored_total moved by %d, want 3", d)
 	}
 	checkAgainstScratch(t, s, sq)
 }

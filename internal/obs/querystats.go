@@ -52,17 +52,16 @@ type Stats struct {
 	// Stats stays a value the Recorder files by copy; it comes first
 	// so the 64-bit atomic is aligned on 32-bit platforms too.
 	BallsBuilt int64
-	// CandidateCenters is how many centers survived prefiltering (the
-	// global dual-simulation filter, or the label precheck of a standing
-	// query's re-evaluation) and were scheduled for ball evaluation.
+	// CandidateCenters is how many centers survived the global
+	// dual-simulation filter (for a standing query's re-evaluation, how
+	// many of the centers it was handed) and were scheduled for ball
+	// evaluation.
 	CandidateCenters int
 	// BallNodes and BallEdges total the sizes of every ball as evaluated:
-	// the engine builds Ĝ[v, r] restricted to the query's candidate nodes
-	// (plus the center), so these count candidates inside the balls and the
-	// edges between them, not ball members — the work refinement saw, while
-	// the BFS that decided membership still walked every member. The balls
-	// Engine.EvalCenters builds for standing queries are restricted the same
-	// way (to the nodes carrying a pattern label).
+	// every engine ball, standing queries' included, is Ĝ[v, r] restricted
+	// to the query's candidate nodes (plus the center), a view of its kept
+	// graph, so these count candidates inside the balls and the edges
+	// between them, not ball members — the work refinement saw.
 	BallNodes int64
 	BallEdges int64
 	// Prepare is validation plus query minimization; Filter is the global

@@ -35,7 +35,15 @@ func NewRelation(nq, capacity int) Relation {
 
 // InitByLabel returns the label-candidate relation of the paper's Fig. 3
 // (DualSim lines 1-2): rel[u] = all data nodes with u's label.
-func InitByLabel(q, g *graph.Graph) Relation { return InitByLabelIn(q, g, nil) }
+func InitByLabel(q, g *graph.Graph) Relation {
+	rel := NewRelation(q.NumNodes(), g.NumNodes())
+	for u := int32(0); u < int32(q.NumNodes()); u++ {
+		for _, v := range g.NodesWithLabel(q.Label(u)) {
+			rel[u].Add(v)
+		}
+	}
+	return rel
+}
 
 // Clone deep-copies the relation.
 func (rel Relation) Clone() Relation {

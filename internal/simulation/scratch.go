@@ -13,12 +13,11 @@ import (
 // concurrent use — internal/exec gives each worker, and each request's
 // global pass, its own.
 //
-// Everything handed out by a scratch (the Relation from Relation or
-// InitByLabelIn, the Refiner from NewRefinerIn, spare sets) is owned by it
-// and valid only until the next Relation/InitByLabelIn call, which begins
-// the next evaluation cycle. All entry points accept a nil *Scratch and then
-// allocate fresh state, so one code path serves both the pooled hot loop and
-// one-shot callers.
+// Everything handed out by a scratch (the Relation from Relation, the
+// Refiner from NewRefinerIn, spare sets) is owned by it and valid only until
+// the next Relation call, which begins the next evaluation cycle. All entry
+// points accept a nil *Scratch and then allocate fresh state, so one code
+// path serves both the pooled hot loop and one-shot callers.
 type Scratch struct {
 	rel      Relation
 	spare    []*graph.NodeSet
@@ -147,15 +146,11 @@ func (s *Scratch) Matched(dst []int32) []int32 {
 	}
 }
 
-// InitByLabelIn is InitByLabel into scratch-owned storage.
-func InitByLabelIn(q, g *graph.Graph, s *Scratch) Relation {
-	rel := s.Relation(q.NumNodes(), g.NumNodes())
-	for u := int32(0); u < int32(q.NumNodes()); u++ {
-		for _, v := range g.NodesWithLabel(q.Label(u)) {
-			rel[u].Add(v)
-		}
-	}
-	return rel
+// Forget lets go of what the last evaluation read — its graphs, pattern and
+// context — and keeps the storage.
+func (s *Scratch) Forget() {
+	r := &s.refiner
+	r.q, r.g, r.rank, r.out, r.in, r.ctx = nil, nil, nil, graph.CSR{}, graph.CSR{}, nil
 }
 
 // ints returns n int32s of unspecified content — the refiner's tables and

@@ -40,7 +40,10 @@ edge b2 x
 			fr.SeedAll()
 			wantOK := fr.Run()
 
-			pooled := InitByLabelIn(q, g, &sc)
+			pooled := sc.Relation(q.NumNodes(), g.NumNodes())
+			for u, set := range InitByLabel(q, g) {
+				pooled[u].UnionWith(set)
+			}
 			pr := NewRefinerIn(q, g, pooled, mode, &sc)
 			pr.SeedAll()
 			gotOK := pr.Run()
