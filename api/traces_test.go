@@ -253,8 +253,8 @@ func TestTraceMatchParity(t *testing.T) {
 // the root — one live.apply span for the mutation batch, a live.dirty span
 // per standing radius and a live.maintain span per standing query brought
 // current — each saying what the batch cost: adjacency pages rebuilt, sides
-// swept and dirty centers, centers handed to the query, balls built and balls
-// spared.
+// swept, seeds carrying a standing label and dirty centers, centers handed to
+// the query, balls built and balls spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -297,20 +297,22 @@ func TestTraceUpdateSpans(t *testing.T) {
 	if apply.Attrs["pages_copied"] != 2 {
 		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
 	}
-	// The batch deleted and inserted an edge, so both sides are swept:
-	// dirty centers 0..3 at the pattern's radius 1.
+	// The batch deleted and inserted an edge, so both sides are swept. The
+	// seeds 0 (A) and 1 (B) carry a pattern label and reach 1 hop at the
+	// pattern's radius 1; 2 (C) carries none and reaches 0 hops: dirty
+	// centers 0..2.
 	if dirty := findChild(tj.Root, "live.dirty"); dirty == nil {
 		t.Errorf("root children %v hold no live.dirty span", childNames(tj.Root))
-	} else if dirty.Attrs["radius"] != 1 || dirty.Attrs["sides"] != 2 || dirty.Attrs["dirty"] != 4 {
-		t.Errorf("live.dirty attrs %v, want radius 1, sides 2, dirty 4", dirty.Attrs)
+	} else if dirty.Attrs["radius"] != 1 || dirty.Attrs["sides"] != 2 || dirty.Attrs["labelled_seeds"] != 2 || dirty.Attrs["dirty"] != 3 {
+		t.Errorf("live.dirty attrs %v, want radius 1, sides 2, labelled_seeds 2, dirty 3", dirty.Attrs)
 	}
-	// 2 carries no pattern label, so three centers are handed to the query:
-	// 0 (A) lost its B successor and 1 (B) its A predecessor, 3 (A) still has
-	// 4 (B).
+	// 2 carries no pattern label, so two centers are handed to the query, and
+	// neither can anchor it: 0 (A) lost its B successor and 1 (B) its A
+	// predecessor.
 	if maintain := findChild(tj.Root, "live.maintain"); maintain == nil {
 		t.Errorf("root children %v hold no live.maintain span for the standing query", childNames(tj.Root))
-	} else if maintain.Attrs["labelled"] != 3 || maintain.Attrs["balls"] != 1 || maintain.Attrs["unanchored"] != 2 {
-		t.Errorf("live.maintain attrs %v, want labelled 3, balls 1, unanchored 2", maintain.Attrs)
+	} else if maintain.Attrs["labelled"] != 2 || maintain.Attrs["balls"] != 0 || maintain.Attrs["unanchored"] != 2 {
+		t.Errorf("live.maintain attrs %v, want labelled 2, balls 0, unanchored 2", maintain.Attrs)
 	}
 }
 

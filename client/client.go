@@ -370,6 +370,11 @@ func (c *Client) MatchStream(ctx context.Context, req api.MatchRequest, fn func(
 			}
 			switch {
 			case ev.Match != nil:
+				// Lines already buffered outlive a cancelled read: stop at
+				// the cancel, not at the buffer's end.
+				if err := ctx.Err(); err != nil {
+					return done, fmt.Errorf("client: decoding stream: %w", err)
+				}
 				if err := fn(*ev.Match); err != nil {
 					return done, err
 				}

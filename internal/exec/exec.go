@@ -282,6 +282,10 @@ func (r *run[T]) help(s *Scratch) {
 		evaluated++
 	}
 	s.fold()
+	// The worker keeps s for good: its last view and refiner point into the
+	// caller's kept graph, which must not outlive the run.
+	s.Balls.Forget()
+	s.Sim.Forget()
 	r.leave(sp, evaluated)
 	poolWorkersBusy.Dec()
 	r.helpers.Done()

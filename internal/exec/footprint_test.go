@@ -3,7 +3,9 @@ package exec_test
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"repro/internal/core"
@@ -99,7 +101,10 @@ func BenchmarkScratchFootprint(b *testing.B) {
 // pass and built a kept graph holds no reference to the data graph once
 // released, although a worker's last view still points into it. A live
 // store publishes a graph version per update batch; a scratch that kept one
-// alive would keep every page the store has rewritten since.
+// alive would keep every page the store has rewritten since. And once the
+// worker forgets too, as a pool worker does when it leaves a run, nothing
+// keeps the released request scratch's kept graph alive: a worker holds its
+// scratch for good.
 func TestReleasedScratchForgetsItsGraph(t *testing.T) {
 	g := generator.Synthetic(2000, 1.2, 20, 1)
 	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 3})
@@ -114,12 +119,75 @@ func TestReleasedScratchForgetsItsGraph(t *testing.T) {
 	for _, c := range req.Centers {
 		core.EvalPreparedBallIn(q, worker.Balls.View(kg, c, dq), c, core.Options{}, rel, &worker.Sim)
 	}
-	alive := weak.Make(g)
+	alive, kept := weak.Make(g), weak.Make(kg)
+	kg = nil
 	req.Release()
+	// What a pool worker does at the end of its stint in a run.
+	worker.Balls.Forget()
+	worker.Sim.Forget()
 	runtime.GC()
 	runtime.GC() // the second collection empties the pool's victim cache
 	if alive.Value() != nil {
 		t.Fatal("a released scratch keeps its data graph alive")
 	}
+	if kept.Value() != nil {
+		t.Fatal("a worker scratch that forgot keeps the released request scratch's kept graph alive")
+	}
 	runtime.KeepAlive(worker)
+}
+
+// TestPoolWorkerForgetsItsRun: a pool worker that evaluated views of a
+// request's kept graph lets go of them when it leaves the run, so the kept
+// graph dies with the released request scratch although the worker keeps
+// its own scratch for good.
+func TestPoolWorkerForgetsItsRun(t *testing.T) {
+	g := generator.Synthetic(2000, 1.2, 20, 1)
+	q := generator.SamplePattern(g, generator.PatternOptions{Nodes: 3, Alpha: 1.2, Seed: 3})
+	dq, _ := graph.Diameter(q)
+	for attempt := 0; ; attempt++ {
+		if attempt == 50 {
+			t.Skip("no pool worker joined a run in 50 attempts")
+		}
+		req := exec.GetScratch()
+		rel, ok, err := simulation.DualIn(context.Background(), q, g, &req.Sim)
+		if err != nil || !ok {
+			t.Fatalf("the sampled pattern has no dual match: %v", err)
+		}
+		req.Centers = req.Sim.Matched(req.Centers[:0])
+		if len(req.Centers) < 2 {
+			t.Fatalf("%d centers: a run of one position offers no worker", len(req.Centers))
+		}
+		kg := req.Balls.Kept(g, req.Centers, dq)
+		var mu sync.Mutex
+		participants := map[*exec.Scratch]bool{}
+		err = exec.RunOrdered(context.Background(), exec.Options{Workers: 2}, len(req.Centers),
+			func(s *exec.Scratch, pos int) bool {
+				mu.Lock()
+				participants[s] = true
+				mu.Unlock()
+				// The caller offers the run before each claim: a short
+				// evaluation gives a worker that parks late its chance.
+				time.Sleep(100 * time.Microsecond)
+				c := req.Centers[pos]
+				pg, _ := core.EvalPreparedBallIn(q, s.Balls.View(kg, c, dq), c, core.Options{}, rel, &s.Sim)
+				return pg != nil
+			},
+			func(int, bool) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		helped := len(participants) > 1
+		kept := weak.Make(kg)
+		kg, rel, participants = nil, nil, nil
+		req.Release()
+		if !helped {
+			continue
+		}
+		runtime.GC()
+		runtime.GC() // the second collection empties the pool's victim cache
+		if kept.Value() != nil {
+			t.Fatal("a pool worker keeps the kept graph of a run it left alive")
+		}
+		return
+	}
 }

@@ -214,9 +214,13 @@ func (s *BallScratch) at(v int32) int {
 // worker retires.
 func (s *BallScratch) Stats() (builds, misses, rows int64) { return s.builds, s.misses, s.rows }
 
-// Forget lets go of the graph the kept graph was built over, and keeps the
-// storage.
-func (s *BallScratch) Forget() { s.kg.parent = nil }
+// Forget lets go of the graph the kept graph was built over and of the last
+// ball built — a view's points into the kept graph it was made from — and
+// keeps the storage.
+func (s *BallScratch) Forget() {
+	s.kg.parent = nil
+	s.ball = Ball{}
+}
 
 // Build constructs Ĝ[center, radius] into the scratch and returns it. The
 // result is identical to NewBall(g, center, radius) in every observable way;

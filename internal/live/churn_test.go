@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -84,6 +85,12 @@ func randomBatch(rng *rand.Rand, g *graph.Graph, alive []int32, alphabet []strin
 				continue
 			}
 			fallthrough
+		case 2: // relabel a random alive node
+			if rng.Intn(2) == 0 {
+				muts = append(muts, Mutation{Op: OpSetLabel, Node: alive[rng.Intn(len(alive))], Label: alphabet[rng.Intn(len(alphabet))]})
+				continue
+			}
+			fallthrough
 		default: // toggle a random edge between alive nodes
 			u := alive[rng.Intn(len(alive))]
 			v := alive[rng.Intn(len(alive))]
@@ -98,8 +105,8 @@ func randomBatch(rng *rand.Rand, g *graph.Graph, alive []int32, alphabet []strin
 }
 
 // dropConflicts removes mutations invalidated by earlier ones in the same
-// batch (double toggles of one edge, edges touching a node the batch
-// deletes, double deletes), since Apply is all-or-nothing.
+// batch (double toggles of one edge, edges touching or relabels of a node
+// the batch deletes, double deletes), since Apply is all-or-nothing.
 func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 	deleted := map[int32]bool{}
 	inserted := map[[2]int32]bool{}
@@ -127,6 +134,11 @@ func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 			}
 			deleted[m.Node] = true
 			out = append(out, m)
+		case OpSetLabel:
+			if deleted[m.Node] {
+				continue
+			}
+			out = append(out, m)
 		default:
 			out = append(out, m)
 		}
@@ -136,107 +148,143 @@ func dropConflicts(muts []Mutation, g *graph.Graph) []Mutation {
 
 // TestChurnEquivalence is the acceptance soak test: register standing
 // queries of every radius 0-4, so that one batch's dirty sweep serves five
-// radius groups, then interleave random update batches with further
-// registrations and unregistrations, and
-// after every batch assert each standing result set is byte-identical to
-// engine.Match re-run from scratch on the post-update graph at the same
-// version — as is a planned Match, served through a cache the batches keep
-// invalidating — and that the version's signatures, patched from its
-// predecessor's and never rebuilt, equal a rebuild's.
+// radius groups, then interleave random update batches — edge toggles, added,
+// deleted and relabelled nodes — with further registrations and
+// unregistrations, and after every batch assert each standing result set is
+// byte-identical to engine.Match re-run from scratch on the post-update graph
+// at the same version — as is a planned Match, served through a cache the
+// batches keep invalidating — and that the version's signatures, patched
+// from its predecessor's and never rebuilt, equal a rebuild's. Seeds 0-2 draw
+// graph and patterns from 3 labels, so nearly every mutated node carries a
+// standing label; seeds 3-5 draw the graph from 12 labels and the patterns
+// from 3 of them, so most do not and the dirty sweep takes them one hop less.
 func TestChurnEquivalence(t *testing.T) {
 	steps := 40
 	if testing.Short() {
 		steps = 12
 	}
-	for seed := int64(0); seed < 3; seed++ {
+	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			alphabet := []string{"A", "B", "C"}
-
-			b := graph.NewBuilder(nil)
-			n := 8 + rng.Intn(16)
-			for i := 0; i < n; i++ {
-				b.AddNode(alphabet[rng.Intn(len(alphabet))])
+			labels := 3
+			if seed >= 3 {
+				labels = 12
 			}
-			for i := 0; i < 2*n; i++ {
-				_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-			}
-			s := NewStore(b.Build(), Config{Workers: 3})
-
-			var standing []*StandingQuery
-			alive := make([]int32, n)
-			for i := range alive {
-				alive[i] = int32(i)
-			}
-			removeAlive := func(v int32) {
-				for i, x := range alive {
-					if x == v {
-						alive = append(alive[:i], alive[i+1:]...)
-						return
-					}
-				}
-			}
-
-			for radius := 0; radius <= 4; radius++ {
-				sq, err := s.Register(randomPatternSrc(rng, alphabet, radius))
-				if err != nil {
-					t.Fatalf("register radius %d: %v", radius, err)
-				}
-				if sq.Radius() != radius {
-					t.Fatalf("pattern built for radius %d has radius %d:\n%s", radius, sq.Radius(), sq.Source())
-				}
-				standing = append(standing, sq)
-			}
-			for step := 0; step < steps; step++ {
-				// Churn the query set: mostly register, sometimes drop.
-				if rng.Intn(3) == 0 || len(standing) == 0 {
-					sq, err := s.Register(randomPatternSrc(rng, alphabet, rng.Intn(5)))
-					if err != nil {
-						t.Fatalf("step %d: register: %v", step, err)
-					}
-					standing = append(standing, sq)
-				} else if rng.Intn(6) == 0 {
-					i := rng.Intn(len(standing))
-					if !s.Unregister(standing[i].ID()) {
-						t.Fatalf("step %d: unregister failed", step)
-					}
-					standing = append(standing[:i], standing[i+1:]...)
-				}
-
-				muts := randomBatch(rng, s.Current().Graph(), alive, alphabet)
-				if len(muts) == 0 {
-					continue
-				}
-				out, err := s.Apply(muts)
-				if err != nil {
-					t.Fatalf("step %d: apply %v: %v", step, muts, err)
-				}
-				for _, m := range muts {
-					if m.Op == OpDeleteNode {
-						removeAlive(m.Node)
-					}
-				}
-				alive = append(alive, out.AddedNodes...)
-
-				if out.Version != s.Current().ID() {
-					t.Fatalf("step %d: result version %d, store %d", step, out.Version, s.Current().ID())
-				}
-				for _, sq := range standing {
-					checkAgainstScratch(t, s, sq)
-					planned, err := s.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{Planner: s.Planner()})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, _ := sq.Result()
-					// A remapped cache hit serves an empty result as [], not null.
-					if p, w := mustJSON(t, planned.Subgraphs), mustJSON(t, got.Subgraphs); string(p) != string(w) && planned.Len()+got.Len() > 0 {
-						t.Fatalf("step %d: planned Match diverges:\n got: %s\nwant: %s", step, p, w)
-					}
-				}
-				checkSignatures(t, s.Current().Graph())
-			}
+			churnSoak(t, seed, labels, steps)
 		})
 	}
+}
+
+// TestChurnSoakAlphabets is the churn soak over alphabets of 3 to 12 labels,
+// every pattern drawn from the first 3 of them, so batches mix mutated nodes
+// that carry a standing label with ones that do not in every proportion.
+func TestChurnSoakAlphabets(t *testing.T) {
+	seeds, steps := 60, 60
+	if testing.Short() {
+		seeds, steps = 20, 30
+	}
+	checks := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		checks += churnSoak(t, 1000+seed, 3+int(seed%10), steps)
+	}
+	t.Logf("%d standing results held to a scratch Match", checks)
+}
+
+// churnSoak runs one seed of the churn soak over a random graph of the given
+// number of labels, patterns drawn from the first three, and returns how many
+// standing results it held to a scratch Match.
+func churnSoak(t *testing.T, seed int64, labels, steps int) (checks int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	alphabet := make([]string, labels)
+	for i := range alphabet {
+		alphabet[i] = string(rune('A' + i))
+	}
+	patternAlphabet := alphabet[:3]
+
+	b := graph.NewBuilder(nil)
+	n := 8 + rng.Intn(16)
+	for i := 0; i < n; i++ {
+		b.AddNode(alphabet[rng.Intn(len(alphabet))])
+	}
+	for i := 0; i < 2*n; i++ {
+		_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	s := NewStore(b.Build(), Config{Workers: 3})
+
+	var standing []*StandingQuery
+	alive := make([]int32, n)
+	for i := range alive {
+		alive[i] = int32(i)
+	}
+	removeAlive := func(v int32) {
+		for i, x := range alive {
+			if x == v {
+				alive = append(alive[:i], alive[i+1:]...)
+				return
+			}
+		}
+	}
+
+	for radius := 0; radius <= 4; radius++ {
+		sq, err := s.Register(randomPatternSrc(rng, patternAlphabet, radius))
+		if err != nil {
+			t.Fatalf("seed %d: register radius %d: %v", seed, radius, err)
+		}
+		if sq.Radius() != radius {
+			t.Fatalf("seed %d: pattern built for radius %d has radius %d:\n%s", seed, radius, sq.Radius(), sq.Source())
+		}
+		standing = append(standing, sq)
+	}
+	for step := 0; step < steps; step++ {
+		// Churn the query set: mostly register, sometimes drop.
+		if rng.Intn(3) == 0 || len(standing) == 0 {
+			sq, err := s.Register(randomPatternSrc(rng, patternAlphabet, rng.Intn(5)))
+			if err != nil {
+				t.Fatalf("seed %d step %d: register: %v", seed, step, err)
+			}
+			standing = append(standing, sq)
+		} else if rng.Intn(6) == 0 {
+			i := rng.Intn(len(standing))
+			if !s.Unregister(standing[i].ID()) {
+				t.Fatalf("seed %d step %d: unregister failed", seed, step)
+			}
+			standing = append(standing[:i], standing[i+1:]...)
+		}
+
+		muts := randomBatch(rng, s.Current().Graph(), alive, alphabet)
+		if len(muts) == 0 {
+			continue
+		}
+		out, err := s.Apply(muts)
+		if err != nil {
+			t.Fatalf("seed %d step %d: apply %v: %v", seed, step, muts, err)
+		}
+		for _, m := range muts {
+			if m.Op == OpDeleteNode {
+				removeAlive(m.Node)
+			}
+		}
+		alive = append(alive, out.AddedNodes...)
+
+		if out.Version != s.Current().ID() {
+			t.Fatalf("seed %d step %d: result version %d, store %d", seed, step, out.Version, s.Current().ID())
+		}
+		for _, sq := range standing {
+			checkAgainstScratch(t, s, sq)
+			checks++
+			planned, err := s.Engine().Match(context.Background(), sq.Pattern(), engine.QueryOptions{Planner: s.Planner()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := sq.Result()
+			// A remapped cache hit serves an empty result as [], not null.
+			if p, w := mustJSON(t, planned.Subgraphs), mustJSON(t, got.Subgraphs); string(p) != string(w) && planned.Len()+got.Len() > 0 {
+				t.Fatalf("seed %d step %d: planned Match diverges:\n got: %s\nwant: %s", seed, step, p, w)
+			}
+		}
+		checkSignatures(t, s.Current().Graph())
+	}
+	return checks
 }
 
 // TestVersionSignaturesEqualRebuilt: every version's graph carries the label
@@ -450,7 +498,8 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyChurn is the update path in miniature, in two cells.
+// BenchmarkApplyChurn is the update path in miniature, in two cells, and a
+// third at a million nodes when STRONGSIM_1M is set.
 //
 // 20k: a 20k-node graph, four standing queries, and per iteration one 4-edge
 // batch (inserts, then the batch that deletes them) followed by one planned
@@ -462,47 +511,100 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 // 100k: the update path alone at the benchmark harness's repeat-churn shape —
 // 100k nodes, four standing queries of 3, 4 and 5 nodes sampled as the
 // harness samples them (connected, dQ ≤ 3), alternating insert and delete
-// 4-edge batches, no match. dirty/op is the centers within the largest
-// standing radius of a mutated node, labelled/op the centers handed to the
-// queries, summed over them.
+// 4-edge batches, no match (churnStore). dirty/op is the centers the sweep
+// reached to the largest standing radius, labelled/op the centers handed to
+// the queries, summed over them. 1M is the same at n = 1 000 000 (the graph
+// takes seconds to build).
 func BenchmarkApplyChurn(b *testing.B) {
 	b.Run("20k", benchmarkApplyChurn20k)
-	b.Run("100k", func(b *testing.B) {
-		g := generator.Synthetic(100000, 1.2, 200, 1)
-		s := NewStore(g, Config{})
-		rng := rand.New(rand.NewSource(1))
-		for registered := 0; registered < 4; {
-			nodes := 3 + registered%3
-			q := generator.SamplePattern(g, generator.PatternOptions{Nodes: nodes, Alpha: 1.2, Seed: rng.Int63()})
-			if dq, ok := graph.Diameter(q); !ok || dq > 3 || q.NumNodes() != nodes {
-				continue
-			}
-			if _, err := s.Register(graph.FormatString(q)); err != nil {
-				b.Fatal(err)
-			}
-			registered++
-		}
-		var last, dirty, labelled int
-		s.dispatched = func(_ int, d *graph.NodeSet, group []*StandingQuery) {
-			last = d.Len() // the last group's is the largest radius's
-			for _, sq := range group {
-				labelled += len(sq.eval)
-			}
-		}
-		var batch []Mutation
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch = nextChurnBatch(rng, s, batch, i)
-			if _, err := s.Apply(batch); err != nil {
-				b.Fatal(err)
-			}
-			dirty += last
-		}
-		b.ReportMetric(float64(dirty)/float64(b.N), "dirty/op")
-		b.ReportMetric(float64(labelled)/float64(b.N), "labelled/op")
-	})
+	b.Run("100k", func(b *testing.B) { benchmarkApplyChurnAt(b, 100000) })
+	if os.Getenv("STRONGSIM_1M") != "" {
+		b.Run("1M", func(b *testing.B) { benchmarkApplyChurnAt(b, 1000000) })
+	}
 }
+
+func benchmarkApplyChurnAt(b *testing.B, n int) {
+	s, rng := churnStore(b, n)
+	var last, dirty, labelled int
+	s.dispatched = countDispatched(&last, &labelled)
+	var batch []Mutation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch = nextChurnBatch(rng, s, batch, i)
+		if _, err := s.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+		dirty += last
+	}
+	b.ReportMetric(float64(dirty)/float64(b.N), "dirty/op")
+	b.ReportMetric(float64(labelled)/float64(b.N), "labelled/op")
+}
+
+// churnStore is repeat-churn's update path on an n-node graph of the
+// harness's shape: a store with four standing queries of 3, 4 and 5 nodes
+// sampled as the harness samples them (connected, dQ ≤ 3), and the random
+// source nextChurnBatch then draws its batches from.
+func churnStore(tb testing.TB, n int) (*Store, *rand.Rand) {
+	g := generator.Synthetic(n, 1.2, 200, 1)
+	s := NewStore(g, Config{})
+	rng := rand.New(rand.NewSource(1))
+	for registered := 0; registered < 4; {
+		nodes := 3 + registered%3
+		q := generator.SamplePattern(g, generator.PatternOptions{Nodes: nodes, Alpha: 1.2, Seed: rng.Int63()})
+		if dq, ok := graph.Diameter(q); !ok || dq > 3 || q.NumNodes() != nodes {
+			continue
+		}
+		if _, err := s.Register(graph.FormatString(q)); err != nil {
+			tb.Fatal(err)
+		}
+		registered++
+	}
+	return s, rng
+}
+
+// countDispatched is a Store.dispatched hook that sets *last to the dirty
+// centers of the group it sees — the last group's are the largest radius's —
+// and adds the centers handed to the group's queries to *labelled.
+func countDispatched(last, labelled *int) func(int, *graph.NodeSet, []*StandingQuery) {
+	return func(_ int, d *graph.NodeSet, group []*StandingQuery) {
+		*last = d.Len()
+		for _, sq := range group {
+			*labelled += len(sq.eval)
+		}
+	}
+}
+
+// TestApplyChurnCounts pins the update path's counted work at repeat-churn's
+// shape, the figures BenchmarkApplyChurn/100k reports as dirty/op and
+// labelled/op: over the first 4 000 batches of its churn, the dirty centers
+// the sweep reached to the largest standing radius and the centers handed to
+// the standing queries, summed. Seeds that carry no standing label are swept
+// one hop less than the others (dirtySweep); sweeping every seed to the full
+// radius reads ≈8× the dirty centers.
+func TestApplyChurnCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-node graph")
+	}
+	s, rng := churnStore(t, 100000)
+	var last, dirty, labelled int
+	s.dispatched = countDispatched(&last, &labelled)
+	var batch []Mutation
+	const batches = 4000
+	for i := 0; i < batches; i++ {
+		batch = nextChurnBatch(rng, s, batch, i)
+		if _, err := s.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		dirty += last
+	}
+	t.Logf("over %d batches: dirty/op %.1f, labelled/op %.2f", batches, float64(dirty)/batches, float64(labelled)/batches)
+	if dirty != wantChurnDirty || labelled != wantChurnLabelled {
+		t.Fatalf("over %d batches: %d dirty and %d labelled centers, want %d and %d", batches, dirty, labelled, wantChurnDirty, wantChurnLabelled)
+	}
+}
+
+const wantChurnDirty, wantChurnLabelled = 1647494, 122540
 
 func benchmarkApplyChurn20k(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)

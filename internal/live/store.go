@@ -25,11 +25,12 @@
 //     they started with.
 //
 //   - Standing-query maintenance is ball-local. An update can change the
-//     ball Ĝ[w, dQ] only if w lies within dQ undirected hops of a mutated
-//     node in the graph before or after the batch (dirtySweep: one search
-//     per batch serves every radius), so maintenance re-evaluates exactly
-//     those of its centers that carry a pattern label and keeps every other
-//     cached perfect subgraph. Results are
+//     outcome of the ball Ĝ[w, dQ] only if w lies within dQ undirected hops
+//     of a mutated node in the graph before or after the batch, or dQ−1
+//     hops when that node carries no standing query's label before or after
+//     it (dirtySweep: one search per batch serves every radius), so
+//     maintenance re-evaluates exactly those of its centers that carry a
+//     pattern label and keeps every other cached perfect subgraph. Results are
 //     assembled with the same dedup and ordering as engine.Match, so a
 //     standing query's result set is byte-identical to re-running Match
 //     from scratch on the current version. Only standing queries are
@@ -470,13 +471,14 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 // "live.apply" child covering mutation application and version publication
 // (annotated with the adjacency pages the batch rebuilt), one "live.dirty"
 // child per distinct standing radius — the sweep extended to that radius and
-// its dirty centers handed out, annotated with the radius, the sides swept
-// and the dirty centers — and one "live.maintain" child per standing query
-// brought current, annotated with the query id, the dirty centers carrying a
-// pattern label, the balls built and the centers the anchor check spared
-// one. One dirty sweep serves every standing query of the batch, whatever
-// its radius (maintainAll). A zero parent (the untraced path — Apply
-// delegates here with one) records nothing.
+// its dirty centers handed out, annotated with the radius, the sides swept,
+// the seeds carrying a standing label and the dirty centers — and one
+// "live.maintain" child per standing query brought current, annotated with
+// the query id, the dirty centers carrying a pattern label, the balls built
+// and the centers the anchor check spared one. One dirty sweep serves every
+// standing query of the batch, whatever its radius (maintainAll). A zero
+// parent (the untraced path — Apply delegates here with one) records
+// nothing.
 func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("live: empty update batch")
@@ -529,10 +531,13 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 // maintained in groups of equal radius, ascending: one dirty sweep serves the
 // whole batch (dirtySweep), extended to each group's radius in turn, and each
 // group is handed its dirty centers by label before the sweep grows again.
-// Each group records a "live.dirty" span (its radius, the sides swept, the
-// dirty centers) and each query a "live.maintain" span. A query unregistered
-// concurrently may still be maintained once here; harmless, since nothing
-// reads it afterwards. Callers hold mu.
+// The seeds that carry a label of some standing query, before or after the
+// batch, are swept to each group's radius; the others one hop less. Each
+// group records a "live.dirty" span (its radius, the sides swept, the seeds
+// that carry a standing label, the dirty centers) and each query a
+// "live.maintain" span. A query unregistered concurrently may still be
+// maintained once here; harmless, since nothing reads it afterwards. Callers
+// hold mu.
 func (s *Store) maintainAll(b *batchState, ver *Version, parent obs.Span) map[int64]int {
 	s.qmu.RLock()
 	standing := make([]*StandingQuery, 0, len(s.queries))
@@ -548,7 +553,19 @@ func (s *Store) maintainAll(b *batchState, ver *Version, parent obs.Span) map[in
 		return cmp.Or(cmp.Compare(a.radius, b.radius), cmp.Compare(a.id, b.id))
 	})
 
-	s.sweep.begin(b.seeds, b.g, ver.Graph(), b.grew, b.shrank)
+	// A seed carries a standing label when its label before or after the
+	// batch is one of some standing query's pattern (dirtySweep).
+	standingLbl := make([]bool, s.labels.Len())
+	for _, sq := range standing {
+		for _, lbl := range sq.labels {
+			standingLbl[lbl] = true
+		}
+	}
+	oldLbl := b.g.NodeLabels()
+	early := func(v int32) bool {
+		return standingLbl[s.nodeLbl[v]] || int(v) < len(oldLbl) && standingLbl[oldLbl[v]]
+	}
+	s.sweep.begin(b.seeds, early, b.g, ver.Graph(), b.grew, b.shrank)
 	for len(standing) > 0 {
 		radius := standing[0].radius
 		k := 1
@@ -565,6 +582,7 @@ func (s *Store) maintainAll(b *batchState, ver *Version, parent obs.Span) map[in
 			dsp.End(
 				obs.Attr{Key: "radius", Value: int64(radius)},
 				obs.Attr{Key: "sides", Value: int64(s.sweep.sides)},
+				obs.Attr{Key: "labelled_seeds", Value: int64(s.sweep.labelled)},
 				obs.Attr{Key: "dirty", Value: int64(s.sweep.dirty.Len())})
 		}
 		if s.dispatched != nil {

@@ -677,8 +677,9 @@ func TestStoreLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty centers: within 1 hop of nodes 0 or 1 = {0, 1, 2}; none carry
-	// a pattern label, so zero balls are evaluated.
+	// Dirty centers: nodes 0 and 1 carry no standing label, so the radius-1
+	// sweep reaches them alone (0 hops); neither carries a pattern label, so
+	// zero balls are evaluated.
 	if out.Recomputed[sq.ID()] != 0 {
 		t.Fatalf("recomputed %d balls, want 0 (label precheck)", out.Recomputed[sq.ID()])
 	}

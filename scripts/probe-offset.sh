@@ -6,18 +6,36 @@
 # parent/change comparison before reading a timed pair: a pair whose
 # offsets differ compares the loop's alignment, not the change.
 #
-# Usage: scripts/probe-offset.sh [tree]   (tree defaults to this checkout)
+# Usage: scripts/probe-offset.sh [tree [other-tree]]
 #
-# The harness is built as bench/run.sh builds it, into a temporary
+# With no tree it probes this checkout. With two it probes both, prints
+# both offsets and exits 1 when they differ.
+#
+# Each harness is built as bench/run.sh builds it, into a temporary
 # directory that is removed afterwards.
 set -euo pipefail
-tree="$(cd "${1:-$(dirname "$0")/..}" && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-GOTOOLCHAIN=local go build -C "$tree/bench" -o "$tmp/bench" .
-addr="$(go tool objdump -s 'hostProbe..sample' "$tmp/bench" | awk 'NR == 2 { print $2 }')"
-if [[ -z "$addr" ]]; then
-	echo "probe-offset: no (*hostProbe).sample in the harness built from $tree" >&2
+
+# offset TREE prints TREE's line and sets off to its offset.
+offset() {
+	local tree addr
+	tree="$(cd "$1" && pwd)"
+	GOTOOLCHAIN=local go build -C "$tree/bench" -o "$tmp/bench" .
+	addr="$(go tool objdump -s 'hostProbe..sample' "$tmp/bench" | awk 'NR == 2 { print $2 }')"
+	if [[ -z "$addr" ]]; then
+		echo "probe-offset: no (*hostProbe).sample in the harness built from $tree" >&2
+		exit 1
+	fi
+	off=$((addr % 64))
+	echo "$tree: (*hostProbe).sample at $addr, offset $off"
+}
+
+offset "${1:-$(dirname "$0")/..}"
+[[ $# -ge 2 ]] || exit 0
+first=$off
+offset "$2"
+if [[ $first -ne $off ]]; then
+	echo "probe-offset: the offsets differ ($first, $off): a timed pair of these trees compares the loop's alignment" >&2
 	exit 1
 fi
-echo "$tree: (*hostProbe).sample at $addr, offset $((addr % 64))"
