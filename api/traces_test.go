@@ -252,9 +252,9 @@ func TestTraceMatchParity(t *testing.T) {
 // TestTraceUpdateSpans: a traced /v1/update records the store's work under
 // the root — one live.apply span for the mutation batch, a live.dirty span
 // per standing radius and a live.maintain span per standing query brought
-// current — each saying what the batch cost: adjacency pages rebuilt, sides
-// swept, seeds carrying a standing label and dirty centers, centers handed to
-// the query, balls built and balls spared.
+// current — each saying what the batch cost: adjacency and signature pages
+// copied, sides swept, seeds carrying a standing label and dirty centers,
+// centers handed to the query, balls built and balls spared.
 func TestTraceUpdateSpans(t *testing.T) {
 	st := chainStore(t)
 	ts := httptest.NewServer(NewLiveServer(st, Config{EnableDebug: true, TraceSampleRate: 1}))
@@ -296,6 +296,11 @@ func TestTraceUpdateSpans(t *testing.T) {
 	// share one adjacency page per direction.
 	if apply.Attrs["pages_copied"] != 2 {
 		t.Errorf("live.apply pages_copied attr %d, want 2", apply.Attrs["pages_copied"])
+	}
+	// The signatures of 0 (out: B → C), 1 (in: A → none) and 2 (in: B → A
+	// and B) changed, one in each of the rows A, B and C, each one page.
+	if apply.Attrs["sig_pages_copied"] != 3 {
+		t.Errorf("live.apply sig_pages_copied attr %d, want 3", apply.Attrs["sig_pages_copied"])
 	}
 	// The batch deleted and inserted an edge, so both sides are swept. The
 	// seeds 0 (A) and 1 (B) carry a pattern label and reach 1 hop at the

@@ -76,20 +76,21 @@ type subArena struct {
 	sub     Graph
 	nodeLbl []int32
 	// The adjacency, out ([0]) and in ([1]): first as a flat CSR of new ids
-	// (row i is flat[start[i]:start[i+1]]), then encoded into page tables
-	// whose pages are windows of one offset arena and one byte arena per
-	// direction.
+	// (row i is flat[start[i]:start[i+1]]), then encoded into page
+	// directories whose pages are elements of one page arena, their bytes
+	// windows of one byte arena, per direction.
 	start [2][]int32
 	flat  [2][]int32
-	pages [2][]csrPage
-	off   [2][]int32
+	pages [2][]*csrPage
+	store [2][]csrPage
 	to    [2][]byte
-	// Label index of the built graph without a map: lblRows[l] lists the
-	// nodes labelled l (a window of lblArena), lblCount[l] is its length.
-	// Both are indexed by label id and hold entries for the labels of the
-	// current graph only; the next build clears those by walking the
+	// Label index of the built graph: lblAt[l] is label l's position in
+	// rows, whose nodes are windows of lblArena, and lblCount[l] is its
+	// length. Both are indexed by label id and hold entries for the labels
+	// of the current graph only; the next build clears those by walking the
 	// previous nodeLbl. rank is the built graph's label-rank array.
-	lblRows  [][]int32
+	lblAt    []int32
+	rows     []labelRow
 	lblCount []int32
 	lblArena []int32
 	rank     []int32
@@ -98,16 +99,16 @@ type subArena struct {
 // reset sizes the per-label slices to g's label table and clears the label
 // index of the previous graph. It reports whether it had to reallocate.
 func (a *subArena) reset(g *Graph) (grew bool) {
-	if labels := g.labels.Len(); len(a.lblRows) < labels {
-		// Rows of the previous graph die with the old slice; no build is in
-		// progress, so nothing else refers to them.
-		a.lblRows = make([][]int32, labels)
+	if labels := g.labels.Len(); len(a.lblAt) < labels {
+		// The previous graph's index dies with the old slices; no build is
+		// in progress, so nothing else refers to them.
+		a.lblAt = make([]int32, labels)
 		a.lblCount = make([]int32, labels)
 		a.nodeLbl = a.nodeLbl[:0]
 		grew = true
 	}
 	for _, lbl := range a.nodeLbl {
-		a.lblRows[lbl] = nil
+		a.lblAt[lbl] = 0
 		a.lblCount[lbl] = 0
 	}
 	a.nodeLbl = a.nodeLbl[:0]
@@ -117,9 +118,9 @@ func (a *subArena) reset(g *Graph) (grew bool) {
 // footprint sums the capacities of the arenas, which only ever grow: a
 // build that leaves it unchanged ran on reused storage.
 func (a *subArena) footprint() int {
-	n := cap(a.lblArena) + cap(a.rank)
+	n := cap(a.lblArena) + cap(a.rank) + cap(a.rows)
 	for d := range a.start {
-		n += cap(a.start[d]) + cap(a.flat[d]) + cap(a.off[d]) + cap(a.to[d]) + cap(a.pages[d])
+		n += cap(a.start[d]) + cap(a.flat[d]) + cap(a.store[d]) + cap(a.to[d]) + cap(a.pages[d])
 	}
 	return n
 }
@@ -130,14 +131,15 @@ func (a *subArena) footprint() int {
 func (a *subArena) finish(g *Graph) *Graph {
 	n := len(a.nodeLbl)
 	for d := range a.pages {
-		a.pages[d], a.off[d], a.to[d] = appendPages(a.pages[d][:0], a.off[d][:0], a.to[d][:0], a.start[d], a.flat[d])
+		a.pages[d], a.store[d], a.to[d] = appendPages(a.pages[d][:0], a.store[d][:0], a.to[d][:0], a.start[d], a.flat[d])
 	}
-	// Label index: count, then carve each label's window out of one arena
-	// at its first node and fill in ascending node order. Appends stay
-	// inside each window because capacities are exact.
+	// Label index: count, then give each label a row at its first node,
+	// carve the row's window out of one arena and fill in ascending node
+	// order. Appends stay inside each window because capacities are exact.
 	for _, lbl := range a.nodeLbl {
 		a.lblCount[lbl]++
 	}
+	a.rows = append(a.rows[:0], labelRow{})
 	if cap(a.lblArena) < n {
 		a.lblArena = make([]int32, n)
 		a.rank = make([]int32, 0, n)
@@ -145,23 +147,26 @@ func (a *subArena) finish(g *Graph) *Graph {
 	off := int32(0)
 	a.rank = a.rank[:0]
 	for i, lbl := range a.nodeLbl {
-		if a.lblRows[lbl] == nil {
+		if a.lblAt[lbl] == 0 {
 			c := a.lblCount[lbl]
-			a.lblRows[lbl] = a.lblArena[off : off : off+c]
+			a.lblAt[lbl] = int32(len(a.rows))
+			a.rows = append(a.rows, labelRow{nodes: a.lblArena[off : off : off+c]})
 			off += c
 		}
-		a.rank = append(a.rank, int32(len(a.lblRows[lbl])))
-		a.lblRows[lbl] = append(a.lblRows[lbl], int32(i))
+		row := &a.rows[a.lblAt[lbl]]
+		a.rank = append(a.rank, int32(len(row.nodes)))
+		row.nodes = append(row.nodes, int32(i))
 	}
 	// A graph of up to one page of nodes — nearly every restricted ball —
-	// has a one-entry page table.
+	// has a one-entry page directory.
 	a.sub = Graph{
 		labels:   g.labels,
 		nodeLbl:  a.nodeLbl,
 		out:      CSR{pages: a.pages[0], n: n},
 		in:       CSR{pages: a.pages[1], n: n},
 		numEdges: len(a.flat[0]),
-		lblRows:  a.lblRows,
+		lblAt:    a.lblAt,
+		rows:     a.rows,
 		rank:     a.rank,
 	}
 	return &a.sub

@@ -7,11 +7,13 @@ import (
 )
 
 // Adjacency is stored one direction at a time as paged CSR (compressed
-// sparse rows) of encoded rows. Nodes are grouped in pages of pageSize; a
-// live-store version that follows another by one update batch shares every
-// page the batch did not touch and rebuilds the rest, so what a version
-// allocates follows its batch and not |V|. A page is its rows' bytes (≈2.2
-// per entry on the harness's graphs) plus 2 KB of offsets.
+// sparse rows) of encoded rows. Nodes are grouped in pages of pageSize rows,
+// reached through a directory of page pointers; a live-store version that
+// follows another by one update batch copies the directory (8 bytes a page)
+// and rebuilds only the pages the batch touched, sharing every other, so what
+// a version allocates follows its batch and not |V|. A page is its rows'
+// bytes (≈2.2 per entry on the harness's graphs, ≈3.5 KB a page at 100k
+// nodes) plus its 516 bytes of offsets, held inline.
 //
 // Row v lists v's neighbours in that direction, ascending and without
 // repeats. An empty row takes no bytes; any other is
@@ -26,8 +28,13 @@ import (
 // its loop has no branch per entry; a page ends in pad bytes so that the
 // load never runs past it. A row's length is 1 + (bytes after the width
 // byte)/w, known without decoding.
+//
+// pageSize is 128: a 4-edge batch at 100k nodes copies 2 × 782 directory
+// entries and ≈8 pages of ≈4 KB, where pages of 512 rows cost ≈13 KB each
+// and larger directories buy nothing back on a read, which loads the
+// directory entry, the page and the row's bytes whatever the page size.
 const (
-	pageBits = 9
+	pageBits = 7
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 	pad      = 3
@@ -43,15 +50,16 @@ const (
 // empty; copies share everything and nothing is ever written after
 // construction. Derive a changed CSR through Edit.
 type CSR struct {
-	pages []csrPage
+	pages []*csrPage
 	n     int
 }
 
 // csrPage holds the rows of one page: row i is to[off[i]:off[i+1]], and
-// pad bytes follow the last.
+// pad bytes follow the last. The offsets sit inline, so a row read finds
+// them and the bytes' header in one load of the page.
 type csrPage struct {
-	off []int32
 	to  []byte
+	off [pageSize + 1]int32
 }
 
 // Len returns the number of rows.
@@ -59,7 +67,7 @@ func (c CSR) Len() int { return c.n }
 
 // bytes returns the page array row v lies in and the row's bounds in it.
 func (c CSR) bytes(v int32) (to []byte, lo, hi int) {
-	p := &c.pages[v>>pageBits]
+	p := c.pages[v>>pageBits]
 	i := v & pageMask
 	return p.to, int(p.off[i]), int(p.off[i+1])
 }
@@ -209,8 +217,8 @@ func appendEncoded(b []byte, v int32, row []int32) []byte {
 }
 
 // pagedCSR encodes a flat CSR — row v is to[start[v]:start[v+1]], start
-// holding one entry per row plus one — into pages whose bytes are windows of
-// one exactly sized array, as are their offsets. start and to may be
+// holding one entry per row plus one — into pages held in one array, whose
+// bytes are windows of one exactly sized array. start and to may be
 // discarded afterwards.
 func pagedCSR(start, to []int32) CSR {
 	n := len(start) - 1
@@ -219,27 +227,31 @@ func pagedCSR(start, to []int32) CSR {
 	for v := 0; v < n; v++ {
 		size += encodedLen(int32(v), to[start[v]:start[v+1]])
 	}
-	pages, _, _ := appendPages(make([]csrPage, 0, np), make([]int32, 0, n+np), make([]byte, 0, size), start, to)
+	pages, _, _ := appendPages(make([]*csrPage, 0, np), make([]csrPage, 0, np), make([]byte, 0, size), start, to)
 	return CSR{pages: pages, n: n}
 }
 
 // appendPages encodes the flat CSR (start, to) as pages of pageSize rows:
-// it appends them to pages, their offsets to off and their bytes to b, and
-// every page is a window of the off and b it returns — or of an earlier
-// backing array that growth left behind, which still holds its data.
-func appendPages(pages []csrPage, off []int32, b []byte, start, to []int32) ([]csrPage, []int32, []byte) {
+// it appends each page to store and a pointer to it to pages, and its bytes
+// to b, and every page is an element of the store and its bytes a window of
+// the b it returns — or of an earlier backing array that growth left
+// behind, which still holds its data.
+func appendPages(pages []*csrPage, store []csrPage, b []byte, start, to []int32) ([]*csrPage, []csrPage, []byte) {
 	n := len(start) - 1
 	for lo := 0; lo < n; lo += pageSize {
-		o, t := len(off), len(b)
+		store = append(store, csrPage{})
+		p := &store[len(store)-1]
+		t := len(b)
 		for v := lo; v < min(lo+pageSize, n); v++ {
-			off = append(off, int32(len(b)-t))
+			p.off[v-lo] = int32(len(b) - t)
 			b = appendEncoded(b, int32(v), to[start[v]:start[v+1]])
 		}
-		off = append(off, int32(len(b)-t))
+		p.off[min(pageSize, n-lo)] = int32(len(b) - t)
 		b = append(b, make([]byte, pad)...)
-		pages = append(pages, csrPage{off: off[o:len(off):len(off)], to: b[t:len(b):len(b)]})
+		p.to = b[t:len(b):len(b)]
+		pages = append(pages, p)
 	}
-	return pages, off, b
+	return pages, store, b
 }
 
 // transpose returns the flat CSR (tstart, tto) of the reverse of the n-row
@@ -294,9 +306,10 @@ func (c CSR) Edit() *CSREdit {
 
 // CSREdit is a CSR under construction from a predecessor. It records the
 // rows it replaces, decoded; Own reads a row as the edit has it. Freeze
-// rebuilds each page a replaced row lives in, once, and shares every other
-// page with the predecessor, which is never written. An abandoned edit
-// leaves nothing behind. Not safe for concurrent use.
+// copies the predecessor's page directory, rebuilds each page a replaced row
+// lives in, once, and shares every other page with the predecessor, which is
+// never written. An abandoned edit leaves nothing behind. Not safe for
+// concurrent use.
 type CSREdit struct {
 	base CSR
 	rows map[int32][]int32 // replaced and appended rows, owned by the edit
@@ -342,7 +355,7 @@ func (e *CSREdit) Freeze() (CSR, int) {
 	if len(e.rows) == 0 {
 		return e.base, 0
 	}
-	pages := make([]csrPage, (e.n+pageMask)>>pageBits)
+	pages := make([]*csrPage, (e.n+pageMask)>>pageBits)
 	copy(pages, e.base.pages)
 	rebuilt := 0
 	for rows := e.Replaced(); len(rows) > 0; {
@@ -362,12 +375,13 @@ func (e *CSREdit) Freeze() (CSR, int) {
 
 // page builds page p, whose replaced rows are the ascending rows: each run
 // of rows between two of them is one byte copy from the predecessor's page,
-// its offsets rebased, and only the replaced rows are encoded. Every row of
-// a run lies in the predecessor, because every appended row is replaced.
-func (e *CSREdit) page(p int, rows []int32) csrPage {
+// its offsets rebased (copyRows), and only the replaced rows are encoded.
+// Every row of a run lies in the predecessor, because every appended row is
+// replaced.
+func (e *CSREdit) page(p int, rows []int32) *csrPage {
 	lo := int32(p << pageBits)
 	hi := min(lo+pageSize, int32(e.n))
-	var base csrPage
+	base := &csrPage{}
 	if p < len(e.base.pages) {
 		base = e.base.pages[p]
 	}
@@ -383,26 +397,31 @@ func (e *CSREdit) page(p int, rows []int32) csrPage {
 		size += int(base.off[hi-lo] - base.off[v-lo])
 	}
 
-	off := make([]int32, hi-lo+1)
+	pg := &csrPage{}
 	to := make([]byte, 0, size)
-	run := func(a, b int32) { // rows [a, b) of the predecessor
-		if a == b {
-			return
-		}
-		shift := int32(len(to)) - base.off[a-lo]
-		for i := a - lo; i < b-lo; i++ {
-			off[i] = base.off[i] + shift
-		}
-		to = append(to, base.to[base.off[a-lo]:base.off[b-lo]]...)
-	}
 	v = lo
 	for _, r := range rows {
-		run(v, r)
-		off[r-lo] = int32(len(to))
+		to = pg.copyRows(to, base, v-lo, r-lo)
+		pg.off[r-lo] = int32(len(to))
 		to = appendEncoded(to, r, e.rows[r])
 		v = r + 1
 	}
-	run(v, hi)
-	off[hi-lo] = int32(len(to))
-	return csrPage{off: off, to: to[:len(to)+pad]}
+	to = pg.copyRows(to, base, v-lo, hi-lo)
+	pg.off[hi-lo] = int32(len(to))
+	pg.to = to[:len(to)+pad]
+	return pg
+}
+
+// copyRows appends the rows [a, b) of base, page-relative, to to, which
+// holds pg's bytes so far, as one byte copy, and gives them their offsets in
+// pg; it returns the extended to.
+func (pg *csrPage) copyRows(to []byte, base *csrPage, a, b int32) []byte {
+	if a == b {
+		return to
+	}
+	shift := int32(len(to)) - base.off[a]
+	for i := a; i < b; i++ {
+		pg.off[i] = base.off[i] + shift
+	}
+	return append(to, base.to[base.off[a]:base.off[b]]...)
 }

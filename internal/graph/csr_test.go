@@ -338,9 +338,9 @@ func TestCSRRowsRoundTrip(t *testing.T) {
 
 // FuzzCSRRows drives sequences of Append, Set, Own, Freeze and abandoned
 // edits from the input against a model of per-row slices — up to 512
-// operations and 16 freezes, on up to four pages of rows — and after every
-// Freeze holds the new CSR's reads (checkRows), and at the end every earlier
-// CSR's, to the model it was frozen from.
+// operations and 16 freezes, on up to 2048 rows, sixteen pages — and after
+// every Freeze holds the new CSR's reads (checkRows), and at the end every
+// earlier CSR's, to the model it was frozen from.
 func FuzzCSRRows(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 3, 2, 9, 1, 1, 3})
 	f.Add([]byte{5, 5, 0, 1, 1, 4, 0, 0, 0, 128, 255, 255, 255, 127, 3, 2, 1, 1, 3, 4, 1, 0, 3})
@@ -355,6 +355,7 @@ func FuzzCSRRows(f *testing.F) {
 			return b
 		}
 		node := func(n int) int32 { return int32((next()<<8 | next()) % n) }
+		const maxRows = 16 * pageSize
 		var (
 			model   [][]int32
 			cur     CSR
@@ -365,13 +366,13 @@ func FuzzCSRRows(f *testing.F) {
 		for ops := 0; len(data) > 0 && ops < 512 && len(history) < 16; ops++ {
 			switch next() % 6 {
 			case 0: // append one row
-				if len(rows) == 4*pageSize {
+				if len(rows) == maxRows {
 					continue
 				}
 				e.Append()
 				rows = append(rows, nil)
-			case 5: // append up to a page of rows, to at most four pages
-				for k := min(next()*2, 4*pageSize-len(rows)); k > 0; k-- {
+			case 5: // append up to 510 rows, about four pages, to at most maxRows
+				for k := min(next()*2, maxRows-len(rows)); k > 0; k-- {
 					e.Append()
 					rows = append(rows, nil)
 				}

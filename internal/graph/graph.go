@@ -15,25 +15,30 @@ import (
 // label to the sorted list of nodes carrying it supports the candidate
 // initialization step of every matching algorithm (line 2 of procedure
 // DualSim in the paper's Fig. 3); beside each list it keeps its nodes'
-// neighbour-label signatures (SigsWithLabel), the check that initialization
-// puts in front of reading a candidate's adjacency.
+// neighbour-label signatures (SigRow), the check that initialization puts
+// in front of reading a candidate's adjacency.
 type Graph struct {
 	labels   *Labels
 	nodeLbl  []int32 // node -> label id
 	out      CSR     // node -> sorted successors
 	in       CSR     // node -> sorted predecessors
 	numEdges int
-	byLabel  map[int32]labelRow // label id -> sorted nodes and their signatures
-	// lblRows is byLabel's node lists as a slice indexed by label id, for the
-	// graphs a BallScratch builds (their byLabel is nil): filling it per ball
-	// costs no hashing and no allocation. They carry no signatures.
-	lblRows [][]int32
+	// The label index: lblAt, indexed by label id (labels are dense interned
+	// ids), holds the position in rows of each label's sorted nodes and their
+	// signatures; rows[0] is the empty row of every label without nodes, and
+	// a label past lblAt's end has none. The graphs a BallScratch builds fill
+	// both per ball, without hashing or allocation, and carry no signatures.
+	lblAt []int32
+	rows  []labelRow
 	// rank[v] is v's index within NodesWithLabel(Label(v)). A per-query
 	// structure that holds one slot per candidate of a pattern node (the
 	// simulation refiner's counters) addresses v's slot by it, so its size
 	// follows the label rows the query names, not |V|.
 	rank []int32
 	name string
+	// sigPagesCopied is what FromParts copied of its predecessor's
+	// signature pages (SigPagesCopied).
+	sigPagesCopied int
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -137,13 +142,8 @@ func (b *Builder) Build() *Graph {
 		name:    b.name,
 	}
 	g.out, g.in, g.numEdges = b.adjacency()
-	byLabel := make(map[int32][]int32)
-	for v := 0; v < n; v++ {
-		lbl := g.nodeLbl[v]
-		g.rank[v] = int32(len(byLabel[lbl]))
-		byLabel[lbl] = append(byLabel[lbl], int32(v))
-	}
-	g.byLabel = g.indexRows(byLabel)
+	g.lblAt, g.rows = indexLabels(g.nodeLbl, g.rank)
+	g.indexSigs()
 	return g
 }
 
@@ -191,9 +191,9 @@ func (b *Builder) adjacency() (out, in CSR, m int) {
 // Builder anywhere construction cost is not on a hot path.
 //
 // What is derived here — the label ranks (LabelRanks) and the neighbour-label
-// signatures (SigsWithLabel) — a graph that follows prev by one update batch
-// inherits from prev instead of deriving it again. With a nil prev, byLabel
-// holds every label's row and both are derived in full. Otherwise byLabel
+// signatures (SigRow) — a graph that follows prev by one update batch
+// inherits from prev instead of deriving it again. With a nil prev, both are
+// derived in full from nodeLbl and byLabel is not read. Otherwise byLabel
 // holds only the rows that differ from prev's (a node added, removed or
 // moved; an emptied row as an empty list), d names what else the batch
 // changed, and the rank array is shared outright when no row differs, or
@@ -212,6 +212,9 @@ func FromParts(labels *Labels, nodeLbl []int32, out, in CSR, byLabel map[int32][
 	switch {
 	case prev == nil:
 		g.rank = make([]int32, len(nodeLbl))
+		g.lblAt, g.rows = indexLabels(nodeLbl, g.rank)
+		g.indexSigs()
+		return g
 	case len(byLabel) == 0:
 		g.rank = prev.rank
 	default:
@@ -221,11 +224,7 @@ func FromParts(labels *Labels, nodeLbl []int32, out, in CSR, byLabel map[int32][
 	for _, row := range byLabel {
 		fillRanks(g.rank, row)
 	}
-	if prev == nil {
-		g.byLabel = g.indexRows(byLabel)
-	} else {
-		g.byLabel = g.patchedRows(prev, byLabel, d)
-	}
+	g.lblAt, g.rows, g.sigPagesCopied = g.patchedRows(prev, byLabel, d)
 	return g
 }
 
@@ -291,15 +290,7 @@ func (g *Graph) HasEdge(u, v int32) bool { return g.out.Has(u, v) }
 
 // NodesWithLabel returns the sorted nodes carrying label id, sharing the
 // underlying slice.
-func (g *Graph) NodesWithLabel(label int32) []int32 {
-	if g.byLabel == nil {
-		if label >= 0 && int(label) < len(g.lblRows) {
-			return g.lblRows[label]
-		}
-		return nil
-	}
-	return g.byLabel[label].nodes
-}
+func (g *Graph) NodesWithLabel(label int32) []int32 { return g.labelRow(label).nodes }
 
 // NodeLabels returns every node's label id, indexed by node, as FromParts
 // takes them. The slice is shared; callers must not mutate it.

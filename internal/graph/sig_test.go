@@ -144,8 +144,8 @@ func TestFromPartsSignaturesEqualRebuilt(t *testing.T) {
 			if !reflect.DeepEqual(indexOf(g), before) {
 				t.Fatalf("%s: the patch wrote into its predecessor", where)
 			}
-			for lbl, row := range next.byLabel {
-				if old := g.byLabel[lbl].sigs; len(row.sigs) > 0 && len(old) > 0 && &row.sigs[0] == &old[0] {
+			for lbl := int32(0); lbl < int32(g.Labels().Len()); lbl++ {
+				if row, old := next.SigRow(lbl), g.SigRow(lbl); len(row) > 0 && len(old) > 0 && &row[0] == &old[0] {
 					shared++
 				}
 			}

@@ -169,7 +169,7 @@ func TestChurnEquivalence(t *testing.T) {
 			if seed >= 3 {
 				labels = 12
 			}
-			churnSoak(t, seed, labels, steps)
+			churnSoak(t, seed, labels, steps, denseSoak)
 		})
 	}
 }
@@ -184,29 +184,101 @@ func TestChurnSoakAlphabets(t *testing.T) {
 	}
 	checks := 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		checks += churnSoak(t, 1000+seed, 3+int(seed%10), steps)
+		checks += churnSoak(t, 1000+seed, 3+int(seed%10), steps, denseSoak)
 	}
 	t.Logf("%d standing results held to a scratch Match", checks)
 }
 
-// churnSoak runs one seed of the churn soak over a random graph of the given
-// number of labels, patterns drawn from the first three, and returns how many
-// standing results it held to a scratch Match.
-func churnSoak(t *testing.T, seed int64, labels, steps int) (checks int) {
+// TestChurnSoakSparse is the churn soak where distances matter: 30 to 60
+// nodes and ≈1.1 edges a node, so most paths have no detour; patterns of
+// radius 2 and 3 over one label of two, so that matches are common on so
+// sparse a graph and half the nodes carry no pattern label; and batches
+// that mostly delete such nodes, and edges. Deleting a node that carries no
+// pattern label moves a center's match only through the distances it cuts,
+// from up to r−1 hops away: a dirty sweep that takes those seeds in at
+// level 2 instead of 1 fails here (it fails ≈1 seed in 6), and passes the
+// dense soaks above.
+func TestChurnSoakSparse(t *testing.T) {
+	seeds, steps := 40, 40
+	if testing.Short() {
+		seeds, steps = 20, 30
+	}
+	checks := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		checks += churnSoak(t, 2000+seed, 2, steps, sparseSoak)
+	}
+	t.Logf("%d standing results held to a scratch Match", checks)
+}
+
+// soakShape is the graph and the churn one soak runs: minNodes plus
+// rng.Intn(spanNodes) nodes, edgesPerTen edges per ten nodes, patterns of
+// the given radii (each in turn, then drawn at random) over the first
+// patternLabels labels, and batches from batch.
+type soakShape struct {
+	minNodes, spanNodes, edgesPerTen int
+	radii                            []int
+	patternLabels                    int
+	batch                            func(rng *rand.Rand, g *graph.Graph, alive []int32, alphabet, pattern []string) []Mutation
+}
+
+var (
+	// denseSoak is 8 to 23 nodes, two edges a node, every radius 0-4,
+	// patterns over 3 labels.
+	denseSoak = soakShape{8, 16, 20, []int{0, 1, 2, 3, 4}, 3, func(rng *rand.Rand, g *graph.Graph, alive []int32, alphabet, _ []string) []Mutation {
+		return randomBatch(rng, g, alive, alphabet)
+	}}
+	// sparseSoak is 30 to 60 nodes, ≈1.1 edges a node, radius 2 and 3,
+	// patterns over one label.
+	sparseSoak = soakShape{30, 31, 11, []int{2, 3}, 1, sparseBatch}
+)
+
+// sparseBatch builds a valid batch of 1-3 mutations that mostly cut: it
+// deletes alive nodes that carry no label of pattern, and existing edges,
+// and now and then inserts an edge.
+func sparseBatch(rng *rand.Rand, g *graph.Graph, alive []int32, _, pattern []string) []Mutation {
+	labelled := map[int32]bool{}
+	for _, name := range pattern {
+		labelled[g.Labels().ID(name)] = true
+	}
+	var muts []Mutation
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		u := alive[rng.Intn(len(alive))]
+		switch rng.Intn(5) {
+		case 0, 1: // delete a node that carries no pattern label
+			if !labelled[g.Label(u)] && len(alive) > 1 {
+				muts = append(muts, Mutation{Op: OpDeleteNode, Node: u})
+			}
+		case 2, 3: // delete one of u's edges
+			if out := g.Out(u); len(out) > 0 {
+				muts = append(muts, Mutation{Op: OpDeleteEdge, U: u, V: out[rng.Intn(len(out))]})
+			}
+		default:
+			if v := alive[rng.Intn(len(alive))]; !g.HasEdge(u, v) {
+				muts = append(muts, Mutation{Op: OpInsertEdge, U: u, V: v})
+			}
+		}
+	}
+	return dropConflicts(muts, g)
+}
+
+// churnSoak runs one seed of the churn soak of the given shape over a random
+// graph of the given number of labels, and returns how many standing
+// results it held to a scratch Match.
+func churnSoak(t *testing.T, seed int64, labels, steps int, shape soakShape) (checks int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	alphabet := make([]string, labels)
 	for i := range alphabet {
 		alphabet[i] = string(rune('A' + i))
 	}
-	patternAlphabet := alphabet[:3]
+	patternAlphabet := alphabet[:shape.patternLabels]
 
 	b := graph.NewBuilder(nil)
-	n := 8 + rng.Intn(16)
+	n := shape.minNodes + rng.Intn(shape.spanNodes)
 	for i := 0; i < n; i++ {
 		b.AddNode(alphabet[rng.Intn(len(alphabet))])
 	}
-	for i := 0; i < 2*n; i++ {
+	for i := 0; i < n*shape.edgesPerTen/10; i++ {
 		_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
 	s := NewStore(b.Build(), Config{Workers: 3})
@@ -225,7 +297,7 @@ func churnSoak(t *testing.T, seed int64, labels, steps int) (checks int) {
 		}
 	}
 
-	for radius := 0; radius <= 4; radius++ {
+	for _, radius := range shape.radii {
 		sq, err := s.Register(randomPatternSrc(rng, patternAlphabet, radius))
 		if err != nil {
 			t.Fatalf("seed %d: register radius %d: %v", seed, radius, err)
@@ -238,7 +310,7 @@ func churnSoak(t *testing.T, seed int64, labels, steps int) (checks int) {
 	for step := 0; step < steps; step++ {
 		// Churn the query set: mostly register, sometimes drop.
 		if rng.Intn(3) == 0 || len(standing) == 0 {
-			sq, err := s.Register(randomPatternSrc(rng, patternAlphabet, rng.Intn(5)))
+			sq, err := s.Register(randomPatternSrc(rng, patternAlphabet, shape.radii[rng.Intn(len(shape.radii))]))
 			if err != nil {
 				t.Fatalf("seed %d step %d: register: %v", seed, step, err)
 			}
@@ -251,7 +323,7 @@ func churnSoak(t *testing.T, seed int64, labels, steps int) (checks int) {
 			standing = append(standing[:i], standing[i+1:]...)
 		}
 
-		muts := randomBatch(rng, s.Current().Graph(), alive, alphabet)
+		muts := shape.batch(rng, s.Current().Graph(), alive, alphabet, patternAlphabet)
 		if len(muts) == 0 {
 			continue
 		}
@@ -451,9 +523,13 @@ func TestChurnConcurrentReaders(t *testing.T) {
 
 // TestApplyAllocatesWhatItTouches is the allocation guard of the update path:
 // on a 50k-node store with two standing queries, a 4-edge batch allocates the
-// adjacency pages it rebuilds (≈20 KB each, at most 8), the rows and signature
-// rows it writes into and what maintenance reads — under 512 KB. One flat
-// per-version copy of the adjacency alone is ≈3.9 MB here.
+// two adjacency page directories (391 pointers each), the adjacency pages it
+// rebuilds (≈3.5 KB each, at most 8 a direction), the signature pages (4 KB
+// each) and directories of the label rows it writes into, a copy of the
+// label index (200 entries) and what maintenance reads — ≈73 KB (≈78 under
+// -race), bounded at 150 KB. Rebuilding 512-node pages and whole signature
+// rows read ≈159 KB; one flat per-version copy of the adjacency alone is
+// ≈3.9 MB here.
 func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	g := generator.Synthetic(50000, 1.2, 200, 1)
 	s := NewStore(g, Config{})
@@ -493,52 +569,96 @@ func TestApplyAllocatesWhatItTouches(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perBatch := (after.TotalAlloc - before.TotalAlloc) / batches
 	t.Logf("%d KB allocated per 4-edge batch", perBatch>>10)
-	if perBatch >= 512<<10 {
-		t.Fatalf("a 4-edge batch on %d nodes allocates %d KB, want < 512: something copies per version again", n, perBatch>>10)
+	if perBatch >= 150<<10 {
+		t.Fatalf("a 4-edge batch on %d nodes allocates %d KB, want < 150: something copies per version again", n, perBatch>>10)
 	}
 }
 
-// BenchmarkApplyChurn is the update path in miniature, in two cells, and a
-// third at a million nodes when STRONGSIM_1M is set.
+// BenchmarkApplyChurn is the update path in miniature, in three cells, and
+// two more at a million nodes when STRONGSIM_1M is set.
 //
 // 20k: a 20k-node graph, four standing queries, and per iteration one 4-edge
 // batch (inserts, then the batch that deletes them) followed by one planned
 // Match+ on the new version. Nothing in an iteration may cost O(|V|) again:
-// pages_copied/op is the adjacency pages the batch rebuilt (about 8 of the 80
-// the store has, ≈17 KB each), and ns/op and B/op are what a per-version pass
-// creeping back would move.
+// pages_copied/op is the adjacency pages the batch rebuilt (about 8 of the
+// 314 the store has, ≈3 KB each), and ns/op and B/op are what a per-version
+// pass creeping back would move.
 //
 // 100k: the update path alone at the benchmark harness's repeat-churn shape —
 // 100k nodes, four standing queries of 3, 4 and 5 nodes sampled as the
 // harness samples them (connected, dQ ≤ 3), alternating insert and delete
 // 4-edge batches, no match (churnStore). dirty/op is the centers the sweep
 // reached to the largest standing radius, labelled/op the centers handed to
-// the queries, summed over them. 1M is the same at n = 1 000 000 (the graph
-// takes seconds to build).
+// the queries, summed over them; pages_copied/op and sig_pages_copied/op
+// are the adjacency and signature pages publishing copied (≈8 and ≈6.8 of
+// 1 564 and ≈500), ≈85 KB a batch with both directories. 100k-relabel
+// swaps each batch's fourth edge for a set_label (relabelChurn), which
+// copies the node-label and rank arrays and both label rows' node lists
+// whole. 1M and
+// 1M-relabel are the same at n = 1 000 000 (the graph takes seconds to
+// build).
 func BenchmarkApplyChurn(b *testing.B) {
 	b.Run("20k", benchmarkApplyChurn20k)
-	b.Run("100k", func(b *testing.B) { benchmarkApplyChurnAt(b, 100000) })
+	b.Run("100k", func(b *testing.B) { benchmarkApplyChurnAt(b, 100000, edgeChurn) })
+	b.Run("100k-relabel", func(b *testing.B) { benchmarkApplyChurnAt(b, 100000, relabelChurn) })
 	if os.Getenv("STRONGSIM_1M") != "" {
-		b.Run("1M", func(b *testing.B) { benchmarkApplyChurnAt(b, 1000000) })
+		b.Run("1M", func(b *testing.B) { benchmarkApplyChurnAt(b, 1000000, edgeChurn) })
+		b.Run("1M-relabel", func(b *testing.B) { benchmarkApplyChurnAt(b, 1000000, relabelChurn) })
 	}
 }
 
-func benchmarkApplyChurnAt(b *testing.B, n int) {
+// edgeChurn and relabelChurn return the i-th batch of a churn on s, reusing
+// batch. edgeChurn is nextChurnBatch. relabelChurn holds one set_label in
+// each batch: nextChurnBatch's first three edges, and a random node given
+// another of the graph's labels at even i and its own back at odd i — a
+// batch that moves a node between label rows, which publishing copies whole
+// (the relabel cells).
+func edgeChurn(rng *rand.Rand, s *Store) func([]Mutation, int) []Mutation {
+	return func(batch []Mutation, i int) []Mutation { return nextChurnBatch(rng, s, batch, i) }
+}
+
+func relabelChurn(rng *rand.Rand, s *Store) func([]Mutation, int) []Mutation {
+	var back string
+	return func(batch []Mutation, i int) []Mutation {
+		if i%2 == 1 {
+			batch = nextChurnBatch(rng, s, batch, i)
+			batch[3] = Mutation{Op: OpSetLabel, Node: batch[3].Node, Label: back}
+			return batch
+		}
+		g := s.Current().Graph()
+		batch = nextChurnBatch(rng, s, batch, i)[:3]
+		v := rng.Int31n(int32(g.NumNodes()))
+		back = g.LabelName(v)
+		label := back
+		for label == back {
+			label = g.Labels().Name(rng.Int31n(int32(g.Labels().Len())))
+		}
+		return append(batch, Mutation{Op: OpSetLabel, Node: v, Label: label})
+	}
+}
+
+func benchmarkApplyChurnAt(b *testing.B, n int, churn func(*rand.Rand, *Store) func([]Mutation, int) []Mutation) {
 	s, rng := churnStore(b, n)
-	var last, dirty, labelled int
+	next := churn(rng, s)
+	var last, dirty, labelled, pages, sigPages int
 	s.dispatched = countDispatched(&last, &labelled)
 	var batch []Mutation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch = nextChurnBatch(rng, s, batch, i)
-		if _, err := s.Apply(batch); err != nil {
+		batch = next(batch, i)
+		res, err := s.Apply(batch)
+		if err != nil {
 			b.Fatal(err)
 		}
 		dirty += last
+		pages += res.PagesCopied
+		sigPages += res.SigPagesCopied
 	}
 	b.ReportMetric(float64(dirty)/float64(b.N), "dirty/op")
 	b.ReportMetric(float64(labelled)/float64(b.N), "labelled/op")
+	b.ReportMetric(float64(pages)/float64(b.N), "pages_copied/op")
+	b.ReportMetric(float64(sigPages)/float64(b.N), "sig_pages_copied/op")
 }
 
 // churnStore is repeat-churn's update path on an n-node graph of the
@@ -576,35 +696,49 @@ func countDispatched(last, labelled *int) func(int, *graph.NodeSet, []*StandingQ
 }
 
 // TestApplyChurnCounts pins the update path's counted work at repeat-churn's
-// shape, the figures BenchmarkApplyChurn/100k reports as dirty/op and
-// labelled/op: over the first 4 000 batches of its churn, the dirty centers
-// the sweep reached to the largest standing radius and the centers handed to
-// the standing queries, summed. Seeds that carry no standing label are swept
-// one hop less than the others (dirtySweep); sweeping every seed to the full
-// radius reads ≈8× the dirty centers.
+// shape, the figures BenchmarkApplyChurn/100k reports per batch: over the
+// first 4 000 batches of its churn, the dirty centers the sweep reached to
+// the largest standing radius and the centers handed to the standing
+// queries, summed (dirty/op, labelled/op), and the adjacency pages and
+// signature pages publishing copied (pages_copied/op, sig_pages_copied/op).
+// Seeds that carry no standing label are swept one hop less than the others
+// (dirtySweep); sweeping every seed to the full radius reads ≈8× the dirty
+// centers. A 4-edge batch writes 8 rows in each direction, so about 8
+// adjacency pages; a signature page is copied only where a recomputed
+// signature differs.
 func TestApplyChurnCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-node graph")
 	}
 	s, rng := churnStore(t, 100000)
-	var last, dirty, labelled int
+	var last, dirty, labelled, pages, sigPages int
 	s.dispatched = countDispatched(&last, &labelled)
 	var batch []Mutation
 	const batches = 4000
 	for i := 0; i < batches; i++ {
 		batch = nextChurnBatch(rng, s, batch, i)
-		if _, err := s.Apply(batch); err != nil {
+		res, err := s.Apply(batch)
+		if err != nil {
 			t.Fatal(err)
 		}
 		dirty += last
+		pages += res.PagesCopied
+		sigPages += res.SigPagesCopied
 	}
-	t.Logf("over %d batches: dirty/op %.1f, labelled/op %.2f", batches, float64(dirty)/batches, float64(labelled)/batches)
+	t.Logf("over %d batches: dirty/op %.1f, labelled/op %.2f, pages_copied/op %.3f, sig_pages_copied/op %.3f", batches,
+		float64(dirty)/batches, float64(labelled)/batches, float64(pages)/batches, float64(sigPages)/batches)
 	if dirty != wantChurnDirty || labelled != wantChurnLabelled {
 		t.Fatalf("over %d batches: %d dirty and %d labelled centers, want %d and %d", batches, dirty, labelled, wantChurnDirty, wantChurnLabelled)
 	}
+	if pages != wantChurnPages || sigPages != wantChurnSigPages {
+		t.Fatalf("over %d batches: %d adjacency and %d signature pages copied, want %d and %d", batches, pages, sigPages, wantChurnPages, wantChurnSigPages)
+	}
 }
 
-const wantChurnDirty, wantChurnLabelled = 1647494, 122540
+const (
+	wantChurnDirty, wantChurnLabelled = 1647494, 122540
+	wantChurnPages, wantChurnSigPages = 31934, 27066
+)
 
 func benchmarkApplyChurn20k(b *testing.B) {
 	g := generator.Synthetic(20000, 1.2, 200, 1)

@@ -149,11 +149,15 @@ type UpdateResult struct {
 	// it — the dirty centers that survived the label precheck, the anchor
 	// check and the global dual filter.
 	Recomputed map[int64]int
-	// PagesCopied counts the adjacency pages — 512 nodes' rows of one
-	// direction, offsets and targets — the batch rebuilt because it replaced
-	// a row in them; every other page the new version shares with its
-	// predecessor. A page that added nodes opened is new, not counted.
+	// PagesCopied counts the adjacency pages — 128 nodes' rows of one
+	// direction, offsets and encoded targets — the batch rebuilt because it
+	// replaced a row in them; every other page the new version shares with
+	// its predecessor. A page that added nodes opened is new, not counted.
 	PagesCopied int
+	// SigPagesCopied counts the neighbour-label signature pages — 256
+	// nodes' signatures of one label row — the batch copied because a
+	// signature in them changed (graph.Graph.SigPagesCopied).
+	SigPagesCopied int
 	// Nodes and Edges are the post-batch graph size.
 	Nodes, Edges int
 }
@@ -469,10 +473,11 @@ func (s *Store) Apply(muts []Mutation) (*UpdateResult, error) {
 
 // ApplyTraced is Apply under a parent span: the batch records one
 // "live.apply" child covering mutation application and version publication
-// (annotated with the adjacency pages the batch rebuilt), one "live.dirty"
-// child per distinct standing radius — the sweep extended to that radius and
-// its dirty centers handed out, annotated with the radius, the sides swept,
-// the seeds carrying a standing label and the dirty centers — and one
+// (annotated with the adjacency and signature pages the batch copied), one
+// "live.dirty" child per distinct standing radius — the sweep extended to
+// that radius and its dirty centers handed out, annotated with the radius,
+// the sides swept, the seeds carrying a standing label and the dirty
+// centers — and one
 // "live.maintain" child per standing query brought current, annotated with
 // the query id, the dirty centers carrying a pattern label, the balls built
 // and the centers the anchor check spared one. One dirty sweep serves every
@@ -507,20 +512,22 @@ func (s *Store) ApplyTraced(muts []Mutation, parent obs.Span) (*UpdateResult, er
 	ver := s.publishLocked(b, out, in, rows)
 	liveBatches.Inc()
 	liveMutations.Add(int64(len(muts)))
-	pages := outPages + inPages
+	pages, sigPages := outPages+inPages, ver.Graph().SigPagesCopied()
 	if applySp.Recording() {
 		applySp.End(
 			obs.Attr{Key: "mutations", Value: int64(len(muts))},
 			obs.Attr{Key: "version", Value: int64(ver.id)},
-			obs.Attr{Key: "pages_copied", Value: int64(pages)})
+			obs.Attr{Key: "pages_copied", Value: int64(pages)},
+			obs.Attr{Key: "sig_pages_copied", Value: int64(sigPages)})
 	}
 
 	res := &UpdateResult{
-		Version:     ver.id,
-		AddedNodes:  b.added,
-		PagesCopied: pages,
-		Nodes:       len(s.nodeLbl),
-		Edges:       ver.Graph().NumEdges(),
+		Version:        ver.id,
+		AddedNodes:     b.added,
+		PagesCopied:    pages,
+		SigPagesCopied: sigPages,
+		Nodes:          len(s.nodeLbl),
+		Edges:          ver.Graph().NumEdges(),
 	}
 	res.Recomputed = s.maintainAll(b, ver, parent)
 	return res, nil

@@ -187,8 +187,9 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 	registered := first.Len()
 
 	images := []versionImage{imageOf(s.Current())}
-	// maxPages bounds what the batch may copy, of the 3 adjacency pages in
-	// each direction; 0 expects the batch to fail.
+	// maxPages bounds what the batch may copy, of the 8 adjacency pages in
+	// each direction (9 once the first batch opens one); 0 expects the batch
+	// to fail.
 	step := func(name string, muts []Mutation, maxPages int) {
 		t.Helper()
 		wantErr := maxPages == 0
@@ -213,7 +214,8 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		checkAgainstScratch(t, s, sq)
 	}
 
-	// Nodes 1020..1026: 1024 opens the third page; wired into pages 0 and 1.
+	// Nodes 1020..1026: 1020 fills page 7 and 1024 opens page 8; wired into
+	// pages 0, 4 and 7.
 	var grow []Mutation
 	for i := int32(0); i < 7; i++ {
 		grow = append(grow, Mutation{Op: OpAddNode, Label: labels[i%3]})
@@ -223,9 +225,10 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		Mutation{Op: OpInsertEdge, U: 1025, V: 600},
 		Mutation{Op: OpInsertEdge, U: 1026, V: hub},
 		Mutation{Op: OpInsertEdge, U: hub, V: 1024})
-	// Pages 0 and 1 of each array are written; page 2 is new, not copied.
-	step("grow across a page boundary", grow, 4)
-	step("delete the hub", []Mutation{{Op: OpDeleteNode, Node: hub}}, 6)
+	// Pages 0 and 7 of out, 0, 4 and 7 of in are written; page 8 is new, not
+	// copied.
+	step("grow across a page boundary", grow, 5)
+	step("delete the hub", []Mutation{{Op: OpDeleteNode, Node: hub}}, 18)
 	step("fail midway", []Mutation{
 		{Op: OpInsertEdge, U: 10, V: 700},
 		{Op: OpAddNode, Label: "A"},
@@ -238,7 +241,7 @@ func TestStoreVersionsAreImmutable(t *testing.T) {
 		{Op: OpDeleteEdge, U: 511, V: 512},
 		{Op: OpInsertEdge, U: 10, V: 700},
 		{Op: OpAddNode, Label: "B"},
-	}, 4)
+	}, 6)
 	if got := s.Current().Graph().NumNodes(); got != n+8 {
 		t.Fatalf("current graph has %d nodes, want %d (the failed batch's node must not exist)", got, n+8)
 	}

@@ -4,7 +4,7 @@ import "repro/internal/graph"
 
 // Index is the planner's handle on one immutable data graph: the
 // candidate-pruning filters of Prune read the graph's own neighbour-label
-// signatures (graph.Graph.SigsWithLabel), so an Index holds nothing else and
+// signatures (graph.Graph.SigRow), so an Index holds nothing else and
 // costs nothing to make. It is safe for concurrent queries.
 //
 // Every filter is a necessary condition for a center's ball to contain a
@@ -93,8 +93,8 @@ func prune(g, q *graph.Graph, radius int, centers []int32, st *PruneStats) []int
 	// with linear scans beats a map, and up to 8 nodes it lives on the stack.
 	type labelReq struct {
 		label int32
-		need  graph.Sig   // Bloom-folded labels of the node's out-/in-neighbors
-		sigs  []graph.Sig // g.SigsWithLabel(label), addressed by label rank
+		need  graph.Sig    // Bloom-folded labels of the node's out-/in-neighbors
+		sigs  graph.SigRow // g.SigRow(label), addressed by label rank
 	}
 	var small [8]labelReq
 	reqs := small[:0]
@@ -103,7 +103,7 @@ func prune(g, q *graph.Graph, radius int, centers []int32, st *PruneStats) []int
 	}
 	for u := int32(0); u < int32(q.NumNodes()); u++ {
 		lbl := q.Label(u)
-		reqs = append(reqs, labelReq{lbl, q.NeighbourSig(u), g.SigsWithLabel(lbl)})
+		reqs = append(reqs, labelReq{lbl, q.NeighbourSig(u), g.SigRow(lbl)})
 	}
 	rank := g.LabelRanks()
 	// At least one round, so that a one-node pattern with a self-loop is held
@@ -125,7 +125,7 @@ func prune(g, q *graph.Graph, radius int, centers []int32, st *PruneStats) []int
 				continue
 			}
 			matched = true
-			if !r.sigs[rank[c]].Covers(r.need) {
+			if !r.sigs.At(rank[c]).Covers(r.need) {
 				continue
 			}
 			paired = true

@@ -215,19 +215,20 @@ func (r *Refiner) seed() {
 			need.In = 0
 		}
 		lbl, set := r.q.Label(x), r.rel[x]
-		nodes, sigs := r.g.NodesWithLabel(lbl), r.g.SigsWithLabel(lbl)
+		nodes, sigs := r.g.NodesWithLabel(lbl), r.g.SigRow(lbl)
 		list := r.cand[r.candAt[x]:][:0]
-		for lo := 0; lo < len(nodes); lo += pollEvery {
-			hi := min(lo+pollEvery, len(nodes))
-			if r.spent(hi - lo) {
+		lo := 0 // pollEvery is a multiple of graph.SigPageSize
+		for _, page := range sigs {
+			if lo%pollEvery == 0 && r.spent(min(pollEvery, len(nodes)-lo)) {
 				return
 			}
-			for i, s := range sigs[lo:hi] {
+			for i, s := range page {
 				if s.Covers(need) {
 					set.Add(nodes[lo+i])
 					list = append(list, nodes[lo+i])
 				}
 			}
+			lo += len(page)
 			r.candN[x] = int32(len(list))
 		}
 	}

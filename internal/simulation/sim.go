@@ -35,7 +35,7 @@ func DualIn(ctx context.Context, q, g *graph.Graph, sc *Scratch) (Relation, bool
 }
 
 // refineByLabel is the whole-graph pass behind Simulation, Dual and DualIn.
-// g must carry neighbour-label signatures (graph.Graph.SigsWithLabel), as
+// g must carry neighbour-label signatures (graph.Graph.SigRow), as
 // every graph but a BallScratch ball does.
 func refineByLabel(ctx context.Context, q, g *graph.Graph, mode Mode, sc *Scratch) (Relation, bool, error) {
 	rel := sc.Relation(q.NumNodes(), g.NumNodes())
